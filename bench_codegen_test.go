@@ -1,93 +1,17 @@
 package repro
 
-// E14 — ahead-of-time compiled validators (DESIGN.md §14). Two layers:
-// the isolated stepper (the generated unrolled-switch matcher against the
-// lazy-DFA Run over identical inputs) and the end-to-end effect (repeated
-// whole-document validation through the generated pogen.Validate against
-// a warm interpreted Validator). The acceptance bar recorded in
-// EXPERIMENTS.md: the generated path at least 2x the lazy-DFA path.
+// E14 — ahead-of-time compiled validators (DESIGN.md §14): repeated
+// whole-document validation and decode through the generated pogen
+// package against a warm interpreted Validator and binder.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bind"
-	"repro/internal/contentmodel"
 	"repro/internal/dom"
-	"repro/internal/gen/cmbench"
 	"repro/internal/gen/pogen"
 	"repro/internal/validator"
 )
-
-// e14Models pairs each cmbench compiled matcher with its interpreted
-// Glushkov automaton (DFA enabled, warmed by the first benchmark pass)
-// and a representative accept input.
-func e14Models(b *testing.B) []struct {
-	name  string
-	match func([]contentmodel.Symbol) *contentmodel.MatchError
-	g     *contentmodel.Glushkov
-	input []contentmodel.Symbol
-} {
-	itemsInput := make([]contentmodel.Symbol, 1000)
-	for i := range itemsInput {
-		itemsInput[i] = contentmodel.Symbol{Local: "item"}
-	}
-	wideInput := make([]contentmodel.Symbol, 16)
-	for i := range wideInput {
-		wideInput[i] = contentmodel.Symbol{Local: fmt.Sprintf("e%d_%d", i, i%8)}
-	}
-	out := []struct {
-		name  string
-		match func([]contentmodel.Symbol) *contentmodel.MatchError
-		g     *contentmodel.Glushkov
-		input []contentmodel.Symbol
-	}{
-		{"po-items-1000", cmbench.MatchItems, nil, itemsInput},
-		{"wide-choice-k16w8", cmbench.MatchWideChoice, nil, wideInput},
-	}
-	for i, p := range []*contentmodel.Particle{cmbench.ItemsModel(), cmbench.WideChoiceModel()} {
-		g, err := contentmodel.CompileGlushkov(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !g.EnableDFA(contentmodel.NewInterner(), 0) {
-			b.Fatalf("%s: EnableDFA refused", out[i].name)
-		}
-		out[i].g = g
-	}
-	return out
-}
-
-// BenchmarkE14_CompiledMatcher isolates the stepper: the generated
-// unrolled-switch matcher vs the lazy-DFA Run (the E10 winner) over
-// identical inputs.
-func BenchmarkE14_CompiledMatcher(b *testing.B) {
-	for _, m := range e14Models(b) {
-		b.Run(m.name+"/gen", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if merr := m.match(m.input); merr != nil {
-					b.Fatal(merr)
-				}
-			}
-		})
-		b.Run(m.name+"/dfa", func(b *testing.B) {
-			b.ReportAllocs()
-			r := m.g.Start()
-			for i := 0; i < b.N; i++ {
-				r.Reset(m.g)
-				for _, s := range m.input {
-					if _, err := r.Step(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := r.End(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkE14_GeneratedValidate is the end-to-end comparison: repeated
 // whole-document validation of a 100-item purchase order through the

@@ -672,7 +672,7 @@ func BenchmarkE10_WarmValidate(b *testing.B) {
 		opts *validator.Options
 	}{
 		{"dfa", nil},
-		{"nodfa", &validator.Options{DisableDFA: true}},
+		{"nfa", &validator.Options{DisableDFA: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -951,35 +951,23 @@ func writeSchemaGraph(b *testing.B, n int) string {
 
 // BenchmarkE13_ColdStart prices bringing a registry from empty to serving
 // over an n-schema import graph: every iteration starts a fresh registry
-// (cold caches) and runs one full Reload. The serial leg pins the compile
-// pool to one worker; the parallel/serial ratio is the payoff of
-// compiling changed schemas concurrently under the shared per-reload
-// stat/read cache.
+// (cold caches) and runs one full Reload, compiling changed schemas
+// concurrently under the shared per-reload stat/read cache.
 func BenchmarkE13_ColdStart(b *testing.B) {
 	for _, n := range []int{200, 1000} {
 		dir := writeSchemaGraph(b, n)
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{
-			{"parallel", 0},
-			{"serial", 1},
-		} {
-			b.Run(fmt.Sprintf("%s/schemas=%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					reg := registry.New(dir, nil)
-					reg.Workers = mode.workers
-					changed, err := reg.Reload()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if changed != n {
-						b.Fatalf("cold start loaded %d schemas, want %d", changed, n)
-					}
+		b.Run(fmt.Sprintf("parallel/schemas=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				changed, err := registry.New(dir, nil).Reload()
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if changed != n {
+					b.Fatalf("cold start loaded %d schemas, want %d", changed, n)
+				}
+			}
+		})
 	}
 }
 
@@ -1274,8 +1262,8 @@ func BenchmarkE16_SOAP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E17 — cluster tier: fleet routing cost, batch amortization, pooled
-// response buffers, and shared-parse cold start.
+// E17 — cluster tier: fleet routing cost, batch amortization, and
+// shared-parse cold start.
 // ---------------------------------------------------------------------------
 
 // benchFleet boots n in-process nodes over one schema directory and
@@ -1375,69 +1363,10 @@ func BenchmarkE17_ClusterServe(b *testing.B) {
 	}
 }
 
-// BenchmarkE17_ResponseBuffer prices the pooled response-body path
-// against per-request encoding, over a real connection — the pool's
-// win is a pre-sized single-write response (exact Content-Length)
-// where the direct path streams the encoder into the ResponseWriter
-// and pays chunked framing plus extra write calls. The decode leg
-// returns the whole document as canonical JSON, so the response body
-// dwarfs the verdict and the framing difference is proportionally
-// largest.
-func BenchmarkE17_ResponseBuffer(b *testing.B) {
-	dir := b.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "po.xsd"), []byte(schemas.PurchaseOrderXSD), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	small, large := largePOSource(1), largePOSource(200)
-	for _, leg := range []struct {
-		name string
-		path string
-		doc  []byte
-	}{
-		{"validate-small", "/v1/validate/po", small},
-		{"decode-200items", "/v1/decode/po", large},
-	} {
-		for _, variant := range []struct {
-			name    string
-			disable bool
-		}{
-			{"pooled", false},
-			{"direct", true},
-		} {
-			b.Run(leg.name+"/"+variant.name, func(b *testing.B) {
-				reg := registry.New(dir, nil)
-				if _, err := reg.Reload(); err != nil {
-					b.Fatal(err)
-				}
-				srv := server.New(server.Config{Registry: reg, DisableBufferPool: variant.disable})
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				url := ts.URL + leg.path
-				b.ReportAllocs()
-				b.SetBytes(int64(len(leg.doc)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					resp, err := http.Post(url, "application/xml", bytes.NewReader(leg.doc))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-						b.Fatal(err)
-					}
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						b.Fatalf("%s answered %d", leg.path, resp.StatusCode)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkE17_ColdStartSharedParse prices a registry cold start over a
 // directory where 32 entries all import one shared library — the shape
-// the per-reload DOM cache exists for. shared parses the library once
-// per reload; direct re-parses it once per importer.
+// the per-reload DOM cache exists for: the library is parsed once per
+// reload, not once per importer.
 func BenchmarkE17_ColdStartSharedParse(b *testing.B) {
 	dir := b.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "lib"), 0o755); err != nil {
@@ -1469,25 +1398,16 @@ func BenchmarkE17_ColdStartSharedParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, leg := range []struct {
-		name    string
-		disable bool
-	}{
-		{"shared", false},
-		{"direct", true},
-	} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reg := registry.New(dir, nil)
-				reg.DisableSharedParse = leg.disable
-				if _, err := reg.Reload(); err != nil {
-					b.Fatal(err)
-				}
-				if len(reg.List()) != 32 {
-					b.Fatalf("cold start compiled %d entries, want 32", len(reg.List()))
-				}
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reg := registry.New(dir, nil)
+			if _, err := reg.Reload(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(reg.List()) != 32 {
+				b.Fatalf("cold start compiled %d entries, want 32", len(reg.List()))
+			}
+		}
+	})
 }

@@ -32,7 +32,6 @@ func main() {
 	encode := flag.Bool("encode", false, "treat the input as canonical JSON and emit schema-valid XML")
 	stream := flag.Bool("stream", false, "decode incrementally while reading (O(depth) memory, no DOM)")
 	compact := flag.Bool("compact", false, "emit compact JSON instead of indented")
-	nodfa := flag.Bool("nodfa", false, "disable the lazy-DFA content-model executor (NFA stepping)")
 	flag.Parse()
 	if *schemaPath == "" || flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: xsdbind -schema s.xsd [-encode] [-stream] file|-")
@@ -46,7 +45,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	b := bind.New(schema, validator.New(schema, &validator.Options{DisableDFA: *nodfa}))
+	b := bind.New(schema, validator.New(schema, nil))
 
 	if *encode {
 		os.Exit(runEncode(b, flag.Arg(0)))

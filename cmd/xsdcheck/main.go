@@ -75,7 +75,7 @@ type schemaSet struct {
 	byRoot  map[xsd.QName]*schemaEntry
 }
 
-func loadSchemas(paths []string, root string, vopts *validator.Options, withBinder bool) (*schemaSet, error) {
+func loadSchemas(paths []string, root string, withBinder bool) (*schemaSet, error) {
 	set := &schemaSet{byRoot: map[xsd.QName]*schemaEntry{}}
 	// With -schemadir, a namespace catalog over the directory lets
 	// schemas import by namespace alone (no schemaLocation), same as the
@@ -98,7 +98,7 @@ func loadSchemas(paths []string, root string, vopts *validator.Options, withBind
 		if err != nil {
 			return nil, err
 		}
-		e := &schemaEntry{path: p, schema: schema, v: validator.New(schema, vopts)}
+		e := &schemaEntry{path: p, schema: schema, v: validator.New(schema, nil)}
 		if withBinder {
 			e.binder = bind.New(schema, e.v)
 		}
@@ -142,7 +142,6 @@ func main() {
 	stream := flag.Bool("stream", false, "validate incrementally while reading (O(depth) memory, no DOM; with several schemas the file is buffered for root dispatch)")
 	parallel := flag.Bool("parallel", false, "split each document at top-level subtree boundaries across the cores (best for few large files; verdicts are identical to the sequential walk)")
 	jsonOut := flag.Bool("json", false, "decode valid documents to canonical JSON in the same pass (invalid ones still report violations)")
-	nodfa := flag.Bool("nodfa", false, "disable the lazy-DFA content-model executor (NFA stepping)")
 	flag.Parse()
 
 	var schemaFiles []string
@@ -172,7 +171,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	set, err := loadSchemas(schemaFiles, *schemaDir, &validator.Options{DisableDFA: *nodfa}, *jsonOut)
+	set, err := loadSchemas(schemaFiles, *schemaDir, *jsonOut)
 	if err != nil {
 		fatal(err)
 	}

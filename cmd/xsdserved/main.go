@@ -55,7 +55,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/soap"
-	"repro/internal/validator"
 	"repro/internal/wsdl"
 )
 
@@ -130,7 +129,6 @@ func main() {
 	maxConc := flag.Int("max-concurrent", 0, "concurrent validation limit (0 = 4×GOMAXPROCS); excess load is shed with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request validation deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-	nodfa := flag.Bool("nodfa", false, "disable the lazy-DFA content-model executor (NFA stepping)")
 	gate := flag.String("compat-gate", "none", "reject reloaded schema versions below this compatibility level vs the serving version (none|backward|forward|full)")
 	wsdls := flag.String("wsdls", "", "directory of *.wsdl service descriptions to mount at /v1/soap/{service} (envelope validation and WSDL echo; operations answer an unimplemented Fault)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables, non-loopback refused)")
@@ -152,7 +150,7 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 
 	metrics := &obs.Metrics{}
-	reg := registry.New(*dir, &validator.Options{DisableDFA: *nodfa})
+	reg := registry.New(*dir, nil)
 	reg.Gate = gateLevel
 	reg.OnCompat = func(name string, rep *compat.Report, gated bool) {
 		metrics.Compat.Observe(rep.Level.String(), gated)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gen/cmbench"
 	"repro/internal/gen/manifest"
 	"repro/internal/normalize"
 	"repro/internal/schemas"
@@ -73,14 +72,6 @@ func TestGoldenGeneratedPackages(t *testing.T) {
 		}
 		compare(filepath.Join("..", "gen", tgt.Pkg, tgt.Pkg+".go"), code)
 	}
-	matchers, err := GenerateMatchers("cmbench", []MatcherSpec{
-		{Name: "Items", Particle: cmbench.ItemsModel(), Comment: "the purchase-order items model (item*)"},
-		{Name: "WideChoice", Particle: cmbench.WideChoiceModel(), Comment: "the scaled-down E10 synthetic wide-choice model (16 groups x 8 alternatives)"},
-	})
-	if err != nil {
-		t.Fatalf("cmbench: %v", err)
-	}
-	compare(filepath.Join("..", "gen", "cmbench", "matchers.go"), matchers)
 }
 
 // TestFig5UnionInterface regenerates the paper's Figure 5: the rejected

@@ -30,9 +30,7 @@
 // through validator.Sink, so generated and interpreted verdicts are
 // byte-identical; the repository's differential layer
 // (TestGeneratedMatchesInterpreted, FuzzGeneratedValidator) enforces
-// that rather than assuming it. GenerateMatchers emits standalone
-// compiled matchers for content-model particles (the E14 stepper
-// benchmark).
+// that rather than assuming it.
 //
 // # Concurrency
 //

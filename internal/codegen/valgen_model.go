@@ -1,13 +1,11 @@
 package codegen
 
 // Model and simple-type emission for the validator back end: exported-DFA
-// transition tables and step functions, straight-line simple-type parsers,
-// and the standalone matcher generator used by the content-model
-// benchmarks.
+// transition tables and step functions, and straight-line simple-type
+// parsers.
 
 import (
 	"fmt"
-	"go/format"
 	"strings"
 
 	"repro/internal/contentmodel"
@@ -266,81 +264,4 @@ func emitAdmitsMask(p func(string, ...any), w *contentmodel.Wildcard, bit int) {
 		p("mask |= %d", bit)
 		p("}")
 	}
-}
-
-// MatcherSpec is one content model for GenerateMatchers.
-type MatcherSpec struct {
-	// Name is the exported Go name stem (the function is Match<Name>).
-	Name string
-	// Particle is the compiled content model.
-	Particle *contentmodel.Particle
-	// Comment describes the model in the generated doc comment.
-	Comment string
-}
-
-// GenerateMatchers emits a standalone package of compiled matcher
-// functions — the same unrolled-DFA form the validator back end embeds,
-// without the schema machinery around it. The benchmark harness uses it to
-// compare the generated hot loop against the lazy-DFA stepper on equal
-// terms.
-func GenerateMatchers(pkg string, specs []MatcherSpec) (string, error) {
-	var b strings.Builder
-	p := func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-		b.WriteByte('\n')
-	}
-	p("// Code generated by vdomgen (compiled matchers). DO NOT EDIT.")
-	p("//")
-	p("// Unrolled-DFA matcher functions over contentmodel symbols, emitted by")
-	p("// codegen.GenerateMatchers for benchmarking the generated transition")
-	p("// form against the lazy-DFA stepper. Verdicts (including MatchError")
-	p("// text) are byte-identical to Glushkov.Match by construction.")
-	p("package %s", pkg)
-	p("")
-	p("import (")
-	p("\t\"repro/internal/contentmodel\"")
-	p(")")
-	p("")
-	for _, spec := range specs {
-		g, err := contentmodel.CompileGlushkov(spec.Particle)
-		if err != nil {
-			return "", fmt.Errorf("codegen: matcher %s: %w", spec.Name, err)
-		}
-		t, err := g.ExportDFA(0)
-		if err != nil {
-			return "", fmt.Errorf("codegen: matcher %s: %w", spec.Name, err)
-		}
-		prefix := lowerFirst(spec.Name)
-		emitModelTables(p, prefix, t, spec.Comment)
-		emitModelStep(p, prefix, t)
-		p("// Match%s matches a child-name sequence against the %s,", spec.Name, spec.Comment)
-		p("// with the verdict Glushkov.Match would produce.")
-		p("func Match%s(input []contentmodel.Symbol) *contentmodel.MatchError {", spec.Name)
-		p("st := 0")
-		p("for i, sym := range input {")
-		p("next, _ := %sStep(st, sym.Space, sym.Local)", prefix)
-		p("if next < 0 {")
-		p("return &contentmodel.MatchError{Index: i, Got: sym, Expected: %sStepExp[st]}", prefix)
-		p("}")
-		p("st = next")
-		p("}")
-		p("if len(input) == 0 {")
-		if t.Nullable {
-			p("return nil")
-		} else {
-			p("return &contentmodel.MatchError{Index: 0, Premature: true, Expected: %sEndExp[0]}", prefix)
-		}
-		p("}")
-		p("if !%sAccept[st] {", prefix)
-		p("return &contentmodel.MatchError{Index: len(input), Premature: true, Expected: %sEndExp[st]}", prefix)
-		p("}")
-		p("return nil")
-		p("}")
-		p("")
-	}
-	formatted, err := format.Source([]byte(b.String()))
-	if err != nil {
-		return b.String(), fmt.Errorf("codegen: generated matchers do not parse: %w", err)
-	}
-	return string(formatted), nil
 }

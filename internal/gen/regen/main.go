@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/codegen"
-	"repro/internal/gen/cmbench"
 	"repro/internal/gen/manifest"
 	"repro/internal/normalize"
 )
@@ -59,15 +58,6 @@ func main() {
 		}
 		write(filepath.Join(dir, t.Pkg+".go"), code)
 	}
-	// Compiled matchers for the E14 stepper benchmark.
-	matchers, err := codegen.GenerateMatchers("cmbench", []codegen.MatcherSpec{
-		{Name: "Items", Particle: cmbench.ItemsModel(), Comment: "the purchase-order items model (item*)"},
-		{Name: "WideChoice", Particle: cmbench.WideChoiceModel(), Comment: "the scaled-down E10 synthetic wide-choice model (16 groups x 8 alternatives)"},
-	})
-	if err != nil {
-		fatal(fmt.Errorf("regen cmbench: %w", err))
-	}
-	write(filepath.Join(root, "cmbench", "matchers.go"), matchers)
 }
 
 func write(path, code string) {

@@ -28,11 +28,11 @@
 // warm automaton caches — iff every file in its closure has unchanged
 // (ModTime, Size), so editing one imported file recompiles exactly the
 // dependents whose closure contains it. Changed schemas compile in
-// parallel under a bounded pool (Workers; GOMAXPROCS by default) with a
-// per-reload cache that stats and reads each unique file once no matter
-// how many schemas share it — the cold-start path EXPERIMENTS.md E13
-// measures. A file that fails to parse keeps its previous good version
-// serving and reports through Errors.
+// parallel under a GOMAXPROCS-bounded pool with a per-reload cache that
+// stats and reads each unique file once, and shares each parsed
+// document, no matter how many schemas import it — the cold-start path
+// EXPERIMENTS.md E13 and E17 measure. A file that fails to parse keeps
+// its previous good version serving and reports through Errors.
 //
 // # Compatibility gating
 //

@@ -160,18 +160,6 @@ type Registry struct {
 	// recompiled schema that had a previous good version), with gated
 	// reporting whether the gate rejected the new version.
 	OnCompat func(name string, report *compat.Report, gated bool)
-
-	// Workers caps the parallel-compile pool a Reload uses for changed
-	// schemas. Zero (the default) means GOMAXPROCS; 1 compiles serially.
-	// Exists for benchmarks that price the parallelism itself.
-	Workers int
-
-	// DisableSharedParse turns off the content-hash keyed schema-document
-	// parse cache a Reload normally shares across the schemas it
-	// recompiles (fifty dependents of one library then re-parse it fifty
-	// times, the pre-sharing behavior). Exists for benchmarks that price
-	// the sharing itself.
-	DisableSharedParse bool
 }
 
 // New creates a registry over dir. The validator options are applied to
@@ -427,10 +415,7 @@ func (r *Registry) Reload() (changed int, err error) {
 		catalog, _ = xsd.BuildCatalog(r.dir, cache.readFile) //nolint:errcheck // an unreadable tree fails per-schema below
 	}
 	if len(pending) > 0 {
-		workers := r.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
+		workers := runtime.GOMAXPROCS(0)
 		if workers > len(pending) {
 			workers = len(pending)
 		}
@@ -557,11 +542,7 @@ func (r *Registry) load(key, path string, prev *Entry, cache *reloadCache, catal
 	res := xsd.NewDirResolver(r.dir)
 	res.ReadFile = cache.readFile
 	res.Catalog = catalog
-	popts := &xsd.ParseOptions{Resolver: res}
-	if !r.DisableSharedParse {
-		popts.ParseDoc = cache.parseDoc
-	}
-	schema, err := xsd.ParseFile(path, popts)
+	schema, err := xsd.ParseFile(path, &xsd.ParseOptions{Resolver: res, ParseDoc: cache.parseDoc})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -63,14 +62,9 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var results []batchResult
 	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
-		data, err := io.ReadAll(body)
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				return outcome{code: http.StatusRequestEntityTooLarge,
-					errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-			}
-			return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
+		data, fail := readBody(ctx, body)
+		if fail.code != 0 {
+			return fail
 		}
 		var req batchRequest
 		if err := json.Unmarshal(data, &req); err != nil {
@@ -82,9 +76,6 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 		if len(req.Documents) > s.maxBatch {
 			return outcome{code: http.StatusBadRequest,
 				errMsg: fmt.Sprintf("batch carries %d documents, limit is %d", len(req.Documents), s.maxBatch)}
-		}
-		if ctx.Err() != nil {
-			return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 		}
 		results = s.runBatch(ctx, entry.Validator, req.Documents)
 		if results == nil {

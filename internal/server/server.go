@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,25 +49,20 @@ type Config struct {
 	// and shedding over a document set, so the cap is what keeps one
 	// request from monopolizing a concurrency slot indefinitely.
 	MaxBatchDocs int
-	// DisableBufferPool turns off the pooled response-encoding buffers and
-	// encodes verdict JSON straight to the connection (the pre-pooling
-	// behavior). Exists for benchmarks that price the pooling itself.
-	DisableBufferPool bool
 }
 
 // Server is the HTTP validation service: request routing, body caps,
 // deadlines, load shedding and metrics around the registry's validators.
 // Create one with New and mount Handler on an http.Server.
 type Server struct {
-	reg       *registry.Registry
-	metrics   *obs.Metrics
-	log       *slog.Logger
-	maxBody   int64
-	timeout   time.Duration
-	maxBatch  int
-	noBufPool bool
-	sem       chan struct{}
-	mux       *http.ServeMux
+	reg      *registry.Registry
+	metrics  *obs.Metrics
+	log      *slog.Logger
+	maxBody  int64
+	timeout  time.Duration
+	maxBatch int
+	sem      chan struct{}
+	mux      *http.ServeMux
 	// soapSvcs routes /v1/soap/{service}; populated by RegisterSOAP
 	// before serving starts, read-only afterwards.
 	soapSvcs map[string]*soap.Service
@@ -104,16 +98,15 @@ func New(cfg Config) *Server {
 		maxBatch = 256
 	}
 	s := &Server{
-		reg:       cfg.Registry,
-		metrics:   m,
-		log:       cfg.Logger,
-		maxBody:   maxBody,
-		timeout:   timeout,
-		maxBatch:  maxBatch,
-		noBufPool: cfg.DisableBufferPool,
-		sem:       make(chan struct{}, maxConc),
-		mux:       http.NewServeMux(),
-		soapSvcs:  map[string]*soap.Service{},
+		reg:      cfg.Registry,
+		metrics:  m,
+		log:      cfg.Logger,
+		maxBody:  maxBody,
+		timeout:  timeout,
+		maxBatch: maxBatch,
+		sem:      make(chan struct{}, maxConc),
+		mux:      http.NewServeMux(),
+		soapSvcs: map[string]*soap.Service{},
 	}
 	s.mux.HandleFunc("POST /v1/validate/{schema}", s.handleValidate)
 	s.mux.HandleFunc("POST /v1/validate-batch/{schema}", s.handleValidateBatch)
@@ -191,30 +184,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// respBuffers pools the scratch buffers responses are encoded into
-// before they hit the wire, so the serving hot path stops paying one
-// buffer allocation (and a chunked-encoding response) per request.
-var respBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBuffer is the largest buffer returned to the pool; a rare
-// huge verdict (thousands of violations) must not pin its memory there.
-const maxPooledBuffer = 1 << 20
-
-// writeJSON encodes v through a pooled buffer, which also yields an
+// writeJSON encodes v into a buffer before writing, which yields an
 // exact Content-Length (single-write responses, no chunked framing).
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	if s.noBufPool {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
-		return
-	}
-	buf := respBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		// Our own response structs cannot fail to encode; if one ever
 		// does, a 500 beats a half-written body.
-		respBuffers.Put(buf)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		return
@@ -223,9 +199,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing to do
-	if buf.Cap() <= maxPooledBuffer {
-		respBuffers.Put(buf)
-	}
 }
 
 // outcome is what the worker goroutine reports back to the handler.
@@ -289,6 +262,26 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 		<-outc
 		return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}, true
 	}
+}
+
+// readBody reads a whole request body for the endpoints that need the
+// document in memory. A body over the cap is a 413, any other read
+// failure a 400, and a deadline that expired during the read a 504; in
+// those cases the returned outcome carries the code and data is nil.
+func readBody(ctx context.Context, body io.Reader) ([]byte, outcome) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, outcome{code: http.StatusRequestEntityTooLarge,
+				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
+		}
+		return nil, outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
+	}
+	if ctx.Err() != nil {
+		return nil, outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
+	}
+	return data, outcome{}
 }
 
 // handleValidate runs POST /v1/validate/{schema}[?stream=1|?parallel=1].
@@ -390,17 +383,9 @@ func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode 
 		}
 		return outcome{res: res}
 	}
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-		}
-		return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
-	}
-	if ctx.Err() != nil {
-		return outcome{code: http.StatusGatewayTimeout, errMsg: "validation deadline exceeded"}
+	data, fail := readBody(ctx, body)
+	if fail.code != 0 {
+		return fail
 	}
 	doc, perr := dom.Parse(data)
 	if perr != nil {
@@ -504,17 +489,9 @@ func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode stri
 		}
 		return out
 	}
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-		}
-		return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
-	}
-	if ctx.Err() != nil {
-		return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
+	data, fail := readBody(ctx, body)
+	if fail.code != 0 {
+		return fail
 	}
 	v, res := entry.Binder.DecodeBytes(data)
 	out := outcome{res: res}
@@ -558,17 +535,9 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 
 // runEncode maps canonical JSON back to schema-valid XML.
 func (s *Server) runEncode(ctx context.Context, entry *registry.Entry, body io.Reader) outcome {
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-		}
-		return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
-	}
-	if ctx.Err() != nil {
-		return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
+	data, fail := readBody(ctx, body)
+	if fail.code != 0 {
+		return fail
 	}
 	v, err := entry.Binder.FromJSON(data)
 	if err != nil {

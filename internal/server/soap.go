@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,17 +58,9 @@ func (s *Server) handleSOAP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var resp *soap.Response
 	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
-		data, err := io.ReadAll(body)
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				return outcome{code: http.StatusRequestEntityTooLarge,
-					errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-			}
-			return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
-		}
-		if ctx.Err() != nil {
-			return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
+		data, fail := readBody(ctx, body)
+		if fail.code != 0 {
+			return fail
 		}
 		resp = svc.Handle(ctx, data, r.Header.Get("SOAPAction"))
 		return outcome{}

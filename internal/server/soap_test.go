@@ -76,6 +76,13 @@ func TestSOAPEndpoint(t *testing.T) {
 		t.Errorf("fault body: %s", body)
 	}
 
+	// An envelope with a DOCTYPE is a Client fault, 400: SOAP forbids
+	// document type declarations in messages.
+	code, _, body = postSOAP(t, url, `<!DOCTYPE e:Envelope>`+addEnvelope)
+	if code != 400 || !strings.Contains(string(body), "document type declaration") {
+		t.Fatalf("DOCTYPE envelope: status %d: %s", code, body)
+	}
+
 	// Unimplemented operation: a Fault, 501.
 	sub := strings.Replace(strings.Replace(addEnvelope, "AddRequest", "SubtractRequest", 2), "c:AddRequest", "c:SubtractRequest", 1)
 	code, _, body = postSOAP(t, url, sub)

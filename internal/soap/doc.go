@@ -13,8 +13,9 @@
 // Every failure mode maps to a SOAP Fault, never a bare transport error:
 // malformed XML becomes a Client/Sender fault whose detail carries the
 // parser's line and column, schema violations become one detail entry per
-// violation with the validator's XPath-like location, an unknown body
-// element or mustUnderstand header faults with the matching standard
-// code. The fault speaks the same SOAP version as the request (1.1 when
+// violation with the validator's XPath-like location, a DOCTYPE (which
+// both SOAP versions forbid in a message) is a Client/Sender fault, and
+// an unknown body element or mustUnderstand header faults with the
+// matching standard code. The fault speaks the same SOAP version as the request (1.1 when
 // the request was too broken to tell).
 package soap

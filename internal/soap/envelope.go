@@ -54,10 +54,11 @@ type Envelope struct {
 // parsed envelope or the Fault to answer with. It never returns both.
 //
 // Structural rules enforced: the root is soap:Envelope in a known version
-// namespace; its element children are an optional Header followed by
-// exactly one Body and nothing else; the Body has at most one element
-// child (document/literal single-part bodies); no header entry demands
-// mustUnderstand (this layer understands none).
+// namespace; the message has no document type declaration (SOAP 1.1 §3,
+// SOAP 1.2 Part 1 §5); its element children are an optional Header
+// followed by exactly one Body and nothing else; the Body has at most one
+// element child (document/literal single-part bodies); no header entry
+// demands mustUnderstand (this layer understands none).
 func ParseEnvelope(src []byte) (*Envelope, *Fault) {
 	doc, err := dom.Parse(src)
 	if err != nil {
@@ -81,6 +82,9 @@ func ParseEnvelope(src []byte) (*Envelope, *Fault) {
 	default:
 		return nil, &Fault{Code: CodeVersionMismatch,
 			Reason: fmt.Sprintf("unsupported envelope namespace %q", root.NamespaceURI())}
+	}
+	if doc.Doctype != nil {
+		return nil, env.fault(CodeClient, "envelope carries a document type declaration, which SOAP forbids")
 	}
 	ns := versionNS(env.Version)
 	for _, c := range root.ChildElements() {

@@ -191,6 +191,8 @@ func TestFaultTable(t *testing.T) {
 		{"xsi nil on non-nillable", env11(`<c:AddRequest xmlns:c="urn:calc" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:nil="true"/>`), "", 400, "Client", "not schema-valid"},
 		{"soapaction mismatch", env11(addReq), `"urn:calc:subtract"`, 400, "Client", "SOAPAction"},
 		{"schema violation 1.2", env12(`<c:AddRequest xmlns:c="urn:calc"><c:b>2</c:b></c:AddRequest>`), "", 400, "Sender", "not schema-valid"},
+		{"doctype 1.1", `<!DOCTYPE e:Envelope>` + env11(addReq), "", 400, "Client", "document type declaration"},
+		{"doctype 1.2", `<!DOCTYPE e:Envelope [<!ENTITY n "19">]>` + env12(`<c:AddRequest xmlns:c="urn:calc"><c:a>&n;</c:a><c:b>23</c:b></c:AddRequest>`), "", 400, "Sender", "document type declaration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

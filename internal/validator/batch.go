@@ -10,11 +10,10 @@ import (
 
 // ValidateBatch validates every document concurrently through a bounded
 // worker pool and returns one Result per document, index-aligned with
-// docs. The pool size is Options.Parallelism (defaulting to
-// runtime.GOMAXPROCS(0)); all workers share this Validator's compiled
-// content-model cache, so a schema's automata are built at most once for
-// the whole batch. Nil documents yield a Result with a single violation
-// rather than a panic.
+// docs. The pool has runtime.GOMAXPROCS(0) workers, all sharing this
+// Validator's compiled content-model cache, so a schema's automata are
+// built at most once for the whole batch. Nil documents yield a Result
+// with a single violation rather than a panic.
 //
 // This is the bulk path for the ROADMAP's repeated same-schema workload:
 // xsdcheck uses it to validate its file arguments in parallel.
@@ -31,10 +30,7 @@ func (v *Validator) ValidateBatchContext(ctx context.Context, docs []*dom.Docume
 	if len(docs) == 0 {
 		return nil, ctx.Err()
 	}
-	workers := v.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(docs) {
 		workers = len(docs)
 	}

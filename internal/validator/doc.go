@@ -61,12 +61,11 @@
 // lifetime, so each automaton is built exactly once no matter how many
 // goroutines validate at once. Cached entries are never invalidated —
 // the schema is immutable once resolved. ValidateBatch fans a document
-// slice out over a bounded worker pool (Options.Parallelism, default
-// GOMAXPROCS) on top of the same shared cache. A StreamValidator holds
-// no per-run state either: it shares only the parent Validator's
-// immutable schema and thread-safe model cache, so one StreamValidator
-// may serve any number of goroutines, interleaved freely with DOM-path
-// runs on the same Validator (asserted under -race by
-// TestStreamConcurrent). Documents are only read; callers must not
+// slice out over a GOMAXPROCS-sized worker pool on top of the same
+// shared cache. A StreamValidator holds no per-run state either: it
+// shares only the parent Validator's immutable schema and thread-safe
+// model cache, so one StreamValidator may serve any number of
+// goroutines, interleaved freely with DOM-path runs on the same
+// Validator (asserted under -race by TestStreamConcurrent). Documents are only read; callers must not
 // mutate a document while it is being validated.
 package validator

@@ -53,20 +53,16 @@ func (r *Result) Err() error {
 const maxViolations = 100
 
 // Options tunes validation. The zero value is the default configuration:
-// full ID/IDREF checking and a GOMAXPROCS-sized batch worker pool.
+// full ID/IDREF checking and the lazy-DFA content-model executor.
 type Options struct {
 	// SkipIDChecks disables document-level ID uniqueness and IDREF
 	// resolution (the paper-excluded extension); structural and
 	// simple-type checking is unaffected.
 	SkipIDChecks bool
-	// Parallelism bounds the worker pool used by ValidateBatch. Zero or
-	// negative means runtime.GOMAXPROCS(0). It has no effect on the
-	// single-document entry points.
-	Parallelism int
 	// DisableDFA turns off the lazy-DFA content-model executor and steps
 	// the Glushkov automata as NFAs (the pre-DFA behavior). Verdicts and
-	// messages are identical either way; this is an escape hatch and a
-	// benchmarking aid.
+	// messages are identical either way; the NFA path is the reference
+	// the DFA parity tests and the E10 benchmarks compare against.
 	DisableDFA bool
 	// DFAStateBudget caps memoized DFA states per content model before a
 	// run falls back to NFA stepping. Zero means
