@@ -35,6 +35,54 @@ const bindAnyXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
+// bindKeyAllXSD sends both kinds of subtree the streaming walk hands to
+// the DOM walk through the decoders: an element with an xs:key, and a
+// 7-member xs:all, which compiles to the backtracking interpreter rather
+// than a Glushkov automaton.
+const bindKeyAllXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="inventory">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="catalog">
+          <xsd:complexType>
+            <xsd:sequence>
+              <xsd:element name="part" maxOccurs="unbounded">
+                <xsd:complexType>
+                  <xsd:simpleContent>
+                    <xsd:extension base="xsd:string">
+                      <xsd:attribute name="sku" type="xsd:string" use="required"/>
+                      <xsd:attribute name="qty" type="xsd:int" default="1"/>
+                    </xsd:extension>
+                  </xsd:simpleContent>
+                </xsd:complexType>
+              </xsd:element>
+            </xsd:sequence>
+          </xsd:complexType>
+          <xsd:key name="partKey">
+            <xsd:selector xpath="part"/>
+            <xsd:field xpath="@sku"/>
+          </xsd:key>
+        </xsd:element>
+        <xsd:element name="spec" minOccurs="0">
+          <xsd:complexType>
+            <xsd:all>
+              <xsd:element name="a" type="xsd:string"/>
+              <xsd:element name="b" type="xsd:int"/>
+              <xsd:element name="c" type="xsd:string"/>
+              <xsd:element name="d" type="xsd:boolean"/>
+              <xsd:element name="e" type="xsd:string"/>
+              <xsd:element name="f" type="xsd:date"/>
+              <xsd:element name="g" type="xsd:decimal" minOccurs="0"/>
+            </xsd:all>
+          </xsd:complexType>
+        </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+`
+
 // bindCases extends the validation differential corpus (diffCases) with
 // schemas whose decode shapes matter specifically for binding.
 var bindCases = []diffCase{
@@ -57,6 +105,19 @@ var bindCases = []diffCase{
 			"raw undeclared subtree":  `<envelope><head>h</head><foo xmlns="urn:mystery" a="b">text<inner/><!--c--></foo></envelope>`,
 			"wildcard attribute":      `<envelope loose="yes"><head>h</head></envelope>`,
 			"mixed raw and declared":  `<envelope><head>h</head><extra>one</extra><bar/><extra>two</extra></envelope>`,
+		},
+	},
+	{
+		// The xs:all instances keep declaration order: the JSON projection
+		// does not record all-group order, so the round trip would reorder.
+		name:   "key and all",
+		xsdSrc: bindKeyAllXSD,
+		instances: map[string]string{
+			"key and all valid":  `<inventory><catalog><part sku="p1">bolt</part><part sku="p2" qty="4">nut</part></catalog><spec><a>x</a><b>2</b><c>y</c><d>true</d><e>z</e><f>2001-01-01</f><g>1.50</g></spec></inventory>`,
+			"key only":           `<inventory><catalog><part sku="p1">bolt</part></catalog></inventory>`,
+			"duplicate key":      `<inventory><catalog><part sku="p1">bolt</part><part sku="p1">nut</part></catalog></inventory>`,
+			"all member missing": `<inventory><catalog><part sku="p1">bolt</part></catalog><spec><a>x</a><b>2</b><c>y</c><d>true</d><e>z</e></spec></inventory>`,
+			"all member invalid": `<inventory><catalog><part sku="p1">bolt</part></catalog><spec><a>x</a><b>two</b><c>y</c><d>true</d><e>z</e><f>2001-01-01</f></spec></inventory>`,
 		},
 	},
 }
@@ -147,6 +208,54 @@ func TestBindStreamMatchesDOM(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeCanonicalJSON pins the canonical JSON of a few decoded
+// documents, so the decoder's output has a reference that does not depend
+// on the two walks agreeing with each other.
+func TestDecodeCanonicalJSON(t *testing.T) {
+	for _, tc := range []struct {
+		name, xsdSrc, src, want string
+	}{
+		{"purchase order", schemas.PurchaseOrderXSD, schemas.PurchaseOrderDoc,
+			`{"$element":"purchaseOrder","@orderDate":"1999-10-20","shipTo":{"@country":"US","name":"Alice Smith","street":"123 Maple Street","city":"Mill Valley","state":"CA","zip":90952},"billTo":{"@country":"US","name":"Robert Smith","street":"8 Oak Avenue","city":"Old Town","state":"PA","zip":95819},"comment":"Hurry, my lawn is going wild","items":{"item":[{"@partNum":"872-AA","productName":"Lawnmower","quantity":1,"USPrice":148.95,"comment":"Confirm this is electric"},{"@partNum":"926-AA","productName":"Baby Monitor","quantity":1,"USPrice":39.98,"shipDate":"1999-05-21"}]}}`},
+		{"wml mixed content", wml.Schema,
+			`<wml><card id="c1" title="T"><p align="left">Hello <b>bold</b> and <a href="http://example.org/" title="t">link</a> tail</p></card></wml>`,
+			`{"$element":"wml","card":[{"@id":"c1","@title":"T","p":[{"@align":"left","$mixed":["Hello ",{"$element":"b","$value":"bold"}," and ",{"$element":"a","@href":"http://example.org/","@title":"t","$value":"link"}," tail"]}]}]}`},
+		{"raw wildcard", bindAnyXSD,
+			`<envelope><head>h</head><foo xmlns="urn:mystery" a="b">text<inner/><!--c--></foo></envelope>`,
+			`{"$element":"envelope","head":"h","$any":[{"$raw":"\u003cfoo xmlns=\"urn:mystery\" a=\"b\"\u003etext\u003cinner/\u003e\u003c!--c--\u003e\u003c/foo\u003e"}]}`},
+		{"xsi:type", schemas.AddressDerivationXSD,
+			`<address xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="USAddress"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></address>`,
+			`{"$element":"address","$type":"USAddress","name":"n","street":"s","city":"c","state":"st","zip":"1"}`},
+		{"nilled", streamFeaturesXSD,
+			`<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><opt xsi:nil="true"/><e xsi:nil="true" id="5"/></doc>`,
+			`{"$element":"doc","opt":null,"e":{"@id":5,"$nil":true}}`},
+		{"key and all", bindKeyAllXSD,
+			`<inventory><catalog><part sku="p1">bolt</part><part sku="p2" qty="4">nut</part></catalog><spec><a>x</a><b>2</b><c>y</c><d>true</d><e>z</e><f>2001-01-01</f><g>1.50</g></spec></inventory>`,
+			`{"$element":"inventory","catalog":{"part":[{"@sku":"p1","@qty":1,"$value":"bolt"},{"@sku":"p2","@qty":4,"$value":"nut"}]},"spec":{"a":"x","b":2,"c":"y","d":true,"e":"z","f":"2001-01-01","g":1.5}}`},
+	} {
+		schema, err := xsd.ParseString(tc.xsdSrc, nil)
+		if err != nil {
+			t.Fatalf("%s: schema: %v", tc.name, err)
+		}
+		b := bind.New(schema, nil)
+		domVal, res := b.DecodeBytes([]byte(tc.src))
+		if domVal == nil {
+			t.Errorf("%s: DOM decode failed: %v", tc.name, res.Violations)
+			continue
+		}
+		streamVal, res, err := b.DecodeStreamBytes([]byte(tc.src))
+		if streamVal == nil {
+			t.Errorf("%s: stream decode failed: %v %v", tc.name, err, res.Violations)
+			continue
+		}
+		for walk, v := range map[string]*bind.Value{"dom": domVal, "stream": streamVal} {
+			if got := string(b.JSON(v)); got != tc.want {
+				t.Errorf("%s (%s walk):\n  got  %s\n  want %s", tc.name, walk, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 )
 
 // streamFeaturesXSD exercises the streaming modes the bundled schemas do
-// not: empty content, mixed content, nillable elements, fixed/default
-// element values, and IDREF resolution.
+// not: empty content, mixed content, nillable elements (including their
+// attributes and a fixed value), fixed/default element values, and IDREF
+// resolution.
 const streamFeaturesXSD = `<?xml version="1.0"?>
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="doc" type="DocType"/>
@@ -40,6 +41,12 @@ const streamFeaturesXSD = `<?xml version="1.0"?>
           <xsd:attribute name="ref" type="xsd:IDREF"/>
         </xsd:complexType>
       </xsd:element>
+      <xsd:element name="e" nillable="true" minOccurs="0">
+        <xsd:complexType>
+          <xsd:attribute name="id" type="xsd:int" use="required"/>
+        </xsd:complexType>
+      </xsd:element>
+      <xsd:element name="fx" type="xsd:string" nillable="true" fixed="F" minOccurs="0"/>
     </xsd:sequence>
   </xsd:complexType>
   <xsd:complexType name="ParaType" mixed="true">
@@ -144,6 +151,11 @@ var diffCases = []diffCase{
 			"mixed content accepts text":          `<doc><para>just text</para></doc>`,
 			"mixed content rejects unknown child": `<doc><para>text <strong>x</strong></para></doc>`,
 			"cdata in element-only":               `<doc><![CDATA[raw]]><marker/></doc>`,
+			"nilled with valid attributes":        `<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><e xsi:nil="true" id="5"/></doc>`,
+			"nilled missing required attribute":   `<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><e xsi:nil="true"/></doc>`,
+			"nilled with bad attributes":          `<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><e xsi:nil="true" id="abc" bogus="1"/></doc>`,
+			"nilled simple with attribute":        `<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><opt xsi:nil="true" a="1"/></doc>`,
+			"nilled with fixed value":             `<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><fx xsi:nil="true"/></doc>`,
 		},
 	},
 	{
@@ -211,6 +223,41 @@ func TestStreamMatchesDOM(t *testing.T) {
 				diffValidate(t, schema, sv, label, src)
 			}
 		})
+	}
+}
+
+// TestNilledElementVerdicts pins the verdicts of the nil instances in the
+// feature corpus (the differential alone would accept two walks that both
+// skip a nilled element's attributes).
+func TestNilledElementVerdicts(t *testing.T) {
+	schema, err := xsd.ParseString(streamFeaturesXSD, nil)
+	if err != nil {
+		t.Fatalf("schema: %v", err)
+	}
+	var instances map[string]string
+	for _, tc := range diffCases {
+		if tc.xsdSrc == streamFeaturesXSD {
+			instances = tc.instances
+		}
+	}
+	sv := validator.New(schema, nil).Stream()
+	for label, want := range map[string][]validator.Violation{
+		"nilled with valid attributes":      nil,
+		"nilled missing required attribute": {{Path: "/doc/e", Msg: `required attribute "id" is missing`}},
+		"nilled with bad attributes": {
+			{Path: "/doc/e", Msg: `attribute "id": int: bad digit 'a' in decimal "abc"`},
+			{Path: "/doc/e", Msg: `attribute "bogus" is not declared for this element`},
+		},
+		"nilled simple with attribute": {{Path: "/doc/opt", Msg: `attribute "a" is not allowed on a simple-type element`}},
+		"nilled with fixed value":      {{Path: "/doc/fx", Msg: "xsi:nil on an element with a fixed value"}},
+	} {
+		src, ok := instances[label]
+		if !ok {
+			t.Fatalf("no feature-corpus instance %q", label)
+		}
+		_, domRes := validator.ValidateBytes(schema, []byte(src))
+		assertSameResult(t, label, &validator.Result{Violations: want}, domRes)
+		assertSameResult(t, label+" (stream)", &validator.Result{Violations: want}, sv.ValidateBytes([]byte(src)))
 	}
 }
 

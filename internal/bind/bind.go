@@ -1,12 +1,7 @@
 package bind
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/dom"
 	"repro/internal/validator"
-	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -41,35 +36,24 @@ func (b *Binder) Validator() *validator.Validator { return b.v }
 // Schema returns the schema the binder was built from.
 func (b *Binder) Schema() *xsd.Schema { return b.schema }
 
-// rawAttr is a lexical attribute before typing, common to both decode
-// paths (DOM attributes and start-tag tokens).
-type rawAttr struct {
-	name  xsd.QName
-	value string
-}
-
-func isMetaSpace(space string) bool {
-	return space == xmlparser.XMLNSNamespace || space == xsd.XSINamespace || space == xmlparser.XMLNamespace
-}
-
 // typedAttrs parses the element's attributes into the declared value
 // spaces (wildcard-admitted ones stay strings) and materializes absent
 // defaulted or fixed attributes, so decoded values are self-contained.
-func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []rawAttr) []Attr {
+func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []validator.Attr) []Attr {
 	var out []Attr
 	for _, a := range raw {
-		use := ct.FindAttributeUse(a.name)
+		use := ct.FindAttributeUse(a.Name)
 		if use == nil || use.Prohibited {
-			out = append(out, Attr{Name: a.name, Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: a.value}})
+			out = append(out, Attr{Name: a.Name, Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: a.Value}})
 			continue
 		}
-		val, err := use.Decl.Type.Parse(a.value)
+		val, err := use.Decl.Type.Parse(a.Value)
 		if err != nil {
 			// Only reachable on invalid documents (the verdict carries
 			// the violation); keep the lexical form.
-			val = xsdtypes.Value{Kind: xsdtypes.VString, Str: a.value}
+			val = xsdtypes.Value{Kind: xsdtypes.VString, Str: a.Value}
 		}
-		out = append(out, Attr{Name: a.name, Value: val})
+		out = append(out, Attr{Name: a.Name, Value: val})
 	}
 	for _, use := range ct.AttributeUses {
 		def := use.Default
@@ -81,7 +65,7 @@ func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []rawAttr) []Attr {
 		}
 		present := false
 		for _, a := range raw {
-			if a.name == use.Decl.Name {
+			if a.Name == use.Decl.Name {
 				present = true
 				break
 			}
@@ -94,34 +78,4 @@ func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []rawAttr) []Attr {
 		}
 	}
 	return out
-}
-
-// resolveQName resolves a lexical QName (an xsi:type value) against the
-// namespace declarations in scope at el.
-func resolveQName(el *dom.Element, lexical string) (xsd.QName, error) {
-	lexical = strings.TrimSpace(lexical)
-	prefix, local := "", lexical
-	if i := strings.IndexByte(lexical, ':'); i >= 0 {
-		prefix, local = lexical[:i], lexical[i+1:]
-	}
-	if prefix == "xml" {
-		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
-	}
-	key := prefix
-	if key == "" {
-		key = "xmlns"
-	}
-	for n := dom.Node(el); n != nil; n = n.ParentNode() {
-		e, ok := n.(*dom.Element)
-		if !ok {
-			break
-		}
-		if e.HasAttributeNS(xmlparser.XMLNSNamespace, key) {
-			return xsd.QName{Space: e.GetAttributeNS(xmlparser.XMLNSNamespace, key), Local: local}, nil
-		}
-	}
-	if prefix != "" {
-		return xsd.QName{}, fmt.Errorf("undeclared prefix %q in %q", prefix, lexical)
-	}
-	return xsd.QName{Local: local}, nil
 }

@@ -1,18 +1,23 @@
 package bind
 
-// The DOM decode path: validate first (the verdict is authoritative), then
-// walk the tree assuming validity. Child classification re-runs the cached
-// content-model matcher once per element — the same automata the validator
-// used — so wildcard admissions and substitution resolution agree with the
-// verdict by construction.
+// Decoding is one validation pass with an observer attached: decoder
+// implements validator.StreamEvents and builds the value tree from the
+// callbacks. The DOM walk (DecodeDocument, DecodeBytes, DecodeSubtree) and
+// the streaming walk (DecodeReader, DecodeStreamBytes) fire the same
+// events, so both front ends share this one decoder. Memory stays
+// O(depth + output) beyond the walk itself: the only retained state is
+// the open-element value stack, and simple values arrive already parsed by
+// the validator, so text is parsed once per element.
 
 import (
+	"context"
 	"fmt"
+	"io"
 
-	"repro/internal/contentmodel"
 	"repro/internal/dom"
 	"repro/internal/validator"
 	"repro/internal/xsd"
+	"repro/internal/xsdtypes"
 )
 
 // DecodeBytes parses, validates and decodes a document. An unparseable
@@ -27,158 +32,145 @@ func (b *Binder) DecodeBytes(src []byte) (*Value, *validator.Result) {
 }
 
 // DecodeDocument validates the document and, when valid, decodes it into
-// a typed Value. The returned Result is always the full verdict.
+// a typed Value in the same walk. The returned Result is always the full
+// verdict.
 func (b *Binder) DecodeDocument(doc *dom.Document) (*Value, *validator.Result) {
-	res := b.v.ValidateDocument(doc)
-	if !res.OK() {
-		return nil, res
-	}
-	root := doc.DocumentElement()
-	if root == nil {
-		return nil, res
-	}
-	decl, ok := b.schema.LookupElement(xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()})
-	if !ok {
-		return nil, res
-	}
-	v, err := b.decodeElement(root, decl, false)
+	d := &decoder{b: b}
+	v, res, err := d.finish(b.v.ValidateDocumentEvents(doc, d))
 	if err != nil {
 		// Defensive: a document the validator accepted must decode; any
 		// error here is a binder bug surfaced as a verdict.
-		return nil, &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: "bind: " + err.Error()}}}
+		return nil, &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: err.Error()}}}
 	}
 	return v, res
 }
 
-// decodeElement decodes one validated element governed by decl.
-func (b *Binder) decodeElement(el *dom.Element, decl *xsd.ElementDecl, wild bool) (*Value, error) {
-	v := &Value{Name: xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}, Wild: wild}
-	typ := decl.Type
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveQName(el, lex)
-		if err != nil {
-			return nil, err
-		}
-		t, ok := b.schema.LookupType(q)
-		if !ok {
-			return nil, fmt.Errorf("xsi:type %s names an unknown type", q)
-		}
-		typ = t
-		v.TypeName = t.TypeName()
-	}
-	v.typ = typ
-	ct, isComplex := typ.(*xsd.ComplexType)
-	if isComplex {
-		v.Attrs = b.typedAttrs(ct, domRawAttrs(el))
-	}
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex == "true" || lex == "1" {
-		v.Kind = KindNil
-		return v, nil
-	}
-	if st, ok := typ.(*xsd.SimpleType); ok {
-		text := el.TextContent()
-		if text == "" && decl.Fixed != nil {
-			text = *decl.Fixed
-		}
-		if text == "" && decl.Default != nil {
-			text = *decl.Default
-		}
-		val, err := st.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
-	}
-	switch ct.Kind {
-	case xsd.ContentSimple:
-		val, err := ct.SimpleContentType.Parse(el.TextContent())
-		if err != nil {
-			return nil, err
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
-	case xsd.ContentEmpty:
-		v.Kind = KindEmpty
-		return v, nil
-	default:
-		return v, b.decodeModel(v, el, ct)
-	}
+// DecodeSubtree validates el against decl as a standalone subtree (its
+// IDREFs must resolve inside it, as with ValidateElement) and decodes it in
+// the same walk. The Value is nil when the Result has violations; the error
+// reports internal failures only.
+func (b *Binder) DecodeSubtree(el *dom.Element, decl *xsd.ElementDecl) (*Value, *validator.Result, error) {
+	d := &decoder{b: b}
+	return d.finish(b.v.ValidateElementEvents(el, decl, d))
 }
 
-// decodeModel decodes element-only or mixed content by matching the child
-// sequence against the type's content model.
-func (b *Binder) decodeModel(v *Value, el *dom.Element, ct *xsd.ComplexType) error {
-	kids := el.ChildNodes()
-	var elems []*dom.Element
-	var syms []contentmodel.Symbol
-	for _, k := range kids {
-		if e, ok := k.(*dom.Element); ok {
-			elems = append(elems, e)
-			syms = append(syms, contentmodel.Symbol{Space: e.NamespaceURI(), Local: e.LocalName()})
-		}
+// DecodeReader validates a document from r through the streaming path and
+// decodes it in the same pass. The Result is the full verdict; the Value
+// is nil when the document is invalid. The error reports I/O-independent
+// internal failures only (the verdict owns everything schema-related).
+func (b *Binder) DecodeReader(ctx context.Context, r io.Reader) (*Value, *validator.Result, error) {
+	d := &decoder{b: b}
+	res, err := b.sv.ValidateReaderEvents(ctx, r, d)
+	if err != nil {
+		return nil, nil, err
 	}
-	leaves, merr := ct.Matcher(b.schema).Match(syms)
-	if merr != nil {
-		return fmt.Errorf("content model rejected validated children: %s", merr.Error())
+	return d.finish(res)
+}
+
+// DecodeStreamBytes is DecodeReader over an in-memory document.
+func (b *Binder) DecodeStreamBytes(src []byte) (*Value, *validator.Result, error) {
+	d := &decoder{b: b}
+	return d.finish(b.sv.ValidateBytesEvents(src, d))
+}
+
+// decoder implements validator.StreamEvents.
+type decoder struct {
+	b     *Binder
+	stack []*Value
+	root  *Value
+	err   error
+}
+
+func (d *decoder) finish(res *validator.Result) (*Value, *validator.Result, error) {
+	if !res.OK() {
+		return nil, res, nil
 	}
-	vals := make([]*Value, len(elems))
-	for i, e := range elems {
-		name := xsd.QName{Space: syms[i].Space, Local: syms[i].Local}
-		var cv *Value
-		var err error
-		switch data := leaves[i].Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, rerr := b.schema.ResolveChild(data, name)
-			if rerr != nil {
-				return rerr
-			}
-			cv, err = b.decodeElement(e, resolved, false)
-		case *contentmodel.Wildcard:
-			if gdecl, ok := b.schema.LookupElement(name); ok {
-				cv, err = b.decodeElement(e, gdecl, true)
-			} else {
-				cv = &Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(e)}
-			}
+	if d.err != nil {
+		return nil, res, d.err
+	}
+	if d.root == nil {
+		return nil, res, fmt.Errorf("bind: decode produced no root value")
+	}
+	return d.root, res, nil
+}
+
+// OpenElement implements validator.StreamEvents.
+func (d *decoder) OpenElement(e validator.ElementStart) {
+	v := &Value{Name: e.Name, typ: e.Type, Wild: e.Wildcard}
+	if e.XSIType {
+		v.TypeName = e.Type.TypeName()
+	}
+	if ct, ok := e.Type.(*xsd.ComplexType); ok {
+		v.Attrs = d.b.typedAttrs(ct, e.Attrs)
+	}
+	switch t := e.Type.(type) {
+	case *xsd.SimpleType:
+		v.Kind = KindSimple
+	case *xsd.ComplexType:
+		switch t.Kind {
+		case xsd.ContentSimple:
+			v.Kind = KindSimple
+		case xsd.ContentEmpty:
+			v.Kind = KindEmpty
+		case xsd.ContentMixed:
+			v.Kind = KindMixed
 		default:
-			return fmt.Errorf("child %s matched no declaration or wildcard", name)
+			v.Kind = KindStruct
 		}
-		if err != nil {
-			return err
-		}
-		vals[i] = cv
 	}
-	if ct.Kind == xsd.ContentMixed {
-		v.Kind = KindMixed
-		ei := 0
-		for _, k := range kids {
-			switch n := k.(type) {
-			case *dom.Element:
-				v.Segments = append(v.Segments, Segment{Child: vals[ei]})
-				ei++
-			case *dom.Text:
-				v.Segments = appendText(v.Segments, n.Data)
-			case *dom.CDATASection:
-				v.Segments = appendText(v.Segments, n.Data)
-			}
-		}
-		return nil
+	if e.Nilled {
+		v.Kind = KindNil
 	}
-	v.Kind = KindStruct
-	v.Children = vals
-	return nil
+	d.stack = append(d.stack, v)
 }
 
-func domRawAttrs(el *dom.Element) []rawAttr {
-	var out []rawAttr
-	for _, a := range el.Attributes() {
-		n := a.Name()
-		if isMetaSpace(n.Space) {
-			continue
+// CloseElement implements validator.StreamEvents.
+func (d *decoder) CloseElement(val *xsdtypes.Value) {
+	n := len(d.stack)
+	if n == 0 {
+		if d.err == nil {
+			d.err = fmt.Errorf("bind: unbalanced CloseElement")
 		}
-		out = append(out, rawAttr{name: xsd.QName{Space: n.Space, Local: n.Local}, value: a.Value()})
+		return
 	}
-	return out
+	v := d.stack[n-1]
+	d.stack = d.stack[:n-1]
+	if v.Kind == KindSimple && val != nil {
+		v.Simple = *val
+	}
+	d.attach(v)
+}
+
+// MixedText implements validator.StreamEvents.
+func (d *decoder) MixedText(data string) {
+	if n := len(d.stack); n > 0 && d.stack[n-1].Kind == KindMixed {
+		d.stack[n-1].Segments = appendText(d.stack[n-1].Segments, data)
+	}
+}
+
+// RawElement implements validator.StreamEvents: a skipped wildcard subtree
+// is kept as its serialized XML.
+func (d *decoder) RawElement(el *dom.Element) {
+	name := xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}
+	d.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(el)})
+}
+
+// attach delivers a completed child to the innermost open element, or
+// records the root.
+func (d *decoder) attach(v *Value) {
+	if n := len(d.stack); n > 0 {
+		p := d.stack[n-1]
+		switch p.Kind {
+		case KindMixed:
+			p.Segments = append(p.Segments, Segment{Child: v})
+		case KindStruct:
+			p.Children = append(p.Children, v)
+		}
+		// Other parent kinds only occur on invalid documents; the value
+		// is discarded with the verdict.
+		return
+	}
+	if d.root == nil {
+		d.root = v
+	}
 }

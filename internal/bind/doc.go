@@ -11,13 +11,14 @@
 // date (xsdtypes decoders), which branch of a choice was taken, and where
 // mixed content degrades to ordered segments.
 //
-// Two decode paths produce identical values:
+// One decoder serves both validation walks. It observes the walk through
+// validator.StreamEvents and builds the value tree from its callbacks:
 //
-//   - the DOM path re-uses validator.ValidateDocument and then walks the
-//     tree, classifying children with the cached content-model matchers;
-//   - the streaming path hooks validator.StreamValidator's frame
-//     transitions (validator.StreamEvents), building the value tree in
-//     O(depth) alongside the lazy-DFA stepping, with no DOM.
+//   - the DOM front end (DecodeDocument, DecodeBytes, DecodeSubtree) is
+//     one validator.ValidateDocumentEvents or ValidateElementEvents pass;
+//   - the streaming front end (DecodeReader, DecodeStreamBytes) is one
+//     validator.StreamValidator pass, O(depth) alongside the lazy-DFA
+//     stepping, with no DOM.
 //
 // Marshal is the reverse direction: a Value (decoded, or built from JSON
 // via FromJSON) is serialized to XML and checked through the same content

@@ -8,6 +8,8 @@ package bind
 // merge rule so their output is byte-identical to the interpreted path.
 
 import (
+	"fmt"
+
 	"repro/internal/dom"
 	"repro/internal/xsd"
 )
@@ -16,11 +18,21 @@ import (
 // the values they build (the generic decoder sets it internally).
 func (v *Value) SetType(t xsd.Type) { v.typ = t }
 
-// DecodeElement decodes one validated element governed by decl on the
-// generic walk. wild marks wildcard-admitted elements (bound under
-// "$any").
+// DecodeElement decodes one element governed by decl, inside a document the
+// validator has already accepted, on the generic walk. wild marks
+// wildcard-admitted elements (bound under "$any"). The subtree's own
+// verdict is not consulted: an IDREF in it may point outside it.
 func (b *Binder) DecodeElement(el *dom.Element, decl *xsd.ElementDecl, wild bool) (*Value, error) {
-	return b.decodeElement(el, decl, wild)
+	d := &decoder{b: b}
+	b.v.ValidateElementEvents(el, decl, d)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.root == nil {
+		return nil, fmt.Errorf("bind: element <%s> does not match its declaration %s", el.TagName(), decl.Name)
+	}
+	d.root.Wild = wild
+	return d.root, nil
 }
 
 // AppendText adds character data to a mixed-content segment list with the

@@ -69,7 +69,8 @@ type Value struct {
 func (v *Value) Type() xsd.Type { return v.typ }
 
 // appendText adds character data to a segment list, merging adjacent text
-// and dropping empty runs, so both decode paths canonicalize identically.
+// and dropping empty runs, so every walk and generated decoder
+// canonicalizes identically.
 func appendText(segs []Segment, data string) []Segment {
 	if data == "" {
 		return segs

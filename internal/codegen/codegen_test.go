@@ -162,6 +162,30 @@ func TestGeneratedCodeShape(t *testing.T) {
 	}
 }
 
+// TestValidatorDelegatesNilledElements: the validator back end hands a
+// nilled element to the interpreted walk instead of emitting its own copy
+// of the nil rules.
+func TestValidatorDelegatesNilledElements(t *testing.T) {
+	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="e" type="xsd:int" nillable="true"/>
+</xsd:schema>`
+	code, err := GenerateValidator(src, Options{Package: "x", Scheme: normalize.SchemePaper, SchemaComment: "test"})
+	if err != nil {
+		t.Fatalf("GenerateValidator: %v", err)
+	}
+	const cond = `if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex == "true" || lex == "1" {`
+	i := strings.Index(code, cond)
+	if i < 0 {
+		t.Fatalf("no nilled-element branch in:\n%s", code)
+	}
+	if body := strings.TrimSpace(code[i+len(cond):]); !strings.HasPrefix(body, "s.Element(el, gvDecl0, path)") {
+		t.Errorf("nilled branch does not delegate to s.Element:\n%s", code[i:])
+	}
+	if strings.Contains(code, "nilled element must be empty") {
+		t.Error("generated validator carries its own copy of the nil rules")
+	}
+}
+
 // TestSchemeChangesGeneratedNames: the same schema under different naming
 // schemes yields different group type names (E6's mechanism).
 func TestSchemeChangesGeneratedNames(t *testing.T) {

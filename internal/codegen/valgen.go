@@ -7,10 +7,10 @@ package codegen
 // every attribute set and simple-type facet chain compiled to direct
 // checks, and a decode/marshal pair that mirrors the generic binder
 // without reflection or plan lookups. Cold paths (xsi:type substitutions,
-// identity constraints, declarations pruned by the instance-corpus pass,
-// models the exporter refuses) delegate to the interpreted walk through
-// validator.Sink, which shares the run state, so combined verdicts —
-// including MatchError text — are byte-identical to
+// nilled elements, identity constraints, declarations pruned by the
+// instance-corpus pass, models the exporter refuses) delegate to the
+// interpreted walk through validator.Sink, which shares the run state, so
+// combined verdicts — including MatchError text — are byte-identical to
 // validator.ValidateDocument.
 
 import (
@@ -152,24 +152,32 @@ func (v *valgen) fail(format string, args ...any) {
 	}
 }
 
-// observeCorpus validates every corpus document with an ElementObserver,
+// observeCorpus validates every corpus document with an event observer,
 // recording which declarations the interpreted walk reaches.
 func (v *valgen) observeCorpus() error {
 	v.reached = map[*xsd.ElementDecl]bool{}
-	val := validator.New(v.schema, &validator.Options{
-		ElementObserver: func(d *xsd.ElementDecl) { v.reached[d] = true },
-	})
+	val := validator.New(v.schema, nil)
 	for _, cd := range v.opts.Corpus {
 		doc, err := dom.ParseString(cd.Source)
 		if err != nil {
 			return fmt.Errorf("codegen: corpus document %s: %w", cd.Name, err)
 		}
-		if res := val.ValidateDocument(doc); !res.OK() {
+		if res := val.ValidateDocumentEvents(doc, reachedDecls(v.reached)); !res.OK() {
 			return fmt.Errorf("codegen: corpus document %s is invalid: %s", cd.Name, res.Violations[0].Error())
 		}
 	}
 	return nil
 }
+
+// reachedDecls records the governing declaration of every element a walk
+// opens. A valid document opens every element it contains, so the set is
+// exactly the declarations the corpus reaches.
+type reachedDecls map[*xsd.ElementDecl]bool
+
+func (r reachedDecls) OpenElement(e validator.ElementStart) { r[e.Decl] = true }
+func (reachedDecls) CloseElement(*xsdtypes.Value)           {}
+func (reachedDecls) MixedText(string)                       {}
+func (reachedDecls) RawElement(*dom.Element)                {}
 
 // live reports whether a declaration survived the pruning pass.
 func (v *valgen) live(d *xsd.ElementDecl) bool {

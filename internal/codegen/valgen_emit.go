@@ -181,10 +181,9 @@ func (v *valgen) emitElemValidate(d *xsd.ElementDecl) {
 		p("return")
 		p("}")
 	} else {
+		p("// Nilled elements take the interpreted path (shared run state).")
 		p("if lex := el.GetAttributeNS(xsd.XSINamespace, \"nil\"); lex == \"true\" || lex == \"1\" {")
-		p("if len(el.ChildNodes()) > 0 {")
-		p("s.Violate(path, \"nilled element must be empty\")")
-		p("}")
+		p("s.Element(el, %s, path)", v.declVar[d])
 		p("return")
 		p("}")
 	}
@@ -556,8 +555,8 @@ func (v *valgen) decDelegates(d *xsd.ElementDecl) bool {
 	return false
 }
 
-// emitElemDecode prints the decode function of one declaration
-// (bind.Binder.decodeElement specialized to it).
+// emitElemDecode prints the decode function of one declaration (the
+// generic binder's decode of one element, specialized to it).
 func (v *valgen) emitElemDecode(d *xsd.ElementDecl) {
 	p := v.p
 	fn := v.elemFn("gvDec", d)
@@ -719,7 +718,8 @@ func (v *valgen) emitDecAttrs(ct *xsd.ComplexType) {
 }
 
 // emitDecBody prints the content decode of one element-only or mixed
-// complex type (bind.Binder.decodeModel specialized to its exported DFA).
+// complex type (the generic binder's child decode, specialized to its
+// exported DFA).
 func (v *valgen) emitDecBody(ct *xsd.ComplexType, mi *modelInfo) {
 	p := v.p
 	fn := "gvDecBody" + v.typeGo(ct)

@@ -133,13 +133,13 @@ func (c *Client) Call(ctx context.Context, opName string, req *bind.Value) (*bin
 	if !ok {
 		return nil, fmt.Errorf("soap: response element %s is not declared", op.Output)
 	}
-	// Validate the payload in place before decoding: the response must be
+	// Validate the payload in place while decoding it: the response must be
 	// schema-valid even when the far side is not this package's server.
 	dom.DeclareInScopeNamespaces(env.Payload)
-	if res := c.binder.Validator().ValidateElement(env.Payload, decl); !res.OK() {
+	v, res, err := c.binder.DecodeSubtree(env.Payload, decl)
+	if !res.OK() {
 		return nil, fmt.Errorf("soap: response to %q is not schema-valid: %w", opName, res.Err())
 	}
-	v, err := c.binder.DecodeElement(env.Payload, decl, false)
 	if err != nil {
 		return nil, fmt.Errorf("soap: decoding response to %q: %w", opName, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bind"
-	"repro/internal/validator"
 	"repro/internal/wsdl"
 	"repro/internal/xsd"
 )
@@ -31,7 +30,6 @@ type Service struct {
 	name    string
 	defs    *wsdl.Definitions
 	binder  *bind.Binder
-	val     *validator.Validator
 	byInput map[xsd.QName]*operation
 	byName  map[string]*operation
 }
@@ -47,12 +45,10 @@ func NewService(d *wsdl.Definitions, serviceName string) (*Service, error) {
 	if d.Schema == nil {
 		return nil, fmt.Errorf("soap: service %q has no <types> schema to validate against", serviceName)
 	}
-	val := validator.New(d.Schema, nil)
 	s := &Service{
 		name:    serviceName,
 		defs:    d,
-		val:     val,
-		binder:  bind.New(d.Schema, val),
+		binder:  bind.New(d.Schema, nil),
 		byInput: map[xsd.QName]*operation{},
 		byName:  map[string]*operation{},
 	}
@@ -159,7 +155,9 @@ func (s *Service) Handle(ctx context.Context, req []byte, soapAction string) *Re
 		return respondFault(env.fault(CodeClient,
 			fmt.Sprintf("SOAPAction %q does not match operation %q (%s)", a, opName, op.def.SOAPAction)), opName)
 	}
-	if res := s.val.ValidateElement(env.Payload, op.inDecl); !res.OK() {
+	// One walk validates the payload in place and decodes it.
+	reqVal, res, err := s.binder.DecodeSubtree(env.Payload, op.inDecl)
+	if !res.OK() {
 		return respondFault(ViolationFault(env.Version, "request body", res.Violations), opName)
 	}
 	if op.handler == nil {
@@ -168,7 +166,6 @@ func (s *Service) Handle(ctx context.Context, req []byte, soapAction string) *Re
 		r.Status = 501 // distinguishable from a handler crash
 		return r
 	}
-	reqVal, err := s.binder.DecodeElement(env.Payload, op.inDecl, false)
 	if err != nil {
 		// Validation passed, so a decode failure is ours, not the caller's.
 		return respondFault(env.fault(CodeServer, "decoding request: "+err.Error()), opName)

@@ -38,6 +38,17 @@
 // degrade to the recursive DOM path. cmd/xsdcheck exposes the streaming
 // path as -stream.
 //
+// # Observers
+//
+// Both walks fire the same StreamEvents callbacks (events.go) when an
+// observer is attached: ValidateDocumentEvents and ValidateElementEvents
+// on the DOM walk, ValidateReaderEvents and ValidateBytesEvents on the
+// streaming one. A buffered fallback subtree fires its events from the
+// nested DOM run. Package bind decodes through this hook in the same pass
+// that decides validity, and codegen's corpus-pruning pass records the
+// declarations it reaches. Without an observer the walks pay one nil
+// check per element.
+//
 // # Intra-document parallelism
 //
 // Validator.ParallelValidate splits one large document across a

@@ -1,21 +1,25 @@
 package validator
 
-// Streaming observer hook: a second consumer for the streaming pass.
+// Observer hook: typed access rides on the pass that decides validity.
 //
-// The streaming validator already computes, frame by frame, everything a
-// schema-directed decoder needs — the governing declaration for every
-// element (after substitution and xsi:type resolution), the parsed simple
-// value for every text leaf, and the exact boundaries of unvalidated
-// wildcard subtrees. StreamEvents exposes those facts as callbacks so a
-// consumer (internal/bind) can build typed values in the same O(depth)
-// pass, without re-deriving any of it and without the validator knowing
-// anything about binding.
+// Both validation walks — the recursive DOM walk and the streaming frame
+// machine — already compute, element by element, everything a
+// schema-directed decoder needs: the governing declaration (after
+// substitution and xsi:type resolution), the parsed simple value of every
+// text leaf, and the exact extent of unvalidated wildcard subtrees.
+// StreamEvents exposes those facts as callbacks, and both walks fire the
+// same sequence for the same document, so one consumer (internal/bind)
+// builds typed values in the same pass whichever walk runs, without
+// re-deriving any of it and without the validator knowing anything about
+// binding. A subtree the streaming walk hands to the DOM walk (identity
+// constraints, non-Glushkov models) fires its events from that nested run.
 //
-// Verdict parity is untouched: events are fired from the existing frame
-// transitions and never alter them. On invalid documents the callback
-// sequence still pairs every OpenElement with a CloseElement, so a
-// consumer's stack stays balanced; whether to trust the partial structure
-// is the consumer's call (bind discards it).
+// Verdict parity is untouched: events are fired from the existing walk
+// transitions and never alter them, and a walk with no observer pays one
+// nil check per element. On invalid documents the callback sequence still
+// pairs every OpenElement with a CloseElement, so a consumer's stack stays
+// balanced; whether to trust the partial structure is the consumer's call
+// (bind discards it).
 
 import (
 	"context"
@@ -27,17 +31,39 @@ import (
 	"repro/internal/xsdtypes"
 )
 
-// StreamEvents receives structural callbacks during a streaming validation
-// pass. Implementations must not retain the *xmlparser.Token or the
-// *dom.Element beyond the call: tokens are reused by the decoder loop and
-// fallback elements live in a pooled document that is released when the
-// callback returns.
+// Attr is one attribute of an opened element as written in the instance.
+type Attr struct {
+	Name  xsd.QName
+	Value string
+}
+
+// ElementStart describes an element whose prologue (xsi:type, abstract
+// type, xsi:nil) passed.
+type ElementStart struct {
+	// Decl is the governing declaration (after wildcard/substitution
+	// resolution); Type the effective type (after xsi:type).
+	Decl *xsd.ElementDecl
+	Type xsd.Type
+	// Name is the element's instance name.
+	Name xsd.QName
+	// Attrs are the attributes other than namespace declarations and
+	// xsi:/xml: ones, in document order. The slice is reused after the
+	// call returns.
+	Attrs []Attr
+	// XSIType marks an element whose type was set by xsi:type; Nilled marks
+	// xsi:nil="true"; Wildcard marks an element admitted by a content-model
+	// wildcard.
+	XSIType, Nilled, Wildcard bool
+}
+
+// StreamEvents receives structural callbacks during a validation pass.
+// Implementations must not retain ElementStart.Attrs or the *dom.Element
+// beyond the call: the attribute slice is scratch space, and raw elements
+// from the streaming walk live in a pooled document that is released when
+// the callback returns.
 type StreamEvents interface {
-	// OpenElement fires when a validated element opens. decl is the
-	// governing declaration (after wildcard/substitution resolution), typ
-	// the effective type (after xsi:type). nilled marks xsi:nil="true";
-	// wildcard marks an element admitted by a content-model wildcard.
-	OpenElement(decl *xsd.ElementDecl, typ xsd.Type, tok *xmlparser.Token, nilled, wildcard bool)
+	// OpenElement fires when a validated element opens.
+	OpenElement(e ElementStart)
 
 	// CloseElement fires when the matching element closes. val is the
 	// parsed simple value for simple-typed and simple-content elements
@@ -46,27 +72,31 @@ type StreamEvents interface {
 	CloseElement(val *xsdtypes.Value)
 
 	// MixedText fires for character data directly inside a mixed-content
-	// element, one call per text or CDATA token, in document order.
+	// element, one call per text or CDATA node, in document order.
 	MixedText(data string)
 
-	// RawToken fires for every token of a skipped wildcard subtree (a lax
-	// wildcard match with no global declaration), starting with the
-	// subtree's own start tag. The consumer sees the raw token stream and
-	// may rebuild the fragment; the validator guarantees nothing about it.
-	RawToken(tok *xmlparser.Token)
-
-	// FallbackElement fires when a subtree the streaming path buffered
-	// for the recursive DOM validator (identity constraints, non-Glushkov
-	// models) has been validated. root is the buffered subtree with the
-	// in-scope namespace bindings grafted on; it is released after the
-	// callback returns. No OpenElement/CloseElement pair is delivered for
-	// elements inside a fallback subtree.
-	FallbackElement(decl *xsd.ElementDecl, root *dom.Element, wildcard bool)
+	// RawElement fires for a skipped wildcard subtree (a lax wildcard match
+	// with no global declaration), handed over whole. The validator
+	// guarantees nothing about its content.
+	RawElement(el *dom.Element)
 }
 
-// ValidateReaderEvents is ValidateReaderContext with an event observer:
-// ev receives the structural callbacks above while the verdict is computed
-// exactly as without an observer.
+// ValidateDocumentEvents is ValidateDocument with an event observer: ev
+// receives the callbacks above while the verdict is computed exactly as
+// without an observer.
+func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
+	return (&run{v: v, ids: map[string]string{}, events: ev}).document(doc)
+}
+
+// ValidateElementEvents is ValidateElement with an event observer.
+func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
+	run := &run{v: v, ids: map[string]string{}, events: ev}
+	run.element(el, decl, "/"+el.TagName(), false)
+	run.checkIDRefs()
+	return &run.res
+}
+
+// ValidateReaderEvents is ValidateReaderContext with an event observer.
 func (sv *StreamValidator) ValidateReaderEvents(ctx context.Context, r io.Reader, ev StreamEvents) (*Result, error) {
 	return sv.validate(ctx, xmlparser.NewReaderDecoder(r, nil), ev)
 }

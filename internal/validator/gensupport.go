@@ -37,9 +37,10 @@ func (s *Sink) Violate(path, msg string) { s.r.violate(path, msg) }
 func (s *Sink) Full() bool { return len(s.r.res.Violations) >= maxViolations }
 
 // Element validates a subtree on the interpreted walk. Generated code
-// delegates here for xsi:type substitutions and pruned declarations.
+// delegates here for xsi:type substitutions, nilled elements and pruned
+// declarations.
 func (s *Sink) Element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.r.element(el, decl, path)
+	s.r.element(el, decl, path, false)
 }
 
 // ElementContent validates children against ct's content model on the

@@ -77,31 +77,16 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || v.opts.ElementObserver != nil {
-		// Observer callbacks are ordering-sensitive instrumentation;
-		// keep them on the deterministic sequential walk.
+	if workers == 1 {
 		return v.ValidateDocument(doc)
 	}
-	run := &run{v: v, ids: map[string]string{}, parWorkers: workers}
-	root := doc.DocumentElement()
-	if root == nil {
-		run.violate("/", "document has no root element")
-		return &run.res
-	}
-	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
-	decl, ok := v.schema.LookupElement(name)
-	if !ok {
-		run.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
-		return &run.res
-	}
-	run.element(root, decl, "/"+root.TagName())
-	run.checkIDRefs()
-	if len(run.res.Violations) >= maxViolations {
+	res := (&run{v: v, ids: map[string]string{}, parWorkers: workers}).document(doc)
+	if len(res.Violations) >= maxViolations {
 		// The sequential walk stops descending at the violation cap, so
 		// everything past it depends on global order; rerun sequentially.
 		return v.ValidateDocument(doc)
 	}
-	return &run.res
+	return res
 }
 
 // ParallelMinFanout is the child count below which a level is walked
@@ -154,21 +139,8 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 					hi = len(children)
 				}
 				for i := c * chunk; i < hi; i++ {
-					child := children[i]
-					switch data := leaves[i].Data.(type) {
-					case *xsd.ElementDecl:
-						resolved, err := r.v.schema.ResolveChild(data, xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()})
-						if err != nil {
-							sub.violate(cpaths[i], err.Error())
-							continue
-						}
-						sub.element(child, resolved, cpaths[i])
-					case *contentmodel.Wildcard:
-						// Lax wildcard processing, as in the sequential walk.
-						name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
-						if gdecl, ok := r.v.schema.LookupElement(name); ok {
-							sub.element(child, gdecl, cpaths[i])
-						}
+					if decl, wild, ok := sub.childDecl(children[i], leaves[i], cpaths[i]); ok {
+						sub.element(children[i], decl, cpaths[i], wild)
 					}
 				}
 			}

@@ -237,8 +237,8 @@ func TestParallelViolationCapFallback(t *testing.T) {
 }
 
 // TestParallelDegenerateShapes covers the shapes that must bypass the
-// worker pool: no root, unknown root, single child, simple root, an
-// observer installed, and worker counts at and below one.
+// worker pool: no root, unknown root, single child, simple root, and
+// worker counts at and below one.
 func TestParallelDegenerateShapes(t *testing.T) {
 	v := seamValidator(t)
 	for label, src := range map[string]string{
@@ -247,14 +247,6 @@ func TestParallelDegenerateShapes(t *testing.T) {
 		"unknown root": `<wrong/>`,
 	} {
 		assertParallelParity(t, v, label, src)
-	}
-	// ElementObserver forces the sequential walk (callback ordering).
-	visited := 0
-	ov := New(mustSchema(t, seamSchema), &Options{ElementObserver: func(*xsd.ElementDecl) { visited++ }})
-	doc, _ := dom.ParseString(`<doc><node/><node/></doc>`)
-	res := ov.ParallelValidate(doc, 8)
-	if !res.OK() || visited == 0 {
-		t.Fatalf("observer run: ok=%v visited=%d", res.OK(), visited)
 	}
 }
 

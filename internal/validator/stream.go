@@ -165,7 +165,7 @@ type frame struct {
 
 	sawElemChild bool
 	textBuf      []byte   // accumulated character data (fmSimple/fmCSimple)
-	plainAttrs   []string // fmSimple: non-meta attribute names for checkNoAttributes
+	plainAttrs   []string // simple types: non-meta attribute names for checkNoAttributes
 
 	counts  []childCount // child tag -> occurrences, for indexed paths
 	idMark  int          // ID journal mark after own attributes
@@ -180,7 +180,9 @@ type frame struct {
 	wild      bool
 	evVal     *xsdtypes.Value
 
-	// fmFallback subtree buffer.
+	// fmFallback subtree buffer. raw marks a skipped wildcard subtree
+	// buffered for the observer's RawElement rather than for validation.
+	raw     bool
 	fbDoc   *dom.Document
 	fbRoot  *dom.Element
 	fbCur   dom.Node
@@ -226,11 +228,10 @@ type streamRun struct {
 	skipDepth int      // >0: inside an unvalidated subtree
 	rootDone  bool
 
-	// events, when non-nil, receives the structural callbacks; rawSkip
-	// marks the current skipped subtree as observer-visible (a wildcard
-	// match with no declaration) rather than an invalid one.
+	// events, when non-nil, receives the structural callbacks; evAttrs is
+	// the scratch slice OpenElement's attributes are built in.
 	events  StreamEvents
-	rawSkip bool
+	evAttrs []Attr
 
 	ns       []nsBinding
 	attrSeen []xsd.QName // scratch for attributes()
@@ -286,16 +287,11 @@ func (sr *streamRun) skip() { sr.skipDepth = 1 }
 // token dispatches one parse event.
 func (sr *streamRun) token(tok *xmlparser.Token) {
 	if sr.skipDepth > 0 {
-		if sr.rawSkip {
-			sr.events.RawToken(tok)
-		}
 		switch tok.Kind {
 		case xmlparser.KindStartElement:
 			sr.skipDepth++
 		case xmlparser.KindEndElement:
-			if sr.skipDepth--; sr.skipDepth == 0 {
-				sr.rawSkip = false
-			}
+			sr.skipDepth--
 		}
 		return
 	}
@@ -381,13 +377,12 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			// declaration exists, accept otherwise.
 			if gdecl, ok := sr.v.schema.LookupElement(xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}); ok {
 				sr.openWildFrame(tok, gdecl, cpath, nsMark)
+			} else if sr.events != nil {
+				// Buffer the unvalidated subtree for RawElement.
+				f := sr.newFrame(cpath, nil, nsMark)
+				f.raw = true
+				sr.startFallback(f, tok)
 			} else {
-				if sr.events != nil {
-					// Deliver the unvalidated subtree raw, starting with
-					// this start tag.
-					sr.events.RawToken(tok)
-					sr.rawSkip = true
-				}
 				sr.skipChild(nsMark)
 			}
 		default:
@@ -438,7 +433,16 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 		return
 	}
 	f.announced = true
-	sr.events.OpenElement(f.decl, typ, tok, nilled, f.wild)
+	attrs := sr.evAttrs[:0]
+	for i := range tok.Attrs {
+		if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
+			attrs = append(attrs, Attr{Name: xsd.QName{Space: a.Name.Space, Local: a.Name.Local}, Value: a.Value})
+		}
+	}
+	sr.evAttrs = attrs
+	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
+	sr.events.OpenElement(ElementStart{Decl: f.decl, Type: typ, Name: xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local},
+		Attrs: attrs, XSIType: xsiType != "", Nilled: nilled, Wildcard: f.wild})
 }
 
 func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
@@ -446,7 +450,7 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 	f.wild = wild
 	typ := decl.Type
 	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		q, err := sr.resolveQName(lex)
+		q, err := resolveQName(lex, sr.namespace)
 		if err != nil {
 			sr.pushDead(f, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
 			return
@@ -472,7 +476,15 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 			return
 		}
 		if lex == "true" || lex == "1" {
+			// Attributes are validated as usual; closeFrame adds the nil
+			// rules in run.element's order.
 			f.mode = fmNilled
+			switch t := typ.(type) {
+			case *xsd.SimpleType:
+				f.collectPlainAttrs(tok)
+			case *xsd.ComplexType:
+				sr.attributes(f, tok, t)
+			}
 			sr.frames = append(sr.frames, f)
 			sr.announce(f, typ, tok, true)
 			return
@@ -498,11 +510,7 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 	case *xsd.SimpleType:
 		f.mode = fmSimple
 		f.st = t
-		for i := range tok.Attrs {
-			if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
-				f.plainAttrs = append(f.plainAttrs, a.Name.Qualified())
-			}
-		}
+		f.collectPlainAttrs(tok)
 	case *xsd.ComplexType:
 		sr.attributes(f, tok, t)
 		switch t.Kind {
@@ -531,6 +539,16 @@ func (sr *streamRun) pushDead(f *frame, msg string) {
 	f.mode = fmDead
 	f.contentViol = &Violation{Path: f.path, Msg: msg}
 	sr.frames = append(sr.frames, f)
+}
+
+// collectPlainAttrs records the start tag's non-meta attribute names for
+// the simple-type "not allowed" check at the end tag.
+func (f *frame) collectPlainAttrs(tok *xmlparser.Token) {
+	for i := range tok.Attrs {
+		if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
+			f.plainAttrs = append(f.plainAttrs, a.Name.Qualified())
+		}
+	}
 }
 
 func isMetaAttrName(n xmlparser.Name) bool {
@@ -753,10 +771,7 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 				sr.trackIDs(f.st, text, f.path, &viols)
 			}
 		}
-		for _, name := range f.plainAttrs {
-			viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)})
-		}
-		return viols
+		return f.appendPlainAttrViols(viols)
 	case fmCSimple:
 		viols := f.attrViols
 		if f.sawElemChild {
@@ -772,7 +787,16 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 			sr.trackIDs(f.st, text, f.path, &viols)
 		}
 		return viols
-	default: // fmCEmpty, fmNilled, fmDead
+	case fmNilled:
+		viols := f.attrViols
+		if f.decl.Fixed != nil {
+			viols = append(viols, Violation{Path: f.path, Msg: msgNilFixed})
+		}
+		if f.contentViol != nil {
+			viols = append(viols, *f.contentViol)
+		}
+		return f.appendPlainAttrViols(viols)
+	default: // fmCEmpty, fmDead
 		viols := f.attrViols
 		if f.contentViol != nil {
 			viols = append(viols, *f.contentViol)
@@ -781,8 +805,17 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 	}
 }
 
+// appendPlainAttrViols adds a simple-typed element's attribute violations
+// (run.checkNoAttributes).
+func (f *frame) appendPlainAttrViols(viols []Violation) []Violation {
+	for _, name := range f.plainAttrs {
+		viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)})
+	}
+	return viols
+}
+
 // startFallback begins buffering the element's subtree into a private DOM
-// fragment for the recursive validator.
+// fragment: for the recursive validator, or for RawElement when f.raw.
 func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 	f.mode = fmFallback
 	doc := dom.NewPooledDocument()
@@ -791,10 +824,11 @@ func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 		a := &tok.Attrs[i]
 		root.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
 	}
-	// Graft the in-scope namespace bindings onto the buffered root so
-	// resolveInstanceQName sees the same environment it would in the full
-	// tree. Innermost bindings win; locally declared ones are already set.
-	for i := len(sr.ns) - 1; i >= 0; i-- {
+	// Graft the in-scope namespace bindings onto a buffered root the DOM
+	// walk validates, so domNamespace sees the same environment it would
+	// in the full tree. Innermost bindings win; locally declared ones are
+	// already set. Raw subtrees stay as written.
+	for i := len(sr.ns) - 1; i >= 0 && !f.raw; i-- {
 		b := sr.ns[i]
 		if root.HasAttributeNS(xmlparser.XMLNSNamespace, b.name) {
 			continue
@@ -851,57 +885,42 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 }
 
 // completeFallback validates the buffered subtree with the recursive DOM
-// path, sharing the document-wide ID state.
+// path, sharing the document-wide ID state and the observer (which sees
+// the subtree's events from that run), or hands a raw subtree over.
 func (sr *streamRun) completeFallback(f *frame) {
 	sr.frames = sr.frames[:len(sr.frames)-1]
 	sr.ns = sr.ns[:f.nsMark]
-	nrun := &run{
-		v:   sr.v,
-		ids: sr.ids,
-		onIDInsert: func(id string) {
-			sr.idJournal = append(sr.idJournal, id)
-		},
+	if f.raw {
+		sr.events.RawElement(f.fbRoot)
+	} else {
+		nrun := &run{
+			v:      sr.v,
+			ids:    sr.ids,
+			events: sr.events,
+			onIDInsert: func(id string) {
+				sr.idJournal = append(sr.idJournal, id)
+			},
+		}
+		nrun.element(f.fbRoot, f.decl, f.path, f.wild)
+		sr.idrefs = append(sr.idrefs, nrun.idrefs...)
+		sr.deliver(nrun.res.Violations)
 	}
-	nrun.element(f.fbRoot, f.decl, f.path)
-	sr.idrefs = append(sr.idrefs, nrun.idrefs...)
-	sr.deliver(nrun.res.Violations)
-	if sr.events != nil {
-		sr.events.FallbackElement(f.decl, f.fbRoot, f.wild)
-	}
-	// The buffered subtree is private to this frame and the recursive run
-	// above only keeps strings, so its pooled nodes can be recycled now.
+	// The buffered subtree is private to this frame and the callbacks
+	// above keep no node, so its pooled nodes can be recycled now.
 	f.fbDoc.Release()
 	f.fbDoc, f.fbRoot, f.fbCur = nil, nil, nil
 	sr.recycle(f)
 }
 
-// resolveQName replicates resolveInstanceQName against the streaming
-// binding stack.
-func (sr *streamRun) resolveQName(lexical string) (xsd.QName, error) {
-	lexical = strings.TrimSpace(lexical)
-	prefix, local := "", lexical
-	if i := strings.IndexByte(lexical, ':'); i >= 0 {
-		prefix, local = lexical[:i], lexical[i+1:]
-	}
-	if !xmlparser.IsNCName(local) || (prefix != "" && !xmlparser.IsNCName(prefix)) {
-		return xsd.QName{}, fmt.Errorf("bad QName")
-	}
-	if prefix == "xml" {
-		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
-	}
-	key := prefix
-	if key == "" {
-		key = "xmlns"
-	}
+// namespace finds the innermost binding for key on the streaming binding
+// stack (domNamespace's counterpart).
+func (sr *streamRun) namespace(key string) (string, bool) {
 	for i := len(sr.ns) - 1; i >= 0; i-- {
 		if sr.ns[i].name == key {
-			return xsd.QName{Space: sr.ns[i].uri, Local: local}, nil
+			return sr.ns[i].uri, true
 		}
 	}
-	if prefix != "" {
-		return xsd.QName{}, fmt.Errorf("undeclared prefix %q", prefix)
-	}
-	return xsd.QName{Local: local}, nil
+	return "", false
 }
 
 // indexedChildPath replicates childPathIndexed for streaming frames.

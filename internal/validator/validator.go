@@ -8,6 +8,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/xmlparser"
 	"repro/internal/xsd"
+	"repro/internal/xsdtypes"
 )
 
 // Violation is one validity error with its document location.
@@ -68,12 +69,6 @@ type Options struct {
 	// run falls back to NFA stepping. Zero means
 	// contentmodel.DefaultDFABudget.
 	DFAStateBudget int
-	// ElementObserver, when non-nil, is invoked with the governing
-	// declaration of every element the walk visits. It exists for
-	// instrumentation — codegen's instance-corpus pruning pass uses it to
-	// record which declarations a sample document set reaches — and has no
-	// effect on verdicts.
-	ElementObserver func(decl *xsd.ElementDecl)
 }
 
 // Validator validates documents against one schema.
@@ -108,29 +103,31 @@ func New(schema *xsd.Schema, opts *Options) *Validator {
 // ValidateDocument validates a whole document: the root element must match
 // a global element declaration.
 func (v *Validator) ValidateDocument(doc *dom.Document) *Result {
-	run := &run{v: v, ids: map[string]string{}}
-	root := doc.DocumentElement()
-	if root == nil {
-		run.violate("/", "document has no root element")
-		return &run.res
-	}
-	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
-	decl, ok := v.schema.LookupElement(name)
-	if !ok {
-		run.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
-		return &run.res
-	}
-	run.element(root, decl, "/"+root.TagName())
-	run.checkIDRefs()
-	return &run.res
+	return v.ValidateDocumentEvents(doc, nil)
 }
 
 // ValidateElement validates a subtree against a specific declaration.
 func (v *Validator) ValidateElement(el *dom.Element, decl *xsd.ElementDecl) *Result {
-	run := &run{v: v, ids: map[string]string{}}
-	run.element(el, decl, "/"+el.TagName())
-	run.checkIDRefs()
-	return &run.res
+	return v.ValidateElementEvents(el, decl, nil)
+}
+
+// document runs the walk over doc from its root element, which must match
+// a global element declaration.
+func (r *run) document(doc *dom.Document) *Result {
+	root := doc.DocumentElement()
+	if root == nil {
+		r.violate("/", "document has no root element")
+		return &r.res
+	}
+	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
+	decl, ok := r.v.schema.LookupElement(name)
+	if !ok {
+		r.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
+		return &r.res
+	}
+	r.element(root, decl, "/"+root.TagName(), false)
+	r.checkIDRefs()
+	return &r.res
 }
 
 // run carries one validation pass.
@@ -153,6 +150,10 @@ type run struct {
 	// least ParallelMinFanout children fan out to that many workers;
 	// cleared while a pool is running so splits never nest.
 	parWorkers int
+	// events, when non-nil, receives the walk's callbacks (events.go);
+	// attrBuf is the scratch slice OpenElement's attributes are built in.
+	events  StreamEvents
+	attrBuf []Attr
 }
 
 // pendingRef is an IDREF awaiting resolution.
@@ -167,20 +168,19 @@ func (r *run) violate(path, msg string) {
 	}
 }
 
-// element validates el against its governing declaration.
-func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	if obs := r.v.opts.ElementObserver; obs != nil {
-		obs(decl)
-	}
+// element validates el against its governing declaration; wild marks an
+// element admitted by a content-model wildcard (for the observer).
+func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string, wild bool) {
 	if len(r.res.Violations) >= maxViolations {
 		return
 	}
 	typ := decl.Type
 	// xsi:type may substitute a derived type.
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveInstanceQName(el, lex)
+	xsiType := el.GetAttributeNS(xsd.XSINamespace, "type")
+	if xsiType != "" {
+		q, err := resolveQName(xsiType, func(key string) (string, bool) { return domNamespace(el, key) })
 		if err != nil {
-			r.violate(path, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
+			r.violate(path, fmt.Sprintf("bad xsi:type %q: %v", xsiType, err))
 			return
 		}
 		override, ok := r.v.schema.LookupType(q)
@@ -199,27 +199,73 @@ func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string) {
 		return
 	}
 	// xsi:nil.
+	nilled := false
 	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex != "" {
 		if !decl.Nillable {
 			r.violate(path, "xsi:nil on a non-nillable element")
 			return
 		}
-		if lex == "true" || lex == "1" {
-			if len(el.ChildNodes()) > 0 {
-				r.violate(path, "nilled element must be empty")
-			}
-			return
-		}
+		nilled = lex == "true" || lex == "1"
 	}
+	if r.events != nil {
+		r.open(el, decl, typ, xsiType != "", nilled, wild)
+	}
+	// val is the parsed simple value, set only for an observer.
+	var val *xsdtypes.Value
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
-		r.simpleContent(el, t, decl, path)
+		if nilled {
+			r.nilledElement(el, decl, path)
+		} else {
+			val = r.simpleContent(el, t, decl, path)
+		}
 		r.checkNoAttributes(el, path)
 	case *xsd.ComplexType:
-		r.complexElement(el, t, decl, path)
+		r.attributes(el, t, path)
+		switch {
+		case nilled:
+			r.nilledElement(el, decl, path)
+		case t.Kind == xsd.ContentSimple:
+			val = r.complexSimpleContent(el, t, path)
+		default:
+			r.complexContent(el, t, path)
+		}
 	}
-	r.checkIdentityConstraints(el, decl, path)
+	if !nilled {
+		r.checkIdentityConstraints(el, decl, path)
+	}
+	if r.events != nil {
+		r.events.CloseElement(val)
+	}
 }
+
+// open delivers OpenElement for an element that passed the prologue.
+func (r *run) open(el *dom.Element, decl *xsd.ElementDecl, typ xsd.Type, xsiType, nilled, wild bool) {
+	attrs := r.attrBuf[:0]
+	for _, a := range el.Attributes() {
+		if !isMetaAttr(a) {
+			attrs = append(attrs, Attr{Name: xsd.QName{Space: a.Name().Space, Local: a.Name().Local}, Value: a.Value()})
+		}
+	}
+	r.attrBuf = attrs
+	r.events.OpenElement(ElementStart{Decl: decl, Type: typ, Name: xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()},
+		Attrs: attrs, XSIType: xsiType, Nilled: nilled, Wildcard: wild})
+}
+
+// nilledElement checks the content rules of an xsi:nil="true" element
+// (XSD 1.0 Part 1 §3.3.4 clause 3.2); its attributes are checked like any
+// other element's.
+func (r *run) nilledElement(el *dom.Element, decl *xsd.ElementDecl, path string) {
+	if decl.Fixed != nil {
+		r.violate(path, msgNilFixed)
+	}
+	if len(el.ChildNodes()) > 0 {
+		r.violate(path, "nilled element must be empty")
+	}
+}
+
+// msgNilFixed reports xsi:nil on a declaration with a fixed value.
+const msgNilFixed = "xsi:nil on an element with a fixed value"
 
 // derivesFromType checks the derivation relation across simple/complex.
 func derivesFromType(t, anc xsd.Type) bool {
@@ -237,12 +283,13 @@ func derivesFromType(t, anc xsd.Type) bool {
 	return false
 }
 
-// simpleContent validates character-only content.
-func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.ElementDecl, path string) {
+// simpleContent validates character-only content. It returns the parsed
+// value for the observer (nil without one, or when the text is invalid).
+func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.ElementDecl, path string) *xsdtypes.Value {
 	for _, c := range el.ChildNodes() {
 		if _, ok := c.(*dom.Element); ok {
 			r.violate(path, "element content is not allowed in a simple-type element")
-			return
+			return nil
 		}
 	}
 	text := el.TextContent()
@@ -255,7 +302,7 @@ func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.Eleme
 	val, err := st.Parse(text)
 	if err != nil {
 		r.violate(path, err.Error())
-		return
+		return nil
 	}
 	if decl != nil && decl.Fixed != nil {
 		want, ferr := st.Parse(*decl.Fixed)
@@ -264,6 +311,17 @@ func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.Eleme
 		}
 	}
 	r.trackIDs(st, text, path)
+	return r.observed(&val)
+}
+
+// observed returns a copy of *val for the observer, nil without one. Only
+// the copy escapes, so a walk without an observer allocates nothing here.
+func (r *run) observed(val *xsdtypes.Value) *xsdtypes.Value {
+	if r.events == nil {
+		return nil
+	}
+	v := *val
+	return &v
 }
 
 // trackIDs records ID/IDREF values for document-level integrity.
@@ -338,22 +396,31 @@ func isMetaAttr(a *dom.Attr) bool {
 	return space == xmlparser.XMLNSNamespace || space == xsd.XSINamespace || space == xmlparser.XMLNamespace
 }
 
-// complexElement validates an element governed by a complex type.
-func (r *run) complexElement(el *dom.Element, ct *xsd.ComplexType, decl *xsd.ElementDecl, path string) {
-	r.attributes(el, ct, path)
+// complexSimpleContent validates the character content of a complex type
+// with simple content. It returns the parsed value like simpleContent.
+func (r *run) complexSimpleContent(el *dom.Element, ct *xsd.ComplexType, path string) *xsdtypes.Value {
+	for _, c := range el.ChildNodes() {
+		if _, ok := c.(*dom.Element); ok {
+			r.violate(path, "element content is not allowed in simple content")
+			return nil
+		}
+	}
+	text := el.TextContent()
+	val, err := ct.SimpleContentType.Parse(text)
+	if err != nil {
+		r.violate(path, err.Error())
+	}
+	r.trackIDs(ct.SimpleContentType, text, path)
+	if err != nil {
+		return nil
+	}
+	return r.observed(&val)
+}
+
+// complexContent validates the empty, element-only or mixed content of a
+// complex type.
+func (r *run) complexContent(el *dom.Element, ct *xsd.ComplexType, path string) {
 	switch ct.Kind {
-	case xsd.ContentSimple:
-		for _, c := range el.ChildNodes() {
-			if _, ok := c.(*dom.Element); ok {
-				r.violate(path, "element content is not allowed in simple content")
-				return
-			}
-		}
-		text := el.TextContent()
-		if _, err := ct.SimpleContentType.Parse(text); err != nil {
-			r.violate(path, err.Error())
-		}
-		r.trackIDs(ct.SimpleContentType, text, path)
 	case xsd.ContentEmpty:
 		for _, c := range el.ChildNodes() {
 			switch x := c.(type) {
@@ -416,25 +483,59 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 		}
 	}
 	counts := map[string]int{}
-	for i, child := range children {
-		cpath := childPathIndexed(path, child, counts)
-		switch data := leaves[i].Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, err := r.v.schema.ResolveChild(data, xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()})
-			if err != nil {
-				r.violate(cpath, err.Error())
-				continue
-			}
-			r.element(child, resolved, cpath)
-		case *contentmodel.Wildcard:
-			// Lax wildcard processing: validate when a global
-			// declaration exists, accept otherwise.
-			name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
-			if gdecl, ok := r.v.schema.LookupElement(name); ok {
-				r.element(child, gdecl, cpath)
+	if r.events != nil && ct.Kind == xsd.ContentMixed {
+		// Interleave the text with the children so the observer sees
+		// mixed content in document order.
+		i := 0
+		for _, c := range el.ChildNodes() {
+			switch x := c.(type) {
+			case *dom.Element:
+				cpath := childPathIndexed(path, x, counts)
+				if decl, wild, ok := r.childDecl(x, leaves[i], cpath); ok {
+					r.element(x, decl, cpath, wild)
+				}
+				i++
+			case *dom.Text:
+				r.events.MixedText(x.Data)
+			case *dom.CDATASection:
+				r.events.MixedText(x.Data)
 			}
 		}
+		return
 	}
+	for i, child := range children {
+		cpath := childPathIndexed(path, child, counts)
+		if decl, wild, ok := r.childDecl(child, leaves[i], cpath); ok {
+			r.element(child, decl, cpath, wild)
+		}
+	}
+}
+
+// childDecl resolves the declaration governing a child matched to leaf;
+// wild marks a wildcard admission. ok is false for a child that is not
+// validated: a failed resolution (reported) or a lax wildcard match with
+// no global declaration (handed to the observer as raw).
+func (r *run) childDecl(child *dom.Element, leaf *contentmodel.Leaf, cpath string) (decl *xsd.ElementDecl, wild, ok bool) {
+	name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
+	switch data := leaf.Data.(type) {
+	case *xsd.ElementDecl:
+		resolved, err := r.v.schema.ResolveChild(data, name)
+		if err != nil {
+			r.violate(cpath, err.Error())
+			return nil, false, false
+		}
+		return resolved, false, true
+	case *contentmodel.Wildcard:
+		// Lax wildcard processing: validate when a global declaration
+		// exists, accept otherwise.
+		if gdecl, ok := r.v.schema.LookupElement(name); ok {
+			return gdecl, true, true
+		}
+		if r.events != nil {
+			r.events.RawElement(child)
+		}
+	}
+	return nil, false, false
 }
 
 // attributes validates the attribute set of el against ct.
@@ -474,9 +575,12 @@ func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType, path string) {
 	}
 }
 
-// resolveInstanceQName resolves a QName lexical value against the
-// namespace declarations in scope in the instance document.
-func resolveInstanceQName(el *dom.Element, lexical string) (xsd.QName, error) {
+// resolveQName resolves a QName lexical value (an xsi:type) against the
+// instance's namespace scope. lookup returns the URI bound to a prefix key
+// ("xmlns" for the default namespace) and whether one is in scope: the DOM
+// walk reads ancestor attributes (domNamespace), the streaming walk its
+// binding stack.
+func resolveQName(lexical string, lookup func(key string) (string, bool)) (xsd.QName, error) {
 	lexical = strings.TrimSpace(lexical)
 	prefix, local := "", lexical
 	if i := strings.IndexByte(lexical, ':'); i >= 0 {
@@ -488,23 +592,28 @@ func resolveInstanceQName(el *dom.Element, lexical string) (xsd.QName, error) {
 	if prefix == "xml" {
 		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
 	}
-	for n := dom.Node(el); n != nil; n = n.ParentNode() {
-		e, ok := n.(*dom.Element)
-		if !ok {
-			continue
-		}
-		if prefix == "" {
-			if e.HasAttributeNS(xmlparser.XMLNSNamespace, "xmlns") {
-				return xsd.QName{Space: e.GetAttributeNS(xmlparser.XMLNSNamespace, "xmlns"), Local: local}, nil
-			}
-		} else if e.HasAttributeNS(xmlparser.XMLNSNamespace, prefix) {
-			return xsd.QName{Space: e.GetAttributeNS(xmlparser.XMLNSNamespace, prefix), Local: local}, nil
-		}
+	key := prefix
+	if key == "" {
+		key = "xmlns"
+	}
+	if uri, ok := lookup(key); ok {
+		return xsd.QName{Space: uri, Local: local}, nil
 	}
 	if prefix != "" {
 		return xsd.QName{}, fmt.Errorf("undeclared prefix %q", prefix)
 	}
 	return xsd.QName{Local: local}, nil
+}
+
+// domNamespace finds the innermost namespace declaration for key on el or
+// its ancestors.
+func domNamespace(el *dom.Element, key string) (string, bool) {
+	for n := dom.Node(el); n != nil; n = n.ParentNode() {
+		if e, ok := n.(*dom.Element); ok && e.HasAttributeNS(xmlparser.XMLNSNamespace, key) {
+			return e.GetAttributeNS(xmlparser.XMLNSNamespace, key), true
+		}
+	}
+	return "", false
 }
 
 // childPath appends a child step to a path.

@@ -197,6 +197,57 @@ func TestXsiNil(t *testing.T) {
 	wantViolation(t, validate(t, v, `<must `+xsiNS+` xsi:nil="true"/>`), "non-nillable")
 }
 
+// TestXsiNilValidatesAttributes: a nilled element's attributes are still
+// validated (XSD 1.0 Part 1 §3.3.4, Element Locally Valid (Complex Type)
+// clauses 3–4 and (Type) clause 3.1.1), and nil is refused on a declaration
+// with a fixed value (clause 3.2.2). Both walks give the same messages in
+// the same order.
+func TestXsiNilValidatesAttributes(t *testing.T) {
+	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="e" nillable="true">
+    <xsd:complexType>
+      <xsd:sequence><xsd:element name="c" type="xsd:string" minOccurs="0"/></xsd:sequence>
+      <xsd:attribute name="id" type="xsd:int" use="required"/>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:element name="s" type="xsd:int" nillable="true"/>
+  <xsd:element name="f" type="xsd:string" nillable="true" fixed="A"/>
+</xsd:schema>`
+	s, err := xsd.ParseString(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(s, nil)
+	xsiNS := `xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"`
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		{`<e ` + xsiNS + ` xsi:nil="true" id="5"/>`, nil},
+		{`<e ` + xsiNS + ` xsi:nil="true"/>`, []string{`required attribute "id" is missing`}},
+		{`<e ` + xsiNS + ` xsi:nil="true" id="abc" bogus="1"><c/></e>`, []string{
+			`attribute "id": int: bad digit 'a' in decimal "abc"`,
+			`attribute "bogus" is not declared for this element`,
+			`nilled element must be empty`,
+		}},
+		{`<s ` + xsiNS + ` xsi:nil="true" a="1">7</s>`, []string{
+			`nilled element must be empty`,
+			`attribute "a" is not allowed on a simple-type element`,
+		}},
+		{`<f ` + xsiNS + ` xsi:nil="true"/>`, []string{"xsi:nil on an element with a fixed value"}},
+	} {
+		res := validate(t, v, tc.src)
+		var got []string
+		for _, viol := range res.Violations {
+			got = append(got, viol.Msg)
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s:\n  got  %q\n  want %q", tc.src, got, tc.want)
+		}
+		streamDiff(t, v, tc.src, tc.src)
+	}
+}
+
 func TestSubstitutionGroupValidation(t *testing.T) {
 	s, err := xsd.ParseString(schemas.AddressDerivationXSD, nil)
 	if err != nil {
