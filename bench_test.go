@@ -1411,3 +1411,111 @@ func BenchmarkE17_ColdStartSharedParse(b *testing.B) {
 		}
 	})
 }
+
+// ---------------------------------------------------------------------------
+// E18 — deep and wide documents: cost per node, not per ancestor.
+// ---------------------------------------------------------------------------
+
+// BenchmarkE18_DeepAndWide prices the input classes whose cost used to grow
+// with nesting depth or attribute count: parsing and validating a chain of
+// nested elements at three depths (linear cost keeps time per level flat),
+// streaming a tag with 2,000 undeclared attributes, tokenizing a chain
+// that declares a new namespace prefix at every level, validating a chain
+// with an xsi:type at every level, and streaming a wide tag inside an
+// xs:key element, which the streaming walk buffers into a DOM.
+func BenchmarkE18_DeepAndWide(b *testing.B) {
+	compile := func(src string) *validator.Validator {
+		s, err := xsd.ParseString(src, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return validator.New(s, nil)
+	}
+	chain, po := compile(chainXSD), compile(schemas.PurchaseOrderXSD)
+	for _, depth := range []int{1000, 2000, 3000} {
+		src := hostileChain(depth, bareLevel)
+		doc, err := dom.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("parse/chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := dom.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Release()
+			}
+		})
+		b.Run(fmt.Sprintf("validate/chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !chain.ValidateDocument(doc).OK() {
+					b.Fatal("verdict flipped")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("stream/chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !chain.Stream().ValidateBytes(src).OK() {
+					b.Fatal("verdict flipped")
+				}
+			}
+		})
+	}
+	wide := wideOrder(2000, "")
+	b.Run("stream/attrs=2000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if po.Stream().ValidateBytes(wide).OK() {
+				b.Fatal("verdict flipped")
+			}
+		}
+	})
+	for _, depth := range []int{5000, 10000, 20000} {
+		src := hostileChain(depth, newPrefix)
+		b.Run(fmt.Sprintf("tokenize/xmlns-chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := xmlparser.Parse(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, depth := range []int{5000, 10000} {
+		src := hostileChain(depth, xsiTypeLevel)
+		doc, err := dom.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("validate/xsi-type-chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !chain.ValidateDocument(doc).OK() {
+					b.Fatal("verdict flipped")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("stream/xsi-type-chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !chain.Stream().ValidateBytes(src).OK() {
+					b.Fatal("verdict flipped")
+				}
+			}
+		})
+	}
+	keyed, wideKey := compile(keyXSD), wideKeyed(20000)
+	b.Run("stream/keyed-attrs=20000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !keyed.Stream().ValidateBytes(wideKey).OK() {
+				b.Fatal("verdict flipped")
+			}
+		}
+	})
+}

@@ -226,6 +226,36 @@ func TestStreamMatchesDOM(t *testing.T) {
 	}
 }
 
+// FuzzStreamMatchesDOM mutates the differential corpus and demands
+// identical violations — paths and messages — from the DOM and streaming
+// walks under the instance's schema. The seed picks the schema (by index
+// into diffCases) and the document.
+func FuzzStreamMatchesDOM(f *testing.F) {
+	type compiled struct {
+		schema *xsd.Schema
+		sv     *validator.StreamValidator
+	}
+	var cases []compiled
+	for i, tc := range diffCases {
+		schema, err := xsd.ParseString(tc.xsdSrc, nil)
+		if err != nil {
+			f.Fatalf("%s: %v", tc.name, err)
+		}
+		cases = append(cases, compiled{schema, validator.New(schema, nil).Stream()})
+		for _, src := range tc.instances {
+			f.Add(uint8(i), []byte(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, src []byte) {
+		if len(src) > 1<<16 {
+			t.Skip("oversized input")
+		}
+		c := cases[int(which)%len(cases)]
+		_, domRes := validator.ValidateBytes(c.schema, src)
+		assertSameResult(t, "stream", domRes, c.sv.ValidateBytes(src))
+	})
+}
+
 // TestNilledElementVerdicts pins the verdicts of the nil instances in the
 // feature corpus (the differential alone would accept two walks that both
 // skip a nilled element's attributes).

@@ -1,0 +1,289 @@
+package repro
+
+// Bounded cost on hostile input. Deep chains, wide tags and long sibling
+// runs are generated here and driven through every validation entry point
+// — DOM parse+validate, the streaming walk, the parallel walk, and bind's
+// DOM and streaming decoders. Each must return the expected verdict (or a
+// typed parse error) while allocating a bounded number of bytes per input
+// byte, and for the chains the allocation must grow linearly with depth.
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bind"
+	"repro/internal/dom"
+	"repro/internal/schemas"
+	"repro/internal/validator"
+	"repro/internal/xmlparser"
+	"repro/internal/xsd"
+)
+
+// chainXSD is the recursive schema N = sequence(n:N?): a chain of nested
+// elements is valid at any depth.
+const chainXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="n" type="N"/>
+  <xsd:complexType name="N">
+    <xsd:sequence><xsd:element name="n" type="N" minOccurs="0"/></xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>`
+
+// listXSD is a flat list of integers.
+const listXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="list">
+    <xsd:complexType>
+      <xsd:sequence><xsd:element name="n" type="xsd:int" maxOccurs="unbounded"/></xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>`
+
+// hostileChain nests depth <n> elements, level i opening with attrs(i).
+func hostileChain(depth int, attrs func(level int) string) []byte {
+	var sb strings.Builder
+	for i := 0; i < depth; i++ {
+		sb.WriteString("<n" + attrs(i) + ">")
+	}
+	sb.WriteString(strings.Repeat("</n>", depth))
+	return []byte(sb.String())
+}
+
+// bareLevel and newPrefix are hostileChain levels: a bare <n>, and an <n>
+// declaring a new prefix, so every level has all earlier ones in scope.
+func bareLevel(int) string { return "" }
+
+func newPrefix(level int) string { return fmt.Sprintf(` xmlns:p%d="u"`, level) }
+
+// xsiTypeLevel is a hostileChain level that names its type with an
+// unprefixed xsi:type, resolved against the default namespace — which
+// nothing declares — past one prefix declaration per level.
+func xsiTypeLevel(level int) string {
+	if level == 0 {
+		return ` xmlns:x="` + xsd.XSINamespace + `" xmlns:a="u" x:type="N"`
+	}
+	return ` xmlns:a="u" x:type="N"`
+}
+
+// keyXSD puts an xs:key on <keyed>, whose <item> children take any
+// attributes: the streaming walk buffers each <keyed> subtree for the DOM
+// walk.
+const keyXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="keyed">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="item" maxOccurs="unbounded">
+          <xsd:complexType>
+            <xsd:attribute name="id" type="xsd:string" use="required"/>
+            <xsd:anyAttribute processContents="skip"/>
+          </xsd:complexType>
+        </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+    <xsd:key name="itemKey">
+      <xsd:selector xpath="item"/>
+      <xsd:field xpath="@id"/>
+    </xsd:key>
+  </xsd:element>
+</xsd:schema>`
+
+// wideKeyed puts n empty attributes x0..x(n-1) on an <item> under <keyed>.
+func wideKeyed(n int) []byte {
+	var sb strings.Builder
+	sb.WriteString(`<keyed><item id="a"`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, ` x%d=""`, i)
+	}
+	sb.WriteString(`/><item id="b"/></keyed>`)
+	return []byte(sb.String())
+}
+
+// wideOrder puts n attributes x0..x(n-1) on the purchase order's root,
+// followed by extra.
+func wideOrder(n int, extra string) []byte {
+	var sb strings.Builder
+	sb.WriteString("<purchaseOrder")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, ` x%d="%d"`, i, i)
+	}
+	sb.WriteString(extra)
+	return []byte(strings.Replace(schemas.PurchaseOrderDoc, "<purchaseOrder", sb.String(), 1))
+}
+
+// siblingList writes n <n> children, the last bad of them not integers.
+func siblingList(n, bad int) []byte {
+	var sb strings.Builder
+	sb.WriteString("<list>")
+	for i := 0; i < n; i++ {
+		if i >= n-bad {
+			sb.WriteString("<n>x</n>")
+		} else {
+			sb.WriteString("<n>1</n>")
+		}
+	}
+	sb.WriteString("</list>")
+	return []byte(sb.String())
+}
+
+// hostileEntries are the entry points, each reduced to its verdict.
+var hostileEntries = []struct {
+	name string
+	run  func(s *xsd.Schema, b *bind.Binder, src []byte) *validator.Result
+}{
+	{"dom", func(s *xsd.Schema, _ *bind.Binder, src []byte) *validator.Result {
+		_, res := validator.ValidateBytes(s, src)
+		return res
+	}},
+	{"stream", func(_ *xsd.Schema, b *bind.Binder, src []byte) *validator.Result {
+		return b.Validator().Stream().ValidateBytes(src)
+	}},
+	{"parallel", func(s *xsd.Schema, _ *bind.Binder, src []byte) *validator.Result {
+		_, res := validator.ParallelValidateBytes(s, src, 2)
+		return res
+	}},
+	{"bind", func(_ *xsd.Schema, b *bind.Binder, src []byte) *validator.Result {
+		val, res := b.DecodeBytes(src)
+		if res.OK() && val == nil {
+			return &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: "valid document decoded to nil"}}}
+		}
+		return res
+	}},
+	{"bind-stream", func(_ *xsd.Schema, b *bind.Binder, src []byte) *validator.Result {
+		val, res, err := b.DecodeStreamBytes(src)
+		if err != nil || (res.OK() && val == nil) {
+			return &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: fmt.Sprintf("decode: %v", err)}}}
+		}
+		return res
+	}},
+}
+
+// maxBytesPerInputByte bounds what any entry point may allocate per input
+// byte on the hostile corpus (the largest reading is about 290, bind's
+// decoders on the 100,000-attribute tag).
+const maxBytesPerInputByte = 400
+
+// cost runs f and returns the bytes it allocated and the time it took.
+func cost(f func()) (uint64, time.Duration) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	f()
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, took
+}
+
+// TestHostileCorpusBoundedCost drives the hostile corpus through every
+// entry point, checking verdicts and bytes allocated per input byte. Inputs
+// with a scale are also run smaller: doubling the scale may multiply
+// allocation by at most 2.5, and quadrupling it time by at most 8 — a
+// quadratic term that allocates nothing, like an ancestor walk, shows up
+// only in the time.
+func TestHostileCorpusBoundedCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hostile corpus is large")
+	}
+	compile := func(src string) *bind.Binder {
+		s, err := xsd.ParseString(src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bind.New(s, nil)
+	}
+	chain, po, list, keyed := compile(chainXSD), compile(schemas.PurchaseOrderXSD), compile(listXSD), compile(keyXSD)
+	valid := func(t *testing.T, res *validator.Result) {
+		if !res.OK() {
+			t.Errorf("want valid, got %v", res.Violations[0])
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		b       *bind.Binder
+		src     func(scale int) []byte
+		scale   int // > 0: also checked for linear growth in scale
+		verdict func(t *testing.T, res *validator.Result)
+	}{
+		{name: "chain", b: chain, scale: 100000,
+			src:     func(d int) []byte { return hostileChain(d, bareLevel) },
+			verdict: valid},
+		{name: "xmlns chain", b: chain, scale: 50000,
+			src:     func(d int) []byte { return hostileChain(d, newPrefix) },
+			verdict: valid},
+		{name: "xsi:type chain", b: chain, scale: 40000,
+			src:     func(d int) []byte { return hostileChain(d, xsiTypeLevel) },
+			verdict: valid},
+		{name: "100,000 attributes under an xs:key", b: keyed, scale: 100000,
+			src:     wideKeyed,
+			verdict: valid},
+		{name: "2,000 undeclared attributes", b: po,
+			src: func(int) []byte { return wideOrder(2000, "") },
+			verdict: func(t *testing.T, res *validator.Result) {
+				want := validator.Violation{Path: "/purchaseOrder", Msg: `attribute "x0" is not declared for this element`}
+				if len(res.Violations) != 100 || res.Violations[0] != want {
+					t.Errorf("want 100 violations starting with %v, got %d: %v", want, len(res.Violations), res.Violations)
+				}
+			}},
+		{name: "2,000 attributes with a late duplicate", b: po,
+			src: func(int) []byte { return wideOrder(2000, ` x0="again"`) },
+			verdict: func(t *testing.T, res *validator.Result) {
+				if len(res.Violations) != 1 || res.Violations[0].Path != "/" ||
+					!strings.Contains(res.Violations[0].Msg, `duplicate attribute "x0" in <purchaseOrder>`) {
+					t.Errorf("want the duplicate-attribute parse error, got %v", res.Violations)
+				}
+			}},
+		{name: "20,000 siblings, last 100 invalid", b: list,
+			src: func(int) []byte { return siblingList(20000, 100) },
+			verdict: func(t *testing.T, res *validator.Result) {
+				n := len(res.Violations)
+				if n != 100 || res.Violations[0].Path != "/list/n[19901]" || res.Violations[n-1].Path != "/list/n[20000]" {
+					t.Errorf("want 100 violations at /list/n[19901] ... /list/n[20000], got %d: %v", n, res.Violations)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src(tc.scale)
+			if len(src) > 1500000 {
+				t.Fatalf("input is %d bytes, over the corpus limit", len(src))
+			}
+			for _, e := range hostileEntries {
+				var res *validator.Result
+				run := func(src []byte) func() {
+					return func() { res = e.run(tc.b.Schema(), tc.b, src) }
+				}
+				bytes, took := cost(run(src))
+				perByte := float64(bytes) / float64(len(src))
+				t.Logf("%s: %.1f bytes allocated per input byte, %v", e.name, perByte, took)
+				tc.verdict(t, res)
+				if perByte > maxBytesPerInputByte {
+					t.Errorf("%s: %.1f bytes allocated per input byte, bound %d", e.name, perByte, maxBytesPerInputByte)
+				}
+				if tc.scale == 0 {
+					continue
+				}
+				// Allocation is compared at half scale. Time is compared at
+				// quarter scale, where linear reads 4 and quadratic 16, and
+				// each side keeps its faster run, so one stall on a shared
+				// host does not decide the ratio.
+				fullBytes, fullTook := cost(run(src))
+				halfBytes, _ := cost(run(tc.src(tc.scale / 2)))
+				quarter := tc.src(tc.scale / 4)
+				_, qTook := cost(run(quarter))
+				_, qAgain := cost(run(quarter))
+				allocRatio := float64(fullBytes) / float64(halfBytes)
+				timeRatio := min(took, fullTook).Seconds() / min(qTook, qAgain).Seconds()
+				t.Logf("%s: allocation x%.2f at double scale, time x%.2f at quadruple scale", e.name, allocRatio, timeRatio)
+				if allocRatio > 2.5 || timeRatio > 8 {
+					t.Errorf("%s: allocation ratio %.2f (bound 2.5), time ratio %.2f (bound 8)", e.name, allocRatio, timeRatio)
+				}
+			}
+		})
+	}
+	// The parse error is typed for direct dom.Parse callers.
+	var se *xmlparser.SyntaxError
+	if _, err := dom.Parse(wideOrder(2000, ` x0="again"`)); !errors.As(err, &se) {
+		t.Errorf("dom.Parse: want a *xmlparser.SyntaxError, got %v", err)
+	}
+}

@@ -49,6 +49,11 @@ func (d *Document) CreateElement(tag string) *Element {
 // CreateElementNS creates an element with the given namespace URI and
 // qualified name ("prefix:local" or "local").
 func (d *Document) CreateElementNS(ns, qname string) *Element {
+	return d.newElement(parseQName(ns, qname))
+}
+
+// newElement creates an element with an already split name.
+func (d *Document) newElement(name Name) *Element {
 	var e *Element
 	if d.arena != nil {
 		e = d.arena.newElement()
@@ -57,7 +62,7 @@ func (d *Document) CreateElementNS(ns, qname string) *Element {
 	}
 	e.self = e
 	e.doc = d
-	e.name = parseQName(ns, qname)
+	e.name = name
 	return e
 }
 

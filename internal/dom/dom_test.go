@@ -118,6 +118,42 @@ func TestCycleRejected(t *testing.T) {
 	if _, err := a.AppendChild(a); !errors.Is(err, ErrHierarchy) {
 		t.Errorf("self append: got %v", err)
 	}
+
+	// A childless node takes the short check: only the parent itself can
+	// close a cycle.
+	leaf := d.CreateElement("leaf")
+	if _, err := leaf.AppendChild(leaf); !errors.Is(err, ErrHierarchy) {
+		t.Errorf("childless self append: got %v", err)
+	}
+
+	// g > p > c: every insertion of g under c is a cycle.
+	g, p, c, x := d.CreateElement("g"), d.CreateElement("p"), d.CreateElement("c"), d.CreateElement("x")
+	_, _ = g.AppendChild(p)
+	_, _ = p.AppendChild(c)
+	_, _ = c.AppendChild(x)
+	if _, err := c.AppendChild(g); !errors.Is(err, ErrHierarchy) {
+		t.Errorf("grandparent under grandchild: got %v", err)
+	}
+	if _, err := c.InsertBefore(g, x); !errors.Is(err, ErrHierarchy) {
+		t.Errorf("InsertBefore of an ancestor: got %v", err)
+	}
+	if _, err := c.ReplaceChild(g, x); !errors.Is(err, ErrHierarchy) {
+		t.Errorf("ReplaceChild with an ancestor: got %v", err)
+	}
+	if x.ParentNode() != Node(c) {
+		t.Errorf("failed ReplaceChild did not restore the old child")
+	}
+	// A fragment holding an ancestor: g stays p's ancestor wherever g sits.
+	frag := d.CreateDocumentFragment()
+	if _, err := frag.AppendChild(g); err != nil {
+		t.Fatalf("moving g into a fragment: %v", err)
+	}
+	if _, err := c.AppendChild(frag); !errors.Is(err, ErrHierarchy) {
+		t.Errorf("fragment holding an ancestor: got %v", err)
+	}
+	if g.ParentNode() != Node(frag) {
+		t.Errorf("failed fragment insertion moved its children")
+	}
 }
 
 func TestWrongDocumentRejected(t *testing.T) {

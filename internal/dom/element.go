@@ -79,6 +79,11 @@ func (e *Element) SetAttributeNS(ns, qname, value string) {
 		e.attrs[i].name.Prefix = n.Prefix
 		return
 	}
+	e.appendAttr(n, value)
+}
+
+// appendAttr adds an attribute the caller knows is not present yet.
+func (e *Element) appendAttr(n Name, value string) {
 	var a *Attr
 	if e.doc != nil && e.doc.arena != nil {
 		a = e.doc.arena.newAttr()

@@ -217,7 +217,15 @@ func (n *node) checkInsert(newChild Node) error {
 	if err := canContain(n.self, newChild); err != nil {
 		return err
 	}
-	// Cycle check: newChild must not be this node or an ancestor of it.
+	// Cycle check: newChild must not be this node or an ancestor of it. A
+	// childless node is nobody's ancestor, so only the node itself can
+	// match — every node a parse appends is fresh, and skips the walk.
+	if !newChild.HasChildNodes() {
+		if newChild == n.self {
+			return fmt.Errorf("%w: insertion would create a cycle", ErrHierarchy)
+		}
+		return nil
+	}
 	for a := n.self; a != nil; a = a.ParentNode() {
 		if a == newChild {
 			return fmt.Errorf("%w: insertion would create a cycle", ErrHierarchy)

@@ -22,6 +22,7 @@ func ParseWithOptions(src []byte, opts *xmlparser.Options) (*Document, error) {
 
 func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 	dec := xmlparser.NewDecoder(src, opts)
+	namespaces := opts == nil || opts.Namespaces
 	// Parsed documents draw their nodes from the pooled slab arena; callers
 	// on hot parse-validate-discard loops may Release them when done. On
 	// parse failure no node escapes, so the slabs go straight back.
@@ -53,11 +54,18 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 				return nil, err
 			}
 		case xmlparser.KindStartElement:
-			e := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-			for _, a := range tok.Attrs {
-				// Namespace declarations are kept as ordinary
-				// attributes so serialization round-trips.
-				e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
+			// Namespace declarations are kept as ordinary attributes so
+			// serialization round-trips.
+			var e *Element
+			if namespaces {
+				e = doc.CreateElementResolved(tok.Name, tok.Attrs)
+			} else {
+				// Unresolved names may still collide on {"", Local}
+				// (a:x, b:x): SetAttributeNS keeps the last one.
+				e = doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
+				for _, a := range tok.Attrs {
+					e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
+				}
 			}
 			if _, err := cur.AppendChild(e); err != nil {
 				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
@@ -94,6 +102,18 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 			}
 		}
 	}
+}
+
+// CreateElementResolved creates an element from a start tag as the
+// tokenizer reports it with namespaces on: every name is split and every
+// attribute's {Space, Local} is unique on the tag, so the attributes are
+// appended as given, without SetAttributeNS's replace scan.
+func (d *Document) CreateElementResolved(name Name, attrs []xmlparser.Attr) *Element {
+	e := d.newElement(name)
+	for i := range attrs {
+		e.appendAttr(attrs[i].Name, attrs[i].Value)
+	}
+	return e
 }
 
 func isAllSpace(s string) bool {

@@ -85,15 +85,18 @@ type StreamEvents interface {
 // receives the callbacks above while the verdict is computed exactly as
 // without an observer.
 func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
-	return (&run{v: v, ids: map[string]string{}, events: ev}).document(doc)
+	r := &run{v: v, ids: map[string]loc{}, events: ev}
+	r.document(doc)
+	return r.result()
 }
 
 // ValidateElementEvents is ValidateElement with an event observer.
 func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
-	run := &run{v: v, ids: map[string]string{}, events: ev}
-	run.element(el, decl, "/"+el.TagName(), false)
-	run.checkIDRefs()
-	return &run.res
+	r := &run{v: v, ids: map[string]loc{}, events: ev}
+	r.anchor(el, "/"+el.TagName())
+	r.element(el, decl, false)
+	r.checkIDRefs()
+	return r.result()
 }
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer.

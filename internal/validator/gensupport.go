@@ -1,6 +1,8 @@
 package validator
 
 import (
+	"fmt"
+
 	"repro/internal/dom"
 	"repro/internal/xsd"
 )
@@ -18,7 +20,9 @@ import (
 
 // Sink is the per-run state handle driven by generated validator code.
 // Create one per document with NewSink; it is single-goroutine, like the
-// interpreted run it wraps.
+// interpreted run it wraps. Paths stay strings on this surface: a call that
+// walks a subtree anchors the subtree's lazy locations at the path it is
+// given.
 type Sink struct {
 	r run
 }
@@ -26,32 +30,41 @@ type Sink struct {
 // NewSink begins a generated validation run backed by v's schema, options
 // and compiled-model cache.
 func NewSink(v *Validator) *Sink {
-	return &Sink{r: run{v: v, ids: map[string]string{}}}
+	return &Sink{r: run{v: v, ids: map[string]loc{}}}
 }
 
 // Violate records one violation (capped like the interpreted walk).
-func (s *Sink) Violate(path, msg string) { s.r.violate(path, msg) }
+func (s *Sink) Violate(path, msg string) {
+	if !s.Full() {
+		s.r.violate(pathLoc(path), msg)
+	}
+}
 
 // Full reports whether the violation cap is reached; generated element
 // code returns early on a full sink exactly where the interpreter would.
-func (s *Sink) Full() bool { return len(s.r.res.Violations) >= maxViolations }
+func (s *Sink) Full() bool { return s.r.full() }
 
 // Element validates a subtree on the interpreted walk. Generated code
 // delegates here for xsi:type substitutions, nilled elements and pruned
 // declarations.
 func (s *Sink) Element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.r.element(el, decl, path, false)
+	s.r.anchor(el, path)
+	s.r.element(el, decl, false)
 }
 
 // ElementContent validates children against ct's content model on the
 // interpreted walk — the fallback when a model was too complex to emit.
 func (s *Sink) ElementContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	s.r.elementContent(el, ct, path)
+	s.r.anchor(el, path)
+	mark := s.r.declare(el)
+	s.r.elementContent(el, ct)
+	s.r.ns.Pop(mark)
 }
 
 // IdentityConstraints evaluates decl's key/keyref/unique constraints.
 func (s *Sink) IdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.r.checkIdentityConstraints(el, decl, path)
+	s.r.anchor(el, path)
+	s.r.checkIdentityConstraints(el, decl)
 }
 
 // TrackID records an ID value (uniqueness-checked); TrackIDRef and
@@ -61,7 +74,7 @@ func (s *Sink) TrackID(lexical, path string) {
 	if s.r.v.opts.SkipIDChecks {
 		return
 	}
-	s.r.trackID(lexical, path)
+	s.r.trackID(lexical, pathLoc(path))
 }
 
 // TrackIDRef records one pending IDREF.
@@ -69,7 +82,7 @@ func (s *Sink) TrackIDRef(lexical, path string) {
 	if s.r.v.opts.SkipIDChecks {
 		return
 	}
-	s.r.trackIDRef(lexical, path)
+	s.r.trackIDRef(lexical, pathLoc(path))
 }
 
 // TrackIDRefs records the whitespace-separated references of an IDREFS
@@ -78,15 +91,15 @@ func (s *Sink) TrackIDRefs(lexical, path string) {
 	if s.r.v.opts.SkipIDChecks {
 		return
 	}
-	s.r.trackIDRefs(lexical, path)
+	s.r.trackIDRefs(lexical, pathLoc(path))
 }
 
 // CheckIDRefs resolves collected IDREFs against seen IDs (document end).
 func (s *Sink) CheckIDRefs() { s.r.checkIDRefs() }
 
-// Result returns the run's verdict. The Sink retains the Result; callers
-// must not validate another document through the same Sink.
-func (s *Sink) Result() *Result { return &s.r.res }
+// Result returns the run's verdict; callers must not validate another
+// document through the same Sink.
+func (s *Sink) Result() *Result { return s.r.result() }
 
 // IsMetaAttr reports whether an attribute is namespace/xsi/xml machinery
 // that validation ignores.
@@ -99,7 +112,11 @@ func ChildPath(path string, child *dom.Element) string { return childPath(path, 
 // ChildPathIndexed appends a child step with the 1-based positional
 // predicate the interpreted walk uses for repeated siblings.
 func ChildPathIndexed(path string, child *dom.Element, counts map[string]int) string {
-	return childPathIndexed(path, child, counts)
+	counts[child.TagName()]++
+	if n := counts[child.TagName()]; n > 1 {
+		return fmt.Sprintf("%s/%s[%d]", path, child.TagName(), n)
+	}
+	return path + "/" + child.TagName()
 }
 
 // Snippet truncates character data for error messages.

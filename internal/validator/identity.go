@@ -164,7 +164,7 @@ func fieldValue(node *dom.Element, paths []xpathPath) (string, bool) {
 
 // checkIdentityConstraints enforces the element's declared constraints
 // over its subtree.
-func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, path string) {
+func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 	if len(decl.Constraints) == 0 {
 		return
 	}
@@ -176,7 +176,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, p
 	for _, ic := range decl.Constraints {
 		selPaths, err := parseRestrictedXPath(ic.Selector, false)
 		if err != nil {
-			r.violate(path, fmt.Sprintf("identity constraint %s: bad selector: %v", ic.Name.Local, err))
+			r.violate(r.at(el), fmt.Sprintf("identity constraint %s: bad selector: %v", ic.Name.Local, err))
 			continue
 		}
 		var fieldPaths [][]xpathPath
@@ -184,7 +184,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, p
 		for _, f := range ic.Fields {
 			fp, err := parseRestrictedXPath(f, true)
 			if err != nil {
-				r.violate(path, fmt.Sprintf("identity constraint %s: bad field: %v", ic.Name.Local, err))
+				r.violate(r.at(el), fmt.Sprintf("identity constraint %s: bad field: %v", ic.Name.Local, err))
 				bad = true
 				break
 			}
@@ -212,13 +212,13 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, p
 			}
 			if missing {
 				if ic.Kind == xsd.ConstraintKey {
-					r.violate(path, fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
+					r.violate(r.at(el), fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
 				}
 				continue // unique tolerates absent fields
 			}
 			keyStr := strings.Join(parts, "\x1f")
 			if tbl[keyStr] {
-				r.violate(path, fmt.Sprintf("%s %s: duplicate value {%s}", ic.Kind, ic.Name.Local, strings.Join(parts, ", ")))
+				r.violate(r.at(el), fmt.Sprintf("%s %s: duplicate value {%s}", ic.Kind, ic.Name.Local, strings.Join(parts, ", ")))
 				continue
 			}
 			tbl[keyStr] = true
@@ -229,7 +229,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, p
 	for _, ic := range keyrefs {
 		refTbl, ok := keyTables[ic.Refer]
 		if !ok {
-			r.violate(path, fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
+			r.violate(r.at(el), fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
 			continue
 		}
 		selPaths, _ := parseRestrictedXPath(ic.Selector, false)
@@ -253,7 +253,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, p
 				continue
 			}
 			if !refTbl[strings.Join(parts, "\x1f")] {
-				r.violate(path, fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
+				r.violate(r.at(el), fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
 			}
 		}
 	}

@@ -42,7 +42,6 @@ package validator
 // (FuzzParallelValidate).
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,9 +53,9 @@ import (
 
 // idEvent is one journaled ID occurrence inside a parallel sub-run.
 type idEvent struct {
-	id   string // whitespace-normalized ID value
-	path string // document path of this occurrence
-	// vioIdx is len(res.Violations) at event time: where a spliced-in
+	id string // whitespace-normalized ID value
+	at loc    // location of this occurrence
+	// vioIdx is len(run.viols) at event time: where a spliced-in
 	// duplicate violation belongs, or where the local duplicate landed.
 	vioIdx int
 	// dup marks a duplicate within the sub-run (a violation was emitted
@@ -80,13 +79,14 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 	if workers == 1 {
 		return v.ValidateDocument(doc)
 	}
-	res := (&run{v: v, ids: map[string]string{}, parWorkers: workers}).document(doc)
-	if len(res.Violations) >= maxViolations {
+	r := &run{v: v, ids: map[string]loc{}, parWorkers: workers}
+	r.document(doc)
+	if r.full() {
 		// The sequential walk stops descending at the violation cap, so
 		// everything past it depends on global order; rerun sequentially.
 		return v.ValidateDocument(doc)
 	}
-	return res
+	return r.result()
 }
 
 // ParallelMinFanout is the child count below which a level is walked
@@ -99,16 +99,9 @@ var ParallelMinFanout = 16
 // workers in contiguous chunks (document order within a chunk, chunks
 // joined in order). It reports whether it handled the children; false
 // means the caller should fall through to the sequential loop.
-func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.Leaf, path string, workers int) bool {
-	if len(children) < 2 || len(r.res.Violations) >= maxViolations {
+func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.Leaf, workers int) bool {
+	if len(children) < 2 || r.full() {
 		return false
-	}
-	// Child paths are order-dependent (positional predicates count per
-	// tag name); compute them up front, sequentially.
-	counts := map[string]int{}
-	cpaths := make([]string, len(children))
-	for i, child := range children {
-		cpaths[i] = childPathIndexed(path, child, counts)
 	}
 	// A few chunks per worker so an expensive subtree doesn't leave the
 	// other workers idle at the end of the level.
@@ -132,15 +125,18 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 				if c >= nchunks {
 					return
 				}
-				sub := &run{v: r.v, ids: map[string]string{}, journaling: true}
+				// Sub-runs share the anchor: a location names its element,
+				// so paths do not depend on how the level was split. The
+				// bindings above the level stay in r's scope.
+				sub := &run{v: r.v, ids: map[string]loc{}, journaling: true, root: r.root, base: r.base, outer: r.namespace}
 				subs[c] = sub
 				hi := (c + 1) * chunk
 				if hi > len(children) {
 					hi = len(children)
 				}
 				for i := c * chunk; i < hi; i++ {
-					if decl, wild, ok := sub.childDecl(children[i], leaves[i], cpaths[i]); ok {
-						sub.element(children[i], decl, cpaths[i], wild)
+					if decl, wild, ok := sub.childDecl(children[i], leaves[i]); ok {
+						sub.element(children[i], decl, wild)
 					}
 				}
 			}
@@ -156,33 +152,32 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 // joinSubRun merges one child sub-run into the parent in document order,
 // replaying its ID journal against the global map.
 func (r *run) joinSubRun(sub *run) {
-	viols := sub.res.Violations
+	viols := sub.viols
 	inserted := 0
 	for _, ev := range sub.journal {
 		if ev.dup {
 			// A duplicate within the subtree cited the subtree's first
 			// declaration; the globally first one may be elsewhere.
 			if idx := ev.vioIdx + inserted; idx < len(viols) {
-				viols[idx].Msg = fmt.Sprintf("duplicate ID %q (first declared at %s)", ev.id, r.ids[ev.id])
+				viols[idx] = dupID(viols[idx].at, ev.id, r.ids[ev.id])
 			}
 			continue
 		}
 		if first, dup := r.ids[ev.id]; dup {
 			// Cross-seam duplicate: sequentially this insertion would
 			// have been a violation at exactly this point.
-			nv := Violation{Path: ev.path, Msg: fmt.Sprintf("duplicate ID %q (first declared at %s)", ev.id, first)}
 			idx := ev.vioIdx + inserted
-			viols = append(viols, Violation{})
+			viols = append(viols, violation{})
 			copy(viols[idx+1:], viols[idx:])
-			viols[idx] = nv
+			viols[idx] = dupID(ev.at, ev.id, first)
 			inserted++
 		} else {
-			r.ids[ev.id] = ev.path
+			r.ids[ev.id] = ev.at
 		}
 	}
 	// Append without the violate() cap: the caller detects cap overflow
 	// on the joined total and falls back to the sequential walk.
-	r.res.Violations = append(r.res.Violations, viols...)
+	r.viols = append(r.viols, viols...)
 	r.idrefs = append(r.idrefs, sub.idrefs...)
 }
 

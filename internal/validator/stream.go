@@ -35,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"repro/internal/contentmodel"
@@ -106,7 +105,7 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 		default:
 		}
 	}
-	sr := &streamRun{v: sv.v, ids: map[string]string{}, events: ev}
+	sr := &streamRun{v: sv.v, ids: map[string]loc{}, events: ev}
 	sinceCheck := 0
 	for {
 		if done != nil {
@@ -132,7 +131,7 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 		sr.token(&tok)
 	}
 	sr.finish()
-	return &sr.res, nil
+	return &Result{Violations: render(sr.viols)}, nil
 }
 
 // frame modes.
@@ -148,7 +147,14 @@ const (
 
 // frame is one open element on the streaming stack.
 type frame struct {
-	path string
+	// parent is the enclosing frame; prefix:local, with n its 1-based
+	// position among same-named siblings, is this element's path step,
+	// frozen into step on first need (freeze).
+	parent        *frame
+	prefix, local string
+	n             int
+	step          *pathStep
+
 	decl *xsd.ElementDecl
 	mode int
 
@@ -157,17 +163,17 @@ type frame struct {
 	mixed bool
 
 	// Buffered violations, assembled in DOM order at the end tag.
-	attrViols   []Violation
-	textViols   []Violation
-	childViols  []Violation
-	contentViol *Violation
+	attrViols   []violation
+	textViols   []violation
+	childViols  []violation
+	contentViol *violation
 	failed      bool
 
 	sawElemChild bool
 	textBuf      []byte   // accumulated character data (fmSimple/fmCSimple)
 	plainAttrs   []string // simple types: non-meta attribute names for checkNoAttributes
 
-	counts  []childCount // child tag -> occurrences, for indexed paths
+	counts  []childCount // child name -> occurrences, for positional steps
 	idMark  int          // ID journal mark after own attributes
 	refMark int          // pending-IDREF mark
 	nsMark  int          // namespace-binding stack mark
@@ -192,36 +198,76 @@ type frame struct {
 	pooled bool
 }
 
-// childCount tracks occurrences of one child tag under a frame; the small
-// linear list replaces a per-frame map (few distinct tags per element).
+// childCount tracks occurrences of one child name under a frame; the
+// small linear list replaces a per-frame map (few distinct names per
+// element).
 type childCount struct {
-	tag string
-	n   int
+	prefix, local string
+	n             int
+}
+
+// childIndex counts one more child named prefix:local and returns its
+// 1-based position among same-named siblings.
+func (f *frame) childIndex(name xmlparser.Name) int {
+	for i := range f.counts {
+		if c := &f.counts[i]; c.local == name.Local && c.prefix == name.Prefix {
+			c.n++
+			return c.n
+		}
+	}
+	f.counts = append(f.counts, childCount{prefix: name.Prefix, local: name.Local, n: 1})
+	return 1
+}
+
+// freeze returns the frame's path as an immutable step chain, freezing it
+// and any unfrozen ancestors (top-down, each at most once).
+func freeze(f *frame) *pathStep {
+	if f.step != nil {
+		return f.step
+	}
+	var up []*frame
+	for g := f; g != nil && g.step == nil; g = g.parent {
+		up = append(up, g)
+	}
+	for i := len(up) - 1; i >= 0; i-- {
+		g := up[i]
+		tag := xmlparser.Name{Prefix: g.prefix, Local: g.local}.Qualified()
+		if g.parent == nil {
+			g.step = &pathStep{tag: "/" + tag}
+		} else {
+			g.step = &pathStep{parent: g.parent.step, tag: tag, n: g.n}
+		}
+	}
+	return f.step
+}
+
+// at locates the frame's element, or with attr one of its attributes.
+func (f *frame) at(attr string) loc { return loc{base: freeze(f), attr: attr} }
+
+// violation records msg against the frame's element.
+func (f *frame) violation(msg string) violation { return violation{at: f.at(""), msg: msg} }
+
+// childAt locates a child of the frame that gets no frame of its own:
+// prefix:local at same-name position n (0 for no positional predicate).
+func (f *frame) childAt(name xmlparser.Name, n int) loc {
+	return loc{base: &pathStep{parent: freeze(f), tag: name.Qualified(), n: n}}
 }
 
 // reset re-initializes a recycled frame, keeping the capacity of its
 // buffers (and the automaton run's internal state) for reuse.
-func (f *frame) reset(path string, decl *xsd.ElementDecl, nsMark int) {
+func (f *frame) reset(parent *frame, name xmlparser.Name, n int, decl *xsd.ElementDecl, nsMark int) {
 	run := f.run
 	attrViols, textViols, childViols := f.attrViols[:0], f.textViols[:0], f.childViols[:0]
 	plainAttrs, counts, textBuf := f.plainAttrs[:0], f.counts[:0], f.textBuf[:0]
-	*f = frame{path: path, decl: decl, nsMark: nsMark,
+	*f = frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark,
 		run: run, attrViols: attrViols, textViols: textViols,
 		childViols: childViols, plainAttrs: plainAttrs, counts: counts, textBuf: textBuf}
 }
 
-// nsBinding is one in-scope namespace declaration. name is "xmlns" for the
-// default namespace and the prefix otherwise — the same keys the DOM
-// validator's ancestor walk uses.
-type nsBinding struct {
-	name string
-	uri  string
-}
-
 // streamRun is one streaming validation pass.
 type streamRun struct {
-	v   *Validator
-	res Result
+	v     *Validator
+	viols []violation // the result, capped at maxViolations and rendered at the end
 
 	frames    []*frame
 	free      []*frame // recycled frames; popped elements return here
@@ -233,12 +279,12 @@ type streamRun struct {
 	events  StreamEvents
 	evAttrs []Attr
 
-	ns       []nsBinding
-	attrSeen []xsd.QName // scratch for attributes()
+	ns       xmlparser.Bindings // in-scope namespace declarations
+	attrSeen []xsd.QName        // scratch for attributes()
 
 	// Document-wide ID state, shared with fallback sub-runs. idJournal
 	// records insertions so failed subtrees can be rolled back.
-	ids       map[string]string
+	ids       map[string]loc
 	idJournal []string
 	idrefs    []pendingRef
 }
@@ -250,15 +296,16 @@ func (sr *streamRun) top() *frame {
 	return sr.frames[len(sr.frames)-1]
 }
 
-// newFrame returns a recycled or fresh frame.
-func (sr *streamRun) newFrame(path string, decl *xsd.ElementDecl, nsMark int) *frame {
-	if n := len(sr.free); n > 0 {
-		f := sr.free[n-1]
-		sr.free = sr.free[:n-1]
-		f.reset(path, decl, nsMark)
+// newFrame returns a recycled or fresh frame for the element name at
+// same-name position n under parent.
+func (sr *streamRun) newFrame(parent *frame, name xmlparser.Name, n int, decl *xsd.ElementDecl, nsMark int) *frame {
+	if k := len(sr.free); k > 0 {
+		f := sr.free[k-1]
+		sr.free = sr.free[:k-1]
+		f.reset(parent, name, n, decl, nsMark)
 		return f
 	}
-	return &frame{path: path, decl: decl, nsMark: nsMark}
+	return &frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark}
 }
 
 // recycle returns a popped frame to the free list. Its buffered violations
@@ -274,9 +321,9 @@ func (sr *streamRun) recycle(f *frame) {
 	sr.free = append(sr.free, f)
 }
 
-func (sr *streamRun) emit(v Violation) {
-	if len(sr.res.Violations) < maxViolations {
-		sr.res.Violations = append(sr.res.Violations, v)
+func (sr *streamRun) emit(v violation) {
+	if len(sr.viols) < maxViolations {
+		sr.viols = append(sr.viols, v)
 	}
 }
 
@@ -312,35 +359,32 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 		// Comments and PIs are DOM child nodes: they violate only the
 		// "nilled element must be empty" rule.
 		if f := sr.top(); f != nil && f.mode == fmNilled && !f.failed {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "nilled element must be empty"}
+			f.fail(f.violation("nilled element must be empty"))
 		}
 	}
 }
 
 func (sr *streamRun) startElement(tok *xmlparser.Token) {
-	nsMark := len(sr.ns)
+	nsMark := sr.ns.Mark()
 	for i := range tok.Attrs {
 		if a := &tok.Attrs[i]; a.IsNamespaceDecl {
-			sr.ns = append(sr.ns, nsBinding{name: a.Name.Local, uri: a.Value})
+			sr.ns.Push(declaredPrefix(a.Name), a.Value)
 		}
 	}
 	if len(sr.frames) == 0 {
 		if sr.rootDone {
-			sr.ns = sr.ns[:nsMark]
-			sr.skip()
+			sr.skipChild(nsMark)
 			return
 		}
 		name := xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}
 		decl, ok := sr.v.schema.LookupElement(name)
 		if !ok {
-			sr.emit(Violation{Path: "/" + tok.Name.Qualified(), Msg: fmt.Sprintf("no global declaration for root element %s", name)})
+			sr.emit(violation{at: pathLoc("/" + tok.Name.Qualified()), msg: fmt.Sprintf("no global declaration for root element %s", name)})
 			sr.rootDone = true
-			sr.ns = sr.ns[:nsMark]
-			sr.skip()
+			sr.skipChild(nsMark)
 			return
 		}
-		sr.openFrame(tok, decl, "/"+tok.Name.Qualified(), nsMark)
+		sr.openFrame(tok, sr.newFrame(nil, tok.Name, 1, decl, nsMark))
 		return
 	}
 	parent := sr.top()
@@ -355,31 +399,32 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			// The DOM validator reports the match error against the
 			// failing child and validates no children at all: drop the
 			// buffered child violations and roll back their IDs.
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path + "/" + tok.Name.Qualified(), Msg: merr.Error()}
+			parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
 			parent.childViols = nil
 			sr.rollbackTo(parent)
 			sr.skipChild(nsMark)
 			return
 		}
-		cpath := parent.indexedChildPath(tok.Name.Qualified())
+		n := parent.childIndex(tok.Name)
 		switch data := leaf.Data.(type) {
 		case *xsd.ElementDecl:
 			resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
 			if err != nil {
-				parent.childViols = append(parent.childViols, Violation{Path: cpath, Msg: err.Error()})
+				parent.childViols = append(parent.childViols, violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
 				sr.skipChild(nsMark)
 				return
 			}
-			sr.openFrame(tok, resolved, cpath, nsMark)
+			sr.openFrame(tok, sr.newFrame(parent, tok.Name, n, resolved, nsMark))
 		case *contentmodel.Wildcard:
 			// Lax wildcard processing: validate when a global
 			// declaration exists, accept otherwise.
 			if gdecl, ok := sr.v.schema.LookupElement(xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}); ok {
-				sr.openWildFrame(tok, gdecl, cpath, nsMark)
+				f := sr.newFrame(parent, tok.Name, n, gdecl, nsMark)
+				f.wild = true
+				sr.openFrame(tok, f)
 			} else if sr.events != nil {
 				// Buffer the unvalidated subtree for RawElement.
-				f := sr.newFrame(cpath, nil, nsMark)
+				f := sr.newFrame(parent, tok.Name, n, nil, nsMark)
 				f.raw = true
 				sr.startFallback(f, tok)
 			} else {
@@ -393,14 +438,12 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 		sr.skipChild(nsMark)
 	case fmCEmpty:
 		if !parent.failed {
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path, Msg: fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified())}
+			parent.fail(parent.violation(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified())))
 		}
 		sr.skipChild(nsMark)
 	case fmNilled:
 		if !parent.failed {
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path, Msg: "nilled element must be empty"}
+			parent.fail(parent.violation("nilled element must be empty"))
 		}
 		sr.skipChild(nsMark)
 	default: // fmDead
@@ -411,20 +454,15 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 // skipChild discards the bindings pushed for the current start tag and
 // skips its subtree.
 func (sr *streamRun) skipChild(nsMark int) {
-	sr.ns = sr.ns[:nsMark]
+	sr.ns.Pop(nsMark)
 	sr.skip()
 }
 
-// openFrame replicates run.element's prologue (xsi:type, abstract,
-// xsi:nil) and pushes the frame for the element's content.
-func (sr *streamRun) openFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int) {
-	sr.pushFrame(tok, decl, path, nsMark, false)
-}
-
-// openWildFrame is openFrame for wildcard-admitted elements; the observer
-// is told the element was reached through a wildcard, not a declaration.
-func (sr *streamRun) openWildFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int) {
-	sr.pushFrame(tok, decl, path, nsMark, true)
+// fail records the frame's content violation; its buffered child
+// violations are not delivered.
+func (f *frame) fail(v violation) {
+	f.failed = true
+	f.contentViol = &v
 }
 
 // announce delivers OpenElement for a frame that passed the prologue.
@@ -445,12 +483,14 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 		Attrs: attrs, XSIType: xsiType != "", Nilled: nilled, Wildcard: f.wild})
 }
 
-func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
-	f := sr.newFrame(path, decl, nsMark)
-	f.wild = wild
+// openFrame replicates run.element's prologue (xsi:type, abstract,
+// xsi:nil) and pushes the frame for the element's content. f.wild marks a
+// wildcard-admitted element for the observer.
+func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
+	decl := f.decl
 	typ := decl.Type
 	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveQName(lex, sr.namespace)
+		q, err := resolveQName(lex, sr.ns.Lookup)
 		if err != nil {
 			sr.pushDead(f, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
 			return
@@ -537,7 +577,8 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 
 func (sr *streamRun) pushDead(f *frame, msg string) {
 	f.mode = fmDead
-	f.contentViol = &Violation{Path: f.path, Msg: msg}
+	v := f.violation(msg)
+	f.contentViol = &v
 	sr.frames = append(sr.frames, f)
 }
 
@@ -571,22 +612,22 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
 				continue
 			}
-			f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not declared for this element", a.Name.Qualified())})
+			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q is not declared for this element", a.Name.Qualified())))
 			continue
 		}
 		val, err := use.Decl.Type.Parse(a.Value)
 		if err != nil {
-			f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)})
+			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)))
 			continue
 		}
 		if use.Fixed != nil {
 			want, ferr := use.Decl.Type.Parse(*use.Fixed)
 			if ferr == nil && !val.Equal(want) {
-				f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)})
+				f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
 			}
 		}
-		if b := use.Decl.Type.PrimitiveBuiltin(); b != nil && (b.Name == "ID" || b.Name == "IDREF" || b.Name == "IDREFS") {
-			sr.trackIDs(use.Decl.Type, a.Value, f.path+"/@"+a.Name.Qualified(), &f.attrViols)
+		if kind := sr.v.idKind(use.Decl.Type); kind != "" {
+			sr.trackIDs(kind, a.Value, f.at(a.Name.Qualified()), &f.attrViols)
 		}
 	}
 	for _, use := range ct.AttributeUses {
@@ -599,7 +640,7 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 				}
 			}
 			if missing {
-				f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local)})
+				f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local)))
 			}
 		}
 	}
@@ -607,29 +648,23 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 }
 
 // trackIDs mirrors run.trackIDs against the shared ID state, journaling
-// insertions for rollback.
-func (sr *streamRun) trackIDs(st *xsd.SimpleType, lexical, path string, viols *[]Violation) {
-	if sr.v.opts.SkipIDChecks {
-		return
-	}
-	b := st.PrimitiveBuiltin()
-	if b == nil {
-		return
-	}
+// insertions for rollback. Callers check idKind first, so an element that
+// tracks nothing never freezes its frame.
+func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) {
 	norm := strings.Join(strings.Fields(lexical), " ")
-	switch b.Name {
+	switch kind {
 	case "ID":
 		if prev, dup := sr.ids[norm]; dup {
-			*viols = append(*viols, Violation{Path: path, Msg: fmt.Sprintf("duplicate ID %q (first declared at %s)", norm, prev)})
+			*viols = append(*viols, dupID(at, norm, prev))
 		} else {
-			sr.ids[norm] = path
+			sr.ids[norm] = at
 			sr.idJournal = append(sr.idJournal, norm)
 		}
 	case "IDREF":
-		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, path: path})
+		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, at: at})
 	case "IDREFS":
 		for _, ref := range strings.Fields(norm) {
-			sr.idrefs = append(sr.idrefs, pendingRef{id: ref, path: path})
+			sr.idrefs = append(sr.idrefs, pendingRef{id: ref, at: at})
 		}
 	}
 }
@@ -668,21 +703,19 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 			return
 		}
 		if cdata {
-			f.textViols = append(f.textViols, Violation{Path: f.path, Msg: "character data is not allowed in element-only content"})
+			f.textViols = append(f.textViols, f.violation("character data is not allowed in element-only content"))
 		} else if len(bytes.TrimSpace(data)) != 0 {
-			f.textViols = append(f.textViols, Violation{Path: f.path, Msg: fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))})
+			f.textViols = append(f.textViols, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
 		}
 	case fmSimple, fmCSimple:
 		f.textBuf = append(f.textBuf, data...)
 	case fmCEmpty:
 		if !f.failed && (cdata || len(bytes.TrimSpace(data)) != 0) {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "character data is not allowed in empty content"}
+			f.fail(f.violation("character data is not allowed in empty content"))
 		}
 	case fmNilled:
 		if !f.failed {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "nilled element must be empty"}
+			f.fail(f.violation("nilled element must be empty"))
 		}
 	}
 }
@@ -694,7 +727,7 @@ func (sr *streamRun) endElement() {
 	}
 	f := sr.frames[n-1]
 	sr.frames = sr.frames[:n-1]
-	sr.ns = sr.ns[:f.nsMark]
+	sr.ns.Pop(f.nsMark)
 	sr.deliver(sr.closeFrame(f))
 	if f.announced {
 		sr.events.CloseElement(f.evVal)
@@ -704,7 +737,7 @@ func (sr *streamRun) endElement() {
 
 // deliver routes a closed frame's violations to its parent's buffer, or
 // to the result when the root closes.
-func (sr *streamRun) deliver(viols []Violation) {
+func (sr *streamRun) deliver(viols []violation) {
 	if p := sr.top(); p != nil {
 		p.childViols = append(p.childViols, viols...)
 		return
@@ -717,15 +750,14 @@ func (sr *streamRun) deliver(viols []Violation) {
 
 // closeFrame assembles the frame's violations in the order the DOM
 // validator emits them.
-func (sr *streamRun) closeFrame(f *frame) []Violation {
+func (sr *streamRun) closeFrame(f *frame) []violation {
 	switch f.mode {
 	case fmModel:
 		if !f.failed {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: the DOM path reports it against the
 				// parent and validates no children.
-				f.failed = true
-				f.contentViol = &Violation{Path: f.path, Msg: merr.Error()}
+				f.fail(f.violation(merr.Error()))
 				f.childViols = nil
 				sr.rollbackTo(f)
 			}
@@ -734,7 +766,7 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 			// Hot path: nothing buffered; deliver copies before recycle.
 			return f.childViols
 		}
-		viols := make([]Violation, 0, len(f.attrViols)+len(f.textViols)+1)
+		viols := make([]violation, 0, len(f.attrViols)+len(f.textViols)+1)
 		viols = append(viols, f.attrViols...)
 		viols = append(viols, f.textViols...)
 		if f.failed {
@@ -744,9 +776,9 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 		}
 		return viols
 	case fmSimple:
-		var viols []Violation
+		var viols []violation
 		if f.sawElemChild {
-			viols = append(viols, Violation{Path: f.path, Msg: "element content is not allowed in a simple-type element"})
+			viols = append(viols, f.violation("element content is not allowed in a simple-type element"))
 		} else {
 			text := string(f.textBuf)
 			if f.decl.Fixed != nil && text == "" {
@@ -757,7 +789,7 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 			}
 			val, err := f.st.Parse(text)
 			if err != nil {
-				viols = append(viols, Violation{Path: f.path, Msg: err.Error()})
+				viols = append(viols, f.violation(err.Error()))
 			} else {
 				if f.announced {
 					f.evVal = &val
@@ -765,32 +797,36 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 				if f.decl.Fixed != nil {
 					want, ferr := f.st.Parse(*f.decl.Fixed)
 					if ferr == nil && !val.Equal(want) {
-						viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)})
+						viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
 					}
 				}
-				sr.trackIDs(f.st, text, f.path, &viols)
+				if kind := sr.v.idKind(f.st); kind != "" {
+					sr.trackIDs(kind, text, f.at(""), &viols)
+				}
 			}
 		}
 		return f.appendPlainAttrViols(viols)
 	case fmCSimple:
 		viols := f.attrViols
 		if f.sawElemChild {
-			viols = append(viols, Violation{Path: f.path, Msg: "element content is not allowed in simple content"})
+			viols = append(viols, f.violation("element content is not allowed in simple content"))
 		} else {
 			text := string(f.textBuf)
 			val, err := f.st.Parse(text)
 			if err != nil {
-				viols = append(viols, Violation{Path: f.path, Msg: err.Error()})
+				viols = append(viols, f.violation(err.Error()))
 			} else if f.announced {
 				f.evVal = &val
 			}
-			sr.trackIDs(f.st, text, f.path, &viols)
+			if kind := sr.v.idKind(f.st); kind != "" {
+				sr.trackIDs(kind, text, f.at(""), &viols)
+			}
 		}
 		return viols
 	case fmNilled:
 		viols := f.attrViols
 		if f.decl.Fixed != nil {
-			viols = append(viols, Violation{Path: f.path, Msg: msgNilFixed})
+			viols = append(viols, f.violation(msgNilFixed))
 		}
 		if f.contentViol != nil {
 			viols = append(viols, *f.contentViol)
@@ -807,9 +843,9 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 
 // appendPlainAttrViols adds a simple-typed element's attribute violations
 // (run.checkNoAttributes).
-func (f *frame) appendPlainAttrViols(viols []Violation) []Violation {
+func (f *frame) appendPlainAttrViols(viols []violation) []violation {
 	for _, name := range f.plainAttrs {
-		viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)})
+		viols = append(viols, f.violation(fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)))
 	}
 	return viols
 }
@@ -819,26 +855,7 @@ func (f *frame) appendPlainAttrViols(viols []Violation) []Violation {
 func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 	f.mode = fmFallback
 	doc := dom.NewPooledDocument()
-	root := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-	for i := range tok.Attrs {
-		a := &tok.Attrs[i]
-		root.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-	}
-	// Graft the in-scope namespace bindings onto a buffered root the DOM
-	// walk validates, so domNamespace sees the same environment it would
-	// in the full tree. Innermost bindings win; locally declared ones are
-	// already set. Raw subtrees stay as written.
-	for i := len(sr.ns) - 1; i >= 0 && !f.raw; i-- {
-		b := sr.ns[i]
-		if root.HasAttributeNS(xmlparser.XMLNSNamespace, b.name) {
-			continue
-		}
-		q := "xmlns"
-		if b.name != "xmlns" {
-			q = "xmlns:" + b.name
-		}
-		root.SetAttributeNS(xmlparser.XMLNSNamespace, q, b.uri)
-	}
+	root := doc.CreateElementResolved(tok.Name, tok.Attrs)
 	doc.AppendChild(root)
 	f.fbDoc = doc
 	f.fbRoot = root
@@ -855,11 +872,7 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 	doc := f.fbDoc
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
-		e := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-		for i := range tok.Attrs {
-			a := &tok.Attrs[i]
-			e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-		}
+		e := doc.CreateElementResolved(tok.Name, tok.Attrs)
 		f.fbCur.AppendChild(e)
 		f.fbCur = e
 		f.fbDepth++
@@ -889,21 +902,43 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 // the subtree's events from that run), or hands a raw subtree over.
 func (sr *streamRun) completeFallback(f *frame) {
 	sr.frames = sr.frames[:len(sr.frames)-1]
-	sr.ns = sr.ns[:f.nsMark]
+	sr.ns.Pop(f.nsMark)
 	if f.raw {
 		sr.events.RawElement(f.fbRoot)
 	} else {
+		// The nested run resolves prefixes its subtree does not declare
+		// against the stream's scope, which holds the bindings outside it.
 		nrun := &run{
 			v:      sr.v,
 			ids:    sr.ids,
 			events: sr.events,
+			outer:  sr.ns.Lookup,
+			root:   f.fbRoot,
+			base:   freeze(f),
 			onIDInsert: func(id string) {
 				sr.idJournal = append(sr.idJournal, id)
 			},
 		}
-		nrun.element(f.fbRoot, f.decl, f.path, f.wild)
-		sr.idrefs = append(sr.idrefs, nrun.idrefs...)
-		sr.deliver(nrun.res.Violations)
+		nrun.element(f.fbRoot, f.decl, f.wild)
+		// The locations the nested run recorded name elements of the
+		// buffered subtree, which is released below: freeze the ones
+		// that outlive it.
+		z := subtreeSteps{root: f.fbRoot, base: nrun.base}
+		for _, id := range sr.idJournal[f.idMark:] {
+			sr.ids[id] = z.loc(sr.ids[id])
+		}
+		for _, ref := range nrun.idrefs {
+			ref.at = z.loc(ref.at)
+			sr.idrefs = append(sr.idrefs, ref)
+		}
+		for i := range nrun.viols {
+			v := &nrun.viols[i]
+			v.at = z.loc(v.at)
+			if v.first != nil {
+				*v = dupID(v.at, v.msg, z.loc(*v.first))
+			}
+		}
+		sr.deliver(nrun.viols)
 	}
 	// The buffered subtree is private to this frame and the callbacks
 	// above keep no node, so its pooled nodes can be recycled now.
@@ -912,34 +947,14 @@ func (sr *streamRun) completeFallback(f *frame) {
 	sr.recycle(f)
 }
 
-// namespace finds the innermost binding for key on the streaming binding
-// stack (domNamespace's counterpart).
-func (sr *streamRun) namespace(key string) (string, bool) {
-	for i := len(sr.ns) - 1; i >= 0; i-- {
-		if sr.ns[i].name == key {
-			return sr.ns[i].uri, true
-		}
-	}
-	return "", false
-}
-
-// indexedChildPath replicates childPathIndexed for streaming frames.
-func (f *frame) indexedChildPath(tag string) string {
-	for i := range f.counts {
-		if f.counts[i].tag == tag {
-			f.counts[i].n++
-			return f.path + "/" + tag + "[" + strconv.Itoa(f.counts[i].n) + "]"
-		}
-	}
-	f.counts = append(f.counts, childCount{tag: tag, n: 1})
-	return f.path + "/" + tag
-}
-
 // finish resolves pending IDREFs, matching run.checkIDRefs.
 func (sr *streamRun) finish() {
 	for _, pending := range sr.idrefs {
+		if len(sr.viols) >= maxViolations {
+			return
+		}
 		if _, ok := sr.ids[pending.id]; !ok {
-			sr.emit(Violation{Path: pending.path, Msg: fmt.Sprintf("IDREF %q does not match any ID", pending.id)})
+			sr.emit(violation{at: pending.at, msg: fmt.Sprintf("IDREF %q does not match any ID", pending.id)})
 		}
 	}
 }

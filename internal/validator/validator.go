@@ -113,30 +113,43 @@ func (v *Validator) ValidateElement(el *dom.Element, decl *xsd.ElementDecl) *Res
 
 // document runs the walk over doc from its root element, which must match
 // a global element declaration.
-func (r *run) document(doc *dom.Document) *Result {
+func (r *run) document(doc *dom.Document) {
 	root := doc.DocumentElement()
 	if root == nil {
-		r.violate("/", "document has no root element")
-		return &r.res
+		r.violate(pathLoc("/"), "document has no root element")
+		return
 	}
+	r.anchor(root, "/"+root.TagName())
 	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
 	decl, ok := r.v.schema.LookupElement(name)
 	if !ok {
-		r.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
-		return &r.res
+		r.violate(r.at(root), fmt.Sprintf("no global declaration for root element %s", name))
+		return
 	}
-	r.element(root, decl, "/"+root.TagName(), false)
+	r.element(root, decl, false)
 	r.checkIDRefs()
-	return &r.res
 }
 
 // run carries one validation pass.
 type run struct {
-	v   *Validator
-	res Result
-	// ids maps seen ID values to their paths; idrefs records pending
+	v *Validator
+	// viols are the recorded violations (capped at maxViolations), rendered
+	// by result.
+	viols []violation
+	// root and base anchor the walk's locations: base is root's path
+	// (location.go).
+	root *dom.Element
+	base *pathStep
+	// ns holds the namespace declarations of the elements the walk is
+	// inside, from the anchor down. outer, when set, resolves the prefixes
+	// declared outside the anchor: the scope of the run a parallel sub-run
+	// was split from (frozen while the sub-run works), or the streaming
+	// walk's scope around a buffered subtree.
+	ns    xmlparser.Bindings
+	outer func(prefix string) (string, bool)
+	// ids maps seen ID values to their locations; idrefs records pending
 	// references, resolved once the whole document has been walked.
-	ids    map[string]string
+	ids    map[string]loc
 	idrefs []pendingRef
 	// onIDInsert, when set, observes every new ID insertion into ids.
 	// The streaming path uses it to journal insertions so a failed
@@ -158,85 +171,114 @@ type run struct {
 
 // pendingRef is an IDREF awaiting resolution.
 type pendingRef struct {
-	id   string
-	path string
+	id string
+	at loc
 }
 
-func (r *run) violate(path, msg string) {
-	if len(r.res.Violations) < maxViolations {
-		r.res.Violations = append(r.res.Violations, Violation{Path: path, Msg: msg})
+// anchor makes the walk's locations relative to el, whose path is path.
+func (r *run) anchor(el *dom.Element, path string) {
+	r.root, r.base = el, &pathStep{tag: path}
+}
+
+// at locates el, which must be the anchor or a descendant of it.
+func (r *run) at(el *dom.Element) loc { return loc{base: r.base, root: r.root, el: el} }
+
+// full reports whether the violation cap is reached.
+func (r *run) full() bool { return len(r.viols) >= maxViolations }
+
+func (r *run) violate(at loc, msg string) {
+	if !r.full() {
+		r.viols = append(r.viols, violation{at: at, msg: msg})
 	}
 }
+
+// result renders the recorded violations.
+func (r *run) result() *Result { return &Result{Violations: render(r.viols)} }
 
 // element validates el against its governing declaration; wild marks an
 // element admitted by a content-model wildcard (for the observer).
-func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string, wild bool) {
-	if len(r.res.Violations) >= maxViolations {
+func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, wild bool) {
+	if r.full() {
 		return
 	}
-	typ := decl.Type
-	// xsi:type may substitute a derived type.
-	xsiType := el.GetAttributeNS(xsd.XSINamespace, "type")
-	if xsiType != "" {
-		q, err := resolveQName(xsiType, func(key string) (string, bool) { return domNamespace(el, key) })
-		if err != nil {
-			r.violate(path, fmt.Sprintf("bad xsi:type %q: %v", xsiType, err))
-			return
-		}
-		override, ok := r.v.schema.LookupType(q)
-		if !ok {
-			r.violate(path, fmt.Sprintf("xsi:type %s names an unknown type", q))
-			return
-		}
-		if !derivesFromType(override, typ) {
-			r.violate(path, fmt.Sprintf("xsi:type %s does not derive from the declared type", q))
-			return
-		}
-		typ = override
-	}
-	if ct, ok := typ.(*xsd.ComplexType); ok && ct.Abstract {
-		r.violate(path, fmt.Sprintf("type %s is abstract; an xsi:type of a concrete derived type is required", ct.Name))
+	mark := r.declare(el)
+	typ, xsiType, nilled, ok := r.prologue(el, decl)
+	if !ok {
+		r.ns.Pop(mark)
 		return
-	}
-	// xsi:nil.
-	nilled := false
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex != "" {
-		if !decl.Nillable {
-			r.violate(path, "xsi:nil on a non-nillable element")
-			return
-		}
-		nilled = lex == "true" || lex == "1"
 	}
 	if r.events != nil {
-		r.open(el, decl, typ, xsiType != "", nilled, wild)
+		r.open(el, decl, typ, xsiType, nilled, wild)
 	}
 	// val is the parsed simple value, set only for an observer.
 	var val *xsdtypes.Value
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
 		if nilled {
-			r.nilledElement(el, decl, path)
+			r.nilledElement(el, decl)
 		} else {
-			val = r.simpleContent(el, t, decl, path)
+			val = r.simpleContent(el, t, decl)
 		}
-		r.checkNoAttributes(el, path)
+		r.checkNoAttributes(el)
 	case *xsd.ComplexType:
-		r.attributes(el, t, path)
+		r.attributes(el, t)
 		switch {
 		case nilled:
-			r.nilledElement(el, decl, path)
+			r.nilledElement(el, decl)
 		case t.Kind == xsd.ContentSimple:
-			val = r.complexSimpleContent(el, t, path)
+			val = r.complexSimpleContent(el, t)
+		case t.Kind == xsd.ContentEmpty:
+			r.emptyContent(el)
 		default:
-			r.complexContent(el, t, path)
+			// Element-only or mixed. Calling elementContent directly keeps
+			// the walk at two stack frames per level.
+			r.elementContent(el, t)
 		}
 	}
 	if !nilled {
-		r.checkIdentityConstraints(el, decl, path)
+		r.checkIdentityConstraints(el, decl)
 	}
+	r.ns.Pop(mark)
 	if r.events != nil {
 		r.events.CloseElement(val)
 	}
+}
+
+// prologue resolves el's effective type — xsi:type may substitute a
+// derived type, which must not be abstract — and whether it is nilled. ok
+// is false after a reported violation; the walk then skips the element.
+// Kept out of element so the recursive walk's stack frames stay small.
+func (r *run) prologue(el *dom.Element, decl *xsd.ElementDecl) (typ xsd.Type, xsiType, nilled, ok bool) {
+	typ = decl.Type
+	if lex := el.GetAttributeNS(xsd.XSINamespace, "type"); lex != "" {
+		q, err := resolveQName(lex, r.namespace)
+		if err != nil {
+			r.violate(r.at(el), fmt.Sprintf("bad xsi:type %q: %v", lex, err))
+			return nil, false, false, false
+		}
+		override, found := r.v.schema.LookupType(q)
+		if !found {
+			r.violate(r.at(el), fmt.Sprintf("xsi:type %s names an unknown type", q))
+			return nil, false, false, false
+		}
+		if !derivesFromType(override, typ) {
+			r.violate(r.at(el), fmt.Sprintf("xsi:type %s does not derive from the declared type", q))
+			return nil, false, false, false
+		}
+		typ, xsiType = override, true
+	}
+	if ct, isCT := typ.(*xsd.ComplexType); isCT && ct.Abstract {
+		r.violate(r.at(el), fmt.Sprintf("type %s is abstract; an xsi:type of a concrete derived type is required", ct.Name))
+		return nil, false, false, false
+	}
+	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex != "" {
+		if !decl.Nillable {
+			r.violate(r.at(el), "xsi:nil on a non-nillable element")
+			return nil, false, false, false
+		}
+		nilled = lex == "true" || lex == "1"
+	}
+	return typ, xsiType, nilled, true
 }
 
 // open delivers OpenElement for an element that passed the prologue.
@@ -255,12 +297,12 @@ func (r *run) open(el *dom.Element, decl *xsd.ElementDecl, typ xsd.Type, xsiType
 // nilledElement checks the content rules of an xsi:nil="true" element
 // (XSD 1.0 Part 1 §3.3.4 clause 3.2); its attributes are checked like any
 // other element's.
-func (r *run) nilledElement(el *dom.Element, decl *xsd.ElementDecl, path string) {
+func (r *run) nilledElement(el *dom.Element, decl *xsd.ElementDecl) {
 	if decl.Fixed != nil {
-		r.violate(path, msgNilFixed)
+		r.violate(r.at(el), msgNilFixed)
 	}
 	if len(el.ChildNodes()) > 0 {
-		r.violate(path, "nilled element must be empty")
+		r.violate(r.at(el), "nilled element must be empty")
 	}
 }
 
@@ -285,10 +327,10 @@ func derivesFromType(t, anc xsd.Type) bool {
 
 // simpleContent validates character-only content. It returns the parsed
 // value for the observer (nil without one, or when the text is invalid).
-func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.ElementDecl, path string) *xsdtypes.Value {
+func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.ElementDecl) *xsdtypes.Value {
 	for _, c := range el.ChildNodes() {
 		if _, ok := c.(*dom.Element); ok {
-			r.violate(path, "element content is not allowed in a simple-type element")
+			r.violate(r.at(el), "element content is not allowed in a simple-type element")
 			return nil
 		}
 	}
@@ -301,16 +343,16 @@ func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.Eleme
 	}
 	val, err := st.Parse(text)
 	if err != nil {
-		r.violate(path, err.Error())
+		r.violate(r.at(el), err.Error())
 		return nil
 	}
 	if decl != nil && decl.Fixed != nil {
 		want, ferr := st.Parse(*decl.Fixed)
 		if ferr == nil && !val.Equal(want) {
-			r.violate(path, fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
+			r.violate(r.at(el), fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
 		}
 	}
-	r.trackIDs(st, text, path)
+	r.trackIDs(r.v.idKind(st), text, r.at(el))
 	return r.observed(&val)
 }
 
@@ -324,70 +366,84 @@ func (r *run) observed(val *xsdtypes.Value) *xsdtypes.Value {
 	return &v
 }
 
-// trackIDs records ID/IDREF values for document-level integrity.
-func (r *run) trackIDs(st *xsd.SimpleType, lexical string, path string) {
-	if r.v.opts.SkipIDChecks {
-		return
+// idKind names the ID-family builtin st derives from ("ID", "IDREF" or
+// "IDREFS"), or "" when it is none of them or ID checks are off.
+func (v *Validator) idKind(st *xsd.SimpleType) string {
+	if v.opts.SkipIDChecks {
+		return ""
 	}
-	b := st.PrimitiveBuiltin()
-	if b == nil {
-		return
+	if b := st.PrimitiveBuiltin(); b != nil {
+		switch b.Name {
+		case "ID", "IDREF", "IDREFS":
+			return b.Name
+		}
 	}
-	switch b.Name {
+	return ""
+}
+
+// trackIDs records an ID or IDREF value of the given idKind for
+// document-level integrity.
+func (r *run) trackIDs(kind, lexical string, at loc) {
+	switch kind {
 	case "ID":
-		r.trackID(lexical, path)
+		r.trackID(lexical, at)
 	case "IDREF":
-		r.trackIDRef(lexical, path)
+		r.trackIDRef(lexical, at)
 	case "IDREFS":
-		r.trackIDRefs(lexical, path)
+		r.trackIDRefs(lexical, at)
 	}
 }
 
-func (r *run) trackID(lexical, path string) {
+func (r *run) trackID(lexical string, at loc) {
 	norm := strings.Join(strings.Fields(lexical), " ")
+	prev, dup := r.ids[norm]
 	if r.journaling {
-		_, dup := r.ids[norm]
-		r.journal = append(r.journal, idEvent{id: norm, path: path, vioIdx: len(r.res.Violations), dup: dup})
+		r.journal = append(r.journal, idEvent{id: norm, at: at, vioIdx: len(r.viols), dup: dup})
 	}
-	if prev, dup := r.ids[norm]; dup {
-		r.violate(path, fmt.Sprintf("duplicate ID %q (first declared at %s)", norm, prev))
+	if dup {
+		if !r.full() {
+			r.viols = append(r.viols, dupID(at, norm, prev))
+		}
 	} else {
-		r.ids[norm] = path
+		r.ids[norm] = at
 		if r.onIDInsert != nil {
 			r.onIDInsert(norm)
 		}
 	}
 }
 
-func (r *run) trackIDRef(lexical, path string) {
+func (r *run) trackIDRef(lexical string, at loc) {
 	norm := strings.Join(strings.Fields(lexical), " ")
-	r.idrefs = append(r.idrefs, pendingRef{id: norm, path: path})
+	r.idrefs = append(r.idrefs, pendingRef{id: norm, at: at})
 }
 
-func (r *run) trackIDRefs(lexical, path string) {
+func (r *run) trackIDRefs(lexical string, at loc) {
 	norm := strings.Join(strings.Fields(lexical), " ")
 	for _, ref := range strings.Fields(norm) {
-		r.idrefs = append(r.idrefs, pendingRef{id: ref, path: path})
+		r.idrefs = append(r.idrefs, pendingRef{id: ref, at: at})
 	}
 }
 
 // checkIDRefs resolves collected IDREFs against seen IDs.
 func (r *run) checkIDRefs() {
 	for _, pending := range r.idrefs {
+		if r.full() {
+			return
+		}
 		if _, ok := r.ids[pending.id]; !ok {
-			r.violate(pending.path, fmt.Sprintf("IDREF %q does not match any ID", pending.id))
+			r.violate(pending.at, fmt.Sprintf("IDREF %q does not match any ID", pending.id))
 		}
 	}
 }
 
 // checkNoAttributes flags attributes on simple-typed elements (only
 // xsi:/xmlns are allowed).
-func (r *run) checkNoAttributes(el *dom.Element, path string) {
+func (r *run) checkNoAttributes(el *dom.Element) {
 	for _, a := range el.Attributes() {
 		if isMetaAttr(a) {
 			continue
 		}
-		r.violate(path, fmt.Sprintf("attribute %q is not allowed on a simple-type element", a.NodeName()))
+		r.violate(r.at(el), fmt.Sprintf("attribute %q is not allowed on a simple-type element", a.NodeName()))
 	}
 }
 
@@ -398,76 +454,48 @@ func isMetaAttr(a *dom.Attr) bool {
 
 // complexSimpleContent validates the character content of a complex type
 // with simple content. It returns the parsed value like simpleContent.
-func (r *run) complexSimpleContent(el *dom.Element, ct *xsd.ComplexType, path string) *xsdtypes.Value {
+func (r *run) complexSimpleContent(el *dom.Element, ct *xsd.ComplexType) *xsdtypes.Value {
 	for _, c := range el.ChildNodes() {
 		if _, ok := c.(*dom.Element); ok {
-			r.violate(path, "element content is not allowed in simple content")
+			r.violate(r.at(el), "element content is not allowed in simple content")
 			return nil
 		}
 	}
 	text := el.TextContent()
 	val, err := ct.SimpleContentType.Parse(text)
 	if err != nil {
-		r.violate(path, err.Error())
+		r.violate(r.at(el), err.Error())
 	}
-	r.trackIDs(ct.SimpleContentType, text, path)
+	r.trackIDs(r.v.idKind(ct.SimpleContentType), text, r.at(el))
 	if err != nil {
 		return nil
 	}
 	return r.observed(&val)
 }
 
-// complexContent validates the empty, element-only or mixed content of a
-// complex type.
-func (r *run) complexContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	switch ct.Kind {
-	case xsd.ContentEmpty:
-		for _, c := range el.ChildNodes() {
-			switch x := c.(type) {
-			case *dom.Element:
-				r.violate(path, fmt.Sprintf("element <%s> is not allowed in empty content", x.TagName()))
-				return
-			case *dom.Text:
-				if strings.TrimSpace(x.Data) != "" {
-					r.violate(path, "character data is not allowed in empty content")
-					return
-				}
-			case *dom.CDATASection:
-				r.violate(path, "character data is not allowed in empty content")
+// emptyContent validates the content of a complex type with empty content.
+func (r *run) emptyContent(el *dom.Element) {
+	for _, c := range el.ChildNodes() {
+		switch x := c.(type) {
+		case *dom.Element:
+			r.violate(r.at(el), fmt.Sprintf("element <%s> is not allowed in empty content", x.TagName()))
+			return
+		case *dom.Text:
+			if strings.TrimSpace(x.Data) != "" {
+				r.violate(r.at(el), "character data is not allowed in empty content")
 				return
 			}
+		case *dom.CDATASection:
+			r.violate(r.at(el), "character data is not allowed in empty content")
+			return
 		}
-	case xsd.ContentElementOnly, xsd.ContentMixed:
-		r.elementContent(el, ct, path)
 	}
 }
 
 // elementContent validates children against the content model.
-func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	var symbols []contentmodel.Symbol
-	var children []*dom.Element
-	for _, c := range el.ChildNodes() {
-		switch x := c.(type) {
-		case *dom.Element:
-			symbols = append(symbols, contentmodel.Symbol{Space: x.NamespaceURI(), Local: x.LocalName()})
-			children = append(children, x)
-		case *dom.Text:
-			if ct.Kind != xsd.ContentMixed && strings.TrimSpace(x.Data) != "" {
-				r.violate(path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(x.Data)))
-			}
-		case *dom.CDATASection:
-			if ct.Kind != xsd.ContentMixed {
-				r.violate(path, "character data is not allowed in element-only content")
-			}
-		}
-	}
-	leaves, merr := r.v.models.matcher(ct).Match(symbols)
-	if merr != nil {
-		loc := path
-		if merr.Index < len(children) {
-			loc = childPath(path, children[merr.Index])
-		}
-		r.violate(loc, merr.Error())
+func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType) {
+	children, leaves, ok := r.match(el, ct)
+	if !ok {
 		return
 	}
 	if w := r.parWorkers; w > 1 && len(children) >= ParallelMinFanout {
@@ -476,13 +504,12 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 		// join, so every sufficiently wide level splits — the walk descends
 		// sequentially through narrow levels to find the fan-out.
 		r.parWorkers = 0
-		handled := r.parallelChildren(children, leaves, path, w)
+		handled := r.parallelChildren(children, leaves, w)
 		r.parWorkers = w
 		if handled {
 			return
 		}
 	}
-	counts := map[string]int{}
 	if r.events != nil && ct.Kind == xsd.ContentMixed {
 		// Interleave the text with the children so the observer sees
 		// mixed content in document order.
@@ -490,9 +517,8 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 		for _, c := range el.ChildNodes() {
 			switch x := c.(type) {
 			case *dom.Element:
-				cpath := childPathIndexed(path, x, counts)
-				if decl, wild, ok := r.childDecl(x, leaves[i], cpath); ok {
-					r.element(x, decl, cpath, wild)
+				if decl, wild, ok := r.childDecl(x, leaves[i]); ok {
+					r.element(x, decl, wild)
 				}
 				i++
 			case *dom.Text:
@@ -504,24 +530,58 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 		return
 	}
 	for i, child := range children {
-		cpath := childPathIndexed(path, child, counts)
-		if decl, wild, ok := r.childDecl(child, leaves[i], cpath); ok {
-			r.element(child, decl, cpath, wild)
+		if decl, wild, ok := r.childDecl(child, leaves[i]); ok {
+			r.element(child, decl, wild)
 		}
 	}
+}
+
+// match collects el's element children and matches them against ct's
+// content model, reporting stray character data and a failed match. ok is
+// false when the children are not to be validated. Kept out of
+// elementContent so the recursive walk's stack frames stay small.
+func (r *run) match(el *dom.Element, ct *xsd.ComplexType) (children []*dom.Element, leaves []*contentmodel.Leaf, ok bool) {
+	var symbols []contentmodel.Symbol
+	for _, c := range el.ChildNodes() {
+		switch x := c.(type) {
+		case *dom.Element:
+			symbols = append(symbols, contentmodel.Symbol{Space: x.NamespaceURI(), Local: x.LocalName()})
+			children = append(children, x)
+		case *dom.Text:
+			if ct.Kind != xsd.ContentMixed && strings.TrimSpace(x.Data) != "" {
+				r.violate(r.at(el), fmt.Sprintf("character data %q is not allowed in element-only content", snippet(x.Data)))
+			}
+		case *dom.CDATASection:
+			if ct.Kind != xsd.ContentMixed {
+				r.violate(r.at(el), "character data is not allowed in element-only content")
+			}
+		}
+	}
+	leaves, merr := r.v.models.matcher(ct).Match(symbols)
+	if merr != nil {
+		switch {
+		case merr.Index >= len(children):
+			r.violate(r.at(el), merr.Error())
+		case !r.full():
+			// The offending child's step carries no positional predicate.
+			r.violate(pathLoc(childPath(r.at(el).path(), children[merr.Index])), merr.Error())
+		}
+		return nil, nil, false
+	}
+	return children, leaves, true
 }
 
 // childDecl resolves the declaration governing a child matched to leaf;
 // wild marks a wildcard admission. ok is false for a child that is not
 // validated: a failed resolution (reported) or a lax wildcard match with
 // no global declaration (handed to the observer as raw).
-func (r *run) childDecl(child *dom.Element, leaf *contentmodel.Leaf, cpath string) (decl *xsd.ElementDecl, wild, ok bool) {
+func (r *run) childDecl(child *dom.Element, leaf *contentmodel.Leaf) (decl *xsd.ElementDecl, wild, ok bool) {
 	name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
 	switch data := leaf.Data.(type) {
 	case *xsd.ElementDecl:
 		resolved, err := r.v.schema.ResolveChild(data, name)
 		if err != nil {
-			r.violate(cpath, err.Error())
+			r.violate(r.at(child), err.Error())
 			return nil, false, false
 		}
 		return resolved, false, true
@@ -539,7 +599,7 @@ func (r *run) childDecl(child *dom.Element, leaf *contentmodel.Leaf, cpath strin
 }
 
 // attributes validates the attribute set of el against ct.
-func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType, path string) {
+func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType) {
 	seen := map[xsd.QName]bool{}
 	for _, a := range el.Attributes() {
 		if isMetaAttr(a) {
@@ -552,35 +612,38 @@ func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType, path string) {
 			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
 				continue
 			}
-			r.violate(path, fmt.Sprintf("attribute %q is not declared for this element", a.NodeName()))
+			r.violate(r.at(el), fmt.Sprintf("attribute %q is not declared for this element", a.NodeName()))
 			continue
 		}
 		val, err := use.Decl.Type.Parse(a.Value())
 		if err != nil {
-			r.violate(path, fmt.Sprintf("attribute %q: %v", a.NodeName(), err))
+			r.violate(r.at(el), fmt.Sprintf("attribute %q: %v", a.NodeName(), err))
 			continue
 		}
 		if use.Fixed != nil {
 			want, ferr := use.Decl.Type.Parse(*use.Fixed)
 			if ferr == nil && !val.Equal(want) {
-				r.violate(path, fmt.Sprintf("attribute %q must have the fixed value %q", a.NodeName(), *use.Fixed))
+				r.violate(r.at(el), fmt.Sprintf("attribute %q must have the fixed value %q", a.NodeName(), *use.Fixed))
 			}
 		}
-		r.trackIDs(use.Decl.Type, a.Value(), path+"/@"+a.NodeName())
+		if kind := r.v.idKind(use.Decl.Type); kind != "" {
+			at := r.at(el)
+			at.attr = a.NodeName()
+			r.trackIDs(kind, a.Value(), at)
+		}
 	}
 	for _, use := range ct.AttributeUses {
 		if use.Required && !use.Prohibited && !seen[use.Decl.Name] {
-			r.violate(path, fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local))
+			r.violate(r.at(el), fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local))
 		}
 	}
 }
 
 // resolveQName resolves a QName lexical value (an xsi:type) against the
-// instance's namespace scope. lookup returns the URI bound to a prefix key
-// ("xmlns" for the default namespace) and whether one is in scope: the DOM
-// walk reads ancestor attributes (domNamespace), the streaming walk its
-// binding stack.
-func resolveQName(lexical string, lookup func(key string) (string, bool)) (xsd.QName, error) {
+// instance's namespace scope. lookup returns the URI bound to a prefix (""
+// for the default namespace) and whether one is in scope: the DOM walk's
+// run.namespace, the streaming walk's binding stack.
+func resolveQName(lexical string, lookup func(prefix string) (string, bool)) (xsd.QName, error) {
 	lexical = strings.TrimSpace(lexical)
 	prefix, local := "", lexical
 	if i := strings.IndexByte(lexical, ':'); i >= 0 {
@@ -592,11 +655,7 @@ func resolveQName(lexical string, lookup func(key string) (string, bool)) (xsd.Q
 	if prefix == "xml" {
 		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
 	}
-	key := prefix
-	if key == "" {
-		key = "xmlns"
-	}
-	if uri, ok := lookup(key); ok {
+	if uri, ok := lookup(prefix); ok {
 		return xsd.QName{Space: uri, Local: local}, nil
 	}
 	if prefix != "" {
@@ -605,12 +664,44 @@ func resolveQName(lexical string, lookup func(key string) (string, bool)) (xsd.Q
 	return xsd.QName{Local: local}, nil
 }
 
-// domNamespace finds the innermost namespace declaration for key on el or
-// its ancestors.
-func domNamespace(el *dom.Element, key string) (string, bool) {
-	for n := dom.Node(el); n != nil; n = n.ParentNode() {
-		if e, ok := n.(*dom.Element); ok && e.HasAttributeNS(xmlparser.XMLNSNamespace, key) {
-			return e.GetAttributeNS(xmlparser.XMLNSNamespace, key), true
+// declaredPrefix is the prefix a namespace declaration binds: the local
+// name of xmlns:p, or "" for the default namespace's xmlns.
+func declaredPrefix(n xmlparser.Name) string {
+	if n.Local == "xmlns" {
+		return ""
+	}
+	return n.Local
+}
+
+// declare pushes el's namespace declarations onto the walk's scope and
+// returns the mark that pops them.
+func (r *run) declare(el *dom.Element) int {
+	mark := r.ns.Mark()
+	for _, a := range el.Attributes() {
+		if n := a.Name(); n.Space == xmlparser.XMLNSNamespace {
+			r.ns.Push(declaredPrefix(n), a.Value())
+		}
+	}
+	return mark
+}
+
+// namespace finds the innermost binding of prefix for the element being
+// validated: in the walk's scope, then outside the anchor — through outer,
+// or on the anchor's ancestors, which the walk never entered.
+func (r *run) namespace(prefix string) (string, bool) {
+	if uri, ok := r.ns.Lookup(prefix); ok {
+		return uri, true
+	}
+	if r.outer != nil {
+		return r.outer(prefix)
+	}
+	local := prefix
+	if local == "" {
+		local = "xmlns"
+	}
+	for n := r.root.ParentNode(); n != nil; n = n.ParentNode() {
+		if e, ok := n.(*dom.Element); ok && e.HasAttributeNS(xmlparser.XMLNSNamespace, local) {
+			return e.GetAttributeNS(xmlparser.XMLNSNamespace, local), true
 		}
 	}
 	return "", false
@@ -618,17 +709,6 @@ func domNamespace(el *dom.Element, key string) (string, bool) {
 
 // childPath appends a child step to a path.
 func childPath(path string, child *dom.Element) string {
-	return path + "/" + child.TagName()
-}
-
-// childPathIndexed appends a child step with a 1-based position index per
-// tag name (item[1], item[2], ...).
-func childPathIndexed(path string, child *dom.Element, counts map[string]int) string {
-	counts[child.TagName()]++
-	n := counts[child.TagName()]
-	if n > 1 {
-		return fmt.Sprintf("%s/%s[%d]", path, child.TagName(), n)
-	}
 	return path + "/" + child.TagName()
 }
 

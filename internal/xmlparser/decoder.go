@@ -36,17 +36,12 @@ type Options struct {
 // defaultOptions returns the options used when the caller passes nil.
 func defaultOptions() Options { return Options{Namespaces: true} }
 
-// nsFrame is one element's worth of namespace declarations.
-type nsFrame struct {
-	bindings map[string]string // prefix -> uri; "" key is the default ns
-}
-
 // openElem tracks an open start tag for end-tag matching.
 type openElem struct {
-	name     Name
-	rawName  string // as written, for error messages
-	pos      Pos
-	nsPushed bool
+	name    Name
+	rawName string // as written, for error messages
+	pos     Pos
+	nsMark  int // Decoder.ns mark before this element's declarations
 }
 
 // Decoder parses a single XML document (or fragment) and yields Tokens.
@@ -72,8 +67,9 @@ type Decoder struct {
 	readErr   error
 	zeroReads int
 
-	opts     Options
-	ns       []nsFrame
+	opts Options
+	// ns holds the namespace bindings of the open elements.
+	ns       Bindings
 	stack    []openElem
 	pending  []Token
 	seenRoot bool
@@ -137,9 +133,7 @@ func NewDecoder(src []byte, opts *Options) *Decoder {
 	if opts != nil {
 		o = *opts
 	}
-	d := &Decoder{src: src, srcDone: true, line: 1, col: 1, opts: o}
-	d.ns = []nsFrame{{bindings: map[string]string{"xml": XMLNamespace}}}
-	return d
+	return &Decoder{src: src, srcDone: true, line: 1, col: 1, opts: o}
 }
 
 // NewReaderDecoder creates a Decoder that pulls input incrementally from r.
@@ -151,9 +145,7 @@ func NewReaderDecoder(r io.Reader, opts *Options) *Decoder {
 	if opts != nil {
 		o = *opts
 	}
-	d := &Decoder{rd: r, line: 1, col: 1, opts: o}
-	d.ns = []nsFrame{{bindings: map[string]string{"xml": XMLNamespace}}}
-	return d
+	return &Decoder{rd: r, line: 1, col: 1, opts: o}
 }
 
 // Parse parses a complete document and returns all tokens.
@@ -1031,18 +1023,14 @@ func (d *Decoder) startTag(p Pos) (Token, error) {
 		attrs = d.attrs
 	}
 	// Literal duplicate check (pre-namespace).
-	for i := range attrs {
-		for j := i + 1; j < len(attrs); j++ {
-			if attrs[i].Name.Local == attrs[j].Name.Local && attrs[i].Name.Prefix == attrs[j].Name.Prefix {
-				return Token{}, d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
-			}
-		}
+	if j := firstDuplicate(attrs, literalKey); j >= 0 {
+		return Token{}, d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
 	}
 	name := Name{Local: raw}
-	nsPushed := false
+	nsMark := d.ns.Mark()
 	if d.opts.Namespaces {
 		var err error
-		name, attrs, nsPushed, err = d.applyNamespaces(p, raw, attrs)
+		name, err = d.applyNamespaces(p, raw, attrs)
 		if err != nil {
 			return Token{}, err
 		}
@@ -1050,14 +1038,68 @@ func (d *Decoder) startTag(p Pos) (Token, error) {
 	d.seenRoot = true
 	tok := Token{Kind: KindStartElement, Name: name, Attrs: attrs, SelfClosing: selfClosing, Pos: p}
 	if selfClosing {
-		if nsPushed {
-			d.ns = d.ns[:len(d.ns)-1]
-		}
+		d.ns.Pop(nsMark)
 		d.pending = append(d.pending, Token{Kind: KindEndElement, Name: name, Pos: p})
 	} else {
-		d.stack = append(d.stack, openElem{name: name, rawName: raw, pos: p, nsPushed: nsPushed})
+		d.stack = append(d.stack, openElem{name: name, rawName: raw, pos: p, nsMark: nsMark})
 	}
 	return tok, nil
+}
+
+// attrKey identifies an attribute for a duplicate check.
+type attrKey struct{ a, b string }
+
+// literalKey is the pre-namespace identity {Prefix, Local}.
+func literalKey(a *Attr) (attrKey, bool) { return attrKey{a.Name.Prefix, a.Name.Local}, true }
+
+// resolvedKey is the post-resolution identity {Space, Local}; namespace
+// declarations and unqualified attributes are exempt (the literal check
+// already covers them).
+func resolvedKey(a *Attr) (attrKey, bool) {
+	return attrKey{a.Name.Space, a.Name.Local}, !a.IsNamespaceDecl && a.Name.Space != ""
+}
+
+// smallTag is the attribute count up to which duplicate checks use the
+// allocation-free nested loop; wider tags use a map. Measured (EXPERIMENTS
+// E18): the loop is 2.6–8× faster up to three attributes, the common case,
+// and still 1.4× faster at 16; the map is 1.5× faster at 24.
+const smallTag = 16
+
+// firstDuplicate returns the index of the attribute a duplicate check
+// reports — the first later repeat of the earliest attribute that has
+// one — or -1. key gives each attribute's identity, or false to exempt it.
+func firstDuplicate(attrs []Attr, key func(*Attr) (attrKey, bool)) int {
+	if len(attrs) <= smallTag {
+		for i := range attrs {
+			ki, ok := key(&attrs[i])
+			if !ok {
+				continue
+			}
+			for j := i + 1; j < len(attrs); j++ {
+				if kj, ok := key(&attrs[j]); ok && kj == ki {
+					return j
+				}
+			}
+		}
+		return -1
+	}
+	// The earliest attribute with a repeat is always a first occurrence,
+	// and the first repeat seen for it is its earliest: keep the report
+	// whose first occurrence comes first.
+	first := make(map[attrKey]int, len(attrs))
+	bestI, bestJ := len(attrs), -1
+	for j := range attrs {
+		k, ok := key(&attrs[j])
+		if !ok {
+			continue
+		}
+		if i, seen := first[k]; !seen {
+			first[k] = j
+		} else if i < bestI {
+			bestI, bestJ = i, j
+		}
+	}
+	return bestJ
 }
 
 // attribute parses name="value".
@@ -1160,10 +1202,9 @@ func splitRawName(raw string) Name {
 	return Name{Local: raw}
 }
 
-// applyNamespaces processes xmlns declarations in attrs, resolves the element
-// and attribute names, and reports whether a namespace frame was pushed.
-func (d *Decoder) applyNamespaces(p Pos, rawElem string, attrs []Attr) (Name, []Attr, bool, error) {
-	var decls map[string]string
+// applyNamespaces processes xmlns declarations in attrs, pushing their
+// bindings, and resolves the element and attribute names.
+func (d *Decoder) applyNamespaces(p Pos, rawElem string, attrs []Attr) (Name, error) {
 	for i := range attrs {
 		a := &attrs[i]
 		prefix, local := a.Name.Prefix, a.Name.Local
@@ -1178,45 +1219,47 @@ func (d *Decoder) applyNamespaces(p Pos, rawElem string, attrs []Attr) (Name, []
 		}
 		switch declPrefix {
 		case "xmlns":
-			return Name{}, nil, false, d.errf(a.Pos, "prefix \"xmlns\" cannot be declared")
+			return Name{}, d.errf(a.Pos, "prefix \"xmlns\" cannot be declared")
 		case "xml":
 			if a.Value != XMLNamespace {
-				return Name{}, nil, false, d.errf(a.Pos, "prefix \"xml\" cannot be rebound")
+				return Name{}, d.errf(a.Pos, "prefix \"xml\" cannot be rebound")
 			}
 		default:
 			if a.Value == XMLNamespace || a.Value == XMLNSNamespace {
-				return Name{}, nil, false, d.errf(a.Pos, "namespace %q cannot be bound to prefix %q", a.Value, declPrefix)
+				return Name{}, d.errf(a.Pos, "namespace %q cannot be bound to prefix %q", a.Value, declPrefix)
 			}
 		}
 		if declPrefix != "" && a.Value == "" {
-			return Name{}, nil, false, d.errf(a.Pos, "cannot undeclare prefix %q with an empty namespace name (XML 1.0)", declPrefix)
+			return Name{}, d.errf(a.Pos, "cannot undeclare prefix %q with an empty namespace name (XML 1.0)", declPrefix)
 		}
 		if declPrefix != "" && !IsNCName(declPrefix) {
-			return Name{}, nil, false, d.errf(a.Pos, "bad namespace prefix %q", declPrefix)
+			return Name{}, d.errf(a.Pos, "bad namespace prefix %q", declPrefix)
 		}
-		if decls == nil {
-			decls = map[string]string{}
-		}
-		decls[declPrefix] = a.Value
 	}
-	pushed := false
-	if decls != nil {
-		d.ns = append(d.ns, nsFrame{bindings: decls})
-		pushed = true
+	// Every declaration is well formed: push the bindings. The literal
+	// duplicate check guarantees one declaration per prefix per element.
+	for i := range attrs {
+		if a := &attrs[i]; a.IsNamespaceDecl {
+			declPrefix := ""
+			if a.Name.Prefix == "xmlns" {
+				declPrefix = a.Name.Local
+			}
+			d.ns.Push(declPrefix, a.Value)
+		}
 	}
 	en := splitRawName(rawElem)
 	if en.Prefix != "" {
 		if !IsNCName(en.Prefix) || !IsNCName(en.Local) {
-			return Name{}, nil, false, d.errf(p, "bad qualified name %q", rawElem)
+			return Name{}, d.errf(p, "bad qualified name %q", rawElem)
 		}
 		uri, ok := d.lookupNS(en.Prefix)
 		if !ok {
-			return Name{}, nil, false, d.errf(p, "undeclared namespace prefix %q on element <%s>", en.Prefix, rawElem)
+			return Name{}, d.errf(p, "undeclared namespace prefix %q on element <%s>", en.Prefix, rawElem)
 		}
 		en.Space = uri
 	} else {
 		if !IsNCName(en.Local) {
-			return Name{}, nil, false, d.errf(p, "bad element name %q", rawElem)
+			return Name{}, d.errf(p, "bad element name %q", rawElem)
 		}
 		if uri, ok := d.lookupNS(""); ok {
 			en.Space = uri
@@ -1232,46 +1275,32 @@ func (d *Decoder) applyNamespaces(p Pos, rawElem string, attrs []Attr) (Name, []
 			continue // unprefixed attributes are in no namespace
 		}
 		if !IsNCName(a.Name.Prefix) || !IsNCName(a.Name.Local) {
-			return Name{}, nil, false, d.errf(a.Pos, "bad qualified attribute name %q", a.Name.Qualified())
+			return Name{}, d.errf(a.Pos, "bad qualified attribute name %q", a.Name.Qualified())
 		}
 		uri, ok := d.lookupNS(a.Name.Prefix)
 		if !ok {
-			return Name{}, nil, false, d.errf(a.Pos, "undeclared namespace prefix %q on attribute", a.Name.Prefix)
+			return Name{}, d.errf(a.Pos, "undeclared namespace prefix %q on attribute", a.Name.Prefix)
 		}
 		a.Name.Space = uri
 	}
 	// Post-resolution duplicate check: same {uri, local} via different
 	// prefixes.
-	for i := range attrs {
-		if attrs[i].IsNamespaceDecl {
-			continue
-		}
-		for j := i + 1; j < len(attrs); j++ {
-			if attrs[j].IsNamespaceDecl {
-				continue
-			}
-			if attrs[i].Name.Local == attrs[j].Name.Local && attrs[i].Name.Space == attrs[j].Name.Space && attrs[i].Name.Space != "" {
-				return Name{}, nil, false, d.errf(attrs[j].Pos, "duplicate attribute {%s}%s", attrs[j].Name.Space, attrs[j].Name.Local)
-			}
-		}
+	if j := firstDuplicate(attrs, resolvedKey); j >= 0 {
+		return Name{}, d.errf(attrs[j].Pos, "duplicate attribute {%s}%s", attrs[j].Name.Space, attrs[j].Name.Local)
 	}
-	return en, attrs, pushed, nil
+	return en, nil
 }
 
-// lookupNS resolves a prefix against the namespace stack.
+// lookupNS resolves a prefix against the innermost binding in scope.
 func (d *Decoder) lookupNS(prefix string) (string, bool) {
-	for i := len(d.ns) - 1; i >= 0; i-- {
-		if uri, ok := d.ns[i].bindings[prefix]; ok {
-			if uri == "" && prefix == "" {
-				return "", false // default namespace undeclared
-			}
-			return uri, true
-		}
+	if prefix == "xml" {
+		return XMLNamespace, true // bound everywhere; rebinding is rejected
 	}
-	if prefix == "" {
-		return "", false
+	uri, ok := d.ns.Lookup(prefix)
+	if uri == "" && prefix == "" {
+		return "", false // default namespace undeclared
 	}
-	return "", false
+	return uri, ok
 }
 
 // endTag parses </name>.
@@ -1294,9 +1323,7 @@ func (d *Decoder) endTag(p Pos) (Token, error) {
 		return Token{}, d.errf(p, "end tag </%s> does not match start tag <%s> opened at %s", raw, top.rawName, top.pos)
 	}
 	d.stack = d.stack[:len(d.stack)-1]
-	if top.nsPushed {
-		d.ns = d.ns[:len(d.ns)-1]
-	}
+	d.ns.Pop(top.nsMark)
 	return Token{Kind: KindEndElement, Name: top.name, Pos: p}, nil
 }
 

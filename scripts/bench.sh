@@ -5,7 +5,8 @@
 # E14 ahead-of-time compiled validators, E15 zero-copy tokenization +
 # intra-document parallel validation, E16 SOAP envelope dispatch vs the
 # bare-validation floor, E17 cluster routing + batch amortization +
-# shared-parse cold start) and write machine-readable results to the
+# shared-parse cold start, E18 deep and wide documents) and write
+# machine-readable results to the
 # named JSON file. The JSON records the host's CPU model, core count and
 # GOMAXPROCS — read the E15 scaling legs and the E17 fleet legs against
 # num_cpu, not in isolation (a 3-node in-process fleet on one core is
@@ -25,6 +26,6 @@ esac
 shift
 cd "$(dirname "$0")/.."
 
-go test -run xxx -bench 'BenchmarkE7|BenchmarkE8|BenchmarkE10|BenchmarkE11|BenchmarkE12|BenchmarkE13|BenchmarkE14|BenchmarkE15|BenchmarkE16|BenchmarkE17' -benchmem "$@" . |
+go test -run xxx -bench 'BenchmarkE7|BenchmarkE8|BenchmarkE10|BenchmarkE11|BenchmarkE12|BenchmarkE13|BenchmarkE14|BenchmarkE15|BenchmarkE16|BenchmarkE17|BenchmarkE18' -benchmem "$@" . |
 	go run ./cmd/benchjson -o "$out"
 echo "wrote $out" >&2
