@@ -869,10 +869,11 @@ func BenchmarkE12_Decode(b *testing.B) {
 	}
 }
 
-// BenchmarkE12_JSONAndMarshal covers the other two legs of the round
-// trip at a fixed size: projecting a decoded value to canonical JSON,
-// and marshalling it back to XML (which re-parses and re-validates the
-// output — the cost of the schema-valid-by-construction guarantee).
+// BenchmarkE12_JSONAndMarshal covers the other legs of the round trip at
+// a fixed size: projecting a decoded value to canonical JSON, marshalling
+// it back to XML (validated token by token as it is written — the cost of
+// the schema-valid-by-construction guarantee), and rebuilding the value
+// from its JSON.
 func BenchmarkE12_JSONAndMarshal(b *testing.B) {
 	schema := poSchema(b)
 	bn := bind.New(schema, nil)
@@ -893,6 +894,15 @@ func BenchmarkE12_JSONAndMarshal(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := bn.Marshal(val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	js := bn.JSON(val)
+	b.Run("from_json/items=100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bn.FromJSON(js); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Command xsdbind converts between XML and canonical JSON under a schema:
 // decoding validates and decodes in one pass (the verdict and the typed
 // value come from the same automata walk), encoding maps canonical JSON
-// back to XML and re-validates it before printing, so the output is
+// back to XML and validates it as it is written, so the output is
 // schema-valid by construction or the command fails.
 //
 // Usage:

@@ -21,8 +21,10 @@
 //     stepping, with no DOM.
 //
 // Marshal is the reverse direction: a Value (decoded, or built from JSON
-// via FromJSON) is serialized to XML and checked through the same content
-// models, which yields the round-trip property decode∘marshal = id modulo
-// canonicalization (attribute defaults materialized, lexical forms
-// canonicalized, comments and insignificant whitespace dropped).
+// via FromJSON) is walked once, and the walk writes the XML while feeding
+// the tokens it writes to the streaming validator, so the output is checked
+// through the same content models without being parsed back. That yields
+// the round-trip property decode∘marshal = id modulo canonicalization
+// (attribute defaults materialized, lexical forms canonicalized, comments
+// and insignificant whitespace dropped).
 package bind

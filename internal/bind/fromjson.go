@@ -6,13 +6,14 @@ package bind
 // type's content-model automaton greedily over the pending children
 // (plan order breaks ties): models that interleave fields, like
 // (key, value)+, reassemble correctly from their grouped arrays. Marshal
-// re-validates, so a sequence the greedy walk cannot reassemble surfaces
-// as an encode error, never as silently invalid XML.
+// validates, so a sequence the greedy walk cannot reassemble surfaces as
+// an encode error, never as silently invalid XML.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,18 +176,15 @@ func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]an
 	if tp == nil {
 		return fmt.Errorf("bind: no binding plan for type %s", ct.Name)
 	}
-	known := map[string]bool{"$element": true, "$type": true, "$any": true}
+	var one [1]any
+	consumed := 0 // keys of obj read below: fields' and "$any"
 	for _, f := range tp.Fields {
-		known[f.Key] = true
 		jv, ok := obj[f.Key]
 		if !ok {
 			continue
 		}
-		items, isArr := jv.([]any)
-		if !isArr {
-			items = []any{jv}
-		}
-		for _, item := range items {
+		consumed++
+		for _, item := range asItems(jv, &one) {
 			cv, err := b.childFromJSON(tp, f, item)
 			if err != nil {
 				return err
@@ -195,11 +193,8 @@ func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]an
 		}
 	}
 	if anyv, ok := obj["$any"]; ok {
-		items, isArr := anyv.([]any)
-		if !isArr {
-			items = []any{anyv}
-		}
-		for _, item := range items {
+		consumed++
+		for _, item := range asItems(anyv, &one) {
 			cv, err := b.anyFromJSON(item)
 			if err != nil {
 				return err
@@ -207,13 +202,44 @@ func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]an
 			v.Children = append(v.Children, cv)
 		}
 	}
-	for key := range obj {
-		if !known[key] && !strings.HasPrefix(key, "@") {
-			return fmt.Errorf("bind: unknown field %q for type %s", key, ct.Name)
-		}
+	if key := unknownKey(obj, consumed, tp); key != "" {
+		return fmt.Errorf("bind: unknown field %q for type %s", key, ct.Name)
 	}
 	v.Children = b.orderChildren(ct, v.Children)
 	return nil
+}
+
+// unknownKey returns a key of obj that is neither a field's nor "$any",
+// "$element", "$type" or an attribute's, or "". consumed counts the field
+// and "$any" keys the caller read, so an object with no unknown key is
+// checked in one pass without a set of the known keys.
+func unknownKey(obj map[string]any, consumed int, tp *TypePlan) string {
+	meta := func(key string) bool { return key == "$element" || key == "$type" || strings.HasPrefix(key, "@") }
+	other := 0
+	for key := range obj {
+		if !meta(key) {
+			other++
+		}
+	}
+	if other == consumed {
+		return ""
+	}
+	for key := range obj {
+		if !meta(key) && key != "$any" && !slices.ContainsFunc(tp.Fields, func(f *FieldPlan) bool { return f.Key == key }) {
+			return key
+		}
+	}
+	return ""
+}
+
+// asItems returns a JSON array's elements, or jv alone as a view of one,
+// so a single value needs no slice of its own.
+func asItems(jv any, one *[1]any) []any {
+	if items, ok := jv.([]any); ok {
+		return items
+	}
+	one[0] = jv
+	return one[:]
 }
 
 // orderChildren arranges reconstructed children into a sequence the
@@ -222,7 +248,7 @@ func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]an
 // order) whose symbol the automaton admits is emitted next. Models whose
 // repetitions interleave fields — (key, value)+ — reassemble from
 // grouped JSON arrays this way. If the walk dead-ends the original order
-// is returned and Marshal's re-validation reports the failure.
+// is returned and Marshal's validation reports the failure.
 func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value {
 	if len(children) < 2 {
 		return children
@@ -231,13 +257,13 @@ func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value 
 	if !ok {
 		return children
 	}
+	// Fast path: the grouped order is already admissible.
+	if admissible(g, children) {
+		return children
+	}
 	syms := make([]contentmodel.Symbol, len(children))
 	for i, c := range children {
 		syms[i] = contentmodel.Symbol{Space: c.Name.Space, Local: c.Name.Local}
-	}
-	// Fast path: the grouped order is already admissible.
-	if _, merr := g.Match(syms); merr == nil {
-		return children
 	}
 	pending := append([]*Value{}, children...)
 	pendSyms := append([]contentmodel.Symbol{}, syms...)
@@ -271,6 +297,19 @@ func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value 
 		pendSyms = append(pendSyms[:chosen], pendSyms[chosen+1:]...)
 	}
 	return order
+}
+
+// admissible reports whether the automaton accepts the children's names in
+// order. The run lives on the stack: checking allocates nothing.
+func admissible(g *contentmodel.Glushkov, children []*Value) bool {
+	var r contentmodel.Run
+	r.Reset(g)
+	for _, c := range children {
+		if _, merr := r.Step(contentmodel.Symbol{Space: c.Name.Space, Local: c.Name.Local}); merr != nil {
+			return false
+		}
+	}
+	return r.End() == nil
 }
 
 // childFromJSON builds one field occurrence, resolving a "$element"
@@ -367,36 +406,43 @@ func (b *Binder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any
 // attrsFromJSON parses "@..." keys into typed attributes in declaration
 // order (wildcard-admitted extras sorted by key for determinism).
 func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj map[string]any) ([]Attr, error) {
-	byName := map[xsd.QName]any{}
+	// given[i] is the JSON value for ct.AttributeUses[i]; the array keeps
+	// the common case off the heap.
+	var small [8]givenAttr
+	given := small[:0]
+	if n := len(ct.AttributeUses); n <= len(small) {
+		given = small[:n]
+	} else {
+		given = make([]givenAttr, n)
+	}
 	var extras []string
 	for key, jv := range obj {
 		if !strings.HasPrefix(key, "@") {
 			continue
 		}
 		name := parseAttrKey(key[1:])
-		use := ct.FindAttributeUse(name)
-		if use == nil && name.Space == "" {
+		i := attrUseIndex(ct, name)
+		if i < 0 && name.Space == "" {
 			// A bare local may name a qualified declared attribute.
-			for _, u := range ct.AttributeUses {
+			for j, u := range ct.AttributeUses {
 				if u.Decl.Name.Local == name.Local {
-					name = u.Decl.Name
-					use = u
+					name, i = u.Decl.Name, j
 					break
 				}
 			}
 		}
-		if use == nil || use.Prohibited {
+		if i < 0 || ct.AttributeUses[i].Prohibited {
 			if ct.AttrWildcard == nil || !ct.AttrWildcard.Admits(name.Space) {
 				return nil, fmt.Errorf("bind: attribute %q is not declared for element %s", key, decl.Name)
 			}
 			extras = append(extras, key)
 			continue
 		}
-		byName[use.Decl.Name] = jv
+		given[i] = givenAttr{jv, true}
 	}
 	var out []Attr
-	for _, use := range ct.AttributeUses {
-		jv, ok := byName[use.Decl.Name]
+	for i, use := range ct.AttributeUses {
+		jv, ok := given[i].v, given[i].ok
 		if !ok {
 			def := use.Default
 			if def == nil {
@@ -427,6 +473,23 @@ func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj m
 		out = append(out, Attr{Name: parseAttrKey(key[1:]), Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: lex}})
 	}
 	return out, nil
+}
+
+// givenAttr is the JSON value given for one attribute use, if any.
+type givenAttr struct {
+	v  any
+	ok bool
+}
+
+// attrUseIndex is ct.FindAttributeUse as an index into ct.AttributeUses,
+// or -1.
+func attrUseIndex(ct *xsd.ComplexType, name xsd.QName) int {
+	for i, u := range ct.AttributeUses {
+		if u.Decl.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // rawValue wraps a raw XML fragment, parsing it to recover the element

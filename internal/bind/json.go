@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"unicode/utf8"
 
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
@@ -35,8 +36,72 @@ func (b *Binder) JSONIndent(v *Value) []byte {
 }
 
 func writeJSONString(w *bytes.Buffer, s string) {
-	enc, _ := json.Marshal(s)
-	w.Write(enc)
+	w.Write(AppendJSONString(w.AvailableBuffer(), s))
+}
+
+// jsonSafe marks the ASCII bytes a JSON string literal carries as is.
+var jsonSafe [utf8.RuneSelf]bool
+
+func init() {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		jsonSafe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+}
+
+// AppendJSONString appends s as a JSON string literal, byte for byte as
+// encoding/json writes it: <, > and & as \u003c, \u003e and \u0026, the
+// separators U+2028 and U+2029 escaped, and each invalid UTF-8 byte as
+// \ufffd. JSON written with it is already compact and escaped, so a
+// response can embed it without encoding/json re-scanning it.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	last := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[last:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			last = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		last = i
+	}
+	dst = append(dst, s[last:]...)
+	return append(dst, '"')
 }
 
 // attrKey renders an attribute name as a JSON key: "@local", expanded

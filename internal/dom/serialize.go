@@ -3,6 +3,8 @@ package dom
 import (
 	"io"
 	"strings"
+
+	"repro/internal/xmlparser"
 )
 
 // SerializeOptions controls XML output.
@@ -181,44 +183,12 @@ func (s *serializer) element(e *Element, depth int) {
 
 // EscapeText escapes character data for element content.
 func EscapeText(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '\r':
-			sb.WriteString("&#xD;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
+	b, _ := xmlparser.AppendEscaped(nil, s, false)
+	return string(b)
 }
 
 // EscapeAttr escapes an attribute value for double-quoted output.
 func EscapeAttr(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '"':
-			sb.WriteString("&quot;")
-		case '\t':
-			sb.WriteString("&#x9;")
-		case '\n':
-			sb.WriteString("&#xA;")
-		case '\r':
-			sb.WriteString("&#xD;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
+	b, _ := xmlparser.AppendEscaped(nil, s, true)
+	return string(b)
 }

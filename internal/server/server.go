@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bind"
 	"repro/internal/dom"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -195,10 +196,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
+	writeJSONBody(w, code, buf.Bytes())
+}
+
+// writeJSONBody writes an encoded JSON body in one write with its exact
+// Content-Length.
+func writeJSONBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing to do
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
 // outcome is what the worker goroutine reports back to the handler.
@@ -420,6 +427,42 @@ type decodeResponse struct {
 	ElapsedNs     int64           `json:"elapsed_ns"`
 }
 
+// appendJSON appends the response as json.Encoder encodes it, newline
+// included, except that Data is copied in as is. Data is Binder.JSON
+// output, already compact and escaped as encoding/json escapes, which the
+// encoder would otherwise re-scan and compact byte by byte.
+func (r *decodeResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"schema":`...)
+	dst = bind.AppendJSONString(dst, r.Schema)
+	dst = append(dst, `,"schema_version":`...)
+	dst = strconv.AppendInt(dst, int64(r.SchemaVersion), 10)
+	dst = append(dst, `,"mode":`...)
+	dst = bind.AppendJSONString(dst, r.Mode)
+	dst = append(dst, `,"valid":`...)
+	dst = strconv.AppendBool(dst, r.Valid)
+	if len(r.Violations) > 0 {
+		dst = append(dst, `,"violations":[`...)
+		for i, v := range r.Violations {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"path":`...)
+			dst = bind.AppendJSONString(dst, v.Path)
+			dst = append(dst, `,"msg":`...)
+			dst = bind.AppendJSONString(dst, v.Msg)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Data) > 0 {
+		dst = append(dst, `,"data":`...)
+		dst = append(dst, r.Data...)
+	}
+	dst = append(dst, `,"elapsed_ns":`...)
+	dst = strconv.AppendInt(dst, r.ElapsedNs, 10)
+	return append(dst, "}\n"...)
+}
+
 // handleDecode runs POST /v1/decode/{schema}[?stream=1]: validate and
 // decode in one pass, answering the verdict plus — when valid — the
 // document as canonical JSON. The status-code contract matches
@@ -465,7 +508,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	for _, v := range out.res.Violations {
 		resp.Violations = append(resp.Violations, violationJSON{Path: v.Path, Msg: v.Msg})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeJSONBody(w, http.StatusOK, resp.appendJSON(make([]byte, 0, len(out.data)+256)))
 }
 
 // runDecode produces a verdict and, when valid, the canonical JSON.
@@ -502,9 +545,10 @@ func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode stri
 }
 
 // handleEncode runs POST /v1/encode/{schema}: the body is canonical JSON
-// (the /v1/decode projection); the response is the marshaled, re-validated
-// XML document. Malformed or unmappable JSON is a 400; JSON that maps to
-// a schema-invalid document is a 422 carrying the first violation.
+// (the /v1/decode projection); the response is the marshaled XML document,
+// validated as it was written. Malformed or unmappable JSON is a 400; JSON
+// that maps to a schema-invalid document is a 422 carrying the first
+// violation.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("schema")
 	entry, ok := s.reg.Get(name)

@@ -14,7 +14,7 @@ import (
 )
 
 // Client calls a SOAP service's operations over HTTP. Requests are
-// marshaled through the service schema's binder — which re-validates —
+// marshaled through the service schema's binder — which validates —
 // before they leave, and response bodies are validated on arrival, so a
 // Client neither sends nor accepts a schema-invalid payload. Generated
 // stubs wrap Call with one typed method per operation.

@@ -6,7 +6,7 @@
 // element is validated in place against the operation's schema
 // declaration, and only then decoded through internal/bind into the typed
 // value a handler receives. Responses travel the reverse path — the
-// handler's value is marshaled through the binder, which re-validates, so
+// handler's value is marshaled through the binder, which validates, so
 // an envelope this package emits carries a schema-valid body by
 // construction.
 //

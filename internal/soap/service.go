@@ -202,7 +202,7 @@ func (s *Service) Handle(ctx context.Context, req []byte, soapAction string) *Re
 	}
 	payload, err := s.binder.Marshal(respVal)
 	if err != nil {
-		// Marshal re-validates: a handler that builds an invalid response
+		// Marshal validates: a handler that builds an invalid response
 		// faults here instead of emitting an invalid envelope.
 		return respondFault(env.fault(CodeServer, "response is not schema-valid: "+err.Error()), opName)
 	}

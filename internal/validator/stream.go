@@ -91,12 +91,29 @@ func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
 	return res
 }
 
+// TokenSource yields one document's tokens in order, as an
+// xmlparser.Decoder does: Next returns io.EOF after the last token, and a
+// token's payload and attributes need only stay valid until the next call.
+// The decoder is one source; bind's Marshal, which writes a value tree
+// and yields the tokens of what it wrote, is another.
+type TokenSource interface {
+	Next() (xmlparser.Token, error)
+}
+
+// ValidateTokens validates the document src yields. Any error other than
+// io.EOF ends the run with that error as the verdict's one violation, as a
+// parse error does in ValidateBytes.
+func (sv *StreamValidator) ValidateTokens(src TokenSource) *Result {
+	res, _ := sv.validate(context.Background(), src, nil)
+	return res
+}
+
 // ctxCheckEvery is how many tokens the streaming loop processes between
 // cancellation checks: rare enough that the select never shows up in
 // profiles, frequent enough that a deadline trips within microseconds.
 const ctxCheckEvery = 256
 
-func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder, ev StreamEvents) (*Result, error) {
+func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev StreamEvents) (*Result, error) {
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -118,7 +135,7 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 				}
 			}
 		}
-		tok, err := dec.Next()
+		tok, err := src.Next()
 		if err == io.EOF {
 			break
 		}
@@ -620,11 +637,8 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)))
 			continue
 		}
-		if use.Fixed != nil {
-			want, ferr := use.Decl.Type.Parse(*use.Fixed)
-			if ferr == nil && !val.Equal(want) {
-				f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
-			}
+		if want, ok := use.FixedValue(); ok && !val.Equal(want) {
+			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
 		}
 		if kind := sr.v.idKind(use.Decl.Type); kind != "" {
 			sr.trackIDs(kind, a.Value, f.at(a.Name.Qualified()), &f.attrViols)
@@ -791,14 +805,9 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			if err != nil {
 				viols = append(viols, f.violation(err.Error()))
 			} else {
-				if f.announced {
-					f.evVal = &val
-				}
-				if f.decl.Fixed != nil {
-					want, ferr := f.st.Parse(*f.decl.Fixed)
-					if ferr == nil && !val.Equal(want) {
-						viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
-					}
+				f.observe(&val)
+				if want, ok := f.decl.FixedValue(f.st); ok && !val.Equal(want) {
+					viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
 				}
 				if kind := sr.v.idKind(f.st); kind != "" {
 					sr.trackIDs(kind, text, f.at(""), &viols)
@@ -815,8 +824,8 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			val, err := f.st.Parse(text)
 			if err != nil {
 				viols = append(viols, f.violation(err.Error()))
-			} else if f.announced {
-				f.evVal = &val
+			} else {
+				f.observe(&val)
 			}
 			if kind := sr.v.idKind(f.st); kind != "" {
 				sr.trackIDs(kind, text, f.at(""), &viols)
@@ -838,6 +847,16 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			viols = append(viols, *f.contentViol)
 		}
 		return viols
+	}
+}
+
+// observe keeps a copy of the element's parsed simple value for its
+// CloseElement callback. Only the copy escapes, so a run without an
+// observer allocates nothing here.
+func (f *frame) observe(val *xsdtypes.Value) {
+	if f.announced {
+		v := *val
+		f.evVal = &v
 	}
 }
 

@@ -346,9 +346,8 @@ func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.Eleme
 		r.violate(r.at(el), err.Error())
 		return nil
 	}
-	if decl != nil && decl.Fixed != nil {
-		want, ferr := st.Parse(*decl.Fixed)
-		if ferr == nil && !val.Equal(want) {
+	if decl != nil {
+		if want, ok := decl.FixedValue(st); ok && !val.Equal(want) {
 			r.violate(r.at(el), fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
 		}
 	}
@@ -620,11 +619,8 @@ func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType) {
 			r.violate(r.at(el), fmt.Sprintf("attribute %q: %v", a.NodeName(), err))
 			continue
 		}
-		if use.Fixed != nil {
-			want, ferr := use.Decl.Type.Parse(*use.Fixed)
-			if ferr == nil && !val.Equal(want) {
-				r.violate(r.at(el), fmt.Sprintf("attribute %q must have the fixed value %q", a.NodeName(), *use.Fixed))
-			}
+		if want, ok := use.FixedValue(); ok && !val.Equal(want) {
+			r.violate(r.at(el), fmt.Sprintf("attribute %q must have the fixed value %q", a.NodeName(), *use.Fixed))
 		}
 		if kind := r.v.idKind(use.Decl.Type); kind != "" {
 			at := r.at(el)

@@ -124,11 +124,8 @@ func (rt *Runtime) CheckAttr(typeName, attrLocal, lexical string) error {
 	if err != nil {
 		return fmt.Errorf("attribute %q: %w", attrLocal, err)
 	}
-	if use.Fixed != nil {
-		want, ferr := use.Decl.Type.Parse(*use.Fixed)
-		if ferr == nil && !v.Equal(want) {
-			return fmt.Errorf("attribute %q must have the fixed value %q", attrLocal, *use.Fixed)
-		}
+	if want, ok := use.FixedValue(); ok && !v.Equal(want) {
+		return fmt.Errorf("attribute %q must have the fixed value %q", attrLocal, *use.Fixed)
 	}
 	return nil
 }

@@ -1059,6 +1059,12 @@ func resolvedKey(a *Attr) (attrKey, bool) {
 	return attrKey{a.Name.Space, a.Name.Local}, !a.IsNamespaceDecl && a.Name.Space != ""
 }
 
+// DuplicateAttr returns the index of the attribute a start tag's literal
+// duplicate check (same prefix:local) rejects, or -1. Writers that build
+// start-tag tokens without parsing them use it to know whether the tag
+// would parse.
+func DuplicateAttr(attrs []Attr) int { return firstDuplicate(attrs, literalKey) }
+
 // smallTag is the attribute count up to which duplicate checks use the
 // allocation-free nested loop; wider tags use a map. Measured (EXPERIMENTS
 // E18): the loop is 2.6–8× faster up to three attributes, the common case,

@@ -159,6 +159,14 @@ func (t *Token) SetData(s string) {
 	t.str, t.strOK, t.data = s, true, nil
 }
 
+// SetBytes replaces the token's text payload with a view of b, without
+// copying: Bytes returns b itself, and Data materializes it on first use.
+// The caller keeps b unchanged for as long as the token is in use, as a
+// Decoder does for the tokens it returns.
+func (t *Token) SetBytes(b []byte) {
+	t.data, t.str, t.strOK, t.d = b, "", false, nil
+}
+
 // Detach makes the token independent of the decoder's internal buffers:
 // the payload is materialized and the attribute slice is copied. Callers
 // that keep tokens beyond the next Token/Next call (Parse does) must

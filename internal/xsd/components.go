@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/contentmodel"
 	"repro/internal/xsdtypes"
@@ -143,19 +144,26 @@ func (s *SimpleType) Parse(lexical string) (xsdtypes.Value, error) {
 	if err != nil {
 		return xsdtypes.Value{}, err
 	}
-	// Apply user facet steps from the base outward.
-	var steps []*SimpleType
-	for t := s; t != nil && t.Builtin == nil; t = t.Base {
-		steps = append(steps, t)
-	}
-	for i := len(steps) - 1; i >= 0; i-- {
-		if !steps[i].Facets.IsEmpty() {
-			if err := steps[i].Facets.Check(v, norm); err != nil {
-				return xsdtypes.Value{}, fmt.Errorf("%s: %w", s.displayName(), err)
-			}
-		}
+	if err := s.checkSteps(&v, norm); err != nil {
+		return xsdtypes.Value{}, fmt.Errorf("%s: %w", s.displayName(), err)
 	}
 	return v, nil
+}
+
+// checkSteps applies the user facet steps of s's derivation chain from the
+// base outward, recursing to the built-in before checking s, so the walk
+// needs no slice of the chain.
+func (s *SimpleType) checkSteps(v *xsdtypes.Value, norm string) error {
+	if s == nil || s.Builtin != nil {
+		return nil
+	}
+	if err := s.Base.checkSteps(v, norm); err != nil {
+		return err
+	}
+	if !s.Facets.IsEmpty() {
+		return s.Facets.Check(*v, norm)
+	}
+	return nil
 }
 
 // parseNormalized parses a whitespace-normalized lexical value in the
@@ -324,6 +332,46 @@ type ElementDecl struct {
 	// ("Currently we do not handle identity constraints"); they are
 	// implemented here as an extension, used by the validator only.
 	Constraints []*IdentityConstraint
+
+	fixed parsedOnce
+}
+
+// FixedValue returns the element's fixed value parsed in st, its effective
+// simple type, and false when it has none or the value does not parse. The
+// declared type's parse is done once per declaration; an xsi:type override
+// parses on every call.
+func (d *ElementDecl) FixedValue(st *SimpleType) (xsdtypes.Value, bool) {
+	if d.Fixed == nil {
+		return xsdtypes.Value{}, false
+	}
+	if d.Type != Type(st) {
+		v, err := st.Parse(*d.Fixed)
+		return v, err == nil
+	}
+	return d.fixed.parse(st, *d.Fixed)
+}
+
+// parsedOnce caches one lexical value parsed in one simple type. It is
+// filled on first use and published atomically, so concurrent validations
+// share it; two first uses racing both parse and store equal results. It
+// is one pointer wide, since every declaration carries one.
+type parsedOnce struct {
+	p atomic.Pointer[parsedValue]
+}
+
+type parsedValue struct {
+	val xsdtypes.Value
+	ok  bool
+}
+
+func (c *parsedOnce) parse(st *SimpleType, lexical string) (xsdtypes.Value, bool) {
+	pv := c.p.Load()
+	if pv == nil {
+		v, err := st.Parse(lexical)
+		pv = &parsedValue{v, err == nil}
+		c.p.Store(pv)
+	}
+	return pv.val, pv.ok
 }
 
 // ConstraintKind distinguishes unique, key and keyref.
@@ -375,6 +423,18 @@ type AttributeUse struct {
 	Prohibited bool
 	Default    *string
 	Fixed      *string
+
+	fixed parsedOnce
+}
+
+// FixedValue returns the use's fixed value parsed in the attribute's type,
+// and false when it has none or the value does not parse. The parse is
+// done once per use.
+func (u *AttributeUse) FixedValue() (xsdtypes.Value, bool) {
+	if u.Fixed == nil {
+		return xsdtypes.Value{}, false
+	}
+	return u.fixed.parse(u.Decl.Type, *u.Fixed)
 }
 
 // ModelGroupDef is a named model group (xs:group definition).

@@ -108,26 +108,31 @@ func (b *Builtin) Parse(lexical string) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	// Facet chain: root-most first so error messages blame the broadest
-	// violated constraint; order does not affect acceptance.
-	var chain []*Builtin
-	for t := b; t != nil; t = t.Base {
-		chain = append(chain, t)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		t := chain[i]
-		if t.Check != nil {
-			if err := t.Check(norm); err != nil {
-				return Value{}, fmt.Errorf("%s: %w", b.Name, err)
-			}
-		}
-		if !t.Facets.IsEmpty() {
-			if err := t.Facets.Check(v, norm); err != nil {
-				return Value{}, fmt.Errorf("%s: %w", b.Name, err)
-			}
-		}
+	if err := b.checkChain(&v, norm); err != nil {
+		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	return v, nil
+}
+
+// checkChain runs the lexical checks and facets of b's derivation chain
+// root-most first, so error messages blame the broadest violated
+// constraint (order does not affect acceptance). It recurses to the root
+// before checking b, so the walk needs no slice of the chain.
+func (b *Builtin) checkChain(v *Value, norm string) error {
+	if b.Base != nil {
+		if err := b.Base.checkChain(v, norm); err != nil {
+			return err
+		}
+	}
+	if b.Check != nil {
+		if err := b.Check(norm); err != nil {
+			return err
+		}
+	}
+	if !b.Facets.IsEmpty() {
+		return b.Facets.Check(*v, norm)
+	}
+	return nil
 }
 
 // Validate checks a lexical value, discarding the parsed form.

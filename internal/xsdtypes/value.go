@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/xmlparser"
 )
@@ -160,12 +161,17 @@ const (
 	WSCollapse
 )
 
-// ApplyWhiteSpace normalizes s according to the whiteSpace facet.
+// ApplyWhiteSpace normalizes s according to the whiteSpace facet. An
+// input that is already normalized is returned as is, without allocating.
 func ApplyWhiteSpace(ws WhiteSpace, s string) string {
 	switch ws {
 	case WSPreserve:
 		return s
 	case WSReplace:
+		if strings.IndexAny(s, "\t\n\r") < 0 && utf8.ValidString(s) {
+			return s
+		}
+		// Ranging over the string also turns invalid UTF-8 into U+FFFD.
 		var sb strings.Builder
 		sb.Grow(len(s))
 		for _, r := range s {
@@ -177,11 +183,54 @@ func ApplyWhiteSpace(ws WhiteSpace, s string) string {
 		}
 		return sb.String()
 	default: // WSCollapse
-		fields := strings.FieldsFunc(s, func(r rune) bool {
-			return r == ' ' || r == '\t' || r == '\n' || r == '\r'
-		})
-		return strings.Join(fields, " ")
+		if collapsed(s) {
+			return s
+		}
+		// The separators are ASCII, so a byte scan splits exactly where a
+		// rune scan would: fields are copied whole, single-space joined.
+		var sb strings.Builder
+		sb.Grow(len(s))
+		for i := 0; i < len(s); {
+			if isWS(s[i]) {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(s) && !isWS(s[j]) {
+				j++
+			}
+			if sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(s[i:j])
+			i = j
+		}
+		return sb.String()
 	}
+}
+
+// isWS reports whether c is one of the four whitespace characters the
+// whiteSpace facet acts on.
+func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// collapsed reports whether s is already whiteSpace-collapsed: no tab, CR
+// or LF, no leading or trailing space, and no two spaces in a row.
+func collapsed(s string) bool {
+	prevSpace := true // a leading space is not collapsed
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\t', '\n', '\r':
+			return false
+		case ' ':
+			if prevSpace {
+				return false
+			}
+			prevSpace = true
+		default:
+			prevSpace = false
+		}
+	}
+	return !prevSpace || s == ""
 }
 
 // parseBool parses xs:boolean.
