@@ -9,6 +9,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -18,10 +19,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bind"
-	"repro/internal/blast"
 	"repro/internal/cluster"
 	"repro/internal/compat"
 	"repro/internal/contentmodel"
@@ -1321,13 +1324,79 @@ func benchFleet(b *testing.B, dir string, n int) []string {
 	return targets
 }
 
-// BenchmarkE17_ClusterServe drives the blast harness against a single
-// node and a 3-node fleet, per-document and batched. ns/op is wall
-// time per REQUEST (a batch request carries 16 documents — read the
-// docs/s extra metric for per-document throughput); p50/p90/p99-ns are
-// client-observed latency quantiles from the run's histogram. The
-// nodes=3 legs include the proxy hop for the ~2/3 of round-robin
-// requests that land on a non-owner.
+// loadRequest is one request a load run sends to a node.
+type loadRequest struct {
+	path        string // e.g. "/v1/validate/po"
+	contentType string
+	body        []byte
+	docs        int // documents the request carries
+}
+
+func xmlRequest(path string, doc []byte) loadRequest {
+	return loadRequest{path, "application/xml", doc, 1}
+}
+
+// batchRequest carries n copies of doc to /v1/validate-batch/{schema}.
+func batchRequest(schema string, doc []byte, n int) loadRequest {
+	docs := make([]string, n)
+	for i := range docs {
+		docs[i] = string(doc)
+	}
+	body, err := json.Marshal(map[string][]string{"documents": docs})
+	if err != nil {
+		panic(err) // strings marshal unconditionally
+	}
+	return loadRequest{"/v1/validate-batch/" + schema, "application/json", body, n}
+}
+
+// loadOutcome classifies an answer the way an SLO reads it.
+type loadOutcome int
+
+const (
+	loadOK      loadOutcome = iota
+	loadInvalid             // a 200 whose verdict judged a document invalid
+	loadShed                // a 429: the server refusing work by design
+	loadFailed              // a transport error or any other status
+)
+
+// send posts the request to the node at base and classifies the answer.
+// The error describes an invalid or failed outcome.
+func (r loadRequest) send(c *http.Client, base string) (loadOutcome, error) {
+	resp, err := c.Post(base+r.path, r.contentType, bytes.NewReader(r.body))
+	if err != nil {
+		return loadFailed, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	switch {
+	case err != nil:
+		return loadFailed, err
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return loadShed, nil
+	case resp.StatusCode != http.StatusOK:
+		return loadFailed, fmt.Errorf("%s%s: status %d: %.200s", base, r.path, resp.StatusCode, data)
+	}
+	var v struct {
+		Valid   any `json:"valid"`   // a verdict, or a batch's count of valid documents
+		Invalid int `json:"invalid"` // a batch's count of invalid documents
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return loadFailed, fmt.Errorf("%s%s: %v", base, r.path, err)
+	}
+	if v.Valid == false || v.Invalid > 0 {
+		return loadInvalid, fmt.Errorf("%s%s: invalid verdict: %.200s", base, r.path, data)
+	}
+	return loadOK, nil
+}
+
+// BenchmarkE17_ClusterServe sends b.N requests from 8 concurrent
+// clients to a single node and to a 3-node fleet, per document and
+// batched. ns/op is wall time per REQUEST (a batch request carries 16
+// documents, and so do its bytes — read the docs/s extra metric for
+// per-document throughput); p50/p99-ns are client-observed latency
+// quantiles from the run's histogram. The nodes=3 legs include the
+// proxy hop for the ~2/3 of round-robin requests that land on a
+// non-owner.
 func BenchmarkE17_ClusterServe(b *testing.B) {
 	dir := b.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "po.xsd"), []byte(schemas.PurchaseOrderXSD), 0o644); err != nil {
@@ -1335,39 +1404,55 @@ func BenchmarkE17_ClusterServe(b *testing.B) {
 	}
 	doc := largePOSource(10)
 	legs := []struct {
-		name  string
-		mix   blast.Mix
-		batch int
+		name string
+		req  loadRequest
 	}{
-		{"validate", blast.Mix{Validate: 1}, 0},
-		{"batch16", blast.Mix{Batch: 1}, 16},
+		{"validate", xmlRequest("/v1/validate/po", doc)},
+		{"batch16", batchRequest("po", doc, 16)},
 	}
+	const clients = 8
 	for _, nodes := range []int{1, 3} {
 		for _, leg := range legs {
 			b.Run(fmt.Sprintf("%s/nodes=%d", leg.name, nodes), func(b *testing.B) {
 				targets := benchFleet(b, dir, nodes)
-				b.SetBytes(int64(len(doc)))
+				tr := &http.Transport{MaxIdleConnsPerHost: clients}
+				b.Cleanup(tr.CloseIdleConnections)
+				client := &http.Client{Transport: tr, Timeout: 30 * time.Second}
+				b.SetBytes(int64(leg.req.docs * len(doc)))
+				var (
+					lat  obs.Histogram
+					next atomic.Int64
+					errs [clients]error
+					wg   sync.WaitGroup
+				)
 				b.ResetTimer()
-				res, err := blast.Run(context.Background(), blast.Config{
-					Targets:       targets,
-					Schema:        "po",
-					Doc:           doc,
-					Mix:           leg.mix,
-					Concurrency:   8,
-					TotalRequests: int64(b.N),
-					BatchSize:     leg.batch,
-				})
-				if err != nil {
-					b.Fatal(err)
+				start := time.Now()
+				for w := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+							begin := time.Now()
+							out, err := leg.req.send(client, targets[n%int64(len(targets))])
+							lat.Observe(time.Since(begin))
+							if out != loadOK && errs[w] == nil {
+								errs[w] = fmt.Errorf("outcome %d: %v", out, err)
+							}
+						}
+					}()
 				}
-				if res.Failed > 0 || res.Invalid > 0 {
-					b.Fatalf("blast run degraded: %d failed, %d invalid (%s)",
-						res.Failed, res.Invalid, res.FirstError)
+				wg.Wait()
+				elapsed := time.Since(start)
+				b.StopTimer()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-				b.ReportMetric(float64(res.Latency.P50Ns), "p50-ns")
-				b.ReportMetric(float64(res.Latency.P90Ns), "p90-ns")
-				b.ReportMetric(float64(res.Latency.P99Ns), "p99-ns")
-				b.ReportMetric(res.DocsPerSec, "docs/s")
+				snap := lat.Snapshot()
+				b.ReportMetric(float64(snap.P50Ns), "p50-ns")
+				b.ReportMetric(float64(snap.P99Ns), "p99-ns")
+				b.ReportMetric(float64(b.N*leg.req.docs)/elapsed.Seconds(), "docs/s")
 			})
 		}
 	}

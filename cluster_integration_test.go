@@ -6,19 +6,21 @@ package repro
 // fleet on loopback ports and proves the three claims the tier makes.
 // Any node answers any schema correctly (ring routing). A SIGHUP reload
 // on ONE node converges the whole fleet's registry snapshots (gossip
-// pull). And draining one node out of the fleet under live xsdblast
-// load loses zero requests (drain notice + proxy failover).
+// pull). And draining one node out of the fleet under live mixed load
+// loses zero requests (drain notice + proxy failover).
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -41,20 +43,6 @@ type clusterStatus struct {
 		Fingerprint string `json:"fingerprint"`
 	} `json:"peers"`
 	Divergence int64 `json:"divergence"`
-}
-
-// blastReport mirrors the xsdblast -json document.
-type blastReport struct {
-	Requests int64 `json:"requests"`
-	OK       int64 `json:"ok"`
-	Invalid  int64 `json:"invalid"`
-	Shed     int64 `json:"shed"`
-	Failed   int64 `json:"failed"`
-	Latency  struct {
-		P50Ns int64 `json:"p50_ns"`
-		P99Ns int64 `json:"p99_ns"`
-	} `json:"latency"`
-	FirstError string `json:"first_error,omitempty"`
 }
 
 // reservePorts grabs n distinct loopback ports by listening and
@@ -95,14 +83,9 @@ func TestClusterFleet(t *testing.T) {
 		t.Skip("integration test builds and boots binaries")
 	}
 
-	binDir := t.TempDir()
-	served := filepath.Join(binDir, "xsdserved")
-	blastBin := filepath.Join(binDir, "xsdblast")
+	served := filepath.Join(t.TempDir(), "xsdserved")
 	if out, err := exec.Command("go", "build", "-o", served, "./cmd/xsdserved").CombinedOutput(); err != nil {
 		t.Fatalf("building xsdserved: %v\n%s", err, out)
-	}
-	if out, err := exec.Command("go", "build", "-o", blastBin, "./cmd/xsdblast").CombinedOutput(); err != nil {
-		t.Fatalf("building xsdblast: %v\n%s", err, out)
 	}
 
 	schemaDir := t.TempDir()
@@ -285,36 +268,20 @@ func TestClusterFleet(t *testing.T) {
 		}
 	}
 
-	// --- Lossless drain: blast the two NON-owner nodes while the owner
+	// --- Lossless drain: load the two NON-owner nodes while the owner
 	// leaves the fleet. The drain notice flags the owner via gossip, the
 	// survivors stop proxying to it, and not one request fails.
 	var owner *fleetProc
-	var survivors []*fleetProc
+	var targets []string
 	for _, p := range fleet {
 		if p.addr == ownerAddr {
 			owner = p
 		} else {
-			survivors = append(survivors, p)
+			targets = append(targets, p.url())
 		}
 	}
-	targets := survivors[0].url() + "," + survivors[1].url()
-	blastOut := filepath.Join(binDir, "blast.json")
-	blast := exec.Command(blastBin,
-		"-targets", targets,
-		"-schema", "po",
-		"-sample",
-		"-mix", "validate=6,batch=1,decode=1",
-		"-rate", "80",
-		"-c", "4",
-		"-d", "5s",
-		"-json", blastOut)
-	blastStderr := &bytes.Buffer{}
-	blast.Stderr = blastStderr
-	blastDone := make(chan error, 1)
-	if err := blast.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() { blastDone <- blast.Wait() }()
+	loadDone := make(chan drainTally, 1)
+	go func() { loadDone <- driveDrainLoad(targets, 5*time.Second) }()
 
 	// Let load flow through the full fleet first, then drain the owner.
 	time.Sleep(1 * time.Second)
@@ -324,13 +291,11 @@ func TestClusterFleet(t *testing.T) {
 	ownerExit := make(chan error, 1)
 	go func() { ownerExit <- owner.cmd.Wait() }()
 
+	var tally drainTally
 	select {
-	case err := <-blastDone:
-		if err != nil {
-			t.Fatalf("xsdblast exited non-zero: %v\nstderr:\n%s", err, blastStderr.String())
-		}
+	case tally = <-loadDone:
 	case <-time.After(30 * time.Second):
-		t.Fatal("xsdblast never finished")
+		t.Fatal("drain load never finished")
 	}
 	select {
 	case err := <-ownerExit:
@@ -341,35 +306,72 @@ func TestClusterFleet(t *testing.T) {
 		t.Fatal("owner never exited after SIGTERM")
 	}
 
-	raw, err := os.ReadFile(blastOut)
-	if err != nil {
-		t.Fatal(err)
+	if tally.requests == 0 {
+		t.Fatal("drain load issued no requests")
 	}
-	var rep blastReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("blast report not JSON: %v\n%s", err, raw)
+	if n := tally.by[loadFailed]; n != 0 {
+		t.Fatalf("draining the owner failed %d of %d requests (first: %v)", n, tally.requests, tally.firstErr)
 	}
-	if rep.Requests == 0 {
-		t.Fatal("blast issued no requests")
+	if n := tally.by[loadInvalid]; n != 0 {
+		t.Fatalf("%d verdicts went invalid during the drain (first: %v)", n, tally.firstErr)
 	}
-	if rep.Failed != 0 {
-		t.Fatalf("draining the owner failed %d of %d requests (first: %s)\nreport: %s",
-			rep.Failed, rep.Requests, rep.FirstError, raw)
-	}
-	if rep.Invalid != 0 {
-		t.Fatalf("%d verdicts went invalid during the drain: %s", rep.Invalid, raw)
-	}
-	t.Logf("drain run: %d requests, %d ok, %d shed, 0 failed, p50=%s p99=%s",
-		rep.Requests, rep.OK, rep.Shed,
-		time.Duration(rep.Latency.P50Ns), time.Duration(rep.Latency.P99Ns))
+	t.Logf("drain run: %d requests, %d ok, %d shed, 0 failed",
+		tally.requests, tally.by[loadOK], tally.by[loadShed])
 
 	// The survivors keep answering po — now without the old owner.
-	for _, p := range survivors {
-		v := postForVerdict(t, p.url()+"/v1/validate/po", schemas.PurchaseOrderDoc)
+	for _, url := range targets {
+		v := postForVerdict(t, url+"/v1/validate/po", schemas.PurchaseOrderDoc)
 		if !v.Valid || v.SchemaVersion != 2 {
-			t.Fatalf("survivor %s verdict = %+v after drain", p.addr, v)
+			t.Fatalf("survivor %s verdict = %+v after drain", url, v)
 		}
 	}
+}
+
+// drainTally counts a drain load run's requests by outcome.
+type drainTally struct {
+	requests int
+	by       [loadFailed + 1]int // indexed by loadOutcome
+	firstErr error               // the first invalid or failed answer
+}
+
+// driveDrainLoad holds a closed loop on targets for d: four clients each
+// send a request every 50 ms (about 80 req/s in all) unless the previous
+// answer came later, drawing the op from validate=6, batch=1, decode=1
+// and the target at random.
+func driveDrainLoad(targets []string, d time.Duration) drainTally {
+	const clients, period = 4, 50 * time.Millisecond
+	doc := []byte(schemas.PurchaseOrderDoc)
+	validate := xmlRequest("/v1/validate/po", doc)
+	mix := []loadRequest{validate, validate, validate, validate, validate, validate,
+		batchRequest("po", doc, 16), xmlRequest("/v1/decode/po", doc)}
+	client := &http.Client{Timeout: 10 * time.Second}
+	deadline := time.Now().Add(d)
+	var (
+		mu    sync.Mutex
+		tally drainTally
+		wg    sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c + 1)))
+			for time.Now().Before(deadline) {
+				due := time.Now().Add(period)
+				out, err := mix[rng.Intn(len(mix))].send(client, targets[rng.Intn(len(targets))])
+				mu.Lock()
+				tally.requests++
+				tally.by[out]++
+				if err != nil && tally.firstErr == nil {
+					tally.firstErr = err
+				}
+				mu.Unlock()
+				time.Sleep(time.Until(due))
+			}
+		}()
+	}
+	wg.Wait()
+	return tally
 }
 
 // waitForFleet polls cond until it holds or a deadline passes. cond may

@@ -49,9 +49,9 @@ func (b *Binder) Marshal(v *Value) ([]byte, error) {
 	return e.out, nil
 }
 
-// Serialize renders a value tree as deterministic XML without checking it.
-// Generated binding packages use it as the serialization half of their
-// specialized Marshal, pairing it with their own compiled validator.
+// Serialize renders a value tree as deterministic XML without checking it:
+// Marshal's bytes for a valid tree, and the serialization half of the
+// serialize+parse+validate reference that tests hold Marshal to.
 func Serialize(v *Value) []byte {
 	e := newEncoder(v, false)
 	e.writeRest()

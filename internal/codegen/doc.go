@@ -23,8 +23,9 @@
 // file for the same package. Each content model's exported DFA
 // (contentmodel.ExportDFA) becomes switch statements over interned
 // symbols, each simple-type chain becomes a straight-line parse/facet
-// function replaying xsd.SimpleType.Parse exactly, and
-// Decode/JSON/Marshal specialize the generic bind walk. Cold paths —
+// function replaying xsd.SimpleType.Parse exactly, and Decode
+// specializes the generic bind walk (JSON and Marshal call the binder).
+// Cold paths —
 // xsi:type, identity constraints, DFA-refused models, corpus-pruned
 // declarations (Options.Corpus) — delegate to the interpreted run
 // through validator.Sink, so generated and interpreted verdicts are

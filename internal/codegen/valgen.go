@@ -474,7 +474,7 @@ func (v *valgen) assemble() string {
 	op("// Compiled validator (the codegen validator back end): every content")
 	op("// model is unrolled into switch statements over its exported DFA,")
 	op("// attribute sets and simple-type facet chains are straight-line checks,")
-	op("// and Decode/Marshal specialize the generic binder walk. Cold paths")
+	op("// and Decode specializes the generic binder walk. Cold paths")
 	op("// (xsi:type, identity constraints, pruned declarations, refused models)")
 	op("// delegate to the interpreted walk through validator.Sink, so verdicts")
 	op("// — including MatchError text — are byte-identical to")

@@ -805,27 +805,14 @@ func (v *valgen) emitDecBody(ct *xsd.ComplexType, mi *modelInfo) {
 	p("")
 }
 
-// emitMarshal prints the specialized Marshal (bind.Serialize plus the
-// generated validator instead of the interpreted one).
+// emitMarshal prints Marshal, which is the binder's: its one walk writes
+// the document and validates what it writes, so nothing is parsed back.
 func (v *valgen) emitMarshal() {
 	p := v.p
-	p("// Marshal serializes a value as schema-valid XML: the canonical")
-	p("// serializer, re-parsed and re-validated by the generated validator,")
-	p("// with the binder's exact error surface.")
+	p("// Marshal serializes a value as schema-valid XML (the binder's rules")
+	p("// and error surface).")
 	p("func Marshal(v *bind.Value) ([]byte, error) {")
-	p("if v == nil {")
-	p("return nil, fmt.Errorf(\"bind: cannot marshal a nil value\")")
-	p("}")
-	p("out := bind.Serialize(v)")
-	p("doc, err := dom.Parse(out)")
-	p("if err != nil {")
-	p("return nil, fmt.Errorf(\"bind: marshaled document does not parse: %%w\", err)")
-	p("}")
-	p("if res := Validate(doc); !res.OK() {")
-	p("viol := res.Violations[0]")
-	p("return nil, fmt.Errorf(\"bind: marshaled document is schema-invalid at %%s: %%s\", viol.Path, viol.Msg)")
-	p("}")
-	p("return out, nil")
+	p("return gvBinder.Marshal(v)")
 	p("}")
 	p("")
 }

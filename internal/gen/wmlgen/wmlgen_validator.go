@@ -3,7 +3,7 @@
 // Compiled validator (the codegen validator back end): every content
 // model is unrolled into switch statements over its exported DFA,
 // attribute sets and simple-type facet chains are straight-line checks,
-// and Decode/Marshal specialize the generic binder walk. Cold paths
+// and Decode specializes the generic binder walk. Cold paths
 // (xsi:type, identity constraints, pruned declarations, refused models)
 // delegate to the interpreted walk through validator.Sink, so verdicts
 // — including MatchError text — are byte-identical to
@@ -1524,21 +1524,8 @@ func gvDecAttrsAType(el *dom.Element) []bind.Attr {
 	return out
 }
 
-// Marshal serializes a value as schema-valid XML: the canonical
-// serializer, re-parsed and re-validated by the generated validator,
-// with the binder's exact error surface.
+// Marshal serializes a value as schema-valid XML (the binder's rules
+// and error surface).
 func Marshal(v *bind.Value) ([]byte, error) {
-	if v == nil {
-		return nil, fmt.Errorf("bind: cannot marshal a nil value")
-	}
-	out := bind.Serialize(v)
-	doc, err := dom.Parse(out)
-	if err != nil {
-		return nil, fmt.Errorf("bind: marshaled document does not parse: %w", err)
-	}
-	if res := Validate(doc); !res.OK() {
-		viol := res.Violations[0]
-		return nil, fmt.Errorf("bind: marshaled document is schema-invalid at %s: %s", viol.Path, viol.Msg)
-	}
-	return out, nil
+	return gvBinder.Marshal(v)
 }
