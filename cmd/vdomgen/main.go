@@ -2,26 +2,20 @@
 // distinct, strictly typed Go type per element declaration, type
 // definition and model group (the paper's §3 transformation).
 //
-// With -emit-validator it additionally writes a companion file holding an
-// ahead-of-time compiled validator for the same schema: each content
-// model unrolled into a DFA over Go switch statements, straight-line
-// attribute and facet checks, and a specialized decode/marshal pair —
-// verdict-identical to the interpreted validator. -corpus prunes that
-// validator to the element declarations a set of instance documents
-// actually reaches.
+// The output holds bindings only. Documents of the generated package are
+// validated and decoded by the interpreted validator and binder over its
+// runtime schema: validator.New(RT.Schema, nil), bind.New(RT.Schema, nil).
 //
 // Usage:
 //
 //	vdomgen -schema po.xsd -package pogen [-scheme paper|synthesized|inherited]
-//	        [-o out.go] [-emit-validator validator.go] [-corpus 'docs/*.xml']
+//	        [-o out.go]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/codegen"
 	"repro/internal/normalize"
@@ -33,17 +27,12 @@ func main() {
 		pkg        = flag.String("package", "bindings", "Go package name for the generated file")
 		schemeName = flag.String("scheme", "paper", "naming scheme: paper, synthesized or inherited")
 		out        = flag.String("o", "", "output file (default: stdout)")
-		validator  = flag.String("emit-validator", "", "also write a compiled validator/decoder to this file")
-		corpus     = flag.String("corpus", "", "glob of instance documents; prunes the compiled validator to the declarations they reach (requires -emit-validator)")
 	)
 	flag.Parse()
 	if *schemaPath == "" {
 		fmt.Fprintln(os.Stderr, "vdomgen: -schema is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *corpus != "" && *validator == "" {
-		fatal(fmt.Errorf("-corpus requires -emit-validator"))
 	}
 	src, err := os.ReadFile(*schemaPath)
 	if err != nil {
@@ -60,30 +49,13 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown scheme %q", *schemeName))
 	}
-	opts := codegen.Options{
+	code, err := codegen.Generate(string(src), codegen.Options{
 		Package:       *pkg,
 		Scheme:        scheme,
 		SchemaComment: *schemaPath,
-	}
-	if *corpus != "" {
-		docs, err := loadCorpus(*corpus)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Corpus = docs
-	}
-	code, err := codegen.Generate(string(src), opts)
+	})
 	if err != nil {
 		fatal(err)
-	}
-	if *validator != "" {
-		vcode, err := codegen.GenerateValidator(string(src), opts)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*validator, []byte(vcode), 0o644); err != nil {
-			fatal(err)
-		}
 	}
 	if *out == "" {
 		fmt.Print(code)
@@ -92,28 +64,6 @@ func main() {
 	if err := os.WriteFile(*out, []byte(code), 0o644); err != nil {
 		fatal(err)
 	}
-}
-
-// loadCorpus reads the pruning corpus in sorted order so repeated runs
-// generate identical output.
-func loadCorpus(glob string) ([]codegen.CorpusDoc, error) {
-	paths, err := filepath.Glob(glob)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("-corpus %q matched no files", glob)
-	}
-	sort.Strings(paths)
-	var docs []codegen.CorpusDoc
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, codegen.CorpusDoc{Name: filepath.Base(p), Source: string(src)})
-	}
-	return docs, nil
 }
 
 func fatal(err error) {

@@ -119,11 +119,11 @@ func looseValue(el *dom.Element) *bind.Value {
 		case *dom.Text:
 			hasText = true
 			text.WriteString(c.Data)
-			v.Segments = bind.AppendText(v.Segments, c.Data)
+			v.Segments = appendLooseText(v.Segments, c.Data)
 		case *dom.CDATASection:
 			hasText = true
 			text.WriteString(c.Data)
-			v.Segments = bind.AppendText(v.Segments, c.Data)
+			v.Segments = appendLooseText(v.Segments, c.Data)
 		}
 	}
 	switch {
@@ -140,6 +140,19 @@ func looseValue(el *dom.Element) *bind.Value {
 		v.Kind, v.Segments = bind.KindEmpty, nil
 	}
 	return v
+}
+
+// appendLooseText adds character data to a segment list: adjacent text
+// runs coalesce and empty ones are dropped.
+func appendLooseText(segs []bind.Segment, data string) []bind.Segment {
+	if data == "" {
+		return segs
+	}
+	if n := len(segs); n > 0 && segs[n-1].Child == nil {
+		segs[n-1].Text += data
+		return segs
+	}
+	return append(segs, bind.Segment{Text: data})
 }
 
 // lookupPrefix resolves a prefix against the element's in-scope
@@ -374,8 +387,8 @@ func TestMarshalMatchesRoundTrip(t *testing.T) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
-	// The case TestGeneratedMatchesInterpreted/wildgen pins: the error
-	// carries the position in the output.
+	// A raw fragment whose prefix is declared only on the document it was
+	// decoded from: the error carries the position in the output.
 	_, err := wild.b.Marshal(addRaw(`<o:thing deep="1"><o:more/></o:thing>`)(decodeValid(t, wild)))
 	if want := `bind: marshaled document does not parse: xml: undeclared namespace prefix "o" on element <o:thing> at 1:`; err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("raw fragment with an undeclared prefix: %v", err)

@@ -123,7 +123,7 @@ func syntheticOrder(n int, withDefects bool) string {
 
 // FuzzParallelValidate drives arbitrary bytes through the sequential and
 // parallel walks under two schemas, demanding identical verdicts. Same
-// discipline as FuzzGeneratedValidator.
+// discipline as FuzzStreamMatchesDOM.
 func FuzzParallelValidate(f *testing.F) {
 	f.Add([]byte(schemas.PurchaseOrderDoc))
 	f.Add([]byte(`<doc><node id="a"/><node id="a"/><node ref="a"/></doc>`))

@@ -73,6 +73,61 @@ var diffCases = []diffCase{
 			"empty items":                `<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></shipTo><billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></billTo><items/></purchaseOrder>`,
 			"unknown root":               `<notAnOrder/>`,
 			"bad order date and bad zip": `<purchaseOrder orderDate="soon"><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>abc</zip></shipTo><billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></billTo><items/></purchaseOrder>`,
+			"comment root":               `<comment>standalone</comment>`,
+			"nested bad child":           `<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></shipTo><billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></billTo><items><item partNum="926-AA"><productName>p</productName><quantity>0</quantity><USPrice>1</USPrice></item></items></purchaseOrder>`,
+			"processing quirks":          `<?xml version="1.0"?><!--pre--><purchaseOrder><items/></purchaseOrder>`,
+			"bad comment placement":      `<purchaseOrder><comment>early</comment><items/></purchaseOrder>`,
+			"order without comment": `<?xml version="1.0"?>
+<purchaseOrder orderDate="2003-01-07">
+  <shipTo country="US">
+    <name>Helen Zoe</name>
+    <street>47 Eden Street</street>
+    <city>Cambridge</city>
+    <state>MA</state>
+    <zip>02139</zip>
+  </shipTo>
+  <billTo country="US">
+    <name>Robert Smith</name>
+    <street>8 Oak Avenue</street>
+    <city>Old Town</city>
+    <state>PA</state>
+    <zip>95819</zip>
+  </billTo>
+  <items>
+    <item partNum="833-AA">
+      <productName>Lapis necklace</productName>
+      <quantity>1</quantity>
+      <USPrice>99.95</USPrice>
+      <shipDate>2003-01-10</shipDate>
+    </item>
+  </items>
+</purchaseOrder>
+`,
+			"single-item order": `<?xml version="1.0"?>
+<purchaseOrder orderDate="2004-06-30">
+  <shipTo country="US">
+    <name>Ada Byron</name>
+    <street>12 Analytical Way</street>
+    <city>Palo Alto</city>
+    <state>CA</state>
+    <zip>94301</zip>
+  </shipTo>
+  <billTo country="US">
+    <name>Ada Byron</name>
+    <street>12 Analytical Way</street>
+    <city>Palo Alto</city>
+    <state>CA</state>
+    <zip>94301</zip>
+  </billTo>
+  <items>
+    <item partNum="455-BX">
+      <productName>Difference engine kit</productName>
+      <quantity>2</quantity>
+      <USPrice>450.00</USPrice>
+    </item>
+  </items>
+</purchaseOrder>
+`,
 		},
 	},
 	{
@@ -170,6 +225,20 @@ var diffCases = []diffCase{
 			// Well-formedness error after a validity error: both paths
 			// must report only the parse error.
 			"late parse error after unknown root": `<nope><a></b></nope>`,
+			"not even xml":                        `<purchaseOrder`,
+		},
+	},
+	{
+		name:   "wildcard envelope",
+		xsdSrc: schemas.WildcardEnvelopeXSD,
+		instances: map[string]string{
+			"lax mix":               schemas.WildcardEnvelopeDoc,
+			"known global invalid":  `<envelope><record><value>v</value><key>k</key></record></envelope>`,
+			"foreign content only":  `<envelope xmlns:o="urn:other"><o:thing deep="1"><o:more/></o:thing></envelope>`,
+			"bad declared attr":     `<envelope version="zero"><extra>x</extra></envelope>`,
+			"wildcard attr":         `<envelope anything="goes"/>`,
+			"global extra root":     `<extra>top level</extra>`,
+			"global record invalid": `<record><key>k</key></record>`,
 		},
 	},
 }

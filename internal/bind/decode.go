@@ -13,9 +13,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/dom"
 	"repro/internal/validator"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -152,7 +154,58 @@ func (d *decoder) MixedText(data string) {
 // is kept as its serialized XML.
 func (d *decoder) RawElement(el *dom.Element) {
 	name := xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}
-	d.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(el)})
+	d.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: rawFragment(el)})
+}
+
+// rawFragment serializes el so that it stands alone: the namespace
+// bindings its names borrow from ancestors are declared on its start tag.
+func rawFragment(el *dom.Element) string {
+	var decls []byte
+	var declared []string // prefixes declared on the start tag ("" is the default namespace)
+	var walk func(e *dom.Element, scope []string)
+	walk = func(e *dom.Element, scope []string) {
+		for _, a := range e.Attributes() {
+			if n := a.Name(); n.Space == xmlparser.XMLNSNamespace {
+				if n.Prefix == "" {
+					scope = append(scope, "")
+				} else {
+					scope = append(scope, n.Local)
+				}
+			}
+		}
+		need := func(prefix, space string) {
+			if prefix == "xml" || prefix == "" && space == "" ||
+				slices.Contains(scope, prefix) || slices.Contains(declared, prefix) {
+				return
+			}
+			declared = append(declared, prefix)
+			if prefix == "" {
+				decls = append(decls, ` xmlns="`...)
+			} else {
+				decls = append(append(append(decls, " xmlns:"...), prefix...), `="`...)
+			}
+			decls, _ = xmlparser.AppendEscaped(decls, space, true)
+			decls = append(decls, '"')
+		}
+		need(e.Name().Prefix, e.Name().Space)
+		for _, a := range e.Attributes() {
+			if n := a.Name(); n.Prefix != "" && n.Space != xmlparser.XMLNSNamespace {
+				need(n.Prefix, n.Space)
+			}
+		}
+		for c := e.FirstChild(); c != nil; c = c.NextSibling() {
+			if ce, ok := c.(*dom.Element); ok {
+				walk(ce, scope[:len(scope):len(scope)])
+			}
+		}
+	}
+	walk(el, nil)
+	raw := dom.ToString(el)
+	if len(decls) == 0 {
+		return raw
+	}
+	n := 1 + len(el.TagName()) // "<" and the tag name
+	return raw[:n] + string(decls) + raw[n:]
 }
 
 // attach delivers a completed child to the innermost open element, or

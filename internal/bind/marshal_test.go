@@ -141,3 +141,33 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestRawFragmentStandsAlone: a raw wildcard fragment declares, once
+// each, the prefixes it borrows from its ancestors, so the marshaled
+// document parses and decodes to the same value.
+func TestRawFragmentStandsAlone(t *testing.T) {
+	b, v := mustDecode(t, schemas.WildcardEnvelopeXSD,
+		`<envelope xmlns:o="urn:o" xmlns:p="urn:p"><o:a p:x="1"><o:b/><p:c xmlns:p="urn:q"/><p:e/></o:a><o:d/></envelope>`)
+	var raws []string
+	for _, c := range v.Children {
+		raws = append(raws, c.Raw)
+	}
+	want := []string{
+		`<o:a xmlns:o="urn:o" xmlns:p="urn:p" p:x="1"><o:b/><p:c xmlns:p="urn:q"/><p:e/></o:a>`,
+		`<o:d xmlns:o="urn:o"/>`,
+	}
+	if !reflect.DeepEqual(raws, want) {
+		t.Fatalf("raw fragments:\n  got  %q\n  want %q", raws, want)
+	}
+	out, err := b.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, res := b.DecodeBytes(out)
+	if back == nil {
+		t.Fatalf("re-decode %s: %v", out, res.Violations)
+	}
+	if got, want := string(b.JSON(back)), string(b.JSON(v)); got != want {
+		t.Errorf("round trip changed the value:\n  got  %s\n  want %s", got, want)
+	}
+}

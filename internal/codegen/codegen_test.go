@@ -22,9 +22,9 @@ func generate(t *testing.T, src string, scheme normalize.Scheme) string {
 	return code
 }
 
-// TestGoldenGeneratedPackages verifies the checked-in binding AND
-// validator packages under internal/gen/ are exactly what the generator
-// produces today, iterating the same manifest regen writes from.
+// TestGoldenGeneratedPackages verifies the checked-in binding packages
+// under internal/gen/ are exactly what the generator produces today,
+// iterating the same manifest regen writes from.
 func TestGoldenGeneratedPackages(t *testing.T) {
 	compare := func(path, code string) {
 		t.Helper()
@@ -37,31 +37,13 @@ func TestGoldenGeneratedPackages(t *testing.T) {
 		}
 	}
 	for _, tgt := range manifest.Targets {
-		opts := Options{
+		code, err := Generate(tgt.Source, Options{
 			Package: tgt.Pkg, Scheme: normalize.SchemePaper, SchemaComment: tgt.Comment,
-		}
-		if tgt.CorpusGlob != "" {
-			corpus, err := manifest.LoadCorpus(filepath.Join("..", ".."), tgt.CorpusGlob)
-			if err != nil {
-				t.Fatalf("%s: corpus: %v", tgt.Pkg, err)
-			}
-			if len(corpus) == 0 {
-				t.Fatalf("%s: corpus glob %q matched nothing", tgt.Pkg, tgt.CorpusGlob)
-			}
-			for _, d := range corpus {
-				opts.Corpus = append(opts.Corpus, CorpusDoc{Name: d.Name, Source: d.Source})
-			}
-		}
-		code, err := Generate(tgt.Source, opts)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", tgt.Pkg, err)
 		}
 		compare(filepath.Join("..", "gen", tgt.Pkg, tgt.Pkg+".go"), code)
-		vcode, err := GenerateValidator(tgt.Source, opts)
-		if err != nil {
-			t.Fatalf("%s: validator: %v", tgt.Pkg, err)
-		}
-		compare(filepath.Join("..", "gen", tgt.Pkg, tgt.Pkg+"_validator.go"), vcode)
 	}
 	for _, tgt := range manifest.WSDLTargets {
 		code, err := GenerateWSDLStubs(tgt.Source, WSDLOptions{
@@ -162,30 +144,6 @@ func TestGeneratedCodeShape(t *testing.T) {
 	}
 }
 
-// TestValidatorDelegatesNilledElements: the validator back end hands a
-// nilled element to the interpreted walk instead of emitting its own copy
-// of the nil rules.
-func TestValidatorDelegatesNilledElements(t *testing.T) {
-	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
-  <xsd:element name="e" type="xsd:int" nillable="true"/>
-</xsd:schema>`
-	code, err := GenerateValidator(src, Options{Package: "x", Scheme: normalize.SchemePaper, SchemaComment: "test"})
-	if err != nil {
-		t.Fatalf("GenerateValidator: %v", err)
-	}
-	const cond = `if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex == "true" || lex == "1" {`
-	i := strings.Index(code, cond)
-	if i < 0 {
-		t.Fatalf("no nilled-element branch in:\n%s", code)
-	}
-	if body := strings.TrimSpace(code[i+len(cond):]); !strings.HasPrefix(body, "s.Element(el, gvDecl0, path)") {
-		t.Errorf("nilled branch does not delegate to s.Element:\n%s", code[i:])
-	}
-	if strings.Contains(code, "nilled element must be empty") {
-		t.Error("generated validator carries its own copy of the nil rules")
-	}
-}
-
 // TestSchemeChangesGeneratedNames: the same schema under different naming
 // schemes yields different group type names (E6's mechanism).
 func TestSchemeChangesGeneratedNames(t *testing.T) {
@@ -222,12 +180,8 @@ func TestGenerateAllSchemasAllSchemes(t *testing.T) {
 	}
 	for i, src := range sources {
 		for _, scheme := range []normalize.Scheme{normalize.SchemePaper, normalize.SchemeSynthesized, normalize.SchemeInherited} {
-			opts := Options{Package: "p", Scheme: scheme, SchemaComment: "t"}
-			if _, err := Generate(src, opts); err != nil {
+			if _, err := Generate(src, Options{Package: "p", Scheme: scheme, SchemaComment: "t"}); err != nil {
 				t.Errorf("schema %d scheme %v: %v", i, scheme, err)
-			}
-			if _, err := GenerateValidator(src, opts); err != nil {
-				t.Errorf("schema %d scheme %v: validator: %v", i, scheme, err)
 			}
 		}
 	}

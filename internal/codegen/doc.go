@@ -16,28 +16,15 @@
 // internal/gen/manifest, regenerated by internal/gen/regen) and are
 // golden-tested.
 //
-// # The validator back end
-//
-// GenerateValidator (valgen.go, valgen_model.go, valgen_emit.go) is the
-// second back end: it compiles the schema itself into a companion Go
-// file for the same package. Each content model's exported DFA
-// (contentmodel.ExportDFA) becomes switch statements over interned
-// symbols, each simple-type chain becomes a straight-line parse/facet
-// function replaying xsd.SimpleType.Parse exactly, and Decode
-// specializes the generic bind walk (JSON and Marshal call the binder).
-// Cold paths —
-// xsi:type, identity constraints, DFA-refused models, corpus-pruned
-// declarations (Options.Corpus) — delegate to the interpreted run
-// through validator.Sink, so generated and interpreted verdicts are
-// byte-identical; the repository's differential layer
-// (TestGeneratedMatchesInterpreted, FuzzGeneratedValidator) enforces
-// that rather than assuming it.
+// Generated packages carry bindings only. Validation, decoding and
+// encoding of their documents go through the interpreted validator and
+// binder over the package's runtime schema (validator.New(RT.Schema, nil),
+// bind.New(RT.Schema, nil)).
 //
 // # Concurrency
 //
 // Generation is a pure traversal of an immutable normalized schema into
 // a fresh buffer: no package-level state is written, so distinct
-// Generate/GenerateValidator calls — even over the same schema — may run
-// concurrently. Generation is build-time work; nothing here runs on the
-// serving path.
+// Generate calls — even over the same schema — may run concurrently.
+// Generation is build-time work; nothing here runs on the serving path.
 package codegen

@@ -18,20 +18,6 @@ type Options struct {
 	Scheme normalize.Scheme
 	// SchemaComment names the schema in the generated header.
 	SchemaComment string
-	// Corpus, when non-empty, enables the instance-corpus pruning pass of
-	// the validator back end (GenerateValidator): element declarations no
-	// corpus document reaches are emitted as thin stubs that delegate to
-	// the interpreted walk. Generate ignores it.
-	Corpus []CorpusDoc
-}
-
-// CorpusDoc is one sample instance document of the pruning corpus.
-type CorpusDoc struct {
-	// Name identifies the document in errors and generated comments
-	// (typically its file name).
-	Name string
-	// Source is the document text.
-	Source string
 }
 
 // Generate parses the schema source and emits the V-DOM bindings as a

@@ -76,9 +76,6 @@ func AssignNames(norm *normalize.Result) *Names {
 		Groups:   map[*xsd.ModelGroup]GroupNames{},
 		used: map[string]bool{
 			"Document": true, "NewDocument": true, "SchemaSource": true, "RT": true,
-			// Public API of the companion validator file (GenerateValidator).
-			"Validate": true, "ValidateBytes": true, "Decode": true,
-			"DecodeBytes": true, "JSON": true, "Marshal": true,
 		},
 	}
 	// Types first: their names anchor everything else.

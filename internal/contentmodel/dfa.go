@@ -136,9 +136,8 @@ type classes struct {
 	accSets  [][]int // class -> positions accepting that class (ascending)
 }
 
-// buildClasses partitions the alphabet. Both EnableDFA and ExportDFA build
-// their transition structure from this one partition, so the two can never
-// disagree on which positions a symbol activates.
+// buildClasses partitions the alphabet into the symbol classes EnableDFA
+// builds its transition structure from.
 func (g *Glushkov) buildClasses() classes {
 	var wilds []*Leaf
 	seenWild := map[*Leaf]bool{}

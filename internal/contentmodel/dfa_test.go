@@ -1,6 +1,7 @@
 package contentmodel
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -310,5 +311,131 @@ func TestInterner(t *testing.T) {
 	}
 	if _, ok := in.Lookup(sym("c")); ok {
 		t.Fatal("phantom symbol")
+	}
+}
+
+// shapeModels are representative content-model shapes: repetition,
+// choice, optionality, substitution-name leaves, all-groups, wildcards.
+func shapeModels() []struct {
+	name     string
+	particle *Particle
+	alphabet []Symbol
+} {
+	sub := &Particle{Min: 1, Max: 1, Leaf: &Leaf{Names: []Symbol{{Local: "head"}, {Local: "member"}}}}
+	wild := &Particle{Min: 0, Max: Unbounded, Leaf: &Leaf{Wildcard: &Wildcard{Kind: WildOther, TargetNS: "urn:t"}}}
+	return []struct {
+		name     string
+		particle *Particle
+		alphabet []Symbol
+	}{
+		{
+			name:     "items-star",
+			particle: NewSequence(1, 1, NewElementLeaf(0, Unbounded, Symbol{Local: "item"}, "item")),
+			alphabet: []Symbol{{Local: "item"}, {Local: "other"}},
+		},
+		{
+			name: "seq-opt-choice",
+			particle: NewSequence(1, 1,
+				NewElementLeaf(1, 1, Symbol{Local: "a"}, "a"),
+				NewElementLeaf(0, 1, Symbol{Local: "b"}, "b"),
+				NewChoice(1, 1,
+					NewElementLeaf(1, 1, Symbol{Local: "c"}, "c"),
+					NewElementLeaf(1, 2, Symbol{Local: "d"}, "d"),
+				),
+			),
+			alphabet: []Symbol{{Local: "a"}, {Local: "b"}, {Local: "c"}, {Local: "d"}},
+		},
+		{
+			name:     "substitution-head",
+			particle: NewSequence(1, 1, sub, NewElementLeaf(0, 1, Symbol{Local: "tail"}, "tail")),
+			alphabet: []Symbol{{Local: "head"}, {Local: "member"}, {Local: "tail"}},
+		},
+		{
+			name: "all-group",
+			particle: NewAll(1, 1,
+				NewElementLeaf(1, 1, Symbol{Local: "x"}, "x"),
+				NewElementLeaf(1, 1, Symbol{Local: "y"}, "y"),
+				NewElementLeaf(0, 1, Symbol{Local: "z"}, "z"),
+			),
+			alphabet: []Symbol{{Local: "x"}, {Local: "y"}, {Local: "z"}},
+		},
+		{
+			name: "wildcard-tail",
+			particle: NewSequence(1, 1,
+				NewElementLeaf(1, 1, Symbol{Space: "urn:t", Local: "lead"}, "lead"),
+				wild,
+			),
+			alphabet: []Symbol{
+				{Space: "urn:t", Local: "lead"},
+				{Space: "urn:x", Local: "foreign"},
+				{Space: "urn:y", Local: "foreign"},
+				{Local: "unqualified"},
+			},
+		},
+	}
+}
+
+// enumSequences yields every sequence over the alphabet up to maxLen.
+func enumSequences(alphabet []Symbol, maxLen int) [][]Symbol {
+	out := [][]Symbol{nil}
+	prev := [][]Symbol{nil}
+	for l := 1; l <= maxLen; l++ {
+		var next [][]Symbol
+		for _, p := range prev {
+			for _, s := range alphabet {
+				seq := append(append([]Symbol{}, p...), s)
+				next = append(next, seq)
+			}
+		}
+		out = append(out, next...)
+		prev = next
+	}
+	return out
+}
+
+func matchErrString(e *MatchError) string {
+	if e == nil {
+		return "<accept>"
+	}
+	return fmt.Sprintf("index=%d premature=%v msg=%q", e.Index, e.Premature, e.Error())
+}
+
+// TestLazyDFAMatchesStepper pins the lazy DFA against the NFA stepper on
+// every sequence up to length 4 over each shape's extended alphabet:
+// verdicts, leaf attribution, and MatchError values (index, premature
+// flag, expected list, full message text) must be identical.
+func TestLazyDFAMatchesStepper(t *testing.T) {
+	for _, m := range shapeModels() {
+		t.Run(m.name, func(t *testing.T) {
+			nfa, err := CompileGlushkov(m.particle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := CompileGlushkov(m.particle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !lazy.EnableDFA(NewInterner(), 0) {
+				t.Fatal("EnableDFA refused a UPA-clean model")
+			}
+			for _, seq := range enumSequences(m.alphabet, 4) {
+				wantLeaves, wantErr := nfa.Match(seq)
+				gotLeaves, gotErr := lazy.Match(seq)
+				if matchErrString(gotErr) != matchErrString(wantErr) {
+					t.Fatalf("seq %v: lazy DFA %s, NFA %s", seq, matchErrString(gotErr), matchErrString(wantErr))
+				}
+				if gotErr != nil {
+					if !reflect.DeepEqual(gotErr.Expected, wantErr.Expected) {
+						t.Fatalf("seq %v: expected lists differ: %v vs %v", seq, gotErr.Expected, wantErr.Expected)
+					}
+					continue
+				}
+				for i := range seq {
+					if gotLeaves[i] != wantLeaves[i] {
+						t.Fatalf("seq %v: leaf attribution differs at %d: %v vs %v", seq, i, gotLeaves[i], wantLeaves[i])
+					}
+				}
+			}
+		})
 	}
 }

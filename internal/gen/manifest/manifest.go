@@ -5,17 +5,12 @@
 package manifest
 
 import (
-	"os"
-	"path/filepath"
-	"sort"
-
 	"repro/internal/schemas"
 	"repro/internal/wml"
 )
 
-// Target describes one generated package: its embedded schema, the
-// comment stamped into the file header, and (optionally) the instance
-// corpus that prunes its generated validator.
+// Target describes one generated package: its embedded schema and the
+// comment stamped into the file header.
 type Target struct {
 	// Pkg is the package (and directory) name under internal/gen/.
 	Pkg string
@@ -23,10 +18,6 @@ type Target struct {
 	Source string
 	// Comment is the human-readable schema description in the header.
 	Comment string
-	// CorpusGlob, when non-empty, is a repo-root-relative glob of
-	// instance documents; the generated validator is pruned to the
-	// declarations that corpus reaches.
-	CorpusGlob string
 }
 
 // Targets lists every checked-in generated package, in generation order.
@@ -38,7 +29,6 @@ var Targets = []Target{
 	{Pkg: "nsgen", Source: schemas.NamespacedOrderXSD, Comment: "the namespaced order schema (namespace-handling coverage)"},
 	{Pkg: "mixgen", Source: schemas.ComplexGroupsXSD, Comment: "the nested-groups schema (group-promotion coverage)"},
 	{Pkg: "wildgen", Source: schemas.WildcardEnvelopeXSD, Comment: "the wildcard envelope schema (lax any/anyAttribute coverage)"},
-	{Pkg: "popruned", Source: schemas.PurchaseOrderXSD, Comment: "the purchase order schema, validator pruned to the shipping corpus", CorpusGlob: "testdata/corpus/po/*.xml"},
 }
 
 // WSDLTarget describes one generated SOAP stub package: its embedded
@@ -58,33 +48,4 @@ type WSDLTarget struct {
 var WSDLTargets = []WSDLTarget{
 	{Pkg: "calcgen", Source: schemas.CalcWSDL, Service: "Calc", Comment: "the calculator WSDL (SOAP 1.1 corpus service)"},
 	{Pkg: "ordersgen", Source: schemas.OrdersWSDL, Service: "Orders", Comment: "the orders WSDL (SOAP 1.2, two embedded schemas)"},
-}
-
-// CorpusDoc is one pruning-corpus instance document.
-type CorpusDoc struct {
-	// Name is the document's base filename, stamped into the generated
-	// header.
-	Name string
-	// Source is the document text.
-	Source string
-}
-
-// LoadCorpus reads a target's pruning corpus. root is the repository
-// root (regen runs there; tests pass a relative prefix). The result is
-// sorted by filename so generation is deterministic.
-func LoadCorpus(root, glob string) ([]CorpusDoc, error) {
-	paths, err := filepath.Glob(filepath.Join(root, glob))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	var docs []CorpusDoc
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, CorpusDoc{Name: filepath.Base(p), Source: string(src)})
-	}
-	return docs, nil
 }

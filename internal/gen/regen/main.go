@@ -13,37 +13,19 @@ import (
 func main() {
 	root := "internal/gen"
 	for _, t := range manifest.Targets {
-		opts := codegen.Options{
+		bindings, err := codegen.Generate(t.Source, codegen.Options{
 			Package:       t.Pkg,
 			Scheme:        normalize.SchemePaper,
 			SchemaComment: t.Comment,
-		}
-		if t.CorpusGlob != "" {
-			corpus, err := manifest.LoadCorpus(".", t.CorpusGlob)
-			if err != nil {
-				fatal(fmt.Errorf("regen %s: corpus: %w", t.Pkg, err))
-			}
-			if len(corpus) == 0 {
-				fatal(fmt.Errorf("regen %s: corpus glob %q matched nothing", t.Pkg, t.CorpusGlob))
-			}
-			for _, d := range corpus {
-				opts.Corpus = append(opts.Corpus, codegen.CorpusDoc{Name: d.Name, Source: d.Source})
-			}
-		}
-		bindings, err := codegen.Generate(t.Source, opts)
+		})
 		if err != nil {
 			fatal(fmt.Errorf("regen %s: %w", t.Pkg, err))
-		}
-		vcode, err := codegen.GenerateValidator(t.Source, opts)
-		if err != nil {
-			fatal(fmt.Errorf("regen %s: validator: %w", t.Pkg, err))
 		}
 		dir := filepath.Join(root, t.Pkg)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fatal(err)
 		}
 		write(filepath.Join(dir, t.Pkg+".go"), bindings)
-		write(filepath.Join(dir, t.Pkg+"_validator.go"), vcode)
 	}
 	for _, t := range manifest.WSDLTargets {
 		code, err := codegen.GenerateWSDLStubs(t.Source, codegen.WSDLOptions{

@@ -1,19 +1,15 @@
 // This doc.go is hand-written and survives regeneration; the sibling
-// wildgen.go and wildgen_validator.go are emitted by cmd/vdomgen (run
-// internal/gen/regen to refresh them) from the wildcard envelope
-// schema — the one bundled schema whose content model is a lax xsd:any
-// and whose attribute set is open via xsd:anyAttribute, so the
-// compiled validator's wildcard paths (namespace-mask DFA classes, lax
-// global-element dispatch, raw-subtree decode) are exercised at
-// runtime, not just emitted.
+// wildgen.go is emitted by cmd/vdomgen (run internal/gen/regen to
+// refresh it) from the wildcard envelope schema — the one bundled schema
+// whose content model is a lax xsd:any and whose attribute set is open
+// via xsd:anyAttribute, so the generator's wildcard bindings are
+// compiled, not just emitted.
 //
 // # Role in the pipeline
 //
 // The package is a checked-in output of the codegen stage (xsd parse →
 // normalize → contentmodel → codegen/vdom → validator → pxml), kept in
-// sync with the generator by codegen.TestGoldenGeneratedPackages and
-// differentially verified against the interpreted walk by
-// TestGeneratedMatchesInterpreted.
+// sync with the generator by codegen.TestGoldenGeneratedPackages.
 //
 // # Concurrency
 //

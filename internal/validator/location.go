@@ -17,8 +17,8 @@ package validator
 //     most once per frame, so a chain with an ID at every level stays
 //     linear. Frozen steps outlive the frames, as IDs and IDREFs must.
 //
-// A path known only as a string — a Sink call's path, the document root —
-// is a single step.
+// A path known only as a string — the document root, a content-model
+// mismatch's child — is a single step.
 
 import (
 	"fmt"

@@ -83,17 +83,4 @@ func TestXsiTypeNamespaceScope(t *testing.T) {
 	if res := v.ValidateElement(inner, decl); !res.OK() {
 		t.Errorf("ValidateElement below the declaring root: %v", res.Violations)
 	}
-
-	// Generated code hands an element's content to the walk: the element's
-	// own declarations are in scope for its children.
-	docDecl, _ := s.LookupElement(xsd.QName{Space: "urn:t", Local: "doc"})
-	small, err := dom.ParseString(`<doc xmlns="urn:t" xmlns:t="urn:t" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">` + derived + `</doc>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := NewSink(v)
-	sink.ElementContent(small.DocumentElement(), docDecl.Type.(*xsd.ComplexType), "/doc")
-	if res := sink.Result(); !res.OK() {
-		t.Errorf("Sink.ElementContent: %v", res.Violations)
-	}
 }

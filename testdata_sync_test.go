@@ -2,14 +2,9 @@ package repro
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/gen/manifest"
 	"repro/internal/schemas"
-	"repro/internal/validator"
-	"repro/internal/xsd"
 )
 
 // TestCheckedInSchemaInSync guards testdata/schemas/po.xsd — the on-disk
@@ -44,48 +39,5 @@ func TestCheckedInWSDLsInSync(t *testing.T) {
 		if string(disk) != tc.want {
 			t.Errorf("%s differs from its schemas constant; regenerate the file from the constant", tc.path)
 		}
-	}
-}
-
-// TestPrunedCorpusInSync guards the pruning-pass instance corpus under
-// testdata/corpus/: every document a manifest target prunes by must be
-// present, valid against that target's schema (an invalid corpus doc
-// fails generation outright), and stamped by name into the checked-in
-// pruned validator's header — so a corpus edit without a regen run is
-// caught here even before the codegen golden test diffs the full file.
-func TestPrunedCorpusInSync(t *testing.T) {
-	pruned := 0
-	for _, tgt := range manifest.Targets {
-		if tgt.CorpusGlob == "" {
-			continue
-		}
-		pruned++
-		corpus, err := manifest.LoadCorpus(".", tgt.CorpusGlob)
-		if err != nil {
-			t.Fatalf("%s: %v", tgt.Pkg, err)
-		}
-		if len(corpus) == 0 {
-			t.Fatalf("%s: corpus glob %q matched nothing", tgt.Pkg, tgt.CorpusGlob)
-		}
-		schema, err := xsd.ParseString(tgt.Source, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", tgt.Pkg, err)
-		}
-		header, err := os.ReadFile(filepath.Join("internal", "gen", tgt.Pkg, tgt.Pkg+"_validator.go"))
-		if err != nil {
-			t.Fatalf("%s: %v", tgt.Pkg, err)
-		}
-		for _, doc := range corpus {
-			if _, res := validator.ValidateBytes(schema, []byte(doc.Source)); !res.OK() {
-				t.Errorf("%s: corpus document %s is invalid: %v", tgt.Pkg, doc.Name, res.Violations[0])
-			}
-			if !strings.Contains(string(header), doc.Name) {
-				t.Errorf("%s: corpus document %s is not stamped into %s_validator.go; run `go run ./internal/gen/regen`",
-					tgt.Pkg, doc.Name, tgt.Pkg)
-			}
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("no manifest target declares a pruning corpus")
 	}
 }
