@@ -1055,11 +1055,14 @@ func e15TextDoc() []byte {
 	return []byte(sb.String())
 }
 
-// BenchmarkE15_TokenizerScan prices a full tokenization pass two ways:
-// zero-copy (tokens consumed through Bytes, nothing materialized) and
+// BenchmarkE15_TokenizerScan prices a full tokenization pass three ways:
+// zero-copy (tokens consumed through Bytes, nothing materialized),
 // materialized (Data() on every token — the pre-zero-copy behavior every
-// consumer was forced into). The B/op gap is the tentpole metric: the
-// zero-copy scan allocates near-nothing per document regardless of size.
+// consumer was forced into), and reader (the zero-copy pass in reader
+// mode, pulled with Next into one reused token, as the server's streaming
+// validation and SOAP read a request body). The B/op gap is the tentpole
+// metric: the zero-copy scan allocates near-nothing per document
+// regardless of size.
 func BenchmarkE15_TokenizerScan(b *testing.B) {
 	docs := []struct {
 		name string
@@ -1082,6 +1085,28 @@ func BenchmarkE15_TokenizerScan(b *testing.B) {
 					}
 					if tok == nil {
 						break
+					}
+					n += len(tok.Bytes())
+				}
+				if n == 0 {
+					b.Fatal("no bytes scanned")
+				}
+			}
+		})
+		b.Run(d.name+"/reader", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(d.src)))
+			for i := 0; i < b.N; i++ {
+				dec := xmlparser.NewReaderDecoder(bytes.NewReader(d.src), &xmlparser.Options{Fragment: true})
+				var tok xmlparser.Token
+				var n int
+				for {
+					err := dec.Next(&tok)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
 					}
 					n += len(tok.Bytes())
 				}

@@ -118,9 +118,9 @@ func (s *schemaSet) forDoc(src []byte) (*schemaEntry, error) {
 		return s.entries[0], nil
 	}
 	d := xmlparser.NewDecoder(src, nil)
+	var tok xmlparser.Token
 	for {
-		tok, err := d.Next()
-		if err != nil {
+		if err := d.Next(&tok); err != nil {
 			return nil, fmt.Errorf("not well-formed: %w", err)
 		}
 		if tok.Kind == xmlparser.KindStartElement {

@@ -101,27 +101,27 @@ func newEncoder(v *Value, check bool) *encoder {
 }
 
 // Next implements validator.TokenSource.
-func (e *encoder) Next() (xmlparser.Token, error) {
+func (e *encoder) Next(t *xmlparser.Token) error {
 	if e.dec == nil {
 		tok, at, ok := e.step()
 		if !ok {
-			return xmlparser.Token{}, io.EOF
+			return io.EOF
 		}
 		if at < 0 {
-			return tok, nil
+			*t = tok
+			return nil
 		}
 		e.resume(at)
 	}
 	for {
-		tok, err := e.dec.Next()
-		if err != nil {
+		if err := e.dec.Next(t); err != nil {
 			if err != io.EOF {
 				e.err = err
 			}
-			return tok, err
+			return err
 		}
-		if tok.Pos.Offset >= e.skipTo {
-			return tok, nil
+		if t.Pos.Offset >= e.skipTo {
+			return nil
 		}
 	}
 }

@@ -42,8 +42,9 @@ func walkTokens(t *testing.T, v *Value) ([]tokenView, []byte, bool) {
 	t.Helper()
 	e := newEncoder(v, true)
 	var toks []tokenView
+	var tok xmlparser.Token
 	for {
-		tok, err := e.Next()
+		err := e.Next(&tok)
 		if err != nil {
 			if e.err != nil {
 				t.Fatalf("walk: %v", e.err)
@@ -58,8 +59,9 @@ func decodedTokens(t *testing.T, src []byte) []tokenView {
 	t.Helper()
 	dec := xmlparser.NewDecoder(src, nil)
 	var toks []tokenView
+	var tok xmlparser.Token
 	for {
-		tok, err := dec.Next()
+		err := dec.Next(&tok)
 		if err != nil {
 			if err != io.EOF {
 				t.Fatalf("decode %s: %v", src, err)

@@ -92,12 +92,13 @@ func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
 }
 
 // TokenSource yields one document's tokens in order, as an
-// xmlparser.Decoder does: Next returns io.EOF after the last token, and a
-// token's payload and attributes need only stay valid until the next call.
-// The decoder is one source; bind's Marshal, which writes a value tree
-// and yields the tokens of what it wrote, is another.
+// xmlparser.Decoder does: Next fills the caller's token, overwriting every
+// field, and returns io.EOF after the last token. A filled token's payload
+// and attributes need only stay valid until the next call. The decoder is
+// one source; bind's Marshal, which writes a value tree and yields the
+// tokens of what it wrote, is another.
 type TokenSource interface {
-	Next() (xmlparser.Token, error)
+	Next(*xmlparser.Token) error
 }
 
 // ValidateTokens validates the document src yields. Any error other than
@@ -123,6 +124,7 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 		}
 	}
 	sr := &streamRun{v: sv.v, ids: map[string]loc{}, events: ev}
+	var tok xmlparser.Token
 	sinceCheck := 0
 	for {
 		if done != nil {
@@ -135,7 +137,7 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 				}
 			}
 		}
-		tok, err := src.Next()
+		err := src.Next(&tok)
 		if err == io.EOF {
 			break
 		}

@@ -2,6 +2,8 @@ package xmlparser
 
 // Character classification per XML 1.0 (Fifth Edition).
 
+import "unicode/utf8"
+
 // IsChar reports whether r is a legal XML character (production [2]).
 func IsChar(r rune) bool {
 	return r == 0x9 || r == 0xA || r == 0xD ||
@@ -108,22 +110,25 @@ func IsName(s string) bool {
 }
 
 // IsNCName reports whether s is a legal namespace-aware NCName: a Name with
-// no colon.
+// no colon. ASCII bytes are classified by the name tables; only a byte >=
+// 0x80 is decoded and range-checked.
 func IsNCName(s string) bool {
 	if s == "" {
 		return false
 	}
-	for i, r := range s {
-		if r == ':' {
-			return false
-		}
-		if i == 0 {
-			if !inRanges(r, nameStartRanges) {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c == ':' || !asciiName[c] || i == 0 && !asciiNameStart[c] {
 				return false
 			}
-		} else if !inRanges(r, nameStartRanges) && !inRanges(r, nameExtraRanges) {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !inRanges(r, nameStartRanges) && (i == 0 || !inRanges(r, nameExtraRanges)) {
 			return false
 		}
+		i += size
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -28,8 +29,8 @@ type Options struct {
 	// Entities supplies additional named entities, beyond the five
 	// predefined ones and those declared in the internal DTD subset.
 	Entities map[string]string
-	// KeepComments controls whether comment tokens are emitted. Comments
-	// are emitted by default.
+	// SkipComments drops comment tokens from the stream. Comments are
+	// emitted by default.
 	SkipComments bool
 }
 
@@ -38,10 +39,11 @@ func defaultOptions() Options { return Options{Namespaces: true} }
 
 // openElem tracks an open start tag for end-tag matching.
 type openElem struct {
-	name    Name
-	rawName string // as written, for error messages
-	pos     Pos
-	nsMark  int // Decoder.ns mark before this element's declarations
+	name     Name
+	rawName  string // as written, for end-tag matching and error messages
+	nameCols int    // columns rawName spans (it holds no newline)
+	pos      Pos
+	nsMark   int // Decoder.ns mark before this element's declarations
 }
 
 // Decoder parses a single XML document (or fragment) and yields Tokens.
@@ -71,11 +73,16 @@ type Decoder struct {
 	// ns holds the namespace bindings of the open elements.
 	ns       Bindings
 	stack    []openElem
-	pending  []Token
 	seenRoot bool
 	seenDecl bool
 	started  bool
 	eof      bool
+
+	// endPending marks a self-closing tag whose end token, named endName
+	// at endPos, is the next token.
+	endPending bool
+	endName    Name
+	endPos     Pos
 
 	// internalEntities holds general entities declared in the internal
 	// DTD subset.
@@ -200,16 +207,20 @@ const readChunk = 8192
 // window is shifted down (reader mode only).
 const compactThreshold = 4096
 
-// readMore appends one chunk of reader input to the window.
+// readMore reads one chunk of reader input straight into the window's
+// spare capacity, growing the window only when less than a chunk is free.
+// Compaction keeps the window's length bounded, so a warm window stops
+// growing and refills allocate nothing.
 func (d *Decoder) readMore() {
 	if d.srcDone {
 		return
 	}
-	var buf [readChunk]byte
-	n, err := d.rd.Read(buf[:])
+	d.src = slices.Grow(d.src, readChunk)
+	end := len(d.src)
+	n, err := d.rd.Read(d.src[end : end+readChunk])
 	if n > 0 {
 		d.zeroReads = 0
-		d.src = append(d.src, buf[:n]...)
+		d.src = d.src[:end+n]
 	} else if err == nil {
 		// Tolerate the occasional (0, nil) read, but refuse to spin on a
 		// reader that never makes progress.
@@ -285,9 +296,10 @@ func (d *Decoder) nonASCIIRun() []byte {
 	}
 }
 
-// byteToken builds a token whose payload is a zero-copy byte view.
-func (d *Decoder) byteToken(kind Kind, data []byte, p Pos) Token {
-	return Token{Kind: kind, data: data, d: d, Pos: p}
+// byteToken fills t with a token whose payload is a zero-copy byte view.
+func (d *Decoder) byteToken(t *Token, kind Kind, data []byte, p Pos) {
+	t.set(kind, Name{}, p)
+	t.data, t.d = data, d
 }
 
 // errf creates a SyntaxError at the given position.
@@ -296,7 +308,19 @@ func (d *Decoder) errf(p Pos, format string, args ...any) error {
 }
 
 // peek returns the next rune without consuming it, or -1 at end of input.
+// A buffered ASCII byte is its own rune: only a byte >= 0x80 is decoded.
 func (d *Decoder) peek() rune {
+	if !d.noBulk && d.off < len(d.src) {
+		if c := d.src[d.off]; c < utf8.RuneSelf {
+			return rune(c)
+		}
+	}
+	return d.peekRune()
+}
+
+// peekRune is peek's reference path: it buffers a whole rune and decodes
+// it.
+func (d *Decoder) peekRune() rune {
 	d.fill(utf8.UTFMax)
 	if d.off >= len(d.src) {
 		return -1
@@ -305,7 +329,8 @@ func (d *Decoder) peek() rune {
 	return r
 }
 
-// peekAt returns the rune n bytes ahead (only valid for ASCII lookahead).
+// peekByte returns the byte n bytes ahead, or 0 past the end of input
+// (only meaningful for ASCII lookahead).
 func (d *Decoder) peekByte(n int) byte {
 	d.fill(n + 1)
 	if d.off+n >= len(d.src) {
@@ -314,8 +339,22 @@ func (d *Decoder) peekByte(n int) byte {
 	return d.src[d.off+n]
 }
 
-// next consumes and returns the next rune, or -1 at end of input.
+// next consumes and returns the next rune, or -1 at end of input. A
+// buffered ASCII byte other than LF is consumed without decoding.
 func (d *Decoder) next() rune {
+	if !d.noBulk && d.off < len(d.src) {
+		if c := d.src[d.off]; c < utf8.RuneSelf && c != '\n' {
+			d.off++
+			d.col++
+			return rune(c)
+		}
+	}
+	return d.nextRune()
+}
+
+// nextRune is next's reference path: it decodes one rune and accounts
+// for it.
+func (d *Decoder) nextRune() rune {
 	d.fill(utf8.UTFMax)
 	if d.off >= len(d.src) {
 		return -1
@@ -348,8 +387,14 @@ func (d *Decoder) hasPrefix(s string) bool {
 	return string(d.src[d.off:d.off+len(s)]) == s
 }
 
-// skip consumes len(s) bytes; the caller must have verified them.
+// skip consumes the ASCII, newline-free literal s; the caller must have
+// verified (and so buffered) it.
 func (d *Decoder) skip(s string) {
+	if !d.noBulk {
+		d.off += len(s)
+		d.col += len(s)
+		return
+	}
 	for range s {
 		d.next()
 	}
@@ -357,6 +402,33 @@ func (d *Decoder) skip(s string) {
 
 // skipSpace consumes whitespace and reports whether any was present.
 func (d *Decoder) skipSpace() bool {
+	if d.noBulk {
+		return d.skipSpaceRunes()
+	}
+	seen := false
+	for {
+		if d.off >= len(d.src) {
+			d.fill(1)
+			if d.off >= len(d.src) {
+				return seen
+			}
+		}
+		switch d.src[d.off] {
+		case ' ', '\t', '\r':
+			d.col++
+		case '\n':
+			d.line++
+			d.col = 1
+		default:
+			return seen
+		}
+		d.off++
+		seen = true
+	}
+}
+
+// skipSpaceRunes is skipSpace's reference path, one rune at a time.
+func (d *Decoder) skipSpaceRunes() bool {
 	seen := false
 	for {
 		r := d.peek()
@@ -368,114 +440,117 @@ func (d *Decoder) skipSpace() bool {
 	}
 }
 
-// Token returns the next token, or (nil, nil) at end of input.
+// Token returns the next token, or (nil, nil) at end of input. The token
+// is the decoder's scratch slot, refilled by the following Token or Next
+// call: callers that keep a token across calls must copy it and Detach
+// the copy.
 func (d *Decoder) Token() (*Token, error) {
+	if err := d.Next(&d.tok); err != nil {
+		if err == io.EOF {
+			return nil, nil
+		}
+		return nil, err
+	}
+	return &d.tok, nil
+}
+
+// Next fills t with the next token, or returns io.EOF at end of input. It
+// is the pull API of streaming consumers (validator.StreamValidator). Every
+// field of t is overwritten, and the filled token's payload and Attrs view
+// decoder buffers until the following Token or Next call. On an error t
+// holds no meaningful token.
+func (d *Decoder) Next(t *Token) error {
 	d.compact()
-	t, ok, err := d.token()
+	ok, err := d.token(t)
 	if err != nil {
 		if d.readErr != nil {
 			// A truncated window produces misleading syntax errors;
 			// report the underlying read failure instead.
-			return nil, d.readErr
+			return d.readErr
 		}
-		return nil, err
+		return err
 	}
 	if !ok {
-		return nil, nil
+		return io.EOF
 	}
-	// The returned pointer aims at a scratch slot reused by the next
-	// Token/Next call; callers that keep a token across calls must copy
-	// it (Next does).
-	d.tok = t
-	return &d.tok, nil
+	return nil
 }
 
-// Next returns the next token by value, or io.EOF at end of input. It is
-// the pull API used by streaming consumers (validator.StreamValidator).
-func (d *Decoder) Next() (Token, error) {
-	t, err := d.Token()
-	if err != nil {
-		return Token{}, err
-	}
-	if t == nil {
-		return Token{}, io.EOF
-	}
-	return *t, nil
-}
-
-func (d *Decoder) token() (Token, bool, error) {
-	if len(d.pending) > 0 {
-		t := d.pending[0]
-		d.pending = d.pending[1:]
-		return t, true, nil
+// token fills t with the next token; ok is false at end of input.
+func (d *Decoder) token(t *Token) (ok bool, err error) {
+	if d.endPending {
+		d.endPending = false
+		t.set(KindEndElement, d.endName, d.endPos)
+		return true, nil
 	}
 	if d.eof {
-		return Token{}, false, nil
+		return false, nil
 	}
 	if !d.started {
 		d.started = true
-		if t, ok, err := d.xmlDecl(); err != nil {
-			return Token{}, false, err
-		} else if ok {
-			return t, true, nil
+		if ok, err := d.xmlDecl(t); ok || err != nil {
+			return ok, err
 		}
 	}
 	for {
 		d.fill(1)
 		if d.off >= len(d.src) {
-			return Token{}, false, d.finish()
+			return false, d.finish()
 		}
 		inContent := len(d.stack) > 0
-		r := d.peek()
-		if r != '<' {
+		if d.src[d.off] != '<' {
 			if !inContent && !d.opts.Fragment {
 				// Prolog / epilog: only whitespace allowed.
 				p := d.pos()
 				if !d.skipSpace() {
-					return Token{}, false, d.errf(p, "content outside of root element")
+					return false, d.errf(p, "content outside of root element")
 				}
 				continue
 			}
-			t, err := d.text()
-			return t, err == nil, err
+			err := d.text(t)
+			return err == nil, err
 		}
 		p := d.pos()
-		switch {
-		case d.hasPrefix("<!--"):
-			t, err := d.comment(p)
-			if err != nil {
-				return Token{}, false, err
+		// One byte after '<' picks the construct; only "<!" needs the
+		// longer prefixes.
+		switch d.peekByte(1) {
+		case '!':
+			switch {
+			case d.hasPrefix("<!--"):
+				if err := d.comment(t, p); err != nil {
+					return false, err
+				}
+				if d.opts.SkipComments {
+					continue
+				}
+				return true, nil
+			case d.hasPrefix("<![CDATA["):
+				if !inContent && !d.opts.Fragment {
+					return false, d.errf(p, "CDATA section outside of root element")
+				}
+				err := d.cdata(t, p)
+				return err == nil, err
+			case d.hasPrefix("<!DOCTYPE"):
+				if inContent || d.seenRoot {
+					return false, d.errf(p, "DOCTYPE not allowed here")
+				}
+				err := d.doctype(t, p)
+				return err == nil, err
+			default:
+				return false, d.errf(p, "unexpected markup declaration")
 			}
-			if d.opts.SkipComments {
-				continue
-			}
-			return t, true, nil
-		case d.hasPrefix("<![CDATA["):
-			if !inContent && !d.opts.Fragment {
-				return Token{}, false, d.errf(p, "CDATA section outside of root element")
-			}
-			t, err := d.cdata(p)
-			return t, err == nil, err
-		case d.hasPrefix("<!DOCTYPE"):
-			if inContent || d.seenRoot {
-				return Token{}, false, d.errf(p, "DOCTYPE not allowed here")
-			}
-			t, err := d.doctype(p)
-			return t, err == nil, err
-		case d.hasPrefix("<?"):
-			t, err := d.procInst(p)
-			return t, err == nil, err
-		case d.hasPrefix("</"):
-			t, err := d.endTag(p)
-			return t, err == nil, err
-		case d.hasPrefix("<!"):
-			return Token{}, false, d.errf(p, "unexpected markup declaration")
+		case '?':
+			err := d.procInst(t, p)
+			return err == nil, err
+		case '/':
+			err := d.endTag(t, p)
+			return err == nil, err
 		default:
 			if d.seenRoot && !inContent && !d.opts.Fragment {
-				return Token{}, false, d.errf(p, "document has more than one root element")
+				return false, d.errf(p, "document has more than one root element")
 			}
-			t, err := d.startTag(p)
-			return t, err == nil, err
+			err := d.startTag(t, p)
+			return err == nil, err
 		}
 	}
 }
@@ -496,41 +571,42 @@ func (d *Decoder) finish() error {
 	return nil
 }
 
-// xmlDecl parses an optional leading XML declaration.
-func (d *Decoder) xmlDecl() (Token, bool, error) {
+// xmlDecl parses an optional leading XML declaration into t; ok reports
+// whether there was one.
+func (d *Decoder) xmlDecl(t *Token) (bool, error) {
 	if !d.hasPrefix("<?xml") {
-		return Token{}, false, nil
+		return false, nil
 	}
 	// Must be followed by whitespace to be the declaration and not a PI
 	// with a target beginning with "xml".
 	b := d.peekByte(5)
 	if b != ' ' && b != '\t' && b != '\r' && b != '\n' {
-		return Token{}, false, nil
+		return false, nil
 	}
 	p := d.pos()
 	d.skip("<?xml")
 	data, err := d.untilString("?>", "XML declaration")
 	if err != nil {
-		return Token{}, false, err
+		return false, err
 	}
 	d.seenDecl = true
 	attrs, err := ParsePseudoAttrs(data)
 	if err != nil {
-		return Token{}, false, d.errf(p, "malformed XML declaration: %v", err)
+		return false, d.errf(p, "malformed XML declaration: %v", err)
 	}
 	version, ok := attrs["version"]
 	if !ok || (version != "1.0" && version != "1.1") {
-		return Token{}, false, d.errf(p, "XML declaration must specify version 1.0 or 1.1")
+		return false, d.errf(p, "XML declaration must specify version 1.0 or 1.1")
 	}
 	if enc, ok := attrs["encoding"]; ok {
 		lower := strings.ToLower(enc)
 		if lower != "utf-8" && lower != "utf8" && lower != "us-ascii" && lower != "ascii" {
-			return Token{}, false, d.errf(p, "unsupported encoding %q (only UTF-8 input is supported)", enc)
+			return false, d.errf(p, "unsupported encoding %q (only UTF-8 input is supported)", enc)
 		}
 	}
-	t := Token{Kind: KindXMLDecl, Pos: p}
+	t.set(KindXMLDecl, Name{}, p)
 	t.SetData(strings.TrimSpace(data))
-	return t, true, nil
+	return true, nil
 }
 
 // ParsePseudoAttrs parses the name="value" pairs of XML and text
@@ -605,71 +681,73 @@ func (d *Decoder) untilBytes(term, what string) ([]byte, error) {
 	}
 }
 
-// comment parses <!-- ... -->.
-func (d *Decoder) comment(p Pos) (Token, error) {
+// comment parses <!-- ... --> into t.
+func (d *Decoder) comment(t *Token, p Pos) error {
 	d.skip("<!--")
 	body, err := d.untilString("-->", "comment")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
 	if strings.Contains(body, "--") {
-		return Token{}, d.errf(p, "'--' is not permitted inside comments")
+		return d.errf(p, "'--' is not permitted inside comments")
 	}
 	if strings.HasSuffix(body, "-") {
-		return Token{}, d.errf(p, "comment must not end with '--->'")
+		return d.errf(p, "comment must not end with '--->'")
 	}
 	if err := checkChars(body); err != nil {
-		return Token{}, d.errf(p, "illegal character in comment: %v", err)
+		return d.errf(p, "illegal character in comment: %v", err)
 	}
-	t := Token{Kind: KindComment, Pos: p}
+	t.set(KindComment, Name{}, p)
 	t.SetData(body)
-	return t, nil
+	return nil
 }
 
-// cdata parses <![CDATA[ ... ]]>. The body is returned as a zero-copy
+// cdata parses <![CDATA[ ... ]]>. The body is filled in as a zero-copy
 // view of the input window; character legality is checked over the whole
 // run with the SWAR sweep instead of per rune.
-func (d *Decoder) cdata(p Pos) (Token, error) {
+func (d *Decoder) cdata(t *Token, p Pos) error {
 	d.skip("<![CDATA[")
 	body, err := d.untilBytes("]]>", "CDATA section")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
 	if cerr := checkCharBytes(body); cerr != nil {
-		return Token{}, d.errf(p, "illegal character in CDATA section: %v", cerr)
+		return d.errf(p, "illegal character in CDATA section: %v", cerr)
 	}
-	return d.byteToken(KindCData, body, p), nil
+	d.byteToken(t, KindCData, body, p)
+	return nil
 }
 
-// procInst parses <?target data?>.
-func (d *Decoder) procInst(p Pos) (Token, error) {
+// procInst parses <?target data?> into t.
+func (d *Decoder) procInst(t *Token, p Pos) error {
 	d.skip("<?")
 	target, err := d.name("processing instruction target")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
 	if strings.EqualFold(target, "xml") {
-		return Token{}, d.errf(p, "processing instruction target %q is reserved", target)
+		return d.errf(p, "processing instruction target %q is reserved", target)
 	}
 	var data string
 	if IsSpace(d.peek()) {
 		d.skipSpace()
 		data, err = d.untilString("?>", "processing instruction")
 		if err != nil {
-			return Token{}, err
+			return err
 		}
 	} else {
 		if !d.hasPrefix("?>") {
-			return Token{}, d.errf(d.pos(), "expected '?>' or whitespace after PI target")
+			return d.errf(d.pos(), "expected '?>' or whitespace after PI target")
 		}
 		d.skip("?>")
 	}
 	if err := checkChars(data); err != nil {
-		return Token{}, d.errf(p, "illegal character in processing instruction: %v", err)
+		return d.errf(p, "illegal character in processing instruction: %v", err)
 	}
-	t := Token{Kind: KindProcInst, Target: target, Pos: p}
+	t.set(KindProcInst, Name{}, p)
+	t.Target = target
 	t.SetData(data)
-	return t, nil
+	return nil
 }
 
 // name scans an XML Name. ASCII name bytes are swept directly off the
@@ -745,20 +823,20 @@ func init() {
 	plainTextByte['\t'] = true
 }
 
-// text parses character data up to the next '<'.
+// text parses character data up to the next '<' into t.
 //
 // The fast path scans the window with the SWAR word sweep and — when the
-// run needs no rewriting — returns a zero-copy view of the input: no
+// run needs no rewriting — fills t with a zero-copy view of the input: no
 // copy, no string materialization, no per-byte position updates. Bytes
 // that force a rewrite (references, CR normalization, invalid UTF-8
 // needing U+FFFD replacement) or an exact error position drop the token
 // into the per-rune assembler, seeded with the already-verified prefix;
 // its output is a view of d.buf, still unmaterialized.
-func (d *Decoder) text() (Token, error) {
+func (d *Decoder) text(t *Token) error {
 	p := d.pos()
 	if d.noBulk {
 		d.buf = d.buf[:0]
-		return d.textSlow(p)
+		return d.textSlow(t, p)
 	}
 	start := d.off
 	for {
@@ -779,7 +857,7 @@ func (d *Decoder) text() (Token, error) {
 		}
 		if c == ']' {
 			if d.hasPrefix("]]>") {
-				return Token{}, d.errf(d.pos(), "']]>' is not permitted in character data")
+				return d.errf(d.pos(), "']]>' is not permitted in character data")
 			}
 			d.off++
 			d.col++
@@ -788,31 +866,32 @@ func (d *Decoder) text() (Token, error) {
 		if c >= 0x80 {
 			seg := d.nonASCIIRun()
 			if !validXMLRun(seg) {
-				return d.textSlowFrom(p, start)
+				return d.textSlowFrom(t, p, start)
 			}
 			d.advancePos(len(seg))
 			continue
 		}
 		// '&', CR or a control byte: rewriting or an exact error
 		// position is needed — switch to the per-rune assembler.
-		return d.textSlowFrom(p, start)
+		return d.textSlowFrom(t, p, start)
 	}
-	return d.byteToken(KindText, d.src[start:d.off], p), nil
+	d.byteToken(t, KindText, d.src[start:d.off], p)
+	return nil
 }
 
 // textSlowFrom re-enters the per-rune text assembler mid-token: every
 // byte between start and the read position has been verified plain, so
 // it seeds the assembly buffer verbatim.
-func (d *Decoder) textSlowFrom(p Pos, start int) (Token, error) {
+func (d *Decoder) textSlowFrom(t *Token, p Pos, start int) error {
 	d.buf = append(d.buf[:0], d.src[start:d.off]...)
-	return d.textSlow(p)
+	return d.textSlow(t, p)
 }
 
 // textSlow assembles character data rune by rune into d.buf, expanding
 // references, normalizing CR/CRLF to LF and replacing invalid UTF-8 with
 // U+FFFD. It remains the reference scanner: with noBulk set it touches
 // one rune at a time, byte-exact against the SWAR path.
-func (d *Decoder) textSlow(p Pos) (Token, error) {
+func (d *Decoder) textSlow(t *Token, p Pos) error {
 	for {
 		if !d.noBulk {
 			// Bulk-copy a run of plain ASCII bytes before falling back
@@ -838,16 +917,16 @@ func (d *Decoder) textSlow(p Pos) (Token, error) {
 		if r == '&' {
 			s, err := d.reference(false)
 			if err != nil {
-				return Token{}, err
+				return err
 			}
 			d.buf = append(d.buf, s...)
 			continue
 		}
 		if r == ']' && d.hasPrefix("]]>") {
-			return Token{}, d.errf(d.pos(), "']]>' is not permitted in character data")
+			return d.errf(d.pos(), "']]>' is not permitted in character data")
 		}
 		if !IsChar(r) {
-			return Token{}, d.errf(d.pos(), "illegal character U+%04X in character data", r)
+			return d.errf(d.pos(), "illegal character U+%04X in character data", r)
 		}
 		if r == '\r' {
 			// End-of-line normalization: CR and CRLF become LF.
@@ -861,7 +940,8 @@ func (d *Decoder) textSlow(p Pos) (Token, error) {
 		d.buf = utf8.AppendRune(d.buf, r)
 		d.next()
 	}
-	return d.byteToken(KindText, d.buf, p), nil
+	d.byteToken(t, KindText, d.buf, p)
+	return nil
 }
 
 // reference parses &name;, &#n; or &#xn;. inAttr selects the stricter
@@ -978,13 +1058,15 @@ func (d *Decoder) expandEntityText(p Pos, s string, inAttr bool, via string) (st
 	return sb.String(), nil
 }
 
-// startTag parses <name attr="v" ...> or <name .../>.
-func (d *Decoder) startTag(p Pos) (Token, error) {
-	d.next() // consume '<'
+// startTag parses <name attr="v" ...> or <name .../> into t.
+func (d *Decoder) startTag(t *Token, p Pos) error {
+	d.skip("<")
+	nameCol := d.col
 	raw, err := d.name("element name")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
+	nameCols := d.col - nameCol
 	// Attributes accumulate in the decoder's scratch slice; the emitted
 	// token aliases it, so it is only valid until the next Token call
 	// (Detach copies it for retained tokens).
@@ -999,21 +1081,20 @@ func (d *Decoder) startTag(p Pos) (Token, error) {
 		case r == '/':
 			d.next()
 			if d.peek() != '>' {
-				return Token{}, d.errf(d.pos(), "expected '>' after '/' in tag <%s>", raw)
+				return d.errf(d.pos(), "expected '>' after '/' in tag <%s>", raw)
 			}
 			d.next()
 			selfClosing = true
 		case r < 0:
-			return Token{}, d.errf(p, "unterminated start tag <%s>", raw)
+			return d.errf(p, "unterminated start tag <%s>", raw)
 		default:
 			if !had {
-				return Token{}, d.errf(d.pos(), "expected whitespace before attribute in <%s>", raw)
+				return d.errf(d.pos(), "expected whitespace before attribute in <%s>", raw)
 			}
-			a, err := d.attribute()
-			if err != nil {
-				return Token{}, err
+			d.attrs = append(d.attrs, Attr{})
+			if err := d.attribute(&d.attrs[len(d.attrs)-1]); err != nil {
+				return err
 			}
-			d.attrs = append(d.attrs, a)
 			continue
 		}
 		break
@@ -1024,7 +1105,7 @@ func (d *Decoder) startTag(p Pos) (Token, error) {
 	}
 	// Literal duplicate check (pre-namespace).
 	if j := firstDuplicate(attrs, literalKey); j >= 0 {
-		return Token{}, d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
+		return d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
 	}
 	name := Name{Local: raw}
 	nsMark := d.ns.Mark()
@@ -1032,18 +1113,19 @@ func (d *Decoder) startTag(p Pos) (Token, error) {
 		var err error
 		name, err = d.applyNamespaces(p, raw, attrs)
 		if err != nil {
-			return Token{}, err
+			return err
 		}
 	}
 	d.seenRoot = true
-	tok := Token{Kind: KindStartElement, Name: name, Attrs: attrs, SelfClosing: selfClosing, Pos: p}
+	t.set(KindStartElement, name, p)
+	t.Attrs, t.SelfClosing = attrs, selfClosing
 	if selfClosing {
 		d.ns.Pop(nsMark)
-		d.pending = append(d.pending, Token{Kind: KindEndElement, Name: name, Pos: p})
+		d.endPending, d.endName, d.endPos = true, name, p
 	} else {
-		d.stack = append(d.stack, openElem{name: name, rawName: raw, pos: p, nsMark: nsMark})
+		d.stack = append(d.stack, openElem{name: name, rawName: raw, nameCols: nameCols, pos: p, nsMark: nsMark})
 	}
-	return tok, nil
+	return nil
 }
 
 // attrKey identifies an attribute for a duplicate check.
@@ -1108,22 +1190,22 @@ func firstDuplicate(attrs []Attr, key func(*Attr) (attrKey, bool)) int {
 	return bestJ
 }
 
-// attribute parses name="value".
-func (d *Decoder) attribute() (Attr, error) {
+// attribute parses name="value" into the zero Attr a.
+func (d *Decoder) attribute(a *Attr) error {
 	p := d.pos()
 	raw, err := d.name("attribute name")
 	if err != nil {
-		return Attr{}, err
+		return err
 	}
 	d.skipSpace()
 	if d.peek() != '=' {
-		return Attr{}, d.errf(d.pos(), "expected '=' after attribute name %q", raw)
+		return d.errf(d.pos(), "expected '=' after attribute name %q", raw)
 	}
 	d.next()
 	d.skipSpace()
 	q := d.peek()
 	if q != '"' && q != '\'' {
-		return Attr{}, d.errf(d.pos(), "attribute value for %q must be quoted", raw)
+		return d.errf(d.pos(), "attribute value for %q must be quoted", raw)
 	}
 	d.next()
 	d.buf = d.buf[:0]
@@ -1156,7 +1238,7 @@ func (d *Decoder) attribute() (Attr, error) {
 				for d.off < end {
 					r := d.peek()
 					if !IsChar(r) {
-						return Attr{}, d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
+						return d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
 					}
 					d.buf = utf8.AppendRune(d.buf, r)
 					d.next()
@@ -1167,17 +1249,17 @@ func (d *Decoder) attribute() (Attr, error) {
 		r := d.peek()
 		switch {
 		case r < 0:
-			return Attr{}, d.errf(p, "unterminated attribute value for %q", raw)
+			return d.errf(p, "unterminated attribute value for %q", raw)
 		case r == q:
 			d.next()
-			name := splitRawName(raw)
-			return Attr{Name: name, Value: d.internBytes(d.buf), Pos: p}, nil
+			a.Name, a.Value, a.Pos = splitRawName(raw), d.internBytes(d.buf), p
+			return nil
 		case r == '<':
-			return Attr{}, d.errf(d.pos(), "'<' is not permitted in attribute values")
+			return d.errf(d.pos(), "'<' is not permitted in attribute values")
 		case r == '&':
 			s, err := d.reference(true)
 			if err != nil {
-				return Attr{}, err
+				return err
 			}
 			d.buf = append(d.buf, s...)
 		case r == '\t' || r == '\n':
@@ -1192,7 +1274,7 @@ func (d *Decoder) attribute() (Attr, error) {
 			d.buf = append(d.buf, ' ')
 		default:
 			if !IsChar(r) {
-				return Attr{}, d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
+				return d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
 			}
 			d.buf = utf8.AppendRune(d.buf, r)
 			d.next()
@@ -1309,42 +1391,62 @@ func (d *Decoder) lookupNS(prefix string) (string, bool) {
 	return uri, ok
 }
 
-// endTag parses </name>.
-func (d *Decoder) endTag(p Pos) (Token, error) {
+// endTag parses </name> into t. When the tag closes the open element
+// exactly as its start tag wrote the name, the input bytes are compared
+// with that name and its resolved Name is reused; any other end tag takes
+// the full scan, which reports the mismatch.
+func (d *Decoder) endTag(t *Token, p Pos) error {
 	d.skip("</")
+	if !d.noBulk && len(d.stack) > 0 {
+		top := &d.stack[len(d.stack)-1]
+		n := len(top.rawName)
+		d.fill(n + 1)
+		if rest := d.src[d.off:]; len(rest) > n && rest[n] == '>' && string(rest[:n]) == top.rawName {
+			d.off += n + 1
+			d.col += top.nameCols + 1
+			d.closeTop(t, p)
+			return nil
+		}
+	}
 	raw, err := d.name("element name in end tag")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
 	d.skipSpace()
 	if d.peek() != '>' {
-		return Token{}, d.errf(d.pos(), "expected '>' to close end tag </%s>", raw)
+		return d.errf(d.pos(), "expected '>' to close end tag </%s>", raw)
 	}
 	d.next()
 	if len(d.stack) == 0 {
-		return Token{}, d.errf(p, "unexpected end tag </%s>", raw)
+		return d.errf(p, "unexpected end tag </%s>", raw)
 	}
-	top := d.stack[len(d.stack)-1]
-	if top.rawName != raw {
-		return Token{}, d.errf(p, "end tag </%s> does not match start tag <%s> opened at %s", raw, top.rawName, top.pos)
+	if top := &d.stack[len(d.stack)-1]; top.rawName != raw {
+		return d.errf(p, "end tag </%s> does not match start tag <%s> opened at %s", raw, top.rawName, top.pos)
 	}
-	d.stack = d.stack[:len(d.stack)-1]
-	d.ns.Pop(top.nsMark)
-	return Token{Kind: KindEndElement, Name: top.name, Pos: p}, nil
+	d.closeTop(t, p)
+	return nil
 }
 
-// doctype parses <!DOCTYPE name externalID? [internal subset]? >.
+// closeTop pops the innermost open element and fills t with its end token.
+func (d *Decoder) closeTop(t *Token, p Pos) {
+	top := &d.stack[len(d.stack)-1]
+	d.ns.Pop(top.nsMark)
+	t.set(KindEndElement, top.name, p)
+	d.stack = d.stack[:len(d.stack)-1]
+}
+
+// doctype parses <!DOCTYPE name externalID? [internal subset]? > into t.
 // The internal subset's raw text is returned in Token.Data; the external
 // identifier (if any) in Token.Target. ENTITY declarations in the internal
 // subset are registered for reference expansion.
-func (d *Decoder) doctype(p Pos) (Token, error) {
+func (d *Decoder) doctype(t *Token, p Pos) error {
 	d.skip("<!DOCTYPE")
 	if !d.skipSpace() {
-		return Token{}, d.errf(p, "expected whitespace after <!DOCTYPE")
+		return d.errf(p, "expected whitespace after <!DOCTYPE")
 	}
 	name, err := d.name("doctype name")
 	if err != nil {
-		return Token{}, err
+		return err
 	}
 	d.skipSpace()
 	extStart := d.off
@@ -1353,17 +1455,17 @@ func (d *Decoder) doctype(p Pos) (Token, error) {
 		isPublic := d.hasPrefix("PUBLIC")
 		d.skip("SYSTEM") // both keywords are 6 bytes
 		if !d.skipSpace() {
-			return Token{}, d.errf(d.pos(), "expected whitespace after external ID keyword")
+			return d.errf(d.pos(), "expected whitespace after external ID keyword")
 		}
 		if _, err := d.quotedLiteral(); err != nil {
-			return Token{}, err
+			return err
 		}
 		if isPublic {
 			if !d.skipSpace() {
-				return Token{}, d.errf(d.pos(), "expected whitespace between public and system literals")
+				return d.errf(d.pos(), "expected whitespace between public and system literals")
 			}
 			if _, err := d.quotedLiteral(); err != nil {
-				return Token{}, err
+				return err
 			}
 		}
 	}
@@ -1374,20 +1476,21 @@ func (d *Decoder) doctype(p Pos) (Token, error) {
 		d.next()
 		subset, err = d.internalSubset(p)
 		if err != nil {
-			return Token{}, err
+			return err
 		}
 	}
 	d.skipSpace()
 	if d.peek() != '>' {
-		return Token{}, d.errf(d.pos(), "expected '>' to close DOCTYPE")
+		return d.errf(d.pos(), "expected '>' to close DOCTYPE")
 	}
 	d.next()
 	if err := d.registerEntities(subset); err != nil {
-		return Token{}, err
+		return err
 	}
-	t := Token{Kind: KindDoctype, Name: Name{Local: name}, Target: extID, Pos: p}
+	t.set(KindDoctype, Name{Local: name}, p)
+	t.Target = extID
 	t.SetData(subset)
-	return t, nil
+	return nil
 }
 
 // quotedLiteral parses a quoted literal ("..." or '...').
@@ -1431,7 +1534,8 @@ func (d *Decoder) internalSubset(p Pos) (string, error) {
 				return "", err
 			}
 		case d.hasPrefix("<!--"):
-			if _, err := d.comment(d.pos()); err != nil {
+			var skipped Token
+			if err := d.comment(&skipped, d.pos()); err != nil {
 				return "", err
 			}
 		case r == '<':

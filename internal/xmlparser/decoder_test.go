@@ -1,6 +1,8 @@
 package xmlparser
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -388,5 +390,74 @@ func TestAttributeEntityExpansion(t *testing.T) {
 	}
 	if start.Attrs[0].Value != "x&y" {
 		t.Errorf("attr entity: got %q", start.Attrs[0].Value)
+	}
+}
+
+// TestIsNCNameMatchesRanges holds IsNCName's ASCII table path to the
+// production's range definition, for one- and two-rune strings over every
+// ASCII byte and a spread of non-ASCII runes, plus invalid UTF-8.
+func TestIsNCNameMatchesRanges(t *testing.T) {
+	ref := func(s string) bool {
+		if s == "" {
+			return false
+		}
+		for i, r := range s {
+			if r == ':' {
+				return false
+			}
+			if i == 0 {
+				if !inRanges(r, nameStartRanges) {
+					return false
+				}
+			} else if !inRanges(r, nameStartRanges) && !inRanges(r, nameExtraRanges) {
+				return false
+			}
+		}
+		return true
+	}
+	var runes []rune
+	for r := rune(0); r < 0x400; r++ {
+		runes = append(runes, r)
+	}
+	runes = append(runes, 0x2040, 0x203F, 0x3000, 0x3001, 0xFFFD, 0xFFFE, 0x10000, 0xEFFFF, 0xF0000)
+	strs := []string{"\xff", "a\xff", "\xc3", "a\xc3b"}
+	for _, r := range runes {
+		strs = append(strs, string(r), "a"+string(r), string(r)+"a")
+	}
+	for _, s := range strs {
+		if got, want := IsNCName(s), ref(s); got != want {
+			t.Errorf("IsNCName(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
+// TestNextFillsEveryField reuses one Token across a document holding
+// every token kind, starting from a token that holds something in every
+// field: each filled token must equal the one a fresh Token receives, so
+// nothing (Attrs, SelfClosing, payload, Target) leaks from the token it
+// overwrote.
+func TestNextFillsEveryField(t *testing.T) {
+	src := []byte("<?xml version=\"1.0\"?><!DOCTYPE r SYSTEM \"r.dtd\"><r a=\"1\" b=\"2\"><?p d?>text<e x=\"y\"/>&amp;<![CDATA[c]]><!--k--><f/>tail</r>")
+	reused := Token{Kind: KindProcInst, Name: Name{Local: "stale"}, Target: "stale", Attrs: []Attr{{Value: "stale"}}, SelfClosing: true}
+	reused.SetData("stale")
+	dr, df := NewDecoder(src, nil), NewDecoder(src, nil)
+	for n := 0; ; n++ {
+		var fresh Token
+		errR, errF := dr.Next(&reused), df.Next(&fresh)
+		if errR != errF {
+			t.Fatalf("token %d: reused err %v, fresh err %v", n, errR, errF)
+		}
+		if errR != nil {
+			if errR != io.EOF {
+				t.Fatal(errR)
+			}
+			return
+		}
+		got, want := reused, fresh
+		got.Detach()
+		want.Detach()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("token %d filled over an earlier token:\n  got:  %#v\n  want: %#v", n, got, want)
+		}
 	}
 }

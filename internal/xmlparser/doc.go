@@ -16,10 +16,15 @@
 // Both modes produce byte-identical tokens, positions and errors — a
 // property the regression suite (TestReaderDecoderParity) and the FuzzParse
 // differential fuzzer hold permanently. Decoder.Next is the pull API for
-// streaming consumers (it returns tokens by value and io.EOF at end of
-// input); Decoder.Token returns a pointer into a scratch slot that is
-// reused by the following call, so callers that keep a token across calls
-// must copy it (or call Detach, below).
+// streaming consumers: it fills a Token the caller owns, overwriting every
+// field, and returns io.EOF at end of input, so one Token serves a whole
+// document without a per-token copy. Decoder.Token does the same into a
+// scratch slot of the decoder and returns a pointer to it.
+//
+// Either way a filled token is a view: its Attrs slice and its text
+// payload alias decoder buffers and are valid only until the next Token
+// or Next call. A caller that keeps a token across calls copies it and
+// calls Detach on the copy (below); parseAll and package dom do.
 //
 // # Zero-copy tokens and SWAR scanning
 //
@@ -37,9 +42,13 @@
 // tests to find the next delimiter in character data, attribute values
 // and names, with the exact per-byte classification table applied only
 // to flagged words and tails; UTF-8 validation and line/column tracking
-// are amortized over whole runs. The bulk path is pinned to a
-// byte-at-a-time reference scanner (the noBulk mode) by differential
-// tests and FuzzParse, including exact error positions.
+// are amortized over whole runs. Markup is scanned with byte loops: a
+// rune is decoded only at a byte >= 0x80, the byte after '<' picks the
+// construct, and an end tag that closes the open element is matched by
+// comparing its bytes with the start tag's name, whose resolved Name it
+// reuses. These fast paths are pinned to a byte-at-a-time reference
+// scanner (the noBulk mode) by differential tests and FuzzParse,
+// including exact error positions.
 //
 // The parser enforces well-formedness as defined by the XML recommendation:
 // matching start/end tags, a single root element, unique attributes,
@@ -60,7 +69,7 @@
 // do not share one Decoder across goroutines. Distinct Decoder instances
 // (and therefore concurrent Parse calls over different inputs) are fully
 // independent, which is what lets xsdcheck parse many files in parallel.
-// Token values returned by Next (and the copies parseAll collects) are
-// immutable and safe to retain; only the pointer returned by Token aims
-// at reused decoder state.
+// Tokens filled by Next or Token alias the decoder's buffers (see above)
+// and belong to the decoder's goroutine; detached copies, such as the ones
+// parseAll collects, are independent values that any goroutine may read.
 package xmlparser

@@ -38,8 +38,9 @@ func refEscape(s string, attr bool) string {
 func readBack(doc string, attr bool) (string, bool) {
 	d := NewDecoder([]byte(doc), nil)
 	var sb strings.Builder
+	var tok Token
 	for {
-		tok, err := d.Next()
+		err := d.Next(&tok)
 		if err == io.EOF {
 			return sb.String(), true
 		}

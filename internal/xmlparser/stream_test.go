@@ -194,3 +194,31 @@ func TestReaderDecoderNoProgress(t *testing.T) {
 		t.Fatal("decoder did not detect a no-progress reader")
 	}
 }
+
+// TestReaderDecoderRefillAllocs checks that refilling the reader-mode
+// window allocates nothing once it is warm: tokenizing a 100 KB and a 1 MB
+// document through a 4 KB-chunk reader costs the same small constant.
+func TestReaderDecoderRefillAllocs(t *testing.T) {
+	item := `<item partNum="001-AB"><productName>Widget</productName><quantity>1</quantity></item>` + "\n"
+	doc := func(size int) string {
+		return "<items>" + strings.Repeat(item, size/len(item)) + "</items>"
+	}
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			d := NewReaderDecoder(&chunkReader{s: src, n: 4096}, nil)
+			var tok Token
+			for {
+				if err := d.Next(&tok); err != nil {
+					if err != io.EOF {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+		})
+	}
+	small, large := allocs(doc(100<<10)), allocs(doc(1<<20))
+	if small != large || large > 32 {
+		t.Errorf("allocs per document: %v at 100 KB, %v at 1 MB; want the same constant, at most 32", small, large)
+	}
+}

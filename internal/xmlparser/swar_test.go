@@ -108,6 +108,17 @@ var bulkParityDocs = []string{
 	"<a>\n<b>\n<c>deep\n</c>\n</b>\n</a>",
 	"<m>t1<i>x</i>\r\nt2<b/>t3</m>",
 	"<a>text<!--comment\nspanning\nlines--><?pi some data?></a>",
+	// End tags: the comparison with the open element's name, and the full
+	// scan it leaves to anything but "name>".
+	"<a></a >",
+	"<a>\n</a\n>",
+	`<p:a xmlns:p="u"></p:a>`,
+	"<\u00e9></\u00e9>",
+	"<r><\u00e9></\u00e9>after<x\u4e16></x\u4e16><b/></r>",
+	"<" + strings.Repeat("n", 600) + "><b/></" + strings.Repeat("n", 600) + ">",
+	// Tokens filled in place over one another: attributes, self-closing
+	// ends, text, references, PIs and doctype targets in turn.
+	"<!DOCTYPE r SYSTEM \"r.dtd\"><r a=\"1\" b=\"2\"><?p d?>t<e x=\"y\"/>&amp;<![CDATA[c]]><!--k--><f/></r>",
 }
 
 // bulkParityErrDocs must produce byte-identical errors (message and
@@ -125,6 +136,14 @@ var bulkParityErrDocs = []string{
 	"<a><![CDATA[" + strings.Repeat("q", 90) + "\ufffe]]></a>",
 	"<a>unterminated",
 	`<a attr="unterminated`,
+	"</a >",
+	"</a\n>",
+	"<ab></a>",
+	"<a></ab>",
+	`<p:a xmlns:p="u"></q:a>`,
+	"<a></a",
+	"<a></a x>",
+	"<" + strings.Repeat("n", 600) + "></" + strings.Repeat("n", 599) + ">",
 }
 
 // parseMode parses src with explicit control of reader mode and the

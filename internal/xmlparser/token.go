@@ -96,11 +96,13 @@ type Attr struct {
 
 // Token is one parse event.
 //
-// Tokens returned by Decoder.Token and Decoder.Next are views into the
-// decoder's buffers: the text payload (Bytes) and the Attrs slice are
-// only valid until the next Token/Next call. Callers that retain tokens
-// across calls must Detach them first (Parse and friends do). Data
-// materializes the payload as a string on demand, caching the result.
+// The decoder fills tokens in place: Decoder.Next overwrites every field
+// of the caller's Token, and Decoder.Token refills the decoder's scratch
+// slot. A filled token is a view into the decoder's buffers: the text
+// payload (Bytes) and the Attrs slice are only valid until the next
+// Token/Next call. Callers that retain tokens across calls must copy and
+// Detach them first (Parse and friends do). Data materializes the payload
+// as a string on demand, caching the result.
 type Token struct {
 	Kind Kind
 	Name Name // element name for KindStartElement / KindEndElement
@@ -125,6 +127,15 @@ type Token struct {
 	SelfClosing bool
 	// Pos is the position of the first character of the token.
 	Pos Pos
+}
+
+// set makes t a fresh token of the given kind, name and position. It
+// assigns every field, so a token filled in place keeps nothing of the
+// token it held before; the caller then sets the kind's own fields.
+func (t *Token) set(kind Kind, name Name, p Pos) {
+	t.Kind, t.Name, t.Pos = kind, name, p
+	t.data, t.str, t.strOK, t.d = nil, "", false, nil
+	t.Target, t.Attrs, t.SelfClosing = "", nil, false
 }
 
 // Data returns the token's text payload as a string, materializing (and

@@ -162,9 +162,9 @@ func BuildCatalog(root string, readFile func(path string) ([]byte, error)) (map[
 // not well-formed up to its root start tag or the root is not xs:schema.
 func sniffTargetNamespace(src []byte) (string, bool) {
 	d := xmlparser.NewDecoder(src, nil)
+	var tok xmlparser.Token
 	for {
-		tok, err := d.Next()
-		if err != nil {
+		if err := d.Next(&tok); err != nil {
 			return "", false
 		}
 		if tok.Kind != xmlparser.KindStartElement {
