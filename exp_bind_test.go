@@ -35,8 +35,8 @@ const bindAnyXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
-// bindKeyAllXSD sends both kinds of subtree the streaming walk hands to
-// the DOM walk through the decoders: an element with an xs:key, and a
+// bindKeyAllXSD sends both kinds of subtree the validation machine needs
+// as a node through the decoders: an element with an xs:key, and a
 // 7-member xs:all, which compiles to the backtracking interpreter rather
 // than a Glushkov automaton.
 const bindKeyAllXSD = `<?xml version="1.0"?>

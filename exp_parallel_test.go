@@ -1,7 +1,7 @@
 package repro
 
 // E15 — differential testing of intra-document parallel validation
-// against the sequential DOM walk. ParallelValidate must reproduce
+// against sequential validation. ParallelValidate must reproduce
 // ValidateDocument's verdicts byte-exactly — same violations, same
 // order, same paths and message text — at every worker count, over every
 // bundled schema, the mutation corpora, and arbitrary fuzzed bytes. The

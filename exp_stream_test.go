@@ -57,6 +57,66 @@ const streamFeaturesXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
+// interpXSD has two content models that exceed the Glushkov position
+// budget and compile to the backtracking interpreter: Card's xs:all of five
+// members and Log's sequence bounded at 5,000. Card holds an identity scope
+// (tags' unique key), and IDs live inside and outside the cards, so
+// duplicates cross the interpreter subtree's edge both ways.
+const interpXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="root">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="head" type="xsd:string"/>
+        <xsd:element name="card" type="Card" minOccurs="0" maxOccurs="unbounded"/>
+        <xsd:element name="log" type="Log" minOccurs="0"/>
+        <xsd:element name="ref" minOccurs="0" maxOccurs="unbounded">
+          <xsd:complexType>
+            <xsd:attribute name="id" type="xsd:ID"/>
+            <xsd:attribute name="to" type="xsd:IDREF"/>
+          </xsd:complexType>
+        </xsd:element>
+      </xsd:sequence>
+      <xsd:attribute name="rootId" type="xsd:ID"/>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:complexType name="Card">
+    <xsd:all>
+      <xsd:element name="a" type="xsd:int"/>
+      <xsd:element name="b" type="xsd:string"/>
+      <xsd:element name="c" type="xsd:string"/>
+      <xsd:element name="d" type="xsd:string" minOccurs="0"/>
+      <xsd:element name="tags">
+        <xsd:complexType>
+          <xsd:sequence>
+            <xsd:element name="tag" minOccurs="0" maxOccurs="unbounded">
+              <xsd:complexType>
+                <xsd:attribute name="k" type="xsd:string"/>
+                <xsd:attribute name="id" type="xsd:ID"/>
+              </xsd:complexType>
+            </xsd:element>
+          </xsd:sequence>
+        </xsd:complexType>
+        <xsd:unique name="tagKey">
+          <xsd:selector xpath="tag"/>
+          <xsd:field xpath="@k"/>
+        </xsd:unique>
+      </xsd:element>
+    </xsd:all>
+    <xsd:attribute name="id" type="xsd:ID"/>
+  </xsd:complexType>
+  <xsd:complexType name="Log">
+    <xsd:sequence>
+      <xsd:element name="e" type="xsd:int" maxOccurs="5000"/>
+    </xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>
+`
+
+// interpLog is a <log> of n <e> entries.
+func interpLog(n int) string {
+	return "<log>" + strings.Repeat("<e>1</e>", n) + "</log>"
+}
+
 // diffCase is one schema+instances differential group.
 type diffCase struct {
 	name      string
@@ -239,6 +299,31 @@ var diffCases = []diffCase{
 			"wildcard attr":         `<envelope anything="goes"/>`,
 			"global extra root":     `<extra>top level</extra>`,
 			"global record invalid": `<record><key>k</key></record>`,
+		},
+	},
+	{
+		name:   "interpreter models",
+		xsdSrc: interpXSD,
+		instances: map[string]string{
+			"valid": `<root rootId="r"><head>h</head>` +
+				`<card id="c1"><a>1</a><b>b</b><c>c</c><tags><tag k="x" id="t1"/><tag k="y"/></tags></card>` +
+				`<card><a>2</a><b>b</b><c>c</c><d>d</d><tags/></card>` +
+				interpLog(3) + `<ref id="q" to="t1"/><ref to="c1"/></root>`,
+			"members reordered, one bad": `<root><head>h</head><card><tags/><c>c</c><d>d</d><b>b</b><a>two</a></card></root>`,
+			"missing member":   `<root><head>h</head><card><a>1</a><b>b</b><tags/></card></root>`,
+			"duplicate member": `<root><head>h</head><card><a>1</a><b>b</b><b>again</b><c>c</c><tags/></card></root>`,
+			"bad member value": `<root><head>h</head><card id="c"><a>one</a><b>b</b><c>c</c><tags><tag k="x" id="c"/></tags></card></root>`,
+			"at the bound":     `<root><head>h</head>` + interpLog(5000) + `</root>`,
+			"over the bound":   `<root><head>h</head>` + interpLog(5001) + `</root>`,
+			"stray text":       `<root><head>h</head><card>text<a>1</a><b>b</b><c>c</c><tags/></card></root>`,
+			"duplicate key in nested scope": `<root><head>h</head>` +
+				`<card><a>1</a><b>b</b><c>c</c><tags><tag k="x"/><tag k="x"/></tags></card></root>`,
+			"ids collide across the edge": `<root rootId="in"><head>h</head>` +
+				`<card id="in"><a>1</a><b>b</b><c>c</c><tags><tag k="x" id="out"/></tags></card>` +
+				`<ref id="out"/><ref to="nowhere"/></root>`,
+			"interp subtree under a failing parent": `<root rootId="r"><head>h</head>` +
+				`<card id="r"><a>x</a><b>b</b><c>c</c><tags><tag k="x"/><tag k="x"/></tags></card>` +
+				`<bogus/><ref id="r"/></root>`,
 		},
 	},
 }

@@ -68,8 +68,8 @@ func xsiTypeLevel(level int) string {
 }
 
 // keyXSD puts an xs:key on <keyed>, whose <item> children take any
-// attributes: the streaming walk buffers each <keyed> subtree for the DOM
-// walk.
+// attributes: from the decoder, the validation machine buffers each
+// <keyed> subtree and replays it as a tree, for the key's selector.
 const keyXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="keyed">
     <xsd:complexType>
@@ -88,6 +88,29 @@ const keyXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
     </xsd:key>
   </xsd:element>
 </xsd:schema>`
+
+// uniqueChainXSD puts an xs:unique over every descendant <n> of <r>, whose
+// <n> elements nest: the selector's .// step walks the whole chain.
+const uniqueChainXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType>
+      <xsd:sequence><xsd:element name="n" type="IDN" minOccurs="0"/></xsd:sequence>
+    </xsd:complexType>
+    <xsd:unique name="ids">
+      <xsd:selector xpath=".//n"/>
+      <xsd:field xpath="@id"/>
+    </xsd:unique>
+  </xsd:element>
+  <xsd:complexType name="IDN">
+    <xsd:sequence><xsd:element name="n" type="IDN" minOccurs="0"/></xsd:sequence>
+    <xsd:attribute name="id" type="xsd:string"/>
+  </xsd:complexType>
+</xsd:schema>`
+
+// uniqueChain nests depth <n id="i"> elements under <r>.
+func uniqueChain(depth int) []byte {
+	return append(append([]byte("<r>"), hostileChain(depth, func(i int) string { return fmt.Sprintf(` id="%d"`, i) })...), "</r>"...)
+}
 
 // wideKeyed puts n empty attributes x0..x(n-1) on an <item> under <keyed>.
 func wideKeyed(n int) []byte {
@@ -194,6 +217,7 @@ func TestHostileCorpusBoundedCost(t *testing.T) {
 		return bind.New(s, nil)
 	}
 	chain, po, list, keyed := compile(chainXSD), compile(schemas.PurchaseOrderXSD), compile(listXSD), compile(keyXSD)
+	uniqueNested := compile(uniqueChainXSD)
 	valid := func(t *testing.T, res *validator.Result) {
 		if !res.OK() {
 			t.Errorf("want valid, got %v", res.Violations[0])
@@ -214,6 +238,9 @@ func TestHostileCorpusBoundedCost(t *testing.T) {
 			verdict: valid},
 		{name: "xsi:type chain", b: chain, scale: 40000,
 			src:     func(d int) []byte { return hostileChain(d, xsiTypeLevel) },
+			verdict: valid},
+		{name: "xs:unique over a .// chain", b: uniqueNested, scale: 20000,
+			src:     uniqueChain,
 			verdict: valid},
 		{name: "100,000 attributes under an xs:key", b: keyed, scale: 100000,
 			src:     wideKeyed,

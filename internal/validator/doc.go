@@ -13,55 +13,59 @@
 // validator sits at the end of the runtime half of the pipeline
 // (xsd parse → normalize → contentmodel → codegen/vdom → validator →
 // pxml): it consumes the resolved component model from package xsd and
-// the compiled matchers from package contentmodel, and judges trees built
-// by package dom. The test suite also uses it as the independent oracle
+// the compiled matchers from package contentmodel, and judges documents
+// as token streams or as trees built by package dom. The test suite also uses it as the independent oracle
 // that everything the typed V-DOM API (package vdom) can express
 // marshals to a valid document.
 //
-// # Streaming entry points
+// # One walk, any token source
 //
-// Validator.Stream returns a StreamValidator, which decides validity
-// incrementally from the token stream instead of a materialized tree:
-// StreamValidator.ValidateReader consumes an io.Reader with memory
-// proportional to tree depth (O(depth), no DOM allocation), and
-// StreamValidator.ValidateBytes is its in-memory counterpart.
-// ValidateReaderContext is the cancellable form — it checks the context
-// between token batches and returns (nil, ctx.Err()) on expiry, the
-// same contract as ValidateBatchContext; servers use it to stop
-// validating when a request's deadline fires mid-stream. Both drive
-// the same cached Glushkov automata as the DOM path through an explicit
-// element/automaton-state stack and reproduce ValidateDocument's
-// verdicts, violation order and messages exactly (held by the
-// TestStreamMatchesDOM differential suite). Subtrees the streaming pass
-// cannot decide incrementally — identity constraints, or content models
-// compiled to the backtracking interpreter — are buffered privately and
-// degrade to the recursive DOM path. cmd/xsdcheck exposes the streaming
-// path as -stream.
+// Every entry point runs one validation machine (stream.go): an explicit
+// stack of element frames that steps the cached Glushkov automata one
+// child at a time, with O(depth) memory and no recursion per element. It
+// takes its tokens from a TokenSource:
+//
+//   - the decoder, for the streaming entry points: Validator.Stream
+//     returns a StreamValidator whose ValidateReader consumes an io.Reader
+//     and whose ValidateBytes validates an in-memory document, neither
+//     building a DOM. ValidateReaderContext is the cancellable form — it
+//     checks the context between token batches and returns (nil,
+//     ctx.Err()) on expiry, the same contract as ValidateBatchContext;
+//     servers use it to stop validating when a request's deadline fires
+//     mid-stream. cmd/xsdcheck exposes the streaming path as -stream;
+//   - a replay of a parsed tree, for ValidateDocument, ValidateElement,
+//     ValidateBatch and ParallelValidate (tree.go);
+//   - bind's Marshal encoder, through ValidateTokens.
+//
+// Identity constraints, content models compiled to the backtracking
+// interpreter and raw wildcard subtrees need the element as a node. A tree
+// replay hands it over; from the decoder or the encoder the machine
+// buffers the element's subtree into a pooled fragment and replays it.
+// Whatever the source, the verdict, the violation order and the messages
+// are the same (held by the TestStreamMatchesDOM differential suite and by
+// the pinned verdicts in testdata/validator_verdicts.txt).
 //
 // # Observers
 //
-// Both walks fire the same StreamEvents callbacks (events.go) when an
-// observer is attached: ValidateDocumentEvents and ValidateElementEvents
-// on the DOM walk, ValidateReaderEvents and ValidateBytesEvents on the
-// streaming one. A buffered fallback subtree fires its events from the
-// nested DOM run. Package bind decodes through this hook in the same pass
-// that decides validity, and codegen's corpus-pruning pass records the
-// declarations it reaches. Without an observer the walks pay one nil
-// check per element.
+// The *Events entry points — ValidateDocumentEvents and
+// ValidateElementEvents on a tree, ValidateReaderEvents and
+// ValidateBytesEvents on the decoder — attach a StreamEvents observer to
+// the machine (events.go), which fires the same callbacks whatever the
+// source. Package bind decodes through this hook in the same pass that
+// decides validity. Without an observer the machine pays one nil check
+// per element.
 //
 // # Intra-document parallelism
 //
-// Validator.ParallelValidate splits one large document across a
-// GOMAXPROCS-bounded worker pool at sibling-subtree boundaries: the
-// walk descends until it finds a level with at least ParallelMinFanout
-// children, fans contiguous chunks of that level out to workers running
-// the ordinary cached-DFA walk, and joins the document-global state —
-// ordered violations, first-wins ID semantics, IDREF resolution — at
-// the seams via per-sub-run ID journals (see parallel.go). The verdict
-// is byte-identical to ValidateDocument's, enforced by differential
-// tests and FuzzParallelValidate; documents that reach the violation
-// cap fall back to a sequential rerun. cmd/xsdcheck exposes it as
-// -parallel, xsdserved as ?parallel=1 (size-gated).
+// Validator.ParallelValidate runs the machine over the parsed tree until it
+// opens a level with at least ParallelMinFanout element children, matches
+// those children at once, fans contiguous chunks of them out to a
+// GOMAXPROCS-bounded pool of sub-machines, and joins the document-global
+// state — ordered violations, first-wins ID semantics, IDREF resolution —
+// at the seams (see parallel.go). The verdict is byte-identical to
+// ValidateDocument's, enforced by differential tests and
+// FuzzParallelValidate. cmd/xsdcheck exposes it as -parallel, xsdserved
+// as ?parallel=1 (size-gated).
 //
 // # Concurrency
 //
@@ -76,7 +80,7 @@
 // shared cache. A StreamValidator holds no per-run state either: it
 // shares only the parent Validator's immutable schema and thread-safe
 // model cache, so one StreamValidator may serve any number of
-// goroutines, interleaved freely with DOM-path runs on the same
-// Validator (asserted under -race by TestStreamConcurrent). Documents are only read; callers must not
-// mutate a document while it is being validated.
+// goroutines, interleaved freely with tree runs on the same Validator
+// (asserted under -race by TestStreamConcurrent). Documents are only
+// read; callers must not mutate a document while it is being validated.
 package validator

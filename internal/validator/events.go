@@ -2,20 +2,19 @@ package validator
 
 // Observer hook: typed access rides on the pass that decides validity.
 //
-// Both validation walks — the recursive DOM walk and the streaming frame
-// machine — already compute, element by element, everything a
-// schema-directed decoder needs: the governing declaration (after
+// The validation machine already computes, element by element, everything
+// a schema-directed decoder needs: the governing declaration (after
 // substitution and xsi:type resolution), the parsed simple value of every
 // text leaf, and the exact extent of unvalidated wildcard subtrees.
-// StreamEvents exposes those facts as callbacks, and both walks fire the
-// same sequence for the same document, so one consumer (internal/bind)
-// builds typed values in the same pass whichever walk runs, without
-// re-deriving any of it and without the validator knowing anything about
-// binding. A subtree the streaming walk hands to the DOM walk (identity
-// constraints, non-Glushkov models) fires its events from that nested run.
+// StreamEvents exposes those facts as callbacks. The machine fires the same
+// sequence for the same document whether its tokens come from the decoder,
+// from a parsed tree or from bind's encoder, so one consumer
+// (internal/bind) builds typed values in the same pass whatever the entry
+// point, without re-deriving any of it and without the validator knowing
+// anything about binding.
 //
-// Verdict parity is untouched: events are fired from the existing walk
-// transitions and never alter them, and a walk with no observer pays one
+// Verdict parity is untouched: events are fired from the existing machine
+// transitions and never alter them, and a run with no observer pays one
 // nil check per element. On invalid documents the callback sequence still
 // pairs every OpenElement with a CloseElement, so a consumer's stack stays
 // balanced; whether to trust the partial structure is the consumer's call
@@ -58,9 +57,10 @@ type ElementStart struct {
 
 // StreamEvents receives structural callbacks during a validation pass.
 // Implementations must not retain ElementStart.Attrs or the *dom.Element
-// beyond the call: the attribute slice is scratch space, and raw elements
-// from the streaming walk live in a pooled document that is released when
-// the callback returns.
+// beyond the call: the attribute slice is scratch space, and a raw element
+// from the decoder or an encoder lives in a pooled fragment that is
+// released when the callback returns (from a parsed tree it is the tree's
+// own node).
 type StreamEvents interface {
 	// OpenElement fires when a validated element opens.
 	OpenElement(e ElementStart)
@@ -85,18 +85,35 @@ type StreamEvents interface {
 // receives the callbacks above while the verdict is computed exactly as
 // without an observer.
 func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
-	r := &run{v: v, ids: map[string]loc{}, events: ev}
-	r.document(doc)
-	return r.result()
+	return v.validateDocument(doc, ev, 0)
 }
 
 // ValidateElementEvents is ValidateElement with an event observer.
 func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
-	r := &run{v: v, ids: map[string]loc{}, events: ev}
-	r.anchor(el, "/"+el.TagName())
-	r.element(el, decl, false)
-	r.checkIDRefs()
-	return r.result()
+	return v.validateTree(el, decl, ev, 0)
+}
+
+// validateDocument runs the machine over the document's tree; par > 1
+// splits wide levels across that many workers.
+func (v *Validator) validateDocument(doc *dom.Document, ev StreamEvents, par int) *Result {
+	root := doc.DocumentElement()
+	if root == nil {
+		return &Result{Violations: []Violation{{Path: "/", Msg: "document has no root element"}}}
+	}
+	return v.validateTree(root, nil, ev, par)
+}
+
+// validateTree runs the machine over a replay of the tree under root, which
+// decl governs (nil: its global declaration), with the namespace
+// declarations of root's ancestors in scope.
+func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev StreamEvents, par int) *Result {
+	sr := newMachine(v, ev)
+	sr.rootDecl, sr.par = decl, par
+	declareAncestors(&sr.ns, root)
+	sr.tree = newTreeSource(root)
+	res, _ := sr.consume(context.Background(), sr.tree)
+	sr.release()
+	return res
 }
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer.

@@ -128,10 +128,22 @@ func selectNodes(ctx *dom.Element, paths []xpathPath) []*dom.Element {
 	return out
 }
 
+// descendantsAndSelf lists e and its descendant elements in document order.
+// The walk keeps its own stack of pending elements, so a deep chain costs
+// time linear in its length.
 func descendantsAndSelf(e *dom.Element) []*dom.Element {
-	out := []*dom.Element{e}
-	for _, c := range e.ChildElements() {
-		out = append(out, descendantsAndSelf(c)...)
+	var out []*dom.Element
+	stack := []*dom.Element{e}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, n)
+		kids := n.ChildNodes()
+		for i := len(kids) - 1; i >= 0; i-- {
+			if c, ok := kids[i].(*dom.Element); ok {
+				stack = append(stack, c)
+			}
+		}
 	}
 	return out
 }
@@ -162,12 +174,16 @@ func fieldValue(node *dom.Element, paths []xpathPath) (string, bool) {
 	return "", false
 }
 
-// checkIdentityConstraints enforces the element's declared constraints
-// over its subtree.
-func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
-	if len(decl.Constraints) == 0 {
-		return
-	}
+// checkIdentityConstraints appends the violations of the frame's identity
+// constraints, evaluated over its element's subtree, to viols.
+func checkIdentityConstraints(f *frame, viols []violation) []violation {
+	identityViolations(f.node, f.decl, func(msg string) { viols = append(viols, f.violation(msg)) })
+	return viols
+}
+
+// identityViolations reports each violation of decl's identity constraints
+// over el's subtree, in order.
+func identityViolations(el *dom.Element, decl *xsd.ElementDecl, violate func(msg string)) {
 	// Key tables built in this scope, by constraint name.
 	type table map[string]bool
 	keyTables := map[xsd.QName]table{}
@@ -176,7 +192,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 	for _, ic := range decl.Constraints {
 		selPaths, err := parseRestrictedXPath(ic.Selector, false)
 		if err != nil {
-			r.violate(r.at(el), fmt.Sprintf("identity constraint %s: bad selector: %v", ic.Name.Local, err))
+			violate(fmt.Sprintf("identity constraint %s: bad selector: %v", ic.Name.Local, err))
 			continue
 		}
 		var fieldPaths [][]xpathPath
@@ -184,7 +200,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 		for _, f := range ic.Fields {
 			fp, err := parseRestrictedXPath(f, true)
 			if err != nil {
-				r.violate(r.at(el), fmt.Sprintf("identity constraint %s: bad field: %v", ic.Name.Local, err))
+				violate(fmt.Sprintf("identity constraint %s: bad field: %v", ic.Name.Local, err))
 				bad = true
 				break
 			}
@@ -212,13 +228,13 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 			}
 			if missing {
 				if ic.Kind == xsd.ConstraintKey {
-					r.violate(r.at(el), fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
+					violate(fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
 				}
 				continue // unique tolerates absent fields
 			}
 			keyStr := strings.Join(parts, "\x1f")
 			if tbl[keyStr] {
-				r.violate(r.at(el), fmt.Sprintf("%s %s: duplicate value {%s}", ic.Kind, ic.Name.Local, strings.Join(parts, ", ")))
+				violate(fmt.Sprintf("%s %s: duplicate value {%s}", ic.Kind, ic.Name.Local, strings.Join(parts, ", ")))
 				continue
 			}
 			tbl[keyStr] = true
@@ -229,7 +245,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 	for _, ic := range keyrefs {
 		refTbl, ok := keyTables[ic.Refer]
 		if !ok {
-			r.violate(r.at(el), fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
+			violate(fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
 			continue
 		}
 		selPaths, _ := parseRestrictedXPath(ic.Selector, false)
@@ -253,7 +269,7 @@ func (r *run) checkIdentityConstraints(el *dom.Element, decl *xsd.ElementDecl) {
 				continue
 			}
 			if !refTbl[strings.Join(parts, "\x1f")] {
-				r.violate(r.at(el), fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
+				violate(fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
 			}
 		}
 	}

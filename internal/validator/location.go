@@ -5,17 +5,12 @@ package validator
 // node, not per ancestor: valid documents build no path at all, and a
 // violation costs its depth once, after the violation cap has admitted it.
 //
-// The two walks locate elements differently:
-//
-//   - The DOM walk names the element itself. Its run records an anchor —
-//     an element and that element's path — and rendering walks up from the
-//     located element to the anchor, counting earlier same-named element
-//     siblings for each positional predicate.
-//   - The streaming walk has no tree to walk up. Each frame keeps its name,
-//     its same-name position and its parent frame, and freezes them into an
-//     immutable step chain the first time a location needs it (freeze), at
-//     most once per frame, so a chain with an ID at every level stays
-//     linear. Frozen steps outlive the frames, as IDs and IDREFs must.
+// The machine locates elements by their frames, whatever the token
+// source: each frame keeps its name, its same-name position and its parent
+// frame, and freezes them into an immutable step chain the first time a
+// location needs it (freeze), at most once per frame, so a chain with an
+// ID at every level stays linear. Frozen steps outlive the frames, as IDs
+// and IDREFs must.
 //
 // A path known only as a string — the document root, a content-model
 // mismatch's child — is a single step.
@@ -23,8 +18,6 @@ package validator
 import (
 	"fmt"
 	"strconv"
-
-	"repro/internal/dom"
 )
 
 // pathStep is one immutable step of a location path: the parent's path,
@@ -66,58 +59,24 @@ func appendStep(b []byte, tag string, n int) []byte {
 	return b
 }
 
-// loc is a violation location. The streaming walk's locations are a
-// frozen step chain (el nil); the DOM walk's name el relative to the
-// anchor root, whose path is base. attr adds an attribute step.
+// loc is a violation location: a frozen step chain, and with attr an
+// attribute step below it.
 type loc struct {
 	base *pathStep
-	root *dom.Element
-	el   *dom.Element
 	attr string
 }
 
 // path renders the location.
 func (l loc) path() string {
-	below := l.el != nil && l.el != l.root
-	if !below && l.attr == "" && l.base.parent == nil && l.base.n < 2 {
+	if l.attr == "" && l.base.parent == nil && l.base.n < 2 {
 		return l.base.tag
 	}
 	b := l.base.appendTo(nil)
-	if below {
-		b = appendElementSteps(b, l.el, l.root)
-	}
 	if l.attr != "" {
 		b = append(b, "/@"...)
 		b = append(b, l.attr...)
 	}
 	return string(b)
-}
-
-// appendElementSteps renders the steps from root (exclusive) down to el.
-func appendElementSteps(b []byte, el, root *dom.Element) []byte {
-	var up []*dom.Element
-	for e := el; e != nil && e != root; {
-		up = append(up, e)
-		e, _ = e.ParentNode().(*dom.Element)
-	}
-	for i := len(up) - 1; i >= 0; i-- {
-		e := up[i]
-		n := 1
-		for s := e.PreviousSibling(); s != nil; s = s.PreviousSibling() {
-			if se, ok := s.(*dom.Element); ok && sameTag(se, e) {
-				n++
-			}
-		}
-		b = append(b, '/')
-		b = appendStep(b, e.TagName(), n)
-	}
-	return b
-}
-
-// sameTag compares tag names without building them.
-func sameTag(a, b *dom.Element) bool {
-	an, bn := a.Name(), b.Name()
-	return an.Local == bn.Local && an.Prefix == bn.Prefix
 }
 
 // violation is a recorded violation, rendered by render. A duplicate ID
@@ -150,61 +109,4 @@ func render(viols []violation) []Violation {
 		out[i] = Violation{Path: v.at.path(), Msg: msg}
 	}
 	return out
-}
-
-// subtreeSteps freezes DOM locations under root — a subtree about to be
-// released — into step chains based at base, the path of root. Each
-// parent's children are indexed once, so freezing any number of locations
-// costs at most the subtree's size.
-type subtreeSteps struct {
-	root  *dom.Element
-	base  *pathStep
-	steps map[*dom.Element]*pathStep
-}
-
-// loc returns l with any DOM element replaced by its frozen steps.
-func (z *subtreeSteps) loc(l loc) loc {
-	if l.el == nil {
-		return l
-	}
-	return loc{base: z.step(l.el), attr: l.attr}
-}
-
-func (z *subtreeSteps) step(el *dom.Element) *pathStep {
-	if el == z.root {
-		return z.base
-	}
-	if s, ok := z.steps[el]; ok {
-		return s
-	}
-	if z.steps == nil {
-		z.steps = map[*dom.Element]*pathStep{}
-	}
-	// Index the children of every unindexed ancestor's parent, top-down.
-	var up []*dom.Element
-	for e := el; e != z.root; {
-		if _, ok := z.steps[e]; ok {
-			break
-		}
-		p := e.ParentNode().(*dom.Element)
-		up = append(up, p)
-		e = p
-	}
-	counts := map[string]int{}
-	for i := len(up) - 1; i >= 0; i-- {
-		p := up[i]
-		ps := z.base
-		if p != z.root {
-			ps = z.steps[p]
-		}
-		clear(counts)
-		for _, c := range p.ChildNodes() {
-			if ce, ok := c.(*dom.Element); ok {
-				tag := ce.TagName()
-				counts[tag]++
-				z.steps[ce] = &pathStep{parent: ps, tag: tag, n: counts[tag]}
-			}
-		}
-	}
-	return z.steps[el]
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/xsd"
 )
 
-// fallbackIDSchema puts an identity constraint on group, so the streaming
-// walk buffers each group subtree and validates it with a nested DOM run,
+// fallbackIDSchema puts an identity constraint on group, so from the
+// decoder the machine buffers each group subtree and replays it as a tree,
 // while node elements stream. IDs and IDREFs cross the seam both ways.
 const fallbackIDSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="doc">

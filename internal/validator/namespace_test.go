@@ -10,8 +10,8 @@ import (
 )
 
 // scopeSchema has types in urn:t for xsi:type to name. group carries an
-// identity constraint, so the streaming walk buffers each group subtree and
-// validates it with a nested DOM run.
+// identity constraint, so from the decoder the machine buffers each group
+// subtree and replays it as a tree.
 const scopeSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmlns:t="urn:t" targetNamespace="urn:t" elementFormDefault="qualified">
   <xs:complexType name="Base">
     <xs:sequence><xs:element name="a" type="xs:string"/></xs:sequence>

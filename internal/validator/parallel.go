@@ -2,42 +2,37 @@ package validator
 
 // Intra-document parallel validation.
 //
-// A multi-MB document is dominated by the subtree walks under its
-// depth-1 children, and those walks are independent except for three
-// document-global concerns: the violation list (ordered), the ID map
-// (first declaration wins, duplicates cite it) and the IDREF worklist
-// (resolved against the whole document). Following the fragment-typing
-// argument of Abiteboul et al.'s Distributed XML Design — a subtree can
-// be validated against its inferred type in isolation, with only a
-// bounded interface joined at the seam — ParallelValidate fans sibling
-// subtrees out to a worker pool running the ordinary cached-DFA walk. The
-// walk descends sequentially until it reaches a level with enough fan-out
-// to feed the pool (ParallelMinFanout siblings — the root's depth-1
-// children in a wide document, or e.g. the 30k <item> children of
-// <items> in a deep purchase order), splits that level into contiguous
-// chunks, and joins the three global concerns at the seams:
+// A multi-MB document is dominated by the subtrees under one wide level,
+// and those subtrees are independent except for three document-global
+// concerns: the violation list (ordered), the ID map (first declaration
+// wins, duplicates cite it) and the IDREF worklist (resolved against the
+// whole document). Following the fragment-typing argument of Abiteboul et
+// al.'s Distributed XML Design — a subtree can be validated against its
+// inferred type in isolation, with only a bounded interface joined at the
+// seam — ParallelValidate runs the machine over the parsed tree until it
+// opens an element-content frame with at least ParallelMinFanout element
+// children (the root's children in a wide document, or e.g. the 30k <item>
+// children of <items> in a large purchase order). It matches those
+// children against the content model at once, as interpreter frames do,
+// fans contiguous chunks of them out to sub-machines that open under the
+// frame's frozen path and namespace scope, and joins the three concerns at
+// the seams:
 //
-//   - violations: each subtree's violations are contiguous in document
-//     order, so the join is concatenation in child order;
-//   - IDs: each sub-run journals its ID events (insertions and local
-//     duplicates) in subtree order with the violation index they map to.
-//     The join replays the journals in child order against the global
-//     map: an insertion colliding with an earlier subtree's ID becomes a
-//     duplicate violation spliced in at the journaled index, and local
-//     duplicate messages are rewritten to cite the globally first
-//     declaration — exactly what the sequential walk would have said;
-//   - IDREFs: pending references concatenate in child order and resolve
-//     against the joined map, preserving emission order.
+//   - violations: each chunk's violations are contiguous in document
+//     order, so the join appends them to the frame in chunk order;
+//   - IDs: a sub-machine checks duplicates within its chunk only, and
+//     leaves a placeholder where it declares an ID new to the chunk. The
+//     join replays the placeholders in order against the document-wide
+//     map: an ID an earlier chunk (or the document before the level)
+//     declared becomes a duplicate violation at exactly that point, any
+//     other is inserted; a duplicate within a chunk is rewritten to cite
+//     the document's first declaration;
+//   - IDREFs: pending references concatenate in chunk order and resolve
+//     against the joined map at the end.
 //
-// One sequential behavior cannot be reproduced piecewise: the walk stops
-// descending once the violation cap (maxViolations) is reached, so IDs
-// and violations past the cap depend on global order. When the joined
-// result reaches the cap, ParallelValidate discards it and reruns the
-// plain sequential walk — correctness by construction on the (rare,
-// already-pathological) documents that hit the cap.
-//
-// The verdict is byte-identical to ValidateDocument — same violations,
-// same order, same paths, same message text — enforced by the
+// Every level that wide splits, except inside a chunk: sub-machines never
+// split again. The verdict is byte-identical to ValidateDocument's — same
+// violations, same order, same paths, same message text — enforced by the
 // differential suite (TestParallelMatchesSequential) and the fuzzer
 // (FuzzParallelValidate).
 
@@ -48,20 +43,9 @@ import (
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 )
-
-// idEvent is one journaled ID occurrence inside a parallel sub-run.
-type idEvent struct {
-	id string // whitespace-normalized ID value
-	at loc    // location of this occurrence
-	// vioIdx is len(run.viols) at event time: where a spliced-in
-	// duplicate violation belongs, or where the local duplicate landed.
-	vioIdx int
-	// dup marks a duplicate within the sub-run (a violation was emitted
-	// citing the sub-run's first declaration; the join rewrites it).
-	dup bool
-}
 
 // ParallelValidate validates like ValidateDocument, splitting the work at
 // sibling-subtree boundaries across a worker pool (see the package-level
@@ -76,17 +60,7 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return v.ValidateDocument(doc)
-	}
-	r := &run{v: v, ids: map[string]loc{}, parWorkers: workers}
-	r.document(doc)
-	if r.full() {
-		// The sequential walk stops descending at the violation cap, so
-		// everything past it depends on global order; rerun sequentially.
-		return v.ValidateDocument(doc)
-	}
-	return r.result()
+	return v.validateDocument(doc, nil, workers)
 }
 
 // ParallelMinFanout is the child count below which a level is walked
@@ -95,25 +69,48 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 // subtrees to spread. A variable so the seam tests can force tiny splits.
 var ParallelMinFanout = 16
 
-// parallelChildren fans one level's already-matched children out to
-// workers in contiguous chunks (document order within a chunk, chunks
-// joined in order). It reports whether it handled the children; false
-// means the caller should fall through to the sequential loop.
-func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.Leaf, workers int) bool {
-	if len(children) < 2 || r.full() {
-		return false
+// wide reports whether el has enough element children to split.
+func wide(el *dom.Element) bool {
+	n := 0
+	for _, c := range el.ChildNodes() {
+		if _, ok := c.(*dom.Element); ok {
+			if n++; n >= ParallelMinFanout && n >= 2 {
+				return true
+			}
+		}
 	}
-	// A few chunks per worker so an expensive subtree doesn't leave the
-	// other workers idle at the end of the level.
-	chunk := (len(children) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
+	return false
+}
+
+// seamMark marks a sub-machine's ID placeholder (seamID).
+var seamMark loc
+
+// seamID is the placeholder a sub-machine records where it declares id, new
+// to its chunk, at at: the place a duplicate of an earlier chunk's ID
+// belongs.
+func seamID(at loc, id string) violation { return violation{at: at, msg: id, first: &seamMark} }
+
+// splitChildren validates the element children of el, the split frame f's
+// element, on sub-machines: contiguous chunks, a few per worker so an
+// expensive subtree does not leave the other workers idle, joined into f
+// in document order.
+func (sr *streamRun) splitChildren(f *frame, el *dom.Element) {
+	kids := make([]*dom.Element, 0, len(f.leaves))
+	ns := make([]int, 0, len(f.leaves))
+	for _, c := range el.ChildNodes() {
+		if e, ok := c.(*dom.Element); ok {
+			kids = append(kids, e)
+			ns = append(ns, f.childIndex(e.Name()))
+		}
 	}
-	nchunks := (len(children) + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	subs := make([]*run, nchunks)
+	// The chunks' frames hang off f, which they only read: its path is
+	// frozen here, and the machine's scope stays put until the join.
+	freeze(f)
+	workers := sr.par
+	chunk := (len(kids) + workers*4 - 1) / (workers * 4)
+	nchunks := (len(kids) + chunk - 1) / chunk
+	workers = min(workers, nchunks)
+	subs := make([]*streamRun, nchunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -125,60 +122,56 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 				if c >= nchunks {
 					return
 				}
-				// Sub-runs share the anchor: a location names its element,
-				// so paths do not depend on how the level was split. The
-				// bindings above the level stay in r's scope.
-				sub := &run{v: r.v, ids: map[string]loc{}, journaling: true, root: r.root, base: r.base, outer: r.namespace}
+				sub := &streamRun{v: sr.v, ids: map[string]loc{}, tree: &treeSource{}, outer: &sr.ns, journal: true}
 				subs[c] = sub
-				hi := (c + 1) * chunk
-				if hi > len(children) {
-					hi = len(children)
-				}
-				for i := c * chunk; i < hi; i++ {
-					if decl, wild, ok := sub.childDecl(children[i], leaves[i]); ok {
-						sub.element(children[i], decl, wild)
-					}
+				for i := c * chunk; i < min((c+1)*chunk, len(kids)); i++ {
+					sub.child(f, kids[i], f.leaves[i], ns[i])
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for _, sub := range subs {
-		r.joinSubRun(sub)
+		sr.join(f, sub)
 	}
-	return true
 }
 
-// joinSubRun merges one child sub-run into the parent in document order,
-// replaying its ID journal against the global map.
-func (r *run) joinSubRun(sub *run) {
-	viols := sub.viols
-	inserted := 0
-	for _, ev := range sub.journal {
-		if ev.dup {
-			// A duplicate within the subtree cited the subtree's first
-			// declaration; the globally first one may be elsewhere.
-			if idx := ev.vioIdx + inserted; idx < len(viols) {
-				viols[idx] = dupID(viols[idx].at, ev.id, r.ids[ev.id])
+// child validates el, a child of the split frame parent at same-name
+// position n that the content model matched to leaf, by replaying its
+// subtree.
+func (sr *streamRun) child(parent *frame, el *dom.Element, leaf *contentmodel.Leaf, n int) {
+	src := sr.tree
+	src.reset(el)
+	var tok xmlparser.Token
+	src.Next(&tok)
+	nsMark := sr.declare(&tok)
+	sr.openChild(parent, &tok, leaf, n, nsMark)
+	for src.Next(&tok) == nil {
+		sr.token(&tok)
+	}
+}
+
+// join merges one chunk's sub-machine into the split frame f, replaying
+// its ID placeholders against the document-wide map.
+func (sr *streamRun) join(f *frame, sub *streamRun) {
+	for _, v := range sub.viols {
+		switch {
+		case v.first == &seamMark:
+			if first, dup := sr.ids[v.msg]; dup {
+				f.childViols = append(f.childViols, dupID(v.at, v.msg, first))
+			} else {
+				sr.ids[v.msg] = v.at
+				sr.idJournal = append(sr.idJournal, v.msg)
 			}
-			continue
-		}
-		if first, dup := r.ids[ev.id]; dup {
-			// Cross-seam duplicate: sequentially this insertion would
-			// have been a violation at exactly this point.
-			idx := ev.vioIdx + inserted
-			viols = append(viols, violation{})
-			copy(viols[idx+1:], viols[idx:])
-			viols[idx] = dupID(ev.at, ev.id, first)
-			inserted++
-		} else {
-			r.ids[ev.id] = ev.at
+		case v.first != nil:
+			// A duplicate within the chunk cited the chunk's first
+			// declaration; the document's first may be earlier.
+			f.childViols = append(f.childViols, dupID(v.at, v.msg, sr.ids[v.msg]))
+		default:
+			f.childViols = append(f.childViols, v)
 		}
 	}
-	// Append without the violate() cap: the caller detects cap overflow
-	// on the joined total and falls back to the sequential walk.
-	r.viols = append(r.viols, viols...)
-	r.idrefs = append(r.idrefs, sub.idrefs...)
+	sr.idrefs = append(sr.idrefs, sub.idrefs...)
 }
 
 // ParallelValidateBytes parses and validates in one step like

@@ -211,8 +211,8 @@ func TestParallelIdentityConstraints(t *testing.T) {
 }
 
 // TestParallelViolationCapFallback drives the joined total past
-// maxViolations: parallel must discard the piecewise result and rerun
-// sequentially, so the capped prefix is identical.
+// maxViolations: the chunks keep every violation and the join truncates
+// at the cap, so the capped prefix is identical to the sequential one.
 func TestParallelViolationCapFallback(t *testing.T) {
 	v := seamValidator(t)
 	var sb strings.Builder

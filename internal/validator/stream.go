@@ -1,34 +1,36 @@
 package validator
 
-// Streaming validation: the paper's §5–6 pipeline compiles content models
-// to Glushkov automata precisely so validity can be decided incrementally.
-// StreamValidator drives those cached automata directly off the token
-// stream with an explicit element/automaton-state stack — O(depth) memory,
-// no DOM allocation — while reproducing ValidateDocument's verdicts and
-// messages exactly.
+// The validation machine: the paper's §5–6 pipeline compiles content models
+// to Glushkov automata precisely so validity can be decided one child at a
+// time. streamRun drives those cached automata off a token stream with an
+// explicit element/automaton-state stack — O(depth) memory, no recursion
+// per element. It is the only validation walk: the decoder feeds it for the
+// streaming entry points, bind's Marshal encoder for encoding, and a replay
+// of a parsed tree (treeSource) for the DOM entry points.
 //
-// The DOM validator is not causal: when an element's content model fails,
-// it reports the one match error and validates none of the children, and
-// ID tracking never sees the abandoned subtree. A streaming pass has
-// already validated the prefix children by the time the automaton rejects,
-// so verdict parity needs two mechanisms:
+// The verdict is not causal: when an element's content model fails, the
+// element reports the one match error and none of its children's
+// violations, and ID tracking forgets the abandoned subtree. By the time
+// the automaton rejects, the prefix children have been validated, so two
+// mechanisms keep the verdict exact:
 //
 //   - per-frame violation buffering: each open element accumulates its
 //     attribute, text and child violations separately and assembles them
-//     in DOM emission order at its end tag; a content-model failure drops
+//     in document order at its end tag; a content-model failure drops
 //     the buffered child violations wholesale.
 //   - an ID journal: every insertion into the document-wide ID map is
 //     journaled, and each frame records a high-water mark after its own
 //     attributes; on content-model failure the IDs (and pending IDREFs)
-//     recorded past the mark are rolled back. Between a frame's mark and
-//     its failure only to-be-dropped descendants run, so rollback restores
-//     exactly the state the DOM validator would have.
+//     recorded past the mark are rolled back.
 //
-// Elements the streaming path cannot decide incrementally — identity
-// constraints (which need the whole subtree) and content models compiled
-// to the backtracking interpreter (contentmodel.ErrTooComplex) — degrade
-// gracefully: their subtree is buffered into a private DOM fragment and
-// validated by the ordinary recursive path, sharing the global ID state.
+// Three cases need the element as a DOM node: identity constraints (their
+// selectors range over the whole subtree), content models compiled to the
+// backtracking interpreter (contentmodel.ErrTooComplex), which match all
+// children at once, and raw wildcard subtrees handed to an observer. A
+// tree replay has the node at hand. From a decoder or encoder the machine
+// buffers the element's subtree into a pooled fragment and replays the
+// fragment into itself; nested cases then use the fragment's nodes, so
+// nothing is buffered twice.
 
 import (
 	"bytes"
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
@@ -61,8 +64,9 @@ func (v *Validator) Stream() *StreamValidator { return &StreamValidator{v: v} }
 
 // ValidateReader validates a document read incrementally from r. Memory
 // use is proportional to tree depth (plus any subtrees buffered for
-// identity constraints), not document size. The verdict, violation order
-// and messages match ValidateBytes on the same input.
+// identity constraints or interpreter models), not document size. The
+// verdict, violation order and messages match ValidateBytes on the same
+// input.
 func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 	res, _ := sv.ValidateReaderContext(context.Background(), r)
 	return res
@@ -95,8 +99,9 @@ func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
 // xmlparser.Decoder does: Next fills the caller's token, overwriting every
 // field, and returns io.EOF after the last token. A filled token's payload
 // and attributes need only stay valid until the next call. The decoder is
-// one source; bind's Marshal, which writes a value tree and yields the
-// tokens of what it wrote, is another.
+// one source; a replay of a parsed tree (the DOM entry points) is
+// another, and bind's Marshal, which writes a value tree and yields the
+// tokens of what it wrote, a third.
 type TokenSource interface {
 	Next(*xmlparser.Token) error
 }
@@ -115,6 +120,62 @@ func (sv *StreamValidator) ValidateTokens(src TokenSource) *Result {
 const ctxCheckEvery = 256
 
 func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev StreamEvents) (*Result, error) {
+	sr := newMachine(sv.v, ev)
+	res, err := sr.consume(ctx, src)
+	sr.release()
+	return res, err
+}
+
+// machines recycles validation machines: a released machine keeps its
+// free frames (with their automaton runs and buffers), its ID map and its
+// scratch slices, so validating a small document allocates little beyond
+// its verdict.
+var machines = sync.Pool{New: func() any { return &streamRun{ids: map[string]loc{}} }}
+
+// poolLimit bounds the machines that go back into the pool: one whose
+// frames, IDs, IDREFs or frame buffers grew past this many entries (bytes,
+// for text) is left to the collector, so what a large document grew is
+// not held for later runs.
+const poolLimit = 256
+
+// newMachine returns a cleared machine for a run over v.
+func newMachine(v *Validator, ev StreamEvents) *streamRun {
+	sr := machines.Get().(*streamRun)
+	sr.v, sr.events = v, ev
+	return sr
+}
+
+// release clears the document's state from the machine and returns it to
+// the pool. It is called only after a run returns: a machine a panic left
+// half-way is never reused.
+func (sr *streamRun) release() {
+	for _, f := range sr.frames {
+		sr.recycle(f) // left open by a parse error or a cancellation
+	}
+	if cap(sr.frames) > poolLimit || cap(sr.free) > poolLimit || len(sr.ids) > poolLimit ||
+		cap(sr.idJournal) > poolLimit || cap(sr.idrefs) > poolLimit {
+		return
+	}
+	for _, f := range sr.free {
+		if cap(f.textBuf)+cap(f.attrViols)+cap(f.childViols)+cap(f.plainAttrs) > poolLimit {
+			return
+		}
+		// Keep no reference into the document.
+		f.node, f.leaves, f.buf = nil, nil, nil
+	}
+	clear(sr.ids)
+	clear(sr.viols)
+	clear(sr.idJournal)
+	clear(sr.idrefs)
+	clear(sr.evAttrs)
+	clear(sr.attrSeen)
+	*sr = streamRun{ids: sr.ids, free: sr.free, frames: sr.frames[:0], viols: sr.viols[:0],
+		idJournal: sr.idJournal[:0], idrefs: sr.idrefs[:0], evAttrs: sr.evAttrs[:0], attrSeen: sr.attrSeen[:0]}
+	machines.Put(sr)
+}
+
+// consume feeds the machine every token of src and renders the verdict.
+func (sr *streamRun) consume(ctx context.Context, src TokenSource) (*Result, error) {
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -123,7 +184,6 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 		default:
 		}
 	}
-	sr := &streamRun{v: sv.v, ids: map[string]loc{}, events: ev}
 	var tok xmlparser.Token
 	sinceCheck := 0
 	for {
@@ -155,13 +215,13 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 
 // frame modes.
 const (
-	fmModel    = iota // complex element-only/mixed content, Glushkov Run
-	fmSimple          // simple-typed element
-	fmCSimple         // complex type with simple content
-	fmCEmpty          // complex type with empty content
-	fmNilled          // xsi:nil="true" on a nillable element
-	fmDead            // xsi:type/abstract/nil gate failed; subtree skipped
-	fmFallback        // subtree buffered for the DOM path
+	fmModel   = iota // complex element-only/mixed content: Glushkov run or matched children
+	fmSimple         // simple-typed element
+	fmCSimple        // complex type with simple content
+	fmCEmpty         // complex type with empty content
+	fmNilled         // xsi:nil="true" on a nillable element
+	fmDead           // xsi:type/abstract/nil gate failed; subtree skipped
+	fmBuffer         // subtree being buffered into a fragment for replay
 )
 
 // frame is one open element on the streaming stack.
@@ -177,44 +237,63 @@ type frame struct {
 	decl *xsd.ElementDecl
 	mode int
 
-	st    *xsd.SimpleType   // fmSimple / fmCSimple value type
-	run   *contentmodel.Run // fmModel automaton state
-	mixed bool
+	st  *xsd.SimpleType   // fmSimple / fmCSimple value type
+	run *contentmodel.Run // fmModel automaton state
 
-	// Buffered violations, assembled in DOM order at the end tag.
+	// leaves, for a matched frame, are the leaves of the element children
+	// not yet opened, in order.
+	leaves []*contentmodel.Leaf
+
+	// node is the element itself, for a frame with identity constraints,
+	// which are checked over its subtree at the end tag.
+	node *dom.Element
+
+	// Buffered violations, assembled in document order at the end tag:
+	// the element's own (its attributes', then stray character data's),
+	// then its children's, which a content violation replaces.
 	attrViols   []violation
-	textViols   []violation
 	childViols  []violation
 	contentViol *violation
-	failed      bool
 
-	sawElemChild bool
-	textBuf      []byte   // accumulated character data (fmSimple/fmCSimple)
-	plainAttrs   []string // simple types: non-meta attribute names for checkNoAttributes
+	textBuf    []byte   // accumulated character data (fmSimple/fmCSimple)
+	plainAttrs []string // simple types: non-meta attribute names, reported at the end tag
 
 	counts  []childCount // child name -> occurrences, for positional steps
 	idMark  int          // ID journal mark after own attributes
 	refMark int          // pending-IDREF mark
 	nsMark  int          // namespace-binding stack mark
 
-	// Event-observer bookkeeping: announced marks frames whose OpenElement
-	// was delivered (and so owe a CloseElement); wild marks wildcard-
-	// admitted elements; evVal carries the parsed simple value from
-	// closeFrame to the CloseElement callback.
-	announced bool
-	wild      bool
-	evVal     *xsdtypes.Value
+	// evVal carries the parsed simple value from closeFrame to the
+	// CloseElement callback.
+	evVal *xsdtypes.Value
 
-	// fmFallback subtree buffer. raw marks a skipped wildcard subtree
-	// buffered for the observer's RawElement rather than for validation.
-	raw     bool
-	fbDoc   *dom.Document
-	fbRoot  *dom.Element
-	fbCur   dom.Node
-	fbDepth int
+	// buf is the fragment an fmBuffer frame's subtree is buffered into.
+	buf *fragment
 
-	// pooled marks a frame sitting on the free list; reset clears it.
-	pooled bool
+	// Flags, kept together so that they pack:
+	//   - mixed: the content model is mixed;
+	//   - matched: the element children were matched all at once (an
+	//     interpreter model, or a level split across workers), and leaves
+	//     holds their leaves;
+	//   - split: sub-machines validated the element children (parallel.go),
+	//     and the replay skips them;
+	//   - failed: contentViol is set;
+	//   - sawElemChild: a simple-content element has an element child;
+	//   - announced: OpenElement was delivered, so CloseElement is owed;
+	//   - wild: a wildcard admitted the element;
+	//   - raw: the buffered subtree is a skipped wildcard subtree, for the
+	//     observer's RawElement rather than for replay;
+	//   - pooled: the frame sits on the free list; reset clears it.
+	mixed, matched, split, failed, sawElemChild, announced, wild, raw, pooled bool
+}
+
+// fragment is a subtree being buffered into a private DOM: cur is the open
+// node new nodes append to, depth the number of elements open.
+type fragment struct {
+	doc   *dom.Document
+	root  *dom.Element
+	cur   dom.Node
+	depth int
 }
 
 // childCount tracks occurrences of one child name under a frame; the
@@ -276,10 +355,10 @@ func (f *frame) childAt(name xmlparser.Name, n int) loc {
 // buffers (and the automaton run's internal state) for reuse.
 func (f *frame) reset(parent *frame, name xmlparser.Name, n int, decl *xsd.ElementDecl, nsMark int) {
 	run := f.run
-	attrViols, textViols, childViols := f.attrViols[:0], f.textViols[:0], f.childViols[:0]
+	attrViols, childViols := f.attrViols[:0], f.childViols[:0]
 	plainAttrs, counts, textBuf := f.plainAttrs[:0], f.counts[:0], f.textBuf[:0]
 	*f = frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark,
-		run: run, attrViols: attrViols, textViols: textViols,
+		run: run, attrViols: attrViols,
 		childViols: childViols, plainAttrs: plainAttrs, counts: counts, textBuf: textBuf}
 }
 
@@ -301,11 +380,33 @@ type streamRun struct {
 	ns       xmlparser.Bindings // in-scope namespace declarations
 	attrSeen []xsd.QName        // scratch for attributes()
 
-	// Document-wide ID state, shared with fallback sub-runs. idJournal
-	// records insertions so failed subtrees can be rolled back.
+	// Document-wide ID state. idJournal records insertions so failed
+	// subtrees can be rolled back.
 	ids       map[string]loc
 	idJournal []string
 	idrefs    []pendingRef
+
+	// tree, when set, is the DOM replay the tokens come from: a parsed
+	// document, or a subtree the machine buffered itself.
+	tree *treeSource
+	// rootDecl, when set, governs the root element in place of its global
+	// declaration (ValidateElement).
+	rootDecl *xsd.ElementDecl
+
+	// Parallel validation (parallel.go): par > 1 splits wide levels across
+	// that many workers. A sub-machine validating one chunk of a level
+	// resolves prefixes it does not bind in outer, the parent machine's
+	// scope (read-only while the chunks run), and with journal set leaves
+	// a placeholder for each new ID where a duplicate would be reported.
+	par     int
+	outer   *xmlparser.Bindings
+	journal bool
+}
+
+// pendingRef is an IDREF awaiting resolution.
+type pendingRef struct {
+	id string
+	at loc
 }
 
 func (sr *streamRun) top() *frame {
@@ -340,8 +441,10 @@ func (sr *streamRun) recycle(f *frame) {
 	sr.free = append(sr.free, f)
 }
 
+// emit records a violation in the result. A sub-machine keeps them all:
+// the cap applies to the joined document.
 func (sr *streamRun) emit(v violation) {
-	if len(sr.viols) < maxViolations {
+	if len(sr.viols) < maxViolations || sr.journal {
 		sr.viols = append(sr.viols, v)
 	}
 }
@@ -361,8 +464,8 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 		}
 		return
 	}
-	if f := sr.top(); f != nil && f.mode == fmFallback {
-		sr.feedFallback(f, tok)
+	if f := sr.top(); f != nil && f.mode == fmBuffer {
+		sr.feedBuffer(f, tok)
 		return
 	}
 	switch tok.Kind {
@@ -383,25 +486,35 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 	}
 }
 
-func (sr *streamRun) startElement(tok *xmlparser.Token) {
+// declare pushes the start tag's namespace declarations onto the scope
+// and returns the mark that pops them.
+func (sr *streamRun) declare(tok *xmlparser.Token) int {
 	nsMark := sr.ns.Mark()
 	for i := range tok.Attrs {
 		if a := &tok.Attrs[i]; a.IsNamespaceDecl {
 			sr.ns.Push(declaredPrefix(a.Name), a.Value)
 		}
 	}
+	return nsMark
+}
+
+func (sr *streamRun) startElement(tok *xmlparser.Token) {
+	nsMark := sr.declare(tok)
 	if len(sr.frames) == 0 {
 		if sr.rootDone {
 			sr.skipChild(nsMark)
 			return
 		}
-		name := xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}
-		decl, ok := sr.v.schema.LookupElement(name)
-		if !ok {
-			sr.emit(violation{at: pathLoc("/" + tok.Name.Qualified()), msg: fmt.Sprintf("no global declaration for root element %s", name)})
-			sr.rootDone = true
-			sr.skipChild(nsMark)
-			return
+		decl := sr.rootDecl
+		if decl == nil {
+			name := xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}
+			var ok bool
+			if decl, ok = sr.v.schema.LookupElement(name); !ok {
+				sr.emit(violation{at: pathLoc("/" + tok.Name.Qualified()), msg: fmt.Sprintf("no global declaration for root element %s", name)})
+				sr.rootDone = true
+				sr.skipChild(nsMark)
+				return
+			}
 		}
 		sr.openFrame(tok, sr.newFrame(nil, tok.Name, 1, decl, nsMark))
 		return
@@ -409,49 +522,29 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 	parent := sr.top()
 	switch parent.mode {
 	case fmModel:
-		if parent.failed {
+		if parent.failed || parent.split {
 			sr.skipChild(nsMark)
 			return
 		}
-		leaf, merr := parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
-		if merr != nil {
-			// The DOM validator reports the match error against the
-			// failing child and validates no children at all: drop the
-			// buffered child violations and roll back their IDs.
-			parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
-			parent.childViols = nil
-			sr.rollbackTo(parent)
-			sr.skipChild(nsMark)
-			return
-		}
-		n := parent.childIndex(tok.Name)
-		switch data := leaf.Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
-			if err != nil {
-				parent.childViols = append(parent.childViols, violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
+		var leaf *contentmodel.Leaf
+		if parent.matched {
+			leaf = parent.leaves[0]
+			parent.leaves = parent.leaves[1:]
+		} else {
+			var merr *contentmodel.MatchError
+			leaf, merr = parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
+			if merr != nil {
+				// The element reports the match error against the failing
+				// child and validates no children at all: drop the
+				// buffered child violations and roll back their IDs.
+				parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
+				parent.childViols = nil
+				sr.rollbackTo(parent)
 				sr.skipChild(nsMark)
 				return
 			}
-			sr.openFrame(tok, sr.newFrame(parent, tok.Name, n, resolved, nsMark))
-		case *contentmodel.Wildcard:
-			// Lax wildcard processing: validate when a global
-			// declaration exists, accept otherwise.
-			if gdecl, ok := sr.v.schema.LookupElement(xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}); ok {
-				f := sr.newFrame(parent, tok.Name, n, gdecl, nsMark)
-				f.wild = true
-				sr.openFrame(tok, f)
-			} else if sr.events != nil {
-				// Buffer the unvalidated subtree for RawElement.
-				f := sr.newFrame(parent, tok.Name, n, nil, nsMark)
-				f.raw = true
-				sr.startFallback(f, tok)
-			} else {
-				sr.skipChild(nsMark)
-			}
-		default:
-			sr.skipChild(nsMark)
 		}
+		sr.openChild(parent, tok, leaf, parent.childIndex(tok.Name), nsMark)
 	case fmSimple, fmCSimple:
 		parent.sawElemChild = true
 		sr.skipChild(nsMark)
@@ -467,6 +560,53 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 		sr.skipChild(nsMark)
 	default: // fmDead
 		sr.skipChild(nsMark)
+	}
+}
+
+// openChild opens the element of tok, a child of parent at same-name
+// position n that its content model matched to leaf.
+func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *contentmodel.Leaf, n, nsMark int) {
+	switch data := leaf.Data.(type) {
+	case *xsd.ElementDecl:
+		resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
+		if err != nil {
+			sr.report(violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
+			sr.skipChild(nsMark)
+			return
+		}
+		sr.openFrame(tok, sr.newFrame(parent, tok.Name, n, resolved, nsMark))
+	case *contentmodel.Wildcard:
+		// Lax wildcard processing: validate when a global declaration
+		// exists, accept otherwise.
+		switch gdecl, ok := sr.v.schema.LookupElement(xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}); {
+		case ok:
+			f := sr.newFrame(parent, tok.Name, n, gdecl, nsMark)
+			f.wild = true
+			sr.openFrame(tok, f)
+		case sr.events != nil && sr.tree != nil:
+			sr.events.RawElement(sr.tree.cur)
+			sr.skipChild(nsMark)
+		case sr.events != nil:
+			// Buffer the unvalidated subtree for RawElement.
+			f := sr.newFrame(parent, tok.Name, n, nil, nsMark)
+			f.raw = true
+			sr.startBuffer(f, tok)
+		default:
+			sr.skipChild(nsMark)
+		}
+	default:
+		sr.skipChild(nsMark)
+	}
+}
+
+// report records a violation of a child that gets no frame of its own
+// with the enclosing frame, or in the result when there is none (a
+// sub-machine's chunk).
+func (sr *streamRun) report(v violation) {
+	if p := sr.top(); p != nil {
+		p.childViols = append(p.childViols, v)
+	} else {
+		sr.emit(v)
 	}
 }
 
@@ -502,14 +642,14 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 		Attrs: attrs, XSIType: xsiType != "", Nilled: nilled, Wildcard: f.wild})
 }
 
-// openFrame replicates run.element's prologue (xsi:type, abstract,
-// xsi:nil) and pushes the frame for the element's content. f.wild marks a
-// wildcard-admitted element for the observer.
+// openFrame runs the element's prologue (xsi:type, abstract, xsi:nil) and
+// pushes the frame for its content. f.wild marks a wildcard-admitted
+// element for the observer.
 func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 	decl := f.decl
 	typ := decl.Type
 	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveQName(lex, sr.ns.Lookup)
+		q, err := resolveQName(lex, sr.lookup)
 		if err != nil {
 			sr.pushDead(f, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
 			return
@@ -536,7 +676,7 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 		}
 		if lex == "true" || lex == "1" {
 			// Attributes are validated as usual; closeFrame adds the nil
-			// rules in run.element's order.
+			// rules after their violations.
 			f.mode = fmNilled
 			switch t := typ.(type) {
 			case *xsd.SimpleType:
@@ -549,21 +689,23 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			return
 		}
 	}
-	// Degrade to the DOM path where streaming cannot decide: identity
-	// constraints need the whole subtree, and Interp-compiled content
-	// models are not incremental.
-	fallback := len(decl.Constraints) > 0
+	// Identity constraints and interpreter models need the element as a
+	// node: a tree replay has it, and any other source's subtree is
+	// buffered and replayed.
+	needNode := len(decl.Constraints) > 0
+	var m contentmodel.Matcher
 	var g *contentmodel.Glushkov
-	if ct, ok := typ.(*xsd.ComplexType); !fallback && ok &&
-		(ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
-		g, _ = sr.v.models.matcher(ct).(*contentmodel.Glushkov)
-		if g == nil {
-			fallback = true
-		}
+	if ct, ok := typ.(*xsd.ComplexType); ok && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
+		m = sr.v.models.matcher(ct)
+		g, _ = m.(*contentmodel.Glushkov)
+		needNode = needNode || g == nil
 	}
-	if fallback {
-		sr.startFallback(f, tok)
+	if needNode && sr.tree == nil {
+		sr.startBuffer(f, tok)
 		return
+	}
+	if len(decl.Constraints) > 0 {
+		f.node = sr.tree.cur
 	}
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
@@ -581,9 +723,15 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 		default:
 			f.mode = fmModel
 			f.mixed = t.Kind == xsd.ContentMixed
-			if f.run != nil {
+			switch {
+			case g == nil:
+				sr.matchChildren(f, m, sr.tree.cur)
+			case sr.par > 1 && sr.tree != nil && wide(sr.tree.cur):
+				sr.matchChildren(f, m, sr.tree.cur)
+				f.split = f.matched
+			case f.run != nil:
 				f.run.Reset(g)
-			} else {
+			default:
 				f.run = g.Start()
 			}
 		}
@@ -592,6 +740,51 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 	f.refMark = len(sr.idrefs)
 	sr.frames = append(sr.frames, f)
 	sr.announce(f, typ, tok, false)
+	if f.split {
+		sr.splitChildren(f, sr.tree.cur)
+	}
+}
+
+// matchChildren matches the element children of el, the frame's element,
+// against its content model at once. On success the frame takes each
+// child's leaf in turn; on failure it reports the match error and
+// validates no children, as a stepped automaton would.
+func (sr *streamRun) matchChildren(f *frame, m contentmodel.Matcher, el *dom.Element) {
+	kids := el.ChildNodes()
+	syms := make([]contentmodel.Symbol, 0, len(kids))
+	for _, c := range kids {
+		if e, ok := c.(*dom.Element); ok {
+			syms = append(syms, contentmodel.Symbol{Space: e.NamespaceURI(), Local: e.LocalName()})
+		}
+	}
+	leaves, merr := m.Match(syms)
+	switch {
+	case merr == nil:
+		f.matched, f.leaves = true, leaves
+	case merr.Index >= len(syms):
+		f.fail(f.violation(merr.Error()))
+	default:
+		// The step of the offending child carries no positional predicate.
+		i := 0
+		for _, c := range kids {
+			if e, ok := c.(*dom.Element); ok {
+				if i == merr.Index {
+					f.fail(violation{at: f.childAt(e.Name(), 0), msg: merr.Error()})
+					return
+				}
+				i++
+			}
+		}
+	}
+}
+
+// lookup resolves a prefix in the machine's scope, then in the scope
+// outside a sub-machine's chunk.
+func (sr *streamRun) lookup(prefix string) (string, bool) {
+	if uri, ok := sr.ns.Lookup(prefix); ok || sr.outer == nil {
+		return uri, ok
+	}
+	return sr.outer.Lookup(prefix)
 }
 
 func (sr *streamRun) pushDead(f *frame, msg string) {
@@ -615,8 +808,8 @@ func isMetaAttrName(n xmlparser.Name) bool {
 	return n.Space == xmlparser.XMLNSNamespace || n.Space == xsd.XSINamespace || n.Space == xmlparser.XMLNamespace
 }
 
-// attributes replicates run.attributes over the start tag's attribute
-// list, buffering violations into the frame.
+// attributes validates the start tag's attributes against ct, buffering
+// violations into the frame.
 func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexType) {
 	seen := sr.attrSeen[:0]
 	for i := range tok.Attrs {
@@ -663,9 +856,10 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 	sr.attrSeen = seen[:0]
 }
 
-// trackIDs mirrors run.trackIDs against the shared ID state, journaling
-// insertions for rollback. Callers check idKind first, so an element that
-// tracks nothing never freezes its frame.
+// trackIDs records an ID or IDREF value of the given idKind against the
+// document-wide ID state, journaling insertions for rollback. Callers
+// check idKind first, so an element that tracks nothing never freezes its
+// frame.
 func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) {
 	norm := strings.Join(strings.Fields(lexical), " ")
 	switch kind {
@@ -675,6 +869,9 @@ func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) 
 		} else {
 			sr.ids[norm] = at
 			sr.idJournal = append(sr.idJournal, norm)
+			if sr.journal {
+				*viols = append(*viols, seamID(at, norm))
+			}
 		}
 	case "IDREF":
 		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, at: at})
@@ -686,8 +883,7 @@ func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) 
 }
 
 // rollbackTo undoes ID insertions and pending IDREFs recorded after the
-// frame's marks — the descendants the DOM validator would never have
-// visited.
+// frame's marks — the descendants of an element whose content failed.
 func (sr *streamRun) rollbackTo(f *frame) {
 	for _, id := range sr.idJournal[f.idMark:] {
 		delete(sr.ids, id)
@@ -707,8 +903,8 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 		return // document-level whitespace or misc
 	}
 	data := tok.Bytes()
-	if !cdata && len(data) == 0 {
-		return // dom.Parse drops empty text nodes
+	if !cdata && len(data) == 0 && sr.tree == nil {
+		return // dom.Parse drops empty text nodes; a built tree may keep them
 	}
 	switch f.mode {
 	case fmModel:
@@ -719,9 +915,9 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 			return
 		}
 		if cdata {
-			f.textViols = append(f.textViols, f.violation("character data is not allowed in element-only content"))
+			f.attrViols = append(f.attrViols, f.violation("character data is not allowed in element-only content"))
 		} else if len(bytes.TrimSpace(data)) != 0 {
-			f.textViols = append(f.textViols, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
+			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
 		}
 	case fmSimple, fmCSimple:
 		f.textBuf = append(f.textBuf, data...)
@@ -744,7 +940,11 @@ func (sr *streamRun) endElement() {
 	f := sr.frames[n-1]
 	sr.frames = sr.frames[:n-1]
 	sr.ns.Pop(f.nsMark)
-	sr.deliver(sr.closeFrame(f))
+	viols := sr.closeFrame(f)
+	if f.node != nil {
+		viols = checkIdentityConstraints(f, viols)
+	}
+	sr.deliver(viols)
 	if f.announced {
 		sr.events.CloseElement(f.evVal)
 	}
@@ -764,27 +964,26 @@ func (sr *streamRun) deliver(viols []violation) {
 	}
 }
 
-// closeFrame assembles the frame's violations in the order the DOM
-// validator emits them.
+// closeFrame assembles the frame's violations in document order:
+// attributes, then content.
 func (sr *streamRun) closeFrame(f *frame) []violation {
 	switch f.mode {
 	case fmModel:
-		if !f.failed {
+		if !f.failed && !f.matched {
 			if merr := f.run.End(); merr != nil {
-				// Premature end: the DOM path reports it against the
-				// parent and validates no children.
+				// Premature end: reported against the element, whose
+				// children count for nothing.
 				f.fail(f.violation(merr.Error()))
 				f.childViols = nil
 				sr.rollbackTo(f)
 			}
 		}
-		if !f.failed && len(f.attrViols) == 0 && len(f.textViols) == 0 {
+		if !f.failed && len(f.attrViols) == 0 {
 			// Hot path: nothing buffered; deliver copies before recycle.
 			return f.childViols
 		}
-		viols := make([]violation, 0, len(f.attrViols)+len(f.textViols)+1)
+		viols := make([]violation, 0, len(f.attrViols)+1)
 		viols = append(viols, f.attrViols...)
-		viols = append(viols, f.textViols...)
 		if f.failed {
 			viols = append(viols, *f.contentViol)
 		} else {
@@ -862,8 +1061,8 @@ func (f *frame) observe(val *xsdtypes.Value) {
 	}
 }
 
-// appendPlainAttrViols adds a simple-typed element's attribute violations
-// (run.checkNoAttributes).
+// appendPlainAttrViols adds a simple-typed element's attribute violations:
+// only xsi:, xml: and namespace attributes are allowed.
 func (f *frame) appendPlainAttrViols(viols []violation) []violation {
 	for _, name := range f.plainAttrs {
 		viols = append(viols, f.violation(fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)))
@@ -871,104 +1070,77 @@ func (f *frame) appendPlainAttrViols(viols []violation) []violation {
 	return viols
 }
 
-// startFallback begins buffering the element's subtree into a private DOM
-// fragment: for the recursive validator, or for RawElement when f.raw.
-func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
-	f.mode = fmFallback
+// startBuffer begins buffering the element's subtree into a private DOM
+// fragment: for replay as a tree, or for RawElement when f.raw.
+func (sr *streamRun) startBuffer(f *frame, tok *xmlparser.Token) {
+	f.mode = fmBuffer
 	doc := dom.NewPooledDocument()
 	root := doc.CreateElementResolved(tok.Name, tok.Attrs)
 	doc.AppendChild(root)
-	f.fbDoc = doc
-	f.fbRoot = root
-	f.fbCur = root
-	f.fbDepth = 1
-	f.idMark = len(sr.idJournal)
-	f.refMark = len(sr.idrefs)
+	f.buf = &fragment{doc: doc, root: root, cur: root, depth: 1}
 	sr.frames = append(sr.frames, f)
 }
 
-// feedFallback appends one token to the buffered subtree, mirroring
+// feedBuffer appends one token to the buffered subtree, mirroring
 // dom.Parse's token-to-node mapping.
-func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
-	doc := f.fbDoc
+func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
+	b := f.buf
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
-		e := doc.CreateElementResolved(tok.Name, tok.Attrs)
-		f.fbCur.AppendChild(e)
-		f.fbCur = e
-		f.fbDepth++
+		e := b.doc.CreateElementResolved(tok.Name, tok.Attrs)
+		b.cur.AppendChild(e)
+		b.cur = e
+		b.depth++
 	case xmlparser.KindEndElement:
-		f.fbDepth--
-		if f.fbDepth == 0 {
-			sr.completeFallback(f)
+		b.depth--
+		if b.depth == 0 {
+			sr.completeBuffer(f)
 			return
 		}
-		f.fbCur = f.fbCur.ParentNode()
+		b.cur = b.cur.ParentNode()
 	case xmlparser.KindText:
 		if tok.Data() == "" {
 			return
 		}
-		f.fbCur.AppendChild(doc.CreateTextNode(tok.Data()))
+		b.cur.AppendChild(b.doc.CreateTextNode(tok.Data()))
 	case xmlparser.KindCData:
-		f.fbCur.AppendChild(doc.CreateCDATASection(tok.Data()))
+		b.cur.AppendChild(b.doc.CreateCDATASection(tok.Data()))
 	case xmlparser.KindComment:
-		f.fbCur.AppendChild(doc.CreateComment(tok.Data()))
+		b.cur.AppendChild(b.doc.CreateComment(tok.Data()))
 	case xmlparser.KindProcInst:
-		f.fbCur.AppendChild(doc.CreateProcessingInstruction(tok.Target, tok.Data()))
+		b.cur.AppendChild(b.doc.CreateProcessingInstruction(tok.Target, tok.Data()))
 	}
 }
 
-// completeFallback validates the buffered subtree with the recursive DOM
-// path, sharing the document-wide ID state and the observer (which sees
-// the subtree's events from that run), or hands a raw subtree over.
-func (sr *streamRun) completeFallback(f *frame) {
+// completeBuffer hands a raw subtree to the observer, or replays a
+// buffered subtree into the machine: its frame opens again, now with the
+// element as a node, and the fragment's tokens follow. The start tag's
+// namespace bindings are still in scope from when it was buffered.
+func (sr *streamRun) completeBuffer(f *frame) {
+	doc, root := f.buf.doc, f.buf.root
+	f.buf = nil
 	sr.frames = sr.frames[:len(sr.frames)-1]
-	sr.ns.Pop(f.nsMark)
 	if f.raw {
-		sr.events.RawElement(f.fbRoot)
+		sr.ns.Pop(f.nsMark)
+		sr.events.RawElement(root)
+		sr.recycle(f)
 	} else {
-		// The nested run resolves prefixes its subtree does not declare
-		// against the stream's scope, which holds the bindings outside it.
-		nrun := &run{
-			v:      sr.v,
-			ids:    sr.ids,
-			events: sr.events,
-			outer:  sr.ns.Lookup,
-			root:   f.fbRoot,
-			base:   freeze(f),
-			onIDInsert: func(id string) {
-				sr.idJournal = append(sr.idJournal, id)
-			},
+		src := newTreeSource(root)
+		sr.tree = src
+		var tok xmlparser.Token
+		src.Next(&tok)
+		sr.openFrame(&tok, f)
+		for src.Next(&tok) == nil {
+			sr.token(&tok)
 		}
-		nrun.element(f.fbRoot, f.decl, f.wild)
-		// The locations the nested run recorded name elements of the
-		// buffered subtree, which is released below: freeze the ones
-		// that outlive it.
-		z := subtreeSteps{root: f.fbRoot, base: nrun.base}
-		for _, id := range sr.idJournal[f.idMark:] {
-			sr.ids[id] = z.loc(sr.ids[id])
-		}
-		for _, ref := range nrun.idrefs {
-			ref.at = z.loc(ref.at)
-			sr.idrefs = append(sr.idrefs, ref)
-		}
-		for i := range nrun.viols {
-			v := &nrun.viols[i]
-			v.at = z.loc(v.at)
-			if v.first != nil {
-				*v = dupID(v.at, v.msg, z.loc(*v.first))
-			}
-		}
-		sr.deliver(nrun.viols)
+		sr.tree = nil
 	}
-	// The buffered subtree is private to this frame and the callbacks
-	// above keep no node, so its pooled nodes can be recycled now.
-	f.fbDoc.Release()
-	f.fbDoc, f.fbRoot, f.fbCur = nil, nil, nil
-	sr.recycle(f)
+	// The callbacks and frames keep no node past the replay, so the
+	// fragment's pooled nodes can be recycled now.
+	doc.Release()
 }
 
-// finish resolves pending IDREFs, matching run.checkIDRefs.
+// finish resolves pending IDREFs against the document's IDs.
 func (sr *streamRun) finish() {
 	for _, pending := range sr.idrefs {
 		if len(sr.viols) >= maxViolations {

@@ -55,10 +55,10 @@ func TestStreamRejectsWithDOMMessages(t *testing.T) {
 	}
 }
 
-// TestStreamIdentityFallback proves identity-constrained subtrees degrade
-// to the DOM path with the same verdicts: the streaming validator buffers
-// the <order> subtree (its declaration carries key/keyref/unique) and runs
-// the recursive validator over it.
+// TestStreamIdentityFallback proves identity-constrained subtrees get the
+// same verdicts from the decoder as from a tree: the machine buffers the
+// <order> subtree (its declaration carries key/keyref/unique) and replays
+// it into itself.
 func TestStreamIdentityFallback(t *testing.T) {
 	v := icValidator(t)
 	for label, src := range map[string]string{
@@ -71,7 +71,7 @@ func TestStreamIdentityFallback(t *testing.T) {
 	}
 	res := v.Stream().ValidateBytes([]byte(`<order><item partNum="1"/><item partNum="1"/></order>`))
 	if res.OK() || !strings.Contains(res.Err().Error(), "duplicate value") {
-		t.Errorf("identity constraint not enforced through the fallback: %v", res.Err())
+		t.Errorf("identity constraint not enforced through the buffered replay: %v", res.Err())
 	}
 }
 

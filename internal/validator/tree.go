@@ -1,0 +1,115 @@
+package validator
+
+import (
+	"io"
+
+	"repro/internal/dom"
+	"repro/internal/xmlparser"
+)
+
+// treeSource replays a DOM subtree as the token stream a decoder yields
+// for its serialization: start tags with their attributes (namespace
+// declarations marked), text, CDATA, comments, processing instructions and
+// end tags, in document order. It walks the tree through sibling and parent
+// links, so it keeps no stack and allocates nothing per node; text payloads
+// are handed over without copying. cur is the element of the last start
+// tag, for the frames that need their element as a node.
+type treeSource struct {
+	root *dom.Element
+	// next is the node whose token comes next. When it is nil, up is the
+	// element whose end tag comes next, and nil after the root's.
+	next  dom.Node
+	up    *dom.Element
+	cur   *dom.Element
+	attrs []xmlparser.Attr
+}
+
+func newTreeSource(root *dom.Element) *treeSource {
+	return &treeSource{root: root, next: root}
+}
+
+// reset starts a replay of the tree under root, keeping the attribute
+// buffer.
+func (t *treeSource) reset(root *dom.Element) {
+	t.root, t.next, t.up, t.cur = root, root, nil, nil
+}
+
+// Next fills tok with the next token, or returns io.EOF after the root's
+// end tag. The token's attributes are reused by the following call.
+func (t *treeSource) Next(tok *xmlparser.Token) error {
+	n := t.next
+	if n == nil {
+		el := t.up
+		if el == nil {
+			return io.EOF
+		}
+		*tok = xmlparser.Token{Kind: xmlparser.KindEndElement, Name: el.Name()}
+		t.advance(el)
+		return nil
+	}
+	// An element's children are of these five kinds only (dom rejects any
+	// other).
+	switch x := n.(type) {
+	case *dom.Element:
+		attrs := t.attrs[:0]
+		for _, a := range x.Attributes() {
+			name := a.Name()
+			attrs = append(attrs, xmlparser.Attr{Name: name, Value: a.Value(), IsNamespaceDecl: name.Space == xmlparser.XMLNSNamespace})
+		}
+		t.attrs = attrs
+		*tok = xmlparser.Token{Kind: xmlparser.KindStartElement, Name: x.Name(), Attrs: attrs}
+		t.cur = x
+		if first := x.FirstChild(); first != nil {
+			t.next = first
+		} else {
+			t.next, t.up = nil, x
+		}
+		return nil
+	case *dom.Text:
+		*tok = xmlparser.Token{Kind: xmlparser.KindText}
+		tok.SetData(x.Data)
+	case *dom.CDATASection:
+		*tok = xmlparser.Token{Kind: xmlparser.KindCData}
+		tok.SetData(x.Data)
+	case *dom.Comment:
+		*tok = xmlparser.Token{Kind: xmlparser.KindComment}
+		tok.SetData(x.Data)
+	case *dom.ProcessingInstruction:
+		*tok = xmlparser.Token{Kind: xmlparser.KindProcInst, Target: x.Target}
+		tok.SetData(x.Data)
+	}
+	t.advance(n)
+	return nil
+}
+
+// advance moves past n, whose subtree has been replayed.
+func (t *treeSource) advance(n dom.Node) {
+	if n == dom.Node(t.root) {
+		t.next, t.up = nil, nil
+		return
+	}
+	if s := n.NextSibling(); s != nil {
+		t.next = s
+		return
+	}
+	t.next, t.up = nil, n.ParentNode().(*dom.Element)
+}
+
+// declareAncestors pushes the namespace declarations of el's ancestors onto
+// ns, outermost first, so a subtree validated on its own resolves prefixes
+// as it would in place.
+func declareAncestors(ns *xmlparser.Bindings, el *dom.Element) {
+	var up []*dom.Element
+	for n := el.ParentNode(); n != nil; n = n.ParentNode() {
+		if e, ok := n.(*dom.Element); ok {
+			up = append(up, e)
+		}
+	}
+	for i := len(up) - 1; i >= 0; i-- {
+		for _, a := range up[i].Attributes() {
+			if n := a.Name(); n.Space == xmlparser.XMLNSNamespace {
+				ns.Push(declaredPrefix(n), a.Value())
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package xmlparser
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Kind identifies the kind of a Token.
 type Kind int
@@ -157,12 +160,14 @@ func (t *Token) Data() string {
 // Bytes returns the token's text payload without copying or string
 // conversion. For KindText and KindCData tokens this is a zero-copy view
 // of the decoder's input window (or assembly buffer), valid only until
-// the next Token/Next call on the decoder.
+// the next Token/Next call on the decoder. A payload set with SetData is
+// returned as a view of the string's bytes. Callers must not modify the
+// returned bytes.
 func (t *Token) Bytes() []byte {
 	if t.data != nil || !t.strOK {
 		return t.data
 	}
-	return []byte(t.str)
+	return unsafe.Slice(unsafe.StringData(t.str), len(t.str))
 }
 
 // SetData replaces the token's text payload with s.
