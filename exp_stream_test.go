@@ -310,12 +310,12 @@ var diffCases = []diffCase{
 				`<card><a>2</a><b>b</b><c>c</c><d>d</d><tags/></card>` +
 				interpLog(3) + `<ref id="q" to="t1"/><ref to="c1"/></root>`,
 			"members reordered, one bad": `<root><head>h</head><card><tags/><c>c</c><d>d</d><b>b</b><a>two</a></card></root>`,
-			"missing member":   `<root><head>h</head><card><a>1</a><b>b</b><tags/></card></root>`,
-			"duplicate member": `<root><head>h</head><card><a>1</a><b>b</b><b>again</b><c>c</c><tags/></card></root>`,
-			"bad member value": `<root><head>h</head><card id="c"><a>one</a><b>b</b><c>c</c><tags><tag k="x" id="c"/></tags></card></root>`,
-			"at the bound":     `<root><head>h</head>` + interpLog(5000) + `</root>`,
-			"over the bound":   `<root><head>h</head>` + interpLog(5001) + `</root>`,
-			"stray text":       `<root><head>h</head><card>text<a>1</a><b>b</b><c>c</c><tags/></card></root>`,
+			"missing member":             `<root><head>h</head><card><a>1</a><b>b</b><tags/></card></root>`,
+			"duplicate member":           `<root><head>h</head><card><a>1</a><b>b</b><b>again</b><c>c</c><tags/></card></root>`,
+			"bad member value":           `<root><head>h</head><card id="c"><a>one</a><b>b</b><c>c</c><tags><tag k="x" id="c"/></tags></card></root>`,
+			"at the bound":               `<root><head>h</head>` + interpLog(5000) + `</root>`,
+			"over the bound":             `<root><head>h</head>` + interpLog(5001) + `</root>`,
+			"stray text":                 `<root><head>h</head><card>text<a>1</a><b>b</b><c>c</c><tags/></card></root>`,
 			"duplicate key in nested scope": `<root><head>h</head>` +
 				`<card><a>1</a><b>b</b><c>c</c><tags><tag k="x"/><tag k="x"/></tags></card></root>`,
 			"ids collide across the edge": `<root rootId="in"><head>h</head>` +

@@ -100,9 +100,9 @@ func readPinnedVerdicts(t *testing.T) map[string]string {
 type nopEvents struct{}
 
 func (nopEvents) OpenElement(validator.ElementStart) {}
-func (nopEvents) CloseElement(*xsdtypes.Value)      {}
-func (nopEvents) MixedText(string)                  {}
-func (nopEvents) RawElement(*dom.Element)           {}
+func (nopEvents) CloseElement(*xsdtypes.Value)       {}
+func (nopEvents) MixedText(string)                   {}
+func (nopEvents) RawElement(*dom.Element)            {}
 
 // byteEntries are the production entry points that take a serialized
 // document, each reduced to its verdict.

@@ -132,11 +132,15 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 // its verdict.
 var machines = sync.Pool{New: func() any { return &streamRun{ids: map[string]loc{}} }}
 
-// poolLimit bounds the machines that go back into the pool: one whose
-// frames, IDs, IDREFs or frame buffers grew past this many entries (bytes,
-// for text) is left to the collector, so what a large document grew is
-// not held for later runs.
-const poolLimit = 256
+// A pooled machine keeps at most poolLimit frames, IDs, IDREFs and
+// attributes per tag, and a pooled frame at most poolLimit buffered
+// entries and poolText bytes of text: a machine that grew more is left to
+// the collector, and a larger frame buffer is dropped, so what one large
+// document grew is not held for later runs.
+const (
+	poolLimit = 256
+	poolText  = 4096
+)
 
 // newMachine returns a cleared machine for a run over v.
 func newMachine(v *Validator, ev StreamEvents) *streamRun {
@@ -153,15 +157,27 @@ func (sr *streamRun) release() {
 		sr.recycle(f) // left open by a parse error or a cancellation
 	}
 	if cap(sr.frames) > poolLimit || cap(sr.free) > poolLimit || len(sr.ids) > poolLimit ||
-		cap(sr.idJournal) > poolLimit || cap(sr.idrefs) > poolLimit {
+		cap(sr.idJournal) > poolLimit || cap(sr.idrefs) > poolLimit ||
+		cap(sr.attrSeen) > poolLimit || cap(sr.evAttrs) > poolLimit {
 		return
 	}
 	for _, f := range sr.free {
-		if cap(f.textBuf)+cap(f.attrViols)+cap(f.childViols)+cap(f.plainAttrs) > poolLimit {
-			return
+		f.node, f.leaves, f.buf = nil, nil, nil // no reference into the document
+		if cap(f.textBuf) > poolText {
+			f.textBuf = nil
 		}
-		// Keep no reference into the document.
-		f.node, f.leaves, f.buf = nil, nil, nil
+		if cap(f.attrViols) > poolLimit {
+			f.attrViols = nil
+		}
+		if cap(f.childViols) > poolLimit {
+			f.childViols = nil
+		}
+		if cap(f.plainAttrs) > poolLimit {
+			f.plainAttrs = nil
+		}
+		if cap(f.counts) > poolLimit {
+			f.counts = nil
+		}
 	}
 	clear(sr.ids)
 	clear(sr.viols)
@@ -425,7 +441,16 @@ func (sr *streamRun) newFrame(parent *frame, name xmlparser.Name, n int, decl *x
 		f.reset(parent, name, n, decl, nsMark)
 		return f
 	}
-	return &frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark}
+	// A new frame comes in one allocation with its automaton run and room
+	// for one child name's count: a deep document opens one per level.
+	a := new(struct {
+		f      frame
+		run    contentmodel.Run
+		counts [1]childCount
+	})
+	a.f = frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark,
+		run: &a.run, counts: a.counts[:0]}
+	return &a.f
 }
 
 // recycle returns a popped frame to the free list. Its buffered violations
@@ -729,10 +754,8 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			case sr.par > 1 && sr.tree != nil && wide(sr.tree.cur):
 				sr.matchChildren(f, m, sr.tree.cur)
 				f.split = f.matched
-			case f.run != nil:
-				f.run.Reset(g)
 			default:
-				f.run = g.Start()
+				f.run.Reset(g)
 			}
 		}
 	}
