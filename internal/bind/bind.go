@@ -8,8 +8,8 @@ import (
 
 // Binder decodes XML into typed values (and JSON) and marshals values
 // back, always through the schema's validator. A Binder is immutable and
-// safe for concurrent use; it shares the validator's compiled-model cache,
-// so automata built by either consumer serve both.
+// safe for concurrent use; it steps the same compiled content models as
+// the validator, which the schema owns.
 type Binder struct {
 	schema *xsd.Schema
 	v      *validator.Validator
@@ -19,7 +19,7 @@ type Binder struct {
 
 // New builds a binder over a resolved schema. v may be nil, in which case
 // a validator with default options is created; passing the serving layer's
-// validator shares its warm model cache.
+// validator shares its options.
 func New(schema *xsd.Schema, v *validator.Validator) *Binder {
 	if v == nil {
 		v = validator.New(schema, nil)
@@ -30,7 +30,7 @@ func New(schema *xsd.Schema, v *validator.Validator) *Binder {
 // Plan returns the derived binding plan.
 func (b *Binder) Plan() *Plan { return b.plan }
 
-// Validator returns the binder's validator (shared model cache).
+// Validator returns the binder's validator.
 func (b *Binder) Validator() *validator.Validator { return b.v }
 
 // Schema returns the schema the binder was built from.

@@ -298,11 +298,11 @@ func (c *checker) complexAccepts(sup, sub *xsd.ComplexType, path string) bool {
 // particleAccepts runs the language-inclusion check on the two content
 // models and recurses into element declarations both sides share.
 func (c *checker) particleAccepts(sup, sub *xsd.ComplexType, path string) bool {
-	gSup, errSup := contentmodel.CompileGlushkov(c.sup.CompileParticle(sup.Particle))
-	gSub, errSub := contentmodel.CompileGlushkov(c.sub.CompileParticle(sub.Particle))
+	gSup, okSup := sup.Matcher(c.sup).(*contentmodel.Glushkov)
+	gSub, okSub := sub.Matcher(c.sub).(*contentmodel.Glushkov)
 	ok := true
 	switch {
-	case errSup != nil || errSub != nil:
+	case !okSup || !okSub:
 		c.breakf("%s: content model too large to compare", path)
 		ok = false
 	default:

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultDFABudget is the default cap on memoized DFA states per automaton.
-// A run that needs a state beyond the budget falls back to the NFA stepper
-// from the current position set, so pathological minOccurs/maxOccurs models
-// stay safe in bounded memory.
+// DefaultDFABudget is the default number of states a run may grow an
+// automaton's shared DFA to. A run that needs a state beyond its budget
+// falls back to the NFA stepper from the current position set, so
+// pathological minOccurs/maxOccurs models stay safe in bounded memory.
 const DefaultDFABudget = 4096
 
 // maxDFAWildcards bounds the number of distinct wildcard particles a
@@ -34,9 +34,8 @@ const maxNamespaceClasses = 64
 // class per subset of wildcards for names the model does not declare —
 // every name admitted by the same wildcard subset behaves identically.
 type dfa struct {
-	g      *Glushkov
-	in     *Interner
-	budget int
+	g  *Glushkov
+	in *Interner
 
 	named    []int32 // global symbol ID -> class, -1 when not named by this model
 	nnamed   int
@@ -49,7 +48,6 @@ type dfa struct {
 	mu      sync.Mutex
 	nstates int
 	bySet   map[string]*dstate // canonical position-set key -> state
-	full    atomic.Bool        // budget exhausted; unbuilt slots overflow to NFA
 	scratch []bool             // per-position membership scratch, guarded by mu
 
 	nsClass atomic.Value // map[string]int32: namespace -> bucket class, copy-on-write
@@ -75,23 +73,22 @@ var dfaReject = &dstate{}
 
 // EnableDFA attaches a lazy DFA to the automaton, using the shared symbol
 // interner for transition lookup. It reports whether the DFA was attached:
-// models that violate Unique Particle Attribution keep the NFA stepper
-// (subset canonicalization is only observation-equivalent when at most one
-// particle competes per symbol), as do models with more than
-// maxDFAWildcards distinct wildcards. A budget <= 0 selects
-// DefaultDFABudget.
+// models with more than maxDFAWildcards distinct wildcards keep the NFA
+// stepper.
 //
-// EnableDFA must be called before the automaton is shared between
-// goroutines (the caches call it inside their sync.Once compile step).
-func (g *Glushkov) EnableDFA(in *Interner, budget int) bool {
+// The automaton must satisfy Unique Particle Attribution (CheckUPA returned
+// nil): subset canonicalization is only observation-equivalent when at most
+// one particle competes per symbol. EnableDFA must happen before any Match
+// or Run on the automaton and be synchronized with them
+// (xsd.ComplexType.Matcher calls it inside a sync.Once every caller passes
+// through). How far a run may grow the DFA is the run's own budget
+// (Run.ResetLimit).
+func (g *Glushkov) EnableDFA(in *Interner) bool {
 	if g.dfa != nil {
 		return true
 	}
-	if in == nil || g.CheckUPA() != nil {
+	if in == nil {
 		return false
-	}
-	if budget <= 0 {
-		budget = DefaultDFABudget
 	}
 	cls := g.buildClasses()
 	if len(cls.wilds) > maxDFAWildcards {
@@ -110,7 +107,6 @@ func (g *Glushkov) EnableDFA(in *Interner, budget int) bool {
 	d := &dfa{
 		g:        g,
 		in:       in,
-		budget:   budget,
 		named:    named,
 		nnamed:   len(cls.syms),
 		wilds:    cls.wilds,
@@ -263,10 +259,10 @@ func (d *dfa) bucketClass(ns string) int32 {
 	return c
 }
 
-// buildTrans fills the (st, cls) transition slot. ok=false means the state
-// budget is exhausted and the successor was not memoized; the caller must
-// fall back to NFA stepping from st.
-func (d *dfa) buildTrans(st *dstate, cls int32) (next *dstate, leaf *Leaf, ok bool) {
+// buildTrans fills the (st, cls) transition slot. ok=false means the DFA
+// already holds the calling run's budget of states and the successor was
+// not memoized; the caller must fall back to NFA stepping from st.
+func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf *Leaf, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tr := &st.trans[cls]
@@ -296,8 +292,7 @@ func (d *dfa) buildTrans(st *dstate, cls int32) (next *dstate, leaf *Leaf, ok bo
 	key := setKey(matched)
 	next, exists := d.bySet[key]
 	if !exists {
-		if d.nstates >= d.budget {
-			d.full.Store(true)
+		if d.nstates >= budget {
 			return nil, nil, false
 		}
 		next = d.newState(matched)

@@ -159,7 +159,7 @@ func TestDFAMatchesNFAModelZoo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if !g.EnableDFA(NewInterner(), 0) {
+			if !g.EnableDFA(NewInterner()) {
 				t.Fatalf("EnableDFA refused a UPA-clean model")
 			}
 			rng := rand.New(rand.NewSource(0x5eed))
@@ -189,12 +189,14 @@ func TestDFABudgetFallback(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if !g.EnableDFA(NewInterner(), 2) { // start state + one successor
+			if !g.EnableDFA(NewInterner()) {
 				t.Fatalf("EnableDFA refused")
 			}
 			rng := rand.New(rand.NewSource(42))
 			for _, seq := range genSequences(g, rng) {
-				assertSameRun(t, g, g.Start(), g.StartNFA(), seq)
+				dr := new(Run)
+				dr.ResetLimit(g, false, 2) // start state + one successor
+				assertSameRun(t, g, dr, g.StartNFA(), seq)
 			}
 			if n := g.DFAStates(); n > 2 {
 				t.Fatalf("budget 2 exceeded: %d states", n)
@@ -211,7 +213,7 @@ func TestDFAConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.EnableDFA(NewInterner(), 0) {
+	if !g.EnableDFA(NewInterner()) {
 		t.Fatal("EnableDFA refused")
 	}
 	var wg sync.WaitGroup
@@ -242,24 +244,6 @@ func TestDFAConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDFAUPAGate: ambiguous models must keep the NFA stepper.
-func TestDFAUPAGate(t *testing.T) {
-	amb := NewChoice(1, 1,
-		NewSequence(1, 1, NewElementLeaf(1, 1, sym("a"), "a1"), NewElementLeaf(1, 1, sym("b"), "b")),
-		NewSequence(1, 1, NewElementLeaf(1, 1, sym("a"), "a2"), NewElementLeaf(1, 1, sym("c"), "c")),
-	)
-	g, err := CompileGlushkov(amb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.EnableDFA(NewInterner(), 0) {
-		t.Fatal("EnableDFA accepted a UPA-violating model")
-	}
-	if g.DFAEnabled() {
-		t.Fatal("DFA attached despite refusal")
-	}
-}
-
 // TestRunDeadAfterError: a Run that reported an error must panic on
 // further use until Reset re-arms it (the pooled-frame safety net).
 func TestRunDeadAfterError(t *testing.T) {
@@ -268,7 +252,7 @@ func TestRunDeadAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableDFA(NewInterner(), 0)
+	g.EnableDFA(NewInterner())
 	for _, mode := range []string{"dfa", "nfa"} {
 		t.Run(mode, func(t *testing.T) {
 			r := g.Start()
@@ -415,7 +399,7 @@ func TestLazyDFAMatchesStepper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !lazy.EnableDFA(NewInterner(), 0) {
+			if !lazy.EnableDFA(NewInterner()) {
 				t.Fatal("EnableDFA refused a UPA-clean model")
 			}
 			for _, seq := range enumSequences(m.alphabet, 4) {

@@ -23,10 +23,13 @@
 // EnableDFA attaches a lazily subset-constructed DFA whose alphabet is
 // the schema-wide Interner's dense symbol IDs (plus wildcard-admission
 // bucket classes), so stepping a child is an array walk instead of a
-// position-set scan. States are memoized on demand under a bounded
-// budget; on overflow a Run falls back mid-sequence to the NFA stepper,
-// reseeded from the DFA state's own position set. The DFA is only
-// enabled for models that pass the UPA check, which is what makes its
+// position-set scan. States are memoized on demand and shared by every
+// Run over the automaton; each Run carries its own budget
+// (Run.ResetLimit) and, when it needs a state beyond it, falls back
+// mid-sequence to the NFA stepper, reseeded from the DFA state's own
+// position set. A Run may also step the NFA throughout (StartNFA). The
+// caller enables the DFA only for models that pass the UPA check
+// (package xsd does, in ComplexType.Matcher), which is what makes its
 // verdicts, leaf assignments and MatchError messages byte-identical to
 // the NFA's (enforced by the differential tests and FuzzDFAContentModel).
 //
@@ -54,14 +57,16 @@
 //
 // Compilation (CompileGlushkov, NewInterp, Compile) is a pure function of
 // its input particle; callers own synchronization of the particle tree
-// while building it. The compiled matchers are safe for concurrent use:
+// while building it. Outside this package and the DTD baseline, only
+// package xsd compiles: each complex type's model is compiled once there
+// and shared. The compiled matchers are safe for concurrent use:
 // Glushkov.Match and Interp.Match keep per-call state on the stack, and
 // the lazy DFA fills its transition table under an internal mutex with
 // atomically published edges, so a single matcher instance may serve any
-// number of concurrent Match calls and Runs — the property the
-// validator's per-Validator model cache and the xsd package's
-// once-guarded Matcher rely on. EnableDFA itself must happen before the
-// matcher is shared (the compile paths call it). A Run is single-owner
+// number of concurrent Match calls and Runs — the property the xsd
+// package's once-guarded Matcher relies on. EnableDFA itself must happen
+// before the matcher's Runs are shared (xsd calls it inside a
+// sync.Once). A Run is single-owner
 // and must not be shared or interleaved between validation frames; after
 // reporting an error it panics on further use until Reset.
 package contentmodel

@@ -106,7 +106,7 @@ func FuzzDFAContentModel(f *testing.F) {
 		if len(data)%2 == 1 {
 			budget = 2
 		}
-		if !g.EnableDFA(NewInterner(), budget) {
+		if g.CheckUPA() != nil || !g.EnableDFA(NewInterner()) {
 			return // UPA-violating or wildcard-heavy grammar: NFA-only
 		}
 		var seq []Symbol
@@ -115,7 +115,8 @@ func FuzzDFAContentModel(f *testing.F) {
 		}
 		// Two passes so memoized transitions are checked too.
 		for pass := 0; pass < 2; pass++ {
-			dr, nr := g.Start(), g.StartNFA()
+			dr, nr := new(Run), g.StartNFA()
+			dr.ResetLimit(g, false, budget)
 			errored := false
 			for i, s := range seq {
 				dl, de := dr.Step(s)

@@ -14,7 +14,7 @@ type Glushkov struct {
 	follow   [][]int
 	nullable bool
 	// dfa is the optional lazy subset construction attached by EnableDFA.
-	// It must be set before the automaton is shared between goroutines.
+	// It must be set before any Match or Run on the automaton.
 	dfa *dfa
 }
 
@@ -290,20 +290,24 @@ func (g *Glushkov) NumPositions() int { return len(g.leaves) }
 // returns the leaf each child matched; on failure, a MatchError. It is a
 // batch wrapper around the incremental Run stepper, so the two APIs can
 // never disagree on a verdict.
-func (g *Glushkov) Match(input []Symbol) ([]*Leaf, *MatchError) {
-	run := g.Start()
+func (g *Glushkov) Match(input []Symbol) ([]*Leaf, *MatchError) { return g.Start().Match(input) }
+
+// Match steps the run over the rest of a child-name sequence and checks
+// its end, reporting like Glushkov.Match. Started or reset just before, it
+// is Glushkov.Match under the run's own DFA policy.
+func (r *Run) Match(input []Symbol) ([]*Leaf, *MatchError) {
 	var assigned []*Leaf
 	if len(input) > 0 {
 		assigned = make([]*Leaf, len(input))
 	}
 	for i, sym := range input {
-		leaf, err := run.Step(sym)
+		leaf, err := r.Step(sym)
 		if err != nil {
 			return nil, err
 		}
 		assigned[i] = leaf
 	}
-	if err := run.End(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return assigned, nil
@@ -340,6 +344,7 @@ type Run struct {
 	memoCls  int32
 	memoOK   bool
 	forceNFA bool // StartNFA: never re-attach the DFA on Reset
+	budget   int  // DFA states this run may grow the shared DFA to; <= 0: DefaultDFABudget
 	failed   bool // a Step/End reported an error; Reset required before reuse
 }
 
@@ -355,6 +360,16 @@ func (g *Glushkov) Start() *Run {
 // is attached. Differential tests and benchmarks use it to compare the two
 // executors over one compiled automaton.
 func (g *Glushkov) StartNFA() *Run { return &Run{g: g, cand: g.first, forceNFA: true} }
+
+// ResetLimit re-arms the run like Reset under its own DFA policy: with nfa
+// set it steps the NFA as StartNFA does; otherwise it may grow g's shared
+// DFA to budget states (<= 0 selects DefaultDFABudget) before it falls
+// back to the NFA from its current position set. The policy holds for
+// later Resets too.
+func (r *Run) ResetLimit(g *Glushkov, nfa bool, budget int) {
+	r.forceNFA, r.budget = nfa, budget
+	r.Reset(g)
+}
 
 // Reset re-arms the run for a new sequence against g, reusing its
 // internal buffers. Equivalent to replacing the Run with g.Start()
@@ -443,7 +458,7 @@ func (r *Run) Step(sym Symbol) (*Leaf, *MatchError) {
 	return leaf, nil
 }
 
-// stepDFA advances the lazy DFA one symbol. ok=false means the state
+// stepDFA advances the lazy DFA one symbol. ok=false means the run's state
 // budget overflowed before the needed transition was memoized: the Run has
 // been reseeded onto the NFA stepper from the current position set and the
 // caller must retry the symbol on the NFA path.
@@ -464,7 +479,11 @@ func (r *Run) stepDFA(sym Symbol) (*Leaf, *MatchError, bool) {
 		leaf = tr.leaf
 	} else {
 		var ok bool
-		next, leaf, ok = d.buildTrans(st, cls)
+		budget := r.budget
+		if budget <= 0 {
+			budget = DefaultDFABudget
+		}
+		next, leaf, ok = d.buildTrans(st, cls, budget)
 		if !ok {
 			r.fallbackNFA(st)
 			return nil, nil, false

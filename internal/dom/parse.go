@@ -41,11 +41,11 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 		if tok == nil {
 			return doc, nil
 		}
-		switch tok.Kind {
-		case xmlparser.KindXMLDecl:
+		switch {
+		case tok.Kind == xmlparser.KindXMLDecl:
 			doc.Version = pseudoAttr(tok.Data(), "version")
 			doc.Encoding = pseudoAttr(tok.Data(), "encoding")
-		case xmlparser.KindDoctype:
+		case tok.Kind == xmlparser.KindDoctype:
 			dt := &DocumentType{Name: tok.Name.Local, ExternalID: tok.Target, InternalSubset: tok.Data()}
 			dt.self = dt
 			dt.doc = doc
@@ -53,55 +53,62 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 			if _, err := cur.AppendChild(dt); err != nil {
 				return nil, err
 			}
-		case xmlparser.KindStartElement:
-			// Namespace declarations are kept as ordinary attributes so
-			// serialization round-trips.
-			var e *Element
-			if namespaces {
-				e = doc.CreateElementResolved(tok.Name, tok.Attrs)
-			} else {
-				// Unresolved names may still collide on {"", Local}
-				// (a:x, b:x): SetAttributeNS keeps the last one.
-				e = doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-				for _, a := range tok.Attrs {
-					e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-				}
+		case tok.Kind == xmlparser.KindEndElement:
+			cur = cur.ParentNode()
+		case tok.Kind == xmlparser.KindStartElement && !namespaces:
+			// Unresolved names may still collide on {"", Local} (a:x,
+			// b:x): SetAttributeNS keeps the last one.
+			e := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
+			for _, a := range tok.Attrs {
+				e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
 			}
 			if _, err := cur.AppendChild(e); err != nil {
 				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
 			}
 			cur = e
-		case xmlparser.KindEndElement:
-			cur = cur.ParentNode()
-		case xmlparser.KindText:
-			if cur == Node(doc) {
-				// Fragment mode: attach top-level text only if
-				// non-empty after the parser allowed it; documents
-				// never reach here with text.
-				if isAllSpace(tok.Data()) {
-					continue
-				}
-			}
-			if tok.Data() == "" {
-				continue
-			}
-			if _, err := cur.AppendChild(doc.CreateTextNode(tok.Data())); err != nil {
-				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
-			}
-		case xmlparser.KindCData:
-			if _, err := cur.AppendChild(doc.CreateCDATASection(tok.Data())); err != nil {
-				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
-			}
-		case xmlparser.KindComment:
-			if _, err := cur.AppendChild(doc.CreateComment(tok.Data())); err != nil {
-				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
-			}
-		case xmlparser.KindProcInst:
-			if _, err := cur.AppendChild(doc.CreateProcessingInstruction(tok.Target, tok.Data())); err != nil {
-				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
+		case tok.Kind == xmlparser.KindText && cur == Node(doc) && isAllSpace(tok.Data()):
+			// Fragment mode: top-level whitespace gets no node; documents
+			// never reach here with text.
+		default:
+			if cur, err = doc.AppendToken(cur, tok); err != nil {
+				return nil, err
 			}
 		}
 	}
+}
+
+// AppendToken appends the node a token maps to under parent and returns
+// the node later tokens append to: the new element for a start tag,
+// parent otherwise. A start tag becomes an element with its resolved
+// names (namespace declarations stay ordinary attributes, so serialization
+// round-trips); text (unless empty), CDATA, comments and processing
+// instructions become their node kinds. Other tokens append nothing.
+func (d *Document) AppendToken(parent Node, tok *xmlparser.Token) (Node, error) {
+	var n Node
+	switch tok.Kind {
+	case xmlparser.KindStartElement:
+		n = d.CreateElementResolved(tok.Name, tok.Attrs)
+	case xmlparser.KindText:
+		if tok.Data() == "" {
+			return parent, nil
+		}
+		n = d.CreateTextNode(tok.Data())
+	case xmlparser.KindCData:
+		n = d.CreateCDATASection(tok.Data())
+	case xmlparser.KindComment:
+		n = d.CreateComment(tok.Data())
+	case xmlparser.KindProcInst:
+		n = d.CreateProcessingInstruction(tok.Target, tok.Data())
+	default:
+		return parent, nil
+	}
+	if _, err := parent.AppendChild(n); err != nil {
+		return parent, fmt.Errorf("at %s: %w", tok.Pos, err)
+	}
+	if tok.Kind == xmlparser.KindStartElement {
+		return n, nil
+	}
+	return parent, nil
 }
 
 // CreateElementResolved creates an element from a start tag as the

@@ -6,8 +6,8 @@
 //
 // Each top-level *.xsd file in the directory becomes one Entry keyed by
 // its base name, carrying the parsed xsd.Schema, a shared
-// validator.Validator (whose compiled content-model cache is warm for
-// the entry's lifetime), a monotonically increasing per-name Version,
+// validator.Validator (the schema's compiled content models stay warm
+// for the entry's lifetime), a monotonically increasing per-name Version,
 // and the entry's full dependency closure: every document reached
 // through xs:include / xs:import / xs:redefine, with the file state
 // observed at compile time. Subdirectories are not scanned for entries,

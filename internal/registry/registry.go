@@ -66,9 +66,8 @@ type Entry struct {
 	Validator *validator.Validator
 	Stream    *validator.StreamValidator
 	// Binder decodes documents against this schema version into typed
-	// values / canonical JSON and marshals them back. It shares Validator
-	// (and therefore its warm compiled-model cache), and is immutable like
-	// the rest of the entry.
+	// values / canonical JSON and marshals them back. It shares Validator,
+	// and is immutable like the rest of the entry.
 	Binder *bind.Binder
 }
 
@@ -130,9 +129,9 @@ var emptySnapshot = &snapshot{entries: map[string]*Entry{}, errs: map[string]str
 // mutex and publishes atomically.
 //
 // Old versions are drained, not torn down: an Entry stays alive for as
-// long as any in-flight request references it, and its Validator's
-// compiled-model cache goes away only when the garbage collector proves
-// nobody can use it again. A schema file that fails to parse keeps its
+// long as any in-flight request references it, and its schema's
+// compiled content models go away only when the garbage collector proves
+// nobody can use them again. A schema file that fails to parse keeps its
 // previous good version serving and surfaces the error via Errors.
 type Registry struct {
 	dir   string
@@ -345,8 +344,8 @@ func changedSince(prev *Entry, cache *reloadCache) bool {
 
 // Reload rescans the directory and atomically publishes a new snapshot.
 // Entries whose whole dependency closure is unchanged (same ModTime and
-// Size for every file) keep their existing Entry — same Validator, same
-// warm compiled-model cache — while a change to any imported or included
+// Size for every file) keep their existing Entry — same schema, same
+// warm compiled content models — while a change to any imported or included
 // file recompiles exactly the dependents whose closure contains it.
 // Changed schemas are parsed and compiled aside, in parallel, before the
 // swap, so readers never see a partially-loaded state; a shared per-reload

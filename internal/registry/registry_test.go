@@ -82,8 +82,8 @@ func TestReloadBasics(t *testing.T) {
 		t.Error("non-.xsd file leaked into the registry")
 	}
 
-	// No-op reload: same entry pointer, so the compiled-model cache
-	// survives and no version churn happens.
+	// No-op reload: same entry pointer, so the compiled content models
+	// survive and no version churn happens.
 	if _, err := r.Reload(); err == nil {
 		t.Fatal("broken.xsd error must persist across reloads")
 	}

@@ -10,10 +10,9 @@ import (
 
 // ValidateBatch validates every document concurrently through a bounded
 // worker pool and returns one Result per document, index-aligned with
-// docs. The pool has runtime.GOMAXPROCS(0) workers, all sharing this
-// Validator's compiled content-model cache, so a schema's automata are
-// built at most once for the whole batch. Nil documents yield a Result
-// with a single violation rather than a panic.
+// docs. The pool has runtime.GOMAXPROCS(0) workers, all stepping the
+// schema's compiled content models, which are built at most once. Nil
+// documents yield a Result with a single violation rather than a panic.
 //
 // This is the bulk path for the ROADMAP's repeated same-schema workload:
 // xsdcheck uses it to validate its file arguments in parallel.

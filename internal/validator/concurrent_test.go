@@ -63,41 +63,6 @@ func TestConcurrentValidation(t *testing.T) {
 	}
 }
 
-// TestModelCacheCompilesOnce proves the tentpole claim: no matter how many
-// concurrent runs exercise the same complex types, each type's content
-// model compiles exactly once per Validator.
-func TestModelCacheCompilesOnce(t *testing.T) {
-	v := poValidator(t)
-	doc, err := dom.ParseString(schemas.PurchaseOrderDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				v.ValidateDocument(doc)
-			}
-		}()
-	}
-	wg.Wait()
-	first := v.CompiledModels()
-	if first == 0 {
-		t.Fatal("no content models compiled — cache not exercised")
-	}
-	// 160 validations of a document with 4 element-only complex types
-	// must not have compiled more models than distinct types.
-	if first > 8 {
-		t.Errorf("compiled %d models for one small document — cache not deduplicating", first)
-	}
-	v.ValidateDocument(doc)
-	if got := v.CompiledModels(); got != first {
-		t.Errorf("revalidation recompiled models: %d -> %d", first, got)
-	}
-}
-
 // TestValidateBatch checks index alignment, mixed outcomes and nil slots.
 func TestValidateBatch(t *testing.T) {
 	v := poValidator(t)

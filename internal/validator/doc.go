@@ -21,7 +21,7 @@
 // # One walk, any token source
 //
 // Every entry point runs one validation machine (stream.go): an explicit
-// stack of element frames that steps the cached Glushkov automata one
+// stack of element frames that steps the schema's Glushkov automata one
 // child at a time, with O(depth) memory and no recursion per element. It
 // takes its tokens from a TokenSource:
 //
@@ -69,18 +69,17 @@
 //
 // # Concurrency
 //
-// A Validator is safe for concurrent use by multiple goroutines and is
-// intended to be shared: all mutable per-run state is private to each
-// call, and compiled content models are memoized per complex type in a
-// lock-free cache (sync.Map of sync.Once entries) for the Validator's
-// lifetime, so each automaton is built exactly once no matter how many
-// goroutines validate at once. Cached entries are never invalidated —
-// the schema is immutable once resolved. ValidateBatch fans a document
-// slice out over a GOMAXPROCS-sized worker pool on top of the same
-// shared cache. A StreamValidator holds no per-run state either: it
-// shares only the parent Validator's immutable schema and thread-safe
-// model cache, so one StreamValidator may serve any number of
-// goroutines, interleaved freely with tree runs on the same Validator
-// (asserted under -race by TestStreamConcurrent). Documents are only
-// read; callers must not mutate a document while it is being validated.
+// A Validator is safe for concurrent use by multiple goroutines: all
+// mutable per-run state is private to each call. The validator keeps no
+// compiled state of its own: each complex type's content model is
+// compiled once by the schema (xsd.ComplexType.Matcher) and shared with
+// every Validator and every other consumer, so creating a Validator costs
+// nothing and each automaton is built exactly once no matter how many
+// goroutines validate at once. Options.DisableDFA and DFAStateBudget
+// apply per run on that shared automaton. ValidateBatch fans a document
+// slice out over a GOMAXPROCS-sized worker pool. A StreamValidator holds
+// no per-run state either, so one may serve any number of goroutines,
+// interleaved freely with tree runs on the same Validator (asserted under
+// -race by TestStreamConcurrent). Documents are only read; callers must
+// not mutate a document while it is being validated.
 package validator

@@ -2,17 +2,10 @@ package validator
 
 // Identity constraints (xs:unique / xs:key / xs:keyref) — the feature the
 // paper's §3 explicitly defers ("Currently we do not handle identity
-// constraints"), implemented here as a clearly-marked extension over the
-// restricted XPath subset the XML Schema recommendation defines for
-// selectors and fields:
-//
-//	selector ::= path ( '|' path )*
-//	path     ::= ('.//')? step ( '/' step )*
-//	step     ::= '.' | NCName | prefix:NCName | '*'
-//	field    ::= like selector, with an optional trailing '@attr'
-//
-// Prefixes are matched by local name only (a documented simplification:
-// the repository's schemas put elements in at most one namespace).
+// constraints"), implemented here as a clearly-marked extension. The
+// selectors and fields are the restricted XPath subset the XML Schema
+// recommendation defines, parsed once with the schema (xsd.XPath); this
+// file evaluates them over an element's subtree.
 
 import (
 	"fmt"
@@ -22,75 +15,8 @@ import (
 	"repro/internal/xsd"
 )
 
-// xpathStep is one parsed step.
-type xpathStep struct {
-	// local is the name test ("*" matches any element); "." steps are
-	// dropped at parse time.
-	local string
-}
-
-// xpathPath is one alternative of a selector/field.
-type xpathPath struct {
-	descendant bool // leading ".//"
-	steps      []xpathStep
-	// attr is the trailing @attribute of a field path ("" otherwise).
-	attr string
-	// dot marks the "." field path (the element's own value).
-	dot bool
-}
-
-// parseRestrictedXPath parses the subset; field selects field grammar.
-func parseRestrictedXPath(expr string, field bool) ([]xpathPath, error) {
-	var out []xpathPath
-	for _, alt := range strings.Split(expr, "|") {
-		alt = strings.TrimSpace(alt)
-		if alt == "" {
-			return nil, fmt.Errorf("empty path in %q", expr)
-		}
-		var p xpathPath
-		if alt == "." {
-			p.dot = true
-			out = append(out, p)
-			continue
-		}
-		rest := alt
-		if strings.HasPrefix(rest, ".//") {
-			p.descendant = true
-			rest = rest[3:]
-		}
-		segs := strings.Split(rest, "/")
-		for i, seg := range segs {
-			seg = strings.TrimSpace(seg)
-			seg = strings.TrimPrefix(seg, "child::")
-			switch {
-			case seg == ".":
-				continue
-			case strings.HasPrefix(seg, "@"):
-				if !field || i != len(segs)-1 {
-					return nil, fmt.Errorf("attribute step only allowed at the end of a field: %q", expr)
-				}
-				name := strings.TrimPrefix(seg, "@")
-				if j := strings.IndexByte(name, ':'); j >= 0 {
-					name = name[j+1:]
-				}
-				p.attr = name
-			case seg == "":
-				return nil, fmt.Errorf("empty step in %q", expr)
-			default:
-				name := seg
-				if j := strings.IndexByte(name, ':'); j >= 0 {
-					name = name[j+1:]
-				}
-				p.steps = append(p.steps, xpathStep{local: name})
-			}
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // selectNodes evaluates selector paths from a context element.
-func selectNodes(ctx *dom.Element, paths []xpathPath) []*dom.Element {
+func selectNodes(ctx *dom.Element, paths []xsd.XPath) []*dom.Element {
 	var out []*dom.Element
 	seen := map[*dom.Element]bool{}
 	add := func(e *dom.Element) {
@@ -100,21 +26,21 @@ func selectNodes(ctx *dom.Element, paths []xpathPath) []*dom.Element {
 		}
 	}
 	for _, p := range paths {
-		if p.dot || len(p.steps) == 0 {
+		if p.Dot || len(p.Steps) == 0 {
 			add(ctx)
 			continue
 		}
 		var frontier []*dom.Element
-		if p.descendant {
+		if p.Descendant {
 			frontier = descendantsAndSelf(ctx)
 		} else {
 			frontier = []*dom.Element{ctx}
 		}
-		for _, step := range p.steps {
+		for _, step := range p.Steps {
 			var next []*dom.Element
 			for _, e := range frontier {
 				for _, c := range e.ChildElements() {
-					if step.local == "*" || c.LocalName() == step.local {
+					if step == "*" || c.LocalName() == step {
 						next = append(next, c)
 					}
 				}
@@ -150,16 +76,16 @@ func descendantsAndSelf(e *dom.Element) []*dom.Element {
 
 // fieldValue evaluates one field path on a selected node. ok is false when
 // the field is absent.
-func fieldValue(node *dom.Element, paths []xpathPath) (string, bool) {
+func fieldValue(node *dom.Element, paths []xsd.XPath) (string, bool) {
 	for _, p := range paths {
 		targets := []*dom.Element{node}
-		if len(p.steps) > 0 {
-			targets = selectNodes(node, []xpathPath{{descendant: p.descendant, steps: p.steps}})
+		if len(p.Steps) > 0 {
+			targets = selectNodes(node, []xsd.XPath{{Descendant: p.Descendant, Steps: p.Steps}})
 		}
 		for _, tgt := range targets {
-			if p.attr != "" {
-				if tgt.HasAttribute(p.attr) {
-					return tgt.GetAttribute(p.attr), true
+			if p.Attr != "" {
+				if tgt.HasAttribute(p.Attr) {
+					return tgt.GetAttribute(p.Attr), true
 				}
 				continue
 			}
@@ -190,43 +116,15 @@ func identityViolations(el *dom.Element, decl *xsd.ElementDecl, violate func(msg
 	var keyrefs []*xsd.IdentityConstraint
 
 	for _, ic := range decl.Constraints {
-		selPaths, err := parseRestrictedXPath(ic.Selector, false)
-		if err != nil {
-			violate(fmt.Sprintf("identity constraint %s: bad selector: %v", ic.Name.Local, err))
-			continue
-		}
-		var fieldPaths [][]xpathPath
-		bad := false
-		for _, f := range ic.Fields {
-			fp, err := parseRestrictedXPath(f, true)
-			if err != nil {
-				violate(fmt.Sprintf("identity constraint %s: bad field: %v", ic.Name.Local, err))
-				bad = true
-				break
-			}
-			fieldPaths = append(fieldPaths, fp)
-		}
-		if bad {
-			continue
-		}
 		if ic.Kind == xsd.ConstraintKeyref {
 			keyrefs = append(keyrefs, ic)
 			// Evaluated after the referenced key's table exists.
 			continue
 		}
 		tbl := table{}
-		for _, node := range selectNodes(el, selPaths) {
-			var parts []string
-			missing := false
-			for _, fp := range fieldPaths {
-				v, ok := fieldValue(node, fp)
-				if !ok {
-					missing = true
-					break
-				}
-				parts = append(parts, v)
-			}
-			if missing {
+		for _, node := range selectNodes(el, ic.Selector) {
+			parts, ok := keyParts(node, ic.Fields)
+			if !ok {
 				if ic.Kind == xsd.ConstraintKey {
 					violate(fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
 				}
@@ -248,29 +146,24 @@ func identityViolations(el *dom.Element, decl *xsd.ElementDecl, violate func(msg
 			violate(fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
 			continue
 		}
-		selPaths, _ := parseRestrictedXPath(ic.Selector, false)
-		var fieldPaths [][]xpathPath
-		for _, f := range ic.Fields {
-			fp, _ := parseRestrictedXPath(f, true)
-			fieldPaths = append(fieldPaths, fp)
-		}
-		for _, node := range selectNodes(el, selPaths) {
-			var parts []string
-			missing := false
-			for _, fp := range fieldPaths {
-				v, ok := fieldValue(node, fp)
-				if !ok {
-					missing = true
-					break
-				}
-				parts = append(parts, v)
-			}
-			if missing {
-				continue
-			}
-			if !refTbl[strings.Join(parts, "\x1f")] {
+		for _, node := range selectNodes(el, ic.Selector) {
+			parts, ok := keyParts(node, ic.Fields)
+			if ok && !refTbl[strings.Join(parts, "\x1f")] {
 				violate(fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
 			}
 		}
 	}
+}
+
+// keyParts evaluates each field on a selected node; ok is false when a
+// field is absent.
+func keyParts(node *dom.Element, fields [][]xsd.XPath) (parts []string, ok bool) {
+	for _, fp := range fields {
+		v, ok := fieldValue(node, fp)
+		if !ok {
+			return nil, false
+		}
+		parts = append(parts, v)
+	}
+	return parts, true
 }

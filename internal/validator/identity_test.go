@@ -119,21 +119,3 @@ func TestUniqueToleratesAbsentField(t *testing.T) {
 		t.Errorf("duplicate unique: %v", res.Err())
 	}
 }
-
-func TestRestrictedXPathParsing(t *testing.T) {
-	good := []string{"item", ".//item", "a/b/c", "po:item", ".", "a|b", "child::item"}
-	for _, s := range good {
-		if _, err := parseRestrictedXPath(s, false); err != nil {
-			t.Errorf("selector %q: %v", s, err)
-		}
-	}
-	if _, err := parseRestrictedXPath("@x/y", true); err == nil {
-		t.Error("attribute step mid-path should fail")
-	}
-	if _, err := parseRestrictedXPath("a//b", false); err == nil {
-		t.Error("internal '//' should fail")
-	}
-	if _, err := parseRestrictedXPath("@partNum", true); err != nil {
-		t.Errorf("field @attr: %v", err)
-	}
-}

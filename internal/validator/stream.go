@@ -2,11 +2,11 @@ package validator
 
 // The validation machine: the paper's §5–6 pipeline compiles content models
 // to Glushkov automata precisely so validity can be decided one child at a
-// time. streamRun drives those cached automata off a token stream with an
-// explicit element/automaton-state stack — O(depth) memory, no recursion
-// per element. It is the only validation walk: the decoder feeds it for the
-// streaming entry points, bind's Marshal encoder for encoding, and a replay
-// of a parsed tree (treeSource) for the DOM entry points.
+// time. streamRun drives the schema's compiled automata off a token stream
+// with an explicit element/automaton-state stack — O(depth) memory, no
+// recursion per element. It is the only validation walk: the decoder feeds
+// it for the streaming entry points, bind's Marshal encoder for encoding,
+// and a replay of a parsed tree (treeSource) for the DOM entry points.
 //
 // The verdict is not causal: when an element's content model fails, the
 // element reports the one match error and none of its children's
@@ -50,16 +50,14 @@ import (
 // StreamValidator validates documents incrementally from a token stream.
 // Obtain one with Validator.Stream. It holds no per-run state, so a single
 // StreamValidator (like its parent Validator) is safe for concurrent use:
-// each ValidateReader/ValidateBytes call allocates a private run and
-// shares only the Validator's immutable schema and thread-safe model
-// cache.
+// each ValidateReader/ValidateBytes call takes a private run and shares
+// only the schema and its compiled content models.
 type StreamValidator struct {
 	v *Validator
 }
 
-// Stream returns a streaming front-end over the validator. The returned
-// StreamValidator shares v's compiled-model cache, so automata built by
-// either path are reused by both.
+// Stream returns a streaming front-end over the validator, with its
+// options.
 func (v *Validator) Stream() *StreamValidator { return &StreamValidator{v: v} }
 
 // ValidateReader validates a document read incrementally from r. Memory
@@ -721,7 +719,7 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 	var m contentmodel.Matcher
 	var g *contentmodel.Glushkov
 	if ct, ok := typ.(*xsd.ComplexType); ok && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
-		m = sr.v.models.matcher(ct)
+		m = ct.Matcher(sr.v.schema)
 		g, _ = m.(*contentmodel.Glushkov)
 		needNode = needNode || g == nil
 	}
@@ -748,14 +746,14 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 		default:
 			f.mode = fmModel
 			f.mixed = t.Kind == xsd.ContentMixed
-			switch {
-			case g == nil:
+			if g == nil {
 				sr.matchChildren(f, m, sr.tree.cur)
-			case sr.par > 1 && sr.tree != nil && wide(sr.tree.cur):
-				sr.matchChildren(f, m, sr.tree.cur)
+				break
+			}
+			f.run.ResetLimit(g, sr.v.opts.DisableDFA, sr.v.opts.DFAStateBudget)
+			if sr.par > 1 && sr.tree != nil && wide(sr.tree.cur) {
+				sr.matchChildren(f, f.run, sr.tree.cur)
 				f.split = f.matched
-			default:
-				f.run.Reset(g)
 			}
 		}
 	}
@@ -1104,15 +1102,12 @@ func (sr *streamRun) startBuffer(f *frame, tok *xmlparser.Token) {
 	sr.frames = append(sr.frames, f)
 }
 
-// feedBuffer appends one token to the buffered subtree, mirroring
-// dom.Parse's token-to-node mapping.
+// feedBuffer appends one token to the buffered subtree with dom.Parse's
+// token-to-node mapping.
 func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
 	b := f.buf
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
-		e := b.doc.CreateElementResolved(tok.Name, tok.Attrs)
-		b.cur.AppendChild(e)
-		b.cur = e
 		b.depth++
 	case xmlparser.KindEndElement:
 		b.depth--
@@ -1121,18 +1116,9 @@ func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
 			return
 		}
 		b.cur = b.cur.ParentNode()
-	case xmlparser.KindText:
-		if tok.Data() == "" {
-			return
-		}
-		b.cur.AppendChild(b.doc.CreateTextNode(tok.Data()))
-	case xmlparser.KindCData:
-		b.cur.AppendChild(b.doc.CreateCDATASection(tok.Data()))
-	case xmlparser.KindComment:
-		b.cur.AppendChild(b.doc.CreateComment(tok.Data()))
-	case xmlparser.KindProcInst:
-		b.cur.AppendChild(b.doc.CreateProcessingInstruction(tok.Target, tok.Data()))
+		return
 	}
+	b.cur, _ = b.doc.AppendToken(b.cur, tok)
 }
 
 // completeBuffer hands a raw subtree to the observer, or replays a

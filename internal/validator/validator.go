@@ -58,13 +58,14 @@ type Options struct {
 	// resolution (the paper-excluded extension); structural and
 	// simple-type checking is unaffected.
 	SkipIDChecks bool
-	// DisableDFA turns off the lazy-DFA content-model executor and steps
-	// the Glushkov automata as NFAs (the pre-DFA behavior). Verdicts and
-	// messages are identical either way; the NFA path is the reference
-	// the DFA parity tests and the E10 benchmarks compare against.
+	// DisableDFA turns off the lazy-DFA content-model executor: this
+	// Validator's runs step the Glushkov automata as NFAs (the pre-DFA
+	// behavior). Verdicts and messages are identical either way; the NFA
+	// path is the reference the DFA parity tests and the E10 benchmarks
+	// compare against.
 	DisableDFA bool
-	// DFAStateBudget caps memoized DFA states per content model before a
-	// run falls back to NFA stepping. Zero means
+	// DFAStateBudget caps the states a run may grow a content model's
+	// shared DFA to before it falls back to NFA stepping. Zero means
 	// contentmodel.DefaultDFABudget.
 	DFAStateBudget int
 }
@@ -73,18 +74,15 @@ type Options struct {
 //
 // A Validator is safe for concurrent use: any number of goroutines may
 // call ValidateDocument, ValidateElement and ValidateBatch on one shared
-// instance. All per-run state lives in a private machine (streamRun), and
-// the compiled content models are shared through a thread-safe cache
-// (modelCache) that builds each complex type's automaton exactly once for
-// the Validator's lifetime. The documents being validated are only read,
-// never written — but callers must not mutate a document concurrently
-// with its validation.
+// instance. All per-run state lives in a private machine (streamRun); the
+// compiled content models belong to the schema (xsd.ComplexType.Matcher),
+// which builds each once for every Validator and every other consumer, so
+// a Validator is cheap to create. The documents being validated are only
+// read, never written — but callers must not mutate a document
+// concurrently with its validation.
 type Validator struct {
 	schema *xsd.Schema
 	opts   Options
-	// models caches compiled content models per complex type, shared
-	// across all runs (and all goroutines) of this Validator.
-	models *modelCache
 }
 
 // New creates a validator for the schema. Passing nil opts selects the
@@ -95,7 +93,7 @@ func New(schema *xsd.Schema, opts *Options) *Validator {
 	if opts != nil {
 		o = *opts
 	}
-	return &Validator{schema: schema, opts: o, models: newModelCache(schema, o)}
+	return &Validator{schema: schema, opts: o}
 }
 
 // ValidateDocument validates a whole document: the root element must match

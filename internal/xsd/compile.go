@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/contentmodel"
 )
@@ -44,39 +45,52 @@ func (s *Schema) CompileParticle(p *Particle) *contentmodel.Particle {
 	return out
 }
 
-// Matcher returns (building and caching on first use) the content-model
-// matcher for the complex type. The build happens exactly once per type —
-// concurrent callers block until the first build finishes — so a resolved
-// Schema may be shared freely across goroutines. The returned matcher is
-// itself immutable and safe for concurrent Match calls.
-func (c *ComplexType) Matcher(s *Schema) contentmodel.Matcher {
-	c.compileOnce.Do(func() {
-		m := contentmodel.Compile(s.CompileParticle(c.Particle))
-		if g, ok := m.(*contentmodel.Glushkov); ok {
-			// Attach the lazy DFA before the matcher is published; it
-			// shares the schema-wide symbol interner with every other
-			// model so transition lookups are a single array index.
-			g.EnableDFA(s.symbols, 0)
+// model is a complex type's one compiled content model: the Glushkov
+// automaton, or the backtracking interpreter past the position budget,
+// with the UPA verdict taken on that same automaton. The lazy DFA is
+// attached at first Matcher use, so a parse that only checks UPA builds
+// no more than the automaton.
+type model struct {
+	once    sync.Once
+	matcher contentmodel.Matcher
+	upa     error
+	dfaOnce sync.Once
+}
+
+// compile builds the type's model once; concurrent callers block until the
+// first build finishes.
+func (c *ComplexType) compile(s *Schema) *model {
+	m := &c.model
+	m.once.Do(func() {
+		m.matcher = contentmodel.Compile(s.CompileParticle(c.Particle))
+		if g, ok := m.matcher.(*contentmodel.Glushkov); ok {
+			m.upa = g.CheckUPA() // an interpreter model is too large to check
 		}
-		c.compiled = m
 	})
-	return c.compiled
+	return m
+}
+
+// Matcher returns the type's compiled content model, building it on first
+// use. A UPA-clean automaton gets the lazy DFA, sharing the schema-wide
+// symbol interner so transition lookups are a single array index. Every
+// consumer — the validator, bind, vdom, pxml and compat — reads this one
+// instance; it is immutable and safe for concurrent Match calls and Runs.
+func (c *ComplexType) Matcher(s *Schema) contentmodel.Matcher {
+	m := c.compile(s)
+	m.dfaOnce.Do(func() {
+		if g, ok := m.matcher.(*contentmodel.Glushkov); ok && m.upa == nil {
+			g.EnableDFA(s.symbols)
+		}
+	})
+	return m.matcher
 }
 
 // CheckUPA verifies Unique Particle Attribution for the type's content
 // model. Models too large for the position automaton are not checked (the
-// spec's check is approximated by the Glushkov overlap test). Like
-// Matcher, the check runs once per type and is safe to call concurrently.
+// spec's check is approximated by the Glushkov overlap test). It reads the
+// automaton Matcher returns, and is safe to call concurrently.
 func (c *ComplexType) CheckUPA(s *Schema) error {
-	c.upaOnce.Do(func() {
-		g, err := contentmodel.CompileGlushkov(s.CompileParticle(c.Particle))
-		if err != nil {
-			c.compiledUPA = nil // too large: skipped
-			return
-		}
-		c.compiledUPA = g.CheckUPA()
-	})
-	return c.compiledUPA
+	return c.compile(s).upa
 }
 
 // ResolveChild maps an instance child-element name to the declaration that

@@ -3,7 +3,6 @@ package xsd
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/contentmodel"
@@ -273,13 +272,8 @@ type ComplexType struct {
 	// Context records where an anonymous type was defined.
 	Context string
 
-	// compiled caches the compiled content-model matcher; compileOnce
-	// makes the lazy build safe under concurrent Matcher calls.
-	compileOnce sync.Once
-	compiled    contentmodel.Matcher
-	// compiledUPA caches the UPA check result under the same discipline.
-	upaOnce     sync.Once
-	compiledUPA error
+	// model is the compiled content model (compile.go).
+	model model
 }
 
 // TypeName implements Type.
@@ -400,11 +394,11 @@ func (k ConstraintKind) String() string {
 type IdentityConstraint struct {
 	Kind ConstraintKind
 	Name QName
-	// Selector is the restricted-XPath selecting the constrained nodes
-	// relative to the declaring element.
-	Selector string
-	// Fields are the restricted-XPaths producing each key member.
-	Fields []string
+	// Selector is the restricted XPath selecting the constrained nodes
+	// relative to the declaring element, one entry per alternative.
+	Selector []XPath
+	// Fields are the restricted XPaths producing each key member.
+	Fields [][]XPath
 	// Refer names the key a keyref resolves against.
 	Refer QName
 }
@@ -529,10 +523,6 @@ type Schema struct {
 // schemas parsed from bytes without a Resolver. The returned slice is
 // owned by the schema; callers must not mutate it.
 func (s *Schema) Sources() []string { return s.sources }
-
-// Symbols returns the schema-wide symbol interning table shared by every
-// content model compiled from this schema.
-func (s *Schema) Symbols() *contentmodel.Interner { return s.symbols }
 
 // NewSchema creates an empty schema with the built-in types preloaded.
 func NewSchema(targetNS string) *Schema {

@@ -24,17 +24,30 @@
 // normal form (package normalize), the binding generator (package
 // codegen), the runtime validator and the P-XML preprocessor — consumes
 // the Schema component model built here. Content models are lowered to
-// package contentmodel particles via CompileParticle and compiled lazily
-// through ComplexType.Matcher.
+// package contentmodel particles via CompileParticle.
+//
+// # One compiled content model per complex type
+//
+// Each ComplexType owns its compiled content model (compile.go), built in
+// one once-guarded step: the Glushkov automaton, or the backtracking
+// interpreter past the position budget, with the Unique Particle
+// Attribution check run on that same automaton. Parse runs the step for
+// every type through CheckAllUPA (unless SkipUPACheck), so the automata
+// it checks are the ones kept. The first Matcher call attaches the lazy
+// DFA to a UPA-clean automaton. Every consumer — the validator, bind,
+// vdom, pxml and the compat inclusion check — reads that one model; none
+// compiles its own.
+//
+// Identity-constraint selectors and fields are parsed once here too
+// (xpath.go), so a malformed path fails Parse and names its constraint.
 //
 // # Concurrency
 //
 // A Schema is immutable once Parse/ParseString returns, and all lookup
 // methods are read-only, so one Schema may back any number of concurrent
-// validators, generators and preprocessors. The two lazily computed
-// artifacts on ComplexType — the compiled content-model matcher
-// (Matcher) and the UPA check result (CheckUPA) — are built under
-// sync.Once, so concurrent first calls are safe and the work happens
+// validators, generators and preprocessors. A ComplexType's compiled
+// model and its DFA attachment are built under sync.Once, so concurrent
+// first calls to Matcher and CheckUPA are safe and the work happens
 // exactly once per type. Parsing itself is single-goroutine per call;
 // distinct schemas may be parsed concurrently.
 package xsd

@@ -77,8 +77,22 @@ func TestSkipUPACheckOption(t *testing.T) {
 	if _, err := ParseString(bad, nil); err == nil {
 		t.Fatal("UPA violation should fail by default")
 	}
-	if _, err := ParseString(bad, &ParseOptions{SkipUPACheck: true}); err != nil {
-		t.Errorf("SkipUPACheck: %v", err)
+	s, err := ParseString(bad, &ParseOptions{SkipUPACheck: true})
+	if err != nil {
+		t.Fatalf("SkipUPACheck: %v", err)
+	}
+	// The ambiguous model still compiles, but keeps the NFA stepper:
+	// the lazy DFA is attached only to UPA-clean automata.
+	ct := s.Types[QName{Local: "T"}].(*ComplexType)
+	g, ok := ct.Matcher(s).(*contentmodel.Glushkov)
+	if !ok {
+		t.Fatalf("matcher is %T, want *contentmodel.Glushkov", ct.Matcher(s))
+	}
+	if g.DFAEnabled() {
+		t.Error("DFA attached to a UPA-violating model")
+	}
+	if ct.CheckUPA(s) == nil {
+		t.Error("CheckUPA should report the violation")
 	}
 }
 
@@ -191,5 +205,48 @@ func TestSimpleContentOfComplexBaseWithElementContentFails(t *testing.T) {
 </xsd:schema>`
 	if _, err := ParseString(src, nil); err == nil {
 		t.Error("simpleContent over element-content base should fail")
+	}
+}
+
+func TestXPathParsing(t *testing.T) {
+	good := []string{"item", ".//item", "a/b/c", "po:item", ".", "a|b", "child::item"}
+	for _, s := range good {
+		if _, err := parseXPath(s, false); err != nil {
+			t.Errorf("selector %q: %v", s, err)
+		}
+	}
+	if _, err := parseXPath("@x/y", true); err == nil {
+		t.Error("attribute step mid-path should fail")
+	}
+	if _, err := parseXPath("a//b", false); err == nil {
+		t.Error("internal '//' should fail")
+	}
+	if _, err := parseXPath("@partNum", true); err != nil {
+		t.Errorf("field @attr: %v", err)
+	}
+}
+
+// TestBadIdentityPathFailsParse: a malformed selector or field fails the
+// schema parse and names its constraint.
+func TestBadIdentityPathFailsParse(t *testing.T) {
+	for _, tc := range []struct{ selector, field, want string }{
+		{"@a", "@id", "identity constraint k: bad selector"},
+		{"item", "a/", "identity constraint k: bad field"},
+	} {
+		src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="order">
+    <xsd:complexType><xsd:sequence>
+      <xsd:element name="item" type="xsd:string" maxOccurs="unbounded"/>
+    </xsd:sequence></xsd:complexType>
+    <xsd:key name="k">
+      <xsd:selector xpath="` + tc.selector + `"/>
+      <xsd:field xpath="` + tc.field + `"/>
+    </xsd:key>
+  </xsd:element>
+</xsd:schema>`
+		_, err := ParseString(src, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("selector %q field %q: err = %v, want %q", tc.selector, tc.field, err, tc.want)
+		}
 	}
 }

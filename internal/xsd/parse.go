@@ -669,14 +669,21 @@ func (p *parser) parseIdentityConstraint(el *dom.Element) (*IdentityConstraint, 
 		ic.Refer = q
 	}
 	for _, c := range schemaChildren(el) {
-		switch c.LocalName() {
-		case "selector":
-			ic.Selector = c.GetAttribute("xpath")
-		case "field":
-			ic.Fields = append(ic.Fields, c.GetAttribute("xpath"))
+		kind := c.LocalName()
+		if kind != "selector" && kind != "field" {
+			continue
+		}
+		paths, err := parseXPath(c.GetAttribute("xpath"), kind == "field")
+		if err != nil {
+			return nil, errAt(c, "identity constraint %s: bad %s: %v", name, kind, err)
+		}
+		if kind == "selector" {
+			ic.Selector = paths
+		} else {
+			ic.Fields = append(ic.Fields, paths)
 		}
 	}
-	if ic.Selector == "" || len(ic.Fields) == 0 {
+	if ic.Selector == nil || len(ic.Fields) == 0 {
 		return nil, errAt(el, "identity constraint %q requires a selector and at least one field", name)
 	}
 	return ic, nil

@@ -59,7 +59,13 @@ type posInfo struct {
 type followBuilder struct {
 	positions []position
 	follow    [][]int
+	// work counts the position entries the construction has copied or
+	// scanned, against maxDFAWork.
+	work int
 }
+
+// over reports whether the construction has spent its work budget.
+func (fb *followBuilder) over() bool { return fb.work > maxDFAWork }
 
 func (fb *followBuilder) leaf(set CharSet, end bool) posInfo {
 	id := len(fb.positions)
@@ -69,6 +75,7 @@ func (fb *followBuilder) leaf(set CharSet, end bool) posInfo {
 }
 
 func (fb *followBuilder) addFollow(from int, to []int) {
+	fb.work += len(to)
 	fb.follow[from] = append(fb.follow[from], to...)
 }
 
@@ -123,6 +130,9 @@ func compileDFA(root Node) *DFA {
 	fb := &followBuilder{}
 	// Augment: root · #end.
 	info := fb.walkTop(root)
+	if fb.over() {
+		return &DFA{incomplete: true}
+	}
 	endInfo := fb.leaf(CharSet{}, true)
 	fb.positions[len(fb.positions)-1].end = true
 	for _, p := range info.last {
@@ -142,6 +152,9 @@ func (fb *followBuilder) walkTop(n Node) posInfo {
 }
 
 func (fb *followBuilder) walkAll(n Node) posInfo {
+	if fb.over() {
+		return posInfo{} // the result is discarded
+	}
 	switch x := n.(type) {
 	case star:
 		return fb.walkStar(x)
@@ -165,6 +178,7 @@ func (fb *followBuilder) walkAll(n Node) posInfo {
 			} else {
 				merged.last = next.last
 			}
+			fb.work += len(merged.first) + len(merged.last)
 			cur = merged
 		}
 		return cur
@@ -189,6 +203,14 @@ func (fb *followBuilder) walkAll(n Node) posInfo {
 // maxDFAStates caps subset construction against exponential blowup; when
 // exceeded, Regexp falls back to NFA simulation.
 const maxDFAStates = 1 << 14
+
+// maxDFAWork caps the position entries the construction copies or scans.
+// Optional repeats grow followpos quadratically (.{0,4096}), and large
+// classes under a repeat (\p{L}{0,100}) cut the alphabet into hundreds of
+// segments per state over long position sets, so the state cap alone
+// would let the first MatchString take seconds; past this budget Regexp
+// falls back to NFA simulation instead.
+const maxDFAWork = 1 << 19
 
 // subsetConstruct runs the subset construction over position sets.
 func subsetConstruct(fb *followBuilder, start []int) *DFA {
@@ -259,6 +281,11 @@ func subsetConstruct(fb *followBuilder, start []int) *DFA {
 				if fb.positions[p].set.Contains(lo) {
 					target = append(target, fb.follow[p]...)
 				}
+			}
+			fb.work += len(set) + len(target)
+			if fb.over() {
+				d.incomplete = true
+				return d
 			}
 			if len(target) == 0 {
 				continue

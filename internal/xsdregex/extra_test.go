@@ -1,6 +1,7 @@
 package xsdregex
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -22,12 +23,27 @@ func TestDFAStateCapFallback(t *testing.T) {
 	if re.MatchNFA(strings.Repeat("b", 19)) {
 		t.Error("NFA should reject")
 	}
-	// EnableDFA degrades gracefully.
-	if err := re.EnableDFA(); err == nil {
-		t.Error("EnableDFA should report the cap")
-	}
 	if !re.MatchString(input) {
 		t.Error("MatchString should fall back to the NFA")
+	}
+}
+
+// TestDFAWorkCapFallback: patterns whose construction work explodes with
+// few states — a large class under a counted repeat, or optional repeats
+// with quadratic followpos — return ErrTooComplex from ToDFA instead of
+// stalling the first MatchString, which answers through the NFA.
+func TestDFAWorkCapFallback(t *testing.T) {
+	for _, c := range []struct{ pattern, yes, no string }{
+		{`\p{L}{0,100}`, "héllo", "h3llo"},
+		{`a.{0,4096}`, "abc", "bc"},
+	} {
+		re := MustCompile(c.pattern)
+		if _, err := re.ToDFA(); !errors.Is(err, ErrTooComplex) {
+			t.Errorf("%s: ToDFA err = %v, want ErrTooComplex", c.pattern, err)
+		}
+		if !re.MatchString(c.yes) || re.MatchString(c.no) {
+			t.Errorf("%s: MatchString disagrees with the pattern", c.pattern)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func FuzzDFA(f *testing.F) {
 			return // rejected patterns just must not panic
 		}
 		nfa := re.MatchNFA(input)
-		if err := re.EnableDFA(); err != nil {
+		if _, err := re.ToDFA(); err != nil {
 			return // DFA budget exceeded; NFA-only is fine
 		}
 		if dfa := re.MatchString(input); dfa != nfa {

@@ -3,21 +3,18 @@ package xsdregex
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // Regexp is a compiled XML Schema regular expression. The zero value is not
 // usable; obtain one from Compile or MustCompile. A compiled Regexp is
 // safe for concurrent use: matching allocates per-call scratch only, and
-// the lazy DFA upgrade is built under a sync.Once and published
-// atomically.
+// the DFA is built once under a sync.Once.
 type Regexp struct {
 	pattern string
 	ast     Node
 	nfa     *nfa
 	dfaOnce sync.Once
-	dfa     atomic.Pointer[DFA] // built lazily by ToDFA / EnableDFA
-	dfaErr  error
+	dfa     *DFA // nil when the pattern is too complex for the DFA
 }
 
 // Compile parses and compiles a pattern.
@@ -43,16 +40,17 @@ func MustCompile(pattern string) *Regexp {
 func (r *Regexp) String() string { return r.pattern }
 
 // MatchString reports whether the pattern matches the entire input (XSD
-// patterns are implicitly anchored at both ends).
+// patterns are implicitly anchored at both ends). It runs the DFA, built on
+// first use, and simulates the NFA only for patterns too complex for one.
 func (r *Regexp) MatchString(s string) bool {
-	if d := r.dfa.Load(); d != nil {
+	if d, _ := r.ToDFA(); d != nil {
 		return d.Match(s)
 	}
 	return r.nfa.match(s)
 }
 
-// ErrTooComplex is returned by ToDFA when the deterministic automaton
-// would exceed the state limit.
+// ErrTooComplex is returned by ToDFA when building the deterministic
+// automaton would exceed its state or work limit.
 var ErrTooComplex = errors.New("xsdregex: pattern too complex for DFA construction")
 
 // ToDFA builds (or returns the cached) deterministic automaton using the
@@ -60,23 +58,16 @@ var ErrTooComplex = errors.New("xsdregex: pattern too complex for DFA constructi
 // per Regexp; concurrent callers share the result.
 func (r *Regexp) ToDFA() (*DFA, error) {
 	r.dfaOnce.Do(func() {
-		d := compileDFA(r.ast)
-		if d.incomplete {
-			r.dfaErr = ErrTooComplex
-			return
+		if d := compileDFA(r.ast); !d.incomplete {
+			r.dfa = d
 		}
-		r.dfa.Store(d)
 	})
-	return r.dfa.Load(), r.dfaErr
+	if r.dfa == nil {
+		return nil, ErrTooComplex
+	}
+	return r.dfa, nil
 }
 
-// EnableDFA switches MatchString to the deterministic automaton. It is a
-// no-op (returning the error) when the pattern is too complex.
-func (r *Regexp) EnableDFA() error {
-	_, err := r.ToDFA()
-	return err
-}
-
-// MatchNFA matches using NFA simulation regardless of EnableDFA — exposed
-// for the ablation benchmarks.
+// MatchNFA matches by NFA simulation: the reference engine FuzzDFA and the
+// E4 benchmarks compare the DFA against.
 func (r *Regexp) MatchNFA(s string) bool { return r.nfa.match(s) }

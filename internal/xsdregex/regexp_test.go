@@ -129,7 +129,7 @@ func TestMatchNFA(t *testing.T) {
 			t.Errorf("Compile(%q): %v", c.pattern, err)
 			continue
 		}
-		if got := re.MatchString(c.input); got != c.want {
+		if got := re.MatchNFA(c.input); got != c.want {
 			t.Errorf("NFA %q.Match(%q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
@@ -138,8 +138,8 @@ func TestMatchNFA(t *testing.T) {
 func TestMatchDFA(t *testing.T) {
 	for _, c := range matchCases {
 		re := MustCompile(c.pattern)
-		if err := re.EnableDFA(); err != nil {
-			t.Errorf("EnableDFA(%q): %v", c.pattern, err)
+		if _, err := re.ToDFA(); err != nil {
+			t.Errorf("ToDFA(%q): %v", c.pattern, err)
 			continue
 		}
 		if got := re.MatchString(c.input); got != c.want {
