@@ -73,12 +73,13 @@ var dfaReject = &dstate{}
 
 // EnableDFA attaches a lazy DFA to the automaton, using the shared symbol
 // interner for transition lookup. It reports whether the DFA was attached:
-// models with more than maxDFAWildcards distinct wildcards keep the NFA
-// stepper.
+// models that violate Unique Particle Attribution keep the NFA stepper
+// (subset canonicalization is only observation-equivalent when at most one
+// particle competes per symbol), as do models with more than
+// maxDFAWildcards distinct wildcards. The UPA gate reads the automaton's
+// one CheckUPA verdict, so a caller that already checked pays nothing.
 //
-// The automaton must satisfy Unique Particle Attribution (CheckUPA returned
-// nil): subset canonicalization is only observation-equivalent when at most
-// one particle competes per symbol. EnableDFA must happen before any Match
+// EnableDFA must happen before any Match
 // or Run on the automaton and be synchronized with them
 // (xsd.ComplexType.Matcher calls it inside a sync.Once every caller passes
 // through). How far a run may grow the DFA is the run's own budget
@@ -87,7 +88,7 @@ func (g *Glushkov) EnableDFA(in *Interner) bool {
 	if g.dfa != nil {
 		return true
 	}
-	if in == nil {
+	if in == nil || g.CheckUPA() != nil {
 		return false
 	}
 	cls := g.buildClasses()

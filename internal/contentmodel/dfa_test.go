@@ -244,6 +244,24 @@ func TestDFAConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDFAUPAGate: ambiguous models must keep the NFA stepper.
+func TestDFAUPAGate(t *testing.T) {
+	amb := NewChoice(1, 1,
+		NewSequence(1, 1, NewElementLeaf(1, 1, sym("a"), "a1"), NewElementLeaf(1, 1, sym("b"), "b")),
+		NewSequence(1, 1, NewElementLeaf(1, 1, sym("a"), "a2"), NewElementLeaf(1, 1, sym("c"), "c")),
+	)
+	g, err := CompileGlushkov(amb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.EnableDFA(NewInterner()) {
+		t.Fatal("EnableDFA accepted a UPA-violating model")
+	}
+	if g.DFAEnabled() {
+		t.Fatal("DFA attached despite refusal")
+	}
+}
+
 // TestRunDeadAfterError: a Run that reported an error must panic on
 // further use until Reset re-arms it (the pooled-frame safety net).
 func TestRunDeadAfterError(t *testing.T) {

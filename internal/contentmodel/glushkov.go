@@ -2,6 +2,7 @@ package contentmodel
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Glushkov is a position automaton over leaf particles, built with the
@@ -16,6 +17,9 @@ type Glushkov struct {
 	// dfa is the optional lazy subset construction attached by EnableDFA.
 	// It must be set before any Match or Run on the automaton.
 	dfa *dfa
+	// upaOnce guards upa, the CheckUPA verdict, taken once per automaton.
+	upaOnce sync.Once
+	upa     error
 }
 
 // ErrTooComplex is returned when count expansion would exceed the position
@@ -568,8 +572,14 @@ func (v *UPAViolation) Error() string {
 // CheckUPA verifies the Unique Particle Attribution constraint: no two
 // distinct particles may compete for the same element at any point.
 // Positions expanded from the same schema particle (the same *Leaf) do not
-// conflict.
+// conflict. The verdict is taken once per automaton and is safe to ask
+// for concurrently.
 func (g *Glushkov) CheckUPA() error {
+	g.upaOnce.Do(func() { g.upa = g.checkUPA() })
+	return g.upa
+}
+
+func (g *Glushkov) checkUPA() error {
 	check := func(set []int) error {
 		for i := 0; i < len(set); i++ {
 			for j := i + 1; j < len(set); j++ {

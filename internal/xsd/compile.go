@@ -78,7 +78,7 @@ func (c *ComplexType) compile(s *Schema) *model {
 func (c *ComplexType) Matcher(s *Schema) contentmodel.Matcher {
 	m := c.compile(s)
 	m.dfaOnce.Do(func() {
-		if g, ok := m.matcher.(*contentmodel.Glushkov); ok && m.upa == nil {
+		if g, ok := m.matcher.(*contentmodel.Glushkov); ok {
 			g.EnableDFA(s.symbols)
 		}
 	})
