@@ -118,6 +118,7 @@ func (s *schemaSet) forDoc(src []byte) (*schemaEntry, error) {
 		return s.entries[0], nil
 	}
 	d := xmlparser.NewDecoder(src, nil)
+	defer d.Release()
 	var tok xmlparser.Token
 	for {
 		if err := d.Next(&tok); err != nil {

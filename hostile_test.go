@@ -32,6 +32,15 @@ const chainXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   </xsd:complexType>
 </xsd:schema>`
 
+// chainNSXSD is chainXSD in the target namespace "u", its local elements
+// qualified: the chain of prefixedChain.
+const chainNSXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema" xmlns="u" targetNamespace="u" elementFormDefault="qualified">
+  <xsd:element name="n" type="N"/>
+  <xsd:complexType name="N">
+    <xsd:sequence><xsd:element name="n" type="N" minOccurs="0"/></xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>`
+
 // listXSD is a flat list of integers.
 const listXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="list">
@@ -56,6 +65,19 @@ func hostileChain(depth int, attrs func(level int) string) []byte {
 func bareLevel(int) string { return "" }
 
 func newPrefix(level int) string { return fmt.Sprintf(` xmlns:p%d="u"`, level) }
+
+// prefixedChain nests depth elements in namespace "u", each named with a
+// prefix it declares itself: <p0:n xmlns:p0="u"><p1:n xmlns:p1="u">...
+func prefixedChain(depth int) []byte {
+	var sb strings.Builder
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&sb, `<p%d:n xmlns:p%d="u">`, i, i)
+	}
+	for i := depth - 1; i >= 0; i-- {
+		fmt.Fprintf(&sb, `</p%d:n>`, i)
+	}
+	return []byte(sb.String())
+}
 
 // xsiTypeLevel is a hostileChain level that names its type with an
 // unprefixed xsi:type, resolved against the default namespace — which
@@ -217,7 +239,7 @@ func TestHostileCorpusBoundedCost(t *testing.T) {
 		return bind.New(s, nil)
 	}
 	chain, po, list, keyed := compile(chainXSD), compile(schemas.PurchaseOrderXSD), compile(listXSD), compile(keyXSD)
-	uniqueNested := compile(uniqueChainXSD)
+	uniqueNested, chainNS := compile(uniqueChainXSD), compile(chainNSXSD)
 	valid := func(t *testing.T, res *validator.Result) {
 		if !res.OK() {
 			t.Errorf("want valid, got %v", res.Violations[0])
@@ -235,6 +257,9 @@ func TestHostileCorpusBoundedCost(t *testing.T) {
 			verdict: valid},
 		{name: "xmlns chain", b: chain, scale: 50000,
 			src:     func(d int) []byte { return hostileChain(d, newPrefix) },
+			verdict: valid},
+		{name: "xmlns chain using each prefix", b: chainNS, scale: 36000,
+			src:     prefixedChain,
 			verdict: valid},
 		{name: "xsi:type chain", b: chain, scale: 40000,
 			src:     func(d int) []byte { return hostileChain(d, xsiTypeLevel) },
@@ -312,5 +337,74 @@ func TestHostileCorpusBoundedCost(t *testing.T) {
 	var se *xmlparser.SyntaxError
 	if _, err := dom.Parse(wideOrder(2000, ` x0="again"`)); !errors.As(err, &se) {
 		t.Errorf("dom.Parse: want a *xmlparser.SyntaxError, got %v", err)
+	}
+}
+
+// pairsXSD is the interleaving model (a, b)*: canonical JSON sends it as
+// two grouped arrays, which /v1/encode must interleave again.
+const pairsXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="pairs">
+    <xsd:complexType>
+      <xsd:sequence minOccurs="0" maxOccurs="unbounded">
+        <xsd:element name="a" type="xsd:int"/>
+        <xsd:element name="b" type="xsd:int"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>`
+
+// groupedPairs is n (a, b) pairs as canonical JSON: all a's, then all b's.
+func groupedPairs(n int) []byte {
+	var a, b strings.Builder
+	for i := 0; i < n; i++ {
+		sep := ","
+		if i == 0 {
+			sep = ""
+		}
+		fmt.Fprintf(&a, "%s%d", sep, i)
+		fmt.Fprintf(&b, "%s%d", sep, -i)
+	}
+	return []byte(`{"$element":"pairs","a":[` + a.String() + `],"b":[` + b.String() + `]}`)
+}
+
+// TestHostileJSONBoundedCost drives grouped (a, b)* arrays through the
+// encode path, FromJSON then Marshal, and bounds its growth as
+// TestHostileCorpusBoundedCost does: quadrupling the pairs may multiply
+// the time by at most 8. The output must interleave the pairs.
+func TestHostileJSONBoundedCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hostile corpus is large")
+	}
+	s, err := xsd.ParseString(pairsXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bind.New(s, nil)
+	const scale = 20000
+	var out []byte
+	run := func(n int) func() {
+		src := groupedPairs(n)
+		return func() {
+			v, err := b.FromJSON(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err = b.Marshal(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bytes, took := cost(run(scale))
+	if want := "<pairs><a>0</a><b>0</b><a>1</a><b>-1</b><a>2</a>"; !strings.HasPrefix(string(out), want) {
+		t.Fatalf("output starts %.60q, want %q", out, want)
+	}
+	t.Logf("%d pairs: %.1f bytes allocated per input byte, %v", scale, float64(bytes)/float64(len(groupedPairs(scale))), took)
+	_, fullTook := cost(run(scale))
+	_, qTook := cost(run(scale / 4))
+	_, qAgain := cost(run(scale / 4))
+	timeRatio := min(took, fullTook).Seconds() / min(qTook, qAgain).Seconds()
+	t.Logf("time x%.2f at quadruple scale", timeRatio)
+	if timeRatio > 8 {
+		t.Errorf("time ratio %.2f (bound 8)", timeRatio)
 	}
 }

@@ -249,6 +249,12 @@ func asItems(jv any, one *[1]any) []any {
 // repetitions interleave fields — (key, value)+ — reassemble from
 // grouped JSON arrays this way. If the walk dead-ends the original order
 // is returned and Marshal's validation reports the failure.
+//
+// The walk is one forward pass over one run. Children of one name are
+// alike to the automaton, so the pending children are kept as one queue
+// per name, and only the queue heads are tried: the first pending child
+// the run admits is the earliest head it admits. The cost is O(children ×
+// distinct names).
 func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value {
 	if len(children) < 2 {
 		return children
@@ -261,40 +267,40 @@ func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value 
 	if admissible(g, children) {
 		return children
 	}
-	syms := make([]contentmodel.Symbol, len(children))
-	for i, c := range children {
-		syms[i] = contentmodel.Symbol{Space: c.Name.Space, Local: c.Name.Local}
+	type queue struct {
+		sym  contentmodel.Symbol
+		at   []int // positions in children, in order
+		head int
 	}
-	pending := append([]*Value{}, children...)
-	pendSyms := append([]contentmodel.Symbol{}, syms...)
-	var order []*Value
-	var prefix []contentmodel.Symbol
-	for len(pending) > 0 {
-		chosen := -1
-		for i := range pending {
-			r := g.Start()
-			ok := true
-			for _, s := range prefix {
-				if _, merr := r.Step(s); merr != nil {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			if _, merr := r.Step(pendSyms[i]); merr == nil {
-				chosen = i
-				break
+	var queues []queue
+	byName := map[contentmodel.Symbol]int{}
+	for i, c := range children {
+		sym := contentmodel.Symbol{Space: c.Name.Space, Local: c.Name.Local}
+		q, ok := byName[sym]
+		if !ok {
+			q = len(queues)
+			byName[sym] = q
+			queues = append(queues, queue{sym: sym})
+		}
+		queues[q].at = append(queues[q].at, i)
+	}
+	var r contentmodel.Run
+	r.Reset(g)
+	order := make([]*Value, 0, len(children))
+	for len(order) < len(children) {
+		best, bestAt := -1, len(children)
+		for i := range queues {
+			q := &queues[i]
+			if q.head < len(q.at) && q.at[q.head] < bestAt && r.Admits(q.sym) {
+				best, bestAt = i, q.at[q.head]
 			}
 		}
-		if chosen < 0 {
+		if best < 0 {
 			return children
 		}
-		order = append(order, pending[chosen])
-		prefix = append(prefix, pendSyms[chosen])
-		pending = append(pending[:chosen], pending[chosen+1:]...)
-		pendSyms = append(pendSyms[:chosen], pendSyms[chosen+1:]...)
+		r.Step(queues[best].sym)
+		order = append(order, children[bestAt])
+		queues[best].head++
 	}
 	return order
 }

@@ -39,6 +39,9 @@ func (b *Binder) Marshal(v *Value) ([]byte, error) {
 	}
 	e := newEncoder(v, true)
 	res := b.sv.ValidateTokens(e)
+	if e.dec != nil {
+		e.dec.Release()
+	}
 	if e.err != nil {
 		return nil, fmt.Errorf("bind: marshaled document does not parse: %w", e.err)
 	}

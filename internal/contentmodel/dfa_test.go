@@ -441,3 +441,39 @@ func TestLazyDFAMatchesStepper(t *testing.T) {
 		})
 	}
 }
+
+// TestAdmitsMatchesStep sweeps the particle corpus: before every step of
+// every generated sequence, on DFA, NFA and budget-limited runs, Admits
+// must answer for each symbol of the pool what stepping it would, and
+// leave the run where it was.
+func TestAdmitsMatchesStep(t *testing.T) {
+	for name, p := range modelZoo() {
+		t.Run(name, func(t *testing.T) {
+			g, err := CompileGlushkov(p)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if !g.EnableDFA(NewInterner()) {
+				t.Fatalf("EnableDFA refused")
+			}
+			pool := symbolPool(g)
+			rng := rand.New(rand.NewSource(7))
+			for _, seq := range genSequences(g, rng) {
+				limited := new(Run)
+				limited.ResetLimit(g, false, 2)
+				for _, r := range []*Run{g.Start(), g.StartNFA(), limited} {
+					for i, s := range seq {
+						for _, next := range pool {
+							if got, want := r.Admits(next), stepAccepts(g, seq[:i], next); got != want {
+								t.Fatalf("after %v: Admits(%v) = %v, stepping says %v", seq[:i], next, got, want)
+							}
+						}
+						if _, err := r.Step(s); err != nil {
+							break
+						}
+					}
+				}
+			}
+		})
+	}
+}

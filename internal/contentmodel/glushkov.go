@@ -462,6 +462,21 @@ func (r *Run) Step(sym Symbol) (*Leaf, *MatchError) {
 	return leaf, nil
 }
 
+// Admits reports whether Step would accept sym next, without stepping: a
+// caller choosing the next child among several tries each on one run.
+func (r *Run) Admits(sym Symbol) bool {
+	cand := r.cand
+	if r.d != nil {
+		cand = r.ds.cand
+	}
+	for _, p := range cand {
+		if r.g.leaves[p].Accepts(sym) {
+			return true
+		}
+	}
+	return false
+}
+
 // stepDFA advances the lazy DFA one symbol. ok=false means the run's state
 // budget overflowed before the needed transition was memoized: the Run has
 // been reseeded onto the NFA stepper from the current position set and the

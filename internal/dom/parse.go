@@ -21,7 +21,10 @@ func ParseWithOptions(src []byte, opts *xmlparser.Options) (*Document, error) {
 }
 
 func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
+	// Every token is detached into the tree (Data materializes strings),
+	// so no token outlives the decoder.
 	dec := xmlparser.NewDecoder(src, opts)
+	defer dec.Release()
 	namespaces := opts == nil || opts.Namespaces
 	// Parsed documents draw their nodes from the pooled slab arena; callers
 	// on hot parse-validate-discard loops may Release them when done. On

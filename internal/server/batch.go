@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -61,7 +60,7 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 	series := s.metrics.Series(name, "batch")
 	start := time.Now()
 	var results []batchResult
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
+	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
 		data, fail := readBody(ctx, body)
 		if fail.code != 0 {
 			return fail

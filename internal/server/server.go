@@ -227,7 +227,7 @@ type outcome struct {
 // that unblocks such a worker, and semaphore release only when fn has
 // actually stopped — shedding stays honest under slowloris load.
 func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.Series,
-	fn func(ctx context.Context, body io.Reader) outcome) (outcome, bool) {
+	fn func(ctx context.Context, body requestBody) outcome) (outcome, bool) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -240,18 +240,24 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	// A length declared over the cap sizes the read at the cap: the read
+	// fails there, as a 413.
+	body := requestBody{Reader: http.MaxBytesReader(w, r.Body, s.maxBody), declared: min(r.ContentLength, s.maxBody)}
 
 	outc := make(chan outcome, 1)
 	go func() {
+		// The slot and the gauge are given back before the outcome is
+		// sent, so a request that has been answered holds neither.
+		var out outcome
 		defer func() {
+			if p := recover(); p != nil {
+				out = outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("worker panic: %v", p)}
+			}
 			s.metrics.InFlight.Dec()
 			<-s.sem
-			if p := recover(); p != nil {
-				outc <- outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("worker panic: %v", p)}
-			}
+			outc <- out
 		}()
-		outc <- fn(ctx, body)
+		out = fn(ctx, body)
 	}()
 
 	select {
@@ -271,12 +277,25 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 	}
 }
 
+// requestBody is a request body behind the size cap, with the length its
+// Content-Length declared, at most the cap (-1 when unknown, as for a
+// chunked body).
+type requestBody struct {
+	io.Reader
+	declared int64
+}
+
+// maxUpfrontBody bounds the buffer readBody sizes from a declared length
+// before any byte has arrived: a client that declares 16 MiB and sends
+// nothing holds at most this much per concurrency slot.
+const maxUpfrontBody = 1 << 20
+
 // readBody reads a whole request body for the endpoints that need the
 // document in memory. A body over the cap is a 413, any other read
 // failure a 400, and a deadline that expired during the read a 504; in
 // those cases the returned outcome carries the code and data is nil.
-func readBody(ctx context.Context, body io.Reader) ([]byte, outcome) {
-	data, err := io.ReadAll(body)
+func readBody(ctx context.Context, body requestBody) ([]byte, outcome) {
+	data, err := readAll(body.Reader, body.declared)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -289,6 +308,32 @@ func readBody(ctx context.Context, body io.Reader) ([]byte, outcome) {
 		return nil, outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 	}
 	return data, outcome{}
+}
+
+// readAll is io.ReadAll into a buffer sized for the declared length (up to
+// maxUpfrontBody), so a body that arrives as declared is read without
+// regrowing the buffer; an undeclared (negative) or longer one grows by
+// appending, from io.ReadAll's 512 bytes. The spare byte lets the read
+// that reports EOF land without growth.
+func readAll(r io.Reader, declared int64) ([]byte, error) {
+	size := 512
+	if declared >= 0 {
+		size = int(min(declared, maxUpfrontBody)) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // handleValidate runs POST /v1/validate/{schema}[?stream=1|?parallel=1].
@@ -324,7 +369,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	series := s.metrics.Series(name, mode)
 	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
+	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
 		return s.runValidation(ctx, entry, mode, body)
 	})
 	if !ok {
@@ -375,9 +420,9 @@ func (c *capTracker) Read(p []byte) (int, error) {
 }
 
 // runValidation produces a verdict through the requested path.
-func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode string, body io.Reader) outcome {
+func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode string, body requestBody) outcome {
 	if mode == "stream" {
-		tracked := &capTracker{r: body}
+		tracked := &capTracker{r: body.Reader}
 		res, err := entry.Stream.ValidateReaderContext(ctx, tracked)
 		if tracked.hit {
 			return outcome{code: http.StatusRequestEntityTooLarge,
@@ -481,7 +526,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	}
 	series := s.metrics.Series(name, mode)
 	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
+	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
 		return s.runDecode(ctx, entry, mode, body)
 	})
 	if !ok {
@@ -512,9 +557,9 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 }
 
 // runDecode produces a verdict and, when valid, the canonical JSON.
-func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode string, body io.Reader) outcome {
+func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode string, body requestBody) outcome {
 	if mode == "decode-stream" {
-		tracked := &capTracker{r: body}
+		tracked := &capTracker{r: body.Reader}
 		v, res, err := entry.Binder.DecodeReader(ctx, tracked)
 		if tracked.hit {
 			return outcome{code: http.StatusRequestEntityTooLarge,
@@ -558,7 +603,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	}
 	series := s.metrics.Series(name, "encode")
 	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
+	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
 		return s.runEncode(ctx, entry, body)
 	})
 	if !ok {
@@ -578,7 +623,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 }
 
 // runEncode maps canonical JSON back to schema-valid XML.
-func (s *Server) runEncode(ctx context.Context, entry *registry.Entry, body io.Reader) outcome {
+func (s *Server) runEncode(ctx context.Context, entry *registry.Entry, body requestBody) outcome {
 	data, fail := readBody(ctx, body)
 	if fail.code != 0 {
 		return fail

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -278,6 +281,49 @@ func TestBodyCap(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s oversized body: code = %d, want 413", mode, resp.StatusCode)
 		}
+	}
+}
+
+// TestSizedBodyRead checks the read sized from Content-Length: a length
+// declared over the cap is refused at the cap without a buffer sized to
+// the declaration, a body shorter than its declared length is read to its
+// end, and one cut short on the wire is refused.
+func TestSizedBodyRead(t *testing.T) {
+	ts, s := newTestServer(t, Config{MaxBodyBytes: 1024})
+	serve := func(body string, declared int64) (int, uint64) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/validate/po", strings.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec.Code, after.TotalAlloc - before.TotalAlloc
+	}
+	big := strings.Replace(schemas.PurchaseOrderDoc, "Hurry, my lawn is going wild", strings.Repeat("x", 4096), 1)
+	if code, alloc := serve(big, 16<<20); code != http.StatusRequestEntityTooLarge || alloc > 256<<10 {
+		t.Errorf("16 MiB declared over a 1 KiB cap: code %d, %d bytes allocated; want 413 and at most 256 KiB", code, alloc)
+	}
+	if code, _ := serve(schemas.PurchaseOrderDoc, 1000); code != http.StatusOK {
+		t.Errorf("body shorter than declared: code %d, want 200", code)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/validate/po HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n%s", schemas.PurchaseOrderDoc)
+	conn.(*net.TCPConn).CloseWrite() //nolint:errcheck
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// The client's half-close also cancels the request, so the refusal
+	// may read as the deadline's 504 rather than the read failure's 400.
+	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("body cut short on the wire: code %d, want 400 or 504", resp.StatusCode)
 	}
 }
 

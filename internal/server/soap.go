@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -57,7 +56,7 @@ func (s *Server) handleSOAP(w http.ResponseWriter, r *http.Request) {
 	series := s.metrics.Series("soap:"+name, "service")
 	start := time.Now()
 	var resp *soap.Response
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body io.Reader) outcome {
+	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
 		data, fail := readBody(ctx, body)
 		if fail.code != 0 {
 			return fail

@@ -118,11 +118,11 @@ func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev St
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer.
 func (sv *StreamValidator) ValidateReaderEvents(ctx context.Context, r io.Reader, ev StreamEvents) (*Result, error) {
-	return sv.validate(ctx, xmlparser.NewReaderDecoder(r, nil), ev)
+	return sv.validateDecoder(ctx, xmlparser.NewReaderDecoder(r, nil), ev)
 }
 
 // ValidateBytesEvents is ValidateBytes with an event observer.
 func (sv *StreamValidator) ValidateBytesEvents(src []byte, ev StreamEvents) *Result {
-	res, _ := sv.validate(context.Background(), xmlparser.NewDecoder(src, nil), ev)
+	res, _ := sv.validateDecoder(context.Background(), xmlparser.NewDecoder(src, nil), ev)
 	return res
 }

@@ -111,6 +111,7 @@ func (sr *streamRun) splitChildren(f *frame, el *dom.Element) {
 	nchunks := (len(kids) + chunk - 1) / chunk
 	workers = min(workers, nchunks)
 	subs := make([]*streamRun, nchunks)
+	outer := &sharedScope{ns: &sr.ns}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -122,7 +123,7 @@ func (sr *streamRun) splitChildren(f *frame, el *dom.Element) {
 				if c >= nchunks {
 					return
 				}
-				sub := &streamRun{v: sr.v, ids: map[string]loc{}, tree: &treeSource{}, outer: &sr.ns, journal: true}
+				sub := &streamRun{v: sr.v, ids: map[string]loc{}, tree: &treeSource{}, outer: outer, journal: true}
 				subs[c] = sub
 				for i := c * chunk; i < min((c+1)*chunk, len(kids)); i++ {
 					sub.child(f, kids[i], f.leaves[i], ns[i])
@@ -134,6 +135,20 @@ func (sr *streamRun) splitChildren(f *frame, el *dom.Element) {
 	for _, sub := range subs {
 		sr.join(f, sub)
 	}
+}
+
+// sharedScope is the parent machine's scope as the chunks of a split
+// level resolve prefixes in it. A lookup may record its answer in the
+// scope's memo, so the chunks take turns.
+type sharedScope struct {
+	mu sync.Mutex
+	ns *xmlparser.Bindings
+}
+
+func (s *sharedScope) lookup(prefix string) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ns.Lookup(prefix)
 }
 
 // child validates el, a child of the split frame parent at same-name

@@ -283,3 +283,26 @@ func TestParallelWideDocument(t *testing.T) {
 	sb.WriteString("</doc>")
 	assertParallelParity(t, v, "wide document", sb.String())
 }
+
+// TestParallelSharedOuterScope resolves xsi:type values in many chunks at
+// once against the root's scope, which declares more prefixes than a
+// scope searches without its memo: the chunks' lookups share that memo
+// (run under -race in CI).
+func TestParallelSharedOuterScope(t *testing.T) {
+	v := seamValidator(t)
+	var sb strings.Builder
+	sb.WriteString(`<doc xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"`)
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&sb, ` xmlns:p%d="urn:p%d"`, i, i)
+	}
+	sb.WriteString(">")
+	for i := 0; i < 400; i++ {
+		if i%3 == 0 {
+			sb.WriteString(`<node xsi:type="ExtNodeType" extra="true"/>`)
+		} else {
+			fmt.Fprintf(&sb, `<node xsi:type="p%d:ExtNodeType"/>`, i%20)
+		}
+	}
+	sb.WriteString("</doc>")
+	assertParallelParity(t, v, "shared outer scope", sb.String())
+}

@@ -82,14 +82,14 @@ func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 // the deadline with a transport-level one (net/http request bodies
 // already fail their Reads when the connection closes).
 func (sv *StreamValidator) ValidateReaderContext(ctx context.Context, r io.Reader) (*Result, error) {
-	return sv.validate(ctx, xmlparser.NewReaderDecoder(r, nil), nil)
+	return sv.validateDecoder(ctx, xmlparser.NewReaderDecoder(r, nil), nil)
 }
 
 // ValidateBytes validates an in-memory document through the streaming
 // path (no DOM is built). It is the drop-in counterpart of the package
 // function ValidateBytes.
 func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
-	res, _ := sv.validate(context.Background(), xmlparser.NewDecoder(src, nil), nil)
+	res, _ := sv.validateDecoder(context.Background(), xmlparser.NewDecoder(src, nil), nil)
 	return res
 }
 
@@ -121,6 +121,15 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 	sr := newMachine(sv.v, ev)
 	res, err := sr.consume(ctx, src)
 	sr.release()
+	return res, err
+}
+
+// validateDecoder validates the document of a decoder the caller made for
+// the run and releases the decoder after it: the machine and the observer
+// keep strings of the tokens, never the tokens themselves.
+func (sv *StreamValidator) validateDecoder(ctx context.Context, d *xmlparser.Decoder, ev StreamEvents) (*Result, error) {
+	res, err := sv.validate(ctx, d, ev)
+	d.Release()
 	return res, err
 }
 
@@ -410,10 +419,10 @@ type streamRun struct {
 	// Parallel validation (parallel.go): par > 1 splits wide levels across
 	// that many workers. A sub-machine validating one chunk of a level
 	// resolves prefixes it does not bind in outer, the parent machine's
-	// scope (read-only while the chunks run), and with journal set leaves
+	// scope (unchanged while the chunks run), and with journal set leaves
 	// a placeholder for each new ID where a duplicate would be reported.
 	par     int
-	outer   *xmlparser.Bindings
+	outer   *sharedScope
 	journal bool
 }
 
@@ -805,7 +814,7 @@ func (sr *streamRun) lookup(prefix string) (string, bool) {
 	if uri, ok := sr.ns.Lookup(prefix); ok || sr.outer == nil {
 		return uri, ok
 	}
-	return sr.outer.Lookup(prefix)
+	return sr.outer.lookup(prefix)
 }
 
 func (sr *streamRun) pushDead(f *frame, msg string) {

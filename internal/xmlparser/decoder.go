@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -54,6 +55,9 @@ type openElem struct {
 // window is refilled on demand and compacted at token boundaries, so
 // memory stays proportional to the largest single token rather than to
 // the document size.
+//
+// Decoders are pooled: both constructors take one from a pool, and
+// Release returns it once the document is done with.
 type Decoder struct {
 	rd   io.Reader // nil in whole-buffer mode
 	src  []byte    // buffered window of the input
@@ -100,6 +104,10 @@ type Decoder struct {
 	attrs    []Attr
 	interned map[string]string
 
+	// window is the reader-mode buffer a released decoder kept; a reader
+	// decoder's src starts as it.
+	window []byte
+
 	// noBulk disables every bulk/SWAR scanning path, forcing the
 	// byte-at-a-time reference scanner. It exists for position-parity
 	// tests: both modes must report identical Line/Col/Offset.
@@ -133,14 +141,25 @@ func (d *Decoder) internBytes(b []byte) string {
 	return s
 }
 
+// decoders recycles Decoders between documents: a released decoder keeps
+// its intern cache, its scratch slices and its reader window, so a warm
+// decoder does not rebuild them for every document.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// A pooled decoder keeps at most poolLimit open elements, attributes per
+// tag and namespace bindings, poolText bytes of assembly buffer and
+// poolWindow bytes of reader window: what one large document grew beyond
+// that is left to the collector, not held for later documents.
+const (
+	poolLimit  = 256
+	poolText   = 4096
+	poolWindow = 4 * readChunk
+)
+
 // NewDecoder creates a Decoder over src. A nil opts selects the defaults
 // (namespace processing on, document mode).
 func NewDecoder(src []byte, opts *Options) *Decoder {
-	o := defaultOptions()
-	if opts != nil {
-		o = *opts
-	}
-	return &Decoder{src: src, srcDone: true, line: 1, col: 1, opts: o}
+	return decoders.Get().(*Decoder).start(nil, src, opts)
 }
 
 // NewReaderDecoder creates a Decoder that pulls input incrementally from r.
@@ -148,11 +167,72 @@ func NewDecoder(src []byte, opts *Options) *Decoder {
 // consumed), so whole documents never need to be resident in memory. A nil
 // opts selects the defaults (namespace processing on, document mode).
 func NewReaderDecoder(r io.Reader, opts *Options) *Decoder {
-	o := defaultOptions()
+	return decoders.Get().(*Decoder).start(r, nil, opts)
+}
+
+// start sets a cleared decoder up for a document read from r or, when r
+// is nil, held in src.
+func (d *Decoder) start(r io.Reader, src []byte, opts *Options) *Decoder {
+	d.rd, d.line, d.col = r, 1, 1
+	d.opts = defaultOptions()
 	if opts != nil {
-		o = *opts
+		d.opts = *opts
 	}
-	return &Decoder{rd: r, line: 1, col: 1, opts: o}
+	if r == nil {
+		d.src, d.srcDone = src, true
+	} else {
+		d.src = d.window[:0]
+	}
+	return d
+}
+
+// Release returns the decoder to the pool the constructors draw from. Only
+// the owner of the decoder and of every token it filled may call it, once,
+// after the last use of both: a released decoder may already be parsing
+// another document, so the tokens' Attrs and Bytes views and their
+// not-yet-materialized Data are invalid from then on. Strings already
+// taken from tokens (names, attribute values, Data results) stay valid. A
+// decoder that is never released is simply collected.
+//
+// Nothing of the document survives into the next one: the position,
+// options, entities, open elements and namespace bindings are reset. The
+// intern cache is kept, holding only strings, and is emptied once full.
+func (d *Decoder) Release() {
+	d.reset()
+	decoders.Put(d)
+}
+
+// reset clears the document's state from the decoder, keeping what
+// Release keeps.
+func (d *Decoder) reset() {
+	window := d.window
+	if d.rd != nil {
+		window = d.src
+	}
+	if cap(window) > poolWindow {
+		window = nil
+	}
+	buf := d.buf
+	if cap(buf) > poolText {
+		buf = nil
+	}
+	if len(d.interned) >= maxInternEntries {
+		clear(d.interned)
+	}
+	d.ns.reset()
+	*d = Decoder{window: window[:0], buf: buf[:0], attrs: clearedScratch(d.attrs),
+		stack: clearedScratch(d.stack), interned: d.interned, ns: d.ns}
+}
+
+// clearedScratch empties a scratch slice for a pooled decoder, so that it
+// holds no strings of the document, or drops it if a document grew it past
+// poolLimit.
+func clearedScratch[E any](s []E) []E {
+	if cap(s) > poolLimit {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Parse parses a complete document and returns all tokens.
@@ -183,6 +263,7 @@ func ParseFragmentReader(r io.Reader, extraEntities map[string]string) ([]Token,
 }
 
 func parseAll(d *Decoder) ([]Token, error) {
+	defer d.Release()
 	var toks []Token
 	for {
 		t, err := d.Token()
@@ -1038,6 +1119,7 @@ func (d *Decoder) expandEntityText(p Pos, s string, inAttr bool, via string) (st
 		return s, nil
 	}
 	sub := NewDecoder([]byte(s), &Options{Namespaces: false, Fragment: true})
+	defer sub.Release()
 	sub.internalEntities = d.internalEntities
 	sub.opts.Entities = d.opts.Entities
 	sub.entityDepth = d.entityDepth
@@ -1484,9 +1566,7 @@ func (d *Decoder) doctype(t *Token, p Pos) error {
 		return d.errf(d.pos(), "expected '>' to close DOCTYPE")
 	}
 	d.next()
-	if err := d.registerEntities(subset); err != nil {
-		return err
-	}
+	d.registerEntities(subset)
 	t.set(KindDoctype, Name{Local: name}, p)
 	t.Target = extID
 	t.SetData(subset)
@@ -1552,41 +1632,63 @@ func (d *Decoder) internalSubset(p Pos) (string, error) {
 	}
 }
 
-// registerEntities extracts internal general entity declarations
-// (<!ENTITY name "value">) from the internal subset so that references to
-// them expand during parsing. Parameter entities and external entities are
-// recognized and skipped.
-func (d *Decoder) registerEntities(subset string) error {
-	rest := subset
-	for {
-		i := strings.Index(rest, "<!ENTITY")
-		if i < 0 {
-			return nil
+// registerEntities registers the internal general entity declarations
+// (<!ENTITY name "value">) of the internal subset, so that references to
+// them expand during parsing. It walks the subset's markup the way
+// internalSubset consumed it: text inside comments, processing
+// instructions and quoted literals declares nothing. Parameter entities
+// and external entities are recognized and skipped.
+func (d *Decoder) registerEntities(subset string) {
+	for rest := subset; rest != ""; {
+		switch {
+		case strings.HasPrefix(rest, "<!--"):
+			rest = after(rest[len("<!--"):], "-->")
+		case strings.HasPrefix(rest, "<?"):
+			rest = after(rest[len("<?"):], "?>")
+		case rest[0] == '"' || rest[0] == '\'':
+			rest = after(rest[1:], rest[:1])
+		case strings.HasPrefix(rest, "<!ENTITY"):
+			rest = d.entityDecl(rest[len("<!ENTITY"):])
+		default:
+			i := strings.IndexAny(rest[1:], "<\"'")
+			if i < 0 {
+				return
+			}
+			rest = rest[1+i:]
 		}
-		rest = rest[i+len("<!ENTITY"):]
-		rest = strings.TrimLeft(rest, " \t\r\n")
-		if strings.HasPrefix(rest, "%") {
-			continue // parameter entity: not expanded in content
-		}
-		j := strings.IndexFunc(rest, IsSpace)
-		if j < 0 {
-			continue
-		}
-		name := rest[:j]
-		rest = strings.TrimLeft(rest[j:], " \t\r\n")
-		if rest == "" || (rest[0] != '"' && rest[0] != '\'') {
-			continue // external entity (SYSTEM/PUBLIC): unsupported, skipped
-		}
-		q := rest[0]
-		k := strings.IndexByte(rest[1:], q)
-		if k < 0 {
-			continue
-		}
-		value := rest[1 : 1+k]
-		rest = rest[1+k+1:]
-		if !IsName(name) {
-			continue
-		}
+	}
+}
+
+// after returns what follows the first term in s, or "" when s holds none.
+func after(s, term string) string {
+	_, rest, _ := strings.Cut(s, term)
+	return rest
+}
+
+// entityDecl registers the general entity declaration s starts with (the
+// text after "<!ENTITY") and returns the subset after its value; a
+// parameter or external entity's literals are left for the caller's walk
+// to skip.
+func (d *Decoder) entityDecl(s string) string {
+	s = strings.TrimLeft(s, " \t\r\n")
+	if strings.HasPrefix(s, "%") {
+		return s // parameter entity: not expanded in content
+	}
+	j := strings.IndexFunc(s, IsSpace)
+	if j < 0 {
+		return ""
+	}
+	name := s[:j]
+	s = strings.TrimLeft(s[j:], " \t\r\n")
+	if s == "" || (s[0] != '"' && s[0] != '\'') {
+		return s // external entity (SYSTEM/PUBLIC): unsupported, skipped
+	}
+	k := strings.IndexByte(s[1:], s[0])
+	if k < 0 {
+		return ""
+	}
+	value := s[1 : 1+k]
+	if IsName(name) {
 		if d.internalEntities == nil {
 			d.internalEntities = map[string]string{}
 		}
@@ -1595,4 +1697,5 @@ func (d *Decoder) registerEntities(subset string) error {
 			d.internalEntities[name] = value
 		}
 	}
+	return s[1+k+1:]
 }

@@ -63,9 +63,32 @@
 // instance documents and P-XML fragments all enter the system through
 // this tokenizer before package dom shapes them into trees.
 //
+// # Pooled decoders
+//
+// NewDecoder and NewReaderDecoder take decoders from a pool, and Release
+// returns one. A released decoder keeps its intern cache, its namespace
+// scope's list, its scratch slices and its reader window, so the next
+// document does not rebuild them. Nothing else of a document survives
+// Release: positions, options, internal-subset entities, open elements
+// and namespace bindings are reset. The contract is the caller's:
+//
+//   - call Release once, after the last use of the decoder and of every
+//     token it filled;
+//   - after Release, those tokens are invalid: their Attrs and Bytes
+//     views alias buffers the next document reuses, and their Data, if
+//     not yet materialized, would intern into another document's
+//     decoder;
+//   - strings already taken from tokens (names, attribute values, Data
+//     results, detached tokens) stay valid.
+//
+// A decoder that is never released is collected like any value, so a
+// caller that cannot prove it owns every token simply does not release.
+// TestDecoderReuseLeaksNothing and FuzzDecoderReuse hold a reused
+// decoder's tokens, positions and errors to a fresh decoder's.
+//
 // # Concurrency
 //
-// A Decoder is a single-use, single-goroutine cursor over its input —
+// A Decoder is a single-goroutine cursor over one document at a time —
 // do not share one Decoder across goroutines. Distinct Decoder instances
 // (and therefore concurrent Parse calls over different inputs) are fully
 // independent, which is what lets xsdcheck parse many files in parallel.

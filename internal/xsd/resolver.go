@@ -162,6 +162,7 @@ func BuildCatalog(root string, readFile func(path string) ([]byte, error)) (map[
 // not well-formed up to its root start tag or the root is not xs:schema.
 func sniffTargetNamespace(src []byte) (string, bool) {
 	d := xmlparser.NewDecoder(src, nil)
+	defer d.Release()
 	var tok xmlparser.Token
 	for {
 		if err := d.Next(&tok); err != nil {
