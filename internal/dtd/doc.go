@@ -6,17 +6,19 @@
 //
 // # Role in the pipeline
 //
-// dtd runs beside the XML Schema pipeline (xsd parse → normalize →
-// contentmodel → codegen/vdom → validator → pxml) as the historical
-// baseline: it shares package contentmodel's matchers for children
-// content models and package dom's trees, and experiment E9 quantifies
-// the expressiveness it lacks relative to package xsd.
+// dtd has no scanner or validator of its own. Package xmlparser's
+// ParseSubset splits the internal subset into declarations (the decoder
+// registers entities from the same scan); dtd reads the content specs and
+// attribute lists, lowers the DTD to a no-namespace XML Schema, and
+// compiles it with package xsd once per Parse. Validate checks the
+// DOCTYPE's root element type and runs the one validation machine
+// (package validator) on that schema, so E9 compares two schemas on one
+// machine. ANY lowers to a repeated choice of every declared element, not
+// a wildcard, because the machine's wildcards are lax.
 //
 // # Concurrency
 //
-// A parsed DTD is immutable apart from the per-declaration compiled
-// content-model matcher, which is built under a sync.Once — so one DTD
-// may validate documents from multiple goroutines concurrently. Each
-// Validate call keeps its run state private; as everywhere in this
-// repository, documents must not be mutated during validation.
+// A parsed DTD is immutable, so one DTD may validate documents from
+// multiple goroutines concurrently. As everywhere in this repository,
+// documents must not be mutated during validation.
 package dtd

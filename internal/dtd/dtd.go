@@ -3,10 +3,10 @@ package dtd
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/contentmodel"
 	"repro/internal/xmlparser"
+	"repro/internal/xsd"
 )
 
 // ContentKind classifies an element type's declared content.
@@ -32,21 +32,6 @@ type ElementDecl struct {
 	MixedNames []string
 	// Model is the children content model (Kind == ContentChildren).
 	Model *contentmodel.Particle
-
-	// matcher caches the compiled content-model automaton; matcherOnce
-	// makes the lazy build safe under concurrent Matcher calls.
-	matcherOnce sync.Once
-	matcher     contentmodel.Matcher
-}
-
-// Matcher returns (building on first use) the compiled matcher for a
-// children content model. The build runs exactly once per declaration,
-// so a parsed DTD may be shared across goroutines.
-func (d *ElementDecl) Matcher() contentmodel.Matcher {
-	d.matcherOnce.Do(func() {
-		d.matcher = contentmodel.Compile(d.Model)
-	})
-	return d.matcher
 }
 
 // AttType is a DTD attribute type.
@@ -97,10 +82,18 @@ type DTD struct {
 	Entities map[string]string
 	// Notations records declared notation names.
 	Notations map[string]bool
+
+	// schema is the DTD lowered to XML Schema, which Validate runs.
+	schema *xsd.Schema
 }
 
-// Parse parses the raw internal-subset text of a DOCTYPE declaration.
+// Parse parses the raw internal-subset text of a DOCTYPE declaration and
+// lowers it to the XML Schema its documents are validated against.
 func Parse(rootName, subset string) (*DTD, error) {
+	decls, err := xmlparser.ParseSubset(subset)
+	if err != nil {
+		return nil, fmt.Errorf("dtd: %w", err)
+	}
 	d := &DTD{
 		RootName:  rootName,
 		Elements:  map[string]*ElementDecl{},
@@ -108,73 +101,52 @@ func Parse(rootName, subset string) (*DTD, error) {
 		Entities:  map[string]string{},
 		Notations: map[string]bool{},
 	}
-	p := &parser{src: subset}
-	for {
-		p.skipSpaceAndComments()
-		if p.eof() {
-			return d, nil
-		}
-		switch {
-		case p.consume("<!ELEMENT"):
-			if err := p.elementDecl(d); err != nil {
+	for _, decl := range decls {
+		p := &parser{src: decl.Body, decl: "<!" + decl.Kind + " " + decl.Name + ">"}
+		switch decl.Kind {
+		case "ELEMENT":
+			if _, dup := d.Elements[decl.Name]; dup {
+				return nil, p.errf("element %q declared twice", decl.Name)
+			}
+			el, err := p.elementDecl(decl.Name)
+			if err != nil {
 				return nil, err
 			}
-		case p.consume("<!ATTLIST"):
-			if err := p.attlistDecl(d); err != nil {
+			d.Elements[decl.Name] = el
+		case "ATTLIST":
+			defs, err := p.attlistDecl()
+			if err != nil {
 				return nil, err
 			}
-		case p.consume("<!ENTITY"):
-			if err := p.entityDecl(d); err != nil {
-				return nil, err
+			d.Attlists[decl.Name] = append(d.Attlists[decl.Name], defs...)
+		case "ENTITY":
+			if _, dup := d.Entities[decl.Name]; !dup && !decl.Parameter && !decl.External {
+				d.Entities[decl.Name] = decl.Value
 			}
-		case p.consume("<!NOTATION"):
-			if err := p.notationDecl(d); err != nil {
-				return nil, err
-			}
-		case p.consume("<?"):
-			if _, err := p.until("?>"); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errf("unexpected content in internal subset")
+		case "NOTATION":
+			d.Notations[decl.Name] = true
 		}
 	}
+	if d.schema, err = xsd.ParseString(d.lower(), nil); err != nil {
+		return nil, fmt.Errorf("dtd: %w", err)
+	}
+	return d, nil
 }
 
+// parser reads the body of one declaration: a content spec or the
+// attribute definitions of an ATTLIST.
 type parser struct {
-	src string
-	pos int
+	src, decl string
+	pos       int
 }
-
-func (p *parser) eof() bool { return p.pos >= len(p.src) }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("dtd: %s (at offset %d)", fmt.Sprintf(format, args...), p.pos)
+	return fmt.Errorf("dtd: %s: %s (at offset %d)", p.decl, fmt.Sprintf(format, args...), p.pos)
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return
-		}
+	for p.pos < len(p.src) && xmlparser.IsSpace(rune(p.src[p.pos])) {
 		p.pos++
-	}
-}
-
-func (p *parser) skipSpaceAndComments() {
-	for {
-		p.skipSpace()
-		if strings.HasPrefix(p.src[p.pos:], "<!--") {
-			end := strings.Index(p.src[p.pos:], "-->")
-			if end < 0 {
-				p.pos = len(p.src)
-				return
-			}
-			p.pos += end + 3
-			continue
-		}
-		return
 	}
 }
 
@@ -186,41 +158,23 @@ func (p *parser) consume(tok string) bool {
 	return false
 }
 
-func (p *parser) until(term string) (string, error) {
-	i := strings.Index(p.src[p.pos:], term)
-	if i < 0 {
-		return "", p.errf("missing %q", term)
-	}
-	out := p.src[p.pos : p.pos+i]
-	p.pos += i + len(term)
-	return out, nil
-}
-
+// name reads a Name token (a Name or, for an enumeration, an Nmtoken).
 func (p *parser) name() (string, error) {
 	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.src) {
-		r := rune(p.src[p.pos])
-		if !xmlparser.IsNameChar(r) {
-			break
-		}
-		p.pos++
+	rest := p.src[p.pos:]
+	n := strings.IndexFunc(rest, func(r rune) bool { return !xmlparser.IsNameChar(r) })
+	if n < 0 {
+		n = len(rest)
 	}
-	if p.pos == start {
+	if n == 0 {
 		return "", p.errf("expected a name")
 	}
-	return p.src[start:p.pos], nil
+	p.pos += n
+	return rest[:n], nil
 }
 
-// elementDecl parses the rest of <!ELEMENT name contentspec>.
-func (p *parser) elementDecl(d *DTD) error {
-	name, err := p.name()
-	if err != nil {
-		return err
-	}
-	if _, dup := d.Elements[name]; dup {
-		return p.errf("element %q declared twice", name)
-	}
+// elementDecl parses the content spec of <!ELEMENT name contentspec>.
+func (p *parser) elementDecl(name string) (*ElementDecl, error) {
 	decl := &ElementDecl{Name: name}
 	p.skipSpace()
 	switch {
@@ -230,24 +184,22 @@ func (p *parser) elementDecl(d *DTD) error {
 		decl.Kind = ContentAny
 	case strings.HasPrefix(p.src[p.pos:], "(") && p.peekMixed():
 		if err := p.mixed(decl); err != nil {
-			return err
+			return nil, err
 		}
 	case strings.HasPrefix(p.src[p.pos:], "("):
 		model, err := p.cp()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		decl.Kind = ContentChildren
 		decl.Model = model
 	default:
-		return p.errf("bad content spec for element %q", name)
+		return nil, p.errf("bad content spec for element %q", name)
 	}
-	p.skipSpace()
-	if !p.consume(">") {
-		return p.errf("missing '>' after element declaration %q", name)
+	if p.skipSpace(); p.pos < len(p.src) {
+		return nil, p.errf("unexpected text after the content spec of element %q", name)
 	}
-	d.Elements[name] = decl
-	return nil
+	return decl, nil
 }
 
 // peekMixed looks ahead for "(#PCDATA".
@@ -342,20 +294,16 @@ func (p *parser) cp() (*contentmodel.Particle, error) {
 	return particle, nil
 }
 
-// attlistDecl parses the rest of <!ATTLIST name (attdef)* >.
-func (p *parser) attlistDecl(d *DTD) error {
-	elem, err := p.name()
-	if err != nil {
-		return err
-	}
+// attlistDecl parses the attribute definitions of <!ATTLIST name (attdef)*>.
+func (p *parser) attlistDecl() ([]*AttDef, error) {
+	var defs []*AttDef
 	for {
-		p.skipSpace()
-		if p.consume(">") {
-			return nil
+		if p.skipSpace(); p.pos == len(p.src) {
+			return defs, nil
 		}
 		attName, err := p.name()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		def := &AttDef{Name: attName}
 		p.skipSpace()
@@ -380,19 +328,18 @@ func (p *parser) attlistDecl(d *DTD) error {
 			def.Type = AttNotation
 			p.skipSpace()
 			if !p.consume("(") {
-				return p.errf("NOTATION type requires a name list")
+				return nil, p.errf("NOTATION type requires a name list")
 			}
 			if def.Enum, err = p.nameList(); err != nil {
-				return err
+				return nil, err
 			}
-		case strings.HasPrefix(p.src[p.pos:], "("):
-			p.consume("(")
+		case p.consume("("):
 			def.Type = AttEnum
 			if def.Enum, err = p.nameList(); err != nil {
-				return err
+				return nil, err
 			}
 		default:
-			return p.errf("bad attribute type for %q", attName)
+			return nil, p.errf("bad attribute type for %q", attName)
 		}
 		p.skipSpace()
 		switch {
@@ -400,23 +347,21 @@ func (p *parser) attlistDecl(d *DTD) error {
 			def.Default = DefaultRequired
 		case p.consume("#IMPLIED"):
 			def.Default = DefaultImplied
-		case p.consume("#FIXED"):
-			def.Default = DefaultFixed
-			p.skipSpace()
-			v, err := p.quoted()
-			if err != nil {
-				return err
-			}
-			def.Value = v
 		default:
-			v, err := p.quoted()
-			if err != nil {
-				return err
-			}
 			def.Default = DefaultValue
-			def.Value = v
+			if p.consume("#FIXED") {
+				def.Default = DefaultFixed
+				p.skipSpace()
+			}
+			// ParseSubset has closed every literal of the body.
+			if p.pos == len(p.src) || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
+				return nil, p.errf("expected a quoted default for %q", attName)
+			}
+			end := p.pos + 1 + strings.IndexByte(p.src[p.pos+1:], p.src[p.pos])
+			def.Value = p.src[p.pos+1 : end]
+			p.pos = end + 1
 		}
-		d.Attlists[elem] = append(d.Attlists[elem], def)
+		defs = append(defs, def)
 	}
 }
 
@@ -424,15 +369,11 @@ func (p *parser) attlistDecl(d *DTD) error {
 func (p *parser) nameList() ([]string, error) {
 	var out []string
 	for {
-		p.skipSpace()
-		start := p.pos
-		for p.pos < len(p.src) && xmlparser.IsNameChar(rune(p.src[p.pos])) {
-			p.pos++
+		n, err := p.name()
+		if err != nil {
+			return nil, err
 		}
-		if p.pos == start {
-			return nil, p.errf("expected a name in list")
-		}
-		out = append(out, p.src[start:p.pos])
+		out = append(out, n)
 		p.skipSpace()
 		if p.consume(")") {
 			return out, nil
@@ -441,69 +382,4 @@ func (p *parser) nameList() ([]string, error) {
 			return nil, p.errf("expected '|' or ')' in name list")
 		}
 	}
-}
-
-func (p *parser) quoted() (string, error) {
-	p.skipSpace()
-	if p.eof() || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
-		return "", p.errf("expected a quoted literal")
-	}
-	q := p.src[p.pos]
-	p.pos++
-	end := strings.IndexByte(p.src[p.pos:], q)
-	if end < 0 {
-		return "", p.errf("unterminated literal")
-	}
-	out := p.src[p.pos : p.pos+end]
-	p.pos += end + 1
-	return out, nil
-}
-
-// entityDecl parses the rest of <!ENTITY name "value"> (parameter and
-// external entities are recognized and skipped).
-func (p *parser) entityDecl(d *DTD) error {
-	p.skipSpace()
-	if p.consume("%") {
-		// Parameter entity: skip to '>'.
-		if _, err := p.until(">"); err != nil {
-			return err
-		}
-		return nil
-	}
-	name, err := p.name()
-	if err != nil {
-		return err
-	}
-	p.skipSpace()
-	if strings.HasPrefix(p.src[p.pos:], "SYSTEM") || strings.HasPrefix(p.src[p.pos:], "PUBLIC") {
-		if _, err := p.until(">"); err != nil {
-			return err
-		}
-		return nil
-	}
-	v, err := p.quoted()
-	if err != nil {
-		return err
-	}
-	p.skipSpace()
-	if !p.consume(">") {
-		return p.errf("missing '>' after entity %q", name)
-	}
-	if _, dup := d.Entities[name]; !dup {
-		d.Entities[name] = v
-	}
-	return nil
-}
-
-// notationDecl parses the rest of <!NOTATION name ...>.
-func (p *parser) notationDecl(d *DTD) error {
-	name, err := p.name()
-	if err != nil {
-		return err
-	}
-	if _, err := p.until(">"); err != nil {
-		return err
-	}
-	d.Notations[name] = true
-	return nil
 }

@@ -219,6 +219,7 @@ func TestParseErrors(t *testing.T) {
 		`<!ELEMENT a (b)> <!ELEMENT a (c)>`,
 		`<!ATTLIST a x BOGUS #IMPLIED>`,
 		`<!WHAT>`,
+		`<!ELEMENT a ((b,c)|(b,d))> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY> <!ELEMENT d EMPTY>`,
 	}
 	for _, s := range bad {
 		if _, err := Parse("a", s); err == nil {
@@ -251,5 +252,32 @@ func TestEntityAndNotationDecls(t *testing.T) {
 	}
 	if res := validateDoc(t, d, `<root src="nobody"/>`); res.OK() {
 		t.Error("undeclared entity accepted")
+	}
+}
+
+// TestNotationOutsideItsList: a NOTATION attribute takes only the names
+// its declaration lists, not every declared notation (XML 1.0 §3.3.1).
+func TestNotationOutsideItsList(t *testing.T) {
+	subset := `
+<!NOTATION gif SYSTEM "image/gif">
+<!NOTATION png SYSTEM "image/png">
+<!ELEMENT root EMPTY>
+<!ATTLIST root pic NOTATION (gif) #IMPLIED>
+`
+	d := parseDTD(t, "root", subset)
+	if res := validateDoc(t, d, `<root pic="gif"/>`); !res.OK() {
+		t.Errorf("listed notation: %v", res.Err())
+	}
+	if res := validateDoc(t, d, `<root pic="png"/>`); res.OK() {
+		t.Error("declared notation outside the list accepted")
+	}
+}
+
+// TestFirstAttributeDefinitionBinds: of two definitions of one attribute,
+// the first is binding and the second ignored (XML 1.0 §3.3).
+func TestFirstAttributeDefinitionBinds(t *testing.T) {
+	d := parseDTD(t, "a", `<!ELEMENT a EMPTY> <!ATTLIST a x CDATA #IMPLIED> <!ATTLIST a x CDATA #REQUIRED>`)
+	if res := validateDoc(t, d, `<a/>`); !res.OK() {
+		t.Errorf("second definition applied: %v", res.Err())
 	}
 }

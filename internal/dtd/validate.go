@@ -2,62 +2,28 @@ package dtd
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/contentmodel"
 	"repro/internal/dom"
-	"repro/internal/xmlparser"
+	"repro/internal/validator"
 )
 
 // Violation is one DTD validity error.
-type Violation struct {
-	Path string
-	Msg  string
-}
-
-// Error formats the violation.
-func (v Violation) Error() string { return v.Path + ": " + v.Msg }
+type Violation = validator.Violation
 
 // Result collects violations.
-type Result struct {
-	Violations []Violation
-}
+type Result = validator.Result
 
-// OK reports validity.
-func (r *Result) OK() bool { return len(r.Violations) == 0 }
-
-// Err summarizes violations as an error (nil when valid).
-func (r *Result) Err() error {
-	if r.OK() {
-		return nil
-	}
-	msgs := make([]string, 0, len(r.Violations))
-	for _, v := range r.Violations {
-		msgs = append(msgs, v.Error())
-	}
-	return fmt.Errorf("document is invalid against its DTD:\n  %s", strings.Join(msgs, "\n  "))
-}
-
-// Validate checks a DOM document against the DTD, including the root
-// element constraint, content models, attribute types and defaults, and
-// ID/IDREF integrity.
+// Validate checks a DOM document against the DTD: the root element must
+// be the DOCTYPE's element type, and the document must be valid against
+// the DTD's XML Schema lowering, which checks content models, attribute
+// types and defaults, and ID/IDREF integrity.
 func Validate(d *DTD, doc *dom.Document) *Result {
-	v := &dtdRun{dtd: d, ids: map[string]bool{}}
-	root := doc.DocumentElement()
-	if root == nil {
-		v.violate("/", "document has no root element")
-		return &v.res
+	res := validator.New(d.schema, nil).ValidateDocument(doc)
+	if root := doc.DocumentElement(); root != nil && root.TagName() != d.RootName {
+		v := Violation{Path: "/" + root.TagName(), Msg: fmt.Sprintf("root element is %q, DOCTYPE requires %q", root.TagName(), d.RootName)}
+		res.Violations = append([]Violation{v}, res.Violations...)
 	}
-	if d.RootName != "" && root.TagName() != d.RootName {
-		v.violate("/"+root.TagName(), fmt.Sprintf("root element is %q, DOCTYPE requires %q", root.TagName(), d.RootName))
-	}
-	v.element(root, "/"+root.TagName())
-	for _, ref := range v.idrefs {
-		if !v.ids[ref.id] {
-			v.violate(ref.path, fmt.Sprintf("IDREF %q does not match any ID", ref.id))
-		}
-	}
-	return &v.res
+	return res
 }
 
 // ValidateDocument parses the document's own DOCTYPE and validates
@@ -71,159 +37,4 @@ func ValidateDocument(doc *dom.Document) (*Result, error) {
 		return nil, err
 	}
 	return Validate(d, doc), nil
-}
-
-type dtdRun struct {
-	dtd    *DTD
-	res    Result
-	ids    map[string]bool
-	idrefs []struct{ id, path string }
-}
-
-func (v *dtdRun) violate(path, msg string) {
-	if len(v.res.Violations) < 100 {
-		v.res.Violations = append(v.res.Violations, Violation{Path: path, Msg: msg})
-	}
-}
-
-func (v *dtdRun) element(el *dom.Element, path string) {
-	decl, ok := v.dtd.Elements[el.TagName()]
-	if !ok {
-		v.violate(path, fmt.Sprintf("element %q is not declared", el.TagName()))
-		return
-	}
-	v.attributes(el, path)
-	switch decl.Kind {
-	case ContentEmpty:
-		if el.HasChildNodes() {
-			v.violate(path, "declared EMPTY but has content")
-		}
-	case ContentAny:
-		for _, c := range el.ChildElements() {
-			v.element(c, path+"/"+c.TagName())
-		}
-	case ContentMixed:
-		allowed := map[string]bool{}
-		for _, n := range decl.MixedNames {
-			allowed[n] = true
-		}
-		for _, c := range el.ChildElements() {
-			if !allowed[c.TagName()] {
-				v.violate(path, fmt.Sprintf("element %q is not allowed in this mixed content", c.TagName()))
-				continue
-			}
-			v.element(c, path+"/"+c.TagName())
-		}
-	case ContentChildren:
-		var symbols []contentmodel.Symbol
-		var kids []*dom.Element
-		for _, c := range el.ChildNodes() {
-			switch x := c.(type) {
-			case *dom.Element:
-				symbols = append(symbols, contentmodel.Symbol{Local: x.TagName()})
-				kids = append(kids, x)
-			case *dom.Text:
-				if strings.TrimSpace(x.Data) != "" {
-					v.violate(path, "character data is not allowed in element content")
-				}
-			case *dom.CDATASection:
-				v.violate(path, "character data is not allowed in element content")
-			}
-		}
-		if _, err := decl.Matcher().Match(symbols); err != nil {
-			v.violate(path, err.Error())
-		}
-		for _, c := range kids {
-			v.element(c, path+"/"+c.TagName())
-		}
-	}
-}
-
-func (v *dtdRun) attributes(el *dom.Element, path string) {
-	defs := v.dtd.Attlists[el.TagName()]
-	byName := map[string]*AttDef{}
-	for _, def := range defs {
-		byName[def.Name] = def
-	}
-	for _, a := range el.Attributes() {
-		if a.Name().Space == xmlparser.XMLNSNamespace {
-			continue
-		}
-		def, ok := byName[a.NodeName()]
-		if !ok {
-			v.violate(path, fmt.Sprintf("attribute %q is not declared", a.NodeName()))
-			continue
-		}
-		v.attrValue(def, a.Value(), path+"/@"+a.NodeName())
-	}
-	for _, def := range defs {
-		has := el.HasAttribute(def.Name)
-		switch def.Default {
-		case DefaultRequired:
-			if !has {
-				v.violate(path, fmt.Sprintf("required attribute %q is missing", def.Name))
-			}
-		case DefaultFixed:
-			if has && el.GetAttribute(def.Name) != def.Value {
-				v.violate(path, fmt.Sprintf("attribute %q must have the fixed value %q", def.Name, def.Value))
-			}
-		}
-	}
-}
-
-func (v *dtdRun) attrValue(def *AttDef, value, path string) {
-	switch def.Type {
-	case AttCDATA:
-		// anything goes
-	case AttID:
-		if !xmlparser.IsName(value) {
-			v.violate(path, fmt.Sprintf("ID %q is not a Name", value))
-			return
-		}
-		if v.ids[value] {
-			v.violate(path, fmt.Sprintf("duplicate ID %q", value))
-		}
-		v.ids[value] = true
-	case AttIDREF:
-		v.idrefs = append(v.idrefs, struct{ id, path string }{value, path})
-	case AttIDREFS:
-		for _, ref := range strings.Fields(value) {
-			v.idrefs = append(v.idrefs, struct{ id, path string }{ref, path})
-		}
-	case AttNMTOKEN:
-		if !xmlparser.IsNmtoken(value) {
-			v.violate(path, fmt.Sprintf("%q is not an NMTOKEN", value))
-		}
-	case AttNMTOKENS:
-		fields := strings.Fields(value)
-		if len(fields) == 0 {
-			v.violate(path, "NMTOKENS must contain at least one token")
-		}
-		for _, f := range fields {
-			if !xmlparser.IsNmtoken(f) {
-				v.violate(path, fmt.Sprintf("%q is not an NMTOKEN", f))
-			}
-		}
-	case AttENTITY:
-		if _, ok := v.dtd.Entities[value]; !ok {
-			v.violate(path, fmt.Sprintf("entity %q is not declared", value))
-		}
-	case AttENTITIES:
-		for _, f := range strings.Fields(value) {
-			if _, ok := v.dtd.Entities[f]; !ok {
-				v.violate(path, fmt.Sprintf("entity %q is not declared", f))
-			}
-		}
-	case AttEnum:
-		for _, e := range def.Enum {
-			if value == e {
-				return
-			}
-		}
-		v.violate(path, fmt.Sprintf("%q is not one of the enumerated values %v", value, def.Enum))
-	case AttNotation:
-		if !v.dtd.Notations[value] {
-			v.violate(path, fmt.Sprintf("notation %q is not declared", value))
-		}
-	}
 }

@@ -679,6 +679,12 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 // element for the observer.
 func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 	decl := f.decl
+	if decl.Abstract {
+		// A root or a wildcard match: content models admit no abstract
+		// element (ResolveChild).
+		sr.pushDead(f, fmt.Sprintf("element %s is abstract and cannot appear in instances", decl.Name))
+		return
+	}
 	typ := decl.Type
 	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
 		q, err := resolveQName(lex, sr.lookup)

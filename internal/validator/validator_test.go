@@ -259,6 +259,7 @@ func TestSubstitutionGroupValidation(t *testing.T) {
 	}
 	// The abstract head cannot appear.
 	wantViolation(t, validate(t, v, `<noteBlock><note>x</note></noteBlock>`), "")
+	wantViolation(t, validate(t, v, `<note>x</note>`), "abstract")
 	if res := validate(t, v, `<noteBlock><shipNote>x</shipNote></noteBlock>`); !res.OK() {
 		t.Errorf("abstract substitution member: %v", res.Err())
 	}

@@ -1519,8 +1519,9 @@ func (d *Decoder) closeTop(t *Token, p Pos) {
 
 // doctype parses <!DOCTYPE name externalID? [internal subset]? > into t.
 // The internal subset's raw text is returned in Token.Data; the external
-// identifier (if any) in Token.Target. ENTITY declarations in the internal
-// subset are registered for reference expansion.
+// identifier (if any) in Token.Target. The internal subset's general
+// entity declarations are registered for reference expansion; a subset
+// ParseSubset rejects is a well-formedness error.
 func (d *Decoder) doctype(t *Token, p Pos) error {
 	d.skip("<!DOCTYPE")
 	if !d.skipSpace() {
@@ -1566,7 +1567,21 @@ func (d *Decoder) doctype(t *Token, p Pos) error {
 		return d.errf(d.pos(), "expected '>' to close DOCTYPE")
 	}
 	d.next()
-	d.registerEntities(subset)
+	decls, err := ParseSubset(subset)
+	if err != nil {
+		return d.errf(p, "%v", err)
+	}
+	for _, decl := range decls {
+		if decl.Kind != "ENTITY" || decl.Parameter || decl.External {
+			continue
+		}
+		if d.internalEntities == nil {
+			d.internalEntities = map[string]string{}
+		}
+		if _, dup := d.internalEntities[decl.Name]; !dup {
+			d.internalEntities[decl.Name] = decl.Value // the first declaration binds
+		}
+	}
 	t.set(KindDoctype, Name{Local: name}, p)
 	t.Target = extID
 	t.SetData(subset)
@@ -1595,107 +1610,39 @@ func (d *Decoder) quotedLiteral() (string, error) {
 	}
 }
 
-// internalSubset consumes the internal DTD subset up to the closing ']',
-// honoring quoted literals and comments, and returns the raw text.
+// internalSubset consumes the internal DTD subset up to the closing ']'
+// and returns its raw text for ParseSubset. It splits the subset as
+// ParseSubset does: comments and processing instructions between
+// declarations, and declarations whose quoted literals may hold a ']' or
+// a '>'.
 func (d *Decoder) internalSubset(p Pos) (string, error) {
 	start := d.off
-	depth := 0
+	inDecl := false
 	for {
 		r := d.peek()
 		switch {
 		case r < 0:
 			return "", d.errf(p, "unterminated internal DTD subset")
-		case r == ']' && depth == 0:
+		case r == ']' && !inDecl:
 			s := string(d.src[start:d.off])
 			d.next()
 			return s, nil
-		case r == '"' || r == '\'':
+		case inDecl && (r == '"' || r == '\''):
 			if _, err := d.quotedLiteral(); err != nil {
 				return "", err
 			}
-		case d.hasPrefix("<!--"):
-			var skipped Token
-			if err := d.comment(&skipped, d.pos()); err != nil {
+		case !inDecl && (d.hasPrefix("<!--") || d.hasPrefix("<?")):
+			open, term, what := "<!--", "-->", "comment"
+			if d.peekByte(1) == '?' {
+				open, term, what = "<?", "?>", "processing instruction"
+			}
+			d.skip(open)
+			if _, err := d.untilBytes(term, what); err != nil {
 				return "", err
 			}
-		case r == '<':
-			depth++
-			d.next()
-		case r == '>':
-			if depth > 0 {
-				depth--
-			}
-			d.next()
 		default:
+			inDecl = r == '<' || inDecl && r != '>'
 			d.next()
 		}
 	}
-}
-
-// registerEntities registers the internal general entity declarations
-// (<!ENTITY name "value">) of the internal subset, so that references to
-// them expand during parsing. It walks the subset's markup the way
-// internalSubset consumed it: text inside comments, processing
-// instructions and quoted literals declares nothing. Parameter entities
-// and external entities are recognized and skipped.
-func (d *Decoder) registerEntities(subset string) {
-	for rest := subset; rest != ""; {
-		switch {
-		case strings.HasPrefix(rest, "<!--"):
-			rest = after(rest[len("<!--"):], "-->")
-		case strings.HasPrefix(rest, "<?"):
-			rest = after(rest[len("<?"):], "?>")
-		case rest[0] == '"' || rest[0] == '\'':
-			rest = after(rest[1:], rest[:1])
-		case strings.HasPrefix(rest, "<!ENTITY"):
-			rest = d.entityDecl(rest[len("<!ENTITY"):])
-		default:
-			i := strings.IndexAny(rest[1:], "<\"'")
-			if i < 0 {
-				return
-			}
-			rest = rest[1+i:]
-		}
-	}
-}
-
-// after returns what follows the first term in s, or "" when s holds none.
-func after(s, term string) string {
-	_, rest, _ := strings.Cut(s, term)
-	return rest
-}
-
-// entityDecl registers the general entity declaration s starts with (the
-// text after "<!ENTITY") and returns the subset after its value; a
-// parameter or external entity's literals are left for the caller's walk
-// to skip.
-func (d *Decoder) entityDecl(s string) string {
-	s = strings.TrimLeft(s, " \t\r\n")
-	if strings.HasPrefix(s, "%") {
-		return s // parameter entity: not expanded in content
-	}
-	j := strings.IndexFunc(s, IsSpace)
-	if j < 0 {
-		return ""
-	}
-	name := s[:j]
-	s = strings.TrimLeft(s[j:], " \t\r\n")
-	if s == "" || (s[0] != '"' && s[0] != '\'') {
-		return s // external entity (SYSTEM/PUBLIC): unsupported, skipped
-	}
-	k := strings.IndexByte(s[1:], s[0])
-	if k < 0 {
-		return ""
-	}
-	value := s[1 : 1+k]
-	if IsName(name) {
-		if d.internalEntities == nil {
-			d.internalEntities = map[string]string{}
-		}
-		if _, dup := d.internalEntities[name]; !dup {
-			// First declaration binds, per XML 1.0.
-			d.internalEntities[name] = value
-		}
-	}
-	return s[1+k+1:]
 }

@@ -192,41 +192,6 @@ func TestReleaseDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestEntityDeclaredOnlyByMarkup checks that only an ENTITY declaration
-// declares an entity: the same text inside a comment, a processing
-// instruction or a quoted ATTLIST default declares nothing, in either
-// decoder mode.
-func TestEntityDeclaredOnlyByMarkup(t *testing.T) {
-	for _, tc := range []struct{ src, err, text string }{
-		{src: `<!DOCTYPE a [<!-- <!ENTITY x "boom"> -->]><a>&x;</a>`, err: `reference to undeclared entity "x"`},
-		{src: `<!DOCTYPE a [<?pi <!ENTITY x "boom">?>]><a>&x;</a>`, err: `reference to undeclared entity "x"`},
-		{src: `<!DOCTYPE a [<!ATTLIST a b CDATA "<!ENTITY x 'boom'>">]><a>&x;</a>`, err: `reference to undeclared entity "x"`},
-		{src: `<!DOCTYPE a [<!ATTLIST a b CDATA '<!ENTITY x "boom">'>]><a>&x;</a>`, err: `reference to undeclared entity "x"`},
-		{src: `<!DOCTYPE a [<!ENTITY y "<!ENTITY x 'boom'>">]><a>&x;</a>`, err: `reference to undeclared entity "x"`},
-		{src: `<!DOCTYPE a [<!-- c --><!ENTITY x "ok"><!ATTLIST a b CDATA "d">]><a>&x;</a>`, text: "ok"},
-		{src: `<!DOCTYPE a [<!ENTITY % p "<!ENTITY x 'boom'>"><!ENTITY x "ok">]><a>&x;</a>`, text: "ok"},
-		{src: `<!DOCTYPE a [<!ENTITY e SYSTEM "e.ent"><!ENTITY x "ok">]><a>&x;</a>`, text: "ok"},
-		{src: `<!DOCTYPE a [<!ENTITY x "first"><!ENTITY x "second">]><a>&x;</a>`, text: "first"},
-	} {
-		for _, m := range modes {
-			toks, err := drain(input{src: tc.src, reader: m.reader}.start(new(Decoder)))
-			if tc.err != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.err) {
-					t.Errorf("%s mode, %q: got %v, want %q", m.name, tc.src, err, tc.err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Errorf("%s mode, %q: %v", m.name, tc.src, err)
-				continue
-			}
-			if got := toks[len(toks)-2].Data(); got != tc.text {
-				t.Errorf("%s mode, %q: text %q, want %q", m.name, tc.src, got, tc.text)
-			}
-		}
-	}
-}
-
 // FuzzDecoderReuse holds pooled decoders to a fresh decoder's output: a
 // seed document, then the input, read on one decoder reset between them,
 // must give the input's tokens, positions and error exactly as a fresh

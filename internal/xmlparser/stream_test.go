@@ -56,6 +56,7 @@ var parityErrDocs = []string{
 	`<p:a xmlns:q="urn:q"/>`,
 	"<a>\n<b>\n</b>\n<c>\n</a>",
 	`<!-- unterminated`,
+	`<!DOCTYPE a [<!WHAT>]><a/>`,
 }
 
 // tokenParity asserts the whole-buffer and reader decoders produce
