@@ -145,7 +145,11 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) && xmlparser.IsSpace(rune(p.src[p.pos])) {
+	for p.pos < len(p.src) {
+		c := p.src[p.pos]
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return
+		}
 		p.pos++
 	}
 }

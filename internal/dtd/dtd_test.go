@@ -256,13 +256,14 @@ func TestEntityAndNotationDecls(t *testing.T) {
 }
 
 // TestNotationOutsideItsList: a NOTATION attribute takes only the names
-// its declaration lists, not every declared notation (XML 1.0 §3.3.1).
+// its declaration lists, not every declared notation, and only declared
+// ones (XML 1.0 §3.3.1).
 func TestNotationOutsideItsList(t *testing.T) {
 	subset := `
 <!NOTATION gif SYSTEM "image/gif">
 <!NOTATION png SYSTEM "image/png">
 <!ELEMENT root EMPTY>
-<!ATTLIST root pic NOTATION (gif) #IMPLIED>
+<!ATTLIST root pic NOTATION (gif|svg) #IMPLIED>
 `
 	d := parseDTD(t, "root", subset)
 	if res := validateDoc(t, d, `<root pic="gif"/>`); !res.OK() {
@@ -270,6 +271,9 @@ func TestNotationOutsideItsList(t *testing.T) {
 	}
 	if res := validateDoc(t, d, `<root pic="png"/>`); res.OK() {
 		t.Error("declared notation outside the list accepted")
+	}
+	if res := validateDoc(t, d, `<root pic="svg"/>`); res.OK() {
+		t.Error("undeclared notation in the list accepted")
 	}
 }
 

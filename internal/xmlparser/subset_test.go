@@ -12,8 +12,8 @@ import (
 
 // markupSubsets are internal subsets where only an ENTITY declaration may
 // declare the entity x: the same text inside a comment, a processing
-// instruction or a quoted literal declares nothing. want is x's value, ""
-// when x is undeclared.
+// instruction or a quoted literal declares nothing, and a literal's ']'
+// does not end the subset. want is x's value, "" when x is undeclared.
 var markupSubsets = []struct{ subset, want string }{
 	{subset: `<!-- <!ENTITY x "boom"> -->`},
 	{subset: `<?pi <!ENTITY x "boom">?>`},
@@ -24,6 +24,7 @@ var markupSubsets = []struct{ subset, want string }{
 	{subset: `<!ENTITY % p "<!ENTITY x 'boom'>"><!ENTITY x "ok">`, want: "ok"},
 	{subset: `<!ENTITY e SYSTEM "e.ent"><!ENTITY x "ok">`, want: "ok"},
 	{subset: `<!ENTITY x "first"><!ENTITY x "second">`, want: "first"},
+	{subset: `<!ENTITY x "a>]b">`, want: "a>]b"},
 }
 
 // TestEntityDeclaredOnlyByMarkup checks that only an ENTITY declaration
@@ -99,6 +100,11 @@ func TestParseSubset(t *testing.T) {
 	} {
 		if _, err := xmlparser.ParseSubset(bad); err == nil {
 			t.Errorf("ParseSubset(%q): no error", bad)
+		}
+		for _, r := range xmlparser.ReadModes(`<!DOCTYPE a [` + bad + `]><a/>`) {
+			if r.Err == nil {
+				t.Errorf("%s mode accepts the subset %q", r.Mode, bad)
+			}
 		}
 	}
 }
