@@ -244,34 +244,45 @@ func BenchmarkE3_UPACheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MatcherGlushkovVsInterp compares the two matchers on
-// the purchase order items model (the ablation DESIGN.md §5 calls out).
-func BenchmarkAblation_MatcherGlushkovVsInterp(b *testing.B) {
-	p := contentmodel.NewSequence(1, 1,
-		contentmodel.NewElementLeaf(0, contentmodel.Unbounded, contentmodel.Symbol{Local: "item"}, "item"))
-	input := make([]contentmodel.Symbol, 1000)
-	for i := range input {
-		input[i] = contentmodel.Symbol{Local: "item"}
+// BenchmarkE3_CountedModels measures the models the count expansion
+// could not hold: compile, UPA check and one match, for e{1,5000} over
+// 5,000 children and for a 7-member all group in reverse order.
+func BenchmarkE3_CountedModels(b *testing.B) {
+	e := contentmodel.Symbol{Local: "e"}
+	long := make([]contentmodel.Symbol, 5000)
+	for i := range long {
+		long[i] = e
 	}
-	g, err := contentmodel.CompileGlushkov(p)
-	if err != nil {
-		b.Fatal(err)
+	var members []*contentmodel.Particle
+	var reversed []contentmodel.Symbol
+	for i := 0; i < 7; i++ {
+		s := contentmodel.Symbol{Local: fmt.Sprintf("m%d", i)}
+		members = append(members, contentmodel.NewElementLeaf(1, 1, s, s.Local))
+		reversed = append([]contentmodel.Symbol{s}, reversed...)
 	}
-	in := contentmodel.NewInterp(p)
-	b.Run("glushkov", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Match(input); err != nil {
-				b.Fatal(err)
+	for _, m := range []struct {
+		name  string
+		p     *contentmodel.Particle
+		input []contentmodel.Symbol
+	}{
+		{"e{1,5000}", contentmodel.NewSequence(1, 1, contentmodel.NewElementLeaf(1, 5000, e, "e")), long},
+		{"all7", contentmodel.NewAll(1, 1, members...), reversed},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g, err := contentmodel.CompileGlushkov(m.p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := g.CheckUPA(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := g.Match(m.input); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("interp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := in.Match(input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ func TestCompiledModelsSharedOnce(t *testing.T) {
 	types := complexTypes(s)
 	src := []byte(schemas.PurchaseOrderDoc)
 	const workers = 8
-	seen := make([][]contentmodel.Matcher, workers)
+	seen := make([][]*contentmodel.Glushkov, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -98,9 +98,9 @@ func TestCompiledModelsSharedOnce(t *testing.T) {
 		t.Fatal(res.Err())
 	}
 	po := s.Types[xsd.QName{Local: "PurchaseOrderType"}].(*xsd.ComplexType)
-	g, ok := po.Matcher(s).(*contentmodel.Glushkov)
-	if !ok || !g.DFAEnabled() {
-		t.Fatalf("PurchaseOrderType: want a DFA-backed automaton, got %T", po.Matcher(s))
+	g := po.Matcher(s)
+	if !g.DFAEnabled() {
+		t.Fatal("PurchaseOrderType: want a DFA-backed automaton")
 	}
 	if n := g.DFAStates(); n < 2 {
 		t.Errorf("PurchaseOrderType DFA has %d states; validation did not step the schema's model", n)

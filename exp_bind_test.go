@@ -35,10 +35,9 @@ const bindAnyXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
-// bindKeyAllXSD sends both kinds of subtree the validation machine needs
-// as a node through the decoders: an element with an xs:key, and a
-// 7-member xs:all, which compiles to the backtracking interpreter rather
-// than a Glushkov automaton.
+// bindKeyAllXSD sends an element with an xs:key, a subtree the validation
+// machine needs as a node, through the decoders, beside a 7-member xs:all,
+// which the automaton's member bitset steps child by child.
 const bindKeyAllXSD = `<?xml version="1.0"?>
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="inventory">

@@ -45,9 +45,7 @@ func schemaGlushkovs(t *testing.T, s *xsd.Schema) []*contentmodel.Glushkov {
 			return
 		}
 		seen[ct] = true
-		if g, ok := ct.Matcher(s).(*contentmodel.Glushkov); ok {
-			out = append(out, g)
-		}
+		out = append(out, ct.Matcher(s))
 		visitParticle(ct.Particle)
 	}
 	visitParticle = func(p *xsd.Particle) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/contentmodel"
 	"repro/internal/dom"
 	"repro/internal/schemas"
 	"repro/internal/validator"
@@ -57,11 +58,12 @@ const streamFeaturesXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
-// interpXSD has two content models that exceed the Glushkov position
-// budget and compile to the backtracking interpreter: Card's xs:all of five
-// members and Log's sequence bounded at 5,000. Card holds an identity scope
-// (tags' unique key), and IDs live inside and outside the cards, so
-// duplicates cross the interpreter subtree's edge both ways.
+// interpXSD has two content models that once exceeded the count
+// expansion's budget and compiled to a backtracking interpreter: Card's
+// xs:all of five members and Log's sequence bounded at 5,000. They now run
+// on a member bitset and a counter. Card holds an identity scope (tags'
+// unique key), and IDs live inside and outside the cards, so duplicates
+// cross the card subtree's edge both ways.
 const interpXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="root">
     <xsd:complexType>
@@ -377,6 +379,28 @@ func TestStreamMatchesDOM(t *testing.T) {
 				diffValidate(t, schema, sv, label, src)
 			}
 		})
+	}
+}
+
+// TestOverTheBoundIndex: the 5,001st <e> under maxOccurs="5000" is
+// rejected at its own index, 5000, by Log's automaton and in the
+// validator's report.
+func TestOverTheBoundIndex(t *testing.T) {
+	schema, err := xsd.ParseString(interpXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := schema.Types[xsd.QName{Local: "Log"}].(*xsd.ComplexType)
+	input := make([]contentmodel.Symbol, 5001)
+	for i := range input {
+		input[i] = contentmodel.Symbol{Local: "e"}
+	}
+	if _, merr := log.Matcher(schema).Match(input); merr == nil || merr.Index != 5000 {
+		t.Fatalf("match error %v, want one at index 5000", merr)
+	}
+	res := validator.New(schema, nil).Stream().ValidateBytes([]byte(`<root><head>h</head>` + interpLog(5001) + `</root>`))
+	if res.OK() || !strings.Contains(res.Violations[0].Msg, "at position 5000;") {
+		t.Fatalf("violations %v, want the 5,001st e at position 5000", res.Violations)
 	}
 }
 

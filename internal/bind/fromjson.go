@@ -259,10 +259,7 @@ func (b *Binder) orderChildren(ct *xsd.ComplexType, children []*Value) []*Value 
 	if len(children) < 2 {
 		return children
 	}
-	g, ok := ct.Matcher(b.schema).(*contentmodel.Glushkov)
-	if !ok {
-		return children
-	}
+	g := ct.Matcher(b.schema)
 	// Fast path: the grouped order is already admissible.
 	if admissible(g, children) {
 		return children

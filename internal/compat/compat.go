@@ -21,7 +21,6 @@
 package compat
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -298,26 +297,14 @@ func (c *checker) complexAccepts(sup, sub *xsd.ComplexType, path string) bool {
 // particleAccepts runs the language-inclusion check on the two content
 // models and recurses into element declarations both sides share.
 func (c *checker) particleAccepts(sup, sub *xsd.ComplexType, path string) bool {
-	gSup, okSup := sup.Matcher(c.sup).(*contentmodel.Glushkov)
-	gSub, okSub := sub.Matcher(c.sub).(*contentmodel.Glushkov)
-	ok := true
+	// Includes fails only on its budget, ErrInclusionBudget.
+	incl, err := contentmodel.Includes(sup.Matcher(c.sup), sub.Matcher(c.sub), StateBudget)
+	ok := err == nil && incl
 	switch {
-	case !okSup || !okSub:
-		c.breakf("%s: content model too large to compare", path)
-		ok = false
-	default:
-		incl, err := contentmodel.Includes(gSup, gSub, StateBudget)
-		switch {
-		case errors.Is(err, contentmodel.ErrInclusionBudget):
-			c.breakf("%s: content-model inclusion check exceeded its state budget", path)
-			ok = false
-		case err != nil:
-			c.breakf("%s: content-model comparison failed: %v", path, err)
-			ok = false
-		case !incl:
-			c.breakf("%s: content model no longer accepts all previously valid child sequences", path)
-			ok = false
-		}
+	case err != nil:
+		c.breakf("%s: content-model inclusion check exceeded its state budget", path)
+	case !incl:
+		c.breakf("%s: content model no longer accepts all previously valid child sequences", path)
 	}
 	supDecls := map[xsd.QName]*xsd.ElementDecl{}
 	collectDecls(sup.Particle, supDecls)

@@ -19,6 +19,25 @@ func mustParse(t *testing.T, body string) *xsd.Schema {
 	return s
 }
 
+// counted is a document of up to max <e> children.
+func counted(max string) string {
+	return `<xsd:element name="doc"><xsd:complexType><xsd:sequence>
+	   <xsd:element name="e" type="xsd:string" maxOccurs="` + max + `"/>
+	 </xsd:sequence></xsd:complexType></xsd:element>`
+}
+
+// all5 is a document whose five members come in any order, the last
+// with minOccurs eMin.
+func all5(eMin string) string {
+	return `<xsd:element name="doc"><xsd:complexType><xsd:all>
+	   <xsd:element name="a" type="xsd:string"/>
+	   <xsd:element name="b" type="xsd:string"/>
+	   <xsd:element name="c" type="xsd:string"/>
+	   <xsd:element name="d" type="xsd:string"/>
+	   <xsd:element name="e" type="xsd:string" minOccurs="` + eMin + `"/>
+	 </xsd:all></xsd:complexType></xsd:element>`
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -125,6 +144,18 @@ func TestClassify(t *testing.T) {
 			`<xsd:element name="doc"><xsd:complexType><xsd:sequence>
 			   <xsd:element name="a" type="xsd:string" minOccurs="0"/>
 			 </xsd:sequence></xsd:complexType></xsd:element>`,
+			Forward},
+		{"identical maxOccurs 5000",
+			counted("5000"), counted("5000"),
+			Full},
+		{"identical 5-member all",
+			all5("0"), all5("0"),
+			Full},
+		{"maxOccurs 5000 made unbounded",
+			counted("5000"), counted("unbounded"),
+			Backward},
+		{"5-member all with an optional member made required",
+			all5("0"), all5("1"),
 			Forward},
 	}
 	for _, tc := range cases {

@@ -49,14 +49,19 @@ func choiceModel() *Particle {
 	)
 }
 
-// matchers returns both matchers for cross-checking.
-func matchers(t *testing.T, p *Particle) map[string]Matcher {
+// matchers returns the automaton and, where the expansion covers the
+// model, the count-expanded oracle automaton for cross-checking.
+func matchers(t *testing.T, p *Particle) map[string]*Glushkov {
 	t.Helper()
 	g, err := CompileGlushkov(p)
 	if err != nil {
 		t.Fatalf("CompileGlushkov: %v", err)
 	}
-	return map[string]Matcher{"glushkov": g, "interp": NewInterp(p)}
+	out := map[string]*Glushkov{"glushkov": g}
+	if x := expanded(t, p, expandPositions); x != nil {
+		out["expanded"] = x
+	}
+	return out
 }
 
 type acceptCase struct {
@@ -151,23 +156,26 @@ func TestAllGroup(t *testing.T) {
 }
 
 func TestAllGroupInterpOnly(t *testing.T) {
-	// Seven children exceed the permutation limit: Glushkov refuses,
-	// interpreter handles it.
+	// Seven children, past what the permutation expansion covered: the
+	// member bitset handles them with one position each.
 	children := make([]*Particle, 7)
 	names := []string{"a", "b", "c", "d", "e", "f", "g"}
 	for i, n := range names {
 		children[i] = el(n, 1, 1)
 	}
 	p := NewAll(1, 1, children...)
-	if _, err := CompileGlushkov(p); err == nil {
-		t.Fatal("expected ErrTooComplex for a 7-way all group")
+	m, err := CompileGlushkov(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := NewInterp(p)
+	if m.NumPositions() != 7 {
+		t.Errorf("positions: %d, want 7", m.NumPositions())
+	}
 	if _, err := m.Match(syms("g f e d c b a")); err != nil {
-		t.Errorf("interp all: %v", err)
+		t.Errorf("all: %v", err)
 	}
 	if _, err := m.Match(syms("g f e d c b")); err == nil {
-		t.Error("interp all should reject missing child")
+		t.Error("all should reject missing child")
 	}
 }
 
@@ -317,8 +325,9 @@ func TestEmptiable(t *testing.T) {
 	}
 }
 
-// TestGlushkovInterpAgree is the core property test: both matchers must
-// agree on random inputs over random particle trees.
+// TestGlushkovInterpAgree is the core property test: the automaton and
+// the count-expanded oracle must agree on random inputs over random
+// particle trees.
 func TestGlushkovInterpAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alphabet := []string{"a", "b", "c", "d"}
@@ -349,9 +358,12 @@ func TestGlushkovInterpAgree(t *testing.T) {
 		p := genParticle(0)
 		g, err := CompileGlushkov(p)
 		if err != nil {
+			t.Fatal(err)
+		}
+		in := expanded(t, p, expandPositions)
+		if in == nil {
 			continue
 		}
-		in := NewInterp(p)
 		f := func(raw []byte) bool {
 			if len(raw) > 8 {
 				raw = raw[:8]
@@ -371,21 +383,21 @@ func TestGlushkovInterpAgree(t *testing.T) {
 }
 
 func TestLargeCountsFallback(t *testing.T) {
-	// maxOccurs=100000 exceeds the position budget.
+	// maxOccurs=100000 is one counter over one position.
 	p := NewSequence(1, 1, el("a", 99999, 100000))
-	if _, err := CompileGlushkov(p); err == nil {
-		t.Fatal("expected ErrTooComplex")
+	m, err := CompileGlushkov(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := Compile(p) // falls back to interpreter
-	if _, ok := m.(*Interp); !ok {
-		t.Fatalf("Compile should fall back to Interp, got %T", m)
+	if m.NumPositions() != 1 {
+		t.Fatalf("positions: %d, want 1", m.NumPositions())
 	}
 	input := make([]Symbol, 99999)
 	for i := range input {
 		input[i] = sym("a")
 	}
 	if _, err := m.Match(input); err != nil {
-		t.Errorf("interp large count: %v", err)
+		t.Errorf("large count: %v", err)
 	}
 	if _, err := m.Match(input[:99998]); err == nil {
 		t.Error("should reject count below minOccurs")

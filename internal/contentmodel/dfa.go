@@ -9,7 +9,7 @@ import (
 
 // DefaultDFABudget is the default number of states a run may grow an
 // automaton's shared DFA to. A run that needs a state beyond its budget
-// falls back to the NFA stepper from the current position set, so
+// falls back to the NFA stepper from the current configuration set, so
 // pathological minOccurs/maxOccurs models stay safe in bounded memory.
 const DefaultDFABudget = 4096
 
@@ -23,11 +23,11 @@ const maxDFAWildcards = 4
 // past the cap the admission mask is recomputed per symbol.
 const maxNamespaceClasses = 64
 
-// dfa is a lazy subset construction over one Glushkov automaton. Position
-// sets reached during matching are memoized into dstates with one
-// transition slot per alphabet class; slots are built on demand under mu
-// and published with an atomic store, so steppers never block on a slot
-// that is already built.
+// dfa is a lazy subset construction over one Glushkov automaton.
+// Configuration sets reached during matching are memoized into dstates
+// with one transition slot per alphabet class; slots are built on demand
+// under mu and published with an atomic store, so steppers never block on
+// a slot that is already built.
 //
 // The alphabet is partitioned into classes: one class per element name the
 // model declares (indexed through the shared Interner), plus one "bucket"
@@ -47,20 +47,19 @@ type dfa struct {
 
 	mu      sync.Mutex
 	nstates int
-	bySet   map[string]*dstate // canonical position-set key -> state
+	bySet   map[string]*dstate // configuration-set key -> state
 	scratch []bool             // per-position membership scratch, guarded by mu
 
 	nsClass atomic.Value // map[string]int32: namespace -> bucket class, copy-on-write
 }
 
-// dstate is one memoized position set. cand and matched keep the order the
-// NFA stepper would have produced, so error messages, leaf assignment, and
-// mid-run fallback are indistinguishable from never having used the DFA.
+// dstate is one memoized configuration set, in the canonical form the NFA
+// stepper keeps, so error messages, leaf assignment, and mid-run fallback
+// are indistinguishable from never having used the DFA.
 type dstate struct {
-	cand    []int // positions that may match the next symbol, NFA order
-	matched []int // positions matched by the previous symbol (nil in the start state)
-	accept  bool  // a matched position is a last position
-	trans   []dtrans
+	cfgs   []int // configurations after the consumed prefix
+	accept bool  // some configuration may end the content
+	trans  []dtrans
 }
 
 type dtrans struct {
@@ -116,7 +115,7 @@ func (g *Glushkov) EnableDFA(in *Interner) bool {
 		bySet:    map[string]*dstate{},
 		scratch:  make([]bool, len(g.leaves)),
 	}
-	d.start = &dstate{cand: g.first, accept: g.nullable, trans: make([]dtrans, cls.nclasses)}
+	d.start = &dstate{cfgs: []int{g.start()}, accept: g.nullable, trans: make([]dtrans, cls.nclasses)}
 	d.nstates = 1
 	g.dfa = d
 	return true
@@ -261,8 +260,9 @@ func (d *dfa) bucketClass(ns string) int32 {
 }
 
 // buildTrans fills the (st, cls) transition slot. ok=false means the DFA
-// already holds the calling run's budget of states and the successor was
-// not memoized; the caller must fall back to NFA stepping from st.
+// already holds the calling run's budget of states, or the successor set
+// outgrew the configuration cap, and the successor was not memoized; the
+// caller must fall back to NFA stepping from st.
 func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf *Leaf, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -274,29 +274,24 @@ func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf 
 	for _, p := range acc {
 		d.scratch[p] = true
 	}
-	var matched []int
-	for _, p := range st.cand {
-		if d.scratch[p] {
-			if leaf == nil {
-				leaf = d.g.leaves[p]
-			}
-			matched = append(matched, p)
-		}
-	}
+	cfgs, leaf, over := d.g.step(st.cfgs, Symbol{}, d.scratch, nil)
 	for _, p := range acc {
 		d.scratch[p] = false
+	}
+	if over {
+		return nil, nil, false
 	}
 	if leaf == nil {
 		tr.state.Store(dfaReject)
 		return dfaReject, nil, true
 	}
-	key := setKey(matched)
+	key := setKey(cfgs)
 	next, exists := d.bySet[key]
 	if !exists {
 		if d.nstates >= budget {
 			return nil, nil, false
 		}
-		next = d.newState(matched)
+		next = &dstate{cfgs: cfgs, accept: d.g.acceptSet(cfgs), trans: make([]dtrans, d.nclasses)}
 		d.bySet[key] = next
 		d.nstates++
 	}
@@ -305,41 +300,12 @@ func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf 
 	return next, leaf, true
 }
 
-// newState materializes the successor for a matched set, replaying exactly
-// the candidate-set computation the NFA stepper performs (follow-set union
-// in matched order with keep-first dedup).
-func (d *dfa) newState(matched []int) *dstate {
-	g := d.g
-	var cand []int
-	for _, p := range matched {
-		for _, q := range g.follow[p] {
-			if !d.scratch[q] {
-				d.scratch[q] = true
-				cand = append(cand, q)
-			}
-		}
-	}
-	for _, q := range cand {
-		d.scratch[q] = false
-	}
-	accept := false
-	for _, p := range matched {
-		if g.last[p] {
-			accept = true
-			break
-		}
-	}
-	return &dstate{cand: cand, matched: matched, accept: accept, trans: make([]dtrans, d.nclasses)}
-}
-
-// setKey canonicalizes a position set (order-independent) for state lookup.
-func setKey(ps []int) string {
-	s := make([]int, len(ps))
-	copy(s, ps)
-	sort.Ints(s)
-	buf := make([]byte, 0, 4*len(s))
-	for _, p := range s {
-		buf = binary.AppendUvarint(buf, uint64(p))
+// setKey encodes a configuration set, already in canonical form, for
+// state lookup.
+func setKey(cfgs []int) string {
+	buf := make([]byte, 0, 4*len(cfgs))
+	for _, v := range cfgs {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return string(buf)
 }

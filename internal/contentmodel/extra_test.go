@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-func TestCompilePicksGlushkov(t *testing.T) {
-	m := Compile(purchaseOrderModel())
-	if _, ok := m.(*Glushkov); !ok {
-		t.Errorf("expected Glushkov for a small model, got %T", m)
-	}
-}
-
 func TestUPAWildcardOverlaps(t *testing.T) {
 	// element a | any : the wildcard can also match 'a' -> violation.
 	p := NewChoice(1, 1,
@@ -44,11 +37,6 @@ func TestPrematureEndError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "shipTo") {
 		t.Errorf("expected list should name shipTo: %v", err)
-	}
-	// The interpreter agrees.
-	_, ierr := NewInterp(purchaseOrderModel()).Match(nil)
-	if ierr == nil {
-		t.Fatal("interp should reject empty input")
 	}
 }
 
@@ -101,9 +89,9 @@ func TestNumPositions(t *testing.T) {
 	if g.NumPositions() != 4 {
 		t.Errorf("positions: %d", g.NumPositions())
 	}
-	// Bounded counts expand: a{2,4} has 4 positions.
+	// A bounded count is a counter, not copies: a{2,4} has 1 position.
 	g2, _ := CompileGlushkov(NewSequence(1, 1, el("a", 2, 4)))
-	if g2.NumPositions() != 4 {
+	if g2.NumPositions() != 1 {
 		t.Errorf("expanded positions: %d", g2.NumPositions())
 	}
 }

@@ -19,6 +19,9 @@ var fuzzAlphabet = []Symbol{
 type fuzzCursor struct {
 	data []byte
 	off  int
+	// counts, when set, widens occurrence bounds to 0..counts and lets
+	// all groups take bounds and up to four members of any shape.
+	counts int
 }
 
 func (c *fuzzCursor) next() byte {
@@ -35,8 +38,12 @@ func (c *fuzzCursor) particle(depth int) *Particle {
 	if depth >= 4 {
 		op %= 3 // leaves only
 	}
-	min := int(c.next() % 3)
-	max := min + int(c.next()%3)
+	lo, hi := c.next(), c.next()
+	min, max := int(lo%3), int(lo%3)+int(hi%3)
+	if c.counts > 0 {
+		min = int(lo) % (c.counts + 1)
+		max = min + int(hi)%(c.counts+1-min)
+	}
 	if c.next()%5 == 0 {
 		max = Unbounded
 	}
@@ -71,6 +78,13 @@ func (c *fuzzCursor) particle(depth int) *Particle {
 		}
 		return NewChoice(min, max, kids...)
 	default: // all group (compiler restricts occurs)
+		if c.counts > 0 {
+			kids := make([]*Particle, 1+int(c.next()%4))
+			for i := range kids {
+				kids[i] = c.particle(depth + 1)
+			}
+			return NewAll(min, max, kids...)
+		}
 		n := 1 + int(c.next()%2)
 		kids := make([]*Particle, n)
 		for i := range kids {

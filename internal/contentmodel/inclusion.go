@@ -3,8 +3,6 @@ package contentmodel
 import (
 	"errors"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // ErrInclusionBudget is returned by Includes when the product construction
@@ -35,16 +33,17 @@ const probeNamespace = "\x01urn:contentmodel:fresh-namespace"
 // new content model still admit everything the old one did" is
 // Includes(new, old).
 //
-// The check runs a product subset construction over the two position
-// automata. The alphabet of the product is finite even though wildcards
-// admit infinitely many names: leaf predicates only distinguish exact
+// The check runs a product subset construction over the two automata,
+// stepping configuration sets with the matcher's own step function. The
+// alphabet of the product is finite even though wildcards admit
+// infinitely many names: leaf predicates only distinguish exact
 // names and namespace membership, so the concrete names of both automata
 // plus one probe symbol per mentioned namespace (and one for a fresh,
 // unmentioned namespace) cover every equivalence class of symbols.
 //
 // stateLimit bounds the visited product states (<= 0 selects the default,
-// 16384). On overflow the verdict is unknown and ErrInclusionBudget is
-// returned.
+// 16384). On overflow, or when a step outgrows the matcher's configuration
+// cap, the verdict is unknown and ErrInclusionBudget is returned.
 func Includes(sup, sub *Glushkov, stateLimit int) (bool, error) {
 	if stateLimit <= 0 {
 		stateLimit = defaultInclusionBudget
@@ -56,37 +55,40 @@ func Includes(sup, sub *Glushkov, stateLimit int) (bool, error) {
 	}
 	alphabet := testAlphabet(sup, sub)
 
-	// A determinized state is the set of positions matched by the last
-	// consumed symbol (nil at the start). Every Glushkov position is
-	// coaccessible — it came from a leaf of the expression, so some word
-	// through it reaches acceptance — which is what makes "sub alive, sup
-	// dead" an immediate non-inclusion witness below.
-	type state struct {
-		sub, sup []int
-		start    bool
-	}
-	startState := state{start: true}
-	seen := map[string]bool{key(startState.sub, startState.sup, true): true}
-	queue := []state{startState}
+	// A determinized state is a pair of configuration sets, starting at
+	// each automaton's start. Every reachable configuration is
+	// coaccessible — it sits on a leaf of the expression with its counters
+	// within bounds, so some word through it reaches acceptance — which is
+	// what makes "sub alive, sup dead" an immediate non-inclusion witness
+	// below.
+	type state struct{ sub, sup []int }
+	cur := state{sub: []int{sub.start()}, sup: []int{sup.start()}}
+	seen := map[string]bool{setKey(cur.sub) + "|" + setKey(cur.sup): true}
+	queue := []state{cur}
 
 	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+		cur, queue = queue[0], queue[1:]
 		for _, sym := range alphabet {
-			subNext := stepSet(sub, cur.sub, cur.start, sym)
+			subNext, _, over := sub.step(cur.sub, sym, nil, nil)
+			if over {
+				return false, ErrInclusionBudget
+			}
 			if len(subNext) == 0 {
 				continue // sub rejects every word through here
 			}
-			supNext := stepSet(sup, cur.sup, cur.start, sym)
+			supNext, _, over := sup.step(cur.sup, sym, nil, nil)
+			if over {
+				return false, ErrInclusionBudget
+			}
 			if len(supNext) == 0 {
 				// sub can still reach acceptance (coaccessibility), sup is
 				// dead: some word is in L(sub) \ L(sup).
 				return false, nil
 			}
-			if acceptSet(sub, subNext) && !acceptSet(sup, supNext) {
+			if sub.acceptSet(subNext) && !sup.acceptSet(supNext) {
 				return false, nil
 			}
-			k := key(subNext, supNext, false)
+			k := setKey(subNext) + "|" + setKey(supNext)
 			if seen[k] {
 				continue
 			}
@@ -146,60 +148,4 @@ func testAlphabet(gs ...*Glushkov) []Symbol {
 		return out[i].Local < out[j].Local
 	})
 	return out
-}
-
-// stepSet advances a determinized state by one symbol: the positions
-// reachable from cur (first positions at the start) whose leaves accept
-// sym, deduplicated and sorted for canonical keying.
-func stepSet(g *Glushkov, cur []int, atStart bool, sym Symbol) []int {
-	var next []int
-	seen := map[int]bool{}
-	add := func(q int) {
-		if !seen[q] && g.leaves[q].Accepts(sym) {
-			seen[q] = true
-			next = append(next, q)
-		}
-	}
-	if atStart {
-		for _, q := range g.first {
-			add(q)
-		}
-	} else {
-		for _, p := range cur {
-			for _, q := range g.follow[p] {
-				add(q)
-			}
-		}
-	}
-	sort.Ints(next)
-	return next
-}
-
-// acceptSet reports whether a determinized (non-start) state is accepting:
-// some matched position is a last position of the expression.
-func acceptSet(g *Glushkov, set []int) bool {
-	for _, p := range set {
-		if g.last[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// key canonically encodes a product state.
-func key(sub, sup []int, start bool) string {
-	var b strings.Builder
-	if start {
-		b.WriteByte('S')
-	}
-	for _, p := range sub {
-		b.WriteString(strconv.Itoa(p))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	for _, p := range sup {
-		b.WriteString(strconv.Itoa(p))
-		b.WriteByte(',')
-	}
-	return b.String()
 }

@@ -269,10 +269,16 @@ type MatchError struct {
 	Expected []string
 	// Premature marks an unexpected end of input.
 	Premature bool
+	// Cause, when set, says why the element could not be matched at all:
+	// the run outgrew its configuration cap, so the verdict is unknown.
+	Cause string
 }
 
 // Error implements the error interface.
 func (e *MatchError) Error() string {
+	if e.Cause != "" {
+		return fmt.Sprintf("element %s at position %d: %s", e.Got, e.Index, e.Cause)
+	}
 	exp := "nothing"
 	if len(e.Expected) > 0 {
 		exp = strings.Join(e.Expected, ", ")

@@ -37,10 +37,11 @@
 //     ValidateBatch and ParallelValidate (tree.go);
 //   - bind's Marshal encoder, through ValidateTokens.
 //
-// Identity constraints, content models compiled to the backtracking
-// interpreter and raw wildcard subtrees need the element as a node. A tree
-// replay hands it over; from the decoder or the encoder the machine
-// buffers the element's subtree into a pooled fragment and replays it.
+// Identity constraints and raw wildcard subtrees need the element as a
+// node; every content model, counted ones and all groups included, steps
+// one child at a time in O(depth) memory. A tree replay hands the node
+// over; from the decoder or the encoder the machine buffers the element's
+// subtree into a pooled fragment and replays it.
 // Whatever the source, the verdict, the violation order and the messages
 // are the same (held by the TestStreamMatchesDOM differential suite and by
 // the pinned verdicts in testdata/validator_verdicts.txt).

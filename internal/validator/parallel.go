@@ -13,10 +13,9 @@ package validator
 // opens an element-content frame with at least ParallelMinFanout element
 // children (the root's children in a wide document, or e.g. the 30k <item>
 // children of <items> in a large purchase order). It matches those
-// children against the content model at once, as interpreter frames do,
-// fans contiguous chunks of them out to sub-machines that open under the
-// frame's frozen path and namespace scope, and joins the three concerns at
-// the seams:
+// children against the content model at once, fans contiguous chunks of
+// them out to sub-machines that open under the frame's frozen path and
+// namespace scope, and joins the three concerns at the seams:
 //
 //   - violations: each chunk's violations are contiguous in document
 //     order, so the join appends them to the frame in chunk order;

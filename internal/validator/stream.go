@@ -23,14 +23,14 @@ package validator
 //     attributes; on content-model failure the IDs (and pending IDREFs)
 //     recorded past the mark are rolled back.
 //
-// Three cases need the element as a DOM node: identity constraints (their
-// selectors range over the whole subtree), content models compiled to the
-// backtracking interpreter (contentmodel.ErrTooComplex), which match all
-// children at once, and raw wildcard subtrees handed to an observer. A
-// tree replay has the node at hand. From a decoder or encoder the machine
-// buffers the element's subtree into a pooled fragment and replays the
-// fragment into itself; nested cases then use the fragment's nodes, so
-// nothing is buffered twice.
+// Two cases need the element as a DOM node: identity constraints (their
+// selectors range over the whole subtree) and raw wildcard subtrees handed
+// to an observer. Every content model, counted ones and all groups
+// included, steps one child at a time. A tree replay has the node at
+// hand. From a decoder or encoder the machine buffers the element's
+// subtree into a pooled fragment and replays the fragment into itself;
+// nested cases then use the fragment's nodes, so nothing is buffered
+// twice.
 
 import (
 	"bytes"
@@ -62,9 +62,8 @@ func (v *Validator) Stream() *StreamValidator { return &StreamValidator{v: v} }
 
 // ValidateReader validates a document read incrementally from r. Memory
 // use is proportional to tree depth (plus any subtrees buffered for
-// identity constraints or interpreter models), not document size. The
-// verdict, violation order and messages match ValidateBytes on the same
-// input.
+// identity constraints), not document size. The verdict, violation order
+// and messages match ValidateBytes on the same input.
 func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 	res, _ := sv.ValidateReaderContext(context.Background(), r)
 	return res
@@ -238,7 +237,7 @@ func (sr *streamRun) consume(ctx context.Context, src TokenSource) (*Result, err
 
 // frame modes.
 const (
-	fmModel   = iota // complex element-only/mixed content: Glushkov run or matched children
+	fmModel   = iota // complex element-only/mixed content: Glushkov run or split children
 	fmSimple         // simple-typed element
 	fmCSimple        // complex type with simple content
 	fmCEmpty         // complex type with empty content
@@ -263,8 +262,8 @@ type frame struct {
 	st  *xsd.SimpleType   // fmSimple / fmCSimple value type
 	run *contentmodel.Run // fmModel automaton state
 
-	// leaves, for a matched frame, are the leaves of the element children
-	// not yet opened, in order.
+	// leaves, for a split frame, are the leaves of the element children,
+	// in order.
 	leaves []*contentmodel.Leaf
 
 	// node is the element itself, for a frame with identity constraints,
@@ -295,11 +294,9 @@ type frame struct {
 
 	// Flags, kept together so that they pack:
 	//   - mixed: the content model is mixed;
-	//   - matched: the element children were matched all at once (an
-	//     interpreter model, or a level split across workers), and leaves
-	//     holds their leaves;
-	//   - split: sub-machines validated the element children (parallel.go),
-	//     and the replay skips them;
+	//   - split: the element children were matched all at once, leaves
+	//     holds their leaves, and sub-machines validated them
+	//     (parallel.go), so the replay skips them;
 	//   - failed: contentViol is set;
 	//   - sawElemChild: a simple-content element has an element child;
 	//   - announced: OpenElement was delivered, so CloseElement is owed;
@@ -307,7 +304,7 @@ type frame struct {
 	//   - raw: the buffered subtree is a skipped wildcard subtree, for the
 	//     observer's RawElement rather than for replay;
 	//   - pooled: the frame sits on the free list; reset clears it.
-	mixed, matched, split, failed, sawElemChild, announced, wild, raw, pooled bool
+	mixed, split, failed, sawElemChild, announced, wild, raw, pooled bool
 }
 
 // fragment is a subtree being buffered into a private DOM: cur is the open
@@ -558,23 +555,16 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			sr.skipChild(nsMark)
 			return
 		}
-		var leaf *contentmodel.Leaf
-		if parent.matched {
-			leaf = parent.leaves[0]
-			parent.leaves = parent.leaves[1:]
-		} else {
-			var merr *contentmodel.MatchError
-			leaf, merr = parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
-			if merr != nil {
-				// The element reports the match error against the failing
-				// child and validates no children at all: drop the
-				// buffered child violations and roll back their IDs.
-				parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
-				parent.childViols = nil
-				sr.rollbackTo(parent)
-				sr.skipChild(nsMark)
-				return
-			}
+		leaf, merr := parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
+		if merr != nil {
+			// The element reports the match error against the failing
+			// child and validates no children at all: drop the buffered
+			// child violations and roll back their IDs.
+			parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
+			parent.childViols = nil
+			sr.rollbackTo(parent)
+			sr.skipChild(nsMark)
+			return
 		}
 		sr.openChild(parent, tok, leaf, parent.childIndex(tok.Name), nsMark)
 	case fmSimple, fmCSimple:
@@ -727,22 +717,13 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			return
 		}
 	}
-	// Identity constraints and interpreter models need the element as a
-	// node: a tree replay has it, and any other source's subtree is
-	// buffered and replayed.
-	needNode := len(decl.Constraints) > 0
-	var m contentmodel.Matcher
-	var g *contentmodel.Glushkov
-	if ct, ok := typ.(*xsd.ComplexType); ok && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
-		m = ct.Matcher(sr.v.schema)
-		g, _ = m.(*contentmodel.Glushkov)
-		needNode = needNode || g == nil
-	}
-	if needNode && sr.tree == nil {
-		sr.startBuffer(f, tok)
-		return
-	}
+	// Identity constraints need the element as a node: a tree replay has
+	// it, and any other source's subtree is buffered and replayed.
 	if len(decl.Constraints) > 0 {
+		if sr.tree == nil {
+			sr.startBuffer(f, tok)
+			return
+		}
 		f.node = sr.tree.cur
 	}
 	switch t := typ.(type) {
@@ -761,14 +742,9 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 		default:
 			f.mode = fmModel
 			f.mixed = t.Kind == xsd.ContentMixed
-			if g == nil {
-				sr.matchChildren(f, m, sr.tree.cur)
-				break
-			}
-			f.run.ResetLimit(g, sr.v.opts.DisableDFA, sr.v.opts.DFAStateBudget)
+			f.run.ResetLimit(t.Matcher(sr.v.schema), sr.v.opts.DisableDFA, sr.v.opts.DFAStateBudget)
 			if sr.par > 1 && sr.tree != nil && wide(sr.tree.cur) {
-				sr.matchChildren(f, f.run, sr.tree.cur)
-				f.split = f.matched
+				sr.matchChildren(f, sr.tree.cur)
 			}
 		}
 	}
@@ -782,10 +758,11 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 }
 
 // matchChildren matches the element children of el, the frame's element,
-// against its content model at once. On success the frame takes each
-// child's leaf in turn; on failure it reports the match error and
-// validates no children, as a stepped automaton would.
-func (sr *streamRun) matchChildren(f *frame, m contentmodel.Matcher, el *dom.Element) {
+// on the frame's run at once. On success the frame is split: sub-machines
+// validate its children with their leaves (parallel.go). On failure it
+// reports the match error and validates no children, as a stepped
+// automaton would.
+func (sr *streamRun) matchChildren(f *frame, el *dom.Element) {
 	kids := el.ChildNodes()
 	syms := make([]contentmodel.Symbol, 0, len(kids))
 	for _, c := range kids {
@@ -793,10 +770,10 @@ func (sr *streamRun) matchChildren(f *frame, m contentmodel.Matcher, el *dom.Ele
 			syms = append(syms, contentmodel.Symbol{Space: e.NamespaceURI(), Local: e.LocalName()})
 		}
 	}
-	leaves, merr := m.Match(syms)
+	leaves, merr := f.run.Match(syms)
 	switch {
 	case merr == nil:
-		f.matched, f.leaves = true, leaves
+		f.split, f.leaves = true, leaves
 	case merr.Index >= len(syms):
 		f.fail(f.violation(merr.Error()))
 	default:
@@ -1005,7 +982,7 @@ func (sr *streamRun) deliver(viols []violation) {
 func (sr *streamRun) closeFrame(f *frame) []violation {
 	switch f.mode {
 	case fmModel:
-		if !f.failed && !f.matched {
+		if !f.failed && !f.split {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: reported against the element, whose
 				// children count for nothing.

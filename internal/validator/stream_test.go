@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/schemas"
+	"repro/internal/xmlparser"
+	"repro/internal/xsd"
 )
 
 // streamDiff validates src through both paths of the same Validator and
@@ -193,4 +195,79 @@ func TestStreamValidateReaderContext(t *testing.T) {
 			t.Fatalf("partial result returned on cancellation")
 		}
 	})
+}
+
+// countedXSD holds the two models that once compiled to a backtracking
+// interpreter: a five-member xs:all (Card, whose tags hold a unique key)
+// and a sequence bounded at 5,000 (Log).
+const countedXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="root">
+    <xsd:complexType><xsd:sequence>
+      <xsd:element name="card" type="Card" minOccurs="0" maxOccurs="unbounded"/>
+      <xsd:element name="log" type="Log" minOccurs="0"/>
+    </xsd:sequence></xsd:complexType>
+  </xsd:element>
+  <xsd:complexType name="Card">
+    <xsd:all>
+      <xsd:element name="a" type="xsd:int"/>
+      <xsd:element name="b" type="xsd:string"/>
+      <xsd:element name="c" type="xsd:string"/>
+      <xsd:element name="d" type="xsd:string" minOccurs="0"/>
+      <xsd:element name="tags">
+        <xsd:complexType><xsd:sequence>
+          <xsd:element name="tag" minOccurs="0" maxOccurs="unbounded">
+            <xsd:complexType><xsd:attribute name="k" type="xsd:string"/></xsd:complexType>
+          </xsd:element>
+        </xsd:sequence></xsd:complexType>
+        <xsd:unique name="tagKey">
+          <xsd:selector xpath="tag"/>
+          <xsd:field xpath="@k"/>
+        </xsd:unique>
+      </xsd:element>
+    </xsd:all>
+  </xsd:complexType>
+  <xsd:complexType name="Log">
+    <xsd:sequence>
+      <xsd:element name="e" type="xsd:int" maxOccurs="5000"/>
+    </xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>`
+
+// TestCountedModelsStreamInDepth: counted and all-group models step child
+// by child, so streaming a document of 5,000 log entries and a card
+// buffers no subtree but the one the identity scope on tags needs.
+func TestCountedModelsStreamInDepth(t *testing.T) {
+	s, err := xsd.ParseString(countedXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := `<root><card><tags><tag k="x"/><tag k="y"/></tags><c>c</c><a>1</a><b>b</b></card><log>` +
+		strings.Repeat("<e>1</e>", 5000) + `</log></root>`
+	d := xmlparser.NewDecoder([]byte(doc), nil)
+	defer d.Release()
+	sr := newMachine(New(s, nil), nil)
+	defer sr.release()
+	var tok xmlparser.Token
+	sawTags := false
+	for n := 0; ; n++ {
+		if err := d.Next(&tok); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		sr.token(&tok)
+		for _, f := range sr.frames {
+			if f.mode == fmBuffer && f.local != "tags" {
+				t.Fatalf("token %d: <%s> is buffered", n, f.local)
+			}
+			sawTags = sawTags || f.mode == fmBuffer
+		}
+	}
+	if !sawTags {
+		t.Error("the identity scope on tags was not buffered")
+	}
+	sr.finish()
+	if len(sr.viols) != 0 {
+		t.Fatalf("violations: %v", render(sr.viols))
+	}
 }

@@ -45,14 +45,13 @@ func (s *Schema) CompileParticle(p *Particle) *contentmodel.Particle {
 	return out
 }
 
-// model is a complex type's one compiled content model: the Glushkov
-// automaton, or the backtracking interpreter past the position budget,
-// with the UPA verdict taken on that same automaton. The lazy DFA is
-// attached at first Matcher use, so a parse that only checks UPA builds
+// model is a complex type's one compiled content model, with the Unique
+// Particle Attribution verdict taken on that same automaton. The lazy DFA
+// is attached at first Matcher use, so a parse that only checks UPA builds
 // no more than the automaton.
 type model struct {
 	once    sync.Once
-	matcher contentmodel.Matcher
+	g       *contentmodel.Glushkov
 	upa     error
 	dfaOnce sync.Once
 }
@@ -62,10 +61,13 @@ type model struct {
 func (c *ComplexType) compile(s *Schema) *model {
 	m := &c.model
 	m.once.Do(func() {
-		m.matcher = contentmodel.Compile(s.CompileParticle(c.Particle))
-		if g, ok := m.matcher.(*contentmodel.Glushkov); ok {
-			m.upa = g.CheckUPA() // an interpreter model is too large to check
+		var err error
+		// The parser has checked every particle's bounds, the only thing
+		// compiling can fail on.
+		if m.g, err = contentmodel.CompileGlushkov(s.CompileParticle(c.Particle)); err != nil {
+			panic("xsd: " + err.Error())
 		}
+		m.upa = m.g.CheckUPA()
 	})
 	return m
 }
@@ -75,20 +77,15 @@ func (c *ComplexType) compile(s *Schema) *model {
 // symbol interner so transition lookups are a single array index. Every
 // consumer — the validator, bind, vdom, pxml and compat — reads this one
 // instance; it is immutable and safe for concurrent Match calls and Runs.
-func (c *ComplexType) Matcher(s *Schema) contentmodel.Matcher {
+func (c *ComplexType) Matcher(s *Schema) *contentmodel.Glushkov {
 	m := c.compile(s)
-	m.dfaOnce.Do(func() {
-		if g, ok := m.matcher.(*contentmodel.Glushkov); ok {
-			g.EnableDFA(s.symbols)
-		}
-	})
-	return m.matcher
+	m.dfaOnce.Do(func() { m.g.EnableDFA(s.symbols) })
+	return m.g
 }
 
 // CheckUPA verifies Unique Particle Attribution for the type's content
-// model. Models too large for the position automaton are not checked (the
-// spec's check is approximated by the Glushkov overlap test). It reads the
-// automaton Matcher returns, and is safe to call concurrently.
+// model. It reads the automaton Matcher returns, and is safe to call
+// concurrently.
 func (c *ComplexType) CheckUPA(s *Schema) error {
 	return c.compile(s).upa
 }

@@ -29,9 +29,10 @@
 // # One compiled content model per complex type
 //
 // Each ComplexType owns its compiled content model (compile.go), built in
-// one once-guarded step: the Glushkov automaton, or the backtracking
-// interpreter past the position budget, with the Unique Particle
-// Attribution check run on that same automaton. Parse runs the step for
+// one once-guarded step: the Glushkov automaton, with counters and
+// all-group member sets in place of copies, so every model of any size
+// gets it, and the Unique Particle Attribution check run on that same
+// automaton. Parse runs the step for
 // every type through CheckAllUPA (unless SkipUPACheck), so the automata
 // it checks are the ones kept. The first Matcher call attaches the lazy
 // DFA to a UPA-clean automaton. Every consumer — the validator, bind,

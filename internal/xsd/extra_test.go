@@ -1,6 +1,7 @@
 package xsd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -84,11 +85,7 @@ func TestSkipUPACheckOption(t *testing.T) {
 	// The ambiguous model still compiles, but keeps the NFA stepper:
 	// the lazy DFA is attached only to UPA-clean automata.
 	ct := s.Types[QName{Local: "T"}].(*ComplexType)
-	g, ok := ct.Matcher(s).(*contentmodel.Glushkov)
-	if !ok {
-		t.Fatalf("matcher is %T, want *contentmodel.Glushkov", ct.Matcher(s))
-	}
-	if g.DFAEnabled() {
+	if ct.Matcher(s).DFAEnabled() {
 		t.Error("DFA attached to a UPA-violating model")
 	}
 	if ct.CheckUPA(s) == nil {
@@ -247,6 +244,40 @@ func TestBadIdentityPathFailsParse(t *testing.T) {
 		_, err := ParseString(src, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("selector %q field %q: err = %v, want %q", tc.selector, tc.field, err, tc.want)
+		}
+	}
+}
+
+// TestUPAIndependentOfModelSize: a UPA conflict is found however large the
+// counts or the all group that hold it — the 5,000-count and 5-member
+// models fail like their 50-count and 4-member twins.
+func TestUPAIndependentOfModelSize(t *testing.T) {
+	counted := func(max int) string {
+		return fmt.Sprintf(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="T"><xsd:sequence>
+    <xsd:element name="a" type="xsd:string" minOccurs="0" maxOccurs="%d"/>
+    <xsd:element name="a" type="xsd:string"/>
+  </xsd:sequence></xsd:complexType>
+</xsd:schema>`, max)
+	}
+	all := func(members int) string {
+		var els strings.Builder
+		for i := 0; i < members-1; i++ {
+			fmt.Fprintf(&els, `<xsd:element name="m%d" type="xsd:string"/>`, i)
+		}
+		return `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="T"><xsd:all>` + els.String() + `<xsd:any processContents="lax"/></xsd:all></xsd:complexType>
+</xsd:schema>`
+	}
+	for name, src := range map[string]string{
+		"(a{0,50}, a)":       counted(50),
+		"(a{0,5000}, a)":     counted(5000),
+		"4-member all + any": all(4),
+		"5-member all + any": all(5),
+	} {
+		_, err := ParseString(src, nil)
+		if err == nil || !strings.Contains(err.Error(), "unique particle attribution") {
+			t.Errorf("%s: err = %v, want a UPA violation", name, err)
 		}
 	}
 }
