@@ -119,7 +119,8 @@ func expanded(t testing.TB, p *Particle, limit int) *Glushkov {
 // assertSameAsExpanded steps seq through a run of g and an NFA run of its
 // expansion x and fails unless they agree: the same MatchError text and
 // index at the same step, the same End, and, when the model is UPA-clean,
-// the same leaf at every step.
+// the same leaf at every step. It also fails when g's run holds more
+// configurations than x's holds positions, which maxConfigs relies on.
 func assertSameAsExpanded(t testing.TB, p *Particle, g, x *Glushkov, r *Run, seq []Symbol) {
 	t.Helper()
 	clean := g.CheckUPA() == nil
@@ -136,10 +137,24 @@ func assertSameAsExpanded(t testing.TB, p *Particle, g, x *Glushkov, r *Run, seq
 		if clean && gl != xl {
 			t.Fatalf("%v on %v, step %d: leaf %v; expanded: %v", p, seq, i, gl.Data, xl.Data)
 		}
+		if n, xn := runConfigs(r), len(xr.cfgs); n > xn {
+			t.Fatalf("%v on %v, step %d: %d configurations; expanded: %d positions", p, seq, i, n, xn)
+		}
 	}
 	if ge, xe := r.End(), xr.End(); matchErrString(ge) != matchErrString(xe) {
 		t.Fatalf("%v on %v, end: %s; expanded: %s", p, seq, matchErrString(ge), matchErrString(xe))
 	}
+}
+
+// runConfigs counts the configurations r holds.
+func runConfigs(r *Run) int {
+	set := r.cfgs
+	if r.d != nil {
+		set = r.ds.cfgs
+	}
+	n := 0
+	r.g.configs(set, func(int, []int) bool { n++; return true })
+	return n
 }
 
 // TestCountedOracleRows pins counted models against their expansions on
@@ -192,11 +207,65 @@ func TestNestedCountersStaySmall(t *testing.T) {
 	}
 }
 
-// TestConfigurationCap: a model whose counters stay below their minimums
-// under ambiguous nesting outgrows the configuration cap, and the step
-// that does says so at once instead of stalling.
+// TestCapCoversExpansionBudget: (a{1,2}){2048} expanded to exactly 4,096
+// positions, the old expansion's budget. After 2,048 a's its outer counter
+// holds 1,025 values, 1,024 of them below the minimum, so a cap below the
+// budget rejected every valid sequence of it. One run per executor steps
+// 4,096 a's, checking where the content may end on the way, and must not
+// admit a 4,097th.
+func TestCapCoversExpansionBudget(t *testing.T) {
+	p := NewSequence(2048, 2048, el("a", 1, 2))
+	if _, n, ok := expandParticle(p, expandPositions); !ok || n != expandPositions {
+		t.Fatalf("expansion: %d positions, ok=%v; want %d", n, ok, expandPositions)
+	}
+	g, err := CompileGlushkov(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.EnableDFA(NewInterner()) {
+		t.Fatal("no DFA")
+	}
+	a := sym("a")
+	for name, r := range map[string]*Run{"nfa": g.StartNFA(), "dfa": g.Start()} {
+		for n := 1; n <= 4096; n++ {
+			if _, err := r.Step(a); err != nil {
+				t.Fatalf("%s: a %d: %v", name, n, err)
+			}
+			if n == 2047 || n == 2048 {
+				if got := accepting(r); got != (n == 2048) {
+					t.Errorf("%s: may end after %d a's: %v", name, n, got)
+				}
+			}
+		}
+		if r.Admits(a) {
+			t.Errorf("%s: admits a 4,097th a", name)
+		}
+		if err := r.End(); err != nil {
+			t.Errorf("%s: end after 4,096 a's: %v", name, err)
+		}
+	}
+}
+
+// accepting reports whether r may end its content now.
+func accepting(r *Run) bool {
+	if r.d != nil {
+		return r.ds.accept
+	}
+	return r.g.acceptSet(r.cfgs)
+}
+
+// TestConfigurationCap: an all group of 16 optional a's holds a
+// configuration per subset of members matched so far, so the fourth a
+// outgrows the configuration cap, and the step that does says so at once
+// instead of stalling. (Counters below their minimums grow a set by about
+// one configuration per child: (a{100,200}){100,200} reaches the cap only
+// at its 8,196th a.)
 func TestConfigurationCap(t *testing.T) {
-	g, err := CompileGlushkov(NewSequence(100, 200, el("a", 100, 200)))
+	var members []*Particle
+	for i := 0; i < 16; i++ {
+		members = append(members, el("a", 0, 1))
+	}
+	g, err := CompileGlushkov(NewAll(1, 1, members...))
 	if err != nil {
 		t.Fatal(err)
 	}

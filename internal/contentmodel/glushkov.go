@@ -66,8 +66,11 @@ type edge struct {
 
 // maxConfigs caps the configurations a run holds after a step. Dominance
 // keeps counters that met their minimum from multiplying, so only nested
-// counters still below their minimums can reach it.
-const maxConfigs = 1024
+// counters still below their minimums can reach it. Distinct
+// configurations are distinct positions of the count expansion, so 4,096,
+// the position budget that expansion had, lets every model it could
+// match run here as before.
+const maxConfigs = 4096
 
 type builder struct {
 	g     *Glushkov
