@@ -39,8 +39,9 @@ func (b *Binder) Schema() *xsd.Schema { return b.schema }
 // typedAttrs parses the element's attributes into the declared value
 // spaces (wildcard-admitted ones stay strings) and materializes absent
 // defaulted or fixed attributes, so decoded values are self-contained.
-func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []validator.Attr) []Attr {
-	var out []Attr
+// The list comes from s.
+func typedAttrs(s *slab, ct *xsd.ComplexType, raw []validator.Attr) []Attr {
+	out := s.attrSpace(len(raw) + len(ct.AttributeUses))
 	for _, a := range raw {
 		use := ct.FindAttributeUse(a.Name)
 		if use == nil || use.Prohibited {
@@ -77,5 +78,5 @@ func (b *Binder) typedAttrs(ct *xsd.ComplexType, raw []validator.Attr) []Attr {
 			out = append(out, Attr{Name: use.Decl.Name, Value: val})
 		}
 	}
-	return out
+	return s.keepAttrs(out)
 }

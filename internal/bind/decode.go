@@ -75,12 +75,14 @@ func (b *Binder) DecodeStreamBytes(src []byte) (*Value, *validator.Result, error
 	return d.finish(b.sv.ValidateBytesEvents(src, d))
 }
 
-// decoder implements validator.StreamEvents.
+// decoder implements validator.StreamEvents. Its Values and Attr lists
+// come from the document's slab.
 type decoder struct {
 	b     *Binder
 	stack []*Value
 	root  *Value
 	err   error
+	slab  slab
 }
 
 func (d *decoder) finish(res *validator.Result) (*Value, *validator.Result, error) {
@@ -98,12 +100,13 @@ func (d *decoder) finish(res *validator.Result) (*Value, *validator.Result, erro
 
 // OpenElement implements validator.StreamEvents.
 func (d *decoder) OpenElement(e validator.ElementStart) {
-	v := &Value{Name: e.Name, typ: e.Type, Wild: e.Wildcard}
+	v := d.slab.value()
+	v.Name, v.typ, v.Wild = e.Name, e.Type, e.Wildcard
 	if e.XSIType {
 		v.TypeName = e.Type.TypeName()
 	}
 	if ct, ok := e.Type.(*xsd.ComplexType); ok {
-		v.Attrs = d.b.typedAttrs(ct, e.Attrs)
+		v.Attrs = typedAttrs(&d.slab, ct, e.Attrs)
 	}
 	switch t := e.Type.(type) {
 	case *xsd.SimpleType:
@@ -154,7 +157,9 @@ func (d *decoder) MixedText(data string) {
 // is kept as its serialized XML.
 func (d *decoder) RawElement(el *dom.Element) {
 	name := xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}
-	d.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: rawFragment(el)})
+	v := d.slab.value()
+	v.Name, v.Kind, v.Wild, v.Raw = name, KindRaw, true, rawFragment(el)
+	d.attach(v)
 }
 
 // rawFragment serializes el so that it stands alone: the namespace

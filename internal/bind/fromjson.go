@@ -44,7 +44,18 @@ func (b *Binder) FromJSON(data []byte) (*Value, error) {
 	if decl == nil {
 		return nil, fmt.Errorf("bind: no global element declaration named %q", name)
 	}
-	return b.valueFromJSON(decl, node, false)
+	d := &jsonDecoder{b: b}
+	return d.valueFromJSON(decl, node, false)
+}
+
+// jsonDecoder is one FromJSON call: its Values and Attr lists come from
+// the document's slab. pending holds the children of the structs being
+// built, innermost last, so each struct's list is allocated once, at its
+// final length.
+type jsonDecoder struct {
+	b       *Binder
+	slab    slab
+	pending []*Value
 }
 
 // globalByLocal finds a global element declaration by local name,
@@ -94,13 +105,14 @@ func (b *Binder) typeByLocal(local string) xsd.Type {
 	return t
 }
 
-func (b *Binder) valueFromJSON(decl *xsd.ElementDecl, node any, wild bool) (*Value, error) {
-	v := &Value{Name: decl.Name, Wild: wild}
+func (d *jsonDecoder) valueFromJSON(decl *xsd.ElementDecl, node any, wild bool) (*Value, error) {
+	v := d.slab.value()
+	v.Name, v.Wild = decl.Name, wild
 	typ := decl.Type
 	obj, isObj := node.(map[string]any)
 	if isObj {
 		if tn, ok := obj["$type"].(string); ok && tn != "" {
-			t := b.typeByLocal(tn)
+			t := d.b.typeByLocal(tn)
 			if t == nil {
 				return nil, fmt.Errorf("bind: $type %q names no type in the schema", tn)
 			}
@@ -117,7 +129,7 @@ func (b *Binder) valueFromJSON(decl *xsd.ElementDecl, node any, wild bool) (*Val
 	v.typ = typ
 	ct, isComplex := typ.(*xsd.ComplexType)
 	if isComplex && isObj {
-		attrs, err := b.attrsFromJSON(decl, ct, obj)
+		attrs, err := d.attrsFromJSON(decl, ct, obj)
 		if err != nil {
 			return nil, err
 		}
@@ -164,19 +176,20 @@ func (b *Binder) valueFromJSON(decl *xsd.ElementDecl, node any, wild bool) (*Val
 		return v, nil
 	case xsd.ContentMixed:
 		v.Kind = KindMixed
-		return v, b.mixedFromJSON(v, ct, obj)
+		return v, d.mixedFromJSON(v, ct, obj)
 	default:
 		v.Kind = KindStruct
-		return v, b.structFromJSON(v, ct, obj)
+		return v, d.structFromJSON(v, ct, obj)
 	}
 }
 
-func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
-	tp := b.plan.For(ct)
+func (d *jsonDecoder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
+	tp := d.b.plan.For(ct)
 	if tp == nil {
 		return fmt.Errorf("bind: no binding plan for type %s", ct.Name)
 	}
 	var one [1]any
+	mark := len(d.pending)
 	consumed := 0 // keys of obj read below: fields' and "$any"
 	for _, f := range tp.Fields {
 		jv, ok := obj[f.Key]
@@ -185,27 +198,30 @@ func (b *Binder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]an
 		}
 		consumed++
 		for _, item := range asItems(jv, &one) {
-			cv, err := b.childFromJSON(tp, f, item)
+			cv, err := d.childFromJSON(tp, f, item)
 			if err != nil {
 				return err
 			}
-			v.Children = append(v.Children, cv)
+			d.pending = append(d.pending, cv)
 		}
 	}
 	if anyv, ok := obj["$any"]; ok {
 		consumed++
 		for _, item := range asItems(anyv, &one) {
-			cv, err := b.anyFromJSON(item)
+			cv, err := d.anyFromJSON(item)
 			if err != nil {
 				return err
 			}
-			v.Children = append(v.Children, cv)
+			d.pending = append(d.pending, cv)
 		}
 	}
 	if key := unknownKey(obj, consumed, tp); key != "" {
 		return fmt.Errorf("bind: unknown field %q for type %s", key, ct.Name)
 	}
-	v.Children = b.orderChildren(ct, v.Children)
+	if kids := d.pending[mark:]; len(kids) > 0 {
+		v.Children = d.b.orderChildren(ct, slices.Clone(kids))
+	}
+	d.pending = d.pending[:mark]
 	return nil
 }
 
@@ -317,7 +333,7 @@ func admissible(g *contentmodel.Glushkov, children []*Value) bool {
 
 // childFromJSON builds one field occurrence, resolving a "$element"
 // discriminator to a substitution-group member when present.
-func (b *Binder) childFromJSON(tp *TypePlan, f *FieldPlan, item any) (*Value, error) {
+func (d *jsonDecoder) childFromJSON(tp *TypePlan, f *FieldPlan, item any) (*Value, error) {
 	decl := f.Decl
 	if m, ok := item.(map[string]any); ok {
 		if en, ok := m["$element"].(string); ok && en != "" && en != f.Decl.Name.Local {
@@ -325,7 +341,7 @@ func (b *Binder) childFromJSON(tp *TypePlan, f *FieldPlan, item any) (*Value, er
 			if member == nil {
 				return nil, fmt.Errorf("bind: $element %q is not admissible for field %q", en, f.Key)
 			}
-			if _, err := b.schema.ResolveChild(f.Decl, member.Name); err != nil {
+			if _, err := d.b.schema.ResolveChild(f.Decl, member.Name); err != nil {
 				return nil, fmt.Errorf("bind: $element %q: %w", en, err)
 			}
 			decl = member
@@ -334,12 +350,12 @@ func (b *Binder) childFromJSON(tp *TypePlan, f *FieldPlan, item any) (*Value, er
 	if decl.Abstract {
 		return nil, fmt.Errorf("bind: element %s is abstract; name a concrete substitute with $element", decl.Name)
 	}
-	return b.valueFromJSON(decl, item, false)
+	return d.valueFromJSON(decl, item, false)
 }
 
 // anyFromJSON builds one "$any" entry: a string is a raw XML fragment, an
 // object names a global element with "$element".
-func (b *Binder) anyFromJSON(item any) (*Value, error) {
+func (d *jsonDecoder) anyFromJSON(item any) (*Value, error) {
 	switch x := item.(type) {
 	case string:
 		return rawValue(x)
@@ -351,18 +367,18 @@ func (b *Binder) anyFromJSON(item any) (*Value, error) {
 		if en == "" {
 			return nil, fmt.Errorf("bind: $any entries must be raw XML strings or objects with $element")
 		}
-		decl := b.globalByLocal(en)
+		decl := d.b.globalByLocal(en)
 		if decl == nil {
 			return nil, fmt.Errorf("bind: $any element %q has no global declaration", en)
 		}
-		return b.valueFromJSON(decl, item, true)
+		return d.valueFromJSON(decl, item, true)
 	default:
 		return nil, fmt.Errorf("bind: $any entries must be raw XML strings or objects with $element")
 	}
 }
 
-func (b *Binder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
-	tp := b.plan.For(ct)
+func (d *jsonDecoder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
+	tp := d.b.plan.For(ct)
 	if tp == nil {
 		return fmt.Errorf("bind: no binding plan for type %s", ct.Name)
 	}
@@ -383,8 +399,8 @@ func (b *Binder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any
 			}
 			f, decl := tp.fieldByLocal(en)
 			if decl == nil {
-				if gdecl := b.globalByLocal(en); gdecl != nil && tp.HasWildcard {
-					cv, err := b.valueFromJSON(gdecl, x, true)
+				if gdecl := d.b.globalByLocal(en); gdecl != nil && tp.HasWildcard {
+					cv, err := d.valueFromJSON(gdecl, x, true)
 					if err != nil {
 						return err
 					}
@@ -394,7 +410,7 @@ func (b *Binder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any
 				return nil
 			}
 			_ = f
-			cv, err := b.valueFromJSON(decl, x, false)
+			cv, err := d.valueFromJSON(decl, x, false)
 			if err != nil {
 				return err
 			}
@@ -408,7 +424,7 @@ func (b *Binder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any
 
 // attrsFromJSON parses "@..." keys into typed attributes in declaration
 // order (wildcard-admitted extras sorted by key for determinism).
-func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj map[string]any) ([]Attr, error) {
+func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj map[string]any) ([]Attr, error) {
 	// given[i] is the JSON value for ct.AttributeUses[i]; the array keeps
 	// the common case off the heap.
 	var small [8]givenAttr
@@ -443,7 +459,8 @@ func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj m
 		}
 		given[i] = givenAttr{jv, true}
 	}
-	var out []Attr
+	sort.Strings(extras)
+	out := d.slab.attrSpace(len(ct.AttributeUses) + len(extras))
 	for i, use := range ct.AttributeUses {
 		jv, ok := given[i].v, given[i].ok
 		if !ok {
@@ -467,7 +484,6 @@ func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj m
 		}
 		out = append(out, Attr{Name: use.Decl.Name, Value: val})
 	}
-	sort.Strings(extras)
 	for _, key := range extras {
 		lex, err := jsonLexical(obj[key])
 		if err != nil {
@@ -475,7 +491,7 @@ func (b *Binder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj m
 		}
 		out = append(out, Attr{Name: parseAttrKey(key[1:]), Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: lex}})
 	}
-	return out, nil
+	return d.slab.keepAttrs(out), nil
 }
 
 // givenAttr is the JSON value given for one attribute use, if any.

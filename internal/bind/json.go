@@ -237,23 +237,17 @@ func (b *Binder) writeStructFields(w *bytes.Buffer, v *Value, field func(string)
 // canonical lexical string.
 func writeScalar(w *bytes.Buffer, val xsdtypes.Value) {
 	switch val.Kind {
-	case xsdtypes.VBool:
-		if val.Bool {
-			w.WriteString("true")
-		} else {
-			w.WriteString("false")
-		}
-	case xsdtypes.VDecimal:
-		w.WriteString(val.Dec.String())
+	case xsdtypes.VBool, xsdtypes.VDecimal:
+		w.WriteString(val.String())
 	case xsdtypes.VFloat:
-		if math.IsInf(val.F, 0) || math.IsNaN(val.F) {
+		if f := val.Float(); math.IsInf(f, 0) || math.IsNaN(f) {
 			writeJSONString(w, val.String())
 			return
 		}
 		w.WriteString(val.String())
 	case xsdtypes.VList:
 		w.WriteByte('[')
-		for i, it := range val.Items {
+		for i, it := range val.List() {
 			if i > 0 {
 				w.WriteByte(',')
 			}

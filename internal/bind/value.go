@@ -1,12 +1,14 @@
 package bind
 
 import (
+	"slices"
+
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
 
 // Kind classifies a decoded value.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -80,4 +82,52 @@ func appendText(segs []Segment, data string) []Segment {
 		return segs
 	}
 	return append(segs, Segment{Text: data})
+}
+
+// slab hands out one document's Values and Attr lists from chunks that
+// double in length up to slabMax, so a decoded tree costs a few
+// allocations rather than one per element and per attribute list. The
+// cap bounds the unused tail of the last chunk. The chunks are ordinary
+// garbage-collected slices: a Value the caller keeps, even a sub-Value,
+// keeps its whole chunk alive (DESIGN.md, "Value representation").
+type slab struct {
+	vals  []Value
+	attrs []Attr
+}
+
+// The first and the longest chunk's length.
+const slabMin, slabMax = 8, 16
+
+// chunkLen is the length of the chunk after one of length n.
+func chunkLen(n int) int { return min(max(2*n, slabMin), slabMax) }
+
+// value returns a zeroed Value from the current chunk.
+func (s *slab) value() *Value {
+	if len(s.vals) == cap(s.vals) {
+		// Grow rounds the capacity up to the allocation's size class.
+		s.vals = slices.Grow([]Value(nil), chunkLen(cap(s.vals)))
+	}
+	s.vals = s.vals[:len(s.vals)+1]
+	return &s.vals[len(s.vals)-1]
+}
+
+// attrSpace returns an empty list with room for n attributes in the
+// current chunk. Append at most n, then pass the list to keepAttrs.
+func (s *slab) attrSpace(n int) []Attr {
+	if cap(s.attrs)-len(s.attrs) < n {
+		s.attrs = slices.Grow([]Attr(nil), max(chunkLen(cap(s.attrs)), n))
+	}
+	i := len(s.attrs)
+	return s.attrs[i : i : i+n]
+}
+
+// keepAttrs claims the attributes appended to attrSpace's list and
+// returns them with the capacity cut to the length, so an append by the
+// caller copies instead of writing over the next list; nil when empty.
+func (s *slab) keepAttrs(list []Attr) []Attr {
+	if len(list) == 0 {
+		return nil
+	}
+	s.attrs = s.attrs[:len(s.attrs)+len(list)]
+	return list[:len(list):len(list)]
 }

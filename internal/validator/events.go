@@ -56,11 +56,12 @@ type ElementStart struct {
 }
 
 // StreamEvents receives structural callbacks during a validation pass.
-// Implementations must not retain ElementStart.Attrs or the *dom.Element
-// beyond the call: the attribute slice is scratch space, and a raw element
-// from the decoder or an encoder lives in a pooled fragment that is
-// released when the callback returns (from a parsed tree it is the tree's
-// own node).
+// Implementations must not retain ElementStart.Attrs, CloseElement's val
+// or the *dom.Element beyond the call: the attribute slice and the value
+// are the machine's scratch space (copy *val to keep it), and a raw
+// element from the decoder or an encoder lives in a pooled fragment that
+// is released when the callback returns (from a parsed tree it is the
+// tree's own node).
 type StreamEvents interface {
 	// OpenElement fires when a validated element opens.
 	OpenElement(e ElementStart)
@@ -68,7 +69,8 @@ type StreamEvents interface {
 	// CloseElement fires when the matching element closes. val is the
 	// parsed simple value for simple-typed and simple-content elements
 	// (nil when the element has no simple value or its text failed to
-	// parse — the document is invalid in that case).
+	// parse — the document is invalid in that case). *val is valid only
+	// during the call.
 	CloseElement(val *xsdtypes.Value)
 
 	// MixedText fires for character data directly inside a mixed-content

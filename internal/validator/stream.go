@@ -285,10 +285,6 @@ type frame struct {
 	refMark int          // pending-IDREF mark
 	nsMark  int          // namespace-binding stack mark
 
-	// evVal carries the parsed simple value from closeFrame to the
-	// CloseElement callback.
-	evVal *xsdtypes.Value
-
 	// buf is the fragment an fmBuffer frame's subtree is buffered into.
 	buf *fragment
 
@@ -393,9 +389,13 @@ type streamRun struct {
 	rootDone  bool
 
 	// events, when non-nil, receives the structural callbacks; evAttrs is
-	// the scratch slice OpenElement's attributes are built in.
+	// the scratch slice OpenElement's attributes are built in, and evVal
+	// the scratch the closing element's parsed simple value is kept in for
+	// CloseElement (evSet: it holds that element's value).
 	events  StreamEvents
 	evAttrs []Attr
+	evVal   xsdtypes.Value
+	evSet   bool
 
 	ns       xmlparser.Bindings // in-scope namespace declarations
 	attrSeen []xsd.QName        // scratch for attributes()
@@ -953,13 +953,18 @@ func (sr *streamRun) endElement() {
 	f := sr.frames[n-1]
 	sr.frames = sr.frames[:n-1]
 	sr.ns.Pop(f.nsMark)
+	sr.evSet = false
 	viols := sr.closeFrame(f)
 	if f.node != nil {
 		viols = checkIdentityConstraints(f, viols)
 	}
 	sr.deliver(viols)
 	if f.announced {
-		sr.events.CloseElement(f.evVal)
+		var val *xsdtypes.Value
+		if sr.evSet {
+			val = &sr.evVal
+		}
+		sr.events.CloseElement(val)
 	}
 	sr.recycle(f)
 }
@@ -1019,7 +1024,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			if err != nil {
 				viols = append(viols, f.violation(err.Error()))
 			} else {
-				f.observe(&val)
+				sr.observe(f, val)
 				if want, ok := f.decl.FixedValue(f.st); ok && !val.Equal(want) {
 					viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
 				}
@@ -1039,7 +1044,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			if err != nil {
 				viols = append(viols, f.violation(err.Error()))
 			} else {
-				f.observe(&val)
+				sr.observe(f, val)
 			}
 			if kind := sr.v.idKind(f.st); kind != "" {
 				sr.trackIDs(kind, text, f.at(""), &viols)
@@ -1064,13 +1069,12 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 	}
 }
 
-// observe keeps a copy of the element's parsed simple value for its
-// CloseElement callback. Only the copy escapes, so a run without an
-// observer allocates nothing here.
-func (f *frame) observe(val *xsdtypes.Value) {
+// observe keeps the element's parsed simple value in the run's scratch
+// for its CloseElement callback, which follows before the next element
+// closes.
+func (sr *streamRun) observe(f *frame, val xsdtypes.Value) {
 	if f.announced {
-		v := *val
-		f.evVal = &v
+		sr.evVal, sr.evSet = val, true
 	}
 }
 

@@ -180,7 +180,7 @@ func (s *SimpleType) parseNormalized(norm string) (xsdtypes.Value, error) {
 				items = append(items, iv)
 			}
 		}
-		return xsdtypes.Value{Kind: xsdtypes.VList, Items: items}, nil
+		return xsdtypes.ListValue(items), nil
 	case VarietyUnion:
 		var firstErr error
 		for _, m := range s.MemberTypes {

@@ -156,7 +156,7 @@ func (b *Builtin) parsePrimitive(s string) (Value, error) {
 				items = append(items, iv)
 			}
 		}
-		return Value{Kind: VList, Items: items}, nil
+		return ListValue(items), nil
 	}
 	switch b.Kind {
 	case VString, VAnyURI, VNotation:
@@ -171,31 +171,35 @@ func (b *Builtin) parsePrimitive(s string) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VBool, Bool: v}, nil
+		return BoolValue(v), nil
 	case VDecimal:
-		d, err := ParseDecimal(s)
+		neg, digits, split, err := scanDecimal(s)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VDecimal, Dec: d}, nil
+		v := Value{Kind: VDecimal, Str: digits, w0: uint64(split)}
+		if neg {
+			v.bits = decimalNeg
+		}
+		return v, nil
 	case VFloat:
 		f, err := parseFloat(s, b.FloatBits)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VFloat, F: f}, nil
+		return FloatValue(f), nil
 	case VDuration:
 		d, err := ParseDuration(s)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VDuration, Dur: d}, nil
+		return DurationValue(d), nil
 	case VDateTime:
-		dt, err := ParseDateTime(b.Temporal, s)
-		if err != nil {
+		var dt DateTime
+		if err := parseDateTime(&dt, b.Temporal, s); err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VDateTime, DT: dt}, nil
+		return dateTimeValue(&dt), nil
 	case VHexBinary:
 		if len(s)%2 != 0 {
 			return Value{}, fmt.Errorf("hexBinary %q has odd length", s)
@@ -204,13 +208,13 @@ func (b *Builtin) parsePrimitive(s string) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VHexBinary, Bytes: bytes}, nil
+		return BinaryValue(VHexBinary, bytes), nil
 	case VBase64Binary:
 		bytes, err := base64Decode(s)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: VBase64Binary, Bytes: bytes}, nil
+		return BinaryValue(VBase64Binary, bytes), nil
 	}
 	return Value{}, fmt.Errorf("internal: unhandled kind for %s", b.Name)
 }
@@ -220,7 +224,8 @@ func (b *Builtin) parsePrimitive(s string) (Value, error) {
 func intPtr(v int) *int { return &v }
 
 func decVal(s string) *Value {
-	return &Value{Kind: VDecimal, Dec: MustDecimal(s)}
+	v := DecimalValue(MustDecimal(s))
+	return &v
 }
 
 // checkIntegerLexical enforces the integer lexical space (no '.', at least

@@ -57,7 +57,7 @@ func TestBooleans(t *testing.T) {
 	for _, s := range []string{"TRUE", "yes", "", "2"} {
 		reject(t, "boolean", s)
 	}
-	if v := accept(t, "boolean", "1"); !v.Bool {
+	if v := accept(t, "boolean", "1"); !v.Boolean() {
 		t.Error("boolean 1 should be true")
 	}
 }
@@ -72,8 +72,8 @@ func TestDecimals(t *testing.T) {
 	reject(t, "decimal", ".")
 	reject(t, "decimal", "1e5")
 	reject(t, "decimal", "1,5")
-	if v := accept(t, "decimal", "-00.50"); v.Dec.String() != "-0.5" {
-		t.Errorf("canonical: %s", v.Dec)
+	if v := accept(t, "decimal", "-00.50"); v.Decimal().String() != "-0.5" {
+		t.Errorf("canonical: %s", v.Decimal())
 	}
 }
 
@@ -176,8 +176,8 @@ func TestNamesAndTokens(t *testing.T) {
 
 func TestListTypes(t *testing.T) {
 	v := accept(t, "NMTOKENS", " one two\tthree ")
-	if len(v.Items) != 3 || v.Items[1].Str != "two" {
-		t.Errorf("NMTOKENS items: %+v", v.Items)
+	if len(v.List()) != 3 || v.List()[1].Str != "two" {
+		t.Errorf("NMTOKENS items: %+v", v.List())
 	}
 	reject(t, "NMTOKENS", "") // minLength 1
 	reject(t, "NMTOKENS", "ok bad token?")
@@ -273,14 +273,14 @@ func TestDurations(t *testing.T) {
 
 func TestBinaries(t *testing.T) {
 	v := accept(t, "hexBinary", "0fB7")
-	if len(v.Bytes) != 2 || v.Bytes[0] != 0x0f || v.Bytes[1] != 0xb7 {
-		t.Errorf("hexBinary bytes: %v", v.Bytes)
+	if len(v.Binary()) != 2 || v.Binary()[0] != 0x0f || v.Binary()[1] != 0xb7 {
+		t.Errorf("hexBinary bytes: %v", v.Binary())
 	}
 	reject(t, "hexBinary", "0fB")
 	reject(t, "hexBinary", "0g")
 	v = accept(t, "base64Binary", "aGVsbG8=")
-	if string(v.Bytes) != "hello" {
-		t.Errorf("base64: %q", v.Bytes)
+	if string(v.Binary()) != "hello" {
+		t.Errorf("base64: %q", v.Binary())
 	}
 	reject(t, "base64Binary", "a===")
 }
@@ -355,15 +355,15 @@ func TestLengthFacets(t *testing.T) {
 func TestTotalAndFractionDigits(t *testing.T) {
 	f := Facets{TotalDigits: intPtr(5), FractionDigits: intPtr(2)}
 	ok, _ := ParseDecimal("123.45")
-	if err := f.Check(Value{Kind: VDecimal, Dec: ok}, "123.45"); err != nil {
+	if err := f.Check(DecimalValue(ok), "123.45"); err != nil {
 		t.Errorf("123.45: %v", err)
 	}
 	bad1, _ := ParseDecimal("1234.56")
-	if f.Check(Value{Kind: VDecimal, Dec: bad1}, "1234.56") == nil {
+	if f.Check(DecimalValue(bad1), "1234.56") == nil {
 		t.Error("totalDigits not enforced")
 	}
 	bad2, _ := ParseDecimal("1.234")
-	if f.Check(Value{Kind: VDecimal, Dec: bad2}, "1.234") == nil {
+	if f.Check(DecimalValue(bad2), "1.234") == nil {
 		t.Error("fractionDigits not enforced")
 	}
 }
@@ -442,12 +442,12 @@ func TestAnyURI(t *testing.T) {
 }
 
 func TestCompareErrors(t *testing.T) {
-	a := Value{Kind: VBool, Bool: true}
-	b := Value{Kind: VBool, Bool: false}
+	a := BoolValue(true)
+	b := BoolValue(false)
 	if _, err := Compare(a, b); err == nil {
 		t.Error("booleans must be unordered")
 	}
-	c := Value{Kind: VDecimal, Dec: MustDecimal("1")}
+	c := DecimalValue(MustDecimal("1"))
 	if _, err := Compare(a, c); err == nil {
 		t.Error("cross-kind comparison must error")
 	}

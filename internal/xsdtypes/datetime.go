@@ -1,7 +1,9 @@
 package xsdtypes
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -182,14 +184,22 @@ func checkDate(year, month, day int) error {
 
 // ParseDateTime parses the lexical space of the given temporal kind.
 func ParseDateTime(kind TemporalKind, s string) (DateTime, error) {
-	dt := DateTime{Kind: kind, Month: 1, Day: 1}
+	var dt DateTime
+	err := parseDateTime(&dt, kind, s)
+	return dt, err
+}
+
+// parseDateTime is ParseDateTime into *dt, which the value path packs
+// without copying the struct around.
+func parseDateTime(dt *DateTime, kind TemporalKind, s string) error {
+	*dt = DateTime{Kind: kind, Month: 1, Day: 1}
 	body, hasTZ, tzMin, err := parseTZ(s)
 	if err != nil {
-		return dt, err
+		return err
 	}
 	dt.HasTZ, dt.TZMin = hasTZ, tzMin
-	fail := func() (DateTime, error) {
-		return dt, fmt.Errorf("bad %s value %q", temporalName(kind), s)
+	fail := func() error {
+		return fmt.Errorf("bad %s value %q", temporalName(kind), s)
 	}
 	switch kind {
 	case KindDateTime:
@@ -198,19 +208,19 @@ func ParseDateTime(kind TemporalKind, s string) (DateTime, error) {
 			return fail()
 		}
 		datePart, timePart := body[:ti], body[ti+1:]
-		if err := parseDateInto(&dt, datePart); err != nil {
-			return dt, err
+		if err := parseDateInto(dt, datePart); err != nil {
+			return err
 		}
 		if dt.Hour, dt.Min, dt.Sec, dt.Nanos, err = parseTimePart(timePart); err != nil {
-			return dt, err
+			return err
 		}
 	case KindDate:
-		if err := parseDateInto(&dt, body); err != nil {
-			return dt, err
+		if err := parseDateInto(dt, body); err != nil {
+			return err
 		}
 	case KindTime:
 		if dt.Hour, dt.Min, dt.Sec, dt.Nanos, err = parseTimePart(body); err != nil {
-			return dt, err
+			return err
 		}
 		dt.Year = 1972 // arbitrary fixed reference for ordering
 	case KindGYearMonth:
@@ -219,38 +229,38 @@ func ParseDateTime(kind TemporalKind, s string) (DateTime, error) {
 			return fail()
 		}
 		if dt.Year, err = parseYear(body[:i]); err != nil {
-			return dt, err
+			return err
 		}
 		if dt.Month, err = fixed2(body[i+1:], "month"); err != nil {
-			return dt, err
+			return err
 		}
 		if dt.Month < 1 || dt.Month > 12 {
 			return fail()
 		}
 	case KindGYear:
 		if dt.Year, err = parseYear(body); err != nil {
-			return dt, err
+			return err
 		}
 	case KindGMonthDay:
 		if !strings.HasPrefix(body, "--") || len(body) != 7 || body[4] != '-' {
 			return fail()
 		}
 		if dt.Month, err = fixed2(body[2:4], "month"); err != nil {
-			return dt, err
+			return err
 		}
 		if dt.Day, err = fixed2(body[5:7], "day"); err != nil {
-			return dt, err
+			return err
 		}
 		dt.Year = 1972 // leap reference year so --02-29 is valid
 		if err := checkDate(dt.Year, dt.Month, dt.Day); err != nil {
-			return dt, err
+			return err
 		}
 	case KindGDay:
 		if !strings.HasPrefix(body, "---") || len(body) != 5 {
 			return fail()
 		}
 		if dt.Day, err = fixed2(body[3:5], "day"); err != nil {
-			return dt, err
+			return err
 		}
 		if dt.Day < 1 || dt.Day > 31 {
 			return fail()
@@ -261,14 +271,14 @@ func ParseDateTime(kind TemporalKind, s string) (DateTime, error) {
 			return fail()
 		}
 		if dt.Month, err = fixed2(body[2:4], "month"); err != nil {
-			return dt, err
+			return err
 		}
 		if dt.Month < 1 || dt.Month > 12 {
 			return fail()
 		}
 		dt.Year = 1972
 	}
-	return dt, nil
+	return nil
 }
 
 // parseDateInto parses YYYY-MM-DD.
@@ -336,11 +346,13 @@ func daysFromCivil(y, m, d int) int64 {
 }
 
 // timelineSeconds maps the value onto a single timeline in seconds
-// (plus nanoseconds), normalizing timezone offsets. Values without a
+// (plus nanoseconds), normalizing timezone offsets, with its year shifted
+// by -shift, a multiple of 400 years (one Gregorian cycle, so the shift
+// moves every value by the same whole number of days). Values without a
 // timezone are treated as UTC — a documented simplification of the spec's
 // partial order (the spec leaves a ±14h window indeterminate).
-func (dt DateTime) timelineSeconds() (int64, int) {
-	days := daysFromCivil(dt.Year, dt.Month, dt.Day)
+func (dt DateTime) timelineSeconds(shift int) (int64, int) {
+	days := daysFromCivil(dt.Year-shift, dt.Month, dt.Day)
 	secs := days*86400 + int64(dt.Hour)*3600 + int64(dt.Min)*60 + int64(dt.Sec)
 	if dt.HasTZ {
 		secs -= int64(dt.TZMin) * 60
@@ -350,20 +362,70 @@ func (dt DateTime) timelineSeconds() (int64, int) {
 
 // Cmp orders two temporal values of the same kind.
 func (dt DateTime) Cmp(other DateTime) int {
-	a, an := dt.timelineSeconds()
-	b, bn := other.timelineSeconds()
-	switch {
-	case a < b:
+	// A timezone moves a value across at most one year boundary, so years
+	// further apart decide alone; that also keeps years too large for the
+	// timeline's seconds out of it.
+	if dt.Year < other.Year && uint64(other.Year)-uint64(dt.Year) > 1 {
 		return -1
-	case a > b:
-		return 1
-	case an < bn:
-		return -1
-	case an > bn:
-		return 1
-	default:
-		return 0
 	}
+	if dt.Year > other.Year && uint64(dt.Year)-uint64(other.Year) > 1 {
+		return 1
+	}
+	shift := dt.Year / 400 * 400
+	a, an := dt.timelineSeconds(shift)
+	b, bn := other.timelineSeconds(shift)
+	if a != b {
+		return cmp.Compare(a, b)
+	}
+	return cmp.Compare(an, bn)
+}
+
+// Packing a DateTime into a Value: the year fills w0; the other fields
+// share w1, and the temporal kind and timezone the kind word's bits.
+const (
+	dtMonthShift = 0  // 4 bits
+	dtDayShift   = 4  // 5 bits
+	dtHourShift  = 9  // 5 bits
+	dtMinShift   = 14 // 6 bits
+	dtSecShift   = 20 // 6 bits
+	dtNanosShift = 26 // 30 bits
+
+	dtKindMask = 7      // bits 0-2: the TemporalKind
+	dtHasTZ    = 1 << 3 // bit 3: a timezone is present
+	dtTZShift  = 4      // bits 4-14: TZMin + 840
+	dtTZBias   = 14 * 60
+)
+
+// dateTimeValue packs dt into a VDateTime value.
+func dateTimeValue(dt *DateTime) Value {
+	w1 := uint64(dt.Month)<<dtMonthShift | uint64(dt.Day)<<dtDayShift |
+		uint64(dt.Hour)<<dtHourShift | uint64(dt.Min)<<dtMinShift |
+		uint64(dt.Sec)<<dtSecShift | uint64(dt.Nanos)<<dtNanosShift
+	bits := uint32(dt.Kind)
+	if dt.HasTZ {
+		bits |= dtHasTZ | uint32(dt.TZMin+dtTZBias)<<dtTZShift
+	}
+	return Value{Kind: VDateTime, bits: bits, w0: uint64(dt.Year), w1: w1}
+}
+
+// DateTime returns a VDateTime value.
+func (v Value) DateTime() DateTime {
+	field := func(shift, width uint) int { return int(v.w1 >> shift & (1<<width - 1)) }
+	dt := DateTime{
+		Kind:  TemporalKind(v.bits & dtKindMask),
+		Year:  int(v.w0),
+		Month: field(dtMonthShift, 4),
+		Day:   field(dtDayShift, 5),
+		Hour:  field(dtHourShift, 5),
+		Min:   field(dtMinShift, 6),
+		Sec:   field(dtSecShift, 6),
+		Nanos: field(dtNanosShift, 30),
+	}
+	if v.bits&dtHasTZ != 0 {
+		dt.HasTZ = true
+		dt.TZMin = int(v.bits>>dtTZShift) - dtTZBias
+	}
+	return dt
 }
 
 // String returns a canonical-ish lexical representation.
@@ -477,8 +539,23 @@ func ParseDuration(s string) (Duration, error) {
 		v, err := strconv.ParseInt(digits, 10, 64)
 		return digits, v, str[i:], false, err
 	}
+	// Each designator appears at most once, in the order of dateOrder and
+	// timeOrder; amounts that overflow the int64 fields are rejected.
+	const dateOrder, timeOrder = "YMD", "HMS"
+	var rangeErr error
+	add := func(acc *int64, v, scale int64) {
+		if rangeErr == nil && v > (math.MaxInt64-*acc)/scale {
+			rangeErr = fmt.Errorf("duration %q is out of range", orig)
+		}
+		*acc += v * scale
+	}
+	order := func(designators string, next *int, c byte) bool {
+		k := strings.IndexByte(designators[*next:], c)
+		*next += k + 1
+		return k >= 0
+	}
 	seen := false
-	// Date components: Y, M, D.
+	next := 0
 	for datePart != "" {
 		digits, v, rest, sawDot, err := readNum(datePart)
 		if err != nil {
@@ -490,19 +567,21 @@ func ParseDuration(s string) (Duration, error) {
 		if sawDot {
 			return d, fmt.Errorf("duration %q: fractions only allowed on seconds", orig)
 		}
+		if !order(dateOrder, &next, rest[0]) {
+			return d, fmt.Errorf("duration %q: bad designator %q", orig, rest[0])
+		}
 		switch rest[0] {
 		case 'Y':
-			d.Months += v * 12
+			add(&d.Months, v, 12)
 		case 'M':
-			d.Months += v
+			add(&d.Months, v, 1)
 		case 'D':
-			d.Secs += v * 86400
-		default:
-			return d, fmt.Errorf("duration %q: bad designator %q", orig, rest[0])
+			add(&d.Secs, v, 86400)
 		}
 		seen = true
 		datePart = rest[1:]
 	}
+	next = 0
 	for timePart != "" {
 		digits, v, rest, sawDot, err := readNum(timePart)
 		if err != nil {
@@ -511,17 +590,17 @@ func ParseDuration(s string) (Duration, error) {
 		if rest == "" {
 			return d, fmt.Errorf("duration %q: number %q without designator", orig, digits)
 		}
+		if !order(timeOrder, &next, rest[0]) {
+			return d, fmt.Errorf("duration %q: bad designator %q", orig, rest[0])
+		}
+		if sawDot && rest[0] != 'S' {
+			return d, fmt.Errorf("duration %q: fractions only allowed on seconds", orig)
+		}
 		switch rest[0] {
 		case 'H':
-			if sawDot {
-				return d, fmt.Errorf("duration %q: fractions only allowed on seconds", orig)
-			}
-			d.Secs += v * 3600
+			add(&d.Secs, v, 3600)
 		case 'M':
-			if sawDot {
-				return d, fmt.Errorf("duration %q: fractions only allowed on seconds", orig)
-			}
-			d.Secs += v * 60
+			add(&d.Secs, v, 60)
 		case 'S':
 			if sawDot {
 				dot := strings.IndexByte(digits, '.')
@@ -535,28 +614,44 @@ func ParseDuration(s string) (Duration, error) {
 				if err != nil {
 					return d, err
 				}
-				d.Secs += w
+				add(&d.Secs, w, 1)
 				if len(frac) > 9 {
 					frac = frac[:9]
 				}
 				for len(frac) < 9 {
 					frac += "0"
 				}
-				n, _ := strconv.ParseInt(frac, 10, 64)
-				d.Nanos += n
+				d.Nanos, _ = strconv.ParseInt(frac, 10, 64)
 			} else {
-				d.Secs += v
+				add(&d.Secs, v, 1)
 			}
-		default:
-			return d, fmt.Errorf("duration %q: bad designator %q", orig, rest[0])
 		}
 		seen = true
 		timePart = rest[1:]
+	}
+	if rangeErr != nil {
+		return d, rangeErr
 	}
 	if !seen {
 		return d, fmt.Errorf("duration %q has no components", orig)
 	}
 	return d, nil
+}
+
+// signed returns the duration's months, seconds and nanoseconds with its
+// sign applied to each.
+func (d Duration) signed() (months, secs, nanos int64) {
+	if d.Neg {
+		return -d.Months, -d.Secs, -d.Nanos
+	}
+	return d.Months, d.Secs, d.Nanos
+}
+
+// equal reports exact equality: the same months, seconds and nanoseconds.
+func (d Duration) equal(other Duration) bool {
+	am, as, an := d.signed()
+	bm, bs, bn := other.signed()
+	return am == bm && as == bs && an == bn
 }
 
 // approxSeconds maps the duration onto seconds using the spec's reference
@@ -571,16 +666,18 @@ func (d Duration) approxSeconds() float64 {
 	return v
 }
 
-// Cmp orders two durations using the approximate total ordering.
+// Cmp orders two durations: exactly when their months agree, by the
+// approximate total ordering when they do not.
 func (d Duration) Cmp(other Duration) int {
-	a, b := d.approxSeconds(), other.approxSeconds()
+	am, as, an := d.signed()
+	bm, bs, bn := other.signed()
 	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case am != bm:
+		return cmp.Compare(d.approxSeconds(), other.approxSeconds())
+	case as != bs:
+		return cmp.Compare(as, bs)
 	default:
-		return 0
+		return cmp.Compare(an, bn)
 	}
 }
 

@@ -17,42 +17,66 @@ type Decimal struct {
 // ParseDecimal parses the xs:decimal lexical space: optional sign, digits,
 // optional fraction. At least one digit must be present.
 func ParseDecimal(s string) (Decimal, error) {
+	neg, digits, split, err := scanDecimal(s)
+	if err != nil {
+		return Decimal{}, err
+	}
+	d := Decimal{Neg: neg, Int: digits[:split]}
+	if split < len(digits) {
+		d.Frac = digits[split+1:]
+	}
+	return d, nil
+}
+
+// scanDecimal parses the xs:decimal lexical space and returns the sign
+// (false for zero), the significant digits "Int[.Frac]" as a substring of
+// s (leading integer and trailing fraction zeros cut, the point cut with
+// an empty fraction), and len(Int).
+func scanDecimal(s string) (neg bool, digits string, split int, err error) {
 	orig := s
-	var d Decimal
 	if s == "" {
-		return d, fmt.Errorf("empty decimal")
+		return false, "", 0, fmt.Errorf("empty decimal")
 	}
 	switch s[0] {
 	case '+':
 		s = s[1:]
 	case '-':
-		d.Neg = true
+		neg = true
 		s = s[1:]
 	}
-	intPart := s
-	fracPart := ""
+	intEnd, fracStart := len(s), len(s)
 	if i := strings.IndexByte(s, '.'); i >= 0 {
-		intPart, fracPart = s[:i], s[i+1:]
+		intEnd, fracStart = i, i+1
 	}
-	if intPart == "" && fracPart == "" {
-		return Decimal{}, fmt.Errorf("decimal %q has no digits", orig)
+	if intEnd == 0 && fracStart == len(s) {
+		return false, "", 0, fmt.Errorf("decimal %q has no digits", orig)
 	}
-	for _, r := range intPart {
+	for _, r := range s[:intEnd] {
 		if r < '0' || r > '9' {
-			return Decimal{}, fmt.Errorf("bad digit %q in decimal %q", r, orig)
+			return false, "", 0, fmt.Errorf("bad digit %q in decimal %q", r, orig)
 		}
 	}
-	for _, r := range fracPart {
+	for _, r := range s[fracStart:] {
 		if r < '0' || r > '9' {
-			return Decimal{}, fmt.Errorf("bad digit %q in decimal %q", r, orig)
+			return false, "", 0, fmt.Errorf("bad digit %q in decimal %q", r, orig)
 		}
 	}
-	d.Int = strings.TrimLeft(intPart, "0")
-	d.Frac = strings.TrimRight(fracPart, "0")
-	if d.Int == "" && d.Frac == "" {
-		d.Neg = false // normalize -0 to 0
+	start := 0
+	for start < intEnd && s[start] == '0' {
+		start++
 	}
-	return d, nil
+	end := len(s)
+	for end > fracStart && s[end-1] == '0' {
+		end--
+	}
+	if end == fracStart {
+		end = intEnd // no fraction digits: drop the point
+	}
+	digits = s[start:end]
+	if digits == "" {
+		neg = false // normalize -0 to 0
+	}
+	return neg, digits, intEnd - start, nil
 }
 
 // MustDecimal parses a decimal literal known to be valid.

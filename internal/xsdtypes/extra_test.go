@@ -45,7 +45,7 @@ func TestFloat32Precision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsInf(v.F, 1) {
+	if math.IsInf(v.Float(), 1) {
 		t.Error("max float32 should parse finite")
 	}
 	if _, err := f.Parse("3.5e38"); err == nil {
@@ -83,21 +83,21 @@ func TestDurationComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Dur.Months != 30 {
-		t.Errorf("months: %d", v.Dur.Months)
+	if v.Duration().Months != 30 {
+		t.Errorf("months: %d", v.Duration().Months)
 	}
 	wantSecs := int64(5*86400 + 12*3600 + 35*60 + 30)
-	if v.Dur.Secs != wantSecs || v.Dur.Nanos != 500_000_000 {
-		t.Errorf("secs: %d.%d", v.Dur.Secs, v.Dur.Nanos)
+	if v.Duration().Secs != wantSecs || v.Duration().Nanos != 500_000_000 {
+		t.Errorf("secs: %d.%d", v.Duration().Secs, v.Duration().Nanos)
 	}
 	// Canonical form round-trips.
-	v2, err := b.Parse(v.Dur.String())
+	v2, err := b.Parse(v.Duration().String())
 	if err != nil || !v.Equal(v2) {
-		t.Errorf("duration canonical %q: %v", v.Dur.String(), err)
+		t.Errorf("duration canonical %q: %v", v.Duration().String(), err)
 	}
 	zero, _ := b.Parse("PT0S")
-	if zero.Dur.String() != "PT0S" {
-		t.Errorf("zero duration canonical: %q", zero.Dur.String())
+	if zero.Duration().String() != "PT0S" {
+		t.Errorf("zero duration canonical: %q", zero.Duration().String())
 	}
 }
 
@@ -108,8 +108,8 @@ func TestNegativeDuration(t *testing.T) {
 	if c, _ := Compare(neg, pos); c != -1 {
 		t.Error("-P1D < P1D")
 	}
-	if neg.Dur.String() != "-P1D" {
-		t.Errorf("canonical: %q", neg.Dur.String())
+	if neg.Duration().String() != "-P1D" {
+		t.Errorf("canonical: %q", neg.Duration().String())
 	}
 }
 
@@ -154,7 +154,7 @@ func TestStringCompare(t *testing.T) {
 
 func TestValueEqualityAcrossKinds(t *testing.T) {
 	s := Value{Kind: VString, Str: "1"}
-	d := Value{Kind: VDecimal, Dec: MustDecimal("1")}
+	d := DecimalValue(MustDecimal("1"))
 	if s.Equal(d) {
 		t.Error("cross-kind values must not be equal")
 	}

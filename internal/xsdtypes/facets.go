@@ -48,9 +48,9 @@ func valueLength(v Value) (int, bool) {
 	case VString, VAnyURI:
 		return utf8.RuneCountInString(v.Str), true
 	case VHexBinary, VBase64Binary:
-		return len(v.Bytes), true
+		return len(v.Binary()), true
 	case VList:
-		return len(v.Items), true
+		return len(v.List()), true
 	}
 	return 0, false
 }
@@ -69,12 +69,13 @@ func (f *Facets) Check(v Value, lexical string) error {
 			return fmt.Errorf("length is %d, must be at most %d", n, *f.MaxLength)
 		}
 	}
-	if v.Kind == VDecimal {
-		if f.TotalDigits != nil && v.Dec.TotalDigits() > *f.TotalDigits {
-			return fmt.Errorf("value %s has more than %d total digits", v.Dec, *f.TotalDigits)
+	if v.Kind == VDecimal && (f.TotalDigits != nil || f.FractionDigits != nil) {
+		d := v.Decimal()
+		if f.TotalDigits != nil && d.TotalDigits() > *f.TotalDigits {
+			return fmt.Errorf("value %s has more than %d total digits", d, *f.TotalDigits)
 		}
-		if f.FractionDigits != nil && v.Dec.FractionDigits() > *f.FractionDigits {
-			return fmt.Errorf("value %s has more than %d fraction digits", v.Dec, *f.FractionDigits)
+		if f.FractionDigits != nil && d.FractionDigits() > *f.FractionDigits {
+			return fmt.Errorf("value %s has more than %d fraction digits", d, *f.FractionDigits)
 		}
 	}
 	if len(f.Patterns) > 0 {

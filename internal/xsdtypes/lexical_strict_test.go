@@ -87,8 +87,8 @@ func TestHexBinaryLexical(t *testing.T) {
 			continue
 		}
 		v := accept(t, "hexBinary", c.lexical)
-		if !bytes.Equal(v.Bytes, c.want) {
-			t.Errorf("hexBinary %q = %x, want %x", c.lexical, v.Bytes, c.want)
+		if !bytes.Equal(v.Binary(), c.want) {
+			t.Errorf("hexBinary %q = %x, want %x", c.lexical, v.Binary(), c.want)
 		}
 	}
 }
@@ -116,8 +116,8 @@ func TestBase64BinaryLexical(t *testing.T) {
 			continue
 		}
 		v := accept(t, "base64Binary", c.lexical)
-		if !bytes.Equal(v.Bytes, c.want) {
-			t.Errorf("base64Binary %q = %q, want %q", c.lexical, v.Bytes, c.want)
+		if !bytes.Equal(v.Binary(), c.want) {
+			t.Errorf("base64Binary %q = %q, want %q", c.lexical, v.Binary(), c.want)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func TestQuickTimelineMonotonic(t *testing.T) {
 func TestQuickHexBinaryRoundTrip(t *testing.T) {
 	b := MustLookup("hexBinary")
 	f := func(data []byte) bool {
-		v := Value{Kind: VHexBinary, Bytes: data}
+		v := BinaryValue(VHexBinary, data)
 		parsed, err := b.Parse(v.String())
 		return err == nil && parsed.Equal(v)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // ValueKind identifies the primitive value space a Value belongs to.
-type ValueKind int
+type ValueKind uint32
 
 // Value kinds.
 const (
@@ -31,17 +31,122 @@ const (
 	VList
 )
 
-// Value is a parsed simple-type value.
+// Value is a parsed simple-type value. It is 48 bytes and seven integer
+// fields, so Go's register ABI passes it, and returns it beside an error,
+// without touching memory (DESIGN.md, "Value representation"). Kind and
+// Str are read directly; every other payload through its accessor.
+//
+// Per kind:
+//   - VString, VAnyURI, VQName (lexical prefix:local), VNotation: Str.
+//   - VBool: w0 is 0 or 1.
+//   - VDecimal: Str is the significant digits "Int[.Frac]", a substring
+//     of the lexical form; w0 is len(Int); bits holds the sign.
+//   - VFloat: w0 holds the float64 bits.
+//   - VDateTime: w0 is the year, w1 the month to nanosecond fields, bits
+//     the temporal kind and the timezone.
+//   - VDuration, VHexBinary, VBase64Binary, VList: ext.
 type Value struct {
-	Kind  ValueKind
-	Str   string // VString, VAnyURI, VQName (lexical prefix:local), VNotation
-	Bool  bool
-	Dec   Decimal
-	F     float64
-	DT    DateTime
-	Dur   Duration
-	Bytes []byte
-	Items []Value
+	Kind ValueKind
+	bits uint32 // sub-kind and flags, sharing Kind's word
+	Str  string
+	w0   uint64
+	w1   uint64
+	ext  *valueExt // the rare kinds, which allocate anyway
+}
+
+// valueExt carries the payloads that do not fit in a Value's words.
+type valueExt struct {
+	dur   Duration
+	bytes []byte
+	items []Value
+}
+
+// decimalNeg is the sign flag of a VDecimal value's bits.
+const decimalNeg = 1
+
+// BoolValue returns an xs:boolean value.
+func BoolValue(b bool) Value {
+	v := Value{Kind: VBool}
+	if b {
+		v.w0 = 1
+	}
+	return v
+}
+
+// FloatValue returns an xs:float or xs:double value.
+func FloatValue(f float64) Value {
+	return Value{Kind: VFloat, w0: math.Float64bits(f)}
+}
+
+// DecimalValue returns an xs:decimal value. A d with a fraction is
+// copied into one string; parsing builds decimals without copying.
+func DecimalValue(d Decimal) Value {
+	v := Value{Kind: VDecimal, Str: d.Int, w0: uint64(len(d.Int))}
+	if d.Frac != "" {
+		v.Str = d.Int + "." + d.Frac
+	}
+	if d.Neg && !d.IsZero() {
+		v.bits = decimalNeg
+	}
+	return v
+}
+
+// DurationValue returns an xs:duration value.
+func DurationValue(d Duration) Value {
+	return Value{Kind: VDuration, ext: &valueExt{dur: d}}
+}
+
+// BinaryValue returns a VHexBinary or VBase64Binary value over b, which
+// the value keeps.
+func BinaryValue(kind ValueKind, b []byte) Value {
+	return Value{Kind: kind, ext: &valueExt{bytes: b}}
+}
+
+// ListValue returns a list value over items, which the value keeps.
+func ListValue(items []Value) Value {
+	return Value{Kind: VList, ext: &valueExt{items: items}}
+}
+
+// Boolean returns a VBool value's truth value.
+func (v Value) Boolean() bool { return v.w0 != 0 }
+
+// Float returns a VFloat value.
+func (v Value) Float() float64 { return math.Float64frombits(v.w0) }
+
+// Decimal returns a VDecimal value as a view of its digits: nothing is
+// copied.
+func (v Value) Decimal() Decimal {
+	split := int(v.w0)
+	d := Decimal{Neg: v.bits&decimalNeg != 0, Int: v.Str[:split]}
+	if split < len(v.Str) {
+		d.Frac = v.Str[split+1:]
+	}
+	return d
+}
+
+// Duration returns a VDuration value.
+func (v Value) Duration() Duration {
+	if v.ext == nil {
+		return Duration{}
+	}
+	return v.ext.dur
+}
+
+// Binary returns a VHexBinary or VBase64Binary value's octets. The slice
+// is the value's own.
+func (v Value) Binary() []byte {
+	if v.ext == nil {
+		return nil
+	}
+	return v.ext.bytes
+}
+
+// List returns a VList value's items. The slice is the value's own.
+func (v Value) List() []Value {
+	if v.ext == nil {
+		return nil
+	}
+	return v.ext.items
 }
 
 // String renders the value's canonical lexical form.
@@ -50,33 +155,38 @@ func (v Value) String() string {
 	case VString, VAnyURI, VQName, VNotation:
 		return v.Str
 	case VBool:
-		if v.Bool {
+		if v.Boolean() {
 			return "true"
 		}
 		return "false"
 	case VDecimal:
-		return v.Dec.String()
+		if v.bits&decimalNeg == 0 && v.w0 > 0 {
+			return v.Str // the digits are the canonical form
+		}
+		return v.Decimal().String()
 	case VFloat:
+		f := v.Float()
 		switch {
-		case math.IsInf(v.F, 1):
+		case math.IsInf(f, 1):
 			return "INF"
-		case math.IsInf(v.F, -1):
+		case math.IsInf(f, -1):
 			return "-INF"
-		case math.IsNaN(v.F):
+		case math.IsNaN(f):
 			return "NaN"
 		}
-		return strconv.FormatFloat(v.F, 'G', -1, 64)
+		return strconv.FormatFloat(f, 'G', -1, 64)
 	case VDuration:
-		return v.Dur.String()
+		return v.Duration().String()
 	case VDateTime:
-		return v.DT.String()
+		return v.DateTime().String()
 	case VHexBinary:
-		return strings.ToUpper(hex.EncodeToString(v.Bytes))
+		return strings.ToUpper(hex.EncodeToString(v.Binary()))
 	case VBase64Binary:
-		return base64.StdEncoding.EncodeToString(v.Bytes)
+		return base64.StdEncoding.EncodeToString(v.Binary())
 	case VList:
-		parts := make([]string, len(v.Items))
-		for i, it := range v.Items {
+		items := v.List()
+		parts := make([]string, len(items))
+		for i, it := range items {
 			parts[i] = it.String()
 		}
 		return strings.Join(parts, " ")
@@ -93,23 +203,25 @@ func (v Value) Equal(w Value) bool {
 	case VString, VAnyURI, VQName, VNotation:
 		return v.Str == w.Str
 	case VBool:
-		return v.Bool == w.Bool
+		return v.Boolean() == w.Boolean()
 	case VDecimal:
-		return v.Dec.Cmp(w.Dec) == 0
+		return v.Decimal().Cmp(w.Decimal()) == 0
 	case VFloat:
-		return v.F == w.F || (math.IsNaN(v.F) && math.IsNaN(w.F))
+		f, g := v.Float(), w.Float()
+		return f == g || (math.IsNaN(f) && math.IsNaN(g))
 	case VDuration:
-		return v.Dur.Cmp(w.Dur) == 0
+		return v.Duration().equal(w.Duration())
 	case VDateTime:
-		return v.DT.Cmp(w.DT) == 0
+		return v.DateTime().Cmp(w.DateTime()) == 0
 	case VHexBinary, VBase64Binary:
-		return string(v.Bytes) == string(w.Bytes)
+		return string(v.Binary()) == string(w.Binary())
 	case VList:
-		if len(v.Items) != len(w.Items) {
+		a, b := v.List(), w.List()
+		if len(a) != len(b) {
 			return false
 		}
-		for i := range v.Items {
-			if !v.Items[i].Equal(w.Items[i]) {
+		for i := range a {
+			if !a[i].Equal(b[i]) {
 				return false
 			}
 		}
@@ -127,23 +239,24 @@ func Compare(v, w Value) (int, error) {
 	}
 	switch v.Kind {
 	case VDecimal:
-		return v.Dec.Cmp(w.Dec), nil
+		return v.Decimal().Cmp(w.Decimal()), nil
 	case VFloat:
-		if math.IsNaN(v.F) || math.IsNaN(w.F) {
+		f, g := v.Float(), w.Float()
+		if math.IsNaN(f) || math.IsNaN(g) {
 			return 0, fmt.Errorf("NaN is unordered")
 		}
 		switch {
-		case v.F < w.F:
+		case f < g:
 			return -1, nil
-		case v.F > w.F:
+		case f > g:
 			return 1, nil
 		default:
 			return 0, nil
 		}
 	case VDateTime:
-		return v.DT.Cmp(w.DT), nil
+		return v.DateTime().Cmp(w.DateTime()), nil
 	case VDuration:
-		return v.Dur.Cmp(w.Dur), nil
+		return v.Duration().Cmp(w.Duration()), nil
 	case VString:
 		return strings.Compare(v.Str, w.Str), nil
 	default:
