@@ -286,7 +286,7 @@ func BenchmarkE3_CountedModels(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E4 — pattern facet matching: NFA simulation vs followpos DFA.
+// E4 — pattern facet matching on the content-model automaton.
 // ---------------------------------------------------------------------------
 
 // BenchmarkE4_PatternCompile measures compilation of the paper's SKU
@@ -308,25 +308,28 @@ func BenchmarkE4_PatternCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkE4_PatternMatch compares the NFA and DFA matchers on SKU
-// checking — the per-value cost the validator pays for pattern facets.
+// BenchmarkE4_PatternMatch measures the per-value cost the validator pays
+// for pattern facets: SKU checking, and a 5,000-rune value under the
+// counter of a{0,5000}, both on warm matchers.
 func BenchmarkE4_PatternMatch(b *testing.B) {
-	re := xsdregex.MustCompile(`\d{3}-[A-Z]{2}`)
-	dfa, err := re.ToDFA()
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name, pattern string
+		inputs        []string
+	}{
+		{"sku", `\d{3}-[A-Z]{2}`, []string{"926-AA", "872-AB", "926-aa", "junk", "123-ZZ"}},
+		{"a0-5000", `a{0,5000}`, []string{strings.Repeat("a", 5000)}},
+	} {
+		re := xsdregex.MustCompile(c.pattern)
+		for _, in := range c.inputs {
+			re.MatchString(in)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				re.MatchString(c.inputs[i%len(c.inputs)])
+			}
+		})
 	}
-	inputs := []string{"926-AA", "872-AB", "926-aa", "junk", "123-ZZ"}
-	b.Run("nfa", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			re.MatchNFA(inputs[i%len(inputs)])
-		}
-	})
-	b.Run("dfa", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dfa.Match(inputs[i%len(inputs)])
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package contentmodel
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,12 @@ import (
 // falls back to the NFA stepper from the current configuration set, so
 // pathological minOccurs/maxOccurs models stay safe in bounded memory.
 const DefaultDFABudget = 4096
+
+// maxDFAWords bounds the configuration words a DFA's states hold in all.
+// Each state keeps its configuration set, and under counters below their
+// minimums a set gains about one configuration per step, so states alone
+// would bound that memory only by the square of the budget.
+const maxDFAWords = 1 << 16
 
 // maxDFAWildcards bounds the number of distinct wildcard particles a
 // DFA-enabled model may contain: every subset of wildcards that admits a
@@ -42,11 +49,13 @@ type dfa struct {
 	wilds    []*Leaf // distinct wildcard leaves; bit i of a bucket mask = wilds[i] admits
 	nclasses int
 	accSets  [][]int // class -> positions accepting that class (ascending)
+	rep      []int   // position -> representative (representatives); nil: itself
 
 	start *dstate
 
 	mu      sync.Mutex
 	nstates int
+	words   int                // configuration words the states hold
 	bySet   map[string]*dstate // configuration-set key -> state
 	scratch []bool             // per-position membership scratch, guarded by mu
 
@@ -90,55 +99,95 @@ func (g *Glushkov) EnableDFA(in *Interner) bool {
 	if in == nil || g.CheckUPA() != nil {
 		return false
 	}
-	cls := g.buildClasses()
-	if len(cls.wilds) > maxDFAWildcards {
+	syms, seenSym, wilds, accSets := g.buildClasses()
+	if len(wilds) > maxDFAWildcards {
 		return false
 	}
-	for _, s := range cls.syms {
+	for _, s := range syms {
 		in.Intern(s)
 	}
 	named := make([]int32, in.Len())
 	for i := range named {
 		named[i] = -1
 	}
-	for _, s := range cls.syms {
-		named[in.Intern(s)] = cls.seenSym[s]
+	for _, s := range syms {
+		named[in.Intern(s)] = seenSym[s]
 	}
-	d := &dfa{
-		g:        g,
-		in:       in,
-		named:    named,
-		nnamed:   len(cls.syms),
-		wilds:    cls.wilds,
-		nclasses: cls.nclasses,
-		accSets:  cls.accSets,
-		bySet:    map[string]*dstate{},
-		scratch:  make([]bool, len(g.leaves)),
-	}
-	d.start = &dstate{cfgs: []int{g.start()}, accept: g.nullable, trans: make([]dtrans, cls.nclasses)}
-	d.nstates = 1
+	d := newDFA(g, accSets)
+	d.in, d.named, d.nnamed, d.wilds = in, named, len(syms), wilds
 	g.dfa = d
 	return true
 }
 
-// classes is the alphabet partition shared by the lazy DFA and the eager
-// exporter: one class per element name the model declares (first-seen leaf
-// order), plus one bucket class per subset of wildcards.
-type classes struct {
-	syms     []Symbol
-	seenSym  map[Symbol]int32
-	wilds    []*Leaf
-	nclasses int
-	accSets  [][]int // class -> positions accepting that class (ascending)
+// newDFA starts a lazy DFA over g whose alphabet classes are accepted by
+// the positions of accSets. Its start state is registered like any other,
+// so a successor equivalent to it is it.
+func newDFA(g *Glushkov, accSets [][]int) *dfa {
+	d := &dfa{
+		g:        g,
+		nclasses: len(accSets),
+		accSets:  accSets,
+		rep:      g.representatives(),
+		bySet:    map[string]*dstate{},
+		scratch:  make([]bool, len(g.leaves)),
+	}
+	d.start = &dstate{cfgs: []int{g.start()}, accept: g.nullable, trans: make([]dtrans, d.nclasses)}
+	d.bySet[d.key(d.start.cfgs)] = d.start
+	d.nstates = 1
+	return d
 }
 
-// buildClasses partitions the alphabet into the symbol classes EnableDFA
-// builds its transition structure from.
-func (g *Glushkov) buildClasses() classes {
-	var wilds []*Leaf
+// representatives maps each position to the first one with the same
+// last flag, chain and follow edges: configurations at the two have the
+// same future. It returns nil when every position is its own.
+func (g *Glushkov) representatives() []int {
+	rep := make([]int, len(g.edges))
+	first := map[string]int{}
+	merged := false
+	var sig []byte
+	var keys []uint64
+	for p, es := range g.edges {
+		keys = keys[:0]
+		for _, e := range es {
+			keys = append(keys, uint64(e.to)<<32|uint64(e.keep)<<1|uint64(b2i(e.step)))
+		}
+		slices.Sort(keys)
+		sig = binary.AppendUvarint(append(sig[:0], byte(b2i(g.last[p]))), uint64(len(g.chains[p])))
+		for _, l := range g.chains[p] {
+			sig = binary.AppendUvarint(binary.AppendUvarint(sig, uint64(l.scope)), uint64(l.member))
+		}
+		for _, k := range keys {
+			sig = binary.AppendUvarint(sig, k)
+		}
+		q, ok := first[string(sig)]
+		if !ok {
+			q = p
+			first[string(sig)] = p
+		}
+		rep[p] = q
+		merged = merged || q != p
+	}
+	if !merged {
+		return nil
+	}
+	return rep
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// buildClasses partitions the element alphabet into the classes EnableDFA
+// builds its transitions over: one per element name the model declares
+// (syms, in first-seen leaf order, numbered by seenSym), then one bucket
+// per subset of the wildcards. accSets lists each class's accepting
+// positions, ascending.
+func (g *Glushkov) buildClasses() (syms []Symbol, seenSym map[Symbol]int32, wilds []*Leaf, accSets [][]int) {
 	seenWild := map[*Leaf]bool{}
-	seenSym := map[Symbol]int32{}
-	var syms []Symbol
+	seenSym = map[Symbol]int32{}
 	for _, l := range g.leaves {
 		if l.Wildcard != nil {
 			if !seenWild[l] {
@@ -154,8 +203,7 @@ func (g *Glushkov) buildClasses() classes {
 			}
 		}
 	}
-	nclasses := len(syms) + (1 << len(wilds))
-	accSets := make([][]int, nclasses)
+	accSets = make([][]int, len(syms)+(1<<len(wilds)))
 	for p, l := range g.leaves {
 		if l.Wildcard != nil {
 			continue
@@ -187,7 +235,7 @@ func (g *Glushkov) buildClasses() classes {
 	for c := range accSets {
 		sort.Ints(accSets[c])
 	}
-	return classes{syms: syms, seenSym: seenSym, wilds: wilds, nclasses: nclasses, accSets: accSets}
+	return syms, seenSym, wilds, accSets
 }
 
 // DFAEnabled reports whether a lazy DFA is attached.
@@ -260,9 +308,10 @@ func (d *dfa) bucketClass(ns string) int32 {
 }
 
 // buildTrans fills the (st, cls) transition slot. ok=false means the DFA
-// already holds the calling run's budget of states, or the successor set
-// outgrew the configuration cap, and the successor was not memoized; the
-// caller must fall back to NFA stepping from st.
+// already holds the calling run's budget of states or maxDFAWords
+// configuration words, or the successor set outgrew the configuration
+// cap, and the successor was not memoized; the caller must fall back to
+// NFA stepping from st.
 func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf *Leaf, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -285,12 +334,13 @@ func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf 
 		tr.state.Store(dfaReject)
 		return dfaReject, nil, true
 	}
-	key := setKey(cfgs)
+	key := d.key(cfgs)
 	next, exists := d.bySet[key]
 	if !exists {
-		if d.nstates >= budget {
+		if d.nstates >= budget || d.words+len(cfgs) > maxDFAWords {
 			return nil, nil, false
 		}
+		d.words += len(cfgs)
 		next = &dstate{cfgs: cfgs, accept: d.g.acceptSet(cfgs), trans: make([]dtrans, d.nclasses)}
 		d.bySet[key] = next
 		d.nstates++
@@ -298,6 +348,22 @@ func (d *dfa) buildTrans(st *dstate, cls int32, budget int) (next *dstate, leaf 
 	tr.leaf = leaf
 	tr.state.Store(next)
 	return next, leaf, true
+}
+
+// key encodes a configuration set, already in canonical form, for state
+// lookup, with each position replaced by its representative: sets that
+// differ only in equivalent positions share a state, as followpos sets do
+// in the Aho–Sethi–Ullman construction ((a|b)*abb has 4 states, not 5).
+func (d *dfa) key(cfgs []int) string {
+	if d.rep == nil {
+		return setKey(cfgs)
+	}
+	m := slices.Clone(cfgs)
+	for i := 0; i < len(m); i += 1 + d.g.slots[m[i]] {
+		m[i] = d.rep[m[i]]
+	}
+	m, _ = d.g.canon(m)
+	return setKey(m)
 }
 
 // setKey encodes a configuration set, already in canonical form, for

@@ -24,20 +24,25 @@
 //
 // # Lazy-DFA execution
 //
-// The Glushkov matcher additionally supports deterministic execution:
-// EnableDFA attaches a lazily subset-constructed DFA whose alphabet is
-// the schema-wide Interner's dense symbol IDs (plus wildcard-admission
-// bucket classes), so stepping a child is an array walk instead of a
-// configuration-set step. States are memoized configuration sets, built
-// on demand and shared by every Run over the automaton; each Run carries
-// its own budget (Run.ResetLimit) and, when it needs a state beyond it,
-// falls back mid-sequence to the NFA stepper, reseeded from the DFA
-// state's own configuration set. A Run may also step the NFA throughout
+// The Glushkov matcher additionally supports deterministic execution: a
+// lazily subset-constructed DFA over alphabet classes, so stepping a
+// symbol is an array walk instead of a configuration-set step. For
+// element models (EnableDFA) a class is an element name, by the
+// schema-wide Interner's dense symbol IDs, or a wildcard-admission
+// bucket; for patterns (CompilePattern, whose leaves are rune ranges) it
+// is the runes the same leaves admit, by an ASCII table and a binary
+// search above it. States are memoized configuration sets, built on
+// demand and shared by every match over the automaton; past its budget
+// of states and configuration words a match falls back mid-sequence to
+// the NFA stepper, reseeded from the DFA state's own configuration set.
+// Each Run carries its own state budget (Run.ResetLimit). A Run may also
+// step the NFA throughout
 // (StartNFA). The caller enables the DFA only for models that pass the
 // UPA check (package xsd does, in ComplexType.Matcher), which is what
 // makes its verdicts, leaf assignments and MatchError messages
 // byte-identical to the NFA's (enforced by the differential tests and
-// FuzzDFAContentModel).
+// FuzzDFAContentModel). Patterns need no such gate: only their verdict
+// matters, and a run past the configuration cap is ErrConfigCap.
 //
 // # Language inclusion
 //
@@ -58,15 +63,16 @@
 // the compiled automata serve the runtime validator, the vdom runtime's
 // mixed-content checks, the P-XML preprocessor's static checks, the
 // schema-evolution classifier's inclusion checks, and the DTD baseline
-// alike.
+// alike, and package xsdregex lowers pattern facets onto it.
 //
 // # Concurrency
 //
-// Compilation (CompileGlushkov) is a pure function of its input particle;
-// callers own synchronization of the particle tree while building it.
-// Outside this package only package xsd compiles: each complex type's
-// model is compiled once there and shared. The compiled automaton is safe
-// for concurrent use: Glushkov.Match keeps per-call state on the stack,
+// Compilation (CompileGlushkov, CompilePattern) is a pure function of its
+// input particle; callers own synchronization of the particle tree while
+// building it. Outside this package package xsd compiles each complex
+// type's model once and shares it, and package xsdregex compiles
+// patterns. The compiled automaton, and a Pattern, is safe for
+// concurrent use: Glushkov.Match keeps per-call state on the stack,
 // and the lazy DFA fills its transition table under an internal mutex
 // with atomically published edges, so a single automaton may serve any
 // number of concurrent Match calls and Runs — the property the xsd

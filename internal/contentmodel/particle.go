@@ -63,15 +63,23 @@ func (w *Wildcard) Admits(ns string) bool {
 	}
 }
 
+// RuneRange is an inclusive range of runes.
+type RuneRange struct {
+	Lo, Hi rune
+}
+
 // Leaf is a terminal particle: either a set of admissible element names
-// (the declared element plus its substitution-group members) or a
-// wildcard.
+// (the declared element plus its substitution-group members), a
+// wildcard, or, in a pattern, a set of runes.
 type Leaf struct {
 	// Names are the concrete element names this leaf accepts; empty for
 	// a wildcard leaf.
 	Names []Symbol
 	// Wildcard is set for xs:any leaves.
 	Wildcard *Wildcard
+	// Runes are a pattern leaf's runes, as sorted, disjoint ranges
+	// (CompilePattern).
+	Runes []RuneRange
 	// Data carries the schema component (e.g. *xsd.ElementDecl) through
 	// to match results.
 	Data any

@@ -116,3 +116,32 @@ func TestDeepRecursion(t *testing.T) {
 		t.Errorf("deep recursion: %v", res.Err())
 	}
 }
+
+// TestPatternBoundPast4096: a simple type restricting xs:string by
+// a{5000} accepts 5,000 a's and rejects 4,096, on both walks.
+func TestPatternBoundPast4096(t *testing.T) {
+	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:simpleType name="A5000">
+    <xsd:restriction base="xsd:string"><xsd:pattern value="a{5000}"/></xsd:restriction>
+  </xsd:simpleType>
+  <xsd:element name="r" type="A5000"/>
+</xsd:schema>`
+	s, err := xsd.ParseString(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(s, nil)
+	for _, n := range []int{5000, 4096} {
+		doc := "<r>" + strings.Repeat("a", n) + "</r>"
+		res := validate(t, v, doc)
+		if res.OK() != (n == 5000) {
+			t.Errorf("%d a's: valid=%v (%v)", n, res.OK(), res.Err())
+		}
+		if n == 4096 {
+			wantViolation(t, res, "does not match pattern")
+		}
+		if sres := v.Stream().ValidateBytes([]byte(doc)); sres.OK() != res.OK() {
+			t.Errorf("%d a's: stream valid=%v, DOM %v", n, sres.OK(), res.OK())
+		}
+	}
+}

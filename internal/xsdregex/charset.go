@@ -25,9 +25,6 @@ func (s CharSet) Contains(r rune) bool {
 	return i < len(s.Ranges) && s.Ranges[i].Lo <= r
 }
 
-// IsEmpty reports whether the set is empty.
-func (s CharSet) IsEmpty() bool { return len(s.Ranges) == 0 }
-
 // normalize sorts and merges ranges.
 func normalize(ranges []RuneRange) []RuneRange {
 	if len(ranges) == 0 {

@@ -2,15 +2,18 @@
 // Part 2 (Appendix F), used by the pattern facet — e.g. the paper's SKU
 // pattern `\d{3}-[A-Z]{2}`.
 //
-// Patterns are parsed into an AST and compiled to a Thompson NFA. On
-// first use MatchString builds a deterministic automaton with the
-// Aho–Sethi–Ullman followpos construction — the algorithm the paper's §6
-// cites for its preprocessor generator — and runs it from then on. Only a
-// pattern whose DFA construction would exceed its state or work cap
-// (ErrTooComplex) is matched by NFA simulation (linear time, no state
-// blowup); the work cap bounds that first call to tens of milliseconds. MatchNFA always
-// simulates the NFA: it is the reference FuzzDFA and the E4 benchmarks
-// compare the DFA against.
+// The package is a parser, character sets, and a lowering step. A pattern
+// is parsed into an AST, and Compile lowers the AST onto the content-model
+// automaton of package contentmodel: a character class becomes a rune
+// leaf, a group a sequence or choice, and a bound {n,m} the bounds of its
+// particle, which the automaton keeps as a counter rather than n to m
+// copies. That automaton is the Aho–Sethi–Ullman position construction
+// the paper's §6 cites for its preprocessor generator, so patterns and
+// content models share one engine: a bound holds at any size, and a value
+// is matched by the automaton's lazy DFA, whose alphabet classes are the
+// runes admitted by the same leaves. A value whose run outgrows the
+// automaton's configuration cap has no verdict: Match reports
+// contentmodel.ErrConfigCap, and the facet check says so.
 //
 // XML Schema regular expressions are always anchored: the pattern must
 // match the entire lexical value. There are no anchors, backreferences or
@@ -25,8 +28,8 @@
 //
 // # Concurrency
 //
-// A compiled Regexp is safe for concurrent use: NFA simulation keeps its
-// scratch bitsets on the call stack, the DFA is a read-only table walk,
-// and the DFA is built under a sync.Once, so racing first MatchString
-// calls wait for one build and never see a partial one.
+// A compiled Regexp is safe for concurrent use: the lazy DFA fills its
+// transition table under a mutex and publishes each edge atomically, and
+// a match past its state budget keeps its configuration sets on its own
+// stack.
 package xsdregex

@@ -1,12 +1,14 @@
 package xsdregex
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
-// matchCase is a pattern/input/expected triple exercised against both the
-// NFA simulation and the DFA.
+// matchCase is a pattern/input/expected triple.
 type matchCase struct {
 	pattern string
 	input   string
@@ -122,29 +124,64 @@ var matchCases = []matchCase{
 	{`[^:]*`, "with:colon", false},
 }
 
-func TestMatchNFA(t *testing.T) {
+func TestMatchDFA(t *testing.T) {
 	for _, c := range matchCases {
 		re, err := Compile(c.pattern)
 		if err != nil {
 			t.Errorf("Compile(%q): %v", c.pattern, err)
 			continue
 		}
-		if got := re.MatchNFA(c.input); got != c.want {
-			t.Errorf("NFA %q.Match(%q) = %v, want %v", c.pattern, c.input, got, c.want)
+		if got := re.MatchString(c.input); got != c.want {
+			t.Errorf("%q.Match(%q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
 }
 
-func TestMatchDFA(t *testing.T) {
-	for _, c := range matchCases {
+// TestBoundsPast4096: bounds are counters, so they hold at any size.
+func TestBoundsPast4096(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		n       int
+		want    bool
+	}{
+		{`a{5000}`, 4096, false},
+		{`a{5000}`, 5000, true},
+		{`a{4097,}`, 4096, false},
+		{`a{0,5000}`, 4097, true},
+		{`a{0,5000}`, 5000, true},
+		{`a{0,5000}`, 5001, false},
+	} {
 		re := MustCompile(c.pattern)
-		if _, err := re.ToDFA(); err != nil {
-			t.Errorf("ToDFA(%q): %v", c.pattern, err)
-			continue
+		if got := re.MatchString(strings.Repeat("a", c.n)); got != c.want {
+			t.Errorf("%s over %d a's: %v, want %v", c.pattern, c.n, got, c.want)
 		}
-		if got := re.MatchString(c.input); got != c.want {
-			t.Errorf("DFA %q.Match(%q) = %v, want %v", c.pattern, c.input, got, c.want)
+	}
+}
+
+// TestBoundTiming: the first match of a{0,5000} over 5,000 a's grows the
+// shared DFA up to its budget; a warm match walks it and steps the rest.
+func TestBoundTiming(t *testing.T) {
+	re := MustCompile(`a{0,5000}`)
+	in := strings.Repeat("a", 5000)
+	begin := time.Now()
+	if !re.MatchString(in) {
+		t.Fatal("cold match rejected")
+	}
+	cold := time.Since(begin)
+	warm := time.Hour
+	for i := 0; i < 5; i++ {
+		begin = time.Now()
+		if !re.MatchString(in) {
+			t.Fatal("warm match rejected")
 		}
+		warm = min(warm, time.Since(begin))
+	}
+	t.Logf("cold %v, warm %v, %d DFA states", cold, warm, re.DFAStates())
+	if raceEnabled {
+		return
+	}
+	if cold > 20*time.Millisecond || warm > time.Millisecond {
+		t.Errorf("cold match took %v (want < 20ms), warm %v (want < 1ms)", cold, warm)
 	}
 }
 
@@ -188,8 +225,9 @@ func TestCharSetNormalization(t *testing.T) {
 	}
 }
 
-// TestNFADFAAgree is a property test: on random ASCII inputs, the NFA
-// simulation and the followpos DFA must agree for every pattern.
+// TestNFADFAAgree is a property test: on random inputs over a small ASCII
+// alphabet, the matcher agrees with Go's regexp for every pattern (each in
+// the syntax both dialects share, anchored as ^(?:p)$).
 func TestNFADFAAgree(t *testing.T) {
 	patterns := []string{
 		`\d{3}-[A-Z]{2}`, `(a|b)*abb`, `[a-c]{2,5}x?`, `a+b*c{1,3}`,
@@ -197,10 +235,7 @@ func TestNFADFAAgree(t *testing.T) {
 	}
 	for _, p := range patterns {
 		re := MustCompile(p)
-		dfa, err := re.ToDFA()
-		if err != nil {
-			t.Fatalf("ToDFA(%q): %v", p, err)
-		}
+		oracle := regexp.MustCompile(`^(?:` + p + `)$`)
 		f := func(bs []byte) bool {
 			// Map bytes to a small alphabet so matches are likely.
 			rs := make([]rune, len(bs))
@@ -208,23 +243,24 @@ func TestNFADFAAgree(t *testing.T) {
 				rs[i] = rune("abcx-012ABZ"[int(b)%11])
 			}
 			s := string(rs)
-			return re.MatchNFA(s) == dfa.Match(s)
+			return re.MatchString(s) == oracle.MatchString(s)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("NFA/DFA disagree for %q: %v", p, err)
+			t.Errorf("matcher and Go regexp disagree for %q: %v", p, err)
 		}
 	}
 }
 
+// TestDFAStateCount: the lazy DFA of the dragon-book example has the 4
+// states of its followpos construction once an input has taken every
+// transition.
 func TestDFAStateCount(t *testing.T) {
 	re := MustCompile(`(a|b)*abb`)
-	dfa, err := re.ToDFA()
-	if err != nil {
-		t.Fatal(err)
+	if re.MatchString("baababbabbb") {
+		t.Fatal("(a|b)*abb accepts baababbabbb")
 	}
-	// The classic dragon-book example yields 4 states.
-	if dfa.NumStates() != 4 {
-		t.Errorf("(a|b)*abb DFA states: got %d, want 4", dfa.NumStates())
+	if n := re.DFAStates(); n != 4 {
+		t.Errorf("(a|b)*abb DFA states: got %d, want 4", n)
 	}
 }
 

@@ -1,8 +1,12 @@
 package xsdtypes
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/contentmodel"
 	"repro/internal/xsdregex"
 )
 
@@ -452,3 +456,25 @@ func TestCompareErrors(t *testing.T) {
 		t.Error("cross-kind comparison must error")
 	}
 }
+
+// TestPatternConfigCap: a value whose run outgrows the automaton's
+// configuration cap fails with an error that names the cap, not a
+// mismatch. After k a's the run of (a|b)*a(a|b){5000} holds a
+// configuration per count below 5,000.
+func TestPatternConfigCap(t *testing.T) {
+	begin := time.Now()
+	f := Facets{Patterns: []*xsdregex.Regexp{xsdregex.MustCompile(`(a|b)*a(a|b){5000}`)}}
+	lex := strings.Repeat("a", 5001)
+	err := f.Check(Value{Kind: VString, Str: lex}, lex)
+	if !errors.Is(err, contentmodel.ErrConfigCap) || !strings.Contains(err.Error(), "cap of 4096 configurations") ||
+		strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("Check = %v; want the configuration cap", err)
+	}
+	if d := time.Since(begin); !raceEnabled && d > 2*time.Second {
+		t.Errorf("reaching the cap took %v", d)
+	}
+}
+
+// raceEnabled reports a build with the race detector (race_test.go), where
+// the timing bound does not hold.
+var raceEnabled bool

@@ -80,13 +80,21 @@ func (f *Facets) Check(v Value, lexical string) error {
 	}
 	if len(f.Patterns) > 0 {
 		ok := false
+		var capErr error // a pattern whose run outgrew its cap: no verdict
 		for _, p := range f.Patterns {
-			if p.MatchString(lexical) {
+			m, err := p.Match(lexical)
+			if m {
 				ok = true
 				break
 			}
+			if err != nil && capErr == nil {
+				capErr = fmt.Errorf("value %q cannot be checked against pattern %q: %w", lexical, p.String(), err)
+			}
 		}
 		if !ok {
+			if capErr != nil {
+				return capErr
+			}
 			if len(f.Patterns) == 1 {
 				return fmt.Errorf("value %q does not match pattern %q", lexical, f.Patterns[0].String())
 			}
