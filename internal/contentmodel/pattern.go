@@ -132,6 +132,12 @@ func (m *Pattern) Match(s string) (bool, error) {
 	return st.accept, nil
 }
 
+// MatchNFA is Match without the DFA: it steps configuration sets from
+// the start over the whole of s, the path Match takes past its budget.
+func (m *Pattern) MatchNFA(s string) (bool, error) {
+	return m.matchNFA(m.g.dfa.start.cfgs, s)
+}
+
 // matchNFA steps the configuration set cfgs over s.
 func (m *Pattern) matchNFA(cfgs []int, s string) (bool, error) {
 	g := m.g

@@ -124,6 +124,26 @@ var matchCases = []matchCase{
 	{`[^:]*`, "with:colon", false},
 }
 
+// TestMatchNFA runs the table on the configuration-set stepping a match
+// falls back to past the DFA budget.
+func TestMatchNFA(t *testing.T) {
+	for _, c := range matchCases {
+		re, err := Compile(c.pattern)
+		if err != nil {
+			t.Errorf("Compile(%q): %v", c.pattern, err)
+			continue
+		}
+		got, err := re.m.MatchNFA(c.input)
+		if err != nil {
+			t.Errorf("NFA %q.Match(%q): %v", c.pattern, c.input, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("NFA %q.Match(%q) = %v, want %v", c.pattern, c.input, got, c.want)
+		}
+	}
+}
+
 func TestMatchDFA(t *testing.T) {
 	for _, c := range matchCases {
 		re, err := Compile(c.pattern)
