@@ -913,6 +913,50 @@ func BenchmarkE12_JSONAndMarshal(b *testing.B) {
 	})
 }
 
+// discardResponse is an http.ResponseWriter that keeps nothing, so a
+// handler benchmark counts the handler's allocations and not a recorder's.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// BenchmarkE12_DecodeHandler prices one /v1/decode request in process,
+// through the server's handler with no transport: validate, decode and
+// write the response, whose canonical JSON is the largest allocation
+// after the decoded value.
+func BenchmarkE12_DecodeHandler(b *testing.B) {
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "po.xsd"), []byte(schemas.PurchaseOrderXSD), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.New(dir, nil)
+	if _, err := reg.Reload(); err != nil {
+		b.Fatal(err)
+	}
+	h := server.New(server.Config{Registry: reg}).Handler()
+	src := largePOSource(100)
+	for _, mode := range []struct{ name, query string }{
+		{"dom", ""},
+		{"stream", "?stream=1"},
+	} {
+		b.Run(mode.name+"/items=100", func(b *testing.B) {
+			b.ReportAllocs()
+			w := &discardResponse{h: http.Header{}}
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/decode/po"+mode.query, bytes.NewReader(src))
+				h.ServeHTTP(w, req)
+				if w.code != http.StatusOK {
+					b.Fatalf("status %d", w.code)
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // E13 — registry cold-start and compatibility checking at fleet scale.
 // ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 package bind
 
 // JSON → Value: the inverse of the canonical projection, used by the
-// /v1/encode endpoint and the xsdbind CLI. A JSON object's key order is
-// meaningless, so the child sequence is reconstructed by stepping the
-// type's content-model automaton greedily over the pending children
-// (plan order breaks ties): models that interleave fields, like
-// (key, value)+, reassemble correctly from their grouped arrays. Marshal
-// validates, so a sequence the greedy walk cannot reassemble surfaces as
-// an encode error, never as silently invalid XML.
+// /v1/encode endpoint and the xsdbind CLI. The body is read once, by the
+// tape scan in jsonreader.go, which also checks it is one well-formed
+// JSON value; the walk then reads each object's members off the tape,
+// sorted by role ($-keys, @attributes, fields found through the plan's
+// key table), so no generic tree is built. Keys and scalars without
+// escapes are substrings of one string copy of the body. A JSON object's
+// key order is meaningless (a repeated key's last value wins), so the
+// child sequence is reconstructed by stepping the type's content-model
+// automaton greedily over the pending children (plan order breaks ties):
+// models that interleave fields, like (key, value)+, reassemble correctly
+// from their grouped arrays. Marshal validates, so a sequence the greedy
+// walk cannot reassemble surfaces as an encode error, never as silently
+// invalid XML.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
@@ -24,19 +29,24 @@ import (
 )
 
 // FromJSON reconstructs a typed Value from canonical JSON. The top-level
-// object must carry "$element" naming a global element declaration.
+// object must carry "$element" naming a global element declaration. The
+// body must be one JSON value, as encoding/json accepts it, with nothing
+// but whitespace after it. The Value does not alias data.
 func (b *Binder) FromJSON(data []byte) (*Value, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var node any
-	if err := dec.Decode(&node); err != nil {
-		return nil, fmt.Errorf("bind: bad JSON: %w", err)
+	if len(data) > maxTapeBody {
+		return nil, fmt.Errorf("bind: bad JSON: a %d-byte body exceeds the reader's %d-byte limit", len(data), maxTapeBody)
 	}
-	obj, ok := node.(map[string]any)
-	if !ok {
+	d := decoderPool.Get().(*jsonDecoder)
+	defer d.release()
+	if err := d.scan(string(data)); err != nil {
+		return nil, err
+	}
+	if d.kind(0) != '{' {
 		return nil, fmt.Errorf("bind: top-level JSON must be an object with $element")
 	}
-	name, _ := obj["$element"].(string)
+	d.b = b
+	o := d.open(0)
+	name, _ := d.stringOf(o.meta[metaElement])
 	if name == "" {
 		return nil, fmt.Errorf("bind: top-level JSON object is missing $element")
 	}
@@ -44,18 +54,131 @@ func (b *Binder) FromJSON(data []byte) (*Value, error) {
 	if decl == nil {
 		return nil, fmt.Errorf("bind: no global element declaration named %q", name)
 	}
-	d := &jsonDecoder{b: b}
-	return d.valueFromJSON(decl, node, false)
+	return d.valueFromJSON(decl, 0, o, false)
 }
 
-// jsonDecoder is one FromJSON call: its Values and Attr lists come from
-// the document's slab. pending holds the children of the structs being
-// built, innermost last, so each struct's list is allocated once, at its
-// final length.
+// jsonDecoder is one FromJSON call: the body's tape, and the document's
+// slab, from which its Values, Attr lists and child lists come. The rest
+// is scratch used as stacks, innermost object last: members holds the
+// open objects' members, slots the open structs' field values, and
+// pending the children of the structs being built, so each struct's list
+// is copied once, at its final length.
 type jsonDecoder struct {
+	jsonTape
 	b       *Binder
 	slab    slab
+	members []member
+	slots   []int32
 	pending []*Value
+}
+
+// member is an object member: its key and the entry of its value.
+type member struct {
+	key string
+	val int32
+}
+
+var decoderPool = sync.Pool{New: func() any { return new(jsonDecoder) }}
+
+// maxPooledEntries bounds the tape a pooled decoder keeps: a huge body's
+// scratch goes to the garbage collector instead of staying in the pool.
+const maxPooledEntries = 1 << 16
+
+// release clears what points into the document and returns d to the
+// pool.
+func (d *jsonDecoder) release() {
+	if cap(d.ents) > maxPooledEntries {
+		return
+	}
+	clear(d.members[:cap(d.members)])
+	clear(d.pending[:cap(d.pending)])
+	*d = jsonDecoder{jsonTape: jsonTape{ents: d.ents[:0], stack: d.stack[:0]},
+		members: d.members[:0], slots: d.slots[:0], pending: d.pending[:0]}
+	decoderPool.Put(d)
+}
+
+// The $-keys of canonical JSON, as indexes into jsonObject.meta.
+const (
+	metaElement = iota
+	metaType
+	metaRaw
+	metaNil
+	metaValue
+	metaMixed
+	metaAny
+	numMeta
+)
+
+func metaIndex(key string) int {
+	switch key {
+	case "$element":
+		return metaElement
+	case "$type":
+		return metaType
+	case "$raw":
+		return metaRaw
+	case "$nil":
+		return metaNil
+	case "$value":
+		return metaValue
+	case "$mixed":
+		return metaMixed
+	case "$any":
+		return metaAny
+	}
+	return -1
+}
+
+// jsonObject is one object's members sorted in one pass: meta holds the
+// entry of each $-key's value (the last, for a repeated key; 0 when
+// absent, since entry 0 is the top-level object), and d.members[lo:hi]
+// every member but "$element" and "$type", in document order. A value
+// that is not an object has no members.
+type jsonObject struct {
+	meta   [numMeta]int32
+	lo, hi int
+	isObj  bool
+}
+
+// open sorts the members of the value at entry i. The caller gives them
+// back with d.done.
+func (d *jsonDecoder) open(i int) jsonObject {
+	o := jsonObject{lo: len(d.members), isObj: d.kind(i) == '{'}
+	if o.isObj {
+		for j, end := i+1, d.end(i); j < end; {
+			key, val := d.stringAt(j), j+1
+			j = d.end(val)
+			if m := metaIndex(key); m >= 0 {
+				o.meta[m] = int32(val)
+				if m == metaElement || m == metaType {
+					continue
+				}
+			}
+			d.members = append(d.members, member{key, int32(val)})
+		}
+	}
+	o.hi = len(d.members)
+	return o
+}
+
+func (d *jsonDecoder) done(o jsonObject) { d.members = d.members[:o.lo] }
+
+// stringOf returns the string at entry i, if entry i is present and
+// holds one.
+func (d *jsonDecoder) stringOf(i int32) (string, bool) {
+	if i == 0 || d.kind(int(i)) != '"' {
+		return "", false
+	}
+	return d.stringAt(int(i)), true
+}
+
+// items returns the entries an array field holds, or the lone value: the
+// first, and the index past the last, stepping with d.end.
+func (d *jsonDecoder) items(i int) (first, end int) {
+	if d.kind(i) == '[' {
+		return i + 1, d.end(i)
+	}
+	return i, d.end(i)
 }
 
 // globalByLocal finds a global element declaration by local name,
@@ -105,157 +228,124 @@ func (b *Binder) typeByLocal(local string) xsd.Type {
 	return t
 }
 
-func (d *jsonDecoder) valueFromJSON(decl *xsd.ElementDecl, node any, wild bool) (*Value, error) {
+func (d *jsonDecoder) valueFromJSON(decl *xsd.ElementDecl, i int, o jsonObject, wild bool) (*Value, error) {
 	v := d.slab.value()
 	v.Name, v.Wild = decl.Name, wild
 	typ := decl.Type
-	obj, isObj := node.(map[string]any)
-	if isObj {
-		if tn, ok := obj["$type"].(string); ok && tn != "" {
-			t := d.b.typeByLocal(tn)
-			if t == nil {
-				return nil, fmt.Errorf("bind: $type %q names no type in the schema", tn)
-			}
-			typ = t
-			v.TypeName = t.TypeName()
+	if tn, ok := d.stringOf(o.meta[metaType]); ok && tn != "" {
+		t := d.b.typeByLocal(tn)
+		if t == nil {
+			return nil, fmt.Errorf("bind: $type %q names no type in the schema", tn)
 		}
-		if raw, ok := obj["$raw"].(string); ok {
-			v.Kind = KindRaw
-			v.Wild = true
-			v.Raw = raw
-			return v, nil
-		}
+		typ = t
+		v.TypeName = t.TypeName()
+	}
+	if raw, ok := d.stringOf(o.meta[metaRaw]); ok {
+		v.Kind = KindRaw
+		v.Wild = true
+		v.Raw = raw
+		return v, nil
 	}
 	v.typ = typ
 	ct, isComplex := typ.(*xsd.ComplexType)
-	if isComplex && isObj {
-		attrs, err := d.attrsFromJSON(decl, ct, obj)
+	if isComplex && o.isObj {
+		attrs, err := d.attrsFromJSON(decl, ct, o)
 		if err != nil {
 			return nil, err
 		}
 		v.Attrs = attrs
 	}
-	if node == nil || (isObj && obj["$nil"] == true) {
+	if d.kind(i) == 'n' || (o.meta[metaNil] != 0 && d.kind(int(o.meta[metaNil])) == 't') {
 		if !decl.Nillable {
 			return nil, fmt.Errorf("bind: element %s is not nillable", decl.Name)
 		}
 		v.Kind = KindNil
-		if v.typ == nil {
-			v.typ = typ
-		}
 		return v, nil
 	}
 	if st, ok := typ.(*xsd.SimpleType); ok {
-		scalar := node
-		if isObj {
-			scalar = obj["$value"]
-		}
-		val, err := scalarValue(st, scalar)
-		if err != nil {
-			return nil, fmt.Errorf("bind: element %s: %w", decl.Name, err)
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
+		return v, d.simpleFromJSON(v, decl, st, i, o)
 	}
 	switch ct.Kind {
 	case xsd.ContentSimple:
-		scalar := node
-		if isObj {
-			scalar = obj["$value"]
-		}
-		val, err := scalarValue(ct.SimpleContentType, scalar)
-		if err != nil {
-			return nil, fmt.Errorf("bind: element %s: %w", decl.Name, err)
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
+		return v, d.simpleFromJSON(v, decl, ct.SimpleContentType, i, o)
 	case xsd.ContentEmpty:
 		v.Kind = KindEmpty
 		return v, nil
 	case xsd.ContentMixed:
 		v.Kind = KindMixed
-		return v, d.mixedFromJSON(v, ct, obj)
+		return v, d.mixedFromJSON(v, ct, o)
 	default:
 		v.Kind = KindStruct
-		return v, d.structFromJSON(v, ct, obj)
+		return v, d.structFromJSON(v, ct, o)
 	}
 }
 
-func (d *jsonDecoder) structFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
+// simpleFromJSON parses the scalar at entry i, or an object's "$value",
+// into v.
+func (d *jsonDecoder) simpleFromJSON(v *Value, decl *xsd.ElementDecl, st *xsd.SimpleType, i int, o jsonObject) error {
+	if o.isObj {
+		i = int(o.meta[metaValue])
+	}
+	val, err := d.scalarValue(st, i)
+	if err != nil {
+		return fmt.Errorf("bind: element %s: %w", decl.Name, err)
+	}
+	v.Kind = KindSimple
+	v.Simple = val
+	return nil
+}
+
+func (d *jsonDecoder) structFromJSON(v *Value, ct *xsd.ComplexType, o jsonObject) error {
 	tp := d.b.plan.For(ct)
 	if tp == nil {
 		return fmt.Errorf("bind: no binding plan for type %s", ct.Name)
 	}
-	var one [1]any
+	// d.slots[base+k] is the entry of field k's value; an unknown key is
+	// reported once the fields have been read.
+	base := len(d.slots)
+	d.slots = slices.Grow(d.slots, len(tp.Fields))[:base+len(tp.Fields)]
+	clear(d.slots[base:])
+	unknown, hasUnknown := "", false
+	for k := o.lo; k < o.hi; k++ {
+		m := d.members[k]
+		if f, ok := tp.byKey[m.key]; ok {
+			d.slots[base+f] = m.val
+		} else if !hasUnknown && m.key != "$any" && !strings.HasPrefix(m.key, "@") {
+			unknown, hasUnknown = m.key, true
+		}
+	}
 	mark := len(d.pending)
-	consumed := 0 // keys of obj read below: fields' and "$any"
-	for _, f := range tp.Fields {
-		jv, ok := obj[f.Key]
-		if !ok {
+	for k, f := range tp.Fields {
+		jv := d.slots[base+k]
+		if jv == 0 {
 			continue
 		}
-		consumed++
-		for _, item := range asItems(jv, &one) {
-			cv, err := d.childFromJSON(tp, f, item)
+		for j, end := d.items(int(jv)); j < end; j = d.end(j) {
+			cv, err := d.childFromJSON(tp, f, j)
 			if err != nil {
 				return err
 			}
 			d.pending = append(d.pending, cv)
 		}
 	}
-	if anyv, ok := obj["$any"]; ok {
-		consumed++
-		for _, item := range asItems(anyv, &one) {
-			cv, err := d.anyFromJSON(item)
+	d.slots = d.slots[:base]
+	if jv := o.meta[metaAny]; jv != 0 {
+		for j, end := d.items(int(jv)); j < end; j = d.end(j) {
+			cv, err := d.anyFromJSON(j)
 			if err != nil {
 				return err
 			}
 			d.pending = append(d.pending, cv)
 		}
 	}
-	if key := unknownKey(obj, consumed, tp); key != "" {
-		return fmt.Errorf("bind: unknown field %q for type %s", key, ct.Name)
+	if hasUnknown {
+		return fmt.Errorf("bind: unknown field %q for type %s", unknown, ct.Name)
 	}
 	if kids := d.pending[mark:]; len(kids) > 0 {
-		v.Children = d.b.orderChildren(ct, slices.Clone(kids))
+		v.Children = d.b.orderChildren(ct, d.slab.children(kids))
 	}
 	d.pending = d.pending[:mark]
 	return nil
-}
-
-// unknownKey returns a key of obj that is neither a field's nor "$any",
-// "$element", "$type" or an attribute's, or "". consumed counts the field
-// and "$any" keys the caller read, so an object with no unknown key is
-// checked in one pass without a set of the known keys.
-func unknownKey(obj map[string]any, consumed int, tp *TypePlan) string {
-	meta := func(key string) bool { return key == "$element" || key == "$type" || strings.HasPrefix(key, "@") }
-	other := 0
-	for key := range obj {
-		if !meta(key) {
-			other++
-		}
-	}
-	if other == consumed {
-		return ""
-	}
-	for key := range obj {
-		if !meta(key) && key != "$any" && !slices.ContainsFunc(tp.Fields, func(f *FieldPlan) bool { return f.Key == key }) {
-			return key
-		}
-	}
-	return ""
-}
-
-// asItems returns a JSON array's elements, or jv alone as a view of one,
-// so a single value needs no slice of its own.
-func asItems(jv any, one *[1]any) []any {
-	if items, ok := jv.([]any); ok {
-		return items
-	}
-	one[0] = jv
-	return one[:]
 }
 
 // orderChildren arranges reconstructed children into a sequence the
@@ -333,37 +423,40 @@ func admissible(g *contentmodel.Glushkov, children []*Value) bool {
 
 // childFromJSON builds one field occurrence, resolving a "$element"
 // discriminator to a substitution-group member when present.
-func (d *jsonDecoder) childFromJSON(tp *TypePlan, f *FieldPlan, item any) (*Value, error) {
+func (d *jsonDecoder) childFromJSON(tp *TypePlan, f *FieldPlan, i int) (*Value, error) {
 	decl := f.Decl
-	if m, ok := item.(map[string]any); ok {
-		if en, ok := m["$element"].(string); ok && en != "" && en != f.Decl.Name.Local {
-			_, member := tp.fieldByLocal(en)
-			if member == nil {
-				return nil, fmt.Errorf("bind: $element %q is not admissible for field %q", en, f.Key)
-			}
-			if _, err := d.b.schema.ResolveChild(f.Decl, member.Name); err != nil {
-				return nil, fmt.Errorf("bind: $element %q: %w", en, err)
-			}
-			decl = member
+	o := d.open(i)
+	if en, ok := d.stringOf(o.meta[metaElement]); ok && en != "" && en != f.Decl.Name.Local {
+		_, member := tp.fieldByLocal(en)
+		if member == nil {
+			return nil, fmt.Errorf("bind: $element %q is not admissible for field %q", en, f.Key)
 		}
+		if _, err := d.b.schema.ResolveChild(f.Decl, member.Name); err != nil {
+			return nil, fmt.Errorf("bind: $element %q: %w", en, err)
+		}
+		decl = member
 	}
 	if decl.Abstract {
 		return nil, fmt.Errorf("bind: element %s is abstract; name a concrete substitute with $element", decl.Name)
 	}
-	return d.valueFromJSON(decl, item, false)
+	v, err := d.valueFromJSON(decl, i, o, false)
+	d.done(o)
+	return v, err
 }
 
 // anyFromJSON builds one "$any" entry: a string is a raw XML fragment, an
 // object names a global element with "$element".
-func (d *jsonDecoder) anyFromJSON(item any) (*Value, error) {
-	switch x := item.(type) {
-	case string:
-		return rawValue(x)
-	case map[string]any:
-		if raw, ok := x["$raw"].(string); ok {
+func (d *jsonDecoder) anyFromJSON(i int) (*Value, error) {
+	switch d.kind(i) {
+	case '"':
+		return rawValue(d.stringAt(i))
+	case '{':
+		o := d.open(i)
+		defer d.done(o)
+		if raw, ok := d.stringOf(o.meta[metaRaw]); ok {
 			return rawValue(raw)
 		}
-		en, _ := x["$element"].(string)
+		en, _ := d.stringOf(o.meta[metaElement])
 		if en == "" {
 			return nil, fmt.Errorf("bind: $any entries must be raw XML strings or objects with $element")
 		}
@@ -371,49 +464,49 @@ func (d *jsonDecoder) anyFromJSON(item any) (*Value, error) {
 		if decl == nil {
 			return nil, fmt.Errorf("bind: $any element %q has no global declaration", en)
 		}
-		return d.valueFromJSON(decl, item, true)
+		return d.valueFromJSON(decl, i, o, true)
 	default:
 		return nil, fmt.Errorf("bind: $any entries must be raw XML strings or objects with $element")
 	}
 }
 
-func (d *jsonDecoder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[string]any) error {
+func (d *jsonDecoder) mixedFromJSON(v *Value, ct *xsd.ComplexType, o jsonObject) error {
 	tp := d.b.plan.For(ct)
 	if tp == nil {
 		return fmt.Errorf("bind: no binding plan for type %s", ct.Name)
 	}
-	for key := range obj {
-		if key != "$element" && key != "$type" && key != "$mixed" && !strings.HasPrefix(key, "@") {
+	for k := o.lo; k < o.hi; k++ {
+		if key := d.members[k].key; key != "$mixed" && !strings.HasPrefix(key, "@") {
 			return fmt.Errorf("bind: unknown field %q for mixed type %s", key, ct.Name)
 		}
 	}
-	segs, _ := obj["$mixed"].([]any)
-	for _, s := range segs {
-		switch x := s.(type) {
-		case string:
-			v.Segments = appendText(v.Segments, x)
-		case map[string]any:
-			en, _ := x["$element"].(string)
+	segs := int(o.meta[metaMixed])
+	if segs == 0 || d.kind(segs) != '[' {
+		return nil
+	}
+	for j, end := segs+1, d.end(segs); j < end; j = d.end(j) {
+		switch d.kind(j) {
+		case '"':
+			v.Segments = appendText(v.Segments, d.stringAt(j))
+		case '{':
+			so := d.open(j)
+			en, _ := d.stringOf(so.meta[metaElement])
 			if en == "" {
 				return fmt.Errorf("bind: $mixed element segments need $element")
 			}
-			f, decl := tp.fieldByLocal(en)
+			_, decl := tp.fieldByLocal(en)
+			wild := false
 			if decl == nil {
-				if gdecl := d.b.globalByLocal(en); gdecl != nil && tp.HasWildcard {
-					cv, err := d.valueFromJSON(gdecl, x, true)
-					if err != nil {
-						return err
-					}
-					v.Segments = append(v.Segments, Segment{Child: cv})
-					continue
+				if decl = d.b.globalByLocal(en); decl == nil || !tp.HasWildcard {
+					return inadmissibleSegment(en, ct)
 				}
-				return nil
+				wild = true
 			}
-			_ = f
-			cv, err := d.valueFromJSON(decl, x, false)
+			cv, err := d.valueFromJSON(decl, j, so, wild)
 			if err != nil {
 				return err
 			}
+			d.done(so)
 			v.Segments = append(v.Segments, Segment{Child: cv})
 		default:
 			return fmt.Errorf("bind: $mixed segments must be strings or element objects")
@@ -422,24 +515,33 @@ func (d *jsonDecoder) mixedFromJSON(v *Value, ct *xsd.ComplexType, obj map[strin
 	return nil
 }
 
+// inadmissibleSegment reports a $mixed segment whose $element names
+// neither a field of the type nor, under a wildcard, a global element.
+func inadmissibleSegment(en string, ct *xsd.ComplexType) error {
+	return fmt.Errorf("bind: $mixed element %q is not admissible in type %s", en, ct.Name)
+}
+
 // attrsFromJSON parses "@..." keys into typed attributes in declaration
-// order (wildcard-admitted extras sorted by key for determinism).
-func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, obj map[string]any) ([]Attr, error) {
-	// given[i] is the JSON value for ct.AttributeUses[i]; the array keeps
-	// the common case off the heap.
-	var small [8]givenAttr
+// order (wildcard-admitted extras sorted by key for determinism). A
+// repeated key, or two keys naming one attribute, take the last value;
+// of several undeclared attributes the first is reported.
+func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, o jsonObject) ([]Attr, error) {
+	// given[i] is the entry of the value for ct.AttributeUses[i], 0 when
+	// absent; the array keeps the common case off the heap.
+	var small [8]int32
 	given := small[:0]
 	if n := len(ct.AttributeUses); n <= len(small) {
 		given = small[:n]
 	} else {
-		given = make([]givenAttr, n)
+		given = make([]int32, n)
 	}
-	var extras []string
-	for key, jv := range obj {
-		if !strings.HasPrefix(key, "@") {
+	var extras []member
+	for k := o.lo; k < o.hi; k++ {
+		m := d.members[k]
+		if !strings.HasPrefix(m.key, "@") {
 			continue
 		}
-		name := parseAttrKey(key[1:])
+		name := parseAttrKey(m.key[1:])
 		i := attrUseIndex(ct, name)
 		if i < 0 && name.Space == "" {
 			// A bare local may name a qualified declared attribute.
@@ -452,18 +554,28 @@ func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, 
 		}
 		if i < 0 || ct.AttributeUses[i].Prohibited {
 			if ct.AttrWildcard == nil || !ct.AttrWildcard.Admits(name.Space) {
-				return nil, fmt.Errorf("bind: attribute %q is not declared for element %s", key, decl.Name)
+				return nil, fmt.Errorf("bind: attribute %q is not declared for element %s", m.key, decl.Name)
 			}
-			extras = append(extras, key)
+			extras = append(extras, m)
 			continue
 		}
-		given[i] = givenAttr{jv, true}
+		given[i] = m.val
 	}
-	sort.Strings(extras)
+	if len(extras) > 1 {
+		slices.SortStableFunc(extras, func(a, b member) int { return strings.Compare(a.key, b.key) })
+		// A repeated key keeps its last value.
+		kept := extras[:0]
+		for k, m := range extras {
+			if k+1 < len(extras) && extras[k+1].key == m.key {
+				continue
+			}
+			kept = append(kept, m)
+		}
+		extras = kept
+	}
 	out := d.slab.attrSpace(len(ct.AttributeUses) + len(extras))
 	for i, use := range ct.AttributeUses {
-		jv, ok := given[i].v, given[i].ok
-		if !ok {
+		if given[i] == 0 {
 			def := use.Default
 			if def == nil {
 				def = use.Fixed
@@ -478,26 +590,20 @@ func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, 
 			out = append(out, Attr{Name: use.Decl.Name, Value: val})
 			continue
 		}
-		val, err := scalarValue(use.Decl.Type, jv)
+		val, err := d.scalarValue(use.Decl.Type, int(given[i]))
 		if err != nil {
 			return nil, fmt.Errorf("bind: attribute %q: %w", use.Decl.Name.Local, err)
 		}
 		out = append(out, Attr{Name: use.Decl.Name, Value: val})
 	}
-	for _, key := range extras {
-		lex, err := jsonLexical(obj[key])
+	for _, m := range extras {
+		lex, err := d.lexical(int(m.val))
 		if err != nil {
-			return nil, fmt.Errorf("bind: attribute %q: %w", key, err)
+			return nil, fmt.Errorf("bind: attribute %q: %w", m.key, err)
 		}
-		out = append(out, Attr{Name: parseAttrKey(key[1:]), Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: lex}})
+		out = append(out, Attr{Name: parseAttrKey(m.key[1:]), Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: lex}})
 	}
 	return d.slab.keepAttrs(out), nil
-}
-
-// givenAttr is the JSON value given for one attribute use, if any.
-type givenAttr struct {
-	v  any
-	ok bool
 }
 
 // attrUseIndex is ct.FindAttributeUse as an index into ct.AttributeUses,
@@ -536,42 +642,42 @@ func parseAttrKey(s string) xsd.QName {
 	return xsd.QName{Local: s}
 }
 
-// scalarValue parses a JSON scalar (or array, for list types) through a
-// simple type's lexical space.
-func scalarValue(st *xsd.SimpleType, node any) (xsdtypes.Value, error) {
-	lex, err := jsonLexical(node)
+// scalarValue parses the JSON scalar at entry i (or array, for list
+// types) through a simple type's lexical space; entry 0 is an absent
+// value, read as "".
+func (d *jsonDecoder) scalarValue(st *xsd.SimpleType, i int) (xsdtypes.Value, error) {
+	lex, err := d.lexical(i)
 	if err != nil {
 		return xsdtypes.Value{}, err
 	}
 	return st.Parse(lex)
 }
 
-// jsonLexical renders a JSON scalar as an XSD lexical form; arrays join
-// with single spaces (the list lexical space).
-func jsonLexical(node any) (string, error) {
-	switch x := node.(type) {
-	case string:
-		return x, nil
-	case json.Number:
-		return x.String(), nil
-	case bool:
-		if x {
-			return "true", nil
-		}
-		return "false", nil
-	case nil:
+// lexical renders the JSON scalar at entry i as an XSD lexical form:
+// strings as decoded, numbers as written, null and an absent value (entry
+// 0) as ""; arrays join with single spaces (the list lexical space).
+func (d *jsonDecoder) lexical(i int) (string, error) {
+	if i == 0 {
 		return "", nil
-	case []any:
-		parts := make([]string, len(x))
-		for i, it := range x {
-			p, err := jsonLexical(it)
+	}
+	switch d.kind(i) {
+	case '"':
+		return d.stringAt(i), nil
+	case 'n':
+		return "", nil
+	case '{':
+		return "", fmt.Errorf("unsupported JSON value for a simple type")
+	case '[':
+		var parts []string
+		for j, end := i+1, d.end(i); j < end; j = d.end(j) {
+			p, err := d.lexical(j)
 			if err != nil {
 				return "", err
 			}
-			parts[i] = p
+			parts = append(parts, p)
 		}
 		return strings.Join(parts, " "), nil
-	default:
-		return "", fmt.Errorf("unsupported JSON value for a simple type")
+	default: // a number, true or false
+		return d.text(i), nil
 	}
 }

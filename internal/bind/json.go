@@ -20,9 +20,13 @@ import (
 )
 
 // JSON renders a decoded value as canonical JSON.
-func (b *Binder) JSON(v *Value) []byte {
-	var buf bytes.Buffer
-	b.writeJSON(&buf, v, true)
+func (b *Binder) JSON(v *Value) []byte { return b.AppendJSON(nil, v) }
+
+// AppendJSON appends v's canonical JSON to dst and returns the extended
+// buffer, so a caller that sizes dst once gets the JSON without a copy.
+func (b *Binder) AppendJSON(dst []byte, v *Value) []byte {
+	buf := bytes.NewBuffer(dst)
+	b.writeJSON(buf, v, true)
 	return buf.Bytes()
 }
 

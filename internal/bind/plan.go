@@ -22,6 +22,8 @@ type TypePlan struct {
 	// (they bind under the "$any" key).
 	HasWildcard bool
 
+	// byKey maps each field's JSON key to its index in Fields.
+	byKey map[string]int
 	// byName maps every admissible instance name — the declared name and
 	// every substitution-group member — to its field.
 	byName map[xsd.QName]*FieldPlan
@@ -171,6 +173,10 @@ func (w *planWalker) element(decl *xsd.ElementDecl, plural, optional bool, choic
 		}
 	}
 	f := &FieldPlan{Key: key, Decl: decl, Plural: plural, Optional: optional, Choice: choice}
+	if w.tp.byKey == nil {
+		w.tp.byKey = map[string]int{}
+	}
+	w.tp.byKey[key] = len(w.tp.Fields)
 	w.tp.Fields = append(w.tp.Fields, f)
 	w.tp.byName[decl.Name] = f
 	if !decl.Abstract {

@@ -84,15 +84,16 @@ func appendText(segs []Segment, data string) []Segment {
 	return append(segs, Segment{Text: data})
 }
 
-// slab hands out one document's Values and Attr lists from chunks that
-// double in length up to slabMax, so a decoded tree costs a few
-// allocations rather than one per element and per attribute list. The
+// slab hands out one document's Values, Attr lists and child lists from
+// chunks that double in length up to slabMax, so a decoded tree costs a
+// few allocations rather than one per element and per list. The
 // cap bounds the unused tail of the last chunk. The chunks are ordinary
 // garbage-collected slices: a Value the caller keeps, even a sub-Value,
 // keeps its whole chunk alive (DESIGN.md, "Value representation").
 type slab struct {
 	vals  []Value
 	attrs []Attr
+	kids  []*Value
 }
 
 // The first and the longest chunk's length.
@@ -130,4 +131,16 @@ func (s *slab) keepAttrs(list []Attr) []Attr {
 	}
 	s.attrs = s.attrs[:len(s.attrs)+len(list)]
 	return list[:len(list):len(list)]
+}
+
+// children copies a child list into the current chunk and returns the
+// copy, its capacity cut to its length.
+func (s *slab) children(list []*Value) []*Value {
+	n := len(list)
+	if cap(s.kids)-len(s.kids) < n {
+		s.kids = slices.Grow([]*Value(nil), max(chunkLen(cap(s.kids)), n))
+	}
+	i := len(s.kids)
+	s.kids = append(s.kids, list...)
+	return s.kids[i : i+n : i+n]
 }

@@ -68,3 +68,34 @@ func TestDecodeResponseBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeRejectsTrailingData checks that /v1/encode reads exactly one
+// JSON value: data after it is bad JSON, a 400, not ignored.
+func TestEncodeRejectsTrailingData(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	post := func(path, ctype string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+	code, body := post("/v1/decode/po", "application/xml", []byte(schemas.PurchaseOrderDoc))
+	var r decodeResponse
+	if err := json.Unmarshal(body, &r); code != http.StatusOK || err != nil || len(r.Data) == 0 {
+		t.Fatalf("decode: %d %v: %s", code, err, body)
+	}
+	if code, body := post("/v1/encode/po", "application/json", append(r.Data, " \n"...)); code != http.StatusOK {
+		t.Fatalf("encode of the canonical JSON: %d: %s", code, body)
+	}
+	for _, tail := range []string{"xyz", `{"a":1}`} {
+		code, body := post("/v1/encode/po", "application/json", append(append([]byte{}, r.Data...), tail...))
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); code != http.StatusBadRequest || err != nil || !strings.HasPrefix(e.Error, "bind: bad JSON: ") {
+			t.Errorf("canonical JSON + %q: %d %s, want a 400 with bad JSON", tail, code, body)
+		}
+	}
+}

@@ -210,7 +210,8 @@ func writeJSONBody(w http.ResponseWriter, code int, body []byte) {
 
 // outcome is what the worker goroutine reports back to the handler.
 // code/errMsg are set for failures that never reached a verdict; data is
-// the payload for decode (canonical JSON) and encode (marshaled XML).
+// the payload for decode (the response body but its elapsed time) and
+// encode (marshaled XML).
 type outcome struct {
 	res    *validator.Result
 	data   []byte
@@ -406,10 +407,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 type capTracker struct {
 	r   io.Reader
 	hit bool
+	n   int // bytes read
 }
 
 func (c *capTracker) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
+	c.n += n
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -477,6 +480,16 @@ type decodeResponse struct {
 // output, already compact and escaped as encoding/json escapes, which the
 // encoder would otherwise re-scan and compact byte by byte.
 func (r *decodeResponse) appendJSON(dst []byte) []byte {
+	dst = r.appendHead(dst)
+	if len(r.Data) > 0 {
+		dst = append(dst, `,"data":`...)
+		dst = append(dst, r.Data...)
+	}
+	return appendElapsed(dst, r.ElapsedNs)
+}
+
+// appendHead appends the response up to its data.
+func (r *decodeResponse) appendHead(dst []byte) []byte {
 	dst = append(dst, `{"schema":`...)
 	dst = bind.AppendJSONString(dst, r.Schema)
 	dst = append(dst, `,"schema_version":`...)
@@ -499,12 +512,13 @@ func (r *decodeResponse) appendJSON(dst []byte) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if len(r.Data) > 0 {
-		dst = append(dst, `,"data":`...)
-		dst = append(dst, r.Data...)
-	}
+	return dst
+}
+
+// appendElapsed appends the response's last member and closes it.
+func appendElapsed(dst []byte, ns int64) []byte {
 	dst = append(dst, `,"elapsed_ns":`...)
-	dst = strconv.AppendInt(dst, r.ElapsedNs, 10)
+	dst = strconv.AppendInt(dst, ns, 10)
 	return append(dst, "}\n"...)
 }
 
@@ -542,18 +556,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	if !out.res.OK() {
 		series.Invalid.Inc()
 	}
-	resp := decodeResponse{
-		Schema:        entry.Name,
-		SchemaVersion: entry.Version,
-		Mode:          mode,
-		Valid:         out.res.OK(),
-		Data:          out.data,
-		ElapsedNs:     int64(time.Since(start)),
-	}
-	for _, v := range out.res.Violations {
-		resp.Violations = append(resp.Violations, violationJSON{Path: v.Path, Msg: v.Msg})
-	}
-	writeJSONBody(w, http.StatusOK, resp.appendJSON(make([]byte, 0, len(out.data)+256)))
+	writeJSONBody(w, http.StatusOK, appendElapsed(out.data, int64(time.Since(start))))
 }
 
 // runDecode produces a verdict and, when valid, the canonical JSON.
@@ -571,22 +574,30 @@ func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode stri
 			}
 			return outcome{code: http.StatusInternalServerError, errMsg: err.Error()}
 		}
-		out := outcome{res: res}
-		if v != nil {
-			out.data = entry.Binder.JSON(v)
-		}
-		return out
+		return decodeOutcome(entry, mode, v, res, tracked.n)
 	}
 	data, fail := readBody(ctx, body)
 	if fail.code != 0 {
 		return fail
 	}
 	v, res := entry.Binder.DecodeBytes(data)
-	out := outcome{res: res}
-	if v != nil {
-		out.data = entry.Binder.JSON(v)
+	return decodeOutcome(entry, mode, v, res, len(data))
+}
+
+// decodeOutcome writes a /v1/decode response up to its elapsed time: the
+// verdict, and the canonical JSON of v when it is valid. It writes once,
+// into a buffer sized from the request's size: canonical JSON is rarely
+// longer than the XML it projects.
+func decodeOutcome(entry *registry.Entry, mode string, v *bind.Value, res *validator.Result, size int) outcome {
+	resp := decodeResponse{Schema: entry.Name, SchemaVersion: entry.Version, Mode: mode, Valid: res.OK()}
+	for _, viol := range res.Violations {
+		resp.Violations = append(resp.Violations, violationJSON{Path: viol.Path, Msg: viol.Msg})
 	}
-	return out
+	data := resp.appendHead(make([]byte, 0, size+256))
+	if v != nil {
+		data = entry.Binder.AppendJSON(append(data, `,"data":`...), v)
+	}
+	return outcome{res: res, data: data}
 }
 
 // handleEncode runs POST /v1/encode/{schema}: the body is canonical JSON
