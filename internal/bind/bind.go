@@ -1,6 +1,8 @@
 package bind
 
 import (
+	"slices"
+
 	"repro/internal/validator"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
@@ -36,45 +38,25 @@ func (b *Binder) Validator() *validator.Validator { return b.v }
 // Schema returns the schema the binder was built from.
 func (b *Binder) Schema() *xsd.Schema { return b.schema }
 
-// typedAttrs parses the element's attributes into the declared value
+// typedAttrs takes the element's attributes in the declared value
 // spaces (wildcard-admitted ones stay strings) and materializes absent
 // defaulted or fixed attributes, so decoded values are self-contained.
 // The list comes from s.
 func typedAttrs(s *slab, ct *xsd.ComplexType, raw []validator.Attr) []Attr {
 	out := s.attrSpace(len(raw) + len(ct.AttributeUses))
 	for _, a := range raw {
-		use := ct.FindAttributeUse(a.Name)
-		if use == nil || use.Prohibited {
-			out = append(out, Attr{Name: a.Name, Value: xsdtypes.Value{Kind: xsdtypes.VString, Str: a.Value}})
-			continue
+		if !a.Typed {
+			// Undeclared, or unparsable (only on invalid documents,
+			// whose verdict carries the violation): keep the lexical form.
+			a.Val = xsdtypes.Value{Kind: xsdtypes.VString, Str: a.Value}
 		}
-		val, err := use.Decl.Type.Parse(a.Value)
-		if err != nil {
-			// Only reachable on invalid documents (the verdict carries
-			// the violation); keep the lexical form.
-			val = xsdtypes.Value{Kind: xsdtypes.VString, Str: a.Value}
-		}
-		out = append(out, Attr{Name: a.Name, Value: val})
+		out = append(out, Attr{Name: a.Name, Value: a.Val})
 	}
 	for _, use := range ct.AttributeUses {
-		def := use.Default
-		if def == nil {
-			def = use.Fixed
-		}
-		if use.Prohibited || def == nil {
+		if use.Prohibited || slices.ContainsFunc(raw, func(a validator.Attr) bool { return a.Name == use.Decl.Name }) {
 			continue
 		}
-		present := false
-		for _, a := range raw {
-			if a.Name == use.Decl.Name {
-				present = true
-				break
-			}
-		}
-		if present {
-			continue
-		}
-		if val, err := use.Decl.Type.Parse(*def); err == nil {
+		if val, ok := use.DefaultValue(); ok {
 			out = append(out, Attr{Name: use.Decl.Name, Value: val})
 		}
 	}

@@ -576,18 +576,9 @@ func (d *jsonDecoder) attrsFromJSON(decl *xsd.ElementDecl, ct *xsd.ComplexType, 
 	out := d.slab.attrSpace(len(ct.AttributeUses) + len(extras))
 	for i, use := range ct.AttributeUses {
 		if given[i] == 0 {
-			def := use.Default
-			if def == nil {
-				def = use.Fixed
+			if val, ok := use.DefaultValue(); ok && !use.Prohibited {
+				out = append(out, Attr{Name: use.Decl.Name, Value: val})
 			}
-			if use.Prohibited || def == nil {
-				continue
-			}
-			val, err := use.Decl.Type.Parse(*def)
-			if err != nil {
-				continue
-			}
-			out = append(out, Attr{Name: use.Decl.Name, Value: val})
 			continue
 		}
 		val, err := d.scalarValue(use.Decl.Type, int(given[i]))

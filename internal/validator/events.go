@@ -31,9 +31,13 @@ import (
 )
 
 // Attr is one attribute of an opened element as written in the instance.
+// Typed marks Val as the value the machine parsed it to in its declared
+// type; undeclared, wildcard-admitted and unparsable values are untyped.
 type Attr struct {
 	Name  xsd.QName
 	Value string
+	Val   xsdtypes.Value
+	Typed bool
 }
 
 // ElementStart describes an element whose prologue (xsi:type, abstract

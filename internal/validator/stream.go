@@ -652,16 +652,17 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 		return
 	}
 	f.announced = true
-	attrs := sr.evAttrs[:0]
-	for i := range tok.Attrs {
-		if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
-			attrs = append(attrs, Attr{Name: xsd.QName{Space: a.Name.Space, Local: a.Name.Local}, Value: a.Value})
+	if _, ok := typ.(*xsd.SimpleType); ok { // else attributes() built the list
+		sr.evAttrs = sr.evAttrs[:0]
+		for i := range tok.Attrs {
+			if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
+				sr.evAttrs = append(sr.evAttrs, Attr{Name: xsd.QName{Space: a.Name.Space, Local: a.Name.Local}, Value: a.Value})
+			}
 		}
 	}
-	sr.evAttrs = attrs
 	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
 	sr.events.OpenElement(ElementStart{Decl: f.decl, Type: typ, Name: xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local},
-		Attrs: attrs, XSIType: xsiType != "", Nilled: nilled, Wildcard: f.wild})
+		Attrs: sr.evAttrs, XSIType: xsiType != "", Nilled: nilled, Wildcard: f.wild})
 }
 
 // openFrame runs the element's prologue (xsi:type, abstract, xsi:nil) and
@@ -822,9 +823,9 @@ func isMetaAttrName(n xmlparser.Name) bool {
 }
 
 // attributes validates the start tag's attributes against ct, buffering
-// violations into the frame.
+// violations into the frame, and the observer's list of them, typed.
 func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexType) {
-	seen := sr.attrSeen[:0]
+	seen, evAttrs := sr.attrSeen[:0], sr.evAttrs[:0]
 	for i := range tok.Attrs {
 		a := &tok.Attrs[i]
 		if isMetaAttrName(a.Name) {
@@ -832,6 +833,9 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 		}
 		name := xsd.QName{Space: a.Name.Space, Local: a.Name.Local}
 		seen = append(seen, name)
+		if sr.events != nil {
+			evAttrs = append(evAttrs, Attr{Name: name, Value: a.Value})
+		}
 		use := ct.FindAttributeUse(name)
 		if use == nil || use.Prohibited {
 			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
@@ -844,6 +848,9 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 		if err != nil {
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)))
 			continue
+		}
+		if sr.events != nil {
+			evAttrs[len(evAttrs)-1].Val, evAttrs[len(evAttrs)-1].Typed = val, true
 		}
 		if want, ok := use.FixedValue(); ok && !val.Equal(want) {
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
@@ -866,7 +873,7 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 			}
 		}
 	}
-	sr.attrSeen = seen[:0]
+	sr.attrSeen, sr.evAttrs = seen[:0], evAttrs
 }
 
 // trackIDs records an ID or IDREF value of the given idKind against the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/schemas"
 	"repro/internal/xmlparser"
 	"repro/internal/xsd"
+	"repro/internal/xsdtypes"
 )
 
 // streamDiff validates src through both paths of the same Validator and
@@ -269,5 +271,60 @@ func TestCountedModelsStreamInDepth(t *testing.T) {
 	sr.finish()
 	if len(sr.viols) != 0 {
 		t.Fatalf("violations: %v", render(sr.viols))
+	}
+}
+
+// attrRecorder keeps the attributes OpenElement reports, by element.
+type attrRecorder map[string][]Attr
+
+func (r attrRecorder) OpenElement(e ElementStart) {
+	r[e.Name.Local] = append([]Attr(nil), e.Attrs...)
+}
+func (attrRecorder) CloseElement(*xsdtypes.Value) {}
+func (attrRecorder) MixedText(string)             {}
+func (attrRecorder) RawElement(*dom.Element)      {}
+
+// TestEventAttrsCarryParsedValues: OpenElement reports each declared
+// attribute with the value the machine parsed it to, and leaves
+// wildcard-admitted values, values that failed to parse and the
+// attributes of simple-typed elements untyped.
+func TestEventAttrsCarryParsedValues(t *testing.T) {
+	s, err := xsd.ParseString(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType>
+      <xsd:sequence><xsd:element name="s" type="xsd:string"/></xsd:sequence>
+      <xsd:attribute name="n" type="xsd:int"/>
+      <xsd:attribute name="bad" type="xsd:int"/>
+      <xsd:anyAttribute namespace="##other" processContents="skip"/>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := attrRecorder{}
+	res := New(s, nil).Stream().ValidateBytesEvents([]byte(
+		`<r xmlns:o="urn:o" n=" 07 " bad="x" o:w="1.0"><s o:k="v">t</s></r>`), rec)
+	if res.OK() {
+		t.Fatal("bad attribute value accepted")
+	}
+	for _, tc := range []struct {
+		elem, attr string
+		typed      bool
+		val        string
+	}{
+		{"r", "n", true, "7"},
+		{"r", "bad", false, ""},
+		{"r", "w", false, ""},
+		{"s", "k", false, ""},
+	} {
+		i := slices.IndexFunc(rec[tc.elem], func(a Attr) bool { return a.Name.Local == tc.attr })
+		if i < 0 {
+			t.Errorf("%s/@%s not reported", tc.elem, tc.attr)
+			continue
+		}
+		if a := rec[tc.elem][i]; a.Typed != tc.typed || tc.typed && (a.Val.Kind != xsdtypes.VDecimal || a.Val.String() != tc.val) {
+			t.Errorf("%s/@%s = typed %v %v %q; want typed %v %q", tc.elem, tc.attr, a.Typed, a.Val.Kind, a.Val, tc.typed, tc.val)
+		}
 	}
 }

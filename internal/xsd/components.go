@@ -96,6 +96,8 @@ type SimpleType struct {
 	// Context records where an anonymous type was defined, for the
 	// normalization naming scheme.
 	Context string
+	ws      xsdtypes.WhiteSpace // the effective whitespace rule (resolveChain)
+	prim    *xsdtypes.Builtin   // the nearest built-in of an atomic chain
 }
 
 // TypeName implements Type.
@@ -112,61 +114,62 @@ func (s *SimpleType) BaseType() Type {
 	return s.Base
 }
 
-// effectiveWhiteSpace returns the whitespace mode, honoring overrides.
-func (s *SimpleType) effectiveWhiteSpace() xsdtypes.WhiteSpace {
-	for t := s; t != nil; t = t.Base {
-		if t.Facets.WhiteSpace != nil {
-			return *t.Facets.WhiteSpace
-		}
-		if t.Builtin != nil {
-			return t.Builtin.WS
-		}
+// resolveChain sets s's whitespace rule and nearest built-in from its own
+// fields and its base's, once the construction site has set those.
+func (s *SimpleType) resolveChain() {
+	switch {
+	case s.Builtin != nil:
+		s.ws, s.prim = s.Builtin.WS, s.Builtin
+	case s.Base != nil:
+		s.ws, s.prim = s.Base.ws, s.Base.prim
+	default: // a list or union
+		s.ws = xsdtypes.WSCollapse
 	}
-	return xsdtypes.WSCollapse
+	if s.Facets.WhiteSpace != nil {
+		s.ws = *s.Facets.WhiteSpace
+	}
 }
 
 // PrimitiveBuiltin returns the built-in the atomic chain bottoms out in.
-func (s *SimpleType) PrimitiveBuiltin() *xsdtypes.Builtin {
-	for t := s; t != nil; t = t.Base {
-		if t.Builtin != nil {
-			return t.Builtin
-		}
-	}
-	return nil
-}
+func (s *SimpleType) PrimitiveBuiltin() *xsdtypes.Builtin { return s.prim }
 
 // Parse validates a lexical value against the simple type and returns the
-// parsed value.
+// parsed value, in one walk of its derivation chain (doc.go).
 func (s *SimpleType) Parse(lexical string) (xsdtypes.Value, error) {
-	norm := xsdtypes.ApplyWhiteSpace(s.effectiveWhiteSpace(), lexical)
+	norm := xsdtypes.ApplyWhiteSpace(s.ws, lexical)
 	v, err := s.parseNormalized(norm)
 	if err != nil {
 		return xsdtypes.Value{}, err
 	}
-	if err := s.checkSteps(&v, norm); err != nil {
-		return xsdtypes.Value{}, fmt.Errorf("%s: %w", s.displayName(), err)
+	if err := s.checkSteps(s, &v, norm); err != nil {
+		return xsdtypes.Value{}, err
 	}
 	return v, nil
 }
 
-// checkSteps applies the user facet steps of s's derivation chain from the
-// base outward, recursing to the built-in before checking s, so the walk
-// needs no slice of the chain.
-func (s *SimpleType) checkSteps(v *xsdtypes.Value, norm string) error {
-	if s == nil || s.Builtin != nil {
+// checkSteps applies the user facet steps of t's derivation chain from the
+// base outward, recursing to the built-in before checking t, so the walk
+// needs no slice of the chain. A failing step of an atomic chain is
+// blamed on its own name, one of a list or union chain on s.
+func (s *SimpleType) checkSteps(t *SimpleType, v *xsdtypes.Value, norm string) error {
+	if t == nil || t.Builtin != nil {
 		return nil
 	}
-	if err := s.Base.checkSteps(v, norm); err != nil {
+	if err := s.checkSteps(t.Base, v, norm); err != nil || t.Facets.IsEmpty() {
 		return err
 	}
-	if !s.Facets.IsEmpty() {
-		return s.Facets.Check(*v, norm)
+	if err := t.Facets.Check(*v, norm); err != nil {
+		if s.Variety != VarietyAtomic {
+			t = s
+		}
+		return fmt.Errorf("%s: %w", t.displayName(), err)
 	}
 	return nil
 }
 
 // parseNormalized parses a whitespace-normalized lexical value in the
-// type's value space (without this type's user facet steps).
+// value space at the bottom of the type's chain: its nearest built-in,
+// its list items or its union members (without the user facet steps).
 func (s *SimpleType) parseNormalized(norm string) (xsdtypes.Value, error) {
 	switch s.Variety {
 	case VarietyList:
@@ -194,13 +197,7 @@ func (s *SimpleType) parseNormalized(norm string) (xsdtypes.Value, error) {
 		}
 		return xsdtypes.Value{}, fmt.Errorf("%s: no union member accepts %q: %w", s.displayName(), norm, firstErr)
 	default:
-		if s.Builtin != nil {
-			return s.Builtin.Parse(norm)
-		}
-		if s.Base != nil {
-			return s.Base.Parse(norm)
-		}
-		return xsdtypes.Value{Kind: xsdtypes.VString, Str: norm}, nil
+		return s.prim.ParseNormalized(norm)
 	}
 }
 
@@ -418,7 +415,7 @@ type AttributeUse struct {
 	Default    *string
 	Fixed      *string
 
-	fixed parsedOnce
+	fixed, dflt parsedOnce
 }
 
 // FixedValue returns the use's fixed value parsed in the attribute's type,
@@ -429,6 +426,15 @@ func (u *AttributeUse) FixedValue() (xsdtypes.Value, bool) {
 		return xsdtypes.Value{}, false
 	}
 	return u.fixed.parse(u.Decl.Type, *u.Fixed)
+}
+
+// DefaultValue returns the value an absent attribute takes, the use's
+// default or else its fixed value, like FixedValue.
+func (u *AttributeUse) DefaultValue() (xsdtypes.Value, bool) {
+	if u.Default == nil {
+		return u.FixedValue()
+	}
+	return u.dflt.parse(u.Decl.Type, *u.Default)
 }
 
 // ModelGroupDef is a named model group (xs:group definition).
@@ -538,10 +544,9 @@ func NewSchema(targetNS string) *Schema {
 	}
 	for _, name := range xsdtypes.Names() {
 		b, _ := xsdtypes.Lookup(name)
-		s.Types[QName{Space: XSDNamespace, Local: name}] = &SimpleType{
-			Name:    QName{Space: XSDNamespace, Local: name},
-			Builtin: b,
-		}
+		st := &SimpleType{Name: QName{Space: XSDNamespace, Local: name}, Builtin: b}
+		st.resolveChain()
+		s.Types[st.Name] = st
 	}
 	// xs:anyType: the ur-type, a complex type with mixed wildcard
 	// content and any attributes.

@@ -42,6 +42,29 @@
 // Identity-constraint selectors and fields are parsed once here too
 // (xpath.go), so a malformed path fails Parse and names its constraint.
 //
+// # One walk per simple value
+//
+// A restriction is "inheritance plus dynamic value checks" (the paper's
+// §3): a derived type's check is its base's plus its own facets, so
+// SimpleType.Parse makes one pass over the derivation chain. It
+// normalizes whitespace once, by the type's rule; parses once at the
+// bottom of the chain (the nearest built-in's primitive, the list items
+// or the union members); and checks each restriction step once,
+// root-most first, following the Base links. The whitespace rule and the
+// nearest built-in are resolved when the type is built (resolveChain),
+// and each built-in's steps are flattened when it is registered.
+// Normalizing once is exact because Parse rejects a whiteSpace facet
+// looser than its base's (Part 2 §4.3.6.4). Parse also rejects facets of
+// one step that contradict each other (min above max, length beside
+// minLength, and so on). A failing step of an atomic chain is blamed on
+// its own name, one of a list or union chain on the outermost type.
+//
+// There is no compiled per-type plan of every step: it would hold
+// O(depth) entries per type, O(n²) memory for an n-level chain, where
+// the Base links walked once give the same single pass. Parsing a value
+// costs time linear in its type's depth, and loading an n-level chain,
+// which parses each step's bounds in its base, costs O(n²).
+//
 // # Concurrency
 //
 // A Schema is immutable once Parse/ParseString returns, and all lookup

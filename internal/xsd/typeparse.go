@@ -1,6 +1,9 @@
 package xsd
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -151,6 +154,7 @@ func (p *parser) parseSimpleContent(el *dom.Element, ct *ComplexType) error {
 		if err := p.parseFacets(deriv, st); err != nil {
 			return err
 		}
+		st.resolveChain()
 		ct.SimpleContentType = st
 		uses, wild, err := p.parseAttributeUses(deriv)
 		if err != nil {
@@ -454,6 +458,7 @@ func (p *parser) parseSimpleType(el *dom.Element, name QName, context string) (*
 	default:
 		return nil, errAt(body, "simpleType requires restriction, list or union")
 	}
+	st.resolveChain()
 	if !name.IsZero() {
 		p.schema.Types[name] = st
 	}
@@ -548,19 +553,7 @@ func (p *parser) parseFacets(body *dom.Element, st *SimpleType) error {
 		case "maxExclusive":
 			f.MaxExclusive, err = parseBound(c)
 		case "whiteSpace":
-			switch c.GetAttribute("value") {
-			case "preserve":
-				ws := xsdtypes.WSPreserve
-				f.WhiteSpace = &ws
-			case "replace":
-				ws := xsdtypes.WSReplace
-				f.WhiteSpace = &ws
-			case "collapse":
-				ws := xsdtypes.WSCollapse
-				f.WhiteSpace = &ws
-			default:
-				err = errAt(c, "bad whiteSpace value %q", c.GetAttribute("value"))
-			}
+			f.WhiteSpace, err = parseWhiteSpace(c, st)
 		case "simpleType", "attribute", "attributeGroup", "anyAttribute":
 			// Inline base (handled by simpleBase) or attribute uses
 			// (handled by simpleContent restriction).
@@ -570,6 +563,65 @@ func (p *parser) parseFacets(body *dom.Element, st *SimpleType) error {
 		if err != nil {
 			return err
 		}
+	}
+	if err := checkFacetStep(f); err != nil {
+		return errAt(body, "%s: %v", st.displayName(), err)
+	}
+	return nil
+}
+
+// wsNames spells the whitespace rules as the whiteSpace facet does.
+var wsNames = []string{xsdtypes.WSPreserve: "preserve", xsdtypes.WSReplace: "replace", xsdtypes.WSCollapse: "collapse"}
+
+// parseWhiteSpace reads st's whiteSpace facet, which may keep or tighten
+// its base's rule but not loosen it (Part 2 §4.3.6.4).
+func parseWhiteSpace(c *dom.Element, st *SimpleType) (*xsdtypes.WhiteSpace, error) {
+	lex := c.GetAttribute("value")
+	ws := xsdtypes.WhiteSpace(slices.Index(wsNames, lex))
+	if ws < 0 {
+		return nil, errAt(c, "bad whiteSpace value %q", lex)
+	}
+	if st.Base != nil && ws < st.Base.ws {
+		return nil, errAt(c, "whiteSpace %q of %s is looser than its base's %q", lex, st.displayName(), wsNames[st.Base.ws])
+	}
+	return &ws, nil
+}
+
+// checkFacetStep rejects facets of one restriction step that contradict
+// each other (Part 2 §4.3.1.4, §4.3.2.4, §4.3.7.4, §4.3.9.4, §4.3.10.4,
+// §4.3.12.4). Conflicts with the base's facets are not checked.
+func checkFacetStep(f *xsdtypes.Facets) error {
+	switch {
+	case f.Length != nil && (f.MinLength != nil || f.MaxLength != nil):
+		return errors.New("length cannot be given with minLength or maxLength")
+	case f.MinLength != nil && f.MaxLength != nil && *f.MinLength > *f.MaxLength:
+		return fmt.Errorf("minLength %d is greater than maxLength %d", *f.MinLength, *f.MaxLength)
+	case f.TotalDigits != nil && f.FractionDigits != nil && *f.FractionDigits > *f.TotalDigits:
+		return fmt.Errorf("fractionDigits %d is greater than totalDigits %d", *f.FractionDigits, *f.TotalDigits)
+	case f.MinInclusive != nil && f.MinExclusive != nil:
+		return errors.New("minInclusive and minExclusive cannot both be given")
+	case f.MaxInclusive != nil && f.MaxExclusive != nil:
+		return errors.New("maxInclusive and maxExclusive cannot both be given")
+	}
+	lo, loName := f.MinInclusive, "minInclusive"
+	if f.MinExclusive != nil {
+		lo, loName = f.MinExclusive, "minExclusive"
+	}
+	hi, hiName := f.MaxInclusive, "maxInclusive"
+	if f.MaxExclusive != nil {
+		hi, hiName = f.MaxExclusive, "maxExclusive"
+	}
+	if lo == nil || hi == nil {
+		return nil
+	}
+	// Two inclusive or two exclusive bounds may meet; mixed ones may not.
+	strict := (f.MinExclusive != nil) != (f.MaxExclusive != nil)
+	switch c, err := xsdtypes.Compare(*lo, *hi); {
+	case err != nil: // unordered values: no verdict
+	case c > 0:
+		return fmt.Errorf("%s %s is greater than %s %s", loName, lo, hiName, hi)
+	case c == 0 && strict:
+		return fmt.Errorf("%s %s is not less than %s %s", loName, lo, hiName, hi)
 	}
 	return nil
 }

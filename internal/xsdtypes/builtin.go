@@ -2,6 +2,7 @@ package xsdtypes
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/xmlparser"
@@ -36,6 +37,8 @@ type Builtin struct {
 	// Check runs additional lexical checks after whitespace handling
 	// (e.g. Name/NCName productions, integer lexical form).
 	Check func(lexical string) error
+	// steps are the chain's types with a Check or facets, root-most first.
+	steps []*Builtin
 }
 
 // registry holds all built-ins by local name.
@@ -50,6 +53,11 @@ func register(b *Builtin) *Builtin {
 		b.Kind = b.Base.Kind
 		b.Temporal = b.Base.Temporal
 		b.FloatBits = b.Base.FloatBits
+	}
+	if b.Check != nil || !b.Facets.IsEmpty() {
+		b.steps = append(slices.Clip(b.Base.steps), b)
+	} else if b.Base != nil {
+		b.steps = b.Base.steps
 	}
 	registry[b.Name] = b
 	return b
@@ -103,36 +111,26 @@ func (b *Builtin) Primitive() *Builtin {
 // is whitespace-normalized per the type, parsed in the primitive's lexical
 // space, then checked against every facet step in the derivation chain.
 func (b *Builtin) Parse(lexical string) (Value, error) {
-	norm := ApplyWhiteSpace(b.WS, lexical)
+	return b.ParseNormalized(ApplyWhiteSpace(b.WS, lexical))
+}
+
+// ParseNormalized is Parse for a value already normalized by b's
+// whitespace rule or a stricter one. The checks run root-most first, so
+// errors blame the broadest violated constraint.
+func (b *Builtin) ParseNormalized(norm string) (Value, error) {
 	v, err := b.parsePrimitive(norm)
+	for _, st := range b.steps {
+		if err == nil && st.Check != nil {
+			err = st.Check(norm)
+		}
+		if err == nil && !st.Facets.IsEmpty() {
+			err = st.Facets.Check(v, norm)
+		}
+	}
 	if err != nil {
 		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	if err := b.checkChain(&v, norm); err != nil {
-		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
-	}
 	return v, nil
-}
-
-// checkChain runs the lexical checks and facets of b's derivation chain
-// root-most first, so error messages blame the broadest violated
-// constraint (order does not affect acceptance). It recurses to the root
-// before checking b, so the walk needs no slice of the chain.
-func (b *Builtin) checkChain(v *Value, norm string) error {
-	if b.Base != nil {
-		if err := b.Base.checkChain(v, norm); err != nil {
-			return err
-		}
-	}
-	if b.Check != nil {
-		if err := b.Check(norm); err != nil {
-			return err
-		}
-	}
-	if !b.Facets.IsEmpty() {
-		return b.Facets.Check(*v, norm)
-	}
-	return nil
 }
 
 // Validate checks a lexical value, discarding the parsed form.
