@@ -556,6 +556,24 @@ func BenchmarkE8_StreamValidate(b *testing.B) {
 				}
 			}
 		})
+		// dom-release is the DOM path as /v1/validate runs it: the tree's
+		// pooled storage goes back after the verdict, so its slabs are
+		// reused rather than collected.
+		b.Run(fmt.Sprintf("dom-release/items=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				doc, err := dom.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := v.ValidateDocument(doc)
+				doc.Release()
+				if !res.OK() {
+					b.Fatal(res.Err())
+				}
+			}
+		})
 		b.Run(fmt.Sprintf("stream/items=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(src)))

@@ -43,7 +43,6 @@ import (
 	"sync"
 
 	"repro/internal/bind"
-	"repro/internal/dom"
 	"repro/internal/mmapfile"
 	"repro/internal/validator"
 	"repro/internal/xmlparser"
@@ -252,7 +251,7 @@ func checkOne(set *schemaSet, path string, quiet, stream, jsonOut, parallel bool
 // checkDOM parses and validates one document against the shared
 // validator, returning its rendered report.
 func checkDOM(v *validator.Validator, path string, src []byte, quiet, parallel bool) report {
-	doc, err := dom.Parse(src)
+	doc, err := v.Parse(src)
 	if err != nil {
 		return report{errText: fmt.Sprintf("%s: not well-formed: %v\n", path, err), failed: true}
 	}

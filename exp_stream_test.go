@@ -16,6 +16,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/schemas"
 	"repro/internal/validator"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 )
 
@@ -407,10 +408,15 @@ func TestOverTheBoundIndex(t *testing.T) {
 // FuzzStreamMatchesDOM mutates the differential corpus and demands
 // identical violations — paths and messages — from the DOM and streaming
 // walks under the instance's schema. The seed picks the schema (by index
-// into diffCases) and the document.
+// into diffCases) and the document. Both walks read element names through
+// the schema's symbols and step by their IDs; a third leg, the streaming
+// machine fed by a decoder without the name table, and a DOM parsed
+// without it, resolve every name themselves and stay the oracle for the
+// IDs.
 func FuzzStreamMatchesDOM(f *testing.F) {
 	type compiled struct {
 		schema *xsd.Schema
+		v      *validator.Validator
 		sv     *validator.StreamValidator
 	}
 	var cases []compiled
@@ -419,7 +425,8 @@ func FuzzStreamMatchesDOM(f *testing.F) {
 		if err != nil {
 			f.Fatalf("%s: %v", tc.name, err)
 		}
-		cases = append(cases, compiled{schema, validator.New(schema, nil).Stream()})
+		v := validator.New(schema, nil)
+		cases = append(cases, compiled{schema, v, v.Stream()})
 		for _, src := range tc.instances {
 			f.Add(uint8(i), []byte(src))
 		}
@@ -431,6 +438,13 @@ func FuzzStreamMatchesDOM(f *testing.F) {
 		c := cases[int(which)%len(cases)]
 		_, domRes := validator.ValidateBytes(c.schema, src)
 		assertSameResult(t, "stream", domRes, c.sv.ValidateBytes(src))
+		d := xmlparser.NewDecoder(src, nil)
+		assertSameResult(t, "stream without names", domRes, c.sv.ValidateTokens(d))
+		d.Release()
+		if doc, err := dom.Parse(src); err == nil {
+			assertSameResult(t, "dom without names", domRes, c.v.ValidateDocument(doc))
+			doc.Release()
+		}
 	})
 }
 

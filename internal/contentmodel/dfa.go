@@ -268,14 +268,27 @@ func (g *Glushkov) Alphabet() []Symbol {
 	return out
 }
 
-// classOf maps a symbol to its alphabet class. Named symbols resolve
-// through the shared interner to an array index; everything else lands in
-// the wildcard-admission bucket for its namespace.
-func (d *dfa) classOf(sym Symbol) int32 {
-	if id, ok := d.in.Lookup(sym); ok && int(id) < len(d.named) {
-		if c := d.named[id]; c >= 0 {
-			return c
+// namedClass returns the alphabet class of the symbol with ID id in the
+// shared interner, or -1 when id is -1 or the model does not name it.
+func (d *dfa) namedClass(id int32) int32 {
+	if id >= 0 && int(id) < len(d.named) {
+		return d.named[id]
+	}
+	return -1
+}
+
+// classOf maps a symbol to its alphabet class. A named symbol's ID, id, or
+// when id is -1 the one the shared interner holds, indexes its class;
+// everything else lands in the wildcard-admission bucket for its
+// namespace.
+func (d *dfa) classOf(sym Symbol, id int32) int32 {
+	if id < 0 {
+		if in, ok := d.in.Lookup(sym); ok {
+			id = in
 		}
+	}
+	if c := d.namedClass(id); c >= 0 {
+		return c
 	}
 	return d.bucketClass(sym.Space)
 }

@@ -568,12 +568,18 @@ func (r *Run) Reset(g *Glushkov) {
 // particle the child matched (the same assignment Match reports); on
 // rejection, the same MatchError Match would report at this index. After
 // an error the Run is dead: stepping it again panics until Reset.
-func (r *Run) Step(sym Symbol) (*Leaf, *MatchError) {
+func (r *Run) Step(sym Symbol) (*Leaf, *MatchError) { return r.StepID(sym, -1) }
+
+// StepID is Step for a symbol whose ID in the interner the automaton's DFA
+// was enabled with is id, or -1 when unknown. A known ID indexes the DFA's
+// alphabet directly, without hashing the name. The ID must come from that
+// interner: a wrong one steps the wrong class.
+func (r *Run) StepID(sym Symbol, id int32) (*Leaf, *MatchError) {
 	if r.failed {
 		panic("contentmodel: Run reused after an error without Reset")
 	}
 	if r.d != nil {
-		leaf, err, ok := r.stepDFA(sym)
+		leaf, err, ok := r.stepDFA(sym, id)
 		if ok {
 			return leaf, err
 		}
@@ -620,14 +626,16 @@ func (r *Run) Admits(sym Symbol) bool {
 // budget overflowed before the needed transition was memoized: the Run has
 // been reseeded onto the NFA stepper from the current configuration set
 // and the caller must retry the symbol on the NFA path.
-func (r *Run) stepDFA(sym Symbol) (*Leaf, *MatchError, bool) {
+func (r *Run) stepDFA(sym Symbol, id int32) (*Leaf, *MatchError, bool) {
 	d := r.d
-	var cls int32
-	if r.memoOK && sym == r.memoSym {
-		cls = r.memoCls
-	} else {
-		cls = d.classOf(sym)
-		r.memoSym, r.memoCls, r.memoOK = sym, cls, true
+	cls := d.namedClass(id)
+	if cls < 0 {
+		if r.memoOK && sym == r.memoSym {
+			cls = r.memoCls
+		} else {
+			cls = d.classOf(sym, id)
+			r.memoSym, r.memoCls, r.memoOK = sym, cls, true
+		}
 	}
 	st := r.ds
 	tr := &st.trans[cls]

@@ -32,6 +32,13 @@ func (t *Interner) Lookup(s Symbol) (int32, bool) {
 	return id, ok
 }
 
+// NameID returns the ID previously assigned to {space, local}, if any. It
+// makes the table an xmlparser.NameTable, which decoders resolve start
+// tags through.
+func (t *Interner) NameID(space, local string) (int32, bool) {
+	return t.Lookup(Symbol{Space: space, Local: local})
+}
+
 // Intern returns the ID for s, assigning the next dense ID on first sight.
 // IDs are stable for the lifetime of the table.
 func (t *Interner) Intern(s Symbol) int32 {

@@ -11,16 +11,66 @@ import "sync"
 // Invariant: slabs in the pools are fully zeroed. Fresh slabs come zeroed
 // from the allocator; release zeroes every used entry before returning a
 // slab, so the allocation fast path never clears memory.
+//
+// The lists that link the nodes — an element's children and its
+// attributes — are carved from slabs too (nodeListSlabs, attrListSlabs).
+// Parse knows each list's final length when it builds it (children at the
+// end tag, attributes at the start tag), so a list is one exact-size run
+// of a slab, capped so that appending to it later reallocates rather than
+// writing into the next list.
 
 // slabSize is the number of nodes per slab: large enough to amortize the
 // pool round-trip, small enough that tiny documents waste little.
 const slabSize = 64
 
+// maxSlabList is the longest list carved from a slab: a longer list gets
+// an array of its own, left to the collector, so a wide element neither
+// wastes most of a slab nor keeps a pooled one for its own size.
+const maxSlabList = slabSize / 4
+
 var (
-	elemSlabs = sync.Pool{New: func() any { return new([slabSize]Element) }}
-	textSlabs = sync.Pool{New: func() any { return new([slabSize]Text) }}
-	attrSlabs = sync.Pool{New: func() any { return new([slabSize]Attr) }}
+	elemSlabs     = sync.Pool{New: func() any { return new([slabSize]Element) }}
+	textSlabs     = sync.Pool{New: func() any { return new([slabSize]Text) }}
+	attrSlabs     = sync.Pool{New: func() any { return new([slabSize]Attr) }}
+	nodeListSlabs = sync.Pool{New: func() any { return new([slabSize]Node) }}
+	attrListSlabs = sync.Pool{New: func() any { return new([slabSize]*Attr) }}
 )
+
+// lists carves exact-size lists of T from pooled slabs.
+type lists[T any] struct {
+	slabs []*[slabSize]T
+	used  int // entries carved from the last slab
+}
+
+// carve returns a zeroed list of n entries whose capacity is n.
+func (l *lists[T]) carve(pool *sync.Pool, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > maxSlabList {
+		return make([]T, n)
+	}
+	if len(l.slabs) == 0 || l.used+n > slabSize {
+		l.slabs = append(l.slabs, pool.Get().(*[slabSize]T))
+		l.used = 0
+	}
+	s := l.slabs[len(l.slabs)-1][l.used : l.used+n : l.used+n]
+	l.used += n
+	return s
+}
+
+// release zeroes the carved entries and returns the slabs to pool.
+func (l *lists[T]) release(pool *sync.Pool) {
+	for i, s := range l.slabs {
+		n := slabSize
+		if i == len(l.slabs)-1 {
+			n = l.used
+		}
+		clear(s[:n])
+		pool.Put(s)
+	}
+	*l = lists[T]{}
+}
 
 // arena hands out nodes from pooled slabs. It is owned by one Document and
 // is not safe for concurrent use (a DOM build is single-goroutine).
@@ -31,7 +81,16 @@ type arena struct {
 	ti    int
 	attrs []*[slabSize]Attr
 	ai    int
+
+	children  lists[Node]
+	attrLists lists[*Attr]
 }
+
+// nodeList returns a zeroed child list of n entries.
+func (a *arena) nodeList(n int) []Node { return a.children.carve(&nodeListSlabs, n) }
+
+// attrList returns an empty attribute list with room for n entries.
+func (a *arena) attrList(n int) []*Attr { return a.attrLists.carve(&attrListSlabs, n)[:0] }
 
 func (a *arena) newElement() *Element {
 	if len(a.elems) == 0 || a.ei == slabSize {
@@ -95,6 +154,8 @@ func (a *arena) release() {
 		}
 		attrSlabs.Put(s)
 	}
+	a.children.release(&nodeListSlabs)
+	a.attrLists.release(&attrListSlabs)
 	a.elems, a.texts, a.attrs = nil, nil, nil
 	a.ei, a.ti, a.ai = 0, 0, 0
 }

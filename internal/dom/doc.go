@@ -27,6 +27,16 @@
 // touched. Releasing is optional — an un-Released document is simply
 // collected by the GC.
 //
+// The lists that link a parsed tree come from slabs too. Parse keeps the
+// children of the open elements on one stack and, at each end tag, copies
+// an element's run into one exact-size list carved from a pooled slab,
+// setting each child's parent and index once: a fresh node under an
+// element needs none of AppendChild's checks, detaching or renumbering.
+// Attribute lists are carved at the start tag. Document-level nodes still
+// go through AppendChild, which enforces the single root. A parse that
+// reads names through a table (xmlparser.Options.Names) keeps each
+// element's ID in it (Element.SymbolID), for the validator's replay.
+//
 // # Concurrency
 //
 // Documents are plain mutable trees with no internal locking or lazily

@@ -1,6 +1,10 @@
 package dom
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/xmlparser"
+)
 
 // Document is the root of a DOM tree and the factory for all node kinds.
 type Document struct {
@@ -13,6 +17,9 @@ type Document struct {
 	// arena, when set, backs Element/Text/Attr creation with pooled slabs
 	// (see arena.go); nil for documents built node by node.
 	arena *arena
+	// names is the name table the parse read element names through, whose
+	// IDs Element.SymbolID reports.
+	names xmlparser.NameTable
 }
 
 // NewDocument creates an empty document.

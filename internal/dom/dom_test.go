@@ -385,3 +385,124 @@ func TestDumpFig4Style(t *testing.T) {
 		}
 	}
 }
+
+// linkedDocs are parsed trees with every kind of element child: text,
+// CDATA, comments, processing instructions, empty and self-closing
+// elements, and an element with more children than a list slab takes.
+var linkedDocs = []string{
+	`<a x="1"><b>hi</b><c/><d></d><![CDATA[<raw>]]><!--note--><?pi data?>tail</a>`,
+	"<?xml version=\"1.0\"?>\n<!--before--><r><e/></r><?after?>",
+	`<p:a xmlns:p="urn:x" p:k="v"><p:b><p:c/>t<p:c></p:c></p:b><!----><p:b/></p:a>`,
+	`<r>` + strings.Repeat(`<i n="1"><j/>x<k/></i>`, 3*maxSlabList) + `</r>`,
+	`<r/>`,
+}
+
+// checkTreeLinks checks that every child of n, recursively, names n as
+// its parent and sits at its index, and that the sibling and first/last
+// links agree with ChildNodes. exact also requires every element's child
+// list to have no spare capacity, as Parse builds them.
+func checkTreeLinks(t *testing.T, n Node, exact bool) {
+	t.Helper()
+	kids := n.ChildNodes()
+	if exact && len(kids) != cap(kids) && n.NodeType() == ElementNode {
+		t.Errorf("<%s>: child list of %d has capacity %d", n.NodeName(), len(kids), cap(kids))
+	}
+	if (n.FirstChild() == nil) != (len(kids) == 0) || n.HasChildNodes() != (len(kids) > 0) {
+		t.Errorf("%s: FirstChild/HasChildNodes disagree with %d children", n.NodeName(), len(kids))
+	}
+	for i, c := range kids {
+		if c.ParentNode() != n {
+			t.Errorf("%s child %d (%s): parent %v", n.NodeName(), i, c.NodeName(), c.ParentNode())
+		}
+		if int(c.base().index) != i {
+			t.Errorf("%s child %d (%s): index %d", n.NodeName(), i, c.NodeName(), c.base().index)
+		}
+		var prev, next Node
+		if i > 0 {
+			prev = kids[i-1]
+		}
+		if i+1 < len(kids) {
+			next = kids[i+1]
+		}
+		if c.PreviousSibling() != prev || c.NextSibling() != next {
+			t.Errorf("%s child %d (%s): siblings %v, %v", n.NodeName(), i, c.NodeName(), c.PreviousSibling(), c.NextSibling())
+		}
+		checkTreeLinks(t, c, exact)
+	}
+	if len(kids) > 0 && (n.FirstChild() != kids[0] || n.LastChild() != kids[len(kids)-1]) {
+		t.Errorf("%s: first/last child disagree with ChildNodes", n.NodeName())
+	}
+}
+
+// rebuild copies n under parent in dst, node by node through AppendChild.
+func rebuild(t *testing.T, dst *Document, parent, n Node) {
+	t.Helper()
+	var c Node
+	switch x := n.(type) {
+	case *Element:
+		e := dst.CreateElementNS(x.NamespaceURI(), x.TagName())
+		for _, a := range x.Attributes() {
+			e.SetAttributeNS(a.Name().Space, a.Name().Qualified(), a.Value())
+		}
+		c = e
+	case *Text:
+		c = dst.CreateTextNode(x.Data)
+	case *CDATASection:
+		c = dst.CreateCDATASection(x.Data)
+	case *Comment:
+		c = dst.CreateComment(x.Data)
+	case *ProcessingInstruction:
+		c = dst.CreateProcessingInstruction(x.Target, x.Data)
+	default:
+		t.Fatalf("unexpected %T", n)
+	}
+	if _, err := parent.AppendChild(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range n.ChildNodes() {
+		rebuild(t, dst, c, k)
+	}
+}
+
+// TestParsedTreeLinks checks the links of parsed trees, whose child lists
+// are built once at each end tag rather than appended to, and that they
+// serialize to the bytes of the same tree built with AppendChild.
+func TestParsedTreeLinks(t *testing.T) {
+	for _, src := range linkedDocs {
+		d := mustParse(t, src)
+		checkTreeLinks(t, d, true)
+		built := NewDocument()
+		for _, k := range d.ChildNodes() {
+			rebuild(t, built, built, k)
+		}
+		checkTreeLinks(t, built, false)
+		if got, want := ToString(d), ToString(built); got != want {
+			t.Errorf("%.40q: parsed tree serializes to\n%s\nbuilt one to\n%s", src, got, want)
+		}
+		d.Release()
+	}
+}
+
+// TestParsedListsGrowApart edits parsed trees whose child and attribute
+// lists sit side by side in one slab: growing or shrinking one list must
+// leave its neighbors as they were.
+func TestParsedListsGrowApart(t *testing.T) {
+	d := mustParse(t, `<r><a x="1"><x/></a><b y="2" z="3"><y/><z/></b><c/></r>`)
+	defer d.Release()
+	kids := d.DocumentElement().ChildElements()
+	a, b := kids[0], kids[1]
+	a.AppendChild(d.CreateElement("added"))
+	a.SetAttribute("w", "4")
+	if _, err := b.RemoveChild(b.FirstChild()); err != nil {
+		t.Fatal(err)
+	}
+	b.AppendChild(d.CreateElement("again"))
+	if _, err := a.InsertBefore(d.CreateTextNode("t"), a.FirstChild()); err != nil {
+		t.Fatal(err)
+	}
+	checkTreeLinks(t, d, false)
+	want := `<r><a x="1" w="4">t<x/><added/></a><b y="2" z="3"><z/><again/></b><c/></r>`
+	if got := ToString(d.DocumentElement()); got != want {
+		t.Errorf("edited tree %s, want %s", got, want)
+	}
+}

@@ -1,5 +1,7 @@
 package dom
 
+import "repro/internal/xmlparser"
+
 // Element is an XML element node with ordered, namespace-aware attributes.
 type Element struct {
 	node
@@ -21,6 +23,16 @@ func (e *Element) TagName() string { return e.name.Qualified() }
 
 // Name returns the full namespace-resolved name.
 func (e *Element) Name() Name { return e.name }
+
+// SymbolID returns the ID of the element's name in t when the parse that
+// built the element read names through t (xmlparser.Options.Names) and t
+// held the name, and -1 otherwise.
+func (e *Element) SymbolID(t xmlparser.NameTable) int32 {
+	if e.sym == 0 || e.doc.names != t {
+		return -1
+	}
+	return e.sym - 1
+}
 
 // LocalName returns the local part of the element name.
 func (e *Element) LocalName() string { return e.name.Local }

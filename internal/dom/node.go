@@ -109,7 +109,11 @@ type node struct {
 	doc      *Document
 	parent   Node
 	children []Node
-	index    int // position within parent.children
+	index    int32 // position within parent.children
+	// sym is an element's: 1 + the ID the document's name table gave its
+	// name (Element.SymbolID), or 0. It sits beside index, where it costs
+	// no space.
+	sym int32
 }
 
 func (n *node) base() *node         { return n }
@@ -136,7 +140,7 @@ func (n *node) PreviousSibling() Node {
 		return nil
 	}
 	sibs := n.parent.base().children
-	if n.index <= 0 || n.index >= len(sibs) {
+	if n.index <= 0 || int(n.index) >= len(sibs) {
 		return nil
 	}
 	return sibs[n.index-1]
@@ -147,7 +151,7 @@ func (n *node) NextSibling() Node {
 		return nil
 	}
 	sibs := n.parent.base().children
-	if n.index < 0 || n.index+1 >= len(sibs) {
+	if n.index < 0 || int(n.index)+1 >= len(sibs) {
 		return nil
 	}
 	return sibs[n.index+1]
@@ -166,7 +170,7 @@ func (n *node) OwnerDocument() *Document {
 // reindex renumbers children starting at from.
 func (n *node) reindex(from int) {
 	for i := from; i < len(n.children); i++ {
-		n.children[i].base().index = i
+		n.children[i].base().index = int32(i)
 	}
 }
 
@@ -242,7 +246,7 @@ func detach(child Node) {
 	}
 	pb := b.parent.base()
 	pb.children = append(pb.children[:b.index], pb.children[b.index+1:]...)
-	pb.reindex(b.index)
+	pb.reindex(int(b.index))
 	b.parent = nil
 	b.index = 0
 }
@@ -259,7 +263,7 @@ func (n *node) InsertBefore(newChild, ref Node) (Node, error) {
 	if rb.parent != n.self {
 		return nil, fmt.Errorf("%w: reference node is not a child", ErrNotFound)
 	}
-	return n.insertAt(newChild, rb.index)
+	return n.insertAt(newChild, int(rb.index))
 }
 
 // insertAt performs the checked insertion, expanding fragments.
@@ -288,7 +292,7 @@ func (n *node) insertAt(newChild Node, at int) (Node, error) {
 		return nil, err
 	}
 	cb := newChild.base()
-	if cb.parent == n.self && cb.index < at {
+	if cb.parent == n.self && int(cb.index) < at {
 		at-- // removing it first shifts the insertion point
 	}
 	detach(newChild)
@@ -315,7 +319,7 @@ func (n *node) ReplaceChild(newChild, oldChild Node) (Node, error) {
 	if oldChild == nil || oldChild.base().parent != n.self {
 		return nil, fmt.Errorf("%w: not a child of this node", ErrNotFound)
 	}
-	at := oldChild.base().index
+	at := int(oldChild.base().index)
 	detach(oldChild)
 	if _, err := n.insertAt(newChild, at); err != nil {
 		// Restore oldChild on failure.

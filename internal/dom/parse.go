@@ -2,6 +2,7 @@ package dom
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/xmlparser"
 )
@@ -30,11 +31,17 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 	// on hot parse-validate-discard loops may Release them when done. On
 	// parse failure no node escapes, so the slabs go straight back.
 	doc := NewPooledDocument()
+	if opts != nil {
+		doc.names = opts.Names
+	}
 	defer func() {
 		if err != nil {
 			doc.Release()
 		}
 	}()
+	b := builders.Get().(*builder)
+	b.doc = doc
+	defer b.release()
 	var cur Node = doc
 	for {
 		tok, err := dec.Token()
@@ -44,40 +51,120 @@ func parseWith(src []byte, opts *xmlparser.Options) (_ *Document, err error) {
 		if tok == nil {
 			return doc, nil
 		}
-		switch {
-		case tok.Kind == xmlparser.KindXMLDecl:
+		var n Node
+		switch tok.Kind {
+		case xmlparser.KindXMLDecl:
 			doc.Version = pseudoAttr(tok.Data(), "version")
 			doc.Encoding = pseudoAttr(tok.Data(), "encoding")
-		case tok.Kind == xmlparser.KindDoctype:
+			continue
+		case xmlparser.KindDoctype:
 			dt := &DocumentType{Name: tok.Name.Local, ExternalID: tok.Target, InternalSubset: tok.Data()}
 			dt.self = dt
 			dt.doc = doc
 			doc.Doctype = dt
-			if _, err := cur.AppendChild(dt); err != nil {
-				return nil, err
+			n = dt
+		case xmlparser.KindEndElement:
+			cur = b.close(cur)
+			continue
+		case xmlparser.KindStartElement:
+			if namespaces {
+				e := doc.CreateElementResolved(tok.Name, tok.Attrs)
+				e.sym = tok.SymbolID() + 1
+				n = e
+				break
 			}
-		case tok.Kind == xmlparser.KindEndElement:
-			cur = cur.ParentNode()
-		case tok.Kind == xmlparser.KindStartElement && !namespaces:
 			// Unresolved names may still collide on {"", Local} (a:x,
 			// b:x): SetAttributeNS keeps the last one.
 			e := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
 			for _, a := range tok.Attrs {
 				e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
 			}
-			if _, err := cur.AppendChild(e); err != nil {
-				return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
+			n = e
+		case xmlparser.KindText:
+			if tok.Data() == "" || cur == Node(doc) && isAllSpace(tok.Data()) {
+				// Fragment mode: top-level whitespace gets no node;
+				// documents never reach here with text.
+				continue
 			}
-			cur = e
-		case tok.Kind == xmlparser.KindText && cur == Node(doc) && isAllSpace(tok.Data()):
-			// Fragment mode: top-level whitespace gets no node; documents
-			// never reach here with text.
+			n = doc.CreateTextNode(tok.Data())
 		default:
-			if cur, err = doc.AppendToken(cur, tok); err != nil {
-				return nil, err
+			if n = doc.tokenNode(tok); n == nil {
+				continue
 			}
 		}
+		if err := b.add(cur, n); err != nil {
+			return nil, fmt.Errorf("at %s: %w", tok.Pos, err)
+		}
+		if tok.Kind == xmlparser.KindStartElement {
+			b.open()
+			cur = n
+		}
 	}
+}
+
+// builder links a parsed tree's nodes. The children of the open elements
+// wait on one stack, each element's run starting at its mark; at the
+// element's end tag they become its child list, carved at its exact size
+// from the arena, with each child's parent and index set as it was pushed.
+// Nodes fresh from the parse need none of AppendChild's checks, moves and
+// renumbering. Document children still go through AppendChild, which
+// enforces the single root.
+type builder struct {
+	doc   *Document
+	kids  []Node
+	marks []int
+}
+
+// builders recycles builders' stacks between parses. A pooled builder
+// keeps at most poolKids pending children and poolDepth marks.
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+const (
+	poolKids  = 4096
+	poolDepth = 256
+)
+
+// release empties the builder, keeping no node of the document, and
+// returns it to the pool.
+func (b *builder) release() {
+	clear(b.kids)
+	if cap(b.kids) > poolKids {
+		b.kids = nil
+	}
+	if cap(b.marks) > poolDepth {
+		b.marks = nil
+	}
+	*b = builder{kids: b.kids[:0], marks: b.marks[:0]}
+	builders.Put(b)
+}
+
+// add appends n, a node of the parse, under parent.
+func (b *builder) add(parent, n Node) error {
+	if parent == Node(b.doc) {
+		_, err := parent.AppendChild(n)
+		return err
+	}
+	nb := n.base()
+	nb.parent, nb.index = parent, int32(len(b.kids)-b.marks[len(b.marks)-1])
+	b.kids = append(b.kids, n)
+	return nil
+}
+
+// open starts collecting the children of the element just added.
+func (b *builder) open() { b.marks = append(b.marks, len(b.kids)) }
+
+// close gives the open element cur its children and returns its parent.
+func (b *builder) close(cur Node) Node {
+	m := b.marks[len(b.marks)-1]
+	b.marks = b.marks[:len(b.marks)-1]
+	if kids := b.kids[m:]; len(kids) > 0 {
+		list := b.doc.arena.nodeList(len(kids))
+		copy(list, kids)
+		cur.base().children = list
+		clear(kids)
+		b.kids = b.kids[:m]
+	}
+	return cur.ParentNode()
 }
 
 // AppendToken appends the node a token maps to under parent and returns
@@ -96,14 +183,10 @@ func (d *Document) AppendToken(parent Node, tok *xmlparser.Token) (Node, error) 
 			return parent, nil
 		}
 		n = d.CreateTextNode(tok.Data())
-	case xmlparser.KindCData:
-		n = d.CreateCDATASection(tok.Data())
-	case xmlparser.KindComment:
-		n = d.CreateComment(tok.Data())
-	case xmlparser.KindProcInst:
-		n = d.CreateProcessingInstruction(tok.Target, tok.Data())
 	default:
-		return parent, nil
+		if n = d.tokenNode(tok); n == nil {
+			return parent, nil
+		}
 	}
 	if _, err := parent.AppendChild(n); err != nil {
 		return parent, fmt.Errorf("at %s: %w", tok.Pos, err)
@@ -114,12 +197,34 @@ func (d *Document) AppendToken(parent Node, tok *xmlparser.Token) (Node, error) 
 	return parent, nil
 }
 
+// tokenNode returns a new CDATA section, comment or processing
+// instruction for tok, or nil for a token of another kind.
+func (d *Document) tokenNode(tok *xmlparser.Token) Node {
+	switch tok.Kind {
+	case xmlparser.KindCData:
+		return d.CreateCDATASection(tok.Data())
+	case xmlparser.KindComment:
+		return d.CreateComment(tok.Data())
+	case xmlparser.KindProcInst:
+		return d.CreateProcessingInstruction(tok.Target, tok.Data())
+	}
+	return nil
+}
+
 // CreateElementResolved creates an element from a start tag as the
 // tokenizer reports it with namespaces on: every name is split and every
 // attribute's {Space, Local} is unique on the tag, so the attributes are
 // appended as given, without SetAttributeNS's replace scan.
 func (d *Document) CreateElementResolved(name Name, attrs []xmlparser.Attr) *Element {
 	e := d.newElement(name)
+	if len(attrs) == 0 {
+		return e
+	}
+	if d.arena != nil {
+		e.attrs = d.arena.attrList(len(attrs))
+	} else {
+		e.attrs = make([]*Attr, 0, len(attrs))
+	}
 	for i := range attrs {
 		e.appendAttr(attrs[i].Name, attrs[i].Value)
 	}

@@ -55,3 +55,36 @@ func TestReleaseOnUnpooledDocument(t *testing.T) {
 		t.Fatal("Release on an unpooled document must not tear it down")
 	}
 }
+
+// TestReleaseClearsListSlabs checks that the slabs a parsed tree's child
+// and attribute lists were carved from go back to the pool holding no
+// node: Release zeroes every entry it handed out.
+func TestReleaseClearsListSlabs(t *testing.T) {
+	for _, src := range linkedDocs {
+		d := mustParse(t, src)
+		children := append([]*[slabSize]Node(nil), d.arena.children.slabs...)
+		attrs := append([]*[slabSize]*Attr(nil), d.arena.attrLists.slabs...)
+		// Lists a caller shortened keep stale entries past their length.
+		if r := d.DocumentElement(); r.HasChildNodes() {
+			if len(children) == 0 {
+				t.Fatalf("%.40q: no child list came from a slab", src)
+			}
+			r.RemoveChild(r.LastChild())
+		}
+		d.Release()
+		for _, s := range children {
+			for i, n := range s {
+				if n != nil {
+					t.Fatalf("%.40q: released child slab keeps %s at %d", src, n.NodeName(), i)
+				}
+			}
+		}
+		for _, s := range attrs {
+			for i, a := range s {
+				if a != nil {
+					t.Fatalf("%.40q: released attribute slab keeps %s at %d", src, a.NodeName(), i)
+				}
+			}
+		}
+	}
+}

@@ -122,7 +122,7 @@ func (s *Server) runBatch(ctx context.Context, v *validator.Validator, sources [
 	docs := make([]*dom.Document, 0, len(sources))
 	docIdx := make([]int, 0, len(sources))
 	for i, src := range sources {
-		doc, perr := dom.Parse([]byte(src))
+		doc, perr := v.Parse([]byte(src))
 		if perr != nil {
 			results[i] = batchResult{Violations: []violationJSON{{Path: "/", Msg: perr.Error()}}}
 			continue

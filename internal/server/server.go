@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/bind"
-	"repro/internal/dom"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/soap"
@@ -442,7 +441,7 @@ func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode 
 	if fail.code != 0 {
 		return fail
 	}
-	doc, perr := dom.Parse(data)
+	doc, perr := entry.Validator.Parse(data)
 	if perr != nil {
 		// Library parity (validator.ValidateBytes): malformedness is the
 		// verdict, not a transport error.

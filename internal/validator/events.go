@@ -25,7 +25,6 @@ import (
 	"io"
 
 	"repro/internal/dom"
-	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -117,6 +116,7 @@ func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev St
 	sr.rootDecl, sr.par = decl, par
 	declareAncestors(&sr.ns, root)
 	sr.tree = newTreeSource(root)
+	sr.tree.names, sr.symIDs = v.schema.Symbols(), true
 	res, _ := sr.consume(context.Background(), sr.tree)
 	sr.release()
 	return res
@@ -124,11 +124,11 @@ func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev St
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer.
 func (sv *StreamValidator) ValidateReaderEvents(ctx context.Context, r io.Reader, ev StreamEvents) (*Result, error) {
-	return sv.validateDecoder(ctx, xmlparser.NewReaderDecoder(r, nil), ev)
+	return sv.validateDecoder(ctx, r, nil, ev)
 }
 
 // ValidateBytesEvents is ValidateBytes with an event observer.
 func (sv *StreamValidator) ValidateBytesEvents(src []byte, ev StreamEvents) *Result {
-	res, _ := sv.validateDecoder(context.Background(), xmlparser.NewDecoder(src, nil), ev)
+	res, _ := sv.validateDecoder(context.Background(), nil, src, ev)
 	return res
 }

@@ -81,14 +81,14 @@ func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 // the deadline with a transport-level one (net/http request bodies
 // already fail their Reads when the connection closes).
 func (sv *StreamValidator) ValidateReaderContext(ctx context.Context, r io.Reader) (*Result, error) {
-	return sv.validateDecoder(ctx, xmlparser.NewReaderDecoder(r, nil), nil)
+	return sv.validateDecoder(ctx, r, nil, nil)
 }
 
 // ValidateBytes validates an in-memory document through the streaming
 // path (no DOM is built). It is the drop-in counterpart of the package
 // function ValidateBytes.
 func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
-	res, _ := sv.validateDecoder(context.Background(), xmlparser.NewDecoder(src, nil), nil)
+	res, _ := sv.validateDecoder(context.Background(), nil, src, nil)
 	return res
 }
 
@@ -123,11 +123,22 @@ func (sv *StreamValidator) validate(ctx context.Context, src TokenSource, ev Str
 	return res, err
 }
 
-// validateDecoder validates the document of a decoder the caller made for
-// the run and releases the decoder after it: the machine and the observer
-// keep strings of the tokens, never the tokens themselves.
-func (sv *StreamValidator) validateDecoder(ctx context.Context, d *xmlparser.Decoder, ev StreamEvents) (*Result, error) {
-	res, err := sv.validate(ctx, d, ev)
+// validateDecoder validates the document a decoder reads from r or, when r
+// is nil, from src, and releases the decoder after it: the machine and the
+// observer keep strings of the tokens, never the tokens themselves. The
+// decoder reads names through the schema's symbols, so the machine steps
+// by the IDs its tokens carry.
+func (sv *StreamValidator) validateDecoder(ctx context.Context, r io.Reader, src []byte, ev StreamEvents) (*Result, error) {
+	var d *xmlparser.Decoder
+	if r != nil {
+		d = xmlparser.NewReaderDecoder(r, &sv.v.names)
+	} else {
+		d = xmlparser.NewDecoder(src, &sv.v.names)
+	}
+	sr := newMachine(sv.v, ev)
+	sr.symIDs = true
+	res, err := sr.consume(ctx, d)
+	sr.release()
 	d.Release()
 	return res, err
 }
@@ -168,7 +179,7 @@ func (sr *streamRun) release() {
 		return
 	}
 	for _, f := range sr.free {
-		f.node, f.leaves, f.buf = nil, nil, nil // no reference into the document
+		f.node, f.leaves, f.buf, f.text = nil, nil, nil, "" // no reference into the document
 		if cap(f.textBuf) > poolText {
 			f.textBuf = nil
 		}
@@ -277,7 +288,10 @@ type frame struct {
 	childViols  []violation
 	contentViol *violation
 
-	textBuf    []byte   // accumulated character data (fmSimple/fmCSimple)
+	// Character data (fmSimple/fmCSimple): its first chunk in text, or
+	// all of it in textBuf once there is a second.
+	text       string
+	textBuf    []byte
 	plainAttrs []string // simple types: non-meta attribute names, reported at the end tag
 
 	counts  []childCount // child name -> occurrences, for positional steps
@@ -421,6 +435,11 @@ type streamRun struct {
 	par     int
 	outer   *sharedScope
 	journal bool
+
+	// symIDs marks tokens whose SymbolID is an ID in the schema's Symbols:
+	// those of a decoder the machine made itself (validateDecoder).
+	// Other sources' IDs, if any, are ignored.
+	symIDs bool
 }
 
 // pendingRef is an IDREF awaiting resolution.
@@ -555,7 +574,11 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			sr.skipChild(nsMark)
 			return
 		}
-		leaf, merr := parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
+		id := int32(-1)
+		if sr.symIDs {
+			id = tok.SymbolID()
+		}
+		leaf, merr := parent.run.StepID(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local}, id)
 		if merr != nil {
 			// The element reports the match error against the failing
 			// child and validates no children at all: drop the buffered
@@ -940,6 +963,18 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
 		}
 	case fmSimple, fmCSimple:
+		// A tree replay's token holds its text node's own string: text
+		// in one such chunk is kept rather than copied out of a buffer,
+		// and a second chunk starts the buffer. A decoder's bytes are
+		// copied, as asking for its token's string would intern them.
+		if sr.tree != nil && f.text == "" && len(f.textBuf) == 0 {
+			f.text = tok.Data()
+			break
+		}
+		if f.text != "" {
+			f.textBuf = append(f.textBuf, f.text...)
+			f.text = ""
+		}
 		f.textBuf = append(f.textBuf, data...)
 	case fmCEmpty:
 		if !f.failed && (cdata || len(bytes.TrimSpace(data)) != 0) {
@@ -1020,7 +1055,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 		if f.sawElemChild {
 			viols = append(viols, f.violation("element content is not allowed in a simple-type element"))
 		} else {
-			text := string(f.textBuf)
+			text := f.textValue()
 			if f.decl.Fixed != nil && text == "" {
 				text = *f.decl.Fixed
 			}
@@ -1046,7 +1081,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 		if f.sawElemChild {
 			viols = append(viols, f.violation("element content is not allowed in simple content"))
 		} else {
-			text := string(f.textBuf)
+			text := f.textValue()
 			val, err := f.st.Parse(text)
 			if err != nil {
 				viols = append(viols, f.violation(err.Error()))
@@ -1083,6 +1118,14 @@ func (sr *streamRun) observe(f *frame, val xsdtypes.Value) {
 	if f.announced {
 		sr.evVal, sr.evSet = val, true
 	}
+}
+
+// textValue returns the frame's character data.
+func (f *frame) textValue() string {
+	if len(f.textBuf) == 0 {
+		return f.text
+	}
+	return string(f.textBuf)
 }
 
 // appendPlainAttrViols adds a simple-typed element's attribute violations:

@@ -328,3 +328,35 @@ func TestEventAttrsCarryParsedValues(t *testing.T) {
 		}
 	}
 }
+
+// TestSimpleTextInChunks validates simple-typed elements whose text comes
+// in one node or in several (split by comments, processing instructions
+// and CDATA): the tree replay keeps a single node's string and joins
+// several, as the streaming path joins the decoder's chunks.
+func TestSimpleTextInChunks(t *testing.T) {
+	schema, err := xsd.ParseString(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r"><xs:complexType><xs:sequence>
+    <xs:element name="v" maxOccurs="unbounded"><xs:simpleType>
+      <xs:restriction base="xs:string"><xs:length value="2"/></xs:restriction>
+    </xs:simpleType></xs:element>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(schema, nil)
+	for src, viols := range map[string]int{
+		`<r><v>12</v><v><!--c-->12</v><v>12<?pi?></v></r>`:                   0,
+		`<r><v>1<!--c-->2</v><v>1<![CDATA[2]]></v><v><![CDATA[1]]>2</v></r>`: 0,
+		`<r><v>1<?pi?>2<!--c-->3</v><v>1<!--c--></v></r>`:                    2,
+	} {
+		doc, err := dom.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := v.ValidateDocument(doc); len(res.Violations) != viols {
+			t.Errorf("%s: %d violations, want %d: %v", src, len(res.Violations), viols, res.Violations)
+		}
+		streamDiff(t, v, src, src)
+	}
+}

@@ -22,6 +22,9 @@ type treeSource struct {
 	up    *dom.Element
 	cur   *dom.Element
 	attrs []xmlparser.Attr
+	// names, when set, is the table whose IDs start tags carry: the
+	// schema's Symbols, for a tree parsed through them (Validator.Parse).
+	names xmlparser.NameTable
 }
 
 func newTreeSource(root *dom.Element) *treeSource {
@@ -58,6 +61,9 @@ func (t *treeSource) Next(tok *xmlparser.Token) error {
 		}
 		t.attrs = attrs
 		*tok = xmlparser.Token{Kind: xmlparser.KindStartElement, Name: x.Name(), Attrs: attrs}
+		if t.names != nil {
+			tok.SetSymbolID(x.SymbolID(t.names))
+		}
 		t.cur = x
 		if first := x.FirstChild(); first != nil {
 			t.next = first

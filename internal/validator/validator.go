@@ -83,6 +83,9 @@ type Options struct {
 type Validator struct {
 	schema *xsd.Schema
 	opts   Options
+	// names are the decoder options of the validator's own parses: element
+	// names read through the schema's Symbols.
+	names xmlparser.Options
 }
 
 // New creates a validator for the schema. Passing nil opts selects the
@@ -93,7 +96,7 @@ func New(schema *xsd.Schema, opts *Options) *Validator {
 	if opts != nil {
 		o = *opts
 	}
-	return &Validator{schema: schema, opts: o}
+	return &Validator{schema: schema, opts: o, names: xmlparser.Options{Namespaces: true, Names: schema.Symbols()}}
 }
 
 // ValidateDocument validates a whole document: the root element must match
@@ -187,10 +190,19 @@ func snippet(s string) string {
 // ValidateBytes parses and validates a serialized document in one step —
 // the "marshalling" baseline of the paper's §7 related-work discussion.
 func ValidateBytes(schema *xsd.Schema, src []byte) (*dom.Document, *Result) {
-	doc, err := dom.Parse(src)
+	v := New(schema, nil)
+	doc, err := v.Parse(src)
 	if err != nil {
 		res := &Result{Violations: []Violation{{Path: "/", Msg: err.Error()}}}
 		return nil, res
 	}
-	return doc, New(schema, nil).ValidateDocument(doc)
+	return doc, v.ValidateDocument(doc)
+}
+
+// Parse parses a document as dom.Parse does, reading element names
+// through the schema's Symbols: the validator then replays the tree with
+// each element's symbol ID and steps the content models by it, without
+// resolving names again.
+func (v *Validator) Parse(src []byte) (*dom.Document, error) {
+	return dom.ParseWithOptions(src, &v.names)
 }

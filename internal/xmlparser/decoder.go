@@ -33,6 +33,9 @@ type Options struct {
 	// SkipComments drops comment tokens from the stream. Comments are
 	// emitted by default.
 	SkipComments bool
+	// Names, when set, gives every start tag's resolved name its ID in the
+	// table (Token.SymbolID). It needs namespace processing.
+	Names NameTable
 }
 
 // defaultOptions returns the options used when the caller passes nil.
@@ -44,7 +47,8 @@ type openElem struct {
 	rawName  string // as written, for end-tag matching and error messages
 	nameCols int    // columns rawName spans (it holds no newline)
 	pos      Pos
-	nsMark   int // Decoder.ns mark before this element's declarations
+	nsMark   int  // Decoder.ns mark before this element's declarations
+	bumped   bool // its declarations changed a binding: popping them bumps nsGen
 }
 
 // Decoder parses a single XML document (or fragment) and yields Tokens.
@@ -104,6 +108,17 @@ type Decoder struct {
 	attrs    []Attr
 	interned map[string]string
 
+	// names is the name memo (nameEntry), keyed by raw name; nameSlab is
+	// the chunk new entries are carved from, and attrNames the entry of
+	// each attribute of the current tag (nil when it has none). nsGen
+	// numbers the states of the namespace scope that resolutions are
+	// memoized against: it moves at the start of every document and
+	// whenever a declaration changes, or popping one restores, a binding.
+	names     map[string]*nameEntry
+	nameSlab  []nameEntry
+	attrNames []*nameEntry
+	nsGen     uint64
+
 	// window is the reader-mode buffer a released decoder kept; a reader
 	// decoder's src starts as it.
 	window []byte
@@ -115,8 +130,8 @@ type Decoder struct {
 }
 
 // Interning bounds: strings longer than maxInternLen are never cached,
-// and the cache stops growing at maxInternEntries so hostile input cannot
-// hold unbounded memory.
+// and the intern cache and the name memo together stop growing at
+// maxInternEntries so hostile input cannot hold unbounded memory.
 const (
 	maxInternLen     = 64
 	maxInternEntries = 1024
@@ -132,7 +147,7 @@ func (d *Decoder) internBytes(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(d.interned) < maxInternEntries {
+	if d.cached() < maxInternEntries {
 		if d.interned == nil {
 			d.interned = make(map[string]string)
 		}
@@ -140,6 +155,9 @@ func (d *Decoder) internBytes(b []byte) string {
 	}
 	return s
 }
+
+// cached counts the strings the intern cache and the name memo hold.
+func (d *Decoder) cached() int { return len(d.interned) + len(d.names) }
 
 // decoders recycles Decoders between documents: a released decoder keeps
 // its intern cache, its scratch slices and its reader window, so a warm
@@ -174,6 +192,7 @@ func NewReaderDecoder(r io.Reader, opts *Options) *Decoder {
 // is nil, held in src.
 func (d *Decoder) start(r io.Reader, src []byte, opts *Options) *Decoder {
 	d.rd, d.line, d.col = r, 1, 1
+	d.nsGen++
 	d.opts = defaultOptions()
 	if opts != nil {
 		d.opts = *opts
@@ -216,12 +235,14 @@ func (d *Decoder) reset() {
 	if cap(buf) > poolText {
 		buf = nil
 	}
-	if len(d.interned) >= maxInternEntries {
+	if d.cached() >= maxInternEntries {
 		clear(d.interned)
+		clear(d.names)
 	}
 	d.ns.reset()
 	*d = Decoder{window: window[:0], buf: buf[:0], attrs: clearedScratch(d.attrs),
-		stack: clearedScratch(d.stack), interned: d.interned, ns: d.ns}
+		stack: clearedScratch(d.stack), interned: d.interned, ns: d.ns,
+		names: d.names, nameSlab: d.nameSlab, attrNames: clearedScratch(d.attrNames), nsGen: d.nsGen}
 }
 
 // clearedScratch empties a scratch slice for a pooled decoder, so that it
@@ -831,16 +852,26 @@ func (d *Decoder) procInst(t *Token, p Pos) error {
 	return nil
 }
 
-// name scans an XML Name. ASCII name bytes are swept directly off the
-// window in one run per iteration — names never contain newlines, so the
-// column advances by the run length without per-byte decoder-field
-// updates; non-ASCII runes take the rune-decoding path.
+// name scans an XML Name and returns it interned.
 func (d *Decoder) name(what string) (string, error) {
+	b, err := d.scanName(what)
+	if err != nil {
+		return "", err
+	}
+	return d.internBytes(b), nil
+}
+
+// scanName scans an XML Name and returns a view of it in the window. ASCII
+// name bytes are swept directly off the window in one run per iteration —
+// names never contain newlines, so the column advances by the run length
+// without per-byte decoder-field updates; non-ASCII runes take the
+// rune-decoding path.
+func (d *Decoder) scanName(what string) ([]byte, error) {
 	p := d.pos()
 	start := d.off
 	r := d.peek()
 	if r < 0 || !IsNameStartChar(r) {
-		return "", d.errf(p, "expected %s", what)
+		return nil, d.errf(p, "expected %s", what)
 	}
 	d.next()
 	for {
@@ -873,7 +904,7 @@ func (d *Decoder) name(what string) (string, error) {
 		}
 		d.next()
 	}
-	return d.internBytes(d.src[start:d.off]), nil
+	return d.src[start:d.off], nil
 }
 
 // checkChars verifies every rune in s is a legal XML character.
@@ -1144,7 +1175,7 @@ func (d *Decoder) expandEntityText(p Pos, s string, inAttr bool, via string) (st
 func (d *Decoder) startTag(t *Token, p Pos) error {
 	d.skip("<")
 	nameCol := d.col
-	raw, err := d.name("element name")
+	e, raw, err := d.qname("element name")
 	if err != nil {
 		return err
 	}
@@ -1152,7 +1183,7 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 	// Attributes accumulate in the decoder's scratch slice; the emitted
 	// token aliases it, so it is only valid until the next Token call
 	// (Detach copies it for retained tokens).
-	d.attrs = d.attrs[:0]
+	d.attrs, d.attrNames = d.attrs[:0], d.attrNames[:0]
 	selfClosing := false
 	for {
 		had := d.skipSpace()
@@ -1174,9 +1205,11 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 				return d.errf(d.pos(), "expected whitespace before attribute in <%s>", raw)
 			}
 			d.attrs = append(d.attrs, Attr{})
-			if err := d.attribute(&d.attrs[len(d.attrs)-1]); err != nil {
+			ae, err := d.attribute(&d.attrs[len(d.attrs)-1])
+			if err != nil {
 				return err
 			}
+			d.attrNames = append(d.attrNames, ae)
 			continue
 		}
 		break
@@ -1189,23 +1222,22 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 	if j := firstDuplicate(attrs, literalKey); j >= 0 {
 		return d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
 	}
-	name := Name{Local: raw}
+	t.set(KindStartElement, Name{Local: raw}, p)
 	nsMark := d.ns.Mark()
+	bumped := false
 	if d.opts.Namespaces {
 		var err error
-		name, err = d.applyNamespaces(p, raw, attrs)
-		if err != nil {
+		if bumped, err = d.applyNamespaces(t, e, attrs); err != nil {
 			return err
 		}
 	}
 	d.seenRoot = true
-	t.set(KindStartElement, name, p)
 	t.Attrs, t.SelfClosing = attrs, selfClosing
 	if selfClosing {
-		d.ns.Pop(nsMark)
-		d.endPending, d.endName, d.endPos = true, name, p
+		d.popScope(nsMark, bumped)
+		d.endPending, d.endName, d.endPos = true, t.Name, p
 	} else {
-		d.stack = append(d.stack, openElem{name: name, rawName: raw, nameCols: nameCols, pos: p, nsMark: nsMark})
+		d.stack = append(d.stack, openElem{name: t.Name, rawName: raw, nameCols: nameCols, pos: p, nsMark: nsMark, bumped: bumped})
 	}
 	return nil
 }
@@ -1272,22 +1304,23 @@ func firstDuplicate(attrs []Attr, key func(*Attr) (attrKey, bool)) int {
 	return bestJ
 }
 
-// attribute parses name="value" into the zero Attr a.
-func (d *Decoder) attribute(a *Attr) error {
+// attribute parses name="value" into the zero Attr a and returns the
+// name's memo entry (nil when it has none).
+func (d *Decoder) attribute(a *Attr) (*nameEntry, error) {
 	p := d.pos()
-	raw, err := d.name("attribute name")
+	e, raw, err := d.qname("attribute name")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	d.skipSpace()
 	if d.peek() != '=' {
-		return d.errf(d.pos(), "expected '=' after attribute name %q", raw)
+		return nil, d.errf(d.pos(), "expected '=' after attribute name %q", raw)
 	}
 	d.next()
 	d.skipSpace()
 	q := d.peek()
 	if q != '"' && q != '\'' {
-		return d.errf(d.pos(), "attribute value for %q must be quoted", raw)
+		return nil, d.errf(d.pos(), "attribute value for %q must be quoted", raw)
 	}
 	d.next()
 	d.buf = d.buf[:0]
@@ -1320,7 +1353,7 @@ func (d *Decoder) attribute(a *Attr) error {
 				for d.off < end {
 					r := d.peek()
 					if !IsChar(r) {
-						return d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
+						return nil, d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
 					}
 					d.buf = utf8.AppendRune(d.buf, r)
 					d.next()
@@ -1331,17 +1364,22 @@ func (d *Decoder) attribute(a *Attr) error {
 		r := d.peek()
 		switch {
 		case r < 0:
-			return d.errf(p, "unterminated attribute value for %q", raw)
+			return nil, d.errf(p, "unterminated attribute value for %q", raw)
 		case r == q:
 			d.next()
-			a.Name, a.Value, a.Pos = splitRawName(raw), d.internBytes(d.buf), p
-			return nil
+			a.Value, a.Pos = d.internBytes(d.buf), p
+			if e != nil {
+				a.Name = Name{Prefix: e.name.Prefix, Local: e.name.Local}
+			} else {
+				a.Name = splitRawName(raw)
+			}
+			return e, nil
 		case r == '<':
-			return d.errf(d.pos(), "'<' is not permitted in attribute values")
+			return nil, d.errf(d.pos(), "'<' is not permitted in attribute values")
 		case r == '&':
 			s, err := d.reference(true)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			d.buf = append(d.buf, s...)
 		case r == '\t' || r == '\n':
@@ -1356,7 +1394,7 @@ func (d *Decoder) attribute(a *Attr) error {
 			d.buf = append(d.buf, ' ')
 		default:
 			if !IsChar(r) {
-				return d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
+				return nil, d.errf(d.pos(), "illegal character U+%04X in attribute value", r)
 			}
 			d.buf = utf8.AppendRune(d.buf, r)
 			d.next()
@@ -1370,95 +1408,6 @@ func splitRawName(raw string) Name {
 		return Name{Prefix: raw[:i], Local: raw[i+1:]}
 	}
 	return Name{Local: raw}
-}
-
-// applyNamespaces processes xmlns declarations in attrs, pushing their
-// bindings, and resolves the element and attribute names.
-func (d *Decoder) applyNamespaces(p Pos, rawElem string, attrs []Attr) (Name, error) {
-	for i := range attrs {
-		a := &attrs[i]
-		prefix, local := a.Name.Prefix, a.Name.Local
-		isDecl := prefix == "xmlns" || (prefix == "" && local == "xmlns")
-		if !isDecl {
-			continue
-		}
-		a.IsNamespaceDecl = true
-		declPrefix := ""
-		if prefix == "xmlns" {
-			declPrefix = local
-		}
-		switch declPrefix {
-		case "xmlns":
-			return Name{}, d.errf(a.Pos, "prefix \"xmlns\" cannot be declared")
-		case "xml":
-			if a.Value != XMLNamespace {
-				return Name{}, d.errf(a.Pos, "prefix \"xml\" cannot be rebound")
-			}
-		default:
-			if a.Value == XMLNamespace || a.Value == XMLNSNamespace {
-				return Name{}, d.errf(a.Pos, "namespace %q cannot be bound to prefix %q", a.Value, declPrefix)
-			}
-		}
-		if declPrefix != "" && a.Value == "" {
-			return Name{}, d.errf(a.Pos, "cannot undeclare prefix %q with an empty namespace name (XML 1.0)", declPrefix)
-		}
-		if declPrefix != "" && !IsNCName(declPrefix) {
-			return Name{}, d.errf(a.Pos, "bad namespace prefix %q", declPrefix)
-		}
-	}
-	// Every declaration is well formed: push the bindings. The literal
-	// duplicate check guarantees one declaration per prefix per element.
-	for i := range attrs {
-		if a := &attrs[i]; a.IsNamespaceDecl {
-			declPrefix := ""
-			if a.Name.Prefix == "xmlns" {
-				declPrefix = a.Name.Local
-			}
-			d.ns.Push(declPrefix, a.Value)
-		}
-	}
-	en := splitRawName(rawElem)
-	if en.Prefix != "" {
-		if !IsNCName(en.Prefix) || !IsNCName(en.Local) {
-			return Name{}, d.errf(p, "bad qualified name %q", rawElem)
-		}
-		uri, ok := d.lookupNS(en.Prefix)
-		if !ok {
-			return Name{}, d.errf(p, "undeclared namespace prefix %q on element <%s>", en.Prefix, rawElem)
-		}
-		en.Space = uri
-	} else {
-		if !IsNCName(en.Local) {
-			return Name{}, d.errf(p, "bad element name %q", rawElem)
-		}
-		if uri, ok := d.lookupNS(""); ok {
-			en.Space = uri
-		}
-	}
-	for i := range attrs {
-		a := &attrs[i]
-		if a.IsNamespaceDecl {
-			a.Name.Space = XMLNSNamespace
-			continue
-		}
-		if a.Name.Prefix == "" {
-			continue // unprefixed attributes are in no namespace
-		}
-		if !IsNCName(a.Name.Prefix) || !IsNCName(a.Name.Local) {
-			return Name{}, d.errf(a.Pos, "bad qualified attribute name %q", a.Name.Qualified())
-		}
-		uri, ok := d.lookupNS(a.Name.Prefix)
-		if !ok {
-			return Name{}, d.errf(a.Pos, "undeclared namespace prefix %q on attribute", a.Name.Prefix)
-		}
-		a.Name.Space = uri
-	}
-	// Post-resolution duplicate check: same {uri, local} via different
-	// prefixes.
-	if j := firstDuplicate(attrs, resolvedKey); j >= 0 {
-		return Name{}, d.errf(attrs[j].Pos, "duplicate attribute {%s}%s", attrs[j].Name.Space, attrs[j].Name.Local)
-	}
-	return en, nil
 }
 
 // lookupNS resolves a prefix against the innermost binding in scope.
@@ -1512,7 +1461,7 @@ func (d *Decoder) endTag(t *Token, p Pos) error {
 // closeTop pops the innermost open element and fills t with its end token.
 func (d *Decoder) closeTop(t *Token, p Pos) {
 	top := &d.stack[len(d.stack)-1]
-	d.ns.Pop(top.nsMark)
+	d.popScope(top.nsMark, top.bumped)
 	t.set(KindEndElement, top.name, p)
 	d.stack = d.stack[:len(d.stack)-1]
 }

@@ -63,6 +63,19 @@
 // instance documents and P-XML fragments all enter the system through
 // this tokenizer before package dom shapes them into trees.
 //
+// # Name memo
+//
+// Element and attribute names go through a memo keyed by the raw name: an
+// entry holds the name split at its colon, whether its parts are NCNames,
+// its prefix's namespace as of a generation of the namespace scope (which
+// moves only when a declaration changes what a prefix is bound to, and at
+// the start of each document), and, with Options.Names, the name's ID in
+// that table (Token.SymbolID). A table miss is asked again on the next
+// occurrence. The memo shares the intern cache's bounds: names longer than
+// maxInternLen, names met once the memo and the cache together hold
+// maxInternEntries strings, and every name under the reference scanner
+// (noBulk) take the per-tag path; FuzzNameMemo holds the memo to it.
+//
 // # Pooled decoders
 //
 // NewDecoder and NewReaderDecoder take decoders from a pool, and Release

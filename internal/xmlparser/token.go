@@ -130,6 +130,9 @@ type Token struct {
 	SelfClosing bool
 	// Pos is the position of the first character of the token.
 	Pos Pos
+
+	// sym is 1 + the ID Options.Names gave a start tag's name, 0 for none.
+	sym int32
 }
 
 // set makes t a fresh token of the given kind, name and position. It
@@ -138,8 +141,17 @@ type Token struct {
 func (t *Token) set(kind Kind, name Name, p Pos) {
 	t.Kind, t.Name, t.Pos = kind, name, p
 	t.data, t.str, t.strOK, t.d = nil, "", false, nil
-	t.Target, t.Attrs, t.SelfClosing = "", nil, false
+	t.Target, t.Attrs, t.SelfClosing, t.sym = "", nil, false, 0
 }
+
+// SymbolID returns the ID the decoder's name table (Options.Names) held
+// for a start tag's resolved name when the tag was read, or -1 when it held
+// none or the decoder has no table.
+func (t *Token) SymbolID() int32 { return t.sym - 1 }
+
+// SetSymbolID sets the ID SymbolID reports; -1 clears it. Token sources
+// other than a Decoder use it to pass on an ID they memoized.
+func (t *Token) SetSymbolID(id int32) { t.sym = id + 1 }
 
 // Data returns the token's text payload as a string, materializing (and
 // interning, when the token is still attached to its decoder) on first

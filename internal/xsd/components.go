@@ -530,6 +530,12 @@ type Schema struct {
 // owned by the schema; callers must not mutate it.
 func (s *Schema) Sources() []string { return s.sources }
 
+// Symbols returns the schema-wide interner its content models number
+// element names with. It fills as content models compile; as an
+// xmlparser.NameTable it lets a decoder give start tags their IDs
+// (Token.SymbolID), which the validator steps automata by.
+func (s *Schema) Symbols() *contentmodel.Interner { return s.symbols }
+
 // NewSchema creates an empty schema with the built-in types preloaded.
 func NewSchema(targetNS string) *Schema {
 	s := &Schema{
