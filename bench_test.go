@@ -975,6 +975,38 @@ func BenchmarkE12_DecodeHandler(b *testing.B) {
 	}
 }
 
+// BenchmarkE12_EncodeHandler prices one /v1/encode request in process,
+// beside BenchmarkE12_DecodeHandler: the canonical JSON of the same order
+// read back into a value tree and marshaled to XML.
+func BenchmarkE12_EncodeHandler(b *testing.B) {
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "po.xsd"), []byte(schemas.PurchaseOrderXSD), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.New(dir, nil)
+	if _, err := reg.Reload(); err != nil {
+		b.Fatal(err)
+	}
+	h := server.New(server.Config{Registry: reg}).Handler()
+	entry, _ := reg.Get("po")
+	val, res := entry.Binder.DecodeBytes(largePOSource(100))
+	if val == nil {
+		b.Fatal(res.Err())
+	}
+	js := entry.Binder.JSON(val)
+	b.Run("items=100", func(b *testing.B) {
+		b.ReportAllocs()
+		w := &discardResponse{h: http.Header{}}
+		for i := 0; i < b.N; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/v1/encode/po", bytes.NewReader(js))
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				b.Fatalf("status %d", w.code)
+			}
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // E13 — registry cold-start and compatibility checking at fleet scale.
 // ---------------------------------------------------------------------------

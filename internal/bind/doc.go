@@ -27,4 +27,14 @@
 // the round-trip property decode∘marshal = id modulo canonicalization
 // (attribute defaults materialized, lexical forms canonicalized, comments
 // and insignificant whitespace dropped).
+//
+// Ownership. DecodeBytes, DecodeDocument, DecodeSubtree, DecodeReader,
+// DecodeStreamBytes and FromJSON return trees the caller owns, for as
+// long as it likes. DecodeBytesScoped, DecodeReaderScoped and
+// FromJSONScoped lend the tree to a callback instead: the tree is valid
+// only until the callback returns, when its memory is zeroed and reused
+// by later calls. A callback writes out what must outlive it (the
+// server writes its JSON or XML response inside the callback) and keeps
+// no pointer into the tree: no *Value, Attrs, Children or Segments. A
+// tree is never released by hand.
 package bind

@@ -33,11 +33,30 @@ import (
 // body must be one JSON value, as encoding/json accepts it, with nothing
 // but whitespace after it. The Value does not alias data.
 func (b *Binder) FromJSON(data []byte) (*Value, error) {
+	d := decoderPool.Get().(*jsonDecoder)
+	defer d.release(false)
+	return d.fromJSON(b, data)
+}
+
+// FromJSONScoped is FromJSON with the tree lent to fn: the Value is valid
+// only until fn returns, when its memory goes back to pools for later
+// calls. fn is not called when FromJSON would return an error; that error
+// is returned instead.
+func (b *Binder) FromJSONScoped(data []byte, fn func(*Value)) error {
+	d := decoderPool.Get().(*jsonDecoder)
+	defer d.release(true)
+	v, err := d.fromJSON(b, data)
+	if err != nil {
+		return err
+	}
+	fn(v)
+	return nil
+}
+
+func (d *jsonDecoder) fromJSON(b *Binder, data []byte) (*Value, error) {
 	if len(data) > maxTapeBody {
 		return nil, fmt.Errorf("bind: bad JSON: a %d-byte body exceeds the reader's %d-byte limit", len(data), maxTapeBody)
 	}
-	d := decoderPool.Get().(*jsonDecoder)
-	defer d.release()
 	if err := d.scan(string(data)); err != nil {
 		return nil, err
 	}
@@ -80,19 +99,26 @@ type member struct {
 
 var decoderPool = sync.Pool{New: func() any { return new(jsonDecoder) }}
 
-// maxPooledEntries bounds the tape a pooled decoder keeps: a huge body's
-// scratch goes to the garbage collector instead of staying in the pool.
+// maxPooledEntries bounds the tape a pooled decoder keeps, and the stacks
+// of the pooled XML decoders and JSON writers: a huge document's scratch
+// goes to the garbage collector instead of staying in the pool.
 const maxPooledEntries = 1 << 16
 
-// release clears what points into the document and returns d to the
+// release releases the slab when the tree was only lent, or leaves it to
+// the caller, clears what points into the document and returns d to the
 // pool.
-func (d *jsonDecoder) release() {
+func (d *jsonDecoder) release(scoped bool) {
+	if scoped {
+		d.slab.release()
+	} else {
+		d.slab.forget()
+	}
 	if cap(d.ents) > maxPooledEntries {
 		return
 	}
 	clear(d.members[:cap(d.members)])
 	clear(d.pending[:cap(d.pending)])
-	*d = jsonDecoder{jsonTape: jsonTape{ents: d.ents[:0], stack: d.stack[:0]},
+	*d = jsonDecoder{jsonTape: jsonTape{ents: d.ents[:0], stack: d.stack[:0]}, slab: d.slab,
 		members: d.members[:0], slots: d.slots[:0], pending: d.pending[:0]}
 	decoderPool.Put(d)
 }
@@ -615,6 +641,7 @@ func rawValue(raw string) (*Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bind: $raw fragment does not parse: %w", err)
 	}
+	defer doc.Release()
 	root := doc.DocumentElement()
 	if root == nil {
 		return nil, fmt.Errorf("bind: $raw fragment has no element")

@@ -13,6 +13,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/xsd"
@@ -25,10 +27,33 @@ func (b *Binder) JSON(v *Value) []byte { return b.AppendJSON(nil, v) }
 // AppendJSON appends v's canonical JSON to dst and returns the extended
 // buffer, so a caller that sizes dst once gets the JSON without a copy.
 func (b *Binder) AppendJSON(dst []byte, v *Value) []byte {
-	buf := bytes.NewBuffer(dst)
-	b.writeJSON(buf, v, true)
-	return buf.Bytes()
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.b, jw.w = b, *bytes.NewBuffer(dst)
+	jw.writeJSON(v, true)
+	out := jw.w.Bytes()
+	if cap(jw.kids) <= maxPooledEntries {
+		*jw = jsonWriter{kids: jw.kids[:0]}
+		jsonWriters.Put(jw)
+	}
+	return out
 }
+
+// jsonWriter is one AppendJSON call: the output, and the scratch stack
+// on which writeStructFields groups each struct's children by field.
+type jsonWriter struct {
+	b    *Binder
+	w    bytes.Buffer
+	kids []fieldKid
+}
+
+// fieldKid is a struct's child and the index of its field in the plan,
+// or the number of fields for a "$any" child.
+type fieldKid struct {
+	field int
+	v     *Value
+}
+
+var jsonWriters = sync.Pool{New: func() any { return new(jsonWriter) }}
 
 // JSONIndent is JSON pretty-printed for humans (CLI output).
 func (b *Binder) JSONIndent(v *Value) []byte {
@@ -117,7 +142,8 @@ func attrKey(name xsd.QName) string {
 	return "@" + name.String()
 }
 
-func (b *Binder) writeJSON(w *bytes.Buffer, v *Value, withElem bool) {
+func (jw *jsonWriter) writeJSON(v *Value, withElem bool) {
+	w := &jw.w
 	if v == nil {
 		w.WriteString("null")
 		return
@@ -175,64 +201,76 @@ func (b *Binder) writeJSON(w *bytes.Buffer, v *Value, withElem bool) {
 			if s.Child == nil {
 				writeJSONString(w, s.Text)
 			} else {
-				b.writeJSON(w, s.Child, true)
+				jw.writeJSON(s.Child, true)
 			}
 		}
 		w.WriteByte(']')
 	case KindStruct:
-		b.writeStructFields(w, v, field)
+		jw.writeStructFields(v, field)
 	}
 	w.WriteByte('}')
 }
 
-// writeStructFields groups document-order children into plan-order fields.
-func (b *Binder) writeStructFields(w *bytes.Buffer, v *Value, field func(string)) {
-	tp := b.plan.For(v.typ)
-	var any []*Value
-	byField := map[*FieldPlan][]*Value{}
-	for _, c := range v.Children {
-		var f *FieldPlan
-		if tp != nil && !c.Wild {
-			f = tp.byName[c.Name]
-		}
-		if f == nil {
-			any = append(any, c)
-			continue
-		}
-		byField[f] = append(byField[f], c)
-	}
+// writeStructFields groups document-order children into plan-order
+// fields, wildcard children last under "$any". The children, stably
+// sorted by field, sit on the writer's scratch stack at kids[lo:hi]; the
+// writes of the children push their own past hi, so only the indexes
+// are kept across them.
+func (jw *jsonWriter) writeStructFields(v *Value, field func(string)) {
+	w := &jw.w
+	tp := jw.b.plan.For(v.typ)
+	var fields []*FieldPlan
 	if tp != nil {
-		for _, f := range tp.Fields {
-			vals := byField[f]
-			if len(vals) == 0 {
-				continue
+		fields = tp.Fields
+	}
+	lo := len(jw.kids)
+	for _, c := range v.Children {
+		k := len(fields)
+		if tp != nil && !c.Wild {
+			if f := tp.byName[c.Name]; f != nil {
+				k = f.index
 			}
-			field(f.Key)
-			if f.Plural || len(vals) > 1 {
-				w.WriteByte('[')
-				for i, c := range vals {
-					if i > 0 {
-						w.WriteByte(',')
-					}
-					b.writeJSON(w, c, c.Name != f.Decl.Name)
+		}
+		jw.kids = append(jw.kids, fieldKid{k, c})
+	}
+	hi := len(jw.kids)
+	slices.SortStableFunc(jw.kids[lo:hi], func(a, b fieldKid) int { return a.field - b.field })
+	for i := lo; i < hi; {
+		k, j := jw.kids[i].field, i+1
+		for j < hi && jw.kids[j].field == k {
+			j++
+		}
+		if k == len(fields) {
+			field("$any")
+			w.WriteByte('[')
+			for n := i; n < j; n++ {
+				if n > i {
+					w.WriteByte(',')
 				}
-				w.WriteByte(']')
-			} else {
-				b.writeJSON(w, vals[0], vals[0].Name != f.Decl.Name)
+				c := jw.kids[n].v
+				jw.writeJSON(c, c.Kind != KindRaw)
 			}
-		}
-	}
-	if len(any) > 0 {
-		field("$any")
-		w.WriteByte('[')
-		for i, c := range any {
-			if i > 0 {
-				w.WriteByte(',')
+			w.WriteByte(']')
+		} else if f := fields[k]; f.Plural || j-i > 1 {
+			field(f.Key)
+			w.WriteByte('[')
+			for n := i; n < j; n++ {
+				if n > i {
+					w.WriteByte(',')
+				}
+				c := jw.kids[n].v
+				jw.writeJSON(c, c.Name != f.Decl.Name)
 			}
-			b.writeJSON(w, c, c.Kind != KindRaw)
+			w.WriteByte(']')
+		} else {
+			field(f.Key)
+			c := jw.kids[i].v
+			jw.writeJSON(c, c.Name != f.Decl.Name)
 		}
-		w.WriteByte(']')
+		i = j
 	}
+	clear(jw.kids[lo:hi])
+	jw.kids = jw.kids[:lo]
 }
 
 // writeScalar renders an xsdtypes value as a JSON scalar: booleans and

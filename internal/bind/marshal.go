@@ -33,21 +33,27 @@ import (
 // document feeds the binder's streaming validator: a tree the schema
 // rejects yields an error carrying the first violation, and a tree whose
 // output does not parse (a malformed raw fragment, say) the parse error.
-func (b *Binder) Marshal(v *Value) ([]byte, error) {
+func (b *Binder) Marshal(v *Value) ([]byte, error) { return b.AppendMarshal(nil, v) }
+
+// AppendMarshal appends v marshaled as in Marshal to dst and returns the
+// extended buffer, so a caller that sizes dst once gets the document
+// without regrowing it. On error it returns dst unextended.
+func (b *Binder) AppendMarshal(dst []byte, v *Value) ([]byte, error) {
 	if v == nil {
-		return nil, fmt.Errorf("bind: cannot marshal a nil value")
+		return dst, fmt.Errorf("bind: cannot marshal a nil value")
 	}
 	e := newEncoder(v, true)
+	e.out, e.base = dst, len(dst)
 	res := b.sv.ValidateTokens(e)
 	if e.dec != nil {
 		e.dec.Release()
 	}
 	if e.err != nil {
-		return nil, fmt.Errorf("bind: marshaled document does not parse: %w", e.err)
+		return dst, fmt.Errorf("bind: marshaled document does not parse: %w", e.err)
 	}
 	if !res.OK() {
 		viol := res.Violations[0]
-		return nil, fmt.Errorf("bind: marshaled document is schema-invalid at %s: %s", viol.Path, viol.Msg)
+		return dst, fmt.Errorf("bind: marshaled document is schema-invalid at %s: %s", viol.Path, viol.Msg)
 	}
 	return e.out, nil
 }
@@ -67,7 +73,8 @@ func Serialize(v *Value) []byte {
 type encoder struct {
 	ns    *nsTable
 	root  *Value
-	out   []byte
+	out   []byte // the caller's bytes, then the document from offset base
+	base  int
 	stack []encFrame
 
 	started    bool
@@ -130,13 +137,14 @@ func (e *encoder) Next(t *xmlparser.Token) error {
 }
 
 // resume finishes writing the document and hands the token stream to a
-// decoder over the output, from offset at on. at is always where a markup
-// or text token starts, and the walk's tokens before it are exactly the
-// decoder's, so the decoder's tokens before it are skipped.
+// decoder over the document, from offset at of the output on. at is
+// always where a markup or text token starts, and the walk's tokens
+// before it are exactly the decoder's, so the decoder's tokens before it
+// are skipped.
 func (e *encoder) resume(at int) {
 	e.writeRest()
-	e.dec = xmlparser.NewDecoder(e.out, nil)
-	e.skipTo = at
+	e.dec = xmlparser.NewDecoder(e.out[e.base:], nil)
+	e.skipTo = at - e.base
 }
 
 // writeRest runs the walk to the end, writing only.

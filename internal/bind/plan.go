@@ -51,6 +51,8 @@ type FieldPlan struct {
 	// compositor, 0 outside any choice: fields sharing a Choice are
 	// alternatives of a tagged union.
 	Choice int
+
+	index int // in TypePlan.Fields
 }
 
 // NewPlan derives the binding plan for every complex type in the schema
@@ -172,7 +174,7 @@ func (w *planWalker) element(decl *xsd.ElementDecl, plural, optional bool, choic
 			break
 		}
 	}
-	f := &FieldPlan{Key: key, Decl: decl, Plural: plural, Optional: optional, Choice: choice}
+	f := &FieldPlan{Key: key, Decl: decl, Plural: plural, Optional: optional, Choice: choice, index: len(w.tp.Fields)}
 	if w.tp.byKey == nil {
 		w.tp.byKey = map[string]int{}
 	}

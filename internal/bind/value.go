@@ -1,7 +1,7 @@
 package bind
 
 import (
-	"slices"
+	"sync"
 
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
@@ -85,41 +85,99 @@ func appendText(segs []Segment, data string) []Segment {
 }
 
 // slab hands out one document's Values, Attr lists and child lists from
-// chunks that double in length up to slabMax, so a decoded tree costs a
-// few allocations rather than one per element and per list. The
-// cap bounds the unused tail of the last chunk. The chunks are ordinary
-// garbage-collected slices: a Value the caller keeps, even a sub-Value,
-// keeps its whole chunk alive (DESIGN.md, "Value representation").
+// chunks of slabLen entries drawn from sync.Pools, so a decoded tree costs
+// a few pool round trips rather than one allocation per element and per
+// list. A list longer than a chunk gets an array of its own.
+//
+// Who owns the chunks depends on the entry point. The scoped ones
+// (DecodeBytesScoped, DecodeReaderScoped, FromJSONScoped) release the slab
+// when their callback returns: every chunk is zeroed and goes back to its
+// pool, so pooled chunks are always fully zeroed, as in dom/arena.go. The others forget the chunks instead and the tree belongs
+// to the caller; a Value the caller keeps, even a sub-Value, keeps its
+// whole chunk alive (DESIGN.md, "Value representation").
 type slab struct {
-	vals  []Value
-	attrs []Attr
-	kids  []*Value
+	vals  chunks[Value]
+	attrs chunks[Attr]
+	kids  chunks[*Value]
 }
 
-// The first and the longest chunk's length.
-const slabMin, slabMax = 8, 16
+// slabLen is the number of entries in every chunk: 18 Values and the
+// allocator's 8-byte header fill a 4,096-byte size class, and 18 Attrs
+// fill 1,448 of 1,536 bytes.
+const slabLen = 18
 
-// chunkLen is the length of the chunk after one of length n.
-func chunkLen(n int) int { return min(max(2*n, slabMin), slabMax) }
+var (
+	valueChunks = sync.Pool{New: func() any { return new([slabLen]Value) }}
+	attrChunks  = sync.Pool{New: func() any { return new([slabLen]Attr) }}
+	kidChunks   = sync.Pool{New: func() any { return new([slabLen]*Value) }}
+)
 
-// value returns a zeroed Value from the current chunk.
+// chunks is the list of chunks one slab drew from a pool; entries are
+// handed out from the last.
+type chunks[T any] struct {
+	list []*[slabLen]T
+	used int // entries handed out from the last chunk
+}
+
+// room returns the n ≤ slabLen zeroed entries after the used ones, from a
+// new chunk when the last lacks room, without claiming them.
+func (c *chunks[T]) room(pool *sync.Pool, n int) []T {
+	if len(c.list) == 0 || c.used+n > slabLen {
+		c.list = append(c.list, pool.Get().(*[slabLen]T))
+		c.used = 0
+	}
+	return c.list[len(c.list)-1][c.used : c.used+n : c.used+n]
+}
+
+// release zeroes the chunks and returns them to pool. It zeroes them
+// whole: a list abandoned between attrSpace and keepAttrs wrote entries
+// past the used ones.
+func (c *chunks[T]) release(pool *sync.Pool) {
+	for _, p := range c.list {
+		clear(p[:])
+		pool.Put(p)
+	}
+	c.forget()
+}
+
+// forget drops the chunks, which stay with the tree they hold.
+func (c *chunks[T]) forget() {
+	clear(c.list)
+	c.list, c.used = c.list[:0], 0
+}
+
+// release hands every chunk back to the pools: nothing may use the tree
+// afterwards.
+func (s *slab) release() {
+	s.vals.release(&valueChunks)
+	s.attrs.release(&attrChunks)
+	s.kids.release(&kidChunks)
+}
+
+// forget leaves every chunk to the tree, which the caller then owns.
+func (s *slab) forget() {
+	s.vals.forget()
+	s.attrs.forget()
+	s.kids.forget()
+}
+
+// value returns a zeroed Value.
 func (s *slab) value() *Value {
-	if len(s.vals) == cap(s.vals) {
-		// Grow rounds the capacity up to the allocation's size class.
-		s.vals = slices.Grow([]Value(nil), chunkLen(cap(s.vals)))
-	}
-	s.vals = s.vals[:len(s.vals)+1]
-	return &s.vals[len(s.vals)-1]
+	v := &s.vals.room(&valueChunks, 1)[0]
+	s.vals.used++
+	return v
 }
 
-// attrSpace returns an empty list with room for n attributes in the
-// current chunk. Append at most n, then pass the list to keepAttrs.
+// attrSpace returns an empty list with room for n attributes. Append at
+// most n, then pass the list to keepAttrs.
 func (s *slab) attrSpace(n int) []Attr {
-	if cap(s.attrs)-len(s.attrs) < n {
-		s.attrs = slices.Grow([]Attr(nil), max(chunkLen(cap(s.attrs)), n))
+	if n == 0 {
+		return nil
 	}
-	i := len(s.attrs)
-	return s.attrs[i : i : i+n]
+	if n > slabLen {
+		return make([]Attr, 0, n)
+	}
+	return s.attrs.room(&attrChunks, n)[:0]
 }
 
 // keepAttrs claims the attributes appended to attrSpace's list and
@@ -129,18 +187,21 @@ func (s *slab) keepAttrs(list []Attr) []Attr {
 	if len(list) == 0 {
 		return nil
 	}
-	s.attrs = s.attrs[:len(s.attrs)+len(list)]
+	if cap(list) <= slabLen {
+		s.attrs.used += len(list)
+	}
 	return list[:len(list):len(list)]
 }
 
-// children copies a child list into the current chunk and returns the
-// copy, its capacity cut to its length.
+// children copies a child list into the slab and returns the copy, its
+// capacity cut to its length.
 func (s *slab) children(list []*Value) []*Value {
 	n := len(list)
-	if cap(s.kids)-len(s.kids) < n {
-		s.kids = slices.Grow([]*Value(nil), max(chunkLen(cap(s.kids)), n))
+	if n > slabLen {
+		return append(make([]*Value, 0, n), list...)
 	}
-	i := len(s.kids)
-	s.kids = append(s.kids, list...)
-	return s.kids[i : i+n : i+n]
+	out := s.kids.room(&kidChunks, n)
+	s.kids.used += n
+	copy(out, list)
+	return out
 }

@@ -558,11 +558,16 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	writeJSONBody(w, http.StatusOK, appendElapsed(out.data, int64(time.Since(start))))
 }
 
-// runDecode produces a verdict and, when valid, the canonical JSON.
+// runDecode produces a verdict and, when valid, the canonical JSON. The
+// response is written inside the scoped decode: the value tree's memory
+// goes back to the binder's pools when the call returns.
 func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode string, body requestBody) outcome {
+	var out outcome
 	if mode == "decode-stream" {
 		tracked := &capTracker{r: body.Reader}
-		v, res, err := entry.Binder.DecodeReader(ctx, tracked)
+		err := entry.Binder.DecodeReaderScoped(ctx, tracked, func(v *bind.Value, res *validator.Result) {
+			out = decodeOutcome(entry, mode, v, res, tracked.n)
+		})
 		if tracked.hit {
 			return outcome{code: http.StatusRequestEntityTooLarge,
 				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", s.maxBody)}
@@ -573,14 +578,16 @@ func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode stri
 			}
 			return outcome{code: http.StatusInternalServerError, errMsg: err.Error()}
 		}
-		return decodeOutcome(entry, mode, v, res, tracked.n)
+		return out
 	}
 	data, fail := readBody(ctx, body)
 	if fail.code != 0 {
 		return fail
 	}
-	v, res := entry.Binder.DecodeBytes(data)
-	return decodeOutcome(entry, mode, v, res, len(data))
+	entry.Binder.DecodeBytesScoped(data, func(v *bind.Value, res *validator.Result) {
+		out = decodeOutcome(entry, mode, v, res, len(data))
+	})
+	return out
 }
 
 // decodeOutcome writes a /v1/decode response up to its elapsed time: the
@@ -638,13 +645,19 @@ func (s *Server) runEncode(ctx context.Context, entry *registry.Entry, body requ
 	if fail.code != 0 {
 		return fail
 	}
-	v, err := entry.Binder.FromJSON(data)
-	if err != nil {
+	// The value tree lives only inside the scoped call. The document is
+	// marshaled into a buffer sized from the body: the XML of canonical
+	// JSON runs about 1.45 times its length (end tags; the primer's
+	// purchase orders of 1 to 150 items read 1.24 to 1.46).
+	var xml []byte
+	var merr error
+	if err := entry.Binder.FromJSONScoped(data, func(v *bind.Value) {
+		xml, merr = entry.Binder.AppendMarshal(make([]byte, 0, len(data)*3/2), v)
+	}); err != nil {
 		return outcome{code: http.StatusBadRequest, errMsg: err.Error()}
 	}
-	xml, err := entry.Binder.Marshal(v)
-	if err != nil {
-		return outcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()}
+	if merr != nil {
+		return outcome{code: http.StatusUnprocessableEntity, errMsg: merr.Error()}
 	}
 	return outcome{data: xml}
 }

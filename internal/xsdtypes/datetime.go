@@ -430,40 +430,56 @@ func (v Value) DateTime() DateTime {
 
 // String returns a canonical-ish lexical representation.
 func (dt DateTime) String() string {
-	var sb strings.Builder
-	writeYear := func() {
+	var buf [64]byte
+	b := buf[:0]
+	appendYear := func() {
 		if dt.Year < 0 {
-			fmt.Fprintf(&sb, "-%04d", -dt.Year)
+			b = append(b, '-')
+			b = appendPadded(b, -int64(dt.Year), 4)
 		} else {
-			fmt.Fprintf(&sb, "%04d", dt.Year)
+			b = appendPadded(b, int64(dt.Year), 4)
 		}
+	}
+	two := func(sep byte, n int) {
+		b = appendPadded(append(b, sep), int64(n), 2)
 	}
 	switch dt.Kind {
 	case KindDateTime:
-		writeYear()
-		fmt.Fprintf(&sb, "-%02d-%02dT%02d:%02d:%02d", dt.Month, dt.Day, dt.Hour, dt.Min, dt.Sec)
-		writeNanos(&sb, dt.Nanos)
+		appendYear()
+		two('-', dt.Month)
+		two('-', dt.Day)
+		two('T', dt.Hour)
+		two(':', dt.Min)
+		two(':', dt.Sec)
+		b = appendNanos(b, dt.Nanos)
 	case KindDate:
-		writeYear()
-		fmt.Fprintf(&sb, "-%02d-%02d", dt.Month, dt.Day)
+		appendYear()
+		two('-', dt.Month)
+		two('-', dt.Day)
 	case KindTime:
-		fmt.Fprintf(&sb, "%02d:%02d:%02d", dt.Hour, dt.Min, dt.Sec)
-		writeNanos(&sb, dt.Nanos)
+		b = appendPadded(b, int64(dt.Hour), 2)
+		two(':', dt.Min)
+		two(':', dt.Sec)
+		b = appendNanos(b, dt.Nanos)
 	case KindGYearMonth:
-		writeYear()
-		fmt.Fprintf(&sb, "-%02d", dt.Month)
+		appendYear()
+		two('-', dt.Month)
 	case KindGYear:
-		writeYear()
+		appendYear()
 	case KindGMonthDay:
-		fmt.Fprintf(&sb, "--%02d-%02d", dt.Month, dt.Day)
+		b = append(b, '-')
+		two('-', dt.Month)
+		two('-', dt.Day)
 	case KindGDay:
-		fmt.Fprintf(&sb, "---%02d", dt.Day)
+		b = append(b, "--"...)
+		two('-', dt.Day)
 	case KindGMonth:
-		fmt.Fprintf(&sb, "--%02d", dt.Month)
+		b = append(b, '-')
+		two('-', dt.Month)
 	}
 	if dt.HasTZ {
 		if dt.TZMin == 0 {
-			sb.WriteByte('Z')
+			b = append(b, 'Z')
 		} else {
 			off := dt.TZMin
 			sign := byte('+')
@@ -471,20 +487,56 @@ func (dt DateTime) String() string {
 				sign = '-'
 				off = -off
 			}
-			fmt.Fprintf(&sb, "%c%02d:%02d", sign, off/60, off%60)
+			two(sign, off/60)
+			two(':', off%60)
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
-func writeNanos(sb *strings.Builder, nanos int) {
-	if nanos == 0 {
-		return
+// appendPadded appends n in decimal, zero-padded to width as fmt's %0*d
+// pads it: a minus sign counts toward the width.
+func appendPadded(b []byte, n int64, width int) []byte {
+	var digits [20]byte
+	i := len(digits)
+	u := uint64(n)
+	if n < 0 {
+		u = -u
+		width--
+		b = append(b, '-')
 	}
-	frac := fmt.Sprintf("%09d", nanos)
-	frac = strings.TrimRight(frac, "0")
-	sb.WriteByte('.')
-	sb.WriteString(frac)
+	for u >= 10 {
+		i--
+		digits[i] = byte('0' + u%10)
+		u /= 10
+	}
+	i--
+	digits[i] = byte('0' + u)
+	for w := len(digits) - i; w < width; w++ {
+		b = append(b, '0')
+	}
+	return append(b, digits[i:]...)
+}
+
+// appendNanos appends a nonzero fraction of a second as ".ddd", without
+// trailing zeros.
+func appendNanos(b []byte, nanos int) []byte {
+	if nanos == 0 {
+		return b
+	}
+	return appendFraction(append(b, '.'), int64(nanos))
+}
+
+// appendFraction appends nanos as nine digits, as %09d writes them, with
+// the trailing zeros dropped.
+func appendFraction(b []byte, nanos int64) []byte {
+	n := len(b)
+	b = appendPadded(b, nanos, 9)
+	end := len(b)
+	for end > n && b[end-1] == '0' {
+		end--
+	}
+	return b[:end]
 }
 
 // Duration is an xs:duration value: a (months, seconds) pair, each part
@@ -683,45 +735,49 @@ func (d Duration) Cmp(other Duration) int {
 
 // String returns a canonical-ish lexical form.
 func (d Duration) String() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	if d.Neg {
-		sb.WriteByte('-')
+		b = append(b, '-')
 	}
-	sb.WriteByte('P')
+	b = append(b, 'P')
+	mark := len(b)
+	part := func(n int64, designator byte) {
+		b = append(strconv.AppendInt(b, n, 10), designator)
+	}
 	months := d.Months
 	if y := months / 12; y != 0 {
-		fmt.Fprintf(&sb, "%dY", y)
+		part(y, 'Y')
 		months -= y * 12
 	}
 	if months != 0 {
-		fmt.Fprintf(&sb, "%dM", months)
+		part(months, 'M')
 	}
 	secs := d.Secs
 	if days := secs / 86400; days != 0 {
-		fmt.Fprintf(&sb, "%dD", days)
+		part(days, 'D')
 		secs -= days * 86400
 	}
 	if secs != 0 || d.Nanos != 0 {
-		sb.WriteByte('T')
+		b = append(b, 'T')
 		if h := secs / 3600; h != 0 {
-			fmt.Fprintf(&sb, "%dH", h)
+			part(h, 'H')
 			secs -= h * 3600
 		}
 		if m := secs / 60; m != 0 {
-			fmt.Fprintf(&sb, "%dM", m)
+			part(m, 'M')
 			secs -= m * 60
 		}
 		if secs != 0 || d.Nanos != 0 {
+			b = strconv.AppendInt(b, secs, 10)
 			if d.Nanos != 0 {
-				frac := strings.TrimRight(fmt.Sprintf("%09d", d.Nanos), "0")
-				fmt.Fprintf(&sb, "%d.%sS", secs, frac)
-			} else {
-				fmt.Fprintf(&sb, "%dS", secs)
+				b = appendFraction(append(b, '.'), d.Nanos)
 			}
+			b = append(b, 'S')
 		}
 	}
-	if sb.String() == "P" || sb.String() == "-P" {
-		sb.WriteString("T0S")
+	if len(b) == mark {
+		b = append(b, "T0S"...)
 	}
-	return sb.String()
+	return string(b)
 }
