@@ -1133,7 +1133,7 @@ func BenchmarkE13_CompatClassify(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E15 — zero-copy SWAR tokenization + intra-document parallel validation.
+// E15 — zero-copy SWAR tokenization and one large document per walk.
 // ---------------------------------------------------------------------------
 
 // e15TextDoc builds a ~1MB text-dominated document: long character runs
@@ -1234,56 +1234,60 @@ func BenchmarkE15_TokenizerScan(b *testing.B) {
 	}
 }
 
-// BenchmarkE15_ParallelValidate prices the intra-document worker pool on
-// a ~4.5MB purchase order (30k items): the workers=1 leg is the plain
-// sequential walk; the scaling legs split the depth-1 subtrees across
-// explicit pool sizes. Verdict equality with the sequential walk is
-// enforced by the E15 differential suite; this measures only the speedup.
-func BenchmarkE15_ParallelValidate(b *testing.B) {
+// BenchmarkE15_LargeOrder prices one large document, bytes in and
+// verdict out, on the two walks every entry point runs: the stream leg
+// validates straight from the bytes (StreamValidator.ValidateBytes, what
+// ?stream=1 and xsdcheck -stream run), the dom leg parses a tree,
+// replays it and releases it (what /v1/validate runs by default). The
+// document is a ~4.4 MB purchase order with 30,000 items.
+func BenchmarkE15_LargeOrder(b *testing.B) {
 	schema, err := xsd.ParseString(schemas.PurchaseOrderXSD, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := []byte(syntheticOrder(30000, false))
-	doc, err := dom.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
 	v := validator.New(schema, nil)
-	if res := v.ValidateDocument(doc); !res.OK() {
-		b.Fatalf("bench document invalid: %v", res.Err())
-	}
 	b.Logf("document: %.1f MB", float64(len(src))/(1<<20))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				var res *validator.Result
-				if workers == 1 {
-					res = v.ValidateDocument(doc)
-				} else {
-					res = v.ParallelValidate(doc, workers)
-				}
-				if !res.OK() {
-					b.Fatal("verdict flipped")
-				}
-			}
-		})
-	}
-	// End-to-end leg: bytes in, verdict out (parse + parallel validate),
-	// the shape the server's ?parallel=1 path runs.
-	b.Run("bytes-to-verdict/parallel", func(b *testing.B) {
+	b.Run("bytes-to-verdict/stream", func(b *testing.B) {
+		sv := v.Stream()
 		b.ReportAllocs()
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
-			d, res := validator.ParallelValidateBytes(schema, src, 0)
-			if res == nil || !res.OK() {
-				b.Fatal("verdict flipped")
+			if res := sv.ValidateBytes(src); !res.OK() {
+				b.Fatalf("bench document invalid: %v", res.Err())
 			}
-			d.Release()
 		}
 	})
+	b.Run("bytes-to-verdict/dom", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			doc, err := dom.Parse(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res := v.ValidateDocument(doc); !res.OK() {
+				b.Fatalf("bench document invalid: %v", res.Err())
+			}
+			doc.Release()
+		}
+	})
+}
+
+// syntheticOrder builds a purchase order with n items; withDefects seeds
+// a bad value every 500th item.
+func syntheticOrder(n int, withDefects bool) string {
+	var sb strings.Builder
+	sb.WriteString(`<purchaseOrder orderDate="1999-10-20"><shipTo country="US"><name>Alice Smith</name><street>123 Maple Street</street><city>Mill Valley</city><state>CA</state><zip>90952</zip></shipTo><billTo country="US"><name>Robert Smith</name><street>8 Oak Avenue</street><city>Old Town</city><state>PA</state><zip>95819</zip></billTo><items>`)
+	for i := 0; i < n; i++ {
+		qty := "1"
+		if withDefects && i%500 == 250 {
+			qty = "many"
+		}
+		fmt.Fprintf(&sb, `<item partNum="%03d-AB"><productName>Widget %d</productName><quantity>%s</quantity><USPrice>%d.95</USPrice><shipDate>1999-10-21</shipDate></item>`, i%1000, i, qty, i%90+1)
+	}
+	sb.WriteString(`</items></purchaseOrder>`)
+	return sb.String()
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //	xsdcheck -schema po.xsd,inv.xsd docs/*.xml    # several schemas; documents dispatch by root element
 //	xsdcheck -schemadir ./schemas docs/*.xml      # every top-level *.xsd in a directory tree
 //	xsdcheck -schema po.xsd -json doc.xml         # decode valid documents to canonical JSON
-//	xsdcheck -schema po.xsd -parallel big.xml     # split one large document across the cores
+//	xsdcheck -schema po.xsd -stream big.xml       # validate while reading, no DOM (-parallel is an alias)
 //
 // Schemas may include or import other documents: references resolve
 // relative to the referring file, confined to the schema's directory
@@ -140,7 +140,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-violation output")
 	workers := flag.Int("p", runtime.GOMAXPROCS(0), "max files processed in parallel")
 	stream := flag.Bool("stream", false, "validate incrementally while reading (O(depth) memory, no DOM; with several schemas the file is buffered for root dispatch)")
-	parallel := flag.Bool("parallel", false, "split each document at top-level subtree boundaries across the cores (best for few large files; verdicts are identical to the sequential walk)")
+	flag.BoolVar(stream, "parallel", false, "alias of -stream, kept for existing scripts")
 	jsonOut := flag.Bool("json", false, "decode valid documents to canonical JSON in the same pass (invalid ones still report violations)")
 	flag.Parse()
 
@@ -192,7 +192,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				reports[i] = checkOne(set, paths[i], *quiet, *stream, *jsonOut, *parallel)
+				reports[i] = checkOne(set, paths[i], *quiet, *stream, *jsonOut)
 			}
 		}()
 	}
@@ -220,7 +220,7 @@ func main() {
 // checkOne routes one document to its schema and through the requested
 // pipeline. True single-schema streaming never buffers the file; the
 // multi-schema cases read it first to sniff the root element.
-func checkOne(set *schemaSet, path string, quiet, stream, jsonOut, parallel bool) report {
+func checkOne(set *schemaSet, path string, quiet, stream, jsonOut bool) report {
 	if stream && !jsonOut && len(set.entries) == 1 {
 		return checkFileStream(set.entries[0].v.Stream(), path, quiet)
 	}
@@ -244,23 +244,18 @@ func checkOne(set *schemaSet, path string, quiet, stream, jsonOut, parallel bool
 		res := e.v.Stream().ValidateReader(bytes.NewReader(src))
 		return renderResult(path, res, quiet)
 	default:
-		return checkDOM(e.v, path, src, quiet, parallel)
+		return checkDOM(e.v, path, src, quiet)
 	}
 }
 
 // checkDOM parses and validates one document against the shared
 // validator, returning its rendered report.
-func checkDOM(v *validator.Validator, path string, src []byte, quiet, parallel bool) report {
+func checkDOM(v *validator.Validator, path string, src []byte, quiet bool) report {
 	doc, err := v.Parse(src)
 	if err != nil {
 		return report{errText: fmt.Sprintf("%s: not well-formed: %v\n", path, err), failed: true}
 	}
-	var res *validator.Result
-	if parallel {
-		res = v.ParallelValidate(doc, 0)
-	} else {
-		res = v.ValidateDocument(doc)
-	}
+	res := v.ValidateDocument(doc)
 	doc.Release()
 	return renderResult(path, res, quiet)
 }

@@ -11,8 +11,7 @@
 // Every *.xsd file in -schemas is served by base name:
 //
 //	curl -d @po.xml 'http://127.0.0.1:8080/v1/validate/po'
-//	curl -d @po.xml 'http://127.0.0.1:8080/v1/validate/po?stream=1'
-//	curl -d @big.xml 'http://127.0.0.1:8080/v1/validate/po?parallel=1' # split large documents across cores
+//	curl -d @po.xml 'http://127.0.0.1:8080/v1/validate/po?stream=1'  # no DOM; ?parallel=1 is an alias
 //	curl -d @po.xml 'http://127.0.0.1:8080/v1/decode/po'          # validate + decode to canonical JSON
 //	curl -d @po.xml 'http://127.0.0.1:8080/v1/decode/po?stream=1' # same, one pass over the wire bytes
 //	curl -d @po.json 'http://127.0.0.1:8080/v1/encode/po'         # canonical JSON back to schema-valid XML

@@ -54,7 +54,7 @@ func TestCmdXsdcheck(t *testing.T) {
 	if !strings.Contains(out, "INVALID") {
 		t.Errorf("xsdcheck bad: %s", out)
 	}
-	// -parallel uses the intra-document worker pool; verdicts must match.
+	// -parallel is an alias of -stream; verdicts must match.
 	out = runCmd(t, true, "xsdcheck", "-schema", schema, "-parallel", good)
 	if !strings.Contains(out, "valid") {
 		t.Errorf("xsdcheck -parallel good: %s", out)

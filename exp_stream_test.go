@@ -367,7 +367,8 @@ func diffValidate(t *testing.T, schema *xsd.Schema, sv *validator.StreamValidato
 
 // TestStreamMatchesDOM is the hand-curated differential corpus: every
 // bundled schema plus a feature-coverage schema, valid and invalid
-// instances, and malformed input.
+// instances, and malformed input. A 3,000-item order with a defect every
+// 500th item follows, too large for the pinned corpus.
 func TestStreamMatchesDOM(t *testing.T) {
 	for _, tc := range diffCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -381,6 +382,13 @@ func TestStreamMatchesDOM(t *testing.T) {
 			}
 		})
 	}
+	t.Run("large order", func(t *testing.T) {
+		schema, err := xsd.ParseString(schemas.PurchaseOrderXSD, nil)
+		if err != nil {
+			t.Fatalf("schema: %v", err)
+		}
+		diffValidate(t, schema, validator.New(schema, nil).Stream(), "large order", syntheticOrder(3000, true))
+	})
 }
 
 // TestOverTheBoundIndex: the 5,001st <e> under maxOccurs="5000" is

@@ -114,10 +114,6 @@ var byteEntries = []struct {
 		_, res := validator.ValidateBytes(b.Schema(), src)
 		return res
 	}},
-	{"ParallelValidateBytes", func(b *bind.Binder, src []byte) *validator.Result {
-		_, res := validator.ParallelValidateBytes(b.Schema(), src, 2)
-		return res
-	}},
 	{"Stream.ValidateBytes", func(b *bind.Binder, src []byte) *validator.Result {
 		return b.Validator().Stream().ValidateBytes(src)
 	}},
@@ -164,9 +160,6 @@ var docEntries = []struct {
 	{"ValidateBatch", func(b *bind.Binder, doc *dom.Document) *validator.Result {
 		return b.Validator().ValidateBatch([]*dom.Document{doc, doc})[1]
 	}},
-	{"ParallelValidate", func(b *bind.Binder, doc *dom.Document) *validator.Result {
-		return b.Validator().ParallelValidate(doc, 3)
-	}},
 	{"bind.DecodeDocument", func(b *bind.Binder, doc *dom.Document) *validator.Result {
 		_, res := b.DecodeDocument(doc)
 		return res
@@ -178,7 +171,6 @@ var docEntries = []struct {
 // that parses, and the subtree ones (which are given the declaration) on
 // every input whose root has a global declaration.
 func TestVerdictsMatchPinnedReference(t *testing.T) {
-	forceTinySplits(t)
 	pinned := readPinnedVerdicts(t)
 	inputs := pinnedInputs(t)
 	if len(pinned) != len(inputs) {

@@ -2,10 +2,10 @@ package repro
 
 // Bounded cost on hostile input. Deep chains, wide tags and long sibling
 // runs are generated here and driven through every validation entry point
-// — DOM parse+validate, the streaming walk, the parallel walk, and bind's
-// DOM and streaming decoders. Each must return the expected verdict (or a
-// typed parse error) while allocating a bounded number of bytes per input
-// byte, and for the chains the allocation must grow linearly with depth.
+// — DOM parse+validate, the streaming walk, and bind's DOM and streaming
+// decoders. Each must return the expected verdict (or a typed parse
+// error) while allocating a bounded number of bytes per input byte, and
+// for the chains the allocation must grow linearly with depth.
 
 import (
 	"errors"
@@ -183,10 +183,6 @@ var hostileEntries = []struct {
 	}},
 	{"stream", func(_ *xsd.Schema, b *bind.Binder, src []byte) *validator.Result {
 		return b.Validator().Stream().ValidateBytes(src)
-	}},
-	{"parallel", func(s *xsd.Schema, _ *bind.Binder, src []byte) *validator.Result {
-		_, res := validator.ParallelValidateBytes(s, src, 2)
-		return res
 	}},
 	{"bind", func(_ *xsd.Schema, b *bind.Binder, src []byte) *validator.Result {
 		val, res := b.DecodeBytes(src)

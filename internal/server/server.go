@@ -336,13 +336,11 @@ func readAll(r io.Reader, declared int64) ([]byte, error) {
 	}
 }
 
-// handleValidate runs POST /v1/validate/{schema}[?stream=1|?parallel=1].
+// handleValidate runs POST /v1/validate/{schema}[?stream=1].
 //
-// ?parallel=1 selects the intra-document parallel walk for bodies at or
-// above parallelThreshold (smaller documents validate sequentially —
-// fan-out overhead would dominate). The verdict is byte-identical to the
-// sequential mode by construction. ?stream=1 takes precedence: the
-// parallel walk needs the whole document.
+// ?parallel=1 is an older spelling of ?stream=1, kept so that existing
+// callers do not break: streaming from the body is the fastest walk for a
+// large document.
 //
 // The verdict contract matches the library: a well-formed document that
 // violates the schema is a 200 with valid:false (validation succeeded,
@@ -361,11 +359,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := "dom"
-	switch {
-	case r.URL.Query().Get("stream") == "1":
+	if q := r.URL.Query(); q.Get("stream") == "1" || q.Get("parallel") == "1" {
 		mode = "stream"
-	case r.URL.Query().Get("parallel") == "1":
-		mode = "parallel"
 	}
 	series := s.metrics.Series(name, mode)
 	start := time.Now()
@@ -447,20 +442,10 @@ func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode 
 		// verdict, not a transport error.
 		return outcome{res: &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: perr.Error()}}}}
 	}
-	var res *validator.Result
-	if mode == "parallel" && len(data) >= parallelThreshold {
-		res = entry.Validator.ParallelValidate(doc, 0)
-	} else {
-		res = entry.Validator.ValidateDocument(doc)
-	}
+	res := entry.Validator.ValidateDocument(doc)
 	doc.Release()
 	return outcome{res: res}
 }
-
-// parallelThreshold is the body size below which ?parallel=1 quietly uses
-// the sequential walk: fan-out and join overhead beat the win on small
-// documents, and the verdicts are identical either way.
-const parallelThreshold = 1 << 20
 
 // decodeResponse extends the validation verdict with the decoded
 // document as canonical JSON (present only when the document is valid).

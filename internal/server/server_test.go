@@ -370,21 +370,20 @@ func TestHealthzDegradedWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestParallelValidateMode drives ?parallel=1 through both sides of the
-// size threshold: a small document (sequential under the hood) and a
-// large one (the worker pool), with verdicts identical to the dom mode
-// and a distinct metrics series either way.
+// TestParallelValidateMode drives ?parallel=1, the older spelling of
+// ?stream=1, with a small document and a large one: both stream, with
+// verdicts identical to the dom mode, and count in the stream series.
 func TestParallelValidateMode(t *testing.T) {
 	ts, s := newTestServer(t, Config{MaxBodyBytes: 64 << 20})
 	url := ts.URL + "/v1/validate/po?parallel=1"
 
 	code, vr := postDoc(t, url, schemas.PurchaseOrderDoc)
-	if code != http.StatusOK || !vr.Valid || vr.Mode != "parallel" {
+	if code != http.StatusOK || !vr.Valid || vr.Mode != "stream" {
 		t.Fatalf("small valid doc: code=%d resp=%+v", code, vr)
 	}
 
-	// A >1MiB order with seeded defects: must cross the threshold and
-	// agree with the dom mode violation-for-violation.
+	// A >1 MiB order with seeded defects must agree with the dom mode
+	// violation for violation.
 	var sb strings.Builder
 	sb.WriteString(`<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></shipTo><billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></billTo><items>`)
 	for i := 0; i < 12000; i++ {
@@ -396,8 +395,8 @@ func TestParallelValidateMode(t *testing.T) {
 	}
 	sb.WriteString(`</items></purchaseOrder>`)
 	big := sb.String()
-	if len(big) < parallelThreshold {
-		t.Fatalf("test doc only %d bytes; below the %d threshold", len(big), parallelThreshold)
+	if len(big) < 1<<20 {
+		t.Fatalf("test doc only %d bytes; want over 1 MiB", len(big))
 	}
 	codePar, vrPar := postDoc(t, url, big)
 	codeDom, vrDom := postDoc(t, ts.URL+"/v1/validate/po", big)
@@ -415,17 +414,20 @@ func TestParallelValidateMode(t *testing.T) {
 	snap := s.Metrics().Snapshot()
 	found := false
 	for _, ss := range snap.Series {
-		if ss.Schema == "po" && ss.Endpoint == "parallel" {
+		if ss.Schema == "po" && ss.Endpoint == "stream" {
 			found = true
 			if ss.Requests != 2 || ss.Invalid != 1 {
-				t.Errorf("po/parallel series = %+v, want requests=2 invalid=1", ss)
+				t.Errorf("po/stream series = %+v, want requests=2 invalid=1", ss)
 			}
+		}
+		if ss.Endpoint == "parallel" {
+			t.Errorf("a parallel metrics series was minted: %+v", ss)
 		}
 	}
 	if !found {
-		t.Error("no po/parallel metrics series minted")
+		t.Error("no po/stream metrics series minted")
 	}
-	// stream=1 wins over parallel=1 (the parallel walk needs the DOM).
+	// Both spellings at once stream too.
 	code, vr = postDoc(t, ts.URL+"/v1/validate/po?stream=1&parallel=1", schemas.PurchaseOrderDoc)
 	if code != http.StatusOK || vr.Mode != "stream" {
 		t.Fatalf("stream precedence: code=%d mode=%q", code, vr.Mode)

@@ -33,8 +33,8 @@
 //     ctx.Err()) on expiry, the same contract as ValidateBatchContext;
 //     servers use it to stop validating when a request's deadline fires
 //     mid-stream. cmd/xsdcheck exposes the streaming path as -stream;
-//   - a replay of a parsed tree, for ValidateDocument, ValidateElement,
-//     ValidateBatch and ParallelValidate (tree.go);
+//   - a replay of a parsed tree, for ValidateDocument, ValidateElement
+//     and ValidateBatch (tree.go);
 //   - bind's Marshal encoder, through ValidateTokens.
 //
 // Identity constraints and raw wildcard subtrees need the element as a
@@ -56,18 +56,6 @@
 // decides validity. Without an observer the machine pays one nil check
 // per element.
 //
-// # Intra-document parallelism
-//
-// Validator.ParallelValidate runs the machine over the parsed tree until it
-// opens a level with at least ParallelMinFanout element children, matches
-// those children at once, fans contiguous chunks of them out to a
-// GOMAXPROCS-bounded pool of sub-machines, and joins the document-global
-// state — ordered violations, first-wins ID semantics, IDREF resolution —
-// at the seams (see parallel.go). The verdict is byte-identical to
-// ValidateDocument's, enforced by differential tests and
-// FuzzParallelValidate. cmd/xsdcheck exposes it as -parallel, xsdserved
-// as ?parallel=1 (size-gated).
-//
 // # Concurrency
 //
 // A Validator is safe for concurrent use by multiple goroutines: all
@@ -78,9 +66,12 @@
 // nothing and each automaton is built exactly once no matter how many
 // goroutines validate at once. Options.DisableDFA and DFAStateBudget
 // apply per run on that shared automaton. ValidateBatch fans a document
-// slice out over a GOMAXPROCS-sized worker pool. A StreamValidator holds
-// no per-run state either, so one may serve any number of goroutines,
-// interleaved freely with tree runs on the same Validator (asserted under
-// -race by TestStreamConcurrent). Documents are only read; callers must
-// not mutate a document while it is being validated.
+// slice out over a GOMAXPROCS-sized worker pool. Parallelism stops at the
+// document: one document is one walk, since splitting it needs the whole
+// DOM first and loses to streaming from bytes (EXPERIMENTS.md E15). A
+// StreamValidator holds no per-run state either, so one may serve any
+// number of goroutines, interleaved freely with tree runs on the same
+// Validator (asserted under -race by TestStreamConcurrent). Documents are
+// only read; callers must not mutate a document while it is being
+// validated.
 package validator

@@ -90,30 +90,24 @@ type StreamEvents interface {
 // receives the callbacks above while the verdict is computed exactly as
 // without an observer.
 func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
-	return v.validateDocument(doc, ev, 0)
-}
-
-// ValidateElementEvents is ValidateElement with an event observer.
-func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
-	return v.validateTree(el, decl, ev, 0)
-}
-
-// validateDocument runs the machine over the document's tree; par > 1
-// splits wide levels across that many workers.
-func (v *Validator) validateDocument(doc *dom.Document, ev StreamEvents, par int) *Result {
 	root := doc.DocumentElement()
 	if root == nil {
 		return &Result{Violations: []Violation{{Path: "/", Msg: "document has no root element"}}}
 	}
-	return v.validateTree(root, nil, ev, par)
+	return v.validateTree(root, nil, ev)
+}
+
+// ValidateElementEvents is ValidateElement with an event observer.
+func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
+	return v.validateTree(el, decl, ev)
 }
 
 // validateTree runs the machine over a replay of the tree under root, which
 // decl governs (nil: its global declaration), with the namespace
 // declarations of root's ancestors in scope.
-func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev StreamEvents, par int) *Result {
+func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
 	sr := newMachine(v, ev)
-	sr.rootDecl, sr.par = decl, par
+	sr.rootDecl = decl
 	declareAncestors(&sr.ns, root)
 	sr.tree = newTreeSource(root)
 	sr.tree.names, sr.symIDs = v.schema.Symbols(), true

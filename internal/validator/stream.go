@@ -179,7 +179,7 @@ func (sr *streamRun) release() {
 		return
 	}
 	for _, f := range sr.free {
-		f.node, f.leaves, f.buf, f.text = nil, nil, nil, "" // no reference into the document
+		f.node, f.buf, f.text = nil, nil, "" // no reference into the document
 		if cap(f.textBuf) > poolText {
 			f.textBuf = nil
 		}
@@ -248,7 +248,7 @@ func (sr *streamRun) consume(ctx context.Context, src TokenSource) (*Result, err
 
 // frame modes.
 const (
-	fmModel   = iota // complex element-only/mixed content: Glushkov run or split children
+	fmModel   = iota // complex element-only/mixed content: Glushkov run
 	fmSimple         // simple-typed element
 	fmCSimple        // complex type with simple content
 	fmCEmpty         // complex type with empty content
@@ -272,10 +272,6 @@ type frame struct {
 
 	st  *xsd.SimpleType   // fmSimple / fmCSimple value type
 	run *contentmodel.Run // fmModel automaton state
-
-	// leaves, for a split frame, are the leaves of the element children,
-	// in order.
-	leaves []*contentmodel.Leaf
 
 	// node is the element itself, for a frame with identity constraints,
 	// which are checked over its subtree at the end tag.
@@ -304,9 +300,6 @@ type frame struct {
 
 	// Flags, kept together so that they pack:
 	//   - mixed: the content model is mixed;
-	//   - split: the element children were matched all at once, leaves
-	//     holds their leaves, and sub-machines validated them
-	//     (parallel.go), so the replay skips them;
 	//   - failed: contentViol is set;
 	//   - sawElemChild: a simple-content element has an element child;
 	//   - announced: OpenElement was delivered, so CloseElement is owed;
@@ -314,7 +307,7 @@ type frame struct {
 	//   - raw: the buffered subtree is a skipped wildcard subtree, for the
 	//     observer's RawElement rather than for replay;
 	//   - pooled: the frame sits on the free list; reset clears it.
-	mixed, split, failed, sawElemChild, announced, wild, raw, pooled bool
+	mixed, failed, sawElemChild, announced, wild, raw, pooled bool
 }
 
 // fragment is a subtree being buffered into a private DOM: cur is the open
@@ -427,15 +420,6 @@ type streamRun struct {
 	// declaration (ValidateElement).
 	rootDecl *xsd.ElementDecl
 
-	// Parallel validation (parallel.go): par > 1 splits wide levels across
-	// that many workers. A sub-machine validating one chunk of a level
-	// resolves prefixes it does not bind in outer, the parent machine's
-	// scope (unchanged while the chunks run), and with journal set leaves
-	// a placeholder for each new ID where a duplicate would be reported.
-	par     int
-	outer   *sharedScope
-	journal bool
-
 	// symIDs marks tokens whose SymbolID is an ID in the schema's Symbols:
 	// those of a decoder the machine made itself (validateDecoder).
 	// Other sources' IDs, if any, are ignored.
@@ -489,10 +473,9 @@ func (sr *streamRun) recycle(f *frame) {
 	sr.free = append(sr.free, f)
 }
 
-// emit records a violation in the result. A sub-machine keeps them all:
-// the cap applies to the joined document.
+// emit records a violation in the result, up to the cap.
 func (sr *streamRun) emit(v violation) {
-	if len(sr.viols) < maxViolations || sr.journal {
+	if len(sr.viols) < maxViolations {
 		sr.viols = append(sr.viols, v)
 	}
 }
@@ -570,7 +553,7 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 	parent := sr.top()
 	switch parent.mode {
 	case fmModel:
-		if parent.failed || parent.split {
+		if parent.failed {
 			sr.skipChild(nsMark)
 			return
 		}
@@ -615,7 +598,7 @@ func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *conten
 	case *xsd.ElementDecl:
 		resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
 		if err != nil {
-			sr.report(violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
+			parent.childViols = append(parent.childViols, violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
 			sr.skipChild(nsMark)
 			return
 		}
@@ -641,17 +624,6 @@ func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *conten
 		}
 	default:
 		sr.skipChild(nsMark)
-	}
-}
-
-// report records a violation of a child that gets no frame of its own
-// with the enclosing frame, or in the result when there is none (a
-// sub-machine's chunk).
-func (sr *streamRun) report(v violation) {
-	if p := sr.top(); p != nil {
-		p.childViols = append(p.childViols, v)
-	} else {
-		sr.emit(v)
 	}
 }
 
@@ -701,7 +673,7 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 	}
 	typ := decl.Type
 	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveQName(lex, sr.lookup)
+		q, err := resolveQName(lex, sr.ns.Lookup)
 		if err != nil {
 			sr.pushDead(f, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
 			return
@@ -767,61 +739,12 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			f.mode = fmModel
 			f.mixed = t.Kind == xsd.ContentMixed
 			f.run.ResetLimit(t.Matcher(sr.v.schema), sr.v.opts.DisableDFA, sr.v.opts.DFAStateBudget)
-			if sr.par > 1 && sr.tree != nil && wide(sr.tree.cur) {
-				sr.matchChildren(f, sr.tree.cur)
-			}
 		}
 	}
 	f.idMark = len(sr.idJournal)
 	f.refMark = len(sr.idrefs)
 	sr.frames = append(sr.frames, f)
 	sr.announce(f, typ, tok, false)
-	if f.split {
-		sr.splitChildren(f, sr.tree.cur)
-	}
-}
-
-// matchChildren matches the element children of el, the frame's element,
-// on the frame's run at once. On success the frame is split: sub-machines
-// validate its children with their leaves (parallel.go). On failure it
-// reports the match error and validates no children, as a stepped
-// automaton would.
-func (sr *streamRun) matchChildren(f *frame, el *dom.Element) {
-	kids := el.ChildNodes()
-	syms := make([]contentmodel.Symbol, 0, len(kids))
-	for _, c := range kids {
-		if e, ok := c.(*dom.Element); ok {
-			syms = append(syms, contentmodel.Symbol{Space: e.NamespaceURI(), Local: e.LocalName()})
-		}
-	}
-	leaves, merr := f.run.Match(syms)
-	switch {
-	case merr == nil:
-		f.split, f.leaves = true, leaves
-	case merr.Index >= len(syms):
-		f.fail(f.violation(merr.Error()))
-	default:
-		// The step of the offending child carries no positional predicate.
-		i := 0
-		for _, c := range kids {
-			if e, ok := c.(*dom.Element); ok {
-				if i == merr.Index {
-					f.fail(violation{at: f.childAt(e.Name(), 0), msg: merr.Error()})
-					return
-				}
-				i++
-			}
-		}
-	}
-}
-
-// lookup resolves a prefix in the machine's scope, then in the scope
-// outside a sub-machine's chunk.
-func (sr *streamRun) lookup(prefix string) (string, bool) {
-	if uri, ok := sr.ns.Lookup(prefix); ok || sr.outer == nil {
-		return uri, ok
-	}
-	return sr.outer.lookup(prefix)
 }
 
 func (sr *streamRun) pushDead(f *frame, msg string) {
@@ -912,9 +835,6 @@ func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) 
 		} else {
 			sr.ids[norm] = at
 			sr.idJournal = append(sr.idJournal, norm)
-			if sr.journal {
-				*viols = append(*viols, seamID(at, norm))
-			}
 		}
 	case "IDREF":
 		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, at: at})
@@ -1029,7 +949,7 @@ func (sr *streamRun) deliver(viols []violation) {
 func (sr *streamRun) closeFrame(f *frame) []violation {
 	switch f.mode {
 	case fmModel:
-		if !f.failed && !f.split {
+		if !f.failed {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: reported against the element, whose
 				// children count for nothing.

@@ -31,12 +31,6 @@ func newTreeSource(root *dom.Element) *treeSource {
 	return &treeSource{root: root, next: root}
 }
 
-// reset starts a replay of the tree under root, keeping the attribute
-// buffer.
-func (t *treeSource) reset(root *dom.Element) {
-	t.root, t.next, t.up, t.cur = root, root, nil, nil
-}
-
 // Next fills tok with the next token, or returns io.EOF after the root's
 // end tag. The token's attributes are reused by the following call.
 func (t *treeSource) Next(tok *xmlparser.Token) error {
