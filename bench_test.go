@@ -480,34 +480,29 @@ func BenchmarkE7_CachedValidate(b *testing.B) {
 }
 
 // BenchmarkE7_ParallelBatchValidate compares a sequential loop over a
-// 64-document batch against ValidateBatch's bounded worker pool, both
-// through one shared Validator (both paths step the schema's compiled
-// models; the delta is pure parallelism).
+// 64-document batch against StreamValidator.ValidateBatch's bounded worker
+// pool, both streaming every document from its bytes through one shared
+// Validator (both paths step the schema's compiled models; the delta is
+// pure parallelism).
 func BenchmarkE7_ParallelBatchValidate(b *testing.B) {
-	schema := poSchema(b)
+	sv := validator.New(poSchema(b), nil).Stream()
 	const batchSize = 64
-	docs := make([]*dom.Document, batchSize)
-	for i := range docs {
-		doc, err := dom.ParseString(schemas.PurchaseOrderDoc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		docs[i] = doc
+	srcs := make([][]byte, batchSize)
+	for i := range srcs {
+		srcs[i] = []byte(schemas.PurchaseOrderDoc)
 	}
 	b.Run("sequential", func(b *testing.B) {
-		v := validator.New(schema, nil)
 		for i := 0; i < b.N; i++ {
-			for _, doc := range docs {
-				if res := v.ValidateDocument(doc); !res.OK() {
+			for _, src := range srcs {
+				if res := sv.ValidateBytes(src); !res.OK() {
 					b.Fatal(res.Err())
 				}
 			}
 		}
 	})
 	b.Run("batch-parallel", func(b *testing.B) {
-		v := validator.New(schema, nil)
 		for i := 0; i < b.N; i++ {
-			for _, res := range v.ValidateBatch(docs) {
+			for _, res := range sv.ValidateBatch(srcs) {
 				if !res.OK() {
 					b.Fatal(res.Err())
 				}

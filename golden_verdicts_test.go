@@ -120,6 +120,9 @@ var byteEntries = []struct {
 	{"Stream.ValidateReader", func(b *bind.Binder, src []byte) *validator.Result {
 		return b.Validator().Stream().ValidateReader(bytes.NewReader(src))
 	}},
+	{"Stream.ValidateBatch", func(b *bind.Binder, src []byte) *validator.Result {
+		return b.Validator().Stream().ValidateBatch([][]byte{src, src})[1]
+	}},
 	{"Stream.ValidateTokens", func(b *bind.Binder, src []byte) *validator.Result {
 		return b.Validator().Stream().ValidateTokens(xmlparser.NewDecoder(src, nil))
 	}},
@@ -156,9 +159,6 @@ var docEntries = []struct {
 	}},
 	{"ValidateDocumentEvents", func(b *bind.Binder, doc *dom.Document) *validator.Result {
 		return b.Validator().ValidateDocumentEvents(doc, nopEvents{})
-	}},
-	{"ValidateBatch", func(b *bind.Binder, doc *dom.Document) *validator.Result {
-		return b.Validator().ValidateBatch([]*dom.Document{doc, doc})[1]
 	}},
 	{"bind.DecodeDocument", func(b *bind.Binder, doc *dom.Document) *validator.Result {
 		_, res := b.DecodeDocument(doc)

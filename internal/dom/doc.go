@@ -41,9 +41,9 @@
 //
 // Documents are plain mutable trees with no internal locking or lazily
 // computed state. Any number of goroutines may read one document
-// concurrently (all accessors are pure) — that is what lets the
-// validator's ValidateBatch share a parsed schema-side document across
-// workers — but mutation requires external synchronization: never mutate
+// concurrently (all accessors are pure) — that is what lets many
+// validator runs replay one parsed document at once — but mutation
+// requires external synchronization: never mutate
 // a node while another goroutine reads or writes the same tree. Distinct
 // documents are fully independent.
 package dom

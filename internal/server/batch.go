@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/dom"
+	"repro/internal/registry"
 	"repro/internal/validator"
 )
 
@@ -41,9 +41,10 @@ type batchResponse struct {
 // shedding decision, one concurrency slot, one deadline — which is the
 // point: at high document rates the per-request overhead (semaphore,
 // headers, JSON framing) dominates small validations, and batching
-// amortizes it the way validator.ValidateBatch already does in-process.
-// Inside the slot the documents fan out across the validator's worker
-// pool, so a batch uses the cores a single document cannot.
+// amortizes it. Inside the slot the documents fan out across the stream
+// validator's worker pool (StreamValidator.ValidateBatch), each validated
+// from its bytes without a DOM, so a batch uses the cores a single
+// document cannot.
 //
 // The per-document verdict contract matches /v1/validate: a malformed
 // document is valid:false with the parse error as its violation, never a
@@ -51,16 +52,8 @@ type batchResponse struct {
 // unknown schema (404), malformed JSON or an empty/oversized set (400),
 // body over the cap (413), shed (429), deadline (504).
 func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("schema")
-	entry, ok := s.reg.Get(name)
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown schema %q", name)})
-		return
-	}
-	series := s.metrics.Series(name, "batch")
-	start := time.Now()
 	var results []batchResult
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
+	s.withWorker(w, r, "batch", func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
 		data, fail := readBody(ctx, body)
 		if fail.code != 0 {
 			return fail
@@ -76,73 +69,41 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 			return outcome{code: http.StatusBadRequest,
 				errMsg: fmt.Sprintf("batch carries %d documents, limit is %d", len(req.Documents), s.maxBatch)}
 		}
-		results = s.runBatch(ctx, entry.Validator, req.Documents)
-		if results == nil {
-			return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
-		}
-		return outcome{}
+		var out outcome
+		results, out = runBatch(ctx, entry.Stream, req.Documents)
+		return out
+	}, func(entry *registry.Entry, out outcome, elapsed time.Duration) {
+		s.writeJSON(w, http.StatusOK, batchResponse{
+			Schema:        entry.Name,
+			SchemaVersion: entry.Version,
+			Count:         len(results),
+			Valid:         len(results) - out.invalid,
+			Invalid:       out.invalid,
+			Results:       results,
+			ElapsedNs:     int64(elapsed),
+		})
 	})
-	if !ok {
-		return
-	}
-	if out.code != 0 {
-		series.Errors.Inc()
-		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
-		return
-	}
-	series.Requests.Inc()
-	series.Latency.Observe(time.Since(start))
-	resp := batchResponse{
-		Schema:        entry.Name,
-		SchemaVersion: entry.Version,
-		Count:         len(results),
-		Results:       results,
-		ElapsedNs:     int64(time.Since(start)),
-	}
-	for _, res := range results {
-		if res.Valid {
-			resp.Valid++
-		} else {
-			resp.Invalid++
-		}
-	}
-	// Invalid meters documents, not requests: a batch of 100 with 3 bad
-	// documents moves the series by 3, the same load 100 per-doc requests
-	// would have produced.
-	series.Invalid.Add(int64(resp.Invalid))
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// runBatch parses the documents and fans them through the validator's
-// batch worker pool. Malformed documents get their parse error as the
-// verdict (per-document parity with /v1/validate) without occupying a
-// pool slot. A nil return means the context expired mid-batch.
-func (s *Server) runBatch(ctx context.Context, v *validator.Validator, sources []string) []batchResult {
-	results := make([]batchResult, len(sources))
-	docs := make([]*dom.Document, 0, len(sources))
-	docIdx := make([]int, 0, len(sources))
-	for i, src := range sources {
-		doc, perr := v.Parse([]byte(src))
-		if perr != nil {
-			results[i] = batchResult{Violations: []violationJSON{{Path: "/", Msg: perr.Error()}}}
-			continue
-		}
-		docs = append(docs, doc)
-		docIdx = append(docIdx, i)
+// runBatch validates the documents from their bytes through the stream
+// validator's batch worker pool. The outcome counts the invalid
+// documents, or is a 504 when the context expired mid-batch.
+func runBatch(ctx context.Context, sv *validator.StreamValidator, docs []string) ([]batchResult, outcome) {
+	srcs := make([][]byte, len(docs))
+	for i, doc := range docs {
+		srcs[i] = []byte(doc)
 	}
-	verdicts, err := v.ValidateBatchContext(ctx, docs)
-	for _, doc := range docs {
-		doc.Release()
-	}
+	verdicts, err := sv.ValidateBatchContext(ctx, srcs)
 	if err != nil {
-		return nil
+		return nil, outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 	}
-	for j, res := range verdicts {
-		br := batchResult{Valid: res.OK()}
-		for _, viol := range res.Violations {
-			br.Violations = append(br.Violations, violationJSON{Path: viol.Path, Msg: viol.Msg})
+	results := make([]batchResult, len(verdicts))
+	var out outcome
+	for i, res := range verdicts {
+		results[i] = batchResult{Valid: res.OK(), Violations: violationsOf(res)}
+		if !res.OK() {
+			out.invalid++
 		}
-		results[docIdx[j]] = br
 	}
-	return results
+	return results, out
 }

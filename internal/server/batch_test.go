@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/schemas"
@@ -194,5 +195,88 @@ func TestJSONResponseFraming(t *testing.T) {
 		if tc.doc != schemas.PurchaseOrderDoc && len(body) <= 4096 {
 			t.Fatalf("many-violation verdict is only %d bytes; too small to test framing", len(body))
 		}
+	}
+}
+
+// TestBatchMatchesValidate holds the batch endpoint to /v1/validate,
+// document for document: each batch verdict carries the same valid flag
+// and the same violation list as the DOM and the streaming single-document
+// answers.
+func TestBatchMatchesValidate(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	po := schemas.PurchaseOrderDoc
+	docs := []string{
+		po,
+		strings.Replace(po, "<quantity>1</quantity>", "<quantity>9999</quantity>", 1),
+		strings.Replace(po, `orderDate="1999-10-20"`, `orderDate="yesterday"`, 1),
+		strings.Replace(po, "<city>Mill Valley</city>", "", 1),
+		strings.Replace(po, "<zip>90952</zip>", "<zip>90952</zip><bogus/>", 1),
+		strings.Replace(po, `partNum="872-AA"`, `partNum="872-aa" extra="1"`, 1),
+		"<broken",
+		"",
+		strings.Replace(po, `<?xml version="1.0"?>`,
+			`<?xml version="1.0"?><!DOCTYPE purchaseOrder [<!ENTITY city "Mill Valley">]>`, 1),
+		strings.Replace(strings.Replace(po, `<?xml version="1.0"?>`,
+			`<?xml version="1.0"?><!DOCTYPE purchaseOrder [<!ENTITY qty "lots">]>`, 1),
+			"<quantity>1</quantity>", "<quantity>&qty;</quantity>", 1),
+	}
+	docs[8] = strings.Replace(docs[8], "<city>Mill Valley</city>", "<city>&city;</city>", 1)
+	code, br, raw := postBatch(t, ts.URL+"/v1/validate-batch/po", docs)
+	if code != http.StatusOK || len(br.Results) != len(docs) {
+		t.Fatalf("batch answered %d with %d results: %s", code, len(br.Results), raw)
+	}
+	valid := 0
+	for i, doc := range docs {
+		got := br.Results[i]
+		if got.Valid {
+			valid++
+		}
+		for _, query := range []string{"", "?stream=1"} {
+			code, vr := postDoc(t, ts.URL+"/v1/validate/po"+query, doc)
+			if code != http.StatusOK {
+				t.Fatalf("doc %d via /v1/validate%s answered %d", i, query, code)
+			}
+			if got.Valid != vr.Valid || fmt.Sprint(got.Violations) != fmt.Sprint(vr.Violations) {
+				t.Errorf("doc %d: batch verdict %v %v, /v1/validate%s verdict %v %v",
+					i, got.Valid, got.Violations, query, vr.Valid, vr.Violations)
+			}
+		}
+	}
+	if valid != 2 || br.Valid != 2 || br.Invalid != len(docs)-2 {
+		t.Errorf("valid = %d (response %d/%d), want 2 valid documents: the original and its entity copy",
+			valid, br.Valid, br.Invalid)
+	}
+}
+
+// TestBatchDeadline: a batch whose deadline expires mid-batch answers
+// 504 with a typed JSON error, and the batch series counts it as one
+// error and no request. Each document is small on the wire but expands an
+// internal-subset entity into 100,000 characters of text, so the body
+// reads well inside the deadline and the validations run past it.
+func TestBatchDeadline(t *testing.T) {
+	m := &obs.Metrics{}
+	ts, s := newTestServer(t, Config{Metrics: m, RequestTimeout: 10 * time.Millisecond, MaxBatchDocs: 16})
+	ents := `<!ENTITY e0 "xxxxxxxxxx">`
+	for i := 1; i <= 4; i++ {
+		ents += fmt.Sprintf(`<!ENTITY e%d "%s">`, i, strings.Repeat(fmt.Sprintf("&e%d;", i-1), 10))
+	}
+	doc := strings.Replace(schemas.PurchaseOrderDoc, `<?xml version="1.0"?>`,
+		`<?xml version="1.0"?><!DOCTYPE purchaseOrder [`+ents+`]>`, 1)
+	doc = strings.Replace(doc, "<comment>Hurry, my lawn is going wild</comment>", "<comment>&e4;</comment>", 1)
+	docs := make([]string, s.maxBatch)
+	for i := range docs {
+		docs[i] = doc
+	}
+	code, _, raw := postBatch(t, ts.URL+"/v1/validate-batch/po", docs)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("batch past its deadline answered %d, want 504: %s", code, raw)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
+		t.Fatalf("504 body is not a typed JSON error (%v): %s", err, raw)
+	}
+	series := m.Series("po", "batch")
+	if e, r := series.Errors.Load(), series.Requests.Load(); e != 1 || r != 0 {
+		t.Errorf("batch series errors/requests = %d/%d, want 1/0", e, r)
 	}
 }

@@ -8,6 +8,7 @@
 //
 //	POST /v1/validate/{schema}          validate the body (DOM path)
 //	POST /v1/validate/{schema}?stream=1 validate incrementally (O(depth))
+//	POST /v1/validate-batch/{schema}    validate a JSON set of documents, each streamed from its bytes
 //	POST /v1/decode/{schema}            validate + decode to canonical JSON (?stream=1 one-pass)
 //	POST /v1/encode/{schema}            canonical JSON back to schema-valid XML
 //	GET  /v1/schemas                    registry contents, versions, closure sizes, load errors
@@ -26,6 +27,16 @@
 // validator.ValidateBytes). Non-200s mean no verdict was produced:
 // 404 unknown schema, 413 body over the cap, 429 shed by the
 // concurrency limiter (with Retry-After), 504 deadline exceeded.
+//
+// # Request lifecycle
+//
+// Validate, decode, encode and batch share one lifecycle (withWorker):
+// resolve the schema, admit, run in a worker, answer a failure as typed
+// JSON, meter the request. A handler contributes only its mode, its run
+// step and its 200 writer. SOAP shares the admission and worker step
+// (admit) and meters per operation itself. The request body behind the
+// cap records whether a read hit it, so the whole-body reads and the
+// streaming decoders answer an oversized body with the same 413.
 //
 // # Backpressure
 //

@@ -146,7 +146,7 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer (the
-// deadline-poke in handleValidate needs the real connection).
+// deadline-poke in admit needs the real connection).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (s *Server) logging(next http.Handler) http.Handler {
@@ -208,26 +208,73 @@ func writeJSONBody(w http.ResponseWriter, code int, body []byte) {
 }
 
 // outcome is what the worker goroutine reports back to the handler.
-// code/errMsg are set for failures that never reached a verdict; data is
-// the payload for decode (the response body but its elapsed time) and
-// encode (marshaled XML).
+// code/errMsg are set for failures that never reached a verdict; res is
+// the /v1/validate verdict; data is the payload for decode (the response
+// body but its elapsed time) and encode (marshaled XML); invalid is how
+// many documents the run found invalid, metered as the series' Invalid.
 type outcome struct {
-	res    *validator.Result
-	data   []byte
-	code   int
-	errMsg string
+	res     *validator.Result
+	data    []byte
+	invalid int
+	code    int
+	errMsg  string
 }
 
-// withWorker runs fn against the request body inside a reserved
-// concurrency slot, with the request deadline enforced. It owns the
-// tricky parts shared by validate/decode/encode: load shedding (written
-// as 429 before the body is touched, reported via ok=false), running fn
-// in a worker goroutine so the handler stays responsive to the deadline
-// while the worker may be parked in a body read, the read-deadline poke
-// that unblocks such a worker, and semaphore release only when fn has
-// actually stopped — shedding stays honest under slowloris load.
-func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.Series,
-	fn func(ctx context.Context, body requestBody) outcome) (outcome, bool) {
+// verdict is the outcome of a run that judged one document.
+func verdict(res *validator.Result) outcome {
+	out := outcome{res: res}
+	if !res.OK() {
+		out.invalid = 1
+	}
+	return out
+}
+
+// withWorker is the request lifecycle the validate, decode, encode and
+// batch endpoints share. It resolves the {schema} path value (404 for an
+// unknown name), admits the request and runs run against the body (see
+// admit), meters the request under (schema, mode), and hands a success
+// to reply with its elapsed time.
+func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, mode string,
+	run func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome,
+	reply func(entry *registry.Entry, out outcome, elapsed time.Duration)) {
+	name := r.PathValue("schema")
+	entry, ok := s.reg.Get(name)
+	if !ok {
+		// No metrics series for unknown names: the series key space must
+		// stay bounded by the registry, not by what clients probe for.
+		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown schema %q", name)})
+		return
+	}
+	series := s.metrics.Series(name, mode)
+	start := time.Now()
+	out, ok := s.admit(w, r, series, func(ctx context.Context, body *requestBody) outcome {
+		return run(ctx, entry, body)
+	})
+	if !ok {
+		return
+	}
+	elapsed := time.Since(start)
+	series.Requests.Inc()
+	series.Latency.Observe(elapsed)
+	// Invalid meters documents, not requests: a batch of 100 with 3 bad
+	// documents moves the series by 3, the same load 100 per-doc requests
+	// would have produced.
+	series.Invalid.Add(int64(out.invalid))
+	reply(entry, out, elapsed)
+}
+
+// admit runs fn against the request body inside a reserved concurrency
+// slot, with the request deadline enforced, and answers whatever did not
+// succeed: shed load as 429 before the body is touched, a failed outcome
+// as typed JSON counted in the series' Errors. ok is false when it has
+// answered. It owns the tricky parts shared by every endpoint that reads
+// a body: running fn in a worker goroutine so the handler stays
+// responsive to the deadline while the worker may be parked in a body
+// read, the read-deadline poke that unblocks such a worker, and semaphore
+// release only when fn has actually stopped — shedding stays honest
+// under slowloris load.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, series *obs.Series,
+	fn func(ctx context.Context, body *requestBody) outcome) (outcome, bool) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -242,7 +289,8 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 	defer cancel()
 	// A length declared over the cap sizes the read at the cap: the read
 	// fails there, as a 413.
-	body := requestBody{Reader: http.MaxBytesReader(w, r.Body, s.maxBody), declared: min(r.ContentLength, s.maxBody)}
+	body := &requestBody{r: http.MaxBytesReader(w, r.Body, s.maxBody), limit: s.maxBody,
+		declared: min(r.ContentLength, s.maxBody)}
 
 	outc := make(chan outcome, 1)
 	go func() {
@@ -260,9 +308,9 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 		out = fn(ctx, body)
 	}()
 
+	var out outcome
 	select {
-	case out := <-outc:
-		return out, true
+	case out = <-outc:
 	case <-ctx.Done():
 		// Deadline while the worker may be parked in a body Read. That
 		// Read must not outlive this handler — net/http's connection
@@ -273,16 +321,42 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 		// answered as timed out.
 		http.NewResponseController(w).SetReadDeadline(time.Now()) //nolint:errcheck // best effort; h1 and h2 both support it
 		<-outc
-		return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}, true
+		out = outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 	}
+	if out.code != 0 {
+		series.Errors.Inc()
+		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
+		return outcome{}, false
+	}
+	return out, true
 }
 
-// requestBody is a request body behind the size cap, with the length its
-// Content-Length declared, at most the cap (-1 when unknown, as for a
-// chunked body).
+// requestBody is a request body behind the size cap. It counts the bytes
+// read and records whether a read failed at the cap, so that the
+// whole-body reads and the streaming decoders, which fold reader errors
+// into their parse verdict, answer an oversized body with the same 413.
 type requestBody struct {
-	io.Reader
-	declared int64
+	r        io.Reader
+	limit    int64 // the cap
+	declared int64 // Content-Length, at most the cap; -1 when unknown (chunked)
+	n        int   // bytes read
+	overCap  bool  // a read failed at the cap
+}
+
+func (b *requestBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += n
+	var mbe *http.MaxBytesError
+	if err != nil && errors.As(err, &mbe) {
+		b.overCap = true
+	}
+	return n, err
+}
+
+// tooLarge is the answer to a body that hit the cap.
+func (b *requestBody) tooLarge() outcome {
+	return outcome{code: http.StatusRequestEntityTooLarge,
+		errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", b.limit)}
 }
 
 // maxUpfrontBody bounds the buffer readBody sizes from a declared length
@@ -294,14 +368,12 @@ const maxUpfrontBody = 1 << 20
 // document in memory. A body over the cap is a 413, any other read
 // failure a 400, and a deadline that expired during the read a 504; in
 // those cases the returned outcome carries the code and data is nil.
-func readBody(ctx context.Context, body requestBody) ([]byte, outcome) {
-	data, err := readAll(body.Reader, body.declared)
+func readBody(ctx context.Context, body *requestBody) ([]byte, outcome) {
+	data, err := readAll(body, body.declared)
+	if body.overCap {
+		return nil, body.tooLarge()
+	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)}
-		}
 		return nil, outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("reading request body: %v", err)}
 	}
 	if ctx.Err() != nil {
@@ -350,87 +422,46 @@ func readAll(r io.Reader, declared int64) ([]byte, error) {
 // unknown schema (404), body over the cap (413), shed load (429),
 // deadline (504).
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("schema")
-	entry, ok := s.reg.Get(name)
-	if !ok {
-		// No metrics series for unknown names: the series key space must
-		// stay bounded by the registry, not by what clients probe for.
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown schema %q", name)})
-		return
-	}
 	mode := "dom"
 	if q := r.URL.Query(); q.Get("stream") == "1" || q.Get("parallel") == "1" {
 		mode = "stream"
 	}
-	series := s.metrics.Series(name, mode)
-	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
-		return s.runValidation(ctx, entry, mode, body)
+	s.withWorker(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
+		return runValidation(ctx, entry, mode, body)
+	}, func(entry *registry.Entry, out outcome, elapsed time.Duration) {
+		s.writeJSON(w, http.StatusOK, validateResponse{
+			Schema:        entry.Name,
+			SchemaVersion: entry.Version,
+			Mode:          mode,
+			Valid:         out.res.OK(),
+			Violations:    violationsOf(out.res),
+			ElapsedNs:     int64(elapsed),
+		})
 	})
-	if !ok {
-		return
-	}
-	if out.code != 0 {
-		series.Errors.Inc()
-		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
-		return
-	}
-	series.Requests.Inc()
-	series.Latency.Observe(time.Since(start))
-	if !out.res.OK() {
-		series.Invalid.Inc()
-	}
-	resp := validateResponse{
-		Schema:        entry.Name,
-		SchemaVersion: entry.Version,
-		Mode:          mode,
-		Valid:         out.res.OK(),
-		ElapsedNs:     int64(time.Since(start)),
-	}
-	for _, v := range out.res.Violations {
-		resp.Violations = append(resp.Violations, violationJSON{Path: v.Path, Msg: v.Msg})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// capTracker notes whether a read failed because http.MaxBytesReader
-// tripped. The streaming decoder folds reader errors into its parse
-// verdict, so without this the DOM and stream paths would answer an
-// oversized body differently (413 vs a violation quoting the transport
-// error); the tracker lets the stream path give the same 413.
-type capTracker struct {
-	r   io.Reader
-	hit bool
-	n   int // bytes read
-}
-
-func (c *capTracker) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			c.hit = true
-		}
+// violationsOf is a verdict's violations as the responses carry them.
+func violationsOf(res *validator.Result) []violationJSON {
+	var out []violationJSON
+	for _, v := range res.Violations {
+		out = append(out, violationJSON{Path: v.Path, Msg: v.Msg})
 	}
-	return n, err
+	return out
 }
 
 // runValidation produces a verdict through the requested path.
-func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode string, body requestBody) outcome {
+func runValidation(ctx context.Context, entry *registry.Entry, mode string, body *requestBody) outcome {
 	if mode == "stream" {
-		tracked := &capTracker{r: body.Reader}
-		res, err := entry.Stream.ValidateReaderContext(ctx, tracked)
-		if tracked.hit {
-			return outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", s.maxBody)}
+		res, err := entry.Stream.ValidateReaderContext(ctx, body)
+		if body.overCap {
+			return body.tooLarge()
 		}
 		if err != nil {
 			// Deadline/cancel mid-stream; the handler's select arm has
 			// (or will) put the 504 on the wire.
 			return outcome{code: http.StatusGatewayTimeout, errMsg: "validation deadline exceeded"}
 		}
-		return outcome{res: res}
+		return verdict(res)
 	}
 	data, fail := readBody(ctx, body)
 	if fail.code != 0 {
@@ -440,11 +471,11 @@ func (s *Server) runValidation(ctx context.Context, entry *registry.Entry, mode 
 	if perr != nil {
 		// Library parity (validator.ValidateBytes): malformedness is the
 		// verdict, not a transport error.
-		return outcome{res: &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: perr.Error()}}}}
+		return verdict(&validator.Result{Violations: []validator.Violation{{Path: "/", Msg: perr.Error()}}})
 	}
 	res := entry.Validator.ValidateDocument(doc)
 	doc.Release()
-	return outcome{res: res}
+	return verdict(res)
 }
 
 // decodeResponse extends the validation verdict with the decoded
@@ -512,50 +543,28 @@ func appendElapsed(dst []byte, ns int64) []byte {
 // /v1/validate: an invalid document is a 200 with valid:false and no
 // data, not an error.
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("schema")
-	entry, ok := s.reg.Get(name)
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown schema %q", name)})
-		return
-	}
 	mode := "decode-dom"
 	if r.URL.Query().Get("stream") == "1" {
 		mode = "decode-stream"
 	}
-	series := s.metrics.Series(name, mode)
-	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
-		return s.runDecode(ctx, entry, mode, body)
+	s.withWorker(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
+		return runDecode(ctx, entry, mode, body)
+	}, func(_ *registry.Entry, out outcome, elapsed time.Duration) {
+		writeJSONBody(w, http.StatusOK, appendElapsed(out.data, int64(elapsed)))
 	})
-	if !ok {
-		return
-	}
-	if out.code != 0 {
-		series.Errors.Inc()
-		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
-		return
-	}
-	series.Requests.Inc()
-	series.Latency.Observe(time.Since(start))
-	if !out.res.OK() {
-		series.Invalid.Inc()
-	}
-	writeJSONBody(w, http.StatusOK, appendElapsed(out.data, int64(time.Since(start))))
 }
 
 // runDecode produces a verdict and, when valid, the canonical JSON. The
 // response is written inside the scoped decode: the value tree's memory
 // goes back to the binder's pools when the call returns.
-func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode string, body requestBody) outcome {
+func runDecode(ctx context.Context, entry *registry.Entry, mode string, body *requestBody) outcome {
 	var out outcome
 	if mode == "decode-stream" {
-		tracked := &capTracker{r: body.Reader}
-		err := entry.Binder.DecodeReaderScoped(ctx, tracked, func(v *bind.Value, res *validator.Result) {
-			out = decodeOutcome(entry, mode, v, res, tracked.n)
+		err := entry.Binder.DecodeReaderScoped(ctx, body, func(v *bind.Value, res *validator.Result) {
+			out = decodeOutcome(entry, mode, v, res, body.n)
 		})
-		if tracked.hit {
-			return outcome{code: http.StatusRequestEntityTooLarge,
-				errMsg: fmt.Sprintf("request body exceeds the %d-byte limit", s.maxBody)}
+		if body.overCap {
+			return body.tooLarge()
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -580,15 +589,14 @@ func (s *Server) runDecode(ctx context.Context, entry *registry.Entry, mode stri
 // into a buffer sized from the request's size: canonical JSON is rarely
 // longer than the XML it projects.
 func decodeOutcome(entry *registry.Entry, mode string, v *bind.Value, res *validator.Result, size int) outcome {
-	resp := decodeResponse{Schema: entry.Name, SchemaVersion: entry.Version, Mode: mode, Valid: res.OK()}
-	for _, viol := range res.Violations {
-		resp.Violations = append(resp.Violations, violationJSON{Path: viol.Path, Msg: viol.Msg})
-	}
-	data := resp.appendHead(make([]byte, 0, size+256))
+	resp := decodeResponse{Schema: entry.Name, SchemaVersion: entry.Version, Mode: mode,
+		Valid: res.OK(), Violations: violationsOf(res)}
+	out := verdict(res)
+	out.data = resp.appendHead(make([]byte, 0, size+256))
 	if v != nil {
-		data = entry.Binder.AppendJSON(append(data, `,"data":`...), v)
+		out.data = entry.Binder.AppendJSON(append(out.data, `,"data":`...), v)
 	}
-	return outcome{res: res, data: data}
+	return out
 }
 
 // handleEncode runs POST /v1/encode/{schema}: the body is canonical JSON
@@ -597,35 +605,16 @@ func decodeOutcome(entry *registry.Entry, mode string, v *bind.Value, res *valid
 // that maps to a schema-invalid document is a 422 carrying the first
 // violation.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("schema")
-	entry, ok := s.reg.Get(name)
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown schema %q", name)})
-		return
-	}
-	series := s.metrics.Series(name, "encode")
-	start := time.Now()
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
-		return s.runEncode(ctx, entry, body)
+	s.withWorker(w, r, "encode", runEncode, func(entry *registry.Entry, out outcome, _ time.Duration) {
+		w.Header().Set("Content-Type", "application/xml")
+		w.Header().Set("X-Schema-Version", fmt.Sprintf("%d", entry.Version))
+		w.WriteHeader(http.StatusOK)
+		w.Write(out.data) //nolint:errcheck // client gone; nothing to do
 	})
-	if !ok {
-		return
-	}
-	if out.code != 0 {
-		series.Errors.Inc()
-		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
-		return
-	}
-	series.Requests.Inc()
-	series.Latency.Observe(time.Since(start))
-	w.Header().Set("Content-Type", "application/xml")
-	w.Header().Set("X-Schema-Version", fmt.Sprintf("%d", entry.Version))
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.data) //nolint:errcheck // client gone; nothing to do
 }
 
 // runEncode maps canonical JSON back to schema-valid XML.
-func (s *Server) runEncode(ctx context.Context, entry *registry.Entry, body requestBody) outcome {
+func runEncode(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
 	data, fail := readBody(ctx, body)
 	if fail.code != 0 {
 		return fail

@@ -56,20 +56,14 @@ func (s *Server) handleSOAP(w http.ResponseWriter, r *http.Request) {
 	series := s.metrics.Series("soap:"+name, "service")
 	start := time.Now()
 	var resp *soap.Response
-	out, ok := s.withWorker(w, r, series, func(ctx context.Context, body requestBody) outcome {
+	if _, ok := s.admit(w, r, series, func(ctx context.Context, body *requestBody) outcome {
 		data, fail := readBody(ctx, body)
 		if fail.code != 0 {
 			return fail
 		}
 		resp = svc.Handle(ctx, data, r.Header.Get("SOAPAction"))
 		return outcome{}
-	})
-	if !ok {
-		return
-	}
-	if out.code != 0 {
-		series.Errors.Inc()
-		s.writeJSON(w, out.code, errorResponse{Error: out.errMsg})
+	}); !ok {
 		return
 	}
 	// Per-operation series: requests that never resolved to an operation

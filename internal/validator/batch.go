@@ -4,20 +4,19 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/dom"
 )
 
-// ValidateBatch validates every document concurrently through a bounded
-// worker pool and returns one Result per document, index-aligned with
-// docs. The pool has runtime.GOMAXPROCS(0) workers, all stepping the
-// schema's compiled content models, which are built at most once. Nil
-// documents yield a Result with a single violation rather than a panic.
+// ValidateBatch validates every serialized document concurrently through a
+// bounded worker pool and returns one Result per document, index-aligned
+// with srcs. Each slot is one ValidateBytes run, so no DOM is built and a
+// malformed (or empty) source gets its parse error as its one violation.
+// The pool has runtime.GOMAXPROCS(0) workers, all stepping the schema's
+// compiled content models, which are built at most once.
 //
 // This is the bulk path for the ROADMAP's repeated same-schema workload:
-// xsdcheck uses it to validate its file arguments in parallel.
-func (v *Validator) ValidateBatch(docs []*dom.Document) []*Result {
-	results, _ := v.ValidateBatchContext(context.Background(), docs)
+// xsdserved's /v1/validate-batch runs its documents through it.
+func (sv *StreamValidator) ValidateBatch(srcs [][]byte) []*Result {
+	results, _ := sv.ValidateBatchContext(context.Background(), srcs)
 	return results
 }
 
@@ -25,15 +24,12 @@ func (v *Validator) ValidateBatch(docs []*dom.Document) []*Result {
 // cancelled, in-flight documents finish but no new ones start; the
 // returned error is ctx.Err() and the unprocessed slots of the result
 // slice are nil. A nil slice is returned only for an empty batch.
-func (v *Validator) ValidateBatchContext(ctx context.Context, docs []*dom.Document) ([]*Result, error) {
-	if len(docs) == 0 {
+func (sv *StreamValidator) ValidateBatchContext(ctx context.Context, srcs [][]byte) ([]*Result, error) {
+	if len(srcs) == 0 {
 		return nil, ctx.Err()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	results := make([]*Result, len(docs))
+	workers := min(runtime.GOMAXPROCS(0), len(srcs))
+	results := make([]*Result, len(srcs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -41,13 +37,13 @@ func (v *Validator) ValidateBatchContext(ctx context.Context, docs []*dom.Docume
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = v.validateOne(docs[i])
+				results[i] = sv.ValidateBytes(srcs[i])
 			}
 		}()
 	}
 	var err error
 feed:
-	for i := range docs {
+	for i := range srcs {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -58,12 +54,4 @@ feed:
 	close(jobs)
 	wg.Wait()
 	return results, err
-}
-
-// validateOne guards a single batch slot against nil documents.
-func (v *Validator) validateOne(doc *dom.Document) *Result {
-	if doc == nil {
-		return &Result{Violations: []Violation{{Path: "/", Msg: "nil document"}}}
-	}
-	return v.ValidateDocument(doc)
 }

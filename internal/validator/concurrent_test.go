@@ -63,39 +63,40 @@ func TestConcurrentValidation(t *testing.T) {
 	}
 }
 
-// TestValidateBatch checks index alignment, mixed outcomes and nil slots.
+// TestValidateBatch checks index alignment, mixed outcomes and an empty
+// source, whose verdict is the parse error.
 func TestValidateBatch(t *testing.T) {
-	v := poValidator(t)
-	good, err := dom.ParseString(schemas.PurchaseOrderDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := dom.ParseString(`<purchaseOrder orderDate="1999-10-20"><bogus/></purchaseOrder>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := make([]*dom.Document, 0, 40)
+	sv := poValidator(t).Stream()
+	good := []byte(schemas.PurchaseOrderDoc)
+	bad := []byte(`<purchaseOrder orderDate="1999-10-20"><bogus/></purchaseOrder>`)
+	srcs := make([][]byte, 0, 40)
 	for i := 0; i < 20; i++ {
-		docs = append(docs, good, bad)
+		srcs = append(srcs, good, bad)
 	}
-	docs[7] = nil
-	results := v.ValidateBatch(docs)
-	if len(results) != len(docs) {
-		t.Fatalf("got %d results for %d docs", len(results), len(docs))
+	srcs[7] = nil
+	results := sv.ValidateBatch(srcs)
+	if len(results) != len(srcs) {
+		t.Fatalf("got %d results for %d docs", len(results), len(srcs))
+	}
+	empty := sv.ValidateBytes(nil)
+	if empty.OK() || empty.Violations[0].Path != "/" {
+		t.Fatalf("empty source: want a parse error at /, got %+v", empty)
 	}
 	for i, res := range results {
 		switch {
 		case res == nil:
 			t.Fatalf("result %d is nil", i)
 		case i == 7:
-			wantViolation(t, res, "nil document")
+			if fmt.Sprint(res.Violations) != fmt.Sprint(empty.Violations) {
+				t.Errorf("empty source: got %v, want %v", res.Violations, empty.Violations)
+			}
 		case i%2 == 0 && !res.OK():
 			t.Errorf("doc %d (valid) rejected: %v", i, res.Err())
 		case i%2 == 1 && res.OK():
 			t.Errorf("doc %d (invalid) accepted", i)
 		}
 	}
-	if results, _ := v.ValidateBatchContext(context.Background(), nil); results != nil {
+	if results, _ := sv.ValidateBatchContext(context.Background(), nil); results != nil {
 		t.Errorf("empty batch should return nil, got %v", results)
 	}
 }
@@ -103,23 +104,19 @@ func TestValidateBatch(t *testing.T) {
 // TestValidateBatchCancellation checks that a cancelled context stops the
 // feed: the call returns ctx.Err() and leaves unprocessed slots nil.
 func TestValidateBatchCancellation(t *testing.T) {
-	v := poValidator(t)
-	doc, err := dom.ParseString(schemas.PurchaseOrderDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := make([]*dom.Document, 500)
-	for i := range docs {
-		docs[i] = doc
+	sv := poValidator(t).Stream()
+	srcs := make([][]byte, 500)
+	for i := range srcs {
+		srcs[i] = []byte(schemas.PurchaseOrderDoc)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts
-	results, cerr := v.ValidateBatchContext(ctx, docs)
+	results, cerr := sv.ValidateBatchContext(ctx, srcs)
 	if cerr == nil {
 		t.Fatal("expected a context error from a cancelled batch")
 	}
-	if len(results) != len(docs) {
-		t.Fatalf("result slice must stay index-aligned: %d vs %d", len(results), len(docs))
+	if len(results) != len(srcs) {
+		t.Fatalf("result slice must stay index-aligned: %d vs %d", len(results), len(srcs))
 	}
 	done := 0
 	for _, res := range results {
@@ -127,7 +124,7 @@ func TestValidateBatchCancellation(t *testing.T) {
 			done++
 		}
 	}
-	if done == len(docs) {
+	if done == len(srcs) {
 		t.Error("cancelled batch still processed every document")
 	}
 }

@@ -28,13 +28,14 @@
 //   - the decoder, for the streaming entry points: Validator.Stream
 //     returns a StreamValidator whose ValidateReader consumes an io.Reader
 //     and whose ValidateBytes validates an in-memory document, neither
-//     building a DOM. ValidateReaderContext is the cancellable form — it
-//     checks the context between token batches and returns (nil,
-//     ctx.Err()) on expiry, the same contract as ValidateBatchContext;
-//     servers use it to stop validating when a request's deadline fires
-//     mid-stream. cmd/xsdcheck exposes the streaming path as -stream;
-//   - a replay of a parsed tree, for ValidateDocument, ValidateElement
-//     and ValidateBatch (tree.go);
+//     building a DOM, and whose ValidateBatch validates a slice of
+//     serialized documents. ValidateReaderContext is the cancellable form
+//     — it checks the context between token batches and returns (nil,
+//     ctx.Err()) on expiry; servers use it to stop validating when a
+//     request's deadline fires mid-stream. cmd/xsdcheck exposes the
+//     streaming path as -stream;
+//   - a replay of a parsed tree, for ValidateDocument and ValidateElement
+//     (tree.go);
 //   - bind's Marshal encoder, through ValidateTokens.
 //
 // Identity constraints and raw wildcard subtrees need the element as a
@@ -65,8 +66,9 @@
 // every Validator and every other consumer, so creating a Validator costs
 // nothing and each automaton is built exactly once no matter how many
 // goroutines validate at once. Options.DisableDFA and DFAStateBudget
-// apply per run on that shared automaton. ValidateBatch fans a document
-// slice out over a GOMAXPROCS-sized worker pool. Parallelism stops at the
+// apply per run on that shared automaton. StreamValidator.ValidateBatch
+// fans a slice of serialized documents out over a GOMAXPROCS-sized worker
+// pool, one ValidateBytes run per document. Parallelism stops at the
 // document: one document is one walk, since splitting it needs the whole
 // DOM first and loses to streaming from bytes (EXPERIMENTS.md E15). A
 // StreamValidator holds no per-run state either, so one may serve any

@@ -55,24 +55,21 @@ func ExampleValidator_ValidateDocument() {
 	// /note/body: unexpected element body at position 0; expected to
 }
 
-// ExampleValidator_ValidateBatch validates several documents through the
-// worker pool; results are index-aligned with the input slice.
-func ExampleValidator_ValidateBatch() {
+// ExampleStreamValidator_ValidateBatch validates several serialized
+// documents through the worker pool; results are index-aligned with the
+// input slice.
+func ExampleStreamValidator_ValidateBatch() {
 	schema, err := xsd.ParseString(exampleXSD, nil)
 	if err != nil {
 		panic(err)
 	}
-	v := validator.New(schema, nil)
-	sources := []string{
-		`<note><to>Ada</to><body>hi</body></note>`,
-		`<note><body>out of order</body><to>Ada</to></note>`,
-		`<note><to>Grace</to><body>hello</body></note>`,
+	sv := validator.New(schema, nil).Stream()
+	srcs := [][]byte{
+		[]byte(`<note><to>Ada</to><body>hi</body></note>`),
+		[]byte(`<note><body>out of order</body><to>Ada</to></note>`),
+		[]byte(`<note><to>Grace</to><body>hello</body></note>`),
 	}
-	docs := make([]*dom.Document, len(sources))
-	for i, src := range sources {
-		docs[i], _ = dom.ParseString(src)
-	}
-	for i, res := range v.ValidateBatch(docs) {
+	for i, res := range sv.ValidateBatch(srcs) {
 		fmt.Printf("doc %d ok: %v\n", i, res.OK())
 	}
 	// Output:

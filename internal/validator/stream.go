@@ -69,9 +69,8 @@ func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 	return res
 }
 
-// ValidateReaderContext is ValidateReader with cancellation, mirroring
-// ValidateBatchContext's semantics: when ctx is cancelled the run stops
-// at the next token boundary, the partial verdict is discarded (a prefix
+// ValidateReaderContext is ValidateReader with cancellation: when ctx is
+// cancelled the run stops at the next token boundary, the partial verdict is discarded (a prefix
 // proves nothing about the document) and the returned error is ctx.Err().
 // A nil error means the stream was fully consumed and the Result is the
 // same one ValidateReader would have produced.
@@ -801,7 +800,7 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 		if want, ok := use.FixedValue(); ok && !val.Equal(want) {
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
 		}
-		if kind := sr.v.idKind(use.Decl.Type); kind != "" {
+		if kind := idKind(use.Decl.Type); kind != "" {
 			sr.trackIDs(kind, a.Value, f.at(a.Name.Qualified()), &f.attrViols)
 		}
 	}
@@ -990,7 +989,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 				if want, ok := f.decl.FixedValue(f.st); ok && !val.Equal(want) {
 					viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
 				}
-				if kind := sr.v.idKind(f.st); kind != "" {
+				if kind := idKind(f.st); kind != "" {
 					sr.trackIDs(kind, text, f.at(""), &viols)
 				}
 			}
@@ -1008,7 +1007,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 			} else {
 				sr.observe(f, val)
 			}
-			if kind := sr.v.idKind(f.st); kind != "" {
+			if kind := idKind(f.st); kind != "" {
 				sr.trackIDs(kind, text, f.at(""), &viols)
 			}
 		}

@@ -54,10 +54,6 @@ const maxViolations = 100
 // Options tunes validation. The zero value is the default configuration:
 // full ID/IDREF checking and the lazy-DFA content-model executor.
 type Options struct {
-	// SkipIDChecks disables document-level ID uniqueness and IDREF
-	// resolution (the paper-excluded extension); structural and
-	// simple-type checking is unaffected.
-	SkipIDChecks bool
 	// DisableDFA turns off the lazy-DFA content-model executor: this
 	// Validator's runs step the Glushkov automata as NFAs (the pre-DFA
 	// behavior). Verdicts and messages are identical either way; the NFA
@@ -73,8 +69,8 @@ type Options struct {
 // Validator validates documents against one schema.
 //
 // A Validator is safe for concurrent use: any number of goroutines may
-// call ValidateDocument, ValidateElement and ValidateBatch on one shared
-// instance. All per-run state lives in a private machine (streamRun); the
+// call ValidateDocument and ValidateElement, and run its StreamValidator,
+// on one shared instance. All per-run state lives in a private machine (streamRun); the
 // compiled content models belong to the schema (xsd.ComplexType.Matcher),
 // which builds each once for every Validator and every other consumer, so
 // a Validator is cheap to create. The documents being validated are only
@@ -131,11 +127,8 @@ func derivesFromType(t, anc xsd.Type) bool {
 }
 
 // idKind names the ID-family builtin st derives from ("ID", "IDREF" or
-// "IDREFS"), or "" when it is none of them or ID checks are off.
-func (v *Validator) idKind(st *xsd.SimpleType) string {
-	if v.opts.SkipIDChecks {
-		return ""
-	}
+// "IDREFS"), or "" when it is none of them.
+func idKind(st *xsd.SimpleType) string {
 	if b := st.PrimitiveBuiltin(); b != nil {
 		switch b.Name {
 		case "ID", "IDREF", "IDREFS":

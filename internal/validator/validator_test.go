@@ -313,11 +313,6 @@ func TestIDIntegrity(t *testing.T) {
 	}
 	wantViolation(t, validate(t, v, `<graph><node id="a"/><node id="a"/></graph>`), "duplicate ID")
 	wantViolation(t, validate(t, v, `<graph><node id="a" ref="zz"/></graph>`), "does not match any ID")
-	// SkipIDChecks disables both.
-	v2 := New(s, &Options{SkipIDChecks: true})
-	if res := validate(t, v2, `<graph><node id="a"/><node id="a" ref="zz"/></graph>`); !res.OK() {
-		t.Errorf("id checks not skipped: %v", res.Err())
-	}
 }
 
 func TestWildcardValidation(t *testing.T) {

@@ -30,9 +30,6 @@ type Options struct {
 	// Entities supplies additional named entities, beyond the five
 	// predefined ones and those declared in the internal DTD subset.
 	Entities map[string]string
-	// SkipComments drops comment tokens from the stream. Comments are
-	// emitted by default.
-	SkipComments bool
 	// Names, when set, gives every start tag's resolved name its ID in the
 	// table (Token.SymbolID). It needs namespace processing.
 	Names NameTable
@@ -619,13 +616,8 @@ func (d *Decoder) token(t *Token) (ok bool, err error) {
 		case '!':
 			switch {
 			case d.hasPrefix("<!--"):
-				if err := d.comment(t, p); err != nil {
-					return false, err
-				}
-				if d.opts.SkipComments {
-					continue
-				}
-				return true, nil
+				err := d.comment(t, p)
+				return err == nil, err
 			case d.hasPrefix("<![CDATA["):
 				if !inContent && !d.opts.Fragment {
 					return false, d.errf(p, "CDATA section outside of root element")

@@ -340,22 +340,6 @@ func TestDeeplyNested(t *testing.T) {
 	}
 }
 
-func TestSkipComments(t *testing.T) {
-	d := NewDecoder([]byte(`<a><!-- gone -->x</a>`), &Options{Namespaces: true, SkipComments: true})
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tok == nil {
-			break
-		}
-		if tok.Kind == KindComment {
-			t.Error("comment emitted despite SkipComments")
-		}
-	}
-}
-
 func TestPositionOfTokens(t *testing.T) {
 	toks := collect(t, "<a>\n<b/></a>")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
