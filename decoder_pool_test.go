@@ -110,7 +110,8 @@ func TestPooledDecodersConcurrent(t *testing.T) {
 // document through the stream validator allocates once the decoder and
 // machine pools are warm. Before decoders were pooled it allocated 34
 // times per document; a pooled decoder keeps its intern cache, scratch
-// slices and namespace scope, and it allocates 6.
+// slices and namespace scope, and it allocated 6, then 3 once simple
+// values were parsed from a view of the text buffer.
 func TestWarmStreamValidateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop recycled values at random")
@@ -131,9 +132,29 @@ func TestWarmStreamValidateAllocs(t *testing.T) {
 	}
 }
 
-// maxWarmTenantAllocs is TestWarmStreamValidateAllocs's bound: the 6 of
-// today, with room for a collection emptying the pools mid-run.
+// maxWarmTenantAllocs is TestWarmStreamValidateAllocs's bound: the 6 it
+// was set at, with room for a collection emptying the pools mid-run.
 const maxWarmTenantAllocs = 8
+
+// TestLargeOrderStreamAllocs bounds what stream validation of the E8
+// 1,000-item order allocates. Its 5,000 simple values are parsed from a
+// view of their frame's text buffer, not from a copy of it; before that
+// the run allocated 2,006 times, nearly all of them those copies.
+func TestLargeOrderStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled values at random")
+	}
+	sv := validator.New(poSchema(t), nil).Stream()
+	src := largePOSource(1000)
+	if res := sv.ValidateBytes(src); !res.OK() {
+		t.Fatal(res.Violations)
+	}
+	allocs := testing.AllocsPerRun(20, func() { sv.ValidateBytes(src) })
+	t.Logf("%.1f allocations per ValidateBytes of the 1,000-item order", allocs)
+	if allocs >= 100 {
+		t.Errorf("%.1f allocations per ValidateBytes of the 1,000-item order, want fewer than 100", allocs)
+	}
+}
 
 // raceEnabled reports a build with the race detector (race_test.go).
 var raceEnabled bool

@@ -64,7 +64,9 @@ type ElementStart struct {
 // are the machine's scratch space (copy *val to keep it), and a raw
 // element from the decoder or an encoder lives in a pooled fragment that
 // is released when the callback returns (from a parsed tree it is the
-// tree's own node).
+// tree's own node). The strings inside *val and the attributes' values
+// are the observer's to keep: the machine parses an announced element's
+// text from its own copy, never from a view of its buffer.
 type StreamEvents interface {
 	// OpenElement fires when a validated element opens.
 	OpenElement(e ElementStart)
@@ -73,7 +75,7 @@ type StreamEvents interface {
 	// parsed simple value for simple-typed and simple-content elements
 	// (nil when the element has no simple value or its text failed to
 	// parse — the document is invalid in that case). *val is valid only
-	// during the call.
+	// during the call; a copy of it, strings included, may be kept.
 	CloseElement(val *xsdtypes.Value)
 
 	// MixedText fires for character data directly inside a mixed-content

@@ -39,6 +39,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
@@ -801,7 +802,7 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
 		}
 		if kind := idKind(use.Decl.Type); kind != "" {
-			sr.trackIDs(kind, a.Value, f.at(a.Name.Qualified()), &f.attrViols)
+			sr.trackIDs(kind, val, f.at(a.Name.Qualified()), &f.attrViols)
 		}
 	}
 	for _, use := range ct.AttributeUses {
@@ -821,25 +822,28 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 	sr.attrSeen, sr.evAttrs = seen[:0], evAttrs
 }
 
-// trackIDs records an ID or IDREF value of the given idKind against the
-// document-wide ID state, journaling insertions for rollback. Callers
+// trackIDs records the ID or IDREF values of val, parsed in a type of the
+// given idKind, against the document-wide ID state, journaling insertions
+// for rollback. The values are the parsed, whitespace-collapsed forms,
+// an IDREFS value's from its items. They may view a frame's text buffer,
+// so each string the ID state or a violation keeps is copied. Callers
 // check idKind first, so an element that tracks nothing never freezes its
 // frame.
-func (sr *streamRun) trackIDs(kind, lexical string, at loc, viols *[]violation) {
-	norm := strings.Join(strings.Fields(lexical), " ")
+func (sr *streamRun) trackIDs(kind string, val xsdtypes.Value, at loc, viols *[]violation) {
 	switch kind {
 	case "ID":
-		if prev, dup := sr.ids[norm]; dup {
-			*viols = append(*viols, dupID(at, norm, prev))
+		if prev, dup := sr.ids[val.Str]; dup {
+			*viols = append(*viols, dupID(at, strings.Clone(val.Str), prev))
 		} else {
-			sr.ids[norm] = at
-			sr.idJournal = append(sr.idJournal, norm)
+			id := strings.Clone(val.Str)
+			sr.ids[id] = at
+			sr.idJournal = append(sr.idJournal, id)
 		}
 	case "IDREF":
-		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, at: at})
+		sr.idrefs = append(sr.idrefs, pendingRef{id: strings.Clone(val.Str), at: at})
 	case "IDREFS":
-		for _, ref := range strings.Fields(norm) {
-			sr.idrefs = append(sr.idrefs, pendingRef{id: ref, at: at})
+		for _, ref := range val.List() {
+			sr.idrefs = append(sr.idrefs, pendingRef{id: strings.Clone(ref.Str), at: at})
 		}
 	}
 }
@@ -990,7 +994,7 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 					viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
 				}
 				if kind := idKind(f.st); kind != "" {
-					sr.trackIDs(kind, text, f.at(""), &viols)
+					sr.trackIDs(kind, val, f.at(""), &viols)
 				}
 			}
 		}
@@ -1008,7 +1012,10 @@ func (sr *streamRun) closeFrame(f *frame) []violation {
 				sr.observe(f, val)
 			}
 			if kind := idKind(f.st); kind != "" {
-				sr.trackIDs(kind, text, f.at(""), &viols)
+				if err != nil {
+					val = lexicalIDs(kind, text)
+				}
+				sr.trackIDs(kind, val, f.at(""), &viols)
 			}
 		}
 		return viols
@@ -1039,12 +1046,34 @@ func (sr *streamRun) observe(f *frame, val xsdtypes.Value) {
 	}
 }
 
-// textValue returns the frame's character data.
-func (f *frame) textValue() string {
-	if len(f.textBuf) == 0 {
-		return f.text
+// lexicalIDs is the value trackIDs reads for simple content that failed
+// its type of the given idKind: its collapsed text, split into items for
+// IDREFS. Such a value still takes part in ID matching.
+func lexicalIDs(kind, text string) xsdtypes.Value {
+	if kind != "IDREFS" {
+		return xsdtypes.Value{Kind: xsdtypes.VString, Str: strings.Join(strings.Fields(text), " ")}
 	}
-	return string(f.textBuf)
+	var items []xsdtypes.Value
+	for _, ref := range strings.Fields(text) {
+		items = append(items, xsdtypes.Value{Kind: xsdtypes.VString, Str: ref})
+	}
+	return xsdtypes.ListValue(items)
+}
+
+// textValue returns the frame's character data. Text buffered in textBuf
+// is returned as a view of the buffer, which the frame reuses once it
+// closes: the parse, the checks and the violations' messages read the
+// view and keep nothing of it, and trackIDs copies the IDs it keeps. Only
+// an announced frame's text is copied, since the observer may keep the
+// strings of the value parsed from it.
+func (f *frame) textValue() string {
+	switch {
+	case len(f.textBuf) == 0:
+		return f.text
+	case f.announced:
+		return string(f.textBuf)
+	}
+	return unsafe.String(unsafe.SliceData(f.textBuf), len(f.textBuf))
 }
 
 // appendPlainAttrViols adds a simple-typed element's attribute violations:

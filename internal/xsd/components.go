@@ -98,6 +98,7 @@ type SimpleType struct {
 	Context string
 	ws      xsdtypes.WhiteSpace // the effective whitespace rule (resolveChain)
 	prim    *xsdtypes.Builtin   // the nearest built-in of an atomic chain
+	plan    *xsdtypes.Plan      // the chain folded; nil: values take the walk
 }
 
 // TypeName implements Type.
@@ -114,19 +115,31 @@ func (s *SimpleType) BaseType() Type {
 	return s.Base
 }
 
-// resolveChain sets s's whitespace rule and nearest built-in from its own
-// fields and its base's, once the construction site has set those.
+// resolveChain sets s's whitespace rule, nearest built-in and folded
+// plan from its own fields and its base's, once the construction site has
+// set those. A built-in's plan is the one xsdtypes folded at init.
 func (s *SimpleType) resolveChain() {
 	switch {
 	case s.Builtin != nil:
-		s.ws, s.prim = s.Builtin.WS, s.Builtin
+		s.ws, s.prim, s.plan = s.Builtin.WS, s.Builtin, s.Builtin.Plan()
 	case s.Base != nil:
 		s.ws, s.prim = s.Base.ws, s.Base.prim
+		s.plan = s.Base.plan.Fold(&s.Facets)
 	default: // a list or union
-		s.ws = xsdtypes.WSCollapse
+		s.ws, s.plan = xsdtypes.WSCollapse, xsdtypes.ValuesPlan
 	}
 	if s.Facets.WhiteSpace != nil {
 		s.ws = *s.Facets.WhiteSpace
+	}
+	// A plan decides validity only if its items' and members' plans do:
+	// a union must not skip a member whose values take the walk.
+	if s.ItemType != nil && s.ItemType.plan == nil {
+		s.plan = nil
+	}
+	for _, m := range s.MemberTypes {
+		if m.plan == nil {
+			s.plan = nil
+		}
 	}
 }
 
@@ -134,17 +147,56 @@ func (s *SimpleType) resolveChain() {
 func (s *SimpleType) PrimitiveBuiltin() *xsdtypes.Builtin { return s.prim }
 
 // Parse validates a lexical value against the simple type and returns the
-// parsed value, in one walk of its derivation chain (doc.go).
-func (s *SimpleType) Parse(lexical string) (xsdtypes.Value, error) {
+// parsed value (doc.go): a valid value passes the type's folded plan in
+// one pass; any other is walked along the derivation chain, which
+// reports the error.
+func (s *SimpleType) Parse(lexical string) (v xsdtypes.Value, err error) {
 	norm := xsdtypes.ApplyWhiteSpace(s.ws, lexical)
-	v, err := s.parseNormalized(norm)
-	if err != nil {
+	if s.parseFolded(&v, norm) {
+		return v, nil
+	}
+	if v, err = s.parseNormalized(norm); err != nil {
 		return xsdtypes.Value{}, err
 	}
 	if err := s.checkSteps(s, &v, norm); err != nil {
 		return xsdtypes.Value{}, err
 	}
 	return v, nil
+}
+
+// parseFolded parses the whitespace-normalized norm into *v with the
+// folded plans of s and of its list items or union members, and reports
+// whether the value is valid; *v is unspecified when it is not.
+func (s *SimpleType) parseFolded(v *xsdtypes.Value, norm string) bool {
+	switch {
+	case s.Variety == VarietyAtomic:
+		return s.plan.ParseTo(v, norm)
+	case s.plan == nil:
+		return false
+	case s.Variety == VarietyList:
+		var items []xsdtypes.Value
+		if norm != "" {
+			item := s.ItemType
+			for _, part := range strings.Fields(norm) {
+				items = append(items, xsdtypes.Value{})
+				if !item.parseFolded(&items[len(items)-1], xsdtypes.ApplyWhiteSpace(item.ws, part)) {
+					return false
+				}
+			}
+		}
+		*v = xsdtypes.ListValue(items)
+	default: // the first member that accepts norm parses it
+		ok := false
+		for _, m := range s.MemberTypes {
+			if ok = m.parseFolded(v, xsdtypes.ApplyWhiteSpace(m.ws, norm)); ok {
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return s.plan.Check(v, norm)
 }
 
 // checkSteps applies the user facet steps of t's derivation chain from the

@@ -42,28 +42,33 @@
 // Identity-constraint selectors and fields are parsed once here too
 // (xpath.go), so a malformed path fails Parse and names its constraint.
 //
-// # One walk per simple value
+// # Simple values at the cost their type needs
 //
 // A restriction is "inheritance plus dynamic value checks" (the paper's
-// §3): a derived type's check is its base's plus its own facets, so
-// SimpleType.Parse makes one pass over the derivation chain. It
-// normalizes whitespace once, by the type's rule; parses once at the
-// bottom of the chain (the nearest built-in's primitive, the list items
-// or the union members); and checks each restriction step once,
-// root-most first, following the Base links. The whitespace rule and the
-// nearest built-in are resolved when the type is built (resolveChain),
-// and each built-in's steps are flattened when it is registered.
-// Normalizing once is exact because Parse rejects a whiteSpace facet
-// looser than its base's (Part 2 §4.3.6.4). Parse also rejects facets of
-// one step that contradict each other (min above max, length beside
-// minLength, and so on). A failing step of an atomic chain is blamed on
-// its own name, one of a list or union chain on the outermost type.
+// §3): a derived type's check is its base's plus its own facets. When a
+// type is built (resolveChain), its whitespace rule and nearest built-in
+// are resolved and its chain is folded into an xsdtypes.Plan: its base's
+// plan with the type's own facets folded in, one check per facet kind
+// (the tightest bounds, lengths and digits, the enumerations'
+// intersection, one pattern group per step). A built-in's plan is the
+// one xsdtypes folded at init, shared by every schema. Folding a step
+// costs O(its facets), so folding an n-level chain, and parsing each
+// step's bounds in its base, cost O(n).
 //
-// There is no compiled per-type plan of every step: it would hold
-// O(depth) entries per type, O(n²) memory for an n-level chain, where
-// the Base links walked once give the same single pass. Parsing a value
-// costs time linear in its type's depth, and loading an n-level chain,
-// which parses each step's bounds in its base, costs O(n²).
+// SimpleType.Parse normalizes whitespace once, by the type's rule, and
+// checks a valid value against the plan in one pass, however deep the
+// chain; list items and union members use their own plans. A value the
+// plan rejects is walked along the chain for its error: parsed once at
+// the bottom (the nearest built-in's primitive, the list items or the
+// union members), then each restriction step checked once, root-most
+// first, following the Base links. Normalizing once is exact because
+// Parse rejects a whiteSpace facet looser than its base's (Part 2
+// §4.3.6.4). Parse also rejects facets of one step that contradict each
+// other (min above max, length beside minLength, and so on). A failing
+// step of an atomic chain is blamed on its own name, one of a list or
+// union chain on the outermost type. A type whose facets cannot fold
+// exactly (bounds over durations, lists or unions, among others; see
+// xsdtypes.Plan.Fold) has no plan, and its values always take the walk.
 //
 // # Concurrency
 //

@@ -39,6 +39,8 @@ type Builtin struct {
 	Check func(lexical string) error
 	// steps are the chain's types with a Check or facets, root-most first.
 	steps []*Builtin
+	// plan is the chain folded (plan.go).
+	plan *Plan
 }
 
 // registry holds all built-ins by local name.
@@ -59,6 +61,11 @@ func register(b *Builtin) *Builtin {
 	} else if b.Base != nil {
 		b.steps = b.Base.steps
 	}
+	var base *Plan
+	if b.Base != nil {
+		base = b.Base.plan
+	}
+	b.plan = foldBuiltin(base, b)
 	registry[b.Name] = b
 	return b
 }
@@ -108,15 +115,20 @@ func (b *Builtin) Primitive() *Builtin {
 }
 
 // Parse validates a lexical value and returns its parsed Value. The input
-// is whitespace-normalized per the type, parsed in the primitive's lexical
-// space, then checked against every facet step in the derivation chain.
-func (b *Builtin) Parse(lexical string) (Value, error) {
-	return b.ParseNormalized(ApplyWhiteSpace(b.WS, lexical))
+// is whitespace-normalized per the type and checked by b's folded plan; a
+// value the plan rejects is walked by ParseNormalized for its error.
+func (b *Builtin) Parse(lexical string) (v Value, err error) {
+	norm := ApplyWhiteSpace(b.WS, lexical)
+	if b.plan.ParseTo(&v, norm) {
+		return v, nil
+	}
+	return b.ParseNormalized(norm)
 }
 
-// ParseNormalized is Parse for a value already normalized by b's
-// whitespace rule or a stricter one. The checks run root-most first, so
-// errors blame the broadest violated constraint.
+// ParseNormalized is the walk of Parse for a value already normalized by
+// b's whitespace rule or a stricter one: it parses in the primitive's
+// lexical space, then checks every step of the derivation chain,
+// root-most first, so errors blame the broadest violated constraint.
 func (b *Builtin) ParseNormalized(norm string) (Value, error) {
 	v, err := b.parsePrimitive(norm)
 	for _, st := range b.steps {
@@ -141,7 +153,16 @@ func (b *Builtin) Validate(lexical string) error {
 
 // parsePrimitive parses the whitespace-normalized lexical form in b's
 // primitive value space.
-func (b *Builtin) parsePrimitive(s string) (Value, error) {
+func (b *Builtin) parsePrimitive(s string) (v Value, err error) {
+	err = b.parseInto(&v, s)
+	return v, err
+}
+
+// parseInto is parsePrimitive writing the value to *v, which it leaves
+// unspecified on an error. Writing through the pointer stores each field
+// once: a Value returned up through the calls of the folded path would be
+// copied whole at each, from narrower stores than the copy reads.
+func (b *Builtin) parseInto(v *Value, s string) error {
 	if b.List {
 		item := b.ItemType
 		var items []Value
@@ -149,72 +170,77 @@ func (b *Builtin) parsePrimitive(s string) (Value, error) {
 			for _, part := range strings.Fields(s) {
 				iv, err := item.Parse(part)
 				if err != nil {
-					return Value{}, err
+					return err
 				}
 				items = append(items, iv)
 			}
 		}
-		return ListValue(items), nil
+		*v = ListValue(items)
+		return nil
 	}
 	switch b.Kind {
 	case VString, VAnyURI, VNotation:
-		return Value{Kind: b.Kind, Str: s}, nil
+		*v = Value{Kind: b.Kind, Str: s}
 	case VQName:
 		if err := parseQNameLexical(s); err != nil {
-			return Value{}, err
+			return err
 		}
-		return Value{Kind: VQName, Str: s}, nil
+		*v = Value{Kind: VQName, Str: s}
 	case VBool:
-		v, err := parseBool(s)
+		t, err := parseBool(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return BoolValue(v), nil
+		*v = Value{Kind: VBool}
+		if t {
+			v.w0 = 1
+		}
 	case VDecimal:
 		neg, digits, split, err := scanDecimal(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		v := Value{Kind: VDecimal, Str: digits, w0: uint64(split)}
+		*v = Value{Kind: VDecimal, Str: digits, w0: uint64(split)}
 		if neg {
 			v.bits = decimalNeg
 		}
-		return v, nil
 	case VFloat:
 		f, err := parseFloat(s, b.FloatBits)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return FloatValue(f), nil
+		*v = FloatValue(f)
 	case VDuration:
 		d, err := ParseDuration(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return DurationValue(d), nil
+		*v = DurationValue(d)
 	case VDateTime:
 		var dt DateTime
 		if err := parseDateTime(&dt, b.Temporal, s); err != nil {
-			return Value{}, err
+			return err
 		}
-		return dateTimeValue(&dt), nil
+		v.setDateTime(&dt)
 	case VHexBinary:
 		if len(s)%2 != 0 {
-			return Value{}, fmt.Errorf("hexBinary %q has odd length", s)
+			return fmt.Errorf("hexBinary %q has odd length", s)
 		}
 		bytes, err := hexDecode(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return BinaryValue(VHexBinary, bytes), nil
+		*v = BinaryValue(VHexBinary, bytes)
 	case VBase64Binary:
 		bytes, err := base64Decode(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return BinaryValue(VBase64Binary, bytes), nil
+		*v = BinaryValue(VBase64Binary, bytes)
+	default:
+		return fmt.Errorf("internal: unhandled kind for %s", b.Name)
 	}
-	return Value{}, fmt.Errorf("internal: unhandled kind for %s", b.Name)
+	return nil
 }
 
 // helper constructors for facet bounds

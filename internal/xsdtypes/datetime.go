@@ -396,8 +396,8 @@ const (
 	dtTZBias   = 14 * 60
 )
 
-// dateTimeValue packs dt into a VDateTime value.
-func dateTimeValue(dt *DateTime) Value {
+// setDateTime packs dt into v as a VDateTime value.
+func (v *Value) setDateTime(dt *DateTime) {
 	w1 := uint64(dt.Month)<<dtMonthShift | uint64(dt.Day)<<dtDayShift |
 		uint64(dt.Hour)<<dtHourShift | uint64(dt.Min)<<dtMinShift |
 		uint64(dt.Sec)<<dtSecShift | uint64(dt.Nanos)<<dtNanosShift
@@ -405,7 +405,7 @@ func dateTimeValue(dt *DateTime) Value {
 	if dt.HasTZ {
 		bits |= dtHasTZ | uint32(dt.TZMin+dtTZBias)<<dtTZShift
 	}
-	return Value{Kind: VDateTime, bits: bits, w0: uint64(dt.Year), w1: w1}
+	*v = Value{Kind: VDateTime, bits: bits, w0: uint64(dt.Year), w1: w1}
 }
 
 // DateTime returns a VDateTime value.

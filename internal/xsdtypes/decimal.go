@@ -3,6 +3,7 @@ package xsdtypes
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Decimal is an arbitrary-precision decimal in the xs:decimal value space,
@@ -51,13 +52,9 @@ func scanDecimal(s string) (neg bool, digits string, split int, err error) {
 	if intEnd == 0 && fracStart == len(s) {
 		return false, "", 0, fmt.Errorf("decimal %q has no digits", orig)
 	}
-	for _, r := range s[:intEnd] {
-		if r < '0' || r > '9' {
-			return false, "", 0, fmt.Errorf("bad digit %q in decimal %q", r, orig)
-		}
-	}
-	for _, r := range s[fracStart:] {
-		if r < '0' || r > '9' {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && i != intEnd {
+			r, _ := utf8.DecodeRuneInString(s[i:])
 			return false, "", 0, fmt.Errorf("bad digit %q in decimal %q", r, orig)
 		}
 	}
@@ -96,53 +93,35 @@ func (d Decimal) IsInteger() bool { return d.Frac == "" }
 
 // Cmp compares two decimals, returning -1, 0 or +1.
 func (d Decimal) Cmp(e Decimal) int {
-	if d.Neg != e.Neg {
-		if d.IsZero() && e.IsZero() {
-			return 0
-		}
-		if d.Neg {
-			return -1
-		}
-		return 1
-	}
-	mag := cmpMagnitude(d, e)
-	if d.Neg {
-		return -mag
-	}
-	return mag
+	v, w := DecimalValue(d), DecimalValue(e)
+	return cmpDecimal(&v, &w)
 }
 
-// cmpMagnitude compares absolute values.
-func cmpMagnitude(d, e Decimal) int {
-	if len(d.Int) != len(e.Int) {
-		if len(d.Int) < len(e.Int) {
+// cmpDecimal compares two VDecimal values, returning -1, 0 or +1. Their
+// digits "Int[.Frac]" have no leading integer or trailing fraction zeros
+// and zero is never negative, so between integer parts of one length the
+// magnitudes order as the digit strings do.
+func cmpDecimal(v, w *Value) int {
+	neg := v.bits&decimalNeg != 0
+	if neg != (w.bits&decimalNeg != 0) {
+		if neg {
 			return -1
 		}
 		return 1
 	}
-	if c := strings.Compare(d.Int, e.Int); c != 0 {
-		return c
+	var c int
+	switch {
+	case v.w0 < w.w0:
+		c = -1
+	case v.w0 > w.w0:
+		c = 1
+	default:
+		c = strings.Compare(v.Str, w.Str)
 	}
-	// Same integer part: compare fractions digit-wise (missing digits
-	// count as zero).
-	df, ef := d.Frac, e.Frac
-	n := max(len(df), len(ef))
-	for i := 0; i < n; i++ {
-		var a, b byte = '0', '0'
-		if i < len(df) {
-			a = df[i]
-		}
-		if i < len(ef) {
-			b = ef[i]
-		}
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
-		}
+	if neg {
+		return -c
 	}
-	return 0
+	return c
 }
 
 // String returns the canonical lexical form (e.g. "-1.5", "0", "0.3").

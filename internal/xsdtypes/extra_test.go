@@ -119,7 +119,7 @@ func TestListValueStringAndLength(t *testing.T) {
 	if v.String() != "a b c" {
 		t.Errorf("list canonical: %q", v.String())
 	}
-	if n, ok := valueLength(v); !ok || n != 3 {
+	if n, ok := valueLength(&v); !ok || n != 3 {
 		t.Errorf("list length: %d %v", n, ok)
 	}
 }

@@ -43,7 +43,7 @@ func (f *Facets) IsEmpty() bool {
 
 // valueLength returns the facet-relevant length of a value: runes for
 // strings, octets for binaries, items for lists.
-func valueLength(v Value) (int, bool) {
+func valueLength(v *Value) (int, bool) {
 	switch v.Kind {
 	case VString, VAnyURI:
 		return utf8.RuneCountInString(v.Str), true
@@ -57,15 +57,20 @@ func valueLength(v Value) (int, bool) {
 
 // Check verifies the value (with its whitespace-normalized lexical form)
 // against this facet step.
-func (f *Facets) Check(v Value, lexical string) error {
-	if n, ok := valueLength(v); ok {
-		if f.Length != nil && n != *f.Length {
+func (f *Facets) Check(v Value, lexical string) error { return f.check(&v, lexical) }
+
+// check is Check reading the value through a pointer, which a folded plan
+// passes without copying the value.
+func (f *Facets) check(v *Value, lexical string) error {
+	if f.Length != nil || f.MinLength != nil || f.MaxLength != nil {
+		n, ok := valueLength(v)
+		switch {
+		case !ok:
+		case f.Length != nil && n != *f.Length:
 			return fmt.Errorf("length is %d, must be exactly %d", n, *f.Length)
-		}
-		if f.MinLength != nil && n < *f.MinLength {
+		case f.MinLength != nil && n < *f.MinLength:
 			return fmt.Errorf("length is %d, must be at least %d", n, *f.MinLength)
-		}
-		if f.MaxLength != nil && n > *f.MaxLength {
+		case f.MaxLength != nil && n > *f.MaxLength:
 			return fmt.Errorf("length is %d, must be at most %d", n, *f.MaxLength)
 		}
 	}
@@ -114,22 +119,22 @@ func (f *Facets) Check(v Value, lexical string) error {
 		}
 	}
 	if f.MinInclusive != nil {
-		if c, err := Compare(v, *f.MinInclusive); err != nil || c < 0 {
+		if c, err := compare(v, f.MinInclusive); err != nil || c < 0 {
 			return boundErr(err, lexical, ">=", f.MinInclusive)
 		}
 	}
 	if f.MaxInclusive != nil {
-		if c, err := Compare(v, *f.MaxInclusive); err != nil || c > 0 {
+		if c, err := compare(v, f.MaxInclusive); err != nil || c > 0 {
 			return boundErr(err, lexical, "<=", f.MaxInclusive)
 		}
 	}
 	if f.MinExclusive != nil {
-		if c, err := Compare(v, *f.MinExclusive); err != nil || c <= 0 {
+		if c, err := compare(v, f.MinExclusive); err != nil || c <= 0 {
 			return boundErr(err, lexical, ">", f.MinExclusive)
 		}
 	}
 	if f.MaxExclusive != nil {
-		if c, err := Compare(v, *f.MaxExclusive); err != nil || c >= 0 {
+		if c, err := compare(v, f.MaxExclusive); err != nil || c >= 0 {
 			return boundErr(err, lexical, "<", f.MaxExclusive)
 		}
 	}

@@ -204,8 +204,8 @@ func (v Value) Equal(w Value) bool {
 		return v.Str == w.Str
 	case VBool:
 		return v.Boolean() == w.Boolean()
-	case VDecimal:
-		return v.Decimal().Cmp(w.Decimal()) == 0
+	case VDecimal: // normalized digits: equal values have equal digits
+		return v.Str == w.Str && v.bits&decimalNeg == w.bits&decimalNeg
 	case VFloat:
 		f, g := v.Float(), w.Float()
 		return f == g || (math.IsNaN(f) && math.IsNaN(g))
@@ -233,13 +233,16 @@ func (v Value) Equal(w Value) bool {
 // Compare orders two values of the same primitive kind; it returns an
 // error for unordered kinds (booleans, QNames, binaries) or mismatched
 // kinds.
-func Compare(v, w Value) (int, error) {
+func Compare(v, w Value) (int, error) { return compare(&v, &w) }
+
+// compare is Compare reading the values through pointers.
+func compare(v, w *Value) (int, error) {
 	if v.Kind != w.Kind {
 		return 0, fmt.Errorf("cannot compare %v and %v values", v.Kind, w.Kind)
 	}
 	switch v.Kind {
 	case VDecimal:
-		return v.Decimal().Cmp(w.Decimal()), nil
+		return cmpDecimal(v, w), nil
 	case VFloat:
 		f, g := v.Float(), w.Float()
 		if math.IsNaN(f) || math.IsNaN(g) {
