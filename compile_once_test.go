@@ -19,9 +19,9 @@ import (
 )
 
 // complexTypes lists every complex type of the schema, named and
-// anonymous.
+// anonymous, and its xs:anyType.
 func complexTypes(s *xsd.Schema) []*xsd.ComplexType {
-	var out []*xsd.ComplexType
+	out := []*xsd.ComplexType{s.AnyType()}
 	for _, t := range s.Types {
 		if ct, ok := t.(*xsd.ComplexType); ok {
 			out = append(out, ct)

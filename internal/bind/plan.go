@@ -59,10 +59,7 @@ type FieldPlan struct {
 // (global and anonymous).
 func NewPlan(s *xsd.Schema) *Plan {
 	p := &Plan{schema: s, types: map[*xsd.ComplexType]*TypePlan{}}
-	for name, t := range s.Types {
-		if name.Space == xsd.XSDNamespace {
-			continue
-		}
+	for _, t := range s.Types {
 		if ct, ok := t.(*xsd.ComplexType); ok {
 			p.add(ct)
 		}

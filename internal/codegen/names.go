@@ -169,10 +169,7 @@ func typeHasDerivatives(s *xsd.Schema, ct *xsd.ComplexType) bool {
 		}
 		return false
 	}
-	for name, t := range s.Types {
-		if name.Space == xsd.XSDNamespace {
-			continue
-		}
+	for _, t := range s.Types {
 		if check(t) {
 			return true
 		}

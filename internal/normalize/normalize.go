@@ -335,9 +335,6 @@ func sortedElementNames(s *xsd.Schema) []xsd.QName {
 func sortedTypeNames(s *xsd.Schema) []xsd.QName {
 	var out []xsd.QName
 	for q := range s.Types {
-		if q.Space == xsd.XSDNamespace {
-			continue // built-ins need no generated types
-		}
 		out = append(out, q)
 	}
 	sortQNames(out)

@@ -124,7 +124,7 @@ func TestChildIndexAcrossNamespaces(t *testing.T) {
     <xs:element ref="o:x"/>
   </xs:choice></xs:complexType></xs:element>
 </xs:schema>`
-	schema, err := xsd.Parse([]byte(main), &xsd.ParseOptions{Loader: xsd.MapLoader{"other.xsd": []byte(other)}})
+	schema, err := xsd.Parse([]byte(main), &xsd.ParseOptions{Resolver: xsd.MapLoader{"other.xsd": []byte(other)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,32 +113,25 @@ func (s *Schema) ResolveChild(declared *ElementDecl, name QName) (*ElementDecl, 
 	return nil, fmt.Errorf("element %s cannot substitute for %s", name, declared.Name)
 }
 
-// checkDerivationCycles rejects complex types whose Base chain loops (a
-// type extending or restricting itself, directly or transitively).
+// checkDerivationCycles rejects types whose Base chain loops (a type
+// extending or restricting itself, directly or transitively). Each walk
+// ends at a type an earlier walk proved acyclic, so the check visits every
+// type once however long the chains.
 func (s *Schema) checkDerivationCycles() error {
-	check := func(name string, t Type) error {
-		slow, fast := t, t
-		for {
-			if fast == nil {
-				return nil
-			}
-			fast = fast.BaseType()
-			if fast == nil {
-				return nil
-			}
-			fast = fast.BaseType()
-			slow = slow.BaseType()
-			if fast != nil && fast == slow {
-				return fmt.Errorf("xsd: type %s is part of a derivation cycle", name)
-			}
-		}
-	}
+	const onPath, acyclic = 1, 2
+	state := make(map[Type]uint8, len(s.Types))
+	var path []Type
 	for name, t := range s.Types {
-		if name.Space == XSDNamespace {
-			continue
+		path = path[:0]
+		for ; t != nil && state[t] == 0; t = t.BaseType() {
+			state[t] = onPath
+			path = append(path, t)
 		}
-		if err := check(name.String(), t); err != nil {
-			return err
+		if t != nil && state[t] == onPath {
+			return fmt.Errorf("xsd: type %s is part of a derivation cycle", name)
+		}
+		for _, p := range path {
+			state[p] = acyclic
 		}
 	}
 	return nil
@@ -148,12 +141,10 @@ func (s *Schema) checkDerivationCycles() error {
 // returns the first violation.
 func (s *Schema) CheckAllUPA() error {
 	for name, t := range s.Types {
-		ct, ok := t.(*ComplexType)
-		if !ok || name.Space == XSDNamespace {
-			continue
-		}
-		if err := ct.CheckUPA(s); err != nil {
-			return fmt.Errorf("type %s: %w", name, err)
+		if ct, ok := t.(*ComplexType); ok {
+			if err := ct.CheckUPA(s); err != nil {
+				return fmt.Errorf("type %s: %w", name, err)
+			}
 		}
 	}
 	for _, t := range s.anonTypes {

@@ -547,6 +547,9 @@ type Schema struct {
 	QualifiedLocal     bool
 	QualifiedLocalAttr bool
 
+	// The global components by name. Types holds only the types the
+	// schema declares: the built-ins and xs:anyType resolve through
+	// LookupType.
 	Elements        map[QName]*ElementDecl
 	Types           map[QName]Type
 	Groups          map[QName]*ModelGroupDef
@@ -566,6 +569,10 @@ type Schema struct {
 	// ID, so the lazy-DFA executors can index transition tables instead of
 	// comparing names.
 	symbols *contentmodel.Interner
+
+	// anyType is the schema's own xs:anyType: its compiled content model
+	// numbers element names with symbols, so it cannot be shared.
+	anyType *ComplexType
 
 	// sources lists the canonical keys of every document that contributed
 	// components (root first, then referenced documents in load order).
@@ -588,9 +595,27 @@ func (s *Schema) Sources() []string { return s.sources }
 // (Token.SymbolID), which the validator steps automata by.
 func (s *Schema) Symbols() *contentmodel.Interner { return s.symbols }
 
-// NewSchema creates an empty schema with the built-in types preloaded.
+// builtinTypes holds the built-in simple types by local name. They are
+// built once and shared by every schema: a built-in has no per-schema
+// state, and its plan is the one xsdtypes folded at init.
+var builtinTypes = func() map[string]*SimpleType {
+	names := xsdtypes.Names()
+	m := make(map[string]*SimpleType, len(names))
+	for _, name := range names {
+		b, _ := xsdtypes.Lookup(name)
+		st := &SimpleType{Name: QName{Space: XSDNamespace, Local: name}, Builtin: b}
+		st.resolveChain()
+		m[name] = st
+	}
+	return m
+}()
+
+// anyTypeName names xs:anyType.
+var anyTypeName = QName{Space: XSDNamespace, Local: "anyType"}
+
+// NewSchema creates an empty schema.
 func NewSchema(targetNS string) *Schema {
-	s := &Schema{
+	return &Schema{
 		TargetNamespace:     targetNS,
 		Elements:            map[QName]*ElementDecl{},
 		Types:               map[QName]Type{},
@@ -599,34 +624,33 @@ func NewSchema(targetNS string) *Schema {
 		Attributes:          map[QName]*AttributeDecl{},
 		substitutionMembers: map[QName][]*ElementDecl{},
 		symbols:             contentmodel.NewInterner(),
+		// xs:anyType: the ur-type, a complex type with mixed wildcard
+		// content and any attributes.
+		anyType: &ComplexType{
+			Name: anyTypeName,
+			Kind: ContentMixed,
+			Particle: &Particle{Min: 1, Max: 1, Group: &ModelGroup{Kind: Sequence, Particles: []*Particle{
+				{Min: 0, Max: Unbounded, Wildcard: &contentmodel.Wildcard{Kind: contentmodel.WildAny}},
+			}}},
+			AttrWildcard: &contentmodel.Wildcard{Kind: contentmodel.WildAny},
+		},
 	}
-	for _, name := range xsdtypes.Names() {
-		b, _ := xsdtypes.Lookup(name)
-		st := &SimpleType{Name: QName{Space: XSDNamespace, Local: name}, Builtin: b}
-		st.resolveChain()
-		s.Types[st.Name] = st
-	}
-	// xs:anyType: the ur-type, a complex type with mixed wildcard
-	// content and any attributes.
-	anyType := &ComplexType{
-		Name: QName{Space: XSDNamespace, Local: "anyType"},
-		Kind: ContentMixed,
-		Particle: &Particle{Min: 1, Max: 1, Group: &ModelGroup{Kind: Sequence, Particles: []*Particle{
-			{Min: 0, Max: Unbounded, Wildcard: &contentmodel.Wildcard{Kind: contentmodel.WildAny}},
-		}}},
-		AttrWildcard: &contentmodel.Wildcard{Kind: contentmodel.WildAny},
-	}
-	s.Types[anyType.Name] = anyType
-	return s
 }
 
-// AnyType returns the xs:anyType definition.
-func (s *Schema) AnyType() *ComplexType {
-	return s.Types[QName{Space: XSDNamespace, Local: "anyType"}].(*ComplexType)
-}
+// AnyType returns the schema's xs:anyType definition.
+func (s *Schema) AnyType() *ComplexType { return s.anyType }
 
-// LookupType resolves a type name (built-ins included).
+// LookupType resolves a type name: a built-in, xs:anyType or a global
+// type the schema declares.
 func (s *Schema) LookupType(name QName) (Type, bool) {
+	if name.Space == XSDNamespace {
+		if st, ok := builtinTypes[name.Local]; ok {
+			return st, true
+		}
+		if name == anyTypeName {
+			return s.anyType, true
+		}
+	}
 	t, ok := s.Types[name]
 	return t, ok
 }
@@ -645,25 +669,12 @@ func (s *Schema) SubstitutionMembers(head QName) []*ElementDecl {
 
 // SimpleTypeOf returns the named built-in as a *SimpleType.
 func (s *Schema) SimpleTypeOf(local string) *SimpleType {
-	t, ok := s.Types[QName{Space: XSDNamespace, Local: local}]
+	st, ok := builtinTypes[local]
 	if !ok {
 		panic("xsd: unknown builtin " + local)
 	}
-	return t.(*SimpleType)
+	return st
 }
 
 // AnonymousTypes returns anonymous types in definition order.
 func (s *Schema) AnonymousTypes() []Type { return s.anonTypes }
-
-// GlobalTypeNames returns the names of user-declared global types (not
-// built-ins) in no particular order.
-func (s *Schema) GlobalTypeNames() []QName {
-	var out []QName
-	for q := range s.Types {
-		if q.Space == XSDNamespace {
-			continue
-		}
-		out = append(out, q)
-	}
-	return out
-}

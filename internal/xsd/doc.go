@@ -17,6 +17,17 @@
 // compiled Schema records the full document list (Sources, root first),
 // which the registry uses as the entry's invalidation closure.
 //
+// # One table of built-in types
+//
+// The built-in simple types are built once, at package init, into one
+// immutable table that every schema shares: xs:string of one schema is
+// the same *SimpleType as xs:string of any other. Schema.Types holds only
+// the global types the schema declares. LookupType, SimpleTypeOf and the
+// parser resolve the XSD namespace from the table first, so walking Types
+// needs no filter. xs:anyType stays per schema (Schema.AnyType): its
+// compiled content model numbers element names with the schema's own
+// interner.
+//
 // # Role in the pipeline
 //
 // xsd is the head of the pipeline (xsd parse → normalize → contentmodel →

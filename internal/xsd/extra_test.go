@@ -20,7 +20,7 @@ func TestImportWithLoader(t *testing.T) {
     <xsd:sequence><xsd:element name="x" type="xsd:string"/></xsd:sequence>
   </xsd:complexType>
 </xsd:schema>`
-	s, err := Parse([]byte(main), &ParseOptions{Loader: MapLoader{"other.xsd": []byte(other)}})
+	s, err := Parse([]byte(main), &ParseOptions{Resolver: MapLoader{"other.xsd": []byte(other)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +126,6 @@ func TestElementWithoutTypeIsAnyType(t *testing.T) {
 	}
 }
 
-func TestGlobalTypeNames(t *testing.T) {
-	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
-  <xsd:simpleType name="A"><xsd:restriction base="xsd:string"/></xsd:simpleType>
-  <xsd:complexType name="B"><xsd:sequence/></xsd:complexType>
-</xsd:schema>`
-	s, _ := ParseString(src, nil)
-	names := s.GlobalTypeNames()
-	if len(names) != 2 {
-		t.Errorf("GlobalTypeNames: %v", names)
-	}
-}
-
 func TestMatcherCaching(t *testing.T) {
 	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:complexType name="T">
@@ -179,7 +167,7 @@ func TestChameleonInclude(t *testing.T) {
     <xsd:sequence><xsd:element name="x" type="xsd:string"/></xsd:sequence>
   </xsd:complexType>
 </xsd:schema>`
-	s, err := Parse([]byte(main), &ParseOptions{Loader: MapLoader{"parts.xsd": []byte(parts)}})
+	s, err := Parse([]byte(main), &ParseOptions{Resolver: MapLoader{"parts.xsd": []byte(parts)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package xsd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,33 +12,11 @@ import (
 	"repro/internal/xmlparser"
 )
 
-// Loader resolves include/import schemaLocation references.
-type Loader interface {
-	// Load returns the bytes of the schema document at location.
-	Load(location string) ([]byte, error)
-}
-
-// MapLoader serves schema documents from an in-memory map.
-type MapLoader map[string][]byte
-
-// Load implements Loader.
-func (m MapLoader) Load(location string) ([]byte, error) {
-	b, ok := m[location]
-	if !ok {
-		return nil, fmt.Errorf("xsd: no schema document at %q", location)
-	}
-	return b, nil
-}
-
 // ParseOptions configures schema parsing.
 type ParseOptions struct {
-	// Loader resolves xs:include and xs:import schemaLocation values.
-	// Without a loader (or Resolver), include/import with a location is an
-	// error.
-	Loader Loader
-	// Resolver resolves schemaLocation values with referring-document
-	// context and canonical keys (multi-file directory trees). When set it
-	// takes precedence over Loader.
+	// Resolver resolves xs:include, xs:import and xs:redefine
+	// schemaLocation values with referring-document context and canonical
+	// keys. Without one, a reference with a location is an error.
 	Resolver Resolver
 	// SkipUPACheck disables the Unique Particle Attribution check.
 	SkipUPACheck bool
@@ -59,18 +39,6 @@ func (o *ParseOptions) parseDoc(src []byte) (*dom.Document, error) {
 		return o.ParseDoc(src)
 	}
 	return dom.Parse(src)
-}
-
-// resolver returns the effective Resolver (the Loader adapted, if that is
-// all the options carry), or nil.
-func (o *ParseOptions) resolver() Resolver {
-	if o.Resolver != nil {
-		return o.Resolver
-	}
-	if o.Loader != nil {
-		return loaderResolver{o.Loader}
-	}
-	return nil
 }
 
 // Parse parses a schema document into a resolved Schema.
@@ -96,7 +64,6 @@ func parseRoot(src []byte, o ParseOptions, docKey string) (*Schema, error) {
 	}
 	p := &parser{
 		opts:     o,
-		resolver: o.resolver(),
 		schema:   NewSchema(root.GetAttribute("targetNamespace")),
 		globals:  map[globalKey]*dom.Element{},
 		building: map[globalKey]bool{},
@@ -172,9 +139,8 @@ type globalKey struct {
 
 // parser carries parse state.
 type parser struct {
-	opts     ParseOptions
-	resolver Resolver
-	schema   *Schema
+	opts   ParseOptions
+	schema *Schema
 	// globals maps each declared global component to its DOM element;
 	// components build lazily so forward references work.
 	globals map[globalKey]*dom.Element
@@ -314,7 +280,7 @@ func (p *parser) loadRef(el *dom.Element, tns, docKey string, kind refKind) (boo
 		}
 		// Import without location: a namespace catalog may know the
 		// document; otherwise components are expected elsewhere.
-		nr, ok := p.resolver.(NamespaceResolver)
+		nr, ok := p.opts.Resolver.(NamespaceResolver)
 		if !ok {
 			return false, nil
 		}
@@ -327,10 +293,10 @@ func (p *parser) loadRef(el *dom.Element, tns, docKey string, kind refKind) (boo
 		}
 		key, src = k, s
 	} else {
-		if p.resolver == nil {
-			return false, errAt(el, "schemaLocation %q cannot be resolved without a Loader or Resolver", loc)
+		if p.opts.Resolver == nil {
+			return false, errAt(el, "schemaLocation %q cannot be resolved without a Resolver", loc)
 		}
-		k, s, err := p.resolver.Resolve(docKey, loc)
+		k, s, err := p.opts.Resolver.Resolve(docKey, loc)
 		if err != nil {
 			return false, errAt(el, "loading %q: %v", loc, err)
 		}
@@ -381,7 +347,9 @@ func (p *parser) buildAll() error {
 	for k := range p.globals {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, func(a, b globalKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), strings.Compare(a.name.Space, b.name.Space), strings.Compare(a.name.Local, b.name.Local))
+	})
 	for _, k := range keys {
 		var err error
 		switch k.kind {
@@ -401,23 +369,6 @@ func (p *parser) buildAll() error {
 		}
 	}
 	return nil
-}
-
-func sortKeys(keys []globalKey) {
-	less := func(a, b globalKey) bool {
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.name.Space != b.name.Space {
-			return a.name.Space < b.name.Space
-		}
-		return a.name.Local < b.name.Local
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }
 
 // tnsOf returns the target namespace governing a DOM node.
@@ -525,7 +476,7 @@ func occurs(el *dom.Element) (int, int, error) {
 
 // buildType resolves a named type (built-in or global declaration).
 func (p *parser) buildType(name QName) (Type, error) {
-	if t, ok := p.schema.Types[name]; ok {
+	if t, ok := p.schema.LookupType(name); ok {
 		return t, nil
 	}
 	key := globalKey{kind: kindType, name: name}

@@ -10,13 +10,13 @@ import (
 )
 
 // Resolver resolves xs:include / xs:import / xs:redefine schemaLocation
-// references to schema documents. Unlike the simpler Loader, a Resolver
-// sees the *referring* document's canonical key, so relative locations
-// resolve the way authors expect ("../common/types.xsd" means relative to
-// the file containing the reference, not to some global search path), and
-// it returns a canonical key per document so that one file reached through
-// two different relative spellings is loaded exactly once — which is also
-// what makes reference cycles terminate.
+// references to schema documents. A Resolver sees the *referring*
+// document's canonical key, so relative locations resolve the way authors
+// expect ("../common/types.xsd" means relative to the file containing the
+// reference, not to some global search path), and it returns a canonical
+// key per document so that one file reached through two different
+// relative spellings is loaded exactly once — which is also what makes
+// reference cycles terminate.
 type Resolver interface {
 	// Resolve returns the canonical key of the document at location,
 	// relative to the document with canonical key base ("" for the root
@@ -183,13 +183,18 @@ func sniffTargetNamespace(src []byte) (string, bool) {
 	}
 }
 
-// loaderResolver adapts the legacy location-keyed Loader to the Resolver
-// interface: no relative resolution, the location string is the key.
-type loaderResolver struct{ l Loader }
+// MapLoader serves schema documents from an in-memory map, keyed by
+// schemaLocation: it resolves no relative references, so the location is
+// also the canonical key.
+type MapLoader map[string][]byte
 
-func (r loaderResolver) Resolve(_, location string) (string, []byte, error) {
-	src, err := r.l.Load(location)
-	return location, src, err
+// Resolve implements Resolver, ignoring the referring document.
+func (m MapLoader) Resolve(_, location string) (string, []byte, error) {
+	src, ok := m[location]
+	if !ok {
+		return "", nil, fmt.Errorf("xsd: no schema document at %q", location)
+	}
+	return location, src, nil
 }
 
 // ParseFile parses the schema document at path, following its
@@ -207,7 +212,6 @@ func ParseFile(path string, opts *ParseOptions) (*Schema, error) {
 	}
 	if o.Resolver == nil {
 		o.Resolver = NewDirResolver(filepath.Dir(path))
-		o.Loader = nil
 	}
 	abs, err := filepath.Abs(path)
 	if err != nil {

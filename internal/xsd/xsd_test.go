@@ -351,7 +351,7 @@ func TestIncludeViaLoader(t *testing.T) {
     <xsd:sequence><xsd:element name="city" type="xsd:string"/></xsd:sequence>
   </xsd:complexType>
 </xsd:schema>`
-	s, err := Parse([]byte(main), &ParseOptions{Loader: MapLoader{"addr.xsd": []byte(addr)}})
+	s, err := Parse([]byte(main), &ParseOptions{Resolver: MapLoader{"addr.xsd": []byte(addr)}})
 	if err != nil {
 		t.Fatal(err)
 	}

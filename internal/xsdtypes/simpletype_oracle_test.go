@@ -237,7 +237,10 @@ func oracleTypes(t testing.TB) []*xsd.SimpleType {
 				add(s.SimpleTypeOf(name))
 			}
 		}
-		names := s.GlobalTypeNames()
+		var names []xsd.QName
+		for q := range s.Types {
+			names = append(names, q)
+		}
 		slices.SortFunc(names, func(a, b xsd.QName) int { return strings.Compare(a.String(), b.String()) })
 		for _, q := range names {
 			addType(s.Types[q])
