@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -148,7 +149,9 @@ func decodeBoth(t *testing.T, b *bind.Binder, label, src string) (*bind.Value, b
 		t.Errorf("%s: JSON diverged:\n  dom:    %s\n  stream: %s", label, domJSON, streamJSON)
 		return nil, false
 	}
-	readerVal, readerRes, err := b.DecodeReader(t.Context(), iotest.OneByteReader(strings.NewReader(src)))
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	readerVal, readerRes, err := b.DecodeReader(ctx, iotest.OneByteReader(strings.NewReader(src)))
 	if err != nil || !readerRes.OK() || !bytes.Equal(b.JSON(readerVal), domJSON) {
 		t.Errorf("%s: one-byte reader decode diverged (err=%v)", label, err)
 	}

@@ -280,3 +280,90 @@ func TestBatchDeadline(t *testing.T) {
 		t.Errorf("batch series errors/requests = %d/%d, want 1/0", e, r)
 	}
 }
+
+// clientBatchBodies are bodies of the shape clients send: as encoding/json
+// writes it (< and > escaped, surrogate pairs), spaced by hand, and with
+// the escapes encoding/json does not write.
+func clientBatchBodies() []string {
+	marshal := func(docs ...string) string {
+		b, _ := json.Marshal(batchRequest{Documents: docs})
+		return string(b)
+	}
+	return []string{
+		marshal(schemas.PurchaseOrderDoc, "<broken", ""),
+		marshal("<a x=\"1\">&amp; \U0001D11E   é</a>", "<b/>"),
+		"{ \"documents\" :\n[ \"<a/>\" ,\t\"<b/>\" ]\r}\n",
+		`{"documents":["\"\\\/\b\f\n\r\t","éÉ𝄞\u0000"]}`,
+	}
+}
+
+// batchBodySeeds are the seeds of FuzzBatchBody: the client bodies, and
+// bodies the one-pass reader leaves to json.Unmarshal.
+func batchBodySeeds() []string {
+	return append(clientBatchBodies(),
+		`{"documents":["\ud834"]}`,
+		`{"documents":["\udd1e\ud834"]}`,
+		`{"documents":["\ud834A"]}`,
+		`{"documents":["\x"]}`,
+		`{"documents":["\u12"]}`,
+		`{"documents":["a`+"\x01"+`"]}`,
+		`{"documents":["<a/>"],"documents":["<b/>"]}`,
+		`{"Documents":["<a/>"]}`,
+		`{"DOCUMENTS":["<a/>"]}`,
+		`{"other":1,"documents":["<a/>"]}`,
+		`{"documents":["<a/>"],"other":1}`,
+		`{"documents":null}`,
+		`{"documents":[null]}`,
+		`{"documents":[]}`,
+		`{"documents":[ ]}`,
+		`null`,
+		`{}`,
+		`{"documents":["<a/>"]} x`,
+		`{"documents":["<a/>"]}{}`,
+		`{"documents":["<a/>",]}`,
+		`{"documents":["<a/>" "<b/>"]}`,
+		`{"documents":["<a/>"]`,
+		`{"documents":["<a/>`,
+		"{\"documents\":[\"\xff\"]}",
+		"{\"documents\":[\"\xed\xa0\x80\"]}",
+		"{\"documents\":[\"\xc3\"]}",
+	)
+}
+
+// FuzzBatchBody holds the one-pass batch reader to json.Unmarshal: for any
+// body, it either declines it or returns exactly the documents
+// json.Unmarshal returns.
+func FuzzBatchBody(f *testing.F) {
+	for _, seed := range batchBodySeeds() {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		docs, ok := batchDocuments(body)
+		if !ok {
+			return
+		}
+		var req batchRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("read %d documents from a body json.Unmarshal refuses (%v): %q", len(docs), err, body)
+		}
+		if len(docs) != len(req.Documents) {
+			t.Fatalf("read %d documents, json.Unmarshal %d: %q", len(docs), len(req.Documents), body)
+		}
+		for i, doc := range docs {
+			if string(doc) != req.Documents[i] {
+				t.Fatalf("document %d: read %q, json.Unmarshal %q", i, doc, req.Documents[i])
+			}
+		}
+	})
+}
+
+// TestBatchBodyOnePass checks that the one-pass reader, not json.Unmarshal,
+// reads the bodies clients send: encoding/json's output, and the same
+// shape spaced by hand or with escapes it does not write.
+func TestBatchBodyOnePass(t *testing.T) {
+	for _, body := range clientBatchBodies() {
+		if _, ok := batchDocuments([]byte(body)); !ok {
+			t.Errorf("declined %q", body)
+		}
+	}
+}

@@ -25,7 +25,8 @@ func encodeReference(t *testing.T, r decodeResponse) []byte {
 // TestDecodeResponseBytes pins /v1/decode bodies byte for byte to
 // json.Encoder's output: for responses built directly, with strings
 // encoding/json escapes (<, >, &, U+2028, U+2029, control characters,
-// invalid UTF-8), and for live answers of both decode modes.
+// invalid UTF-8), and for live answers of both decode modes and of both
+// /v1/validate modes, whose verdicts are decode responses without data.
 func TestDecodeResponseBytes(t *testing.T) {
 	odd := "a<b>&c\u2028d\u2029e\"f\\g\x01\th\xffi\U0001D11E"
 	for _, r := range []decodeResponse{
@@ -44,7 +45,8 @@ func TestDecodeResponseBytes(t *testing.T) {
 	comment := "<comment>Hurry &lt;b&gt; &amp; \u2028 \u2029 \"quoted\" \\ back</comment>"
 	doc := strings.Replace(schemas.PurchaseOrderDoc, "<comment>Hurry, my lawn is going wild</comment>", comment, 1)
 	invalid := strings.Replace(schemas.PurchaseOrderDoc, `partNum="872-AA"`, `partNum="&lt;&amp;&gt;"`, 1)
-	for _, path := range []string{"/v1/decode/po", "/v1/decode/po?stream=1"} {
+	for _, path := range []string{"/v1/decode/po", "/v1/decode/po?stream=1", "/v1/validate/po", "/v1/validate/po?stream=1"} {
+		decode := strings.HasPrefix(path, "/v1/decode/")
 		for _, src := range []string{doc, invalid} {
 			resp, err := http.Post(ts.URL+path, "application/xml", strings.NewReader(src))
 			if err != nil {
@@ -56,7 +58,7 @@ func TestDecodeResponseBytes(t *testing.T) {
 			if err := json.Unmarshal(body, &r); err != nil {
 				t.Fatalf("%s: %v: %s", path, err, body)
 			}
-			if r.Valid != (src == doc) || r.Valid != (len(r.Data) > 0) {
+			if r.Valid != (src == doc) || (r.Valid && decode) != (len(r.Data) > 0) {
 				t.Fatalf("%s: unexpected verdict: %s", path, body)
 			}
 			if want := encodeReference(t, r); !bytes.Equal(body, want) {

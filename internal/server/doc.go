@@ -30,11 +30,11 @@
 //
 // # Request lifecycle
 //
-// Validate, decode, encode and batch share one lifecycle (withWorker):
-// resolve the schema, admit, run in a worker, answer a failure as typed
-// JSON, meter the request. A handler contributes only its mode, its run
-// step and its 200 writer. SOAP shares the admission and worker step
-// (admit) and meters per operation itself. The request body behind the
+// Validate, decode, encode and batch share one lifecycle (serveSchema):
+// resolve the schema, admit, run, answer a failure as typed JSON, meter
+// the request. A handler contributes only its mode, its run step and its
+// 200 writer. SOAP shares the admission and run step (admit) and meters
+// per operation itself. The request body behind the
 // cap records whether a read hit it, so the whole-body reads and the
 // streaming decoders answer an oversized body with the same 413.
 //
@@ -43,13 +43,15 @@
 // Admission is a semaphore sized by Config.MaxConcurrent. A request that
 // cannot get a slot is rejected immediately with 429 — before its body
 // is read — rather than queued: under sustained overload a queue only
-// converts overload into latency for everyone. Each admitted request's
-// validation runs in a worker goroutine; when the per-request deadline
-// fires while the worker is parked in a blocked body read, the handler
-// pokes the connection's read deadline (http.ResponseController) to fail
-// that read, collects the worker, and answers 504. The worker holds the
-// semaphore slot until its validation truly stops, so a slowloris client
-// cannot make the limiter overadmit.
+// converts overload into latency for everyone. An admitted request runs
+// on the goroutine net/http gave it, with no hand-off. Before the run,
+// admit sets the connection's read deadline to the request deadline
+// (http.ResponseController), so a body read parked on a stalled client
+// fails at the deadline; the stream paths and the batch also watch the
+// request context. A request whose deadline has passed when its run
+// returns is answered 504. The slot is held until the run truly stops,
+// so a slowloris client holds its own slot and cannot make the limiter
+// overadmit.
 //
 // # Role in the pipeline
 //

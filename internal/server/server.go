@@ -145,8 +145,8 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Unwrap lets http.ResponseController reach the underlying writer (the
-// deadline-poke in admit needs the real connection).
+// Unwrap lets http.ResponseController reach the underlying writer (admit
+// sets the read deadline of the real connection).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (s *Server) logging(next http.Handler) http.Handler {
@@ -169,15 +169,6 @@ func (s *Server) logging(next http.Handler) http.Handler {
 type violationJSON struct {
 	Path string `json:"path"`
 	Msg  string `json:"msg"`
-}
-
-type validateResponse struct {
-	Schema        string          `json:"schema"`
-	SchemaVersion int             `json:"schema_version"`
-	Mode          string          `json:"mode"`
-	Valid         bool            `json:"valid"`
-	Violations    []violationJSON `json:"violations,omitempty"`
-	ElapsedNs     int64           `json:"elapsed_ns"`
 }
 
 type errorResponse struct {
@@ -207,7 +198,7 @@ func writeJSONBody(w http.ResponseWriter, code int, body []byte) {
 	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
-// outcome is what the worker goroutine reports back to the handler.
+// outcome is what a request's run reports back to admit.
 // code/errMsg are set for failures that never reached a verdict; res is
 // the /v1/validate verdict; data is the payload for decode (the response
 // body but its elapsed time) and encode (marshaled XML); invalid is how
@@ -229,12 +220,12 @@ func verdict(res *validator.Result) outcome {
 	return out
 }
 
-// withWorker is the request lifecycle the validate, decode, encode and
+// serveSchema is the request lifecycle the validate, decode, encode and
 // batch endpoints share. It resolves the {schema} path value (404 for an
 // unknown name), admits the request and runs run against the body (see
 // admit), meters the request under (schema, mode), and hands a success
 // to reply with its elapsed time.
-func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, mode string,
+func (s *Server) serveSchema(w http.ResponseWriter, r *http.Request, mode string,
 	run func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome,
 	reply func(entry *registry.Entry, out outcome, elapsed time.Duration)) {
 	name := r.PathValue("schema")
@@ -267,12 +258,18 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, mode string,
 // slot, with the request deadline enforced, and answers whatever did not
 // succeed: shed load as 429 before the body is touched, a failed outcome
 // as typed JSON counted in the series' Errors. ok is false when it has
-// answered. It owns the tricky parts shared by every endpoint that reads
-// a body: running fn in a worker goroutine so the handler stays
-// responsive to the deadline while the worker may be parked in a body
-// read, the read-deadline poke that unblocks such a worker, and semaphore
-// release only when fn has actually stopped — shedding stays honest
-// under slowloris load.
+// answered.
+//
+// fn runs on the handler's own goroutine. The deadline reaches it two
+// ways: as ctx, which the stream paths and the batch poll, and as the
+// connection's read deadline, so that a body read parked on a stalled
+// client fails at the deadline instead of waiting for bytes. The read
+// deadline covers the body only: net/http clears it when the body has
+// been read to its end and it starts its own read of the connection, and
+// again before the next request. Whatever fn returns, a request whose
+// deadline has passed is answered 504. The slot and the in-flight gauge
+// are given back as fn returns, before the answer is written, and a
+// panic in fn is answered as a typed 500.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, series *obs.Series,
 	fn func(ctx context.Context, body *requestBody) outcome) (outcome, bool) {
 	select {
@@ -285,42 +282,20 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, series *obs.Serie
 	}
 	s.metrics.InFlight.Inc()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	deadline := time.Now().Add(s.timeout)
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
+	http.NewResponseController(w).SetReadDeadline(deadline) //nolint:errcheck // best effort; h1 and h2 both support it
 	// A length declared over the cap sizes the read at the cap: the read
 	// fails there, as a 413.
 	body := &requestBody{r: http.MaxBytesReader(w, r.Body, s.maxBody), limit: s.maxBody,
 		declared: min(r.ContentLength, s.maxBody)}
 
-	outc := make(chan outcome, 1)
-	go func() {
-		// The slot and the gauge are given back before the outcome is
-		// sent, so a request that has been answered holds neither.
-		var out outcome
-		defer func() {
-			if p := recover(); p != nil {
-				out = outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("worker panic: %v", p)}
-			}
-			s.metrics.InFlight.Dec()
-			<-s.sem
-			outc <- out
-		}()
-		out = fn(ctx, body)
-	}()
-
-	var out outcome
-	select {
-	case out = <-outc:
-	case <-ctx.Done():
-		// Deadline while the worker may be parked in a body Read. That
-		// Read must not outlive this handler — net/http's connection
-		// bookkeeping deadlocks if r.Body is still being read when
-		// ServeHTTP returns — so poke the connection's read deadline to
-		// fail the pending Read, then collect the worker. It surfaces
-		// within microseconds; whatever it produced, the request is
-		// answered as timed out.
-		http.NewResponseController(w).SetReadDeadline(time.Now()) //nolint:errcheck // best effort; h1 and h2 both support it
-		<-outc
+	out := s.run(ctx, body, fn)
+	// The read deadline and the context's timer fire at the same instant,
+	// so a read failed by the one may return before the other has
+	// cancelled ctx: the clock decides.
+	if ctx.Err() != nil || !time.Now().Before(deadline) {
 		out = outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 	}
 	if out.code != 0 {
@@ -329,6 +304,21 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, series *obs.Serie
 		return outcome{}, false
 	}
 	return out, true
+}
+
+// run calls fn in the slot admit reserved and gives the slot and the
+// in-flight gauge back when fn returns or panics, so a request that has
+// been answered holds neither.
+func (s *Server) run(ctx context.Context, body *requestBody,
+	fn func(ctx context.Context, body *requestBody) outcome) (out outcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			out = outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("request panic: %v", p)}
+		}
+		s.metrics.InFlight.Dec()
+		<-s.sem
+	}()
+	return fn(ctx, body)
 }
 
 // requestBody is a request body behind the size cap. It counts the bytes
@@ -426,17 +416,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query(); q.Get("stream") == "1" || q.Get("parallel") == "1" {
 		mode = "stream"
 	}
-	s.withWorker(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
+	s.serveSchema(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
 		return runValidation(ctx, entry, mode, body)
 	}, func(entry *registry.Entry, out outcome, elapsed time.Duration) {
-		s.writeJSON(w, http.StatusOK, validateResponse{
-			Schema:        entry.Name,
-			SchemaVersion: entry.Version,
-			Mode:          mode,
-			Valid:         out.res.OK(),
-			Violations:    violationsOf(out.res),
-			ElapsedNs:     int64(elapsed),
-		})
+		resp := decodeResponse{Schema: entry.Name, SchemaVersion: entry.Version, Mode: mode,
+			Valid: out.res.OK(), Violations: violationsOf(out.res)}
+		writeJSONBody(w, http.StatusOK, appendElapsed(resp.appendHead(make([]byte, 0, 256)), int64(elapsed)))
 	})
 }
 
@@ -457,8 +442,7 @@ func runValidation(ctx context.Context, entry *registry.Entry, mode string, body
 			return body.tooLarge()
 		}
 		if err != nil {
-			// Deadline/cancel mid-stream; the handler's select arm has
-			// (or will) put the 504 on the wire.
+			// Deadline or cancel mid-stream.
 			return outcome{code: http.StatusGatewayTimeout, errMsg: "validation deadline exceeded"}
 		}
 		return verdict(res)
@@ -478,8 +462,9 @@ func runValidation(ctx context.Context, entry *registry.Entry, mode string, body
 	return verdict(res)
 }
 
-// decodeResponse extends the validation verdict with the decoded
-// document as canonical JSON (present only when the document is valid).
+// decodeResponse is a verdict plus, for /v1/decode, the decoded document
+// as canonical JSON (present only when the document is valid).
+// /v1/validate answers the same members without data.
 type decodeResponse struct {
 	Schema        string          `json:"schema"`
 	SchemaVersion int             `json:"schema_version"`
@@ -547,7 +532,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "1" {
 		mode = "decode-stream"
 	}
-	s.withWorker(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
+	s.serveSchema(w, r, mode, func(ctx context.Context, entry *registry.Entry, body *requestBody) outcome {
 		return runDecode(ctx, entry, mode, body)
 	}, func(_ *registry.Entry, out outcome, elapsed time.Duration) {
 		writeJSONBody(w, http.StatusOK, appendElapsed(out.data, int64(elapsed)))
@@ -605,7 +590,7 @@ func decodeOutcome(entry *registry.Entry, mode string, v *bind.Value, res *valid
 // that maps to a schema-invalid document is a 422 carrying the first
 // violation.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
-	s.withWorker(w, r, "encode", runEncode, func(entry *registry.Entry, out outcome, _ time.Duration) {
+	s.serveSchema(w, r, "encode", runEncode, func(entry *registry.Entry, out outcome, _ time.Duration) {
 		w.Header().Set("Content-Type", "application/xml")
 		w.Header().Set("X-Schema-Version", fmt.Sprintf("%d", entry.Version))
 		w.WriteHeader(http.StatusOK)

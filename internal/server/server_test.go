@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,6 +39,10 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server) {
 	t.Cleanup(ts.Close)
 	return ts, s
 }
+
+// validateResponse is a /v1/validate body as a client reads it: the
+// members of a decode response, without data.
+type validateResponse = decodeResponse
 
 func postDoc(t *testing.T, url, doc string) (int, validateResponse) {
 	t.Helper()
@@ -233,33 +238,144 @@ func TestSheddingUnderConcurrencyLimit(t *testing.T) {
 }
 
 // TestDeadlineAnswers504 proves a stalled client cannot hold a handler
-// forever: the deadline fires while the worker is parked in a body read,
-// and the slot is released once the aborted body unblocks the worker.
+// forever, on every endpoint that reads a body: the connection's read
+// deadline fails the parked body read at the request deadline, the answer
+// is a typed 504, and the slot is free by the time it arrives.
 func TestDeadlineAnswers504(t *testing.T) {
 	ts, s := newTestServer(t, Config{RequestTimeout: 150 * time.Millisecond, MaxConcurrent: 1})
+	batch, _ := json.Marshal(batchRequest{Documents: []string{schemas.PurchaseOrderDoc}})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/validate/po", schemas.PurchaseOrderDoc},
+		{"/v1/validate/po?stream=1", schemas.PurchaseOrderDoc},
+		{"/v1/validate-batch/po", string(batch)},
+		{"/v1/decode/po", schemas.PurchaseOrderDoc},
+		{"/v1/decode/po?stream=1", schemas.PurchaseOrderDoc},
+		{"/v1/encode/po", `{"$element":"purchaseOrder","@orderDate":"1999-10-20","shipTo":`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			// Feed a prefix so the request (headers + first chunk) reaches
+			// the server, then stall: the handler must answer at its
+			// deadline, not wait for the body.
+			go pw.Write([]byte(tc.body[:60])) //nolint:errcheck
+			resp, err := http.Post(ts.URL+tc.path, "application/octet-stream", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); resp.StatusCode != http.StatusGatewayTimeout || err != nil || er.Error == "" {
+				t.Fatalf("code = %d, body error %q (%v), want a typed 504", resp.StatusCode, er.Error, err)
+			}
+			if n := s.Metrics().InFlight.Load(); n != 0 {
+				t.Fatalf("in-flight gauge %d after the 504, want 0", n)
+			}
+		})
+	}
+}
 
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	// Feed a prefix so the request (headers + first chunk) reaches the
-	// server, then stall: the handler must answer at its deadline, not
-	// wait for the body.
-	go pw.Write([]byte(schemas.PurchaseOrderDoc[:80])) //nolint:errcheck
-	resp, err := http.Post(ts.URL+"/v1/validate/po?stream=1", "application/xml", pr)
+// keepAliveConn is one client connection that carries requests one after
+// another, as a keep-alive client does.
+type keepAliveConn struct {
+	t    *testing.T
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+func dialKeepAlive(t *testing.T, ts *httptest.Server) *keepAliveConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("code = %d, want 504", resp.StatusCode)
+	t.Cleanup(func() { conn.Close() })
+	return &keepAliveConn{t: t, conn: conn, r: bufio.NewReader(conn)}
+}
+
+// post sends one request on the connection and reads its answer.
+func (c *keepAliveConn) post(path, body string) (int, []byte) {
+	c.t.Helper()
+	if _, err := fmt.Fprintf(c.conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", path, len(body), body); err != nil {
+		c.t.Fatal(err)
 	}
-	// The handler answered, net/http tears down the request body, the
-	// worker unblocks and frees the slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().InFlight.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("validation slot never released after deadline")
+	resp, err := http.ReadResponse(c.r, nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestKeepAliveOutlivesDeadline checks that the read deadline a request
+// arms does not outlive it: a keep-alive connection that sits idle past
+// RequestTimeout still serves its next request, and so does one whose
+// last request ran past its deadline after its body had been read.
+func TestKeepAliveOutlivesDeadline(t *testing.T) {
+	ts, s := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
+	c := dialKeepAlive(t, ts)
+	for i := 0; i < 2; i++ {
+		if code, body := c.post("/v1/validate/po", schemas.PurchaseOrderDoc); code != http.StatusOK {
+			t.Fatalf("request %d: code %d: %s", i, code, body)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(250 * time.Millisecond)
+	}
+
+	// Each document expands an internal-subset entity into a million
+	// characters, so the batch is read at once and runs past its deadline.
+	ents := `<!ENTITY e0 "xxxxxxxxxx">`
+	for i := 1; i <= 5; i++ {
+		ents += fmt.Sprintf(`<!ENTITY e%d "%s">`, i, strings.Repeat(fmt.Sprintf("&e%d;", i-1), 10))
+	}
+	doc := strings.Replace(schemas.PurchaseOrderDoc, `<?xml version="1.0"?>`,
+		`<?xml version="1.0"?><!DOCTYPE purchaseOrder [`+ents+`]>`, 1)
+	doc = strings.Replace(doc, "<comment>Hurry, my lawn is going wild</comment>", "<comment>&e5;</comment>", 1)
+	docs := make([]string, 16)
+	for i := range docs {
+		docs[i] = doc
+	}
+	batch, _ := json.Marshal(batchRequest{Documents: docs})
+	if code, body := c.post("/v1/validate-batch/po", string(batch)); code != http.StatusGatewayTimeout {
+		t.Fatalf("batch past its deadline: code %d: %s", code, body)
+	}
+	if code, body := c.post("/v1/validate/po", schemas.PurchaseOrderDoc); code != http.StatusOK {
+		t.Fatalf("request after a 504 on the same connection: code %d: %s", code, body)
+	}
+	if n := s.Metrics().InFlight.Load(); n != 0 {
+		t.Fatalf("in-flight gauge %d at rest, want 0", n)
+	}
+}
+
+// TestAdmitPanicAnswers500 runs a panicking step through admit: the
+// request gets a typed 500 counted as an error, and its slot and the
+// in-flight gauge are given back.
+func TestAdmitPanicAnswers500(t *testing.T) {
+	_, s := newTestServer(t, Config{MaxConcurrent: 1})
+	series := s.Metrics().Series("po", "dom")
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/validate/po", strings.NewReader("<x/>"))
+	_, ok := s.admit(rec, req, series, func(context.Context, *requestBody) outcome {
+		panic("boom")
+	})
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); ok || rec.Code != http.StatusInternalServerError || err != nil || !strings.Contains(er.Error, "boom") {
+		t.Fatalf("panicking step: ok=%v code=%d body %q, want a typed 500", ok, rec.Code, rec.Body)
+	}
+	if n, held := s.Metrics().InFlight.Load(), len(s.sem); n != 0 || held != 0 {
+		t.Fatalf("after the panic: in-flight %d, slots held %d, want 0 and 0", n, held)
+	}
+	if e := series.Errors.Load(); e != 1 {
+		t.Fatalf("series errors = %d, want 1", e)
+	}
+	// The one slot is free: the next request runs.
+	if _, ok := s.admit(httptest.NewRecorder(), req, series, func(context.Context, *requestBody) outcome {
+		return outcome{}
+	}); !ok {
+		t.Fatal("request after the panic was not admitted")
 	}
 }
 

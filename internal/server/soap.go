@@ -37,8 +37,8 @@ func (s *Server) handleSOAPWSDL(w http.ResponseWriter, r *http.Request) {
 
 // handleSOAP answers POST /v1/soap/{service}: the body is a SOAP 1.1 or
 // 1.2 envelope, dispatched on its body root element through the service's
-// operation table, behind the same shed/deadline worker as the validation
-// endpoints.
+// operation table, behind the same admission and deadline as the
+// validation endpoints (admit).
 //
 // Response contract: every envelope that reaches dispatch is answered
 // with a SOAP envelope — success or Fault — in the request's SOAP

@@ -3,8 +3,11 @@ package validator
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dom"
 	"repro/internal/schemas"
@@ -101,30 +104,62 @@ func TestValidateBatch(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context that reads as cancelled from its n+1st Err
+// call on.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestValidateBatchCancellation checks that a cancelled context stops the
-// feed: the call returns ctx.Err() and leaves unprocessed slots nil.
+// claims: the call returns ctx.Err(), leaves unprocessed slots nil, and no
+// helper goroutine outlives it. It cancels once before the batch starts
+// and once after ten claims.
 func TestValidateBatchCancellation(t *testing.T) {
 	sv := poValidator(t).Stream()
 	srcs := make([][]byte, 500)
 	for i := range srcs {
 		srcs[i] = []byte(schemas.PurchaseOrderDoc)
 	}
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts
-	results, cerr := sv.ValidateBatchContext(ctx, srcs)
-	if cerr == nil {
-		t.Fatal("expected a context error from a cancelled batch")
-	}
-	if len(results) != len(srcs) {
-		t.Fatalf("result slice must stay index-aligned: %d vs %d", len(results), len(srcs))
-	}
-	done := 0
-	for _, res := range results {
-		if res != nil {
-			done++
+	mid := &cancelAfter{Context: context.Background()}
+	mid.n.Store(10)
+	for _, tc := range []struct {
+		ctx  context.Context
+		done int
+	}{{ctx, 0}, {mid, 10}} {
+		results, cerr := sv.ValidateBatchContext(tc.ctx, srcs)
+		if cerr != context.Canceled {
+			t.Fatalf("cancelled batch returned %v, want context.Canceled", cerr)
+		}
+		if len(results) != len(srcs) {
+			t.Fatalf("result slice must stay index-aligned: %d vs %d", len(results), len(srcs))
+		}
+		done := 0
+		for _, res := range results {
+			if res != nil {
+				done++
+			}
+		}
+		if done != tc.done {
+			t.Errorf("cancelled batch validated %d documents, want %d", done, tc.done)
 		}
 	}
-	if done == len(srcs) {
-		t.Error("cancelled batch still processed every document")
+	// A helper that has called Done may not have exited yet; give the
+	// scheduler a moment before calling it leaked.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the batches, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
