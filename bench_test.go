@@ -1633,6 +1633,8 @@ func BenchmarkE17_ColdStartSharedParse(b *testing.B) {
 // BenchmarkE18_DeepAndWide prices the input classes whose cost used to grow
 // with nesting depth or attribute count: parsing and validating a chain of
 // nested elements at three depths (linear cost keeps time per level flat),
+// each alone, streamed, and in dom-mode as /v1/validate runs it
+// (Validator.Parse, ValidateDocument, Release),
 // streaming a tag with 2,000 undeclared attributes, tokenizing a chain
 // that declares a new namespace prefix at every level, validating a chain
 // with an xsi:type at every level, and streaming a wide tag inside an
@@ -1676,6 +1678,19 @@ func BenchmarkE18_DeepAndWide(b *testing.B) {
 				if !chain.Stream().ValidateBytes(src).OK() {
 					b.Fatal("verdict flipped")
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("dom-mode/chain=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := chain.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !chain.ValidateDocument(d).OK() {
+					b.Fatal("verdict flipped")
+				}
+				d.Release()
 			}
 		})
 	}

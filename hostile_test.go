@@ -10,6 +10,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -402,5 +403,73 @@ func TestHostileJSONBoundedCost(t *testing.T) {
 	t.Logf("time x%.2f at quadruple scale", timeRatio)
 	if timeRatio > 8 {
 		t.Errorf("time ratio %.2f (bound 8)", timeRatio)
+	}
+}
+
+// TestDeepChainBytesPerLevel bounds what one level of a 3,000-deep chain
+// allocates on each path a deep document takes: dom.Parse, ValidateDocument
+// on the parsed tree, the streaming walk, and the dom-mode path of
+// /v1/validate (Validator.Parse, ValidateDocument, Release). Each bound is
+// the reading on the 2-vCPU reference host plus about 25%; before the
+// decoder's open-element entries and the machine's frames were compacted
+// the paths read 470, 529, 969 and 999 bytes per level.
+func TestDeepChainBytesPerLevel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled values at random")
+	}
+	s, err := xsd.ParseString(chainXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := validator.New(s, nil)
+	const depth = 3000
+	src := hostileChain(depth, bareLevel)
+	doc, err := dom.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Release()
+	valid := func(res *validator.Result) {
+		if !res.OK() {
+			t.Fatalf("want valid, got %v", res.Violations[0])
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		bound float64 // bytes per level
+		run   func()
+	}{
+		{"dom.Parse", 120, func() {
+			d, err := dom.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Release()
+		}},
+		{"ValidateDocument", 245, func() { valid(v.ValidateDocument(doc)) }},
+		{"Stream().ValidateBytes", 325, func() { valid(v.Stream().ValidateBytes(src)) }},
+		{"dom-mode", 365, func() {
+			d, err := v.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			valid(v.ValidateDocument(d))
+			d.Release()
+		}},
+	} {
+		tc.run() // warm the pools and the content models' DFA
+		tc.run()
+		perLevel := math.Inf(1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tc.run()
+			runtime.ReadMemStats(&after)
+			perLevel = min(perLevel, float64(after.TotalAlloc-before.TotalAlloc)/depth)
+		}
+		t.Logf("%s: %.0f bytes allocated per level", tc.name, perLevel)
+		if perLevel > tc.bound {
+			t.Errorf("%s: %.0f bytes allocated per level, bound %.0f", tc.name, perLevel, tc.bound)
+		}
 	}
 }

@@ -137,7 +137,7 @@ func assertSameAsExpanded(t testing.TB, p *Particle, g, x *Glushkov, r *Run, seq
 		if clean && gl != xl {
 			t.Fatalf("%v on %v, step %d: leaf %v; expanded: %v", p, seq, i, gl.Data, xl.Data)
 		}
-		if n, xn := runConfigs(r), len(xr.cfgs); n > xn {
+		if n, xn := runConfigs(r), len(xr.nfa.cfgs); n > xn {
 			t.Fatalf("%v on %v, step %d: %d configurations; expanded: %d positions", p, seq, i, n, xn)
 		}
 	}
@@ -148,9 +148,11 @@ func assertSameAsExpanded(t testing.TB, p *Particle, g, x *Glushkov, r *Run, seq
 
 // runConfigs counts the configurations r holds.
 func runConfigs(r *Run) int {
-	set := r.cfgs
+	var set []int
 	if r.d != nil {
 		set = r.ds.cfgs
+	} else {
+		set = r.nfa.cfgs
 	}
 	n := 0
 	r.g.configs(set, func(int, []int) bool { n++; return true })
@@ -198,7 +200,7 @@ func TestNestedCountersStaySmall(t *testing.T) {
 		if _, err := r.Step(sym("a")); err != nil {
 			t.Fatalf("child %d: %v", i, err)
 		}
-		if n := len(r.cfgs) / 3; n > 3 {
+		if n := len(r.nfa.cfgs) / 3; n > 3 {
 			t.Fatalf("child %d: %d configurations", i, n)
 		}
 	}
@@ -251,7 +253,7 @@ func accepting(r *Run) bool {
 	if r.d != nil {
 		return r.ds.accept
 	}
-	return r.g.acceptSet(r.cfgs)
+	return r.g.acceptSet(r.nfa.cfgs)
 }
 
 // TestConfigurationCap: an all group of 16 optional a's holds a

@@ -499,20 +499,38 @@ func (r *Run) Match(input []Symbol) ([]*Leaf, *MatchError) {
 // MatchError the Run is dead — further Step/End calls panic — until Reset
 // re-arms it. The stream validator's pooled frames rely on this guard to
 // surface accidental sharing of one Run between frames.
+//
+// A Run on the DFA is a few words: the stream validator holds one per open
+// element, inline in its frame. The NFA stepper's configuration sets live
+// out of line, allocated when the run first steps the NFA and kept by
+// Reset.
 type Run struct {
-	g    *Glushkov
-	cfgs []int // configuration set after the consumed prefix (NFA stepper)
-	buf  []int // scratch ping-ponged with cfgs
-	n    int   // symbols consumed
+	g   *Glushkov
+	d   *dfa     // non-nil while stepping the lazy DFA
+	ds  *dstate  // current DFA state
+	nfa *nfaSets // NFA stepper state; nil until the run first needs it
+	n   int      // symbols consumed
 
-	d        *dfa    // non-nil while stepping the lazy DFA
-	ds       *dstate // current DFA state
-	memoSym  Symbol  // 1-entry symbol->class memo (hot for runs of one child name)
+	memoSym  Symbol // 1-entry symbol->class memo (hot for runs of one child name)
 	memoCls  int32
 	memoOK   bool
 	forceNFA bool // StartNFA: never re-attach the DFA on Reset
-	budget   int  // DFA states this run may grow the shared DFA to; <= 0: DefaultDFABudget
 	failed   bool // a Step/End reported an error; Reset required before reuse
+	budget   int  // DFA states this run may grow the shared DFA to; <= 0: DefaultDFABudget
+}
+
+// nfaSets is a Run's NFA stepper state.
+type nfaSets struct {
+	cfgs []int // configuration set after the consumed prefix
+	buf  []int // scratch ping-ponged with cfgs
+}
+
+// sets returns the run's NFA state, allocating it on first use.
+func (r *Run) sets() *nfaSets {
+	if r.nfa == nil {
+		r.nfa = new(nfaSets)
+	}
+	return r.nfa
 }
 
 // Start begins an incremental match, on the lazy DFA when one is attached.
@@ -560,9 +578,14 @@ func (r *Run) Reset(g *Glushkov) {
 		r.ds = d.start
 	} else {
 		r.ds = nil
-		r.cfgs = append(r.cfgs[:0], g.start())
+		ns := r.sets()
+		ns.cfgs = append(ns.cfgs[:0], g.start())
 	}
 }
+
+// Forget drops the symbol the run memoized, keeping its buffers: a pooled
+// run then holds nothing of the input it stepped. Reset re-arms it.
+func (r *Run) Forget() { r.memoSym, r.memoOK = Symbol{}, false }
 
 // Step feeds the next child symbol. On acceptance it returns the leaf
 // particle the child matched (the same assignment Match reports); on
@@ -586,16 +609,16 @@ func (r *Run) StepID(sym Symbol, id int32) (*Leaf, *MatchError) {
 		// State budget overflowed: the run has been reseeded onto the
 		// NFA stepper from the current configuration set; fall through.
 	}
-	g := r.g
-	next, leaf, over := g.step(r.cfgs, sym, nil, r.buf)
+	g, ns := r.g, r.nfa
+	next, leaf, over := g.step(ns.cfgs, sym, nil, ns.buf)
 	if leaf == nil || over {
 		r.failed = true
 		if over {
 			return nil, &MatchError{Index: r.n, Got: sym, Cause: fmt.Sprintf("content model too ambiguous: more than %d counter configurations", maxConfigs)}
 		}
-		return nil, &MatchError{Index: r.n, Got: sym, Expected: g.expectedLabels(r.cfgs, r.n == 0 && g.nullable)}
+		return nil, &MatchError{Index: r.n, Got: sym, Expected: g.expectedLabels(ns.cfgs, r.n == 0 && g.nullable)}
 	}
-	r.cfgs, r.buf = next, r.cfgs
+	ns.cfgs, ns.buf = next, ns.cfgs
 	r.n++
 	return leaf, nil
 }
@@ -603,7 +626,8 @@ func (r *Run) StepID(sym Symbol, id int32) (*Leaf, *MatchError) {
 // Admits reports whether Step would accept sym next, without stepping: a
 // caller choosing the next child among several tries each on one run.
 func (r *Run) Admits(sym Symbol) bool {
-	cfgs := r.cfgs
+	ns := r.sets()
+	cfgs := ns.cfgs
 	if r.d != nil {
 		cfgs = r.ds.cfgs
 	}
@@ -612,7 +636,7 @@ func (r *Run) Admits(sym Symbol) bool {
 	g.configs(cfgs, func(p int, vals []int) bool {
 		for _, e := range g.edges[p] {
 			if g.leaves[e.to].Accepts(sym) {
-				if r.buf, ok = g.apply(p, vals, e, r.buf[:0]); ok {
+				if ns.buf, ok = g.apply(p, vals, e, ns.buf[:0]); ok {
 					return false
 				}
 			}
@@ -670,7 +694,8 @@ func (r *Run) fallbackNFA(st *dstate) {
 	r.d = nil
 	r.ds = nil
 	r.memoOK = false
-	r.cfgs = append(r.cfgs[:0], st.cfgs...)
+	ns := r.sets()
+	ns.cfgs = append(ns.cfgs[:0], st.cfgs...)
 }
 
 // End reports whether the sequence consumed so far is a complete match:
@@ -681,13 +706,13 @@ func (r *Run) End() *MatchError {
 	if r.failed {
 		panic("contentmodel: Run reused after an error without Reset")
 	}
-	cfgs := r.cfgs
+	var cfgs []int
 	if r.d != nil {
 		if r.ds.accept {
 			return nil
 		}
 		cfgs = r.ds.cfgs
-	} else if r.g.acceptSet(cfgs) {
+	} else if cfgs = r.nfa.cfgs; r.g.acceptSet(cfgs) {
 		return nil
 	}
 	r.failed = true

@@ -100,13 +100,6 @@ func fieldValue(node *dom.Element, paths []xsd.XPath) (string, bool) {
 	return "", false
 }
 
-// checkIdentityConstraints appends the violations of the frame's identity
-// constraints, evaluated over its element's subtree, to viols.
-func checkIdentityConstraints(f *frame, viols []violation) []violation {
-	identityViolations(f.node, f.decl, func(msg string) { viols = append(viols, f.violation(msg)) })
-	return viols
-}
-
 // identityViolations reports each violation of decl's identity constraints
 // over el's subtree, in order.
 func identityViolations(el *dom.Element, decl *xsd.ElementDecl, violate func(msg string)) {

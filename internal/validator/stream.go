@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -144,20 +145,23 @@ func (sv *StreamValidator) validateDecoder(ctx context.Context, r io.Reader, src
 }
 
 // machines recycles validation machines: a released machine keeps its
-// free frames (with their automaton runs and buffers), its ID map and its
-// scratch slices, so validating a small document allocates little beyond
-// its verdict.
+// first frames (with their automaton runs), its ID map and its scratch
+// slices, so validating a small document allocates little beyond its
+// verdict.
 var machines = sync.Pool{New: func() any { return &streamRun{ids: map[string]loc{}} }}
 
-// A pooled machine keeps at most poolLimit frames, IDs, IDREFs and
-// attributes per tag, and a pooled frame at most poolLimit buffered
-// entries and poolText bytes of text: a machine that grew more is left to
-// the collector, and a larger frame buffer is dropped, so what one large
-// document grew is not held for later runs.
+// A pooled machine keeps at most poolLimit frames, and at most poolLimit
+// IDs, IDREFs, attributes per tag and entries in each of its stacks, and
+// poolText bytes of text: what one large document grew past that is left
+// to the collector, so it is not held for later runs.
 const (
 	poolLimit = 256
 	poolText  = 4096
 )
+
+// frameChunk is how many frames the machine allocates at once: a deep
+// document opens tens of chunks, not a frame per level.
+const frameChunk = 64
 
 // newMachine returns a cleared machine for a run over v.
 func newMachine(v *Validator, ev StreamEvents) *streamRun {
@@ -170,41 +174,58 @@ func newMachine(v *Validator, ev StreamEvents) *streamRun {
 // the pool. It is called only after a run returns: a machine a panic left
 // half-way is never reused.
 func (sr *streamRun) release() {
-	for _, f := range sr.frames {
-		sr.recycle(f) // left open by a parse error or a cancellation
-	}
-	if cap(sr.frames) > poolLimit || cap(sr.free) > poolLimit || len(sr.ids) > poolLimit ||
-		cap(sr.idJournal) > poolLimit || cap(sr.idrefs) > poolLimit ||
-		cap(sr.attrSeen) > poolLimit || cap(sr.evAttrs) > poolLimit {
-		return
-	}
-	for _, f := range sr.free {
-		f.node, f.buf, f.text = nil, nil, "" // no reference into the document
-		if cap(f.textBuf) > poolText {
-			f.textBuf = nil
-		}
-		if cap(f.attrViols) > poolLimit {
-			f.attrViols = nil
-		}
-		if cap(f.childViols) > poolLimit {
-			f.childViols = nil
-		}
-		if cap(f.plainAttrs) > poolLimit {
-			f.plainAttrs = nil
-		}
-		if cap(f.counts) > poolLimit {
-			f.counts = nil
-		}
-	}
-	clear(sr.ids)
-	clear(sr.viols)
-	clear(sr.idJournal)
-	clear(sr.idrefs)
-	clear(sr.evAttrs)
-	clear(sr.attrSeen)
-	*sr = streamRun{ids: sr.ids, free: sr.free, frames: sr.frames[:0], viols: sr.viols[:0],
-		idJournal: sr.idJournal[:0], idrefs: sr.idrefs[:0], evAttrs: sr.evAttrs[:0], attrSeen: sr.attrSeen[:0]}
+	sr.reset()
 	machines.Put(sr)
+}
+
+// reset clears the document's state from the machine, keeping what the
+// pool keeps. It clears only what the run used: the frames up to the
+// deepest slot it wrote, and the stacks, whose popped entries were cleared
+// as they were popped.
+func (sr *streamRun) reset() {
+	keep := poolLimit / frameChunk
+	for i := range min(sr.used, keep*frameChunk) {
+		f := sr.frame(i)
+		f.elem = elem{} // no reference into the document
+		f.run.Forget()
+	}
+	if len(sr.chunks) > keep {
+		clear(sr.chunks[keep:])
+		sr.chunks = sr.chunks[:keep]
+	}
+	ids := sr.ids
+	if len(ids) > poolLimit {
+		ids = map[string]loc{}
+	}
+	clear(ids)
+	textBuf := sr.textBuf
+	if cap(textBuf) > poolText {
+		textBuf = nil
+	}
+	*sr = streamRun{chunks: sr.chunks, ids: ids, textBuf: textBuf[:0],
+		own: scratch(sr.own), kids: scratch(sr.kids), counts: scratch(sr.counts),
+		nodes: scratch(sr.nodes), plain: scratch(sr.plain),
+		idJournal: scratch(sr.idJournal), idrefs: scratch(sr.idrefs),
+		evAttrs: scratch(sr.evAttrs[:cap(sr.evAttrs)]), attrSeen: scratch(sr.attrSeen[:cap(sr.attrSeen)])}
+}
+
+// scratch empties a stack or scratch slice for a pooled machine, clearing
+// what it holds, or drops it if a document grew it past poolLimit. A
+// per-tag scratch slice, which each tag refills from 0, is passed at its
+// capacity.
+func scratch[E any](s []E) []E {
+	if cap(s) > poolLimit {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// truncate pops a stack back to mark, clearing what it pops so that the
+// pooled machine keeps nothing of the document past its length.
+func truncate[E any](s []E, mark int32) []E {
+	clear(s[mark:])
+	return s[:mark]
 }
 
 // consume feeds the machine every token of src and renders the verdict.
@@ -242,8 +263,13 @@ func (sr *streamRun) consume(ctx context.Context, src TokenSource) (*Result, err
 		}
 		sr.token(&tok)
 	}
+	if sr.depth > 0 {
+		// A source that ended inside the root: its open elements report
+		// nothing, as they never closed.
+		sr.kids = truncate(sr.kids, sr.frame(0).kidsMark)
+	}
 	sr.finish()
-	return &Result{Violations: render(sr.viols)}, nil
+	return &Result{Violations: render(sr.kids)}, nil
 }
 
 // frame modes.
@@ -257,57 +283,52 @@ const (
 	fmBuffer         // subtree being buffered into a fragment for replay
 )
 
-// frame is one open element on the streaming stack.
+// frame is one open element. The frame at depth i is the machine's slot i,
+// which every element opened at that depth reuses. It holds only what each
+// level needs — its path step, its declaration, its automaton run, flags,
+// and marks where its regions of the machine-level stacks start — so a
+// level costs one compact slot, allocated frameChunk at a time.
 type frame struct {
+	elem
+	run contentmodel.Run // fmModel automaton state; the slot keeps its buffers
+}
+
+// elem is what a frame holds of its element, written afresh by newFrame.
+type elem struct {
 	// parent is the enclosing frame; prefix:local, with n its 1-based
 	// position among same-named siblings, is this element's path step,
-	// frozen into step on first need (freeze).
+	// frozen into step on first need (freeze). Once the element closes,
+	// its slot still tells the parent's next child what the last child
+	// was named and how many of that name came so far (childIndex).
 	parent        *frame
 	prefix, local string
-	n             int
 	step          *pathStep
 
 	decl *xsd.ElementDecl
-	mode int
+	st   *xsd.SimpleType // fmSimple / fmCSimple value type
 
-	st  *xsd.SimpleType   // fmSimple / fmCSimple value type
-	run *contentmodel.Run // fmModel automaton state
+	n int32
+	// Marks: where the frame's regions of the machine's own, kids and
+	// counts stacks start; the ID journal and pending IDREFs after its own
+	// attributes; and the namespace scope before its declarations. int32
+	// suffices: a stack that long would not fit in memory.
+	ownMark, kidsMark, countMark int32
+	idMark, refMark, nsMark      int32
 
-	// node is the element itself, for a frame with identity constraints,
-	// which are checked over its subtree at the end tag.
-	node *dom.Element
-
-	// Buffered violations, assembled in document order at the end tag:
-	// the element's own (its attributes', then stray character data's),
-	// then its children's, which a content violation replaces.
-	attrViols   []violation
-	childViols  []violation
-	contentViol *violation
-
-	// Character data (fmSimple/fmCSimple): its first chunk in text, or
-	// all of it in textBuf once there is a second.
-	text       string
-	textBuf    []byte
-	plainAttrs []string // simple types: non-meta attribute names, reported at the end tag
-
-	counts  []childCount // child name -> occurrences, for positional steps
-	idMark  int          // ID journal mark after own attributes
-	refMark int          // pending-IDREF mark
-	nsMark  int          // namespace-binding stack mark
-
-	// buf is the fragment an fmBuffer frame's subtree is buffered into.
-	buf *fragment
-
-	// Flags, kept together so that they pack:
+	mode uint8
+	// Flags:
 	//   - mixed: the content model is mixed;
-	//   - failed: contentViol is set;
+	//   - failed: the kids region holds the content violation alone;
 	//   - sawElemChild: a simple-content element has an element child;
 	//   - announced: OpenElement was delivered, so CloseElement is owed;
 	//   - wild: a wildcard admitted the element;
 	//   - raw: the buffered subtree is a skipped wildcard subtree, for the
 	//     observer's RawElement rather than for replay;
-	//   - pooled: the frame sits on the free list; reset clears it.
-	mixed, failed, sawElemChild, announced, wild, raw, pooled bool
+	//   - hasNode: the element has identity constraints, and its node is
+	//     on the machine's nodes stack;
+	//   - hadKid: a child has been counted, so the next slot holds its
+	//     name and count.
+	mixed, failed, sawElemChild, announced, wild, raw, hasNode, hadKid bool
 }
 
 // fragment is a subtree being buffered into a private DOM: cur is the open
@@ -324,20 +345,46 @@ type fragment struct {
 // element).
 type childCount struct {
 	prefix, local string
-	n             int
+	n             int32
 }
 
-// childIndex counts one more child named prefix:local and returns its
-// 1-based position among same-named siblings.
-func (f *frame) childIndex(name xmlparser.Name) int {
-	for i := range f.counts {
-		if c := &f.counts[i]; c.local == name.Local && c.prefix == name.Prefix {
-			c.n++
-			return c.n
+// childIndex counts one more child named name under the innermost frame
+// f and returns its 1-based position among same-named siblings. The next
+// slot holds the last child's name and count, so a run of one name, and a
+// chain, never touches the counts stack; a name's count moves there when a
+// child of another name follows it.
+func (sr *streamRun) childIndex(f *frame, name xmlparser.Name) int32 {
+	next := sr.slot(sr.depth)
+	n := int32(1)
+	switch {
+	case !f.hadKid:
+		f.hadKid = true
+	case next.local == name.Local && next.prefix == name.Prefix:
+		n = next.n + 1
+	default:
+		if c := sr.count(f, next.prefix, next.local); c != nil {
+			c.n = next.n
+		} else {
+			sr.counts = append(sr.counts, childCount{prefix: next.prefix, local: next.local, n: next.n})
+		}
+		if c := sr.count(f, name.Prefix, name.Local); c != nil {
+			n = c.n + 1
 		}
 	}
-	f.counts = append(f.counts, childCount{prefix: name.Prefix, local: name.Local, n: 1})
-	return 1
+	next.prefix, next.local, next.n = name.Prefix, name.Local, n
+	return n
+}
+
+// count returns the innermost frame f's count of children named
+// prefix:local on the counts stack, or nil.
+func (sr *streamRun) count(f *frame, prefix, local string) *childCount {
+	counts := sr.counts[f.countMark:]
+	for i := range counts {
+		if c := &counts[i]; c.local == local && c.prefix == prefix {
+			return c
+		}
+	}
+	return nil
 }
 
 // freeze returns the frame's path as an immutable step chain, freezing it
@@ -356,7 +403,7 @@ func freeze(f *frame) *pathStep {
 		if g.parent == nil {
 			g.step = &pathStep{tag: "/" + tag}
 		} else {
-			g.step = &pathStep{parent: g.parent.step, tag: tag, n: g.n}
+			g.step = &pathStep{parent: g.parent.step, tag: tag, n: int(g.n)}
 		}
 	}
 	return f.step
@@ -370,30 +417,54 @@ func (f *frame) violation(msg string) violation { return violation{at: f.at(""),
 
 // childAt locates a child of the frame that gets no frame of its own:
 // prefix:local at same-name position n (0 for no positional predicate).
-func (f *frame) childAt(name xmlparser.Name, n int) loc {
-	return loc{base: &pathStep{parent: freeze(f), tag: name.Qualified(), n: n}}
-}
-
-// reset re-initializes a recycled frame, keeping the capacity of its
-// buffers (and the automaton run's internal state) for reuse.
-func (f *frame) reset(parent *frame, name xmlparser.Name, n int, decl *xsd.ElementDecl, nsMark int) {
-	run := f.run
-	attrViols, childViols := f.attrViols[:0], f.childViols[:0]
-	plainAttrs, counts, textBuf := f.plainAttrs[:0], f.counts[:0], f.textBuf[:0]
-	*f = frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark,
-		run: run, attrViols: attrViols,
-		childViols: childViols, plainAttrs: plainAttrs, counts: counts, textBuf: textBuf}
+func (f *frame) childAt(name xmlparser.Name, n int32) loc {
+	return loc{base: &pathStep{parent: freeze(f), tag: name.Qualified(), n: int(n)}}
 }
 
 // streamRun is one streaming validation pass.
 type streamRun struct {
-	v     *Validator
-	viols []violation // the result, capped at maxViolations and rendered at the end
+	v *Validator
 
-	frames    []*frame
-	free      []*frame // recycled frames; popped elements return here
-	skipDepth int      // >0: inside an unvalidated subtree
+	// chunks holds the frames, frameChunk at a time: the frame at depth i
+	// (the root's is 0) is chunks[i/frameChunk][i%frameChunk]. depth
+	// frames are open, cur the innermost of them (nil when none), and
+	// used slots have been written this run.
+	chunks    []*[frameChunk]frame
+	depth     int
+	cur       *frame
+	used      int
+	skipDepth int // >0: inside an unvalidated subtree
 	rootDone  bool
+
+	// The violations the open frames have buffered, assembled in document
+	// order as each closes. own holds each frame's own violations (its
+	// attributes', then stray character data's) from its ownMark; kids its
+	// children's violations, or once its content failed the content
+	// violation alone, from its kidsMark. A closing frame's list — own,
+	// then kids — becomes part of its parent's kids region, and the region
+	// below the root's, from 0, is the result. No list keeps entries past
+	// maxViolations: they could never reach the result.
+	own, kids []violation
+
+	// counts holds the open frames' child-name counts, from each one's
+	// countMark, for every name but its last child's (childIndex).
+	counts []childCount
+
+	// nodes holds the elements of the open frames with identity
+	// constraints, innermost last.
+	nodes []*dom.Element
+
+	// The character data and plain attribute names of a simple-typed
+	// element: only the innermost frame collects them, since such an
+	// element's children are skipped. text holds the first chunk of
+	// character data, or textBuf all of it once there is a second.
+	text    string
+	textBuf []byte
+	plain   []string
+
+	// frag is the subtree the innermost frame, an fmBuffer one, is being
+	// buffered into: only one is at a time, as a replay buffers nothing.
+	frag fragment
 
 	// events, when non-nil, receives the structural callbacks; evAttrs is
 	// the scratch slice OpenElement's attributes are built in, and evVal
@@ -432,52 +503,65 @@ type pendingRef struct {
 	at loc
 }
 
-func (sr *streamRun) top() *frame {
-	if len(sr.frames) == 0 {
-		return nil
+// frame returns the frame at depth i, which must have a slot.
+func (sr *streamRun) frame(i int) *frame { return &sr.chunks[uint(i)/frameChunk][uint(i)%frameChunk] }
+
+// slot returns the frame at depth i, allocating its chunk if it has none.
+func (sr *streamRun) slot(i int) *frame {
+	if i/frameChunk == len(sr.chunks) {
+		sr.chunks = append(sr.chunks, new([frameChunk]frame))
 	}
-	return sr.frames[len(sr.frames)-1]
+	sr.used = max(sr.used, i+1)
+	return sr.frame(i)
 }
 
-// newFrame returns a recycled or fresh frame for the element name at
-// same-name position n under parent.
-func (sr *streamRun) newFrame(parent *frame, name xmlparser.Name, n int, decl *xsd.ElementDecl, nsMark int) *frame {
-	if k := len(sr.free); k > 0 {
-		f := sr.free[k-1]
-		sr.free = sr.free[:k-1]
-		f.reset(parent, name, n, decl, nsMark)
-		return f
-	}
-	// A new frame comes in one allocation with its automaton run and room
-	// for one child name's count: a deep document opens one per level.
-	a := new(struct {
-		f      frame
-		run    contentmodel.Run
-		counts [1]childCount
-	})
-	a.f = frame{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl, nsMark: nsMark,
-		run: &a.run, counts: a.counts[:0]}
-	return &a.f
+// newFrame readies the next slot for the element name at same-name
+// position n under parent. The caller opens it (push), with nothing
+// pushed on any stack in between.
+func (sr *streamRun) newFrame(parent *frame, name xmlparser.Name, n int32, decl *xsd.ElementDecl, nsMark int) *frame {
+	f := sr.slot(sr.depth)
+	f.elem = elem{parent: parent, prefix: name.Prefix, local: name.Local, n: n, decl: decl,
+		ownMark: int32(len(sr.own)), kidsMark: int32(len(sr.kids)), countMark: int32(len(sr.counts)), nsMark: int32(nsMark)}
+	return f
 }
 
-// recycle returns a popped frame to the free list. Its buffered violations
-// must already have been delivered (deliver copies them out). Recycling a
-// frame twice would hand its contentmodel.Run to two live frames at once —
-// exactly the interleaving the Run's single-owner contract forbids — so a
-// double recycle panics here instead of corrupting a later match.
-func (sr *streamRun) recycle(f *frame) {
-	if f.pooled {
-		panic("validator: stream frame recycled twice")
-	}
-	f.pooled = true
-	sr.free = append(sr.free, f)
+// push opens the frame newFrame readied.
+func (sr *streamRun) push(f *frame) {
+	sr.depth++
+	sr.cur = f
 }
 
-// emit records a violation in the result, up to the cap.
+// pop closes the innermost frame and returns it.
+func (sr *streamRun) pop() *frame {
+	f := sr.cur
+	sr.depth--
+	sr.cur = f.parent
+	return f
+}
+
+// emit records a violation in the result, up to the cap. No frame is open.
 func (sr *streamRun) emit(v violation) {
-	if len(sr.viols) < maxViolations {
-		sr.viols = append(sr.viols, v)
+	if len(sr.kids) < maxViolations {
+		sr.kids = append(sr.kids, v)
 	}
+}
+
+// ownRoom reports whether a violation of the frame's own would be kept:
+// callers check it before formatting one.
+func (sr *streamRun) ownRoom(f *frame) bool { return len(sr.own)-int(f.ownMark) < maxViolations }
+
+// addOwn records a violation of the innermost or the closing frame's own.
+func (sr *streamRun) addOwn(f *frame, v violation) {
+	if sr.ownRoom(f) {
+		sr.own = append(sr.own, v)
+	}
+}
+
+// fail records the frame's content violation in place of its buffered
+// child violations, which are not delivered.
+func (sr *streamRun) fail(f *frame, v violation) {
+	f.failed = true
+	sr.kids = append(truncate(sr.kids, f.kidsMark), v)
 }
 
 // skip marks the current start tag's subtree as unvalidated. The matching
@@ -495,7 +579,7 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 		}
 		return
 	}
-	if f := sr.top(); f != nil && f.mode == fmBuffer {
+	if f := sr.cur; f != nil && f.mode == fmBuffer {
 		sr.feedBuffer(f, tok)
 		return
 	}
@@ -511,8 +595,8 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 	case xmlparser.KindComment, xmlparser.KindProcInst:
 		// Comments and PIs are DOM child nodes: they violate only the
 		// "nilled element must be empty" rule.
-		if f := sr.top(); f != nil && f.mode == fmNilled && !f.failed {
-			f.fail(f.violation("nilled element must be empty"))
+		if f := sr.cur; f != nil && f.mode == fmNilled && !f.failed {
+			sr.fail(f, f.violation("nilled element must be empty"))
 		}
 	}
 }
@@ -531,7 +615,7 @@ func (sr *streamRun) declare(tok *xmlparser.Token) int {
 
 func (sr *streamRun) startElement(tok *xmlparser.Token) {
 	nsMark := sr.declare(tok)
-	if len(sr.frames) == 0 {
+	if sr.depth == 0 {
 		if sr.rootDone {
 			sr.skipChild(nsMark)
 			return
@@ -550,7 +634,7 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 		sr.openFrame(tok, sr.newFrame(nil, tok.Name, 1, decl, nsMark))
 		return
 	}
-	parent := sr.top()
+	parent := sr.cur
 	switch parent.mode {
 	case fmModel:
 		if parent.failed {
@@ -566,24 +650,23 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			// The element reports the match error against the failing
 			// child and validates no children at all: drop the buffered
 			// child violations and roll back their IDs.
-			parent.fail(violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
-			parent.childViols = nil
+			sr.fail(parent, violation{at: parent.childAt(tok.Name, 0), msg: merr.Error()})
 			sr.rollbackTo(parent)
 			sr.skipChild(nsMark)
 			return
 		}
-		sr.openChild(parent, tok, leaf, parent.childIndex(tok.Name), nsMark)
+		sr.openChild(parent, tok, leaf, sr.childIndex(parent, tok.Name), nsMark)
 	case fmSimple, fmCSimple:
 		parent.sawElemChild = true
 		sr.skipChild(nsMark)
 	case fmCEmpty:
 		if !parent.failed {
-			parent.fail(parent.violation(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified())))
+			sr.fail(parent, parent.violation(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified())))
 		}
 		sr.skipChild(nsMark)
 	case fmNilled:
 		if !parent.failed {
-			parent.fail(parent.violation("nilled element must be empty"))
+			sr.fail(parent, parent.violation("nilled element must be empty"))
 		}
 		sr.skipChild(nsMark)
 	default: // fmDead
@@ -593,12 +676,14 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 
 // openChild opens the element of tok, a child of parent at same-name
 // position n that its content model matched to leaf.
-func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *contentmodel.Leaf, n, nsMark int) {
+func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *contentmodel.Leaf, n int32, nsMark int) {
 	switch data := leaf.Data.(type) {
 	case *xsd.ElementDecl:
 		resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
 		if err != nil {
-			parent.childViols = append(parent.childViols, violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
+			if len(sr.kids)-int(parent.kidsMark) < maxViolations {
+				sr.kids = append(sr.kids, violation{at: parent.childAt(tok.Name, n), msg: err.Error()})
+			}
 			sr.skipChild(nsMark)
 			return
 		}
@@ -632,13 +717,6 @@ func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *conten
 func (sr *streamRun) skipChild(nsMark int) {
 	sr.ns.Pop(nsMark)
 	sr.skip()
-}
-
-// fail records the frame's content violation; its buffered child
-// violations are not delivered.
-func (f *frame) fail(v violation) {
-	f.failed = true
-	f.contentViol = &v
 }
 
 // announce delivers OpenElement for a frame that passed the prologue.
@@ -704,11 +782,11 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			f.mode = fmNilled
 			switch t := typ.(type) {
 			case *xsd.SimpleType:
-				f.collectPlainAttrs(tok)
+				sr.collectPlainAttrs(tok)
 			case *xsd.ComplexType:
 				sr.attributes(f, tok, t)
 			}
-			sr.frames = append(sr.frames, f)
+			sr.push(f)
 			sr.announce(f, typ, tok, true)
 			return
 		}
@@ -720,19 +798,22 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			sr.startBuffer(f, tok)
 			return
 		}
-		f.node = sr.tree.cur
+		sr.nodes = append(sr.nodes, sr.tree.cur)
+		f.hasNode = true
 	}
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
 		f.mode = fmSimple
 		f.st = t
-		f.collectPlainAttrs(tok)
+		sr.collectPlainAttrs(tok)
+		sr.text, sr.textBuf = "", sr.textBuf[:0]
 	case *xsd.ComplexType:
 		sr.attributes(f, tok, t)
 		switch t.Kind {
 		case xsd.ContentSimple:
 			f.mode = fmCSimple
 			f.st = t.SimpleContentType
+			sr.text, sr.textBuf = "", sr.textBuf[:0]
 		case xsd.ContentEmpty:
 			f.mode = fmCEmpty
 		default:
@@ -741,25 +822,24 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			f.run.ResetLimit(t.Matcher(sr.v.schema), sr.v.opts.DisableDFA, sr.v.opts.DFAStateBudget)
 		}
 	}
-	f.idMark = len(sr.idJournal)
-	f.refMark = len(sr.idrefs)
-	sr.frames = append(sr.frames, f)
+	f.idMark = int32(len(sr.idJournal))
+	f.refMark = int32(len(sr.idrefs))
+	sr.push(f)
 	sr.announce(f, typ, tok, false)
 }
 
 func (sr *streamRun) pushDead(f *frame, msg string) {
 	f.mode = fmDead
-	v := f.violation(msg)
-	f.contentViol = &v
-	sr.frames = append(sr.frames, f)
+	sr.fail(f, f.violation(msg))
+	sr.push(f)
 }
 
 // collectPlainAttrs records the start tag's non-meta attribute names for
 // the simple-type "not allowed" check at the end tag.
-func (f *frame) collectPlainAttrs(tok *xmlparser.Token) {
+func (sr *streamRun) collectPlainAttrs(tok *xmlparser.Token) {
 	for i := range tok.Attrs {
 		if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
-			f.plainAttrs = append(f.plainAttrs, a.Name.Qualified())
+			sr.plain = append(sr.plain, a.Name.Qualified())
 		}
 	}
 }
@@ -769,7 +849,8 @@ func isMetaAttrName(n xmlparser.Name) bool {
 }
 
 // attributes validates the start tag's attributes against ct, buffering
-// violations into the frame, and the observer's list of them, typed.
+// violations as the frame's own, and the observer's list of them, typed.
+// A violation past the cap is neither formatted nor located.
 func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexType) {
 	seen, evAttrs := sr.attrSeen[:0], sr.evAttrs[:0]
 	for i := range tok.Attrs {
@@ -787,36 +868,31 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
 				continue
 			}
-			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q is not declared for this element", a.Name.Qualified())))
+			if sr.ownRoom(f) {
+				sr.own = append(sr.own, f.violation(fmt.Sprintf("attribute %q is not declared for this element", a.Name.Qualified())))
+			}
 			continue
 		}
 		val, err := use.Decl.Type.Parse(a.Value)
 		if err != nil {
-			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)))
+			if sr.ownRoom(f) {
+				sr.own = append(sr.own, f.violation(fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)))
+			}
 			continue
 		}
 		if sr.events != nil {
 			evAttrs[len(evAttrs)-1].Val, evAttrs[len(evAttrs)-1].Typed = val, true
 		}
-		if want, ok := use.FixedValue(); ok && !val.Equal(want) {
-			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
+		if want, ok := use.FixedValue(); ok && !val.Equal(want) && sr.ownRoom(f) {
+			sr.own = append(sr.own, f.violation(fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)))
 		}
 		if kind := idKind(use.Decl.Type); kind != "" {
-			sr.trackIDs(kind, val, f.at(a.Name.Qualified()), &f.attrViols)
+			sr.trackIDs(f, kind, val, f.at(a.Name.Qualified()))
 		}
 	}
 	for _, use := range ct.AttributeUses {
-		if use.Required && !use.Prohibited {
-			missing := true
-			for _, s := range seen {
-				if s == use.Decl.Name {
-					missing = false
-					break
-				}
-			}
-			if missing {
-				f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local)))
-			}
+		if use.Required && !use.Prohibited && sr.ownRoom(f) && !slices.Contains(seen, use.Decl.Name) {
+			sr.own = append(sr.own, f.violation(fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local)))
 		}
 	}
 	sr.attrSeen, sr.evAttrs = seen[:0], evAttrs
@@ -824,16 +900,16 @@ func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexT
 
 // trackIDs records the ID or IDREF values of val, parsed in a type of the
 // given idKind, against the document-wide ID state, journaling insertions
-// for rollback. The values are the parsed, whitespace-collapsed forms,
-// an IDREFS value's from its items. They may view a frame's text buffer,
-// so each string the ID state or a violation keeps is copied. Callers
-// check idKind first, so an element that tracks nothing never freezes its
-// frame.
-func (sr *streamRun) trackIDs(kind string, val xsdtypes.Value, at loc, viols *[]violation) {
+// for rollback; a duplicate ID is one of f's own violations. The values
+// are the parsed, whitespace-collapsed forms, an IDREFS value's from its
+// items. They may view the machine's text buffer, so each string the ID
+// state or a violation keeps is copied. Callers check idKind first, so an
+// element that tracks nothing never freezes its frame.
+func (sr *streamRun) trackIDs(f *frame, kind string, val xsdtypes.Value, at loc) {
 	switch kind {
 	case "ID":
 		if prev, dup := sr.ids[val.Str]; dup {
-			*viols = append(*viols, dupID(at, strings.Clone(val.Str), prev))
+			sr.addOwn(f, dupID(at, strings.Clone(val.Str), prev))
 		} else {
 			id := strings.Clone(val.Str)
 			sr.ids[id] = at
@@ -854,8 +930,8 @@ func (sr *streamRun) rollbackTo(f *frame) {
 	for _, id := range sr.idJournal[f.idMark:] {
 		delete(sr.ids, id)
 	}
-	sr.idJournal = sr.idJournal[:f.idMark]
-	sr.idrefs = sr.idrefs[:f.refMark]
+	sr.idJournal = truncate(sr.idJournal, f.idMark)
+	sr.idrefs = truncate(sr.idrefs, f.refMark)
 }
 
 // textNode consumes a character-data or CDATA token. It works on the
@@ -864,7 +940,7 @@ func (sr *streamRun) rollbackTo(f *frame) {
 // allocation-free. Strings are built only when a violation needs a
 // snippet or a binding consumer wants the mixed text.
 func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
-	f := sr.top()
+	f := sr.cur
 	if f == nil {
 		return // document-level whitespace or misc
 	}
@@ -880,50 +956,83 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 			}
 			return
 		}
-		if cdata {
-			f.attrViols = append(f.attrViols, f.violation("character data is not allowed in element-only content"))
-		} else if len(bytes.TrimSpace(data)) != 0 {
-			f.attrViols = append(f.attrViols, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
+		switch {
+		case !sr.ownRoom(f):
+		case cdata:
+			sr.own = append(sr.own, f.violation("character data is not allowed in element-only content"))
+		case len(bytes.TrimSpace(data)) != 0:
+			sr.own = append(sr.own, f.violation(fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))))
 		}
 	case fmSimple, fmCSimple:
 		// A tree replay's token holds its text node's own string: text
 		// in one such chunk is kept rather than copied out of a buffer,
 		// and a second chunk starts the buffer. A decoder's bytes are
 		// copied, as asking for its token's string would intern them.
-		if sr.tree != nil && f.text == "" && len(f.textBuf) == 0 {
-			f.text = tok.Data()
+		if sr.tree != nil && sr.text == "" && len(sr.textBuf) == 0 {
+			sr.text = tok.Data()
 			break
 		}
-		if f.text != "" {
-			f.textBuf = append(f.textBuf, f.text...)
-			f.text = ""
+		if sr.text != "" {
+			sr.textBuf = append(sr.textBuf, sr.text...)
+			sr.text = ""
 		}
-		f.textBuf = append(f.textBuf, data...)
+		sr.textBuf = append(sr.textBuf, data...)
 	case fmCEmpty:
-		if !f.failed && (cdata || len(bytes.TrimSpace(data)) != 0) {
-			f.fail(f.violation("character data is not allowed in empty content"))
+		// Empty content admits no character children, whitespace
+		// included (XML Schema Part 1 §3.4.4, clause 2.1); an empty text
+		// node a built tree keeps is none.
+		if !f.failed && (cdata || len(data) != 0) {
+			sr.fail(f, f.violation("character data is not allowed in empty content"))
 		}
 	case fmNilled:
 		if !f.failed {
-			f.fail(f.violation("nilled element must be empty"))
+			sr.fail(f, f.violation("nilled element must be empty"))
 		}
 	}
 }
 
+// endElement closes the innermost frame: its violations, its own then its
+// kids region, become part of its parent's kids region, followed by its
+// plain attributes' and its identity constraints' violations, up to the
+// cap of the parent's region.
 func (sr *streamRun) endElement() {
-	n := len(sr.frames)
-	if n == 0 {
+	if sr.depth == 0 {
 		return
 	}
-	f := sr.frames[n-1]
-	sr.frames = sr.frames[:n-1]
-	sr.ns.Pop(f.nsMark)
+	f := sr.pop()
+	sr.ns.Pop(int(f.nsMark))
 	sr.evSet = false
-	viols := sr.closeFrame(f)
-	if f.node != nil {
-		viols = checkIdentityConstraints(f, viols)
+	sr.closeFrame(f)
+	if own := sr.own[f.ownMark:]; len(own) > 0 {
+		sr.kids = slices.Insert(sr.kids, int(f.kidsMark), own...)
+		sr.own = truncate(sr.own, f.ownMark)
 	}
-	sr.deliver(viols)
+	mark := int32(0)
+	if p := sr.cur; p != nil {
+		mark = p.kidsMark
+	} else {
+		sr.rootDone = true
+	}
+	if len(sr.plain) > 0 {
+		for _, name := range sr.plain {
+			if len(sr.kids)-int(mark) >= maxViolations {
+				break
+			}
+			sr.kids = append(sr.kids, f.violation(fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)))
+		}
+		sr.plain = truncate(sr.plain, 0)
+	}
+	if f.hasNode {
+		node := sr.nodes[len(sr.nodes)-1]
+		sr.nodes = truncate(sr.nodes, int32(len(sr.nodes)-1))
+		identityViolations(node, f.decl, func(msg string) { sr.kids = append(sr.kids, f.violation(msg)) })
+	}
+	if len(sr.kids)-int(mark) > maxViolations {
+		sr.kids = truncate(sr.kids, mark+maxViolations)
+	}
+	if len(sr.counts) > int(f.countMark) {
+		sr.counts = truncate(sr.counts, f.countMark)
+	}
 	if f.announced {
 		var val *xsdtypes.Value
 		if sr.evSet {
@@ -931,110 +1040,73 @@ func (sr *streamRun) endElement() {
 		}
 		sr.events.CloseElement(val)
 	}
-	sr.recycle(f)
 }
 
-// deliver routes a closed frame's violations to its parent's buffer, or
-// to the result when the root closes.
-func (sr *streamRun) deliver(viols []violation) {
-	if p := sr.top(); p != nil {
-		p.childViols = append(p.childViols, viols...)
-		return
-	}
-	sr.rootDone = true
-	for _, v := range viols {
-		sr.emit(v)
-	}
-}
-
-// closeFrame assembles the frame's violations in document order:
-// attributes, then content.
-func (sr *streamRun) closeFrame(f *frame) []violation {
+// closeFrame adds the closing frame's last violations: a model's premature
+// end, in place of its children's, and a simple value's, after its
+// attributes'.
+func (sr *streamRun) closeFrame(f *frame) {
 	switch f.mode {
 	case fmModel:
 		if !f.failed {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: reported against the element, whose
 				// children count for nothing.
-				f.fail(f.violation(merr.Error()))
-				f.childViols = nil
+				sr.fail(f, f.violation(merr.Error()))
 				sr.rollbackTo(f)
 			}
 		}
-		if !f.failed && len(f.attrViols) == 0 {
-			// Hot path: nothing buffered; deliver copies before recycle.
-			return f.childViols
-		}
-		viols := make([]violation, 0, len(f.attrViols)+1)
-		viols = append(viols, f.attrViols...)
-		if f.failed {
-			viols = append(viols, *f.contentViol)
-		} else {
-			viols = append(viols, f.childViols...)
-		}
-		return viols
 	case fmSimple:
-		var viols []violation
 		if f.sawElemChild {
-			viols = append(viols, f.violation("element content is not allowed in a simple-type element"))
-		} else {
-			text := f.textValue()
-			if f.decl.Fixed != nil && text == "" {
-				text = *f.decl.Fixed
-			}
-			if f.decl.Default != nil && text == "" {
-				text = *f.decl.Default
-			}
-			val, err := f.st.Parse(text)
-			if err != nil {
-				viols = append(viols, f.violation(err.Error()))
-			} else {
-				sr.observe(f, val)
-				if want, ok := f.decl.FixedValue(f.st); ok && !val.Equal(want) {
-					viols = append(viols, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
-				}
-				if kind := idKind(f.st); kind != "" {
-					sr.trackIDs(kind, val, f.at(""), &viols)
-				}
-			}
+			sr.addOwn(f, f.violation("element content is not allowed in a simple-type element"))
+			return
 		}
-		return f.appendPlainAttrViols(viols)
+		text := sr.textValue(f)
+		if f.decl.Fixed != nil && text == "" {
+			text = *f.decl.Fixed
+		}
+		if f.decl.Default != nil && text == "" {
+			text = *f.decl.Default
+		}
+		val, err := f.st.Parse(text)
+		if err != nil {
+			sr.addOwn(f, f.violation(err.Error()))
+			return
+		}
+		sr.observe(f, val)
+		if want, ok := f.decl.FixedValue(f.st); ok && !val.Equal(want) {
+			sr.addOwn(f, f.violation(fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)))
+		}
+		if kind := idKind(f.st); kind != "" {
+			sr.trackIDs(f, kind, val, f.at(""))
+		}
 	case fmCSimple:
-		viols := f.attrViols
 		if f.sawElemChild {
-			viols = append(viols, f.violation("element content is not allowed in simple content"))
+			sr.addOwn(f, f.violation("element content is not allowed in simple content"))
+			return
+		}
+		text := sr.textValue(f)
+		val, err := f.st.Parse(text)
+		if err != nil {
+			if sr.ownRoom(f) {
+				sr.own = append(sr.own, f.violation(err.Error()))
+			}
 		} else {
-			text := f.textValue()
-			val, err := f.st.Parse(text)
+			sr.observe(f, val)
+		}
+		if kind := idKind(f.st); kind != "" {
 			if err != nil {
-				viols = append(viols, f.violation(err.Error()))
-			} else {
-				sr.observe(f, val)
+				val = lexicalIDs(kind, text)
 			}
-			if kind := idKind(f.st); kind != "" {
-				if err != nil {
-					val = lexicalIDs(kind, text)
-				}
-				sr.trackIDs(kind, val, f.at(""), &viols)
-			}
+			sr.trackIDs(f, kind, val, f.at(""))
 		}
-		return viols
 	case fmNilled:
-		viols := f.attrViols
 		if f.decl.Fixed != nil {
-			viols = append(viols, f.violation(msgNilFixed))
+			sr.addOwn(f, f.violation(msgNilFixed))
 		}
-		if f.contentViol != nil {
-			viols = append(viols, *f.contentViol)
-		}
-		return f.appendPlainAttrViols(viols)
-	default: // fmCEmpty, fmDead
-		viols := f.attrViols
-		if f.contentViol != nil {
-			viols = append(viols, *f.contentViol)
-		}
-		return viols
 	}
+	// fmCEmpty, fmDead: the own violations, then the content violation,
+	// stand as they are.
 }
 
 // observe keeps the element's parsed simple value in the run's scratch
@@ -1060,29 +1132,20 @@ func lexicalIDs(kind, text string) xsdtypes.Value {
 	return xsdtypes.ListValue(items)
 }
 
-// textValue returns the frame's character data. Text buffered in textBuf
-// is returned as a view of the buffer, which the frame reuses once it
-// closes: the parse, the checks and the violations' messages read the
-// view and keep nothing of it, and trackIDs copies the IDs it keeps. Only
-// an announced frame's text is copied, since the observer may keep the
-// strings of the value parsed from it.
-func (f *frame) textValue() string {
+// textValue returns the closing frame's character data. Text buffered in
+// textBuf is returned as a view of the buffer, which the next
+// simple-typed element reuses: the parse, the checks and the violations'
+// messages read the view and keep nothing of it, and trackIDs copies the
+// IDs it keeps. Only an announced frame's text is copied, since the
+// observer may keep the strings of the value parsed from it.
+func (sr *streamRun) textValue(f *frame) string {
 	switch {
-	case len(f.textBuf) == 0:
-		return f.text
+	case len(sr.textBuf) == 0:
+		return sr.text
 	case f.announced:
-		return string(f.textBuf)
+		return string(sr.textBuf)
 	}
-	return unsafe.String(unsafe.SliceData(f.textBuf), len(f.textBuf))
-}
-
-// appendPlainAttrViols adds a simple-typed element's attribute violations:
-// only xsi:, xml: and namespace attributes are allowed.
-func (f *frame) appendPlainAttrViols(viols []violation) []violation {
-	for _, name := range f.plainAttrs {
-		viols = append(viols, f.violation(fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)))
-	}
-	return viols
+	return unsafe.String(unsafe.SliceData(sr.textBuf), len(sr.textBuf))
 }
 
 // startBuffer begins buffering the element's subtree into a private DOM
@@ -1092,14 +1155,14 @@ func (sr *streamRun) startBuffer(f *frame, tok *xmlparser.Token) {
 	doc := dom.NewPooledDocument()
 	root := doc.CreateElementResolved(tok.Name, tok.Attrs)
 	doc.AppendChild(root)
-	f.buf = &fragment{doc: doc, root: root, cur: root, depth: 1}
-	sr.frames = append(sr.frames, f)
+	sr.frag = fragment{doc: doc, root: root, cur: root, depth: 1}
+	sr.push(f)
 }
 
 // feedBuffer appends one token to the buffered subtree with dom.Parse's
 // token-to-node mapping.
 func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
-	b := f.buf
+	b := &sr.frag
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
 		b.depth++
@@ -1120,13 +1183,12 @@ func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
 // element as a node, and the fragment's tokens follow. The start tag's
 // namespace bindings are still in scope from when it was buffered.
 func (sr *streamRun) completeBuffer(f *frame) {
-	doc, root := f.buf.doc, f.buf.root
-	f.buf = nil
-	sr.frames = sr.frames[:len(sr.frames)-1]
+	doc, root := sr.frag.doc, sr.frag.root
+	sr.frag = fragment{}
+	sr.pop()
 	if f.raw {
-		sr.ns.Pop(f.nsMark)
+		sr.ns.Pop(int(f.nsMark))
 		sr.events.RawElement(root)
-		sr.recycle(f)
 	} else {
 		src := newTreeSource(root)
 		sr.tree = src
@@ -1146,7 +1208,7 @@ func (sr *streamRun) completeBuffer(f *frame) {
 // finish resolves pending IDREFs against the document's IDs.
 func (sr *streamRun) finish() {
 	for _, pending := range sr.idrefs {
-		if len(sr.viols) >= maxViolations {
+		if len(sr.kids) >= maxViolations {
 			return
 		}
 		if _, ok := sr.ids[pending.id]; !ok {

@@ -258,7 +258,8 @@ func TestCountedModelsStreamInDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		sr.token(&tok)
-		for _, f := range sr.frames {
+		for i := range sr.depth {
+			f := sr.frame(i)
 			if f.mode == fmBuffer && f.local != "tags" {
 				t.Fatalf("token %d: <%s> is buffered", n, f.local)
 			}
@@ -269,8 +270,8 @@ func TestCountedModelsStreamInDepth(t *testing.T) {
 		t.Error("the identity scope on tags was not buffered")
 	}
 	sr.finish()
-	if len(sr.viols) != 0 {
-		t.Fatalf("violations: %v", render(sr.viols))
+	if len(sr.kids) != 0 {
+		t.Fatalf("violations: %v", render(sr.kids))
 	}
 }
 

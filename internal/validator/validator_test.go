@@ -279,6 +279,41 @@ func TestEmptyContent(t *testing.T) {
 	wantViolation(t, validate(t, v, `<empty><x/></empty>`), "empty content")
 }
 
+// TestEmptyContentCharacterChildren: empty content admits no character
+// children, white space included (XML Schema Part 1 §3.4.4, clause 2.1),
+// but admits comments; the DOM and the streaming entry points agree.
+func TestEmptyContentCharacterChildren(t *testing.T) {
+	s, err := xsd.ParseString(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="e"><xsd:complexType/></xsd:element>
+</xsd:schema>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(s, nil)
+	for _, tc := range []struct {
+		doc   string
+		valid bool
+	}{
+		{"<e> </e>", false},
+		{"<e>\n</e>", false},
+		{"<e/>", true},
+		{"<e></e>", true},
+		{"<e><!--c--></e>", true},
+	} {
+		for name, res := range map[string]*Result{
+			"dom":    validate(t, v, tc.doc),
+			"stream": v.Stream().ValidateBytes([]byte(tc.doc)),
+		} {
+			if res.OK() != tc.valid {
+				t.Errorf("%s: %q: valid=%v, want %v: %v", name, tc.doc, res.OK(), tc.valid, res.Violations)
+			}
+			if !tc.valid && (len(res.Violations) != 1 || res.Violations[0] != (Violation{Path: "/e", Msg: "character data is not allowed in empty content"})) {
+				t.Errorf("%s: %q: %v", name, tc.doc, res.Violations)
+			}
+		}
+	}
+}
+
 func TestMixedContent(t *testing.T) {
 	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:complexType name="Para" mixed="true">

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -38,15 +39,30 @@ type Options struct {
 // defaultOptions returns the options used when the caller passes nil.
 func defaultOptions() Options { return Options{Namespaces: true} }
 
-// openElem tracks an open start tag for end-tag matching.
+// openElem tracks an open start tag for end-tag matching. It holds no
+// pointer, so a deep document's stack is one flat block the collector
+// does not scan and growing it copies no pointers: the name is the index
+// of its memo entry (Decoder.memo), or, for a name the memo does not hold,
+// the complement of its index in Decoder.unmemo. A deep chain repeats a
+// few names, so its levels cost a few words each.
 type openElem struct {
-	name     Name
-	rawName  string // as written, for end-tag matching and error messages
-	nameCols int    // columns rawName spans (it holds no newline)
-	pos      Pos
-	nsMark   int  // Decoder.ns mark before this element's declarations
-	bumped   bool // its declarations changed a binding: popping them bumps nsGen
+	name      int32
+	nameCols  int32 // columns the raw name spans (it holds no newline)
+	line, col int32 // the start tag's position, for error messages
+	nsMark    int32 // Decoder.ns mark before this element's declarations
+	bumped    bool  // its declarations changed a binding: popping them bumps nsGen
 }
+
+// openName is the name of an open element the name memo does not hold.
+type openName struct {
+	name Name
+	raw  string
+}
+
+// clamp32 narrows a position or count for an openElem. Values past 2^31
+// need gigabytes of input on one line or in one name; they read as the
+// largest int32.
+func clamp32(n int) int32 { return int32(min(n, math.MaxInt32)) }
 
 // Decoder parses a single XML document (or fragment) and yields Tokens.
 //
@@ -75,9 +91,12 @@ type Decoder struct {
 	zeroReads int
 
 	opts Options
-	// ns holds the namespace bindings of the open elements.
+	// ns holds the namespace bindings of the open elements; stack the
+	// elements themselves, and unmemo the names of those whose name the
+	// memo does not hold.
 	ns       Bindings
 	stack    []openElem
+	unmemo   []openName
 	seenRoot bool
 	seenDecl bool
 	started  bool
@@ -105,13 +124,15 @@ type Decoder struct {
 	attrs    []Attr
 	interned map[string]string
 
-	// names is the name memo (nameEntry), keyed by raw name; nameSlab is
-	// the chunk new entries are carved from, and attrNames the entry of
-	// each attribute of the current tag (nil when it has none). nsGen
-	// numbers the states of the namespace scope that resolutions are
-	// memoized against: it moves at the start of every document and
-	// whenever a declaration changes, or popping one restores, a binding.
+	// names is the name memo (nameEntry), keyed by raw name, and memo its
+	// entries by index (nameEntry.idx); nameSlab is the chunk new entries
+	// are carved from, and attrNames the entry of each attribute of the
+	// current tag (nil when it has none). nsGen numbers the states of the
+	// namespace scope that resolutions are memoized against: it moves at
+	// the start of every document and whenever a declaration changes, or
+	// popping one restores, a binding.
 	names     map[string]*nameEntry
+	memo      []*nameEntry
 	nameSlab  []nameEntry
 	attrNames []*nameEntry
 	nsGen     uint64
@@ -232,14 +253,17 @@ func (d *Decoder) reset() {
 	if cap(buf) > poolText {
 		buf = nil
 	}
+	memo := d.memo
 	if d.cached() >= maxInternEntries {
 		clear(d.interned)
 		clear(d.names)
+		clear(memo)
+		memo = memo[:0]
 	}
 	d.ns.reset()
 	*d = Decoder{window: window[:0], buf: buf[:0], attrs: clearedScratch(d.attrs),
-		stack: clearedScratch(d.stack), interned: d.interned, ns: d.ns,
-		names: d.names, nameSlab: d.nameSlab, attrNames: clearedScratch(d.attrNames), nsGen: d.nsGen}
+		stack: clearedScratch(d.stack), unmemo: clearedScratch(d.unmemo), interned: d.interned, ns: d.ns,
+		names: d.names, memo: memo, nameSlab: d.nameSlab, attrNames: clearedScratch(d.attrNames), nsGen: d.nsGen}
 }
 
 // clearedScratch empties a scratch slice for a pooled decoder, so that it
@@ -656,8 +680,8 @@ func (d *Decoder) finish() error {
 		return d.readErr
 	}
 	if len(d.stack) > 0 {
-		top := d.stack[len(d.stack)-1]
-		return d.errf(d.pos(), "unexpected end of input: element <%s> opened at %s is not closed", top.rawName, top.pos)
+		top := &d.stack[len(d.stack)-1]
+		return d.errf(d.pos(), "unexpected end of input: element <%s> opened at %d:%d is not closed", d.rawName(top), top.line, top.col)
 	}
 	if !d.seenRoot && !d.opts.Fragment {
 		return d.errf(d.pos(), "document has no root element")
@@ -1229,9 +1253,34 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 		d.popScope(nsMark, bumped)
 		d.endPending, d.endName, d.endPos = true, t.Name, p
 	} else {
-		d.stack = append(d.stack, openElem{name: t.Name, rawName: raw, nameCols: nameCols, pos: p, nsMark: nsMark, bumped: bumped})
+		d.push(e, t.Name, raw, nameCols, p, nsMark, bumped)
 	}
 	return nil
+}
+
+// push opens the element of a start tag named raw, with memo entry e (nil
+// when it has none) and resolved name, at p.
+func (d *Decoder) push(e *nameEntry, name Name, raw string, nameCols int, p Pos, nsMark int, bumped bool) {
+	o := openElem{nameCols: clamp32(nameCols), line: clamp32(p.Line), col: clamp32(p.Col), nsMark: int32(nsMark), bumped: bumped}
+	if e != nil {
+		o.name = e.idx
+	} else {
+		o.name = ^int32(len(d.unmemo))
+		d.unmemo = append(d.unmemo, openName{name: name, raw: raw})
+	}
+	if len(d.stack) == cap(d.stack) {
+		// Double, where append would grow a long stack by a quarter.
+		d.stack = append(make([]openElem, 0, 2*len(d.stack)+8), d.stack...)
+	}
+	d.stack = append(d.stack, o)
+}
+
+// rawName returns the open element's name as its start tag wrote it.
+func (d *Decoder) rawName(o *openElem) string {
+	if o.name < 0 {
+		return d.unmemo[^o.name].raw
+	}
+	return d.memo[o.name].raw
 }
 
 // attrKey identifies an attribute for a duplicate check.
@@ -1422,11 +1471,12 @@ func (d *Decoder) endTag(t *Token, p Pos) error {
 	d.skip("</")
 	if !d.noBulk && len(d.stack) > 0 {
 		top := &d.stack[len(d.stack)-1]
-		n := len(top.rawName)
+		raw := d.rawName(top)
+		n := len(raw)
 		d.fill(n + 1)
-		if rest := d.src[d.off:]; len(rest) > n && rest[n] == '>' && string(rest[:n]) == top.rawName {
+		if rest := d.src[d.off:]; len(rest) > n && rest[n] == '>' && string(rest[:n]) == raw {
 			d.off += n + 1
-			d.col += top.nameCols + 1
+			d.col += int(top.nameCols) + 1
 			d.closeTop(t, p)
 			return nil
 		}
@@ -1443,18 +1493,33 @@ func (d *Decoder) endTag(t *Token, p Pos) error {
 	if len(d.stack) == 0 {
 		return d.errf(p, "unexpected end tag </%s>", raw)
 	}
-	if top := &d.stack[len(d.stack)-1]; top.rawName != raw {
-		return d.errf(p, "end tag </%s> does not match start tag <%s> opened at %s", raw, top.rawName, top.pos)
+	if top := &d.stack[len(d.stack)-1]; d.rawName(top) != raw {
+		return d.errf(p, "end tag </%s> does not match start tag <%s> opened at %d:%d", raw, d.rawName(top), top.line, top.col)
 	}
 	d.closeTop(t, p)
 	return nil
 }
 
 // closeTop pops the innermost open element and fills t with its end token.
+// A memoized name is resolved again before the element's declarations are
+// popped: the scope is then the one its start tag was resolved in, so the
+// end token carries the same name.
 func (d *Decoder) closeTop(t *Token, p Pos) {
 	top := &d.stack[len(d.stack)-1]
-	d.popScope(top.nsMark, top.bumped)
-	t.set(KindEndElement, top.name, p)
+	var name Name
+	if top.name < 0 {
+		u := &d.unmemo[len(d.unmemo)-1]
+		name = u.name
+		*u = openName{}
+		d.unmemo = d.unmemo[:len(d.unmemo)-1]
+	} else if e := d.memo[top.name]; d.opts.Namespaces {
+		d.resolve(e)
+		name = e.name
+	} else {
+		name = Name{Local: e.raw}
+	}
+	d.popScope(int(top.nsMark), top.bumped)
+	t.set(KindEndElement, name, p)
 	d.stack = d.stack[:len(d.stack)-1]
 }
 

@@ -24,6 +24,7 @@ type NameTable interface {
 // the name later in the document.
 type nameEntry struct {
 	raw string
+	idx int32  // position in Decoder.memo
 	gen uint64 // nsGen at which name.Space and bound were looked up; 0: never
 	// name is raw split at the first colon, as splitRawName does, with
 	// Space the URI lookupNS gave its prefix at gen.
@@ -67,8 +68,9 @@ func (d *Decoder) memoName(b []byte) *nameEntry {
 	if n.Prefix != "" {
 		ok = ok && IsNCName(n.Prefix)
 	}
-	*e = nameEntry{raw: raw, name: n, ncName: ok}
+	*e = nameEntry{raw: raw, idx: int32(len(d.memo)), name: n, ncName: ok}
 	d.names[raw] = e
+	d.memo = append(d.memo, e)
 	return e
 }
 
