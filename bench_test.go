@@ -579,6 +579,36 @@ func BenchmarkE8_StreamValidate(b *testing.B) {
 			}
 		})
 	}
+	// keyed streams n items under keyXSD's xs:key: the identity scope is
+	// the whole document, checked on its tokens as they pass.
+	ks, err := xsd.ParseString(keyXSD, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keyed := validator.New(ks, nil).Stream()
+	for _, n := range []int{1000, 10000} {
+		src := keyedItems(n)
+		b.Run(fmt.Sprintf("keyed/items=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if res := keyed.ValidateBytes(src); !res.OK() {
+					b.Fatal(res.Err())
+				}
+			}
+		})
+	}
+}
+
+// keyedItems writes n <item> children with distinct ids under <keyed>.
+func keyedItems(n int) []byte {
+	var sb strings.Builder
+	sb.WriteString("<keyed>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<item id="i%d"/>`, i)
+	}
+	sb.WriteString("</keyed>")
+	return []byte(sb.String())
 }
 
 // BenchmarkE6_NormalizeSchemes measures normalization under each naming
@@ -1638,7 +1668,8 @@ func BenchmarkE17_ColdStartSharedParse(b *testing.B) {
 // streaming a tag with 2,000 undeclared attributes, tokenizing a chain
 // that declares a new namespace prefix at every level, validating a chain
 // with an xsi:type at every level, and streaming a wide tag inside an
-// xs:key element, which the streaming walk buffers into a DOM.
+// xs:key element, whose field the identity tracker reads from the tag's
+// attributes as it passes.
 func BenchmarkE18_DeepAndWide(b *testing.B) {
 	compile := func(src string) *validator.Validator {
 		s, err := xsd.ParseString(src, nil)

@@ -7,9 +7,12 @@
 // Usage:
 //
 //	xsdbind -schema po.xsd doc.xml            # XML -> canonical JSON on stdout
-//	xsdbind -schema po.xsd -stream doc.xml    # same, O(depth) streaming decode
 //	xsdbind -schema po.xsd -encode doc.json   # canonical JSON -> schema-valid XML
 //	cat doc.xml | xsdbind -schema po.xsd -    # "-" reads stdin
+//
+// Decoding streams: the document is validated and decoded while it is
+// read, with no DOM. The -stream flag of earlier versions is accepted and
+// changes nothing.
 //
 // The exit status is 0 when the conversion succeeded, 1 when the input
 // was invalid (violations on stderr) and 2 on usage errors.
@@ -30,11 +33,11 @@ import (
 func main() {
 	schemaPath := flag.String("schema", "", "path to the XML Schema (required)")
 	encode := flag.Bool("encode", false, "treat the input as canonical JSON and emit schema-valid XML")
-	stream := flag.Bool("stream", false, "decode incrementally while reading (O(depth) memory, no DOM)")
+	flag.Bool("stream", false, "no effect: decoding always streams; kept for existing scripts")
 	compact := flag.Bool("compact", false, "emit compact JSON instead of indented")
 	flag.Parse()
 	if *schemaPath == "" || flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xsdbind -schema s.xsd [-encode] [-stream] file|-")
+		fmt.Fprintln(os.Stderr, "usage: xsdbind -schema s.xsd [-encode] [-compact] file|-")
 		os.Exit(2)
 	}
 	schemaSrc, err := os.ReadFile(*schemaPath)
@@ -50,29 +53,20 @@ func main() {
 	if *encode {
 		os.Exit(runEncode(b, flag.Arg(0)))
 	}
-	os.Exit(runDecode(b, flag.Arg(0), *stream, *compact))
+	os.Exit(runDecode(b, flag.Arg(0), *compact))
 }
 
-// runDecode validates and decodes one XML document to canonical JSON.
-func runDecode(b *bind.Binder, path string, stream, compact bool) int {
-	var val *bind.Value
-	var res *validator.Result
-	if stream {
-		f, err := open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		val, res, err = b.DecodeReader(context.Background(), f)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		src, err := readInput(path)
-		if err != nil {
-			fatal(err)
-		}
-		val, res = b.DecodeBytes(src)
+// runDecode validates and decodes one XML document to canonical JSON while
+// reading it.
+func runDecode(b *bind.Binder, path string, compact bool) int {
+	f, err := open(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	val, res, err := b.DecodeReader(context.Background(), f)
+	if err != nil {
+		fatal(err)
 	}
 	if val == nil {
 		fmt.Fprintf(os.Stderr, "%s: INVALID (%d violations)\n", path, len(res.Violations))

@@ -8,7 +8,6 @@
 //	xsdcheck -schema po.xsd,inv.xsd docs/*.xml    # several schemas; documents dispatch by root element
 //	xsdcheck -schemadir ./schemas docs/*.xml      # every top-level *.xsd in a directory tree
 //	xsdcheck -schema po.xsd -json doc.xml         # decode valid documents to canonical JSON
-//	xsdcheck -schema po.xsd -stream big.xml       # validate while reading, no DOM (-parallel is an alias)
 //
 // Schemas may include or import other documents: references resolve
 // relative to the referring file, confined to the schema's directory
@@ -18,9 +17,15 @@
 // schema loaded, each document is routed to the schema that declares
 // its root element as a global element.
 //
-// Document files are memory-mapped where the platform supports it (the
-// parser is zero-copy, so validation runs straight out of the page
-// cache); elsewhere they are read conventionally.
+// Every document is validated while it is tokenized, with no DOM. With one
+// schema and no -json, each file streams from disk, in memory bounded by
+// its depth. Otherwise the file is memory-mapped where the platform
+// supports it (the tokenizer is zero-copy, so validation runs straight out
+// of the page cache) and read conventionally elsewhere, so the root
+// element can pick the schema. A document that is not well-formed is
+// INVALID, with its parse error as the one violation, at path /. The
+// -stream and -parallel flags of earlier versions are accepted and change
+// nothing.
 //
 // Multiple documents are read, parsed and validated concurrently through
 // shared validators (bounded by -p workers, default GOMAXPROCS), so each
@@ -139,8 +144,8 @@ func main() {
 	schemaDir := flag.String("schemadir", "", "directory whose top-level *.xsd files are all loaded (references may reach anywhere under it)")
 	quiet := flag.Bool("q", false, "suppress per-violation output")
 	workers := flag.Int("p", runtime.GOMAXPROCS(0), "max files processed in parallel")
-	stream := flag.Bool("stream", false, "validate incrementally while reading (O(depth) memory, no DOM; with several schemas the file is buffered for root dispatch)")
-	flag.BoolVar(stream, "parallel", false, "alias of -stream, kept for existing scripts")
+	flag.Bool("stream", false, "no effect: every document streams; kept for existing scripts")
+	flag.Bool("parallel", false, "no effect: every document streams; kept for existing scripts")
 	jsonOut := flag.Bool("json", false, "decode valid documents to canonical JSON in the same pass (invalid ones still report violations)")
 	flag.Parse()
 
@@ -192,7 +197,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				reports[i] = checkOne(set, paths[i], *quiet, *stream, *jsonOut)
+				reports[i] = checkOne(set, paths[i], *quiet, *jsonOut)
 			}
 		}()
 	}
@@ -217,17 +222,17 @@ func main() {
 	os.Exit(exit)
 }
 
-// checkOne routes one document to its schema and through the requested
-// pipeline. True single-schema streaming never buffers the file; the
-// multi-schema cases read it first to sniff the root element.
-func checkOne(set *schemaSet, path string, quiet, stream, jsonOut bool) report {
-	if stream && !jsonOut && len(set.entries) == 1 {
+// checkOne routes one document to its schema and validates it, decoding it
+// too with -json. A single schema's validation streams from the file; the
+// other cases map it first to sniff the root element.
+func checkOne(set *schemaSet, path string, quiet, jsonOut bool) report {
+	if !jsonOut && len(set.entries) == 1 {
 		return checkFileStream(set.entries[0].v.Stream(), path, quiet)
 	}
-	// Documents are memory-mapped when the platform allows: the parser is
-	// zero-copy over src, so large files are validated straight out of the
-	// page cache. Every reference into src (DOM nodes, decoded values) is
-	// rendered to the report's strings before the mapping is released.
+	// Documents are memory-mapped when the platform allows: the tokenizer
+	// is zero-copy over src, so large files are validated straight out of
+	// the page cache. Every reference into src (decoded values, violations)
+	// is rendered to the report's strings before the mapping is released.
 	src, release, err := mmapfile.ReadFile(path)
 	if err != nil {
 		return report{errText: fmt.Sprintf("xsdcheck: %v\n", err), failed: true}
@@ -237,33 +242,15 @@ func checkOne(set *schemaSet, path string, quiet, stream, jsonOut bool) report {
 	if err != nil {
 		return report{errText: fmt.Sprintf("%s: %v\n", path, err), failed: true}
 	}
-	switch {
-	case jsonOut:
-		return checkJSON(e.binder, path, src, quiet, stream)
-	case stream:
-		res := e.v.Stream().ValidateReader(bytes.NewReader(src))
-		return renderResult(path, res, quiet)
-	default:
-		return checkDOM(e.v, path, src, quiet)
+	if jsonOut {
+		return checkJSON(e.binder, path, src, quiet)
 	}
+	return renderResult(path, e.v.Stream().ValidateBytes(src), quiet)
 }
 
-// checkDOM parses and validates one document against the shared
-// validator, returning its rendered report.
-func checkDOM(v *validator.Validator, path string, src []byte, quiet bool) report {
-	doc, err := v.Parse(src)
-	if err != nil {
-		return report{errText: fmt.Sprintf("%s: not well-formed: %v\n", path, err), failed: true}
-	}
-	res := v.ValidateDocument(doc)
-	doc.Release()
-	return renderResult(path, res, quiet)
-}
-
-// checkFileStream validates one document through the streaming path: the
-// file is tokenized and checked while being read, with memory bounded by
-// tree depth instead of file size. Each worker streams its own file, so
-// -stream composes with -p.
+// checkFileStream validates one document while reading it: the file is
+// tokenized and checked as it is read, with memory bounded by tree depth
+// instead of file size. Each worker streams its own file.
 func checkFileStream(sv *validator.StreamValidator, path string, quiet bool) report {
 	f, err := os.Open(path)
 	if err != nil {
@@ -277,17 +264,10 @@ func checkFileStream(sv *validator.StreamValidator, path string, quiet bool) rep
 // checkJSON validates and decodes one document in the same pass, printing
 // the canonical JSON for valid documents and the usual violation report
 // otherwise.
-func checkJSON(b *bind.Binder, path string, src []byte, quiet, stream bool) report {
-	var val *bind.Value
-	var res *validator.Result
-	if stream {
-		var err error
-		val, res, err = b.DecodeReader(context.Background(), bytes.NewReader(src))
-		if err != nil && err != io.EOF {
-			return report{errText: fmt.Sprintf("%s: %v\n", path, err), failed: true}
-		}
-	} else {
-		val, res = b.DecodeBytes(src)
+func checkJSON(b *bind.Binder, path string, src []byte, quiet bool) report {
+	val, res, err := b.DecodeReader(context.Background(), bytes.NewReader(src))
+	if err != nil && err != io.EOF {
+		return report{errText: fmt.Sprintf("%s: %v\n", path, err), failed: true}
 	}
 	if val == nil {
 		return renderResult(path, res, quiet)

@@ -102,7 +102,7 @@ type nopEvents struct{}
 func (nopEvents) OpenElement(validator.ElementStart) {}
 func (nopEvents) CloseElement(*xsdtypes.Value)       {}
 func (nopEvents) MixedText(string)                   {}
-func (nopEvents) RawElement(*dom.Element)            {}
+func (nopEvents) RawElement(xsd.QName, string)       {}
 
 // byteEntries are the production entry points that take a serialized
 // document, each reduced to its verdict.

@@ -91,8 +91,8 @@ func xsiTypeLevel(level int) string {
 }
 
 // keyXSD puts an xs:key on <keyed>, whose <item> children take any
-// attributes: from the decoder, the validation machine buffers each
-// <keyed> subtree and replays it as a tree, for the key's selector.
+// attributes: the validation machine selects each <item> and reads its id
+// from the start tag's attributes as the tokens pass.
 const keyXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="keyed">
     <xsd:complexType>

@@ -14,12 +14,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/validator"
-	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -242,62 +240,10 @@ func (d *decoder) MixedText(data string) {
 
 // RawElement implements validator.StreamEvents: a skipped wildcard subtree
 // is kept as its serialized XML.
-func (d *decoder) RawElement(el *dom.Element) {
-	name := xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}
+func (d *decoder) RawElement(name xsd.QName, xml string) {
 	v := d.slab.value()
-	v.Name, v.Kind, v.Wild, v.Raw = name, KindRaw, true, rawFragment(el)
+	v.Name, v.Kind, v.Wild, v.Raw = name, KindRaw, true, xml
 	d.attach(v)
-}
-
-// rawFragment serializes el so that it stands alone: the namespace
-// bindings its names borrow from ancestors are declared on its start tag.
-func rawFragment(el *dom.Element) string {
-	var decls []byte
-	var declared []string // prefixes declared on the start tag ("" is the default namespace)
-	var walk func(e *dom.Element, scope []string)
-	walk = func(e *dom.Element, scope []string) {
-		for _, a := range e.Attributes() {
-			if n := a.Name(); n.Space == xmlparser.XMLNSNamespace {
-				if n.Prefix == "" {
-					scope = append(scope, "")
-				} else {
-					scope = append(scope, n.Local)
-				}
-			}
-		}
-		need := func(prefix, space string) {
-			if prefix == "xml" || prefix == "" && space == "" ||
-				slices.Contains(scope, prefix) || slices.Contains(declared, prefix) {
-				return
-			}
-			declared = append(declared, prefix)
-			if prefix == "" {
-				decls = append(decls, ` xmlns="`...)
-			} else {
-				decls = append(append(append(decls, " xmlns:"...), prefix...), `="`...)
-			}
-			decls, _ = xmlparser.AppendEscaped(decls, space, true)
-			decls = append(decls, '"')
-		}
-		need(e.Name().Prefix, e.Name().Space)
-		for _, a := range e.Attributes() {
-			if n := a.Name(); n.Prefix != "" && n.Space != xmlparser.XMLNSNamespace {
-				need(n.Prefix, n.Space)
-			}
-		}
-		for c := e.FirstChild(); c != nil; c = c.NextSibling() {
-			if ce, ok := c.(*dom.Element); ok {
-				walk(ce, scope[:len(scope):len(scope)])
-			}
-		}
-	}
-	walk(el, nil)
-	raw := dom.ToString(el)
-	if len(decls) == 0 {
-		return raw
-	}
-	n := 1 + len(el.TagName()) // "<" and the tag name
-	return raw[:n] + string(decls) + raw[n:]
 }
 
 // attach delivers a completed child to the innermost open element, or

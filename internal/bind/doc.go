@@ -20,6 +20,10 @@
 //     validator.StreamValidator pass, O(depth) alongside the lazy-DFA
 //     stepping, with no DOM.
 //
+// Either way a raw wildcard subtree (KindRaw) arrives as the text the
+// validator wrote while its tokens passed, declaring the namespace
+// bindings it borrows, so the value tree never points into a DOM.
+//
 // Marshal is the reverse direction: a Value (decoded, or built from JSON
 // via FromJSON) is walked once, and the walk writes the XML while feeding
 // the tokens it writes to the streaming validator, so the output is checked

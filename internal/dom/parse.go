@@ -167,36 +167,6 @@ func (b *builder) close(cur Node) Node {
 	return cur.ParentNode()
 }
 
-// AppendToken appends the node a token maps to under parent and returns
-// the node later tokens append to: the new element for a start tag,
-// parent otherwise. A start tag becomes an element with its resolved
-// names (namespace declarations stay ordinary attributes, so serialization
-// round-trips); text (unless empty), CDATA, comments and processing
-// instructions become their node kinds. Other tokens append nothing.
-func (d *Document) AppendToken(parent Node, tok *xmlparser.Token) (Node, error) {
-	var n Node
-	switch tok.Kind {
-	case xmlparser.KindStartElement:
-		n = d.CreateElementResolved(tok.Name, tok.Attrs)
-	case xmlparser.KindText:
-		if tok.Data() == "" {
-			return parent, nil
-		}
-		n = d.CreateTextNode(tok.Data())
-	default:
-		if n = d.tokenNode(tok); n == nil {
-			return parent, nil
-		}
-	}
-	if _, err := parent.AppendChild(n); err != nil {
-		return parent, fmt.Errorf("at %s: %w", tok.Pos, err)
-	}
-	if tok.Kind == xmlparser.KindStartElement {
-		return n, nil
-	}
-	return parent, nil
-}
-
 // tokenNode returns a new CDATA section, comment or processing
 // instruction for tok, or nil for a token of another kind.
 func (d *Document) tokenNode(tok *xmlparser.Token) Node {

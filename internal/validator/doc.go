@@ -32,17 +32,21 @@
 //     serialized documents. ValidateReaderContext is the cancellable form
 //     — it checks the context between token batches and returns (nil,
 //     ctx.Err()) on expiry; servers use it to stop validating when a
-//     request's deadline fires mid-stream. cmd/xsdcheck exposes the
-//     streaming path as -stream;
+//     request's deadline fires mid-stream. cmd/xsdcheck validates every
+//     document this way;
 //   - a replay of a parsed tree, for ValidateDocument and ValidateElement
 //     (tree.go);
 //   - bind's Marshal encoder, through ValidateTokens.
 //
-// Identity constraints and raw wildcard subtrees need the element as a
-// node; every content model, counted ones and all groups included, steps
-// one child at a time in O(depth) memory. A tree replay hands the node
-// over; from the decoder or the encoder the machine buffers the element's
-// subtree into a pooled fragment and replays it.
+// The machine needs no more than the token at hand: every content model,
+// counted ones and all groups included, steps one child at a time in
+// O(depth) memory; identity constraints are checked on the tokens as they
+// pass, at the cost of the open scopes' keys (identity.go); and a raw
+// wildcard subtree reaches the observer as the text it serializes to,
+// written as its tokens pass (raw.go). The machine never builds a DOM: the
+// DOM enters the package only as a token source (tree.go), whose
+// ValidateDocument and ValidateElement runs share every code path with
+// the decoder's.
 // Whatever the source, the verdict, the violation order and the messages
 // are the same (held by the TestStreamMatchesDOM differential suite and by
 // the pinned verdicts in testdata/validator_verdicts.txt).

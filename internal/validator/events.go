@@ -24,7 +24,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/dom"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -59,14 +58,12 @@ type ElementStart struct {
 }
 
 // StreamEvents receives structural callbacks during a validation pass.
-// Implementations must not retain ElementStart.Attrs, CloseElement's val
-// or the *dom.Element beyond the call: the attribute slice and the value
-// are the machine's scratch space (copy *val to keep it), and a raw
-// element from the decoder or an encoder lives in a pooled fragment that
-// is released when the callback returns (from a parsed tree it is the
-// tree's own node). The strings inside *val and the attributes' values
-// are the observer's to keep: the machine parses an announced element's
-// text from its own copy, never from a view of its buffer.
+// Implementations must not retain ElementStart.Attrs or CloseElement's val
+// beyond the call: the attribute slice and the value are the machine's
+// scratch space (copy *val to keep it). The strings inside *val, the
+// attributes' values and a raw element's text are the observer's to keep:
+// the machine parses an announced element's text from its own copy, never
+// from a view of its buffer.
 type StreamEvents interface {
 	// OpenElement fires when a validated element opens.
 	OpenElement(e ElementStart)
@@ -83,39 +80,12 @@ type StreamEvents interface {
 	MixedText(data string)
 
 	// RawElement fires for a skipped wildcard subtree (a lax wildcard match
-	// with no global declaration), handed over whole. The validator
-	// guarantees nothing about its content.
-	RawElement(el *dom.Element)
-}
-
-// ValidateDocumentEvents is ValidateDocument with an event observer: ev
-// receives the callbacks above while the verdict is computed exactly as
-// without an observer.
-func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
-	root := doc.DocumentElement()
-	if root == nil {
-		return &Result{Violations: []Violation{{Path: "/", Msg: "document has no root element"}}}
-	}
-	return v.validateTree(root, nil, ev)
-}
-
-// ValidateElementEvents is ValidateElement with an event observer.
-func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
-	return v.validateTree(el, decl, ev)
-}
-
-// validateTree runs the machine over a replay of the tree under root, which
-// decl governs (nil: its global declaration), with the namespace
-// declarations of root's ancestors in scope.
-func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
-	sr := newMachine(v, ev)
-	sr.rootDecl = decl
-	declareAncestors(&sr.ns, root)
-	sr.tree = newTreeSource(root)
-	sr.tree.names, sr.symIDs = v.schema.Symbols(), true
-	res, _ := sr.consume(context.Background(), sr.tree)
-	sr.release()
-	return res
+	// with no global declaration), handed over whole once it closes: name
+	// is its root's, xml the text it serializes to, as dom.ToString renders
+	// it, with the namespace bindings its names borrow from its ancestors
+	// declared right after the root's tag name, so the text stands alone.
+	// The validator guarantees nothing about its content.
+	RawElement(name xsd.QName, xml string)
 }
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer.

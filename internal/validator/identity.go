@@ -1,162 +1,361 @@
 package validator
 
-// Identity constraints (xs:unique / xs:key / xs:keyref) — the feature the
-// paper's §3 explicitly defers ("Currently we do not handle identity
-// constraints"), implemented here as a clearly-marked extension. The
-// selectors and fields are the restricted XPath subset the XML Schema
-// recommendation defines, parsed once with the schema (xsd.XPath); this
-// file evaluates them over an element's subtree.
+// Identity constraints (xs:unique, xs:key, xs:keyref): the feature the
+// paper's §3 defers, added as a marked extension. Their selectors and
+// fields, the restricted XPath subset of the recommendation, are parsed
+// with the schema (xsd.XPath) and evaluated here on the tokens as they
+// pass, so a scope costs its keys, not its subtree.
+//
+// An element whose declaration carries constraints opens a scope where the
+// machine opens its frame; a nilled or dead element opens none. While a
+// scope is open the tracker sees every token, unvalidated subtrees
+// included, and keeps a stack of the open elements' local names and
+// preorder numbers. A path reaches an element when the names ending at it
+// spell its steps from the path's base (the scope for a selector, the
+// selected node for a field) or, after ".//", from any element below it.
+// A scope's selected nodes are judged when it closes, in the order of the
+// DOM evaluator the tracker replaced (idKey); a node two alternatives
+// select counts once, at the first. A field takes the first candidate in
+// that order that yields a value: a no-namespace attribute by local name,
+// as dom.Element.HasAttribute matches, or the trimmed text of an element
+// with no element children. A keyref sees only its own scope's keys.
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/dom"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 )
 
-// selectNodes evaluates selector paths from a context element.
-func selectNodes(ctx *dom.Element, paths []xsd.XPath) []*dom.Element {
-	var out []*dom.Element
-	seen := map[*dom.Element]bool{}
-	add := func(e *dom.Element) {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	for _, p := range paths {
-		if p.Dot || len(p.Steps) == 0 {
-			add(ctx)
-			continue
-		}
-		var frontier []*dom.Element
-		if p.Descendant {
-			frontier = descendantsAndSelf(ctx)
-		} else {
-			frontier = []*dom.Element{ctx}
-		}
-		for _, step := range p.Steps {
-			var next []*dom.Element
-			for _, e := range frontier {
-				for _, c := range e.ChildElements() {
-					if step == "*" || c.LocalName() == step {
-						next = append(next, c)
-					}
-				}
-			}
-			frontier = next
-		}
-		for _, e := range frontier {
-			add(e)
-		}
-	}
-	return out
+// identity is the machine's identity-constraint tracker. Its stacks keep
+// int32 marks into one another, as frames do into the machine's.
+type identity struct {
+	elems  []idElem  // open elements from the outermost scope's; none when no scope is open
+	pre    int32     // the next start tag's preorder number
+	text   []byte    // the innermost element's text, while it is a field candidate
+	scopes []idScope // open scopes, innermost last
+	picks  []idPick  // the scopes' selected nodes; an enclosing scope's may follow an inner one's
+	fields []idField // each pick's fields, from its fieldMark
+	open   []idOpen  // the open picks whose fields reach below their node
+	wants  []idWant  // the open elements' element-text candidacies
+	order  []int32   // a closing scope's picks, in order
+	parts  []string  // one key's field values
 }
 
-// descendantsAndSelf lists e and its descendant elements in document order.
-// The walk keeps its own stack of pending elements, so a deep chain costs
-// time linear in its length.
-func descendantsAndSelf(e *dom.Element) []*dom.Element {
-	var out []*dom.Element
-	stack := []*dom.Element{e}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, n)
-		kids := n.ChildNodes()
-		for i := len(kids) - 1; i >= 0; i-- {
-			if c, ok := kids[i].(*dom.Element); ok {
-				stack = append(stack, c)
-			}
-		}
-	}
-	return out
+// idKey orders selected nodes and field candidates: by path alternative,
+// then by the preorder number of the element the path's first step starts
+// from, then by the node's own.
+type idKey struct{ alt, start, pre int32 }
+
+func (k idKey) cmp(o idKey) int {
+	return cmp.Or(cmp.Compare(k.alt, o.alt), cmp.Compare(k.start, o.start), cmp.Compare(k.pre, o.pre))
 }
 
-// fieldValue evaluates one field path on a selected node. ok is false when
-// the field is absent.
-func fieldValue(node *dom.Element, paths []xsd.XPath) (string, bool) {
-	for _, p := range paths {
-		targets := []*dom.Element{node}
-		if len(p.Steps) > 0 {
-			targets = selectNodes(node, []xsd.XPath{{Descendant: p.Descendant, Steps: p.Steps}})
+// idElem is an open element. Its candidacies start at wantMark on wants;
+// kid marks an element child, after which its text counts for no field.
+type idElem struct {
+	local         string
+	pre, wantMark int32
+	kid           bool
+}
+
+// idScope is an open scope: the element elems[depth], whose picks start at
+// pickMark.
+type idScope struct {
+	decl            *xsd.ElementDecl
+	depth, pickMark int32
+}
+
+// idPick is a node constraint c of scope chose, with its fields from
+// fieldMark.
+type idPick struct {
+	key                 idKey
+	scope, c, fieldMark int32
+}
+
+// idField is a field's first candidate so far, once one is found.
+type idField struct {
+	val   string
+	key   idKey
+	found bool
+}
+
+// takes reports whether a candidate with key k comes before the field's.
+func (f *idField) takes(k idKey) bool { return !f.found || k.cmp(f.key) < 0 }
+
+// idOpen is an open pick and its node's depth; idWant an element's
+// candidacy, by key, for an element-text field.
+type idOpen struct{ pick, depth int32 }
+type idWant struct {
+	field int32
+	key   idKey
+}
+
+func (t *identity) active() bool { return len(t.elems) > 0 }
+
+// constraint returns the constraint of pick p, whose scope is open.
+func (t *identity) constraint(p *idPick) *xsd.IdentityConstraint {
+	return t.scopes[p.scope].decl.Constraints[p.c]
+}
+
+// grow makes room for n more entries in s, at least doubling it when full,
+// so a scope with many keys copies each a bounded number of times.
+func grow[E any](s []E, n int) []E {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+// token advances the tracker over a token of an open scope.
+func (t *identity) token(tok *xmlparser.Token) {
+	switch tok.Kind {
+	case xmlparser.KindStartElement:
+		d := t.push(tok)
+		for _, o := range t.open {
+			t.offer(o.pick, int(o.depth), d, tok)
 		}
-		for _, tgt := range targets {
-			if p.Attr != "" {
-				if tgt.HasAttribute(p.Attr) {
-					return tgt.GetAttribute(p.Attr), true
-				}
+		for si := range t.scopes {
+			t.selectAt(si, d, tok)
+		}
+	case xmlparser.KindEndElement:
+		t.end()
+	case xmlparser.KindText, xmlparser.KindCData:
+		if e := &t.elems[len(t.elems)-1]; !e.kid && len(t.wants) > int(e.wantMark) {
+			t.text = append(t.text, tok.Bytes()...)
+		}
+	}
+}
+
+// push opens the element of tok and returns its depth.
+func (t *identity) push(tok *xmlparser.Token) int {
+	if n := len(t.elems); n > 0 {
+		t.elems[n-1].kid = true
+	}
+	t.text = t.text[:0]
+	t.elems = append(t.elems, idElem{local: tok.Name.Local, pre: t.pre, wantMark: int32(len(t.wants))})
+	t.pre++
+	return len(t.elems) - 1
+}
+
+// openScope opens the scope of the element of tok, which the machine has
+// just opened with decl.
+func (t *identity) openScope(decl *xsd.ElementDecl, tok *xmlparser.Token) {
+	d := len(t.elems) - 1
+	if d < 0 {
+		d = t.push(tok) // no scope was open to push it
+	}
+	t.scopes = append(t.scopes, idScope{decl: decl, depth: int32(d), pickMark: int32(len(t.picks))})
+	t.selectAt(len(t.scopes)-1, d, tok)
+}
+
+// reach reports whether path p, based at elems[base], reaches elems[d], and
+// the depth of the element its first step starts from. A path without
+// steps reaches its base alone.
+func (t *identity) reach(p *xsd.XPath, base, d int) (int, bool) {
+	s := d - len(p.Steps)
+	if s != base && (s < base || !p.Descendant || len(p.Steps) == 0) {
+		return 0, false
+	}
+	for i, step := range p.Steps {
+		if step != "*" && t.elems[s+1+i].local != step {
+			return 0, false
+		}
+	}
+	return s, true
+}
+
+// selectAt picks elems[d], the element of tok, for each constraint of scope
+// si whose selector reaches it, by the first alternative that does. The
+// element is a candidate for its own fields, and the pick stays open while
+// they can reach below it.
+func (t *identity) selectAt(si, d int, tok *xmlparser.Token) {
+	sc := &t.scopes[si]
+	for c, ic := range sc.decl.Constraints {
+		for alt := range ic.Selector {
+			s, ok := t.reach(&ic.Selector[alt], int(sc.depth), d)
+			if !ok {
 				continue
 			}
-			// Element value: its text content (only if it has no
-			// element children, per the field restriction).
-			hasElemChild := len(tgt.ChildElements()) > 0
-			if !hasElemChild {
-				return strings.TrimSpace(tgt.TextContent()), true
+			pi := int32(len(t.picks))
+			t.picks = append(grow(t.picks, 1), idPick{key: idKey{int32(alt), t.elems[s].pre, t.elems[d].pre},
+				scope: int32(si), c: int32(c), fieldMark: int32(len(t.fields))})
+			t.fields = grow(t.fields, len(ic.Fields))[:len(t.fields)+len(ic.Fields)]
+			t.offer(pi, d, d, tok)
+			if slices.ContainsFunc(ic.Fields, func(paths []xsd.XPath) bool {
+				return slices.ContainsFunc(paths, func(q xsd.XPath) bool { return len(q.Steps) > 0 })
+			}) {
+				t.open = append(t.open, idOpen{pi, int32(d)})
+			}
+			break
+		}
+	}
+}
+
+// offer makes elems[d], the element of tok, a candidate for the fields of
+// pick pi, whose node is elems[node]: an attribute field takes its value
+// now, an element field at the element's end tag.
+func (t *identity) offer(pi int32, node, d int, tok *xmlparser.Token) {
+	p := &t.picks[pi]
+	for i, paths := range t.constraint(p).Fields {
+		f := p.fieldMark + int32(i)
+		for alt := range paths {
+			q := &paths[alt]
+			s, ok := t.reach(q, node, d)
+			k := idKey{int32(alt), t.elems[s].pre, t.elems[d].pre}
+			switch {
+			case !ok || !t.fields[f].takes(k):
+			case q.Attr == "":
+				t.wants = append(t.wants, idWant{f, k})
+			default:
+				if v, ok := tok.Attr("", q.Attr); ok {
+					t.fields[f] = idField{strings.Clone(v), k, true}
+				}
 			}
 		}
 	}
-	return "", false
+}
+
+// end closes the innermost element: its text settles the fields it is a
+// candidate for, and its picks close.
+func (t *identity) end() {
+	d := len(t.elems) - 1
+	e := t.elems[d]
+	if wants := t.wants[e.wantMark:]; len(wants) > 0 && !e.kid {
+		val := string(bytes.TrimSpace(t.text))
+		for _, w := range wants {
+			if f := &t.fields[w.field]; f.takes(w.key) {
+				*f = idField{val, w.key, true}
+			}
+		}
+	}
+	t.wants = truncate(t.wants, e.wantMark)
+	t.text = t.text[:0]
+	for n := len(t.open); n > 0 && t.open[n-1].depth == int32(d); n-- {
+		t.open = t.open[:n-1]
+	}
+	t.elems = truncate(t.elems, int32(d))
+}
+
+// closing reports whether the element whose end tag the tracker just
+// passed opened the innermost scope.
+func (t *identity) closing() bool {
+	n := len(t.scopes)
+	return n > 0 && int(t.scopes[n-1].depth) == len(t.elems)
+}
+
+// closeScope judges the scope closing reported, and drops it with its
+// picks.
+func (t *identity) closeScope(violate func(msg string)) {
+	si := int32(len(t.scopes) - 1)
+	sc := t.scopes[si]
+	t.order = slices.Grow(t.order, len(t.picks)-int(sc.pickMark))
+	for i := sc.pickMark; i < int32(len(t.picks)); i++ {
+		if t.picks[i].scope == si {
+			t.order = append(t.order, i)
+		}
+	}
+	slices.SortFunc(t.order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(t.picks[a].c, t.picks[b].c), t.picks[a].key.cmp(t.picks[b].key))
+	})
+	t.identityViolations(sc.decl, violate)
+	t.order = t.order[:0]
+
+	// Keep the enclosing scopes' picks past the mark, with their fields.
+	w, fw := sc.pickMark, int32(len(t.fields))
+	if int(w) < len(t.picks) {
+		fw = t.picks[w].fieldMark
+	}
+	for _, p := range t.picks[sc.pickMark:] {
+		if p.scope != si {
+			n := int32(len(t.constraint(&p).Fields))
+			copy(t.fields[fw:], t.fields[p.fieldMark:p.fieldMark+n])
+			p.fieldMark, fw = fw, fw+n
+			t.picks[w] = p
+			w++
+		}
+	}
+	t.picks, t.fields = truncate(t.picks, w), truncate(t.fields, fw)
+	t.scopes = truncate(t.scopes, si)
+}
+
+// eachKey calls fn with the key of each node constraint c selected, in
+// order: its field values, ok false when a field is absent.
+func (t *identity) eachKey(c int32, fn func(parts []string, ok bool)) {
+	for _, pi := range t.order {
+		p := &t.picks[pi]
+		if p.c != c {
+			continue
+		}
+		parts, ok := t.parts[:0], true
+		for _, f := range t.fields[p.fieldMark : p.fieldMark+int32(len(t.constraint(p).Fields))] {
+			ok = ok && f.found
+			parts = append(parts, f.val)
+		}
+		t.parts = parts
+		fn(parts, ok)
+	}
+	clear(t.parts)
 }
 
 // identityViolations reports each violation of decl's identity constraints
-// over el's subtree, in order.
-func identityViolations(el *dom.Element, decl *xsd.ElementDecl, violate func(msg string)) {
+// over the closing scope, in order.
+func (t *identity) identityViolations(decl *xsd.ElementDecl, violate func(msg string)) {
 	// Key tables built in this scope, by constraint name.
 	type table map[string]bool
 	keyTables := map[xsd.QName]table{}
-	var keyrefs []*xsd.IdentityConstraint
+	var keyrefs []int32
 
-	for _, ic := range decl.Constraints {
+	for c, ic := range decl.Constraints {
 		if ic.Kind == xsd.ConstraintKeyref {
-			keyrefs = append(keyrefs, ic)
+			keyrefs = append(keyrefs, int32(c))
 			// Evaluated after the referenced key's table exists.
 			continue
 		}
 		tbl := table{}
-		for _, node := range selectNodes(el, ic.Selector) {
-			parts, ok := keyParts(node, ic.Fields)
+		t.eachKey(int32(c), func(parts []string, ok bool) {
 			if !ok {
 				if ic.Kind == xsd.ConstraintKey {
 					violate(fmt.Sprintf("key %s: a selected node is missing a field", ic.Name.Local))
 				}
-				continue // unique tolerates absent fields
+				return // unique tolerates absent fields
 			}
 			keyStr := strings.Join(parts, "\x1f")
 			if tbl[keyStr] {
 				violate(fmt.Sprintf("%s %s: duplicate value {%s}", ic.Kind, ic.Name.Local, strings.Join(parts, ", ")))
-				continue
+				return
 			}
 			tbl[keyStr] = true
-		}
+		})
 		keyTables[ic.Name] = tbl
 	}
 
-	for _, ic := range keyrefs {
+	for _, c := range keyrefs {
+		ic := decl.Constraints[c]
 		refTbl, ok := keyTables[ic.Refer]
 		if !ok {
 			violate(fmt.Sprintf("keyref %s refers to unknown key %s in this scope", ic.Name.Local, ic.Refer.Local))
 			continue
 		}
-		for _, node := range selectNodes(el, ic.Selector) {
-			parts, ok := keyParts(node, ic.Fields)
+		t.eachKey(c, func(parts []string, ok bool) {
 			if ok && !refTbl[strings.Join(parts, "\x1f")] {
 				violate(fmt.Sprintf("keyref %s: value {%s} does not match any %s key", ic.Name.Local, strings.Join(parts, ", "), ic.Refer.Local))
 			}
-		}
+		})
 	}
 }
 
-// keyParts evaluates each field on a selected node; ok is false when a
-// field is absent.
-func keyParts(node *dom.Element, fields [][]xsd.XPath) (parts []string, ok bool) {
-	for _, fp := range fields {
-		v, ok := fieldValue(node, fp)
-		if !ok {
-			return nil, false
-		}
-		parts = append(parts, v)
+// reset empties the tracker for a pooled machine.
+func (t *identity) reset() {
+	text := t.text
+	if cap(text) > poolText {
+		text = nil
 	}
-	return parts, true
+	*t = identity{elems: scratch(t.elems), text: text[:0], scopes: scratch(t.scopes), picks: scratch(t.picks),
+		fields: scratch(t.fields), open: scratch(t.open), wants: scratch(t.wants),
+		order: scratch(t.order), parts: scratch(t.parts)}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/xsd"
 )
 
-// fallbackIDSchema puts an identity constraint on group, so from the
-// decoder the machine buffers each group subtree and replays it as a tree,
-// while node elements stream. IDs and IDREFs cross the seam both ways.
+// fallbackIDSchema puts an identity constraint on group, so each group
+// subtree is an identity scope, while node elements are not. IDs and
+// IDREFs cross the scopes' edges both ways.
 const fallbackIDSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="doc">
     <xs:complexType>
@@ -45,9 +45,9 @@ const fallbackIDSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"
 </xs:schema>`
 
 // TestLazyPathsAcrossFallback pins the paths of violations whose locations
-// were recorded inside a buffered subtree that the streaming walk has
-// already released: a duplicate citing an ID declared in a group, and a
-// dangling IDREF from one, resolved only at the document's end.
+// were recorded inside an identity scope that has since closed: a
+// duplicate citing an ID declared in a group, and a dangling IDREF from
+// one, resolved only at the document's end.
 func TestLazyPathsAcrossFallback(t *testing.T) {
 	s, err := xsd.ParseString(fallbackIDSchema, nil)
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 )
 
 // scopeSchema has types in urn:t for xsi:type to name. group carries an
-// identity constraint, so from the decoder the machine buffers each group
-// subtree and replays it as a tree.
+// identity constraint, so each group subtree is an identity scope.
 const scopeSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmlns:t="urn:t" targetNamespace="urn:t" elementFormDefault="qualified">
   <xs:complexType name="Base">
     <xs:sequence><xs:element name="a" type="xs:string"/></xs:sequence>
@@ -39,8 +38,8 @@ const scopeSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmln
 
 // TestXsiTypeNamespaceScope resolves xsi:type prefixes declared on
 // ancestors: shadowed by an inner declaration and back in scope after it,
-// seen from the stream's buffered subtree, and found above a
-// ValidateElement anchor.
+// seen from inside an identity scope, and found above a ValidateElement
+// anchor.
 func TestXsiTypeNamespaceScope(t *testing.T) {
 	s, err := xsd.ParseString(scopeSchema, nil)
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 
 // releaseXSD exercises every stack of the machine: IDs, undeclared and
 // plain attributes, text, two child names per level, and on <r> an
-// identity constraint, whose subtree the decoder path buffers.
+// identity constraint, whose tracker keeps every level's name and every
+// <s> text it selects.
 const releaseXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="n" type="N"/>
   <xsd:element name="r">
@@ -131,8 +132,15 @@ func checkCleared(t *testing.T, name string, sr *streamRun) {
 	zero("own", cap(sr.own), func(i int) bool { return sr.own[:cap(sr.own)][i] == violation{} })
 	zero("kids", cap(sr.kids), func(i int) bool { return sr.kids[:cap(sr.kids)][i] == violation{} })
 	zero("counts", cap(sr.counts), func(i int) bool { return sr.counts[:cap(sr.counts)][i] == childCount{} })
-	zero("nodes", cap(sr.nodes), func(i int) bool { return sr.nodes[:cap(sr.nodes)][i] == nil })
 	zero("plain", cap(sr.plain), func(i int) bool { return sr.plain[:cap(sr.plain)][i] == "" })
+	k := &sr.keys
+	zero("keys.elems", cap(k.elems), func(i int) bool { return k.elems[:cap(k.elems)][i] == idElem{} })
+	zero("keys.picks", cap(k.picks), func(i int) bool { return k.picks[:cap(k.picks)][i] == idPick{} })
+	zero("keys.fields", cap(k.fields), func(i int) bool { return k.fields[:cap(k.fields)][i] == idField{} })
+	zero("keys.parts", cap(k.parts), func(i int) bool { return k.parts[:cap(k.parts)][i] == "" })
+	if len(k.scopes)+len(k.open)+len(k.wants)+len(k.order) != 0 || len(k.text) != 0 || k.pre != 0 {
+		t.Errorf("%s: identity tracker keeps %+v", name, *k)
+	}
 	zero("idJournal", cap(sr.idJournal), func(i int) bool { return sr.idJournal[:cap(sr.idJournal)][i] == "" })
 	zero("idrefs", cap(sr.idrefs), func(i int) bool { return sr.idrefs[:cap(sr.idrefs)][i] == pendingRef{} })
 	zero("attrSeen", cap(sr.attrSeen), func(i int) bool { return sr.attrSeen[:cap(sr.attrSeen)][i] == xsd.QName{} })
@@ -140,7 +148,7 @@ func checkCleared(t *testing.T, name string, sr *streamRun) {
 		a := sr.evAttrs[:cap(sr.evAttrs)][i]
 		return a.Name == xsd.QName{} && a.Value == "" && !a.Typed
 	})
-	if len(sr.ids) != 0 || sr.text != "" || sr.frag != (fragment{}) || sr.tree != nil || cap(sr.textBuf) > poolText {
-		t.Errorf("%s: kept %d IDs, text %q, fragment %v, tree %v, text buffer %d", name, len(sr.ids), sr.text, sr.frag.doc != nil, sr.tree != nil, cap(sr.textBuf))
+	if len(sr.ids) != 0 || sr.text != "" || sr.tree != nil || cap(sr.textBuf) > poolText {
+		t.Errorf("%s: kept %d IDs, text %q, tree %v, text buffer %d", name, len(sr.ids), sr.text, sr.tree != nil, cap(sr.textBuf))
 	}
 }

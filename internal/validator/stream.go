@@ -23,14 +23,12 @@ package validator
 //     attributes; on content-model failure the IDs (and pending IDREFs)
 //     recorded past the mark are rolled back.
 //
-// Two cases need the element as a DOM node: identity constraints (their
-// selectors range over the whole subtree) and raw wildcard subtrees handed
-// to an observer. Every content model, counted ones and all groups
-// included, steps one child at a time. A tree replay has the node at
-// hand. From a decoder or encoder the machine buffers the element's
-// subtree into a pooled fragment and replays the fragment into itself;
-// nested cases then use the fragment's nodes, so nothing is buffered
-// twice.
+// Every content model, counted ones and all groups included, steps one
+// child at a time, and nothing else needs more than the token at hand:
+// identity constraints are checked on the tokens as they pass (identity.go),
+// and a raw wildcard subtree reaches the observer as the text it
+// serializes to, written as its tokens pass (raw.go). Whatever the source,
+// the machine builds no DOM.
 
 import (
 	"bytes"
@@ -43,7 +41,6 @@ import (
 	"unsafe"
 
 	"repro/internal/contentmodel"
-	"repro/internal/dom"
 	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
@@ -63,8 +60,8 @@ type StreamValidator struct {
 func (v *Validator) Stream() *StreamValidator { return &StreamValidator{v: v} }
 
 // ValidateReader validates a document read incrementally from r. Memory
-// use is proportional to tree depth (plus any subtrees buffered for
-// identity constraints), not document size. The verdict, violation order
+// use is proportional to tree depth (plus the keys of open identity
+// scopes), not document size. The verdict, violation order
 // and messages match ValidateBytes on the same input.
 func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 	res, _ := sv.ValidateReaderContext(context.Background(), r)
@@ -202,10 +199,11 @@ func (sr *streamRun) reset() {
 	if cap(textBuf) > poolText {
 		textBuf = nil
 	}
-	*sr = streamRun{chunks: sr.chunks, ids: ids, textBuf: textBuf[:0],
+	sr.keys.reset()
+	sr.raw.reset()
+	*sr = streamRun{chunks: sr.chunks, ids: ids, textBuf: textBuf[:0], keys: sr.keys, raw: sr.raw,
 		own: scratch(sr.own), kids: scratch(sr.kids), counts: scratch(sr.counts),
-		nodes: scratch(sr.nodes), plain: scratch(sr.plain),
-		idJournal: scratch(sr.idJournal), idrefs: scratch(sr.idrefs),
+		plain: scratch(sr.plain), idJournal: scratch(sr.idJournal), idrefs: scratch(sr.idrefs),
 		evAttrs: scratch(sr.evAttrs[:cap(sr.evAttrs)]), attrSeen: scratch(sr.attrSeen[:cap(sr.attrSeen)])}
 }
 
@@ -280,7 +278,6 @@ const (
 	fmCEmpty         // complex type with empty content
 	fmNilled         // xsi:nil="true" on a nillable element
 	fmDead           // xsi:type/abstract/nil gate failed; subtree skipped
-	fmBuffer         // subtree being buffered into a fragment for replay
 )
 
 // frame is one open element. The frame at depth i is the machine's slot i,
@@ -322,22 +319,9 @@ type elem struct {
 	//   - sawElemChild: a simple-content element has an element child;
 	//   - announced: OpenElement was delivered, so CloseElement is owed;
 	//   - wild: a wildcard admitted the element;
-	//   - raw: the buffered subtree is a skipped wildcard subtree, for the
-	//     observer's RawElement rather than for replay;
-	//   - hasNode: the element has identity constraints, and its node is
-	//     on the machine's nodes stack;
 	//   - hadKid: a child has been counted, so the next slot holds its
 	//     name and count.
-	mixed, failed, sawElemChild, announced, wild, raw, hasNode, hadKid bool
-}
-
-// fragment is a subtree being buffered into a private DOM: cur is the open
-// node new nodes append to, depth the number of elements open.
-type fragment struct {
-	doc   *dom.Document
-	root  *dom.Element
-	cur   dom.Node
-	depth int
+	mixed, failed, sawElemChild, announced, wild, hadKid bool
 }
 
 // childCount tracks occurrences of one child name under a frame; the
@@ -450,10 +434,6 @@ type streamRun struct {
 	// countMark, for every name but its last child's (childIndex).
 	counts []childCount
 
-	// nodes holds the elements of the open frames with identity
-	// constraints, innermost last.
-	nodes []*dom.Element
-
 	// The character data and plain attribute names of a simple-typed
 	// element: only the innermost frame collects them, since such an
 	// element's children are skipped. text holds the first chunk of
@@ -462,9 +442,10 @@ type streamRun struct {
 	textBuf []byte
 	plain   []string
 
-	// frag is the subtree the innermost frame, an fmBuffer one, is being
-	// buffered into: only one is at a time, as a replay buffers nothing.
-	frag fragment
+	// keys tracks the open identity scopes; raw writes the skipped
+	// wildcard subtree owed to the observer's RawElement.
+	keys identity
+	raw  rawWriter
 
 	// events, when non-nil, receives the structural callbacks; evAttrs is
 	// the scratch slice OpenElement's attributes are built in, and evVal
@@ -484,8 +465,7 @@ type streamRun struct {
 	idJournal []string
 	idrefs    []pendingRef
 
-	// tree, when set, is the DOM replay the tokens come from: a parsed
-	// document, or a subtree the machine buffered itself.
+	// tree, when set, is the DOM replay the tokens come from.
 	tree *treeSource
 	// rootDecl, when set, governs the root element in place of its global
 	// declaration (ValidateElement).
@@ -568,19 +548,23 @@ func (sr *streamRun) fail(f *frame, v violation) {
 // (possibly synthesized) end tag rebalances the counter.
 func (sr *streamRun) skip() { sr.skipDepth = 1 }
 
-// token dispatches one parse event.
+// token dispatches one parse event. The identity tracker sees every token
+// while a scope is open, unvalidated subtrees included, and the raw writer
+// every token of the skipped subtree it writes.
 func (sr *streamRun) token(tok *xmlparser.Token) {
+	if sr.keys.active() {
+		sr.keys.token(tok)
+	}
 	if sr.skipDepth > 0 {
+		if sr.raw.active() && sr.raw.token(tok, sr.tree != nil) {
+			sr.events.RawElement(sr.raw.name, sr.raw.finish())
+		}
 		switch tok.Kind {
 		case xmlparser.KindStartElement:
 			sr.skipDepth++
 		case xmlparser.KindEndElement:
 			sr.skipDepth--
 		}
-		return
-	}
-	if f := sr.cur; f != nil && f.mode == fmBuffer {
-		sr.feedBuffer(f, tok)
 		return
 	}
 	switch tok.Kind {
@@ -696,14 +680,10 @@ func (sr *streamRun) openChild(parent *frame, tok *xmlparser.Token, leaf *conten
 			f := sr.newFrame(parent, tok.Name, n, gdecl, nsMark)
 			f.wild = true
 			sr.openFrame(tok, f)
-		case sr.events != nil && sr.tree != nil:
-			sr.events.RawElement(sr.tree.cur)
-			sr.skipChild(nsMark)
 		case sr.events != nil:
-			// Buffer the unvalidated subtree for RawElement.
-			f := sr.newFrame(parent, tok.Name, n, nil, nsMark)
-			f.raw = true
-			sr.startBuffer(f, tok)
+			// The unvalidated subtree goes to RawElement as its text.
+			sr.raw.token(tok, sr.tree != nil)
+			sr.skipChild(nsMark)
 		default:
 			sr.skipChild(nsMark)
 		}
@@ -791,15 +771,8 @@ func (sr *streamRun) openFrame(tok *xmlparser.Token, f *frame) {
 			return
 		}
 	}
-	// Identity constraints need the element as a node: a tree replay has
-	// it, and any other source's subtree is buffered and replayed.
 	if len(decl.Constraints) > 0 {
-		if sr.tree == nil {
-			sr.startBuffer(f, tok)
-			return
-		}
-		sr.nodes = append(sr.nodes, sr.tree.cur)
-		f.hasNode = true
+		sr.keys.openScope(decl, tok)
 	}
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
@@ -1022,10 +995,8 @@ func (sr *streamRun) endElement() {
 		}
 		sr.plain = truncate(sr.plain, 0)
 	}
-	if f.hasNode {
-		node := sr.nodes[len(sr.nodes)-1]
-		sr.nodes = truncate(sr.nodes, int32(len(sr.nodes)-1))
-		identityViolations(node, f.decl, func(msg string) { sr.kids = append(sr.kids, f.violation(msg)) })
+	if sr.keys.closing() {
+		sr.keys.closeScope(func(msg string) { sr.kids = append(sr.kids, f.violation(msg)) })
 	}
 	if len(sr.kids)-int(mark) > maxViolations {
 		sr.kids = truncate(sr.kids, mark+maxViolations)
@@ -1146,63 +1117,6 @@ func (sr *streamRun) textValue(f *frame) string {
 		return string(sr.textBuf)
 	}
 	return unsafe.String(unsafe.SliceData(sr.textBuf), len(sr.textBuf))
-}
-
-// startBuffer begins buffering the element's subtree into a private DOM
-// fragment: for replay as a tree, or for RawElement when f.raw.
-func (sr *streamRun) startBuffer(f *frame, tok *xmlparser.Token) {
-	f.mode = fmBuffer
-	doc := dom.NewPooledDocument()
-	root := doc.CreateElementResolved(tok.Name, tok.Attrs)
-	doc.AppendChild(root)
-	sr.frag = fragment{doc: doc, root: root, cur: root, depth: 1}
-	sr.push(f)
-}
-
-// feedBuffer appends one token to the buffered subtree with dom.Parse's
-// token-to-node mapping.
-func (sr *streamRun) feedBuffer(f *frame, tok *xmlparser.Token) {
-	b := &sr.frag
-	switch tok.Kind {
-	case xmlparser.KindStartElement:
-		b.depth++
-	case xmlparser.KindEndElement:
-		b.depth--
-		if b.depth == 0 {
-			sr.completeBuffer(f)
-			return
-		}
-		b.cur = b.cur.ParentNode()
-		return
-	}
-	b.cur, _ = b.doc.AppendToken(b.cur, tok)
-}
-
-// completeBuffer hands a raw subtree to the observer, or replays a
-// buffered subtree into the machine: its frame opens again, now with the
-// element as a node, and the fragment's tokens follow. The start tag's
-// namespace bindings are still in scope from when it was buffered.
-func (sr *streamRun) completeBuffer(f *frame) {
-	doc, root := sr.frag.doc, sr.frag.root
-	sr.frag = fragment{}
-	sr.pop()
-	if f.raw {
-		sr.ns.Pop(int(f.nsMark))
-		sr.events.RawElement(root)
-	} else {
-		src := newTreeSource(root)
-		sr.tree = src
-		var tok xmlparser.Token
-		src.Next(&tok)
-		sr.openFrame(&tok, f)
-		for src.Next(&tok) == nil {
-			sr.token(&tok)
-		}
-		sr.tree = nil
-	}
-	// The callbacks and frames keep no node past the replay, so the
-	// fragment's pooled nodes can be recycled now.
-	doc.Release()
 }
 
 // finish resolves pending IDREFs against the document's IDs.

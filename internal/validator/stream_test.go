@@ -60,9 +60,9 @@ func TestStreamRejectsWithDOMMessages(t *testing.T) {
 }
 
 // TestStreamIdentityFallback proves identity-constrained subtrees get the
-// same verdicts from the decoder as from a tree: the machine buffers the
-// <order> subtree (its declaration carries key/keyref/unique) and replays
-// it into itself.
+// same verdicts from the decoder as from a tree: the <order> declaration
+// carries key/keyref/unique, which the machine checks on the tokens as
+// they pass, whatever their source.
 func TestStreamIdentityFallback(t *testing.T) {
 	v := icValidator(t)
 	for label, src := range map[string]string{
@@ -75,7 +75,7 @@ func TestStreamIdentityFallback(t *testing.T) {
 	}
 	res := v.Stream().ValidateBytes([]byte(`<order><item partNum="1"/><item partNum="1"/></order>`))
 	if res.OK() || !strings.Contains(res.Err().Error(), "duplicate value") {
-		t.Errorf("identity constraint not enforced through the buffered replay: %v", res.Err())
+		t.Errorf("identity constraint not enforced on the decoder's tokens: %v", res.Err())
 	}
 }
 
@@ -236,42 +236,65 @@ const countedXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
 </xsd:schema>`
 
 // TestCountedModelsStreamInDepth: counted and all-group models step child
-// by child, so streaming a document of 5,000 log entries and a card
-// buffers no subtree but the one the identity scope on tags needs.
+// by child, and the identity scope on tags is checked on the tokens as they
+// pass, so streaming a document of 5,000 log entries and a card buffers no
+// frame: every open element has its frame open, and the identity tracker
+// runs only inside tags. The unique on tags still rejects a duplicate.
 func TestCountedModelsStreamInDepth(t *testing.T) {
 	s, err := xsd.ParseString(countedXSD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := `<root><card><tags><tag k="x"/><tag k="y"/></tags><c>c</c><a>1</a><b>b</b></card><log>` +
-		strings.Repeat("<e>1</e>", 5000) + `</log></root>`
-	d := xmlparser.NewDecoder([]byte(doc), nil)
-	defer d.Release()
-	sr := newMachine(New(s, nil), nil)
-	defer sr.release()
-	var tok xmlparser.Token
-	sawTags := false
-	for n := 0; ; n++ {
-		if err := d.Next(&tok); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		sr.token(&tok)
-		for i := range sr.depth {
-			f := sr.frame(i)
-			if f.mode == fmBuffer && f.local != "tags" {
-				t.Fatalf("token %d: <%s> is buffered", n, f.local)
+	v := New(s, nil)
+	for _, tc := range []struct{ tags, want string }{
+		{`<tag k="x"/><tag k="y"/>`, ""},
+		{`<tag k="x"/><tag k="x"/>`, "unique tagKey: duplicate value {x}"},
+	} {
+		doc := `<root><card><tags>` + tc.tags + `</tags><c>c</c><a>1</a><b>b</b></card><log>` +
+			strings.Repeat("<e>1</e>", 5000) + `</log></root>`
+		d := xmlparser.NewDecoder([]byte(doc), nil)
+		sr := newMachine(v, nil)
+		var tok xmlparser.Token
+		var open []string
+		sawTags := false
+		for n := 0; ; n++ {
+			if err := d.Next(&tok); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
 			}
-			sawTags = sawTags || f.mode == fmBuffer
+			switch tok.Kind {
+			case xmlparser.KindStartElement:
+				open = append(open, tok.Name.Local)
+			case xmlparser.KindEndElement:
+				open = open[:len(open)-1]
+			}
+			sr.token(&tok)
+			if sr.depth != len(open) {
+				t.Fatalf("token %d: %d frames open for %d elements", n, sr.depth, len(open))
+			}
+			inTags := slices.Contains(open, "tags")
+			if sr.keys.active() != inTags {
+				t.Fatalf("token %d: identity tracker active %v inside %v", n, sr.keys.active(), open)
+			}
+			sawTags = sawTags || inTags
 		}
-	}
-	if !sawTags {
-		t.Error("the identity scope on tags was not buffered")
-	}
-	sr.finish()
-	if len(sr.kids) != 0 {
-		t.Fatalf("violations: %v", render(sr.kids))
+		if !sawTags {
+			t.Error("the document never opened tags")
+		}
+		sr.finish()
+		var got []string
+		for _, viol := range render(sr.kids) {
+			if !strings.HasSuffix(viol.Path, "/card/tags") {
+				t.Errorf("%s: violation at %s, want it on tags", tc.tags, viol.Path)
+			}
+			got = append(got, viol.Msg)
+		}
+		if got := strings.Join(got, "\n"); got != tc.want {
+			t.Errorf("%s: violations %q, want %q", tc.tags, got, tc.want)
+		}
+		sr.release()
+		d.Release()
 	}
 }
 
@@ -283,7 +306,7 @@ func (r attrRecorder) OpenElement(e ElementStart) {
 }
 func (attrRecorder) CloseElement(*xsdtypes.Value) {}
 func (attrRecorder) MixedText(string)             {}
-func (attrRecorder) RawElement(*dom.Element)      {}
+func (attrRecorder) RawElement(xsd.QName, string) {}
 
 // TestEventAttrsCarryParsedValues: OpenElement reports each declared
 // attribute with the value the machine parsed it to, and leaves

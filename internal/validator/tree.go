@@ -1,26 +1,56 @@
 package validator
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/dom"
 	"repro/internal/xmlparser"
+	"repro/internal/xsd"
 )
+
+// ValidateDocumentEvents is ValidateDocument with an event observer: ev
+// receives the StreamEvents callbacks while the verdict is computed exactly
+// as without an observer.
+func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
+	root := doc.DocumentElement()
+	if root == nil {
+		return &Result{Violations: []Violation{{Path: "/", Msg: "document has no root element"}}}
+	}
+	return v.validateTree(root, nil, ev)
+}
+
+// ValidateElementEvents is ValidateElement with an event observer.
+func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
+	return v.validateTree(el, decl, ev)
+}
+
+// validateTree runs the machine over a replay of the tree under root, which
+// decl governs (nil: its global declaration), with the namespace
+// declarations of root's ancestors in scope.
+func (v *Validator) validateTree(root *dom.Element, decl *xsd.ElementDecl, ev StreamEvents) *Result {
+	sr := newMachine(v, ev)
+	sr.rootDecl = decl
+	declareAncestors(&sr.ns, root)
+	sr.tree = newTreeSource(root)
+	sr.tree.names, sr.symIDs = v.schema.Symbols(), true
+	res, _ := sr.consume(context.Background(), sr.tree)
+	sr.release()
+	return res
+}
 
 // treeSource replays a DOM subtree as the token stream a decoder yields
 // for its serialization: start tags with their attributes (namespace
 // declarations marked), text, CDATA, comments, processing instructions and
 // end tags, in document order. It walks the tree through sibling and parent
 // links, so it keeps no stack and allocates nothing per node; text payloads
-// are handed over without copying. cur is the element of the last start
-// tag, for the frames that need their element as a node.
+// are handed over without copying.
 type treeSource struct {
 	root *dom.Element
 	// next is the node whose token comes next. When it is nil, up is the
 	// element whose end tag comes next, and nil after the root's.
 	next  dom.Node
 	up    *dom.Element
-	cur   *dom.Element
 	attrs []xmlparser.Attr
 	// names, when set, is the table whose IDs start tags carry: the
 	// schema's Symbols, for a tree parsed through them (Validator.Parse).
@@ -58,7 +88,6 @@ func (t *treeSource) Next(tok *xmlparser.Token) error {
 		if t.names != nil {
 			tok.SetSymbolID(x.SymbolID(t.names))
 		}
-		t.cur = x
 		if first := x.FirstChild(); first != nil {
 			t.next = first
 		} else {
