@@ -203,9 +203,7 @@ func (e *encoder) step() (tok xmlparser.Token, at int, ok bool) {
 	}
 	name := f.name
 	e.stack = e.stack[:n-1]
-	e.out = append(e.out, "</"...)
-	e.out = appendName(e.out, name)
-	e.out = append(e.out, '>')
+	e.out = xmlparser.AppendEndTag(e.out, name)
 	return xmlparser.Token{Kind: xmlparser.KindEndElement, Name: name}, -1, true
 }
 
@@ -221,17 +219,12 @@ func (e *encoder) open(v *Value, root bool) (xmlparser.Token, int, bool) {
 	}
 	name := e.ns.name(v.Name)
 	clean := !e.check || xmlparser.IsNCName(name.Local)
-	e.out = append(e.out, '<')
-	e.out = appendName(e.out, name)
+	e.out = xmlparser.AppendName(append(e.out, '<'), name)
 	attrs := e.attrs[:0]
 	if root {
 		for _, space := range e.ns.order {
 			pfx := e.ns.prefixes[space]
-			e.out = append(e.out, " xmlns:"...)
-			e.out = append(e.out, pfx...)
-			e.out = append(e.out, `="`...)
-			e.out, _ = xmlparser.AppendEscaped(e.out, space, true)
-			e.out = append(e.out, '"')
+			e.out = xmlparser.AppendAttr(e.out, xmlparser.Name{Prefix: "xmlns", Local: pfx}, space)
 			if e.check {
 				attrs = append(attrs, xmlparser.Attr{
 					Name:  xmlparser.Name{Space: xmlparser.XMLNSNamespace, Prefix: "xmlns", Local: pfx},
@@ -288,7 +281,7 @@ func (e *encoder) open(v *Value, root bool) (xmlparser.Token, int, bool) {
 // attributes; clean turns false when a parser would not read value back.
 func (e *encoder) attr(attrs []xmlparser.Attr, clean bool, n xmlparser.Name, value string) ([]xmlparser.Attr, bool) {
 	e.out = append(e.out, ' ')
-	e.out = appendName(e.out, n)
+	e.out = xmlparser.AppendName(e.out, n)
 	e.out = append(e.out, `="`...)
 	var ok bool
 	e.out, ok = xmlparser.AppendEscaped(e.out, value, true)
@@ -335,15 +328,6 @@ func (e *encoder) textToken(start int, clean bool) (xmlparser.Token, int, bool) 
 	tok := xmlparser.Token{Kind: xmlparser.KindText}
 	tok.SetBytes(e.text)
 	return tok, -1, true
-}
-
-// appendName appends prefix:local, or local.
-func appendName(dst []byte, n xmlparser.Name) []byte {
-	if n.Prefix != "" {
-		dst = append(dst, n.Prefix...)
-		dst = append(dst, ':')
-	}
-	return append(dst, n.Local...)
 }
 
 // nsTable assigns stable prefixes to namespaces used in a value tree.

@@ -61,6 +61,15 @@ func (e *errWriter) WriteString(s string) {
 type serializer struct {
 	w    *errWriter
 	opts SerializeOptions
+	buf  []byte // markup written with the xmlparser helpers
+}
+
+// write writes b, the markup s.buf was grown to, and keeps it for reuse.
+func (s *serializer) write(b []byte) {
+	s.buf = b[:0]
+	if s.w.err == nil {
+		_, s.w.err = s.w.w.Write(b)
+	}
 }
 
 func (s *serializer) indent(depth int) {
@@ -113,25 +122,20 @@ func (s *serializer) node(n Node, depth int) {
 	case *Element:
 		s.element(x, depth)
 	case *Text:
-		s.w.WriteString(EscapeText(x.Data))
+		b, _ := xmlparser.AppendEscaped(s.buf, x.Data, false)
+		s.write(b)
 	case *CDATASection:
-		// Split any embedded "]]>" across sections.
-		data := strings.ReplaceAll(x.Data, "]]>", "]]]]><![CDATA[>")
-		s.w.WriteString("<![CDATA[" + data + "]]>")
+		s.write(xmlparser.AppendCData(s.buf, x.Data))
 	case *Comment:
-		s.w.WriteString("<!--" + x.Data + "-->")
+		s.write(xmlparser.AppendComment(s.buf, x.Data))
 	case *ProcessingInstruction:
-		s.w.WriteString("<?" + x.Target)
-		if x.Data != "" {
-			s.w.WriteString(" " + x.Data)
-		}
-		s.w.WriteString("?>")
+		s.write(xmlparser.AppendProcInst(s.buf, x.Target, x.Data))
 	case *DocumentFragment:
 		for _, c := range x.ChildNodes() {
 			s.node(c, depth)
 		}
 	case *Attr:
-		s.w.WriteString(x.NodeName() + `="` + EscapeAttr(x.Value()) + `"`)
+		s.write(xmlparser.AppendAttr(s.buf, x.name, x.value)[1:])
 	}
 }
 
@@ -151,20 +155,20 @@ func hasMixedText(e *Element) bool {
 }
 
 func (s *serializer) element(e *Element, depth int) {
-	s.w.WriteString("<" + e.TagName())
-	for _, a := range e.Attributes() {
-		s.w.WriteString(" " + a.NodeName() + `="` + EscapeAttr(a.Value()) + `"`)
+	b := xmlparser.AppendName(append(s.buf, '<'), e.name)
+	for _, a := range e.attrs {
+		b = xmlparser.AppendAttr(b, a.name, a.value)
 	}
 	kids := e.ChildNodes()
 	if len(kids) == 0 {
 		if s.opts.ExpandEmpty {
-			s.w.WriteString("></" + e.TagName() + ">")
+			s.write(xmlparser.AppendEndTag(append(b, '>'), e.name))
 		} else {
-			s.w.WriteString("/>")
+			s.write(append(b, "/>"...))
 		}
 		return
 	}
-	s.w.WriteString(">")
+	s.write(append(b, '>'))
 	pretty := s.opts.Indent != "" && !hasMixedText(e)
 	for _, c := range kids {
 		if t, ok := c.(*Text); ok && pretty && isAllSpace(t.Data) {
@@ -178,7 +182,7 @@ func (s *serializer) element(e *Element, depth int) {
 	if pretty {
 		s.indent(depth)
 	}
-	s.w.WriteString("</" + e.TagName() + ">")
+	s.write(xmlparser.AppendEndTag(s.buf, e.name))
 }
 
 // EscapeText escapes character data for element content.

@@ -2,7 +2,6 @@ package validator
 
 import (
 	"slices"
-	"strings"
 	"unsafe"
 
 	"repro/internal/xmlparser"
@@ -52,27 +51,17 @@ func (w *rawWriter) token(tok *xmlparser.Token, tree bool) (done bool) {
 		if w.open {
 			w.buf, w.open = append(w.buf, "/>"...), false
 		} else {
-			w.buf = append(appendName(append(w.buf, "</"...), tok.Name), '>')
+			w.buf = xmlparser.AppendEndTag(w.buf, tok.Name)
 		}
 		return len(w.marks) == 0
 	case xmlparser.KindText:
 		w.buf, _ = xmlparser.AppendEscaped(w.buf, view(data), false)
 	case xmlparser.KindCData:
-		// An embedded "]]>" is split across two sections.
-		s := view(data)
-		for i := strings.Index(s, "]]>"); i >= 0; i = strings.Index(s, "]]>") {
-			w.buf = append(append(append(w.buf, "<![CDATA["...), s[:i+2]...), "]]>"...)
-			s = s[i+2:]
-		}
-		w.buf = append(append(append(w.buf, "<![CDATA["...), s...), "]]>"...)
+		w.buf = xmlparser.AppendCData(w.buf, view(data))
 	case xmlparser.KindComment:
-		w.buf = append(append(append(w.buf, "<!--"...), data...), "-->"...)
+		w.buf = xmlparser.AppendComment(w.buf, view(data))
 	case xmlparser.KindProcInst:
-		w.buf = append(append(w.buf, "<?"...), tok.Target...)
-		if len(data) > 0 {
-			w.buf = append(append(w.buf, ' '), data...)
-		}
-		w.buf = append(w.buf, "?>"...)
+		w.buf = xmlparser.AppendProcInst(w.buf, tok.Target, view(data))
 	}
 	return false
 }
@@ -81,7 +70,7 @@ func (w *rawWriter) token(tok *xmlparser.Token, tree bool) (done bool) {
 // prefixes its names borrow.
 func (w *rawWriter) start(tok *xmlparser.Token) {
 	w.marks = append(w.marks, int32(len(w.scope)))
-	w.buf = appendName(append(w.buf, '<'), tok.Name)
+	w.buf = xmlparser.AppendName(append(w.buf, '<'), tok.Name)
 	if len(w.marks) == 1 {
 		w.name, w.tag = xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}, len(w.buf)
 	}
@@ -93,9 +82,7 @@ func (w *rawWriter) start(tok *xmlparser.Token) {
 	w.need(tok.Name.Prefix, tok.Name.Space)
 	for i := range tok.Attrs {
 		a := &tok.Attrs[i]
-		w.buf = append(appendName(append(w.buf, ' '), a.Name), `="`...)
-		w.buf, _ = xmlparser.AppendEscaped(w.buf, a.Value, true)
-		w.buf = append(w.buf, '"')
+		w.buf = xmlparser.AppendAttr(w.buf, a.Name, a.Value)
 		if !a.IsNamespaceDecl && a.Name.Prefix != "" {
 			w.need(a.Name.Prefix, a.Name.Space)
 		}
@@ -110,12 +97,11 @@ func (w *rawWriter) need(prefix, space string) {
 		return
 	}
 	w.declared = append(w.declared, prefix)
-	w.decls = append(w.decls, " xmlns"...)
+	name := xmlparser.Name{Local: "xmlns"}
 	if prefix != "" {
-		w.decls = append(append(w.decls, ':'), prefix...)
+		name = xmlparser.Name{Prefix: "xmlns", Local: prefix}
 	}
-	w.decls, _ = xmlparser.AppendEscaped(append(w.decls, `="`...), space, true)
-	w.decls = append(w.decls, '"')
+	w.decls = xmlparser.AppendAttr(w.decls, name, space)
 }
 
 // finish returns the subtree's text and readies the writer for the next.
@@ -135,14 +121,6 @@ func (w *rawWriter) reset() {
 		decls = nil
 	}
 	*w = rawWriter{buf: buf[:0], decls: decls[:0], declared: scratch(w.declared), scope: scratch(w.scope), marks: scratch(w.marks)}
-}
-
-// appendName appends n as prefix:local, or local without a prefix.
-func appendName(b []byte, n xmlparser.Name) []byte {
-	if n.Prefix != "" {
-		b = append(append(b, n.Prefix...), ':')
-	}
-	return append(b, n.Local...)
 }
 
 // view returns b as a string without copying, for a call that keeps

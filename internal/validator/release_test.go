@@ -135,10 +135,15 @@ func checkCleared(t *testing.T, name string, sr *streamRun) {
 	zero("plain", cap(sr.plain), func(i int) bool { return sr.plain[:cap(sr.plain)][i] == "" })
 	k := &sr.keys
 	zero("keys.elems", cap(k.elems), func(i int) bool { return k.elems[:cap(k.elems)][i] == idElem{} })
-	zero("keys.picks", cap(k.picks), func(i int) bool { return k.picks[:cap(k.picks)][i] == idPick{} })
-	zero("keys.fields", cap(k.fields), func(i int) bool { return k.fields[:cap(k.fields)][i] == idField{} })
+	for _, g := range k.groups[:cap(k.groups)] {
+		zero("keys.groups.picks", cap(g.picks), func(i int) bool { return g.picks[:cap(g.picks)][i] == idPick{} })
+		zero("keys.groups.fields", cap(g.fields), func(i int) bool { return g.fields[:cap(g.fields)][i] == idField{} })
+		if g.decl != nil || len(g.picks)+len(g.fields) != 0 {
+			t.Errorf("%s: identity tracker keeps a group of %v", name, g.decl)
+		}
+	}
 	zero("keys.parts", cap(k.parts), func(i int) bool { return k.parts[:cap(k.parts)][i] == "" })
-	if len(k.scopes)+len(k.open)+len(k.wants)+len(k.order) != 0 || len(k.text) != 0 || k.pre != 0 {
+	if len(k.scopes)+len(k.groups)+len(k.open)+len(k.wants)+len(k.order)+len(k.tables) != 0 || len(k.text) != 0 || k.pre != 0 {
 		t.Errorf("%s: identity tracker keeps %+v", name, *k)
 	}
 	zero("idJournal", cap(sr.idJournal), func(i int) bool { return sr.idJournal[:cap(sr.idJournal)][i] == "" })

@@ -1,6 +1,9 @@
 package xmlparser
 
-import "unicode/utf8"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // textEscapes and attrEscapes map the ASCII bytes that character data and
 // double-quoted attribute values escape to their references.
@@ -51,4 +54,54 @@ func AppendEscaped(dst []byte, s string, attr bool) (_ []byte, clean bool) {
 		i += size
 	}
 	return append(dst, s[last:]...), clean
+}
+
+// The Append helpers below write markup as the DOM serializer does; the
+// validator writes a skipped subtree with them too, so the two agree byte
+// for byte.
+
+// AppendName appends n as prefix:local, or local alone.
+func AppendName(dst []byte, n Name) []byte {
+	if n.Prefix != "" {
+		dst = append(append(dst, n.Prefix...), ':')
+	}
+	return append(dst, n.Local...)
+}
+
+// AppendAttr appends ` name="value"`, the value escaped.
+func AppendAttr(dst []byte, name Name, value string) []byte {
+	dst = append(AppendName(append(dst, ' '), name), `="`...)
+	dst, _ = AppendEscaped(dst, value, true)
+	return append(dst, '"')
+}
+
+// AppendEndTag appends "</name>".
+func AppendEndTag(dst []byte, name Name) []byte {
+	return append(AppendName(append(dst, "</"...), name), '>')
+}
+
+// AppendCData appends s as a CDATA section, an embedded "]]>" split across
+// two.
+func AppendCData(dst []byte, s string) []byte {
+	dst = append(dst, "<![CDATA["...)
+	for i := strings.Index(s, "]]>"); i >= 0; i = strings.Index(s, "]]>") {
+		dst = append(append(dst, s[:i+2]...), "]]><![CDATA["...)
+		s = s[i+2:]
+	}
+	return append(append(dst, s...), "]]>"...)
+}
+
+// AppendComment appends "<!--s-->".
+func AppendComment(dst []byte, s string) []byte {
+	return append(append(append(dst, "<!--"...), s...), "-->"...)
+}
+
+// AppendProcInst appends a processing instruction, its data after a space
+// when there is any.
+func AppendProcInst(dst []byte, target, data string) []byte {
+	dst = append(append(dst, "<?"...), target...)
+	if data != "" {
+		dst = append(append(dst, ' '), data...)
+	}
+	return append(dst, "?>"...)
 }

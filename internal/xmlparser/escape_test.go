@@ -84,3 +84,22 @@ func TestAppendEscaped(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMarkup checks the markup helpers on the cases a serializer
+// must get right: a CDATA section holding "]]>", a PI without data, and a
+// prefixed attribute whose value needs escaping.
+func TestAppendMarkup(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{string(AppendCData(nil, "a]]>b]]]>")), "<![CDATA[a]]]]><![CDATA[>b]]]]]><![CDATA[>]]>"},
+		{string(AppendCData(nil, "")), "<![CDATA[]]>"},
+		{string(AppendComment(nil, " c ")), "<!-- c -->"},
+		{string(AppendProcInst(nil, "pi", "")), "<?pi?>"},
+		{string(AppendProcInst(nil, "pi", "d")), "<?pi d?>"},
+		{string(AppendAttr(nil, Name{Prefix: "p", Local: "a"}, "<\"&\n")), ` p:a="&lt;&quot;&amp;&#xA;"`},
+		{string(AppendEndTag(nil, Name{Local: "e"})), "</e>"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
+	}
+}
