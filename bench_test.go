@@ -13,6 +13,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -1175,6 +1176,35 @@ func e15TextDoc() []byte {
 	return []byte(sb.String())
 }
 
+// e15ProseWords is the word list of the repository benchmark's free text
+// (bench/workload, which the root module cannot import): references and
+// multi-byte UTF-8 come every few words.
+var e15ProseWords = []string{"deliver", "before", "noon", "fragile", "keep", "dry", "gift", "wrap", "please", "call", "on", "arrival", "left", "side", "door", "R&D", "<urgent>", "naïve", "façade", "résumé", "€5", "extra", "padding", "invoice", "to", "HQ"}
+
+// e15ProseDoc builds a ~1MB document of the large-po workload's comments:
+// paragraphs of 200–600 bytes of those words, escaped as the workload
+// escapes them, on one line.
+func e15ProseDoc() []byte {
+	r := rand.New(rand.NewSource(1))
+	esc := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	var sb strings.Builder
+	sb.WriteString("<doc>")
+	for sb.Len() < 1<<20 {
+		sb.WriteString("<comment>")
+		for n, want := 0, 200+r.Intn(401); n < want; {
+			w := e15ProseWords[r.Intn(len(e15ProseWords))]
+			if n > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(esc.Replace(w))
+			n += len(w) + 1
+		}
+		sb.WriteString("</comment>")
+	}
+	sb.WriteString("</doc>")
+	return []byte(sb.String())
+}
+
 // BenchmarkE15_TokenizerScan prices a full tokenization pass three ways:
 // zero-copy (tokens consumed through Bytes, nothing materialized),
 // materialized (Data() on every token — the pre-zero-copy behavior every
@@ -1182,13 +1212,16 @@ func e15TextDoc() []byte {
 // mode, pulled with Next into one reused token, as the server's streaming
 // validation and SOAP read a request body). The B/op gap is the tentpole
 // metric: the zero-copy scan allocates near-nothing per document
-// regardless of size.
+// regardless of size. The documents are long plain runs (text-heavy),
+// the large-po workload's escaped, multi-byte comments (prose) and small
+// tags with short text (markup-heavy).
 func BenchmarkE15_TokenizerScan(b *testing.B) {
 	docs := []struct {
 		name string
 		src  []byte
 	}{
 		{"text-heavy-1MB", e15TextDoc()},
+		{"prose-1MB", e15ProseDoc()},
 		{"markup-heavy-1MB", []byte(strings.Repeat(`<item partNum="001-AB"><productName>Widget</productName><quantity>1</quantity><USPrice>9.95</USPrice></item>`, 9000))},
 	}
 	for _, d := range docs {

@@ -2,9 +2,11 @@ package xmlparser
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -906,10 +908,7 @@ func (d *Decoder) scanName(what string) ([]byte, error) {
 				d.col++
 				continue
 			}
-			src, i := d.src, d.off+1
-			for i < len(src) && src[i] < 0x80 && asciiName[src[i]] {
-				i++
-			}
+			i := asciiNameRun(d.src, d.off+1)
 			d.col += i - d.off
 			d.off = i
 			continue
@@ -933,86 +932,150 @@ func checkChars(s string) error {
 	return nil
 }
 
-// plainTextByte and plainAttrByte mark ASCII bytes that need no special
-// handling in character data and attribute values respectively: they are
-// copied to the output in bulk, one slice append per run. Newlines stay on
-// the slow path (line accounting), as do the delimiters, references,
-// ']' (for the "]]>" check), CR (normalization) and control bytes.
-var (
-	plainTextByte [128]bool
-	plainAttrByte [128]bool
-)
-
-func init() {
-	for b := 0x20; b < 0x80; b++ {
-		plainTextByte[b] = b != '<' && b != '&' && b != ']'
-		plainAttrByte[b] = b != '<' && b != '&' && b != '"' && b != '\''
-	}
-	plainTextByte['\t'] = true
-}
-
 // text parses character data up to the next '<' into t.
 //
-// The fast path scans the window with the SWAR word sweep and — when the
-// run needs no rewriting — fills t with a zero-copy view of the input: no
-// copy, no string materialization, no per-byte position updates. Bytes
-// that force a rewrite (references, CR normalization, invalid UTF-8
-// needing U+FFFD replacement) or an exact error position drop the token
-// into the per-rune assembler, seeded with the already-verified prefix;
-// its output is a view of d.buf, still unmaterialized.
+// One loop walks the window: plain ASCII is admitted eight bytes a word,
+// and the loop stops only at bytes it must look at. It counts lines and
+// columns itself, decodes valid multi-byte runes in place and rewrites
+// the five predefined references by byte compare. A token that needed no
+// rewriting is a zero-copy view of the input; one that did is a view of
+// d.buf, which takes the runs between rewrites. Whatever else the loop
+// meets (other references, CR, controls, invalid UTF-8, U+FFFE/U+FFFF)
+// hands the rest of the token to the per-rune assembler, seeded with what
+// the loop has read.
 func (d *Decoder) text(t *Token) error {
 	p := d.pos()
 	if d.noBulk {
 		d.buf = d.buf[:0]
 		return d.textSlow(t, p)
 	}
-	start := d.off
+	src, start := d.src, d.off
+	i, line := start, d.line
+	// Bytes from mark to i are ASCII and hold no LF: byte i is at column
+	// col + i - mark.
+	col, mark := d.col, start
+	// Once the token needs rewriting, d.buf holds it up to flushed.
+	flushed, rewrite := start, false
 	for {
-		if d.off >= len(d.src) {
-			if !d.srcDone {
-				d.readMore()
-				continue
+		for i+8 <= len(src) {
+			if m := textStopMask(binary.LittleEndian.Uint64(src[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
 			}
-			break
+			i += 8
 		}
-		if n := scanPlainText(d.src[d.off:]); n > 0 {
-			d.advancePos(n)
+		if i >= len(src) {
+			if d.srcDone {
+				break
+			}
+			d.readMore()
+			src = d.src
 			continue
 		}
-		c := d.src[d.off]
+		c := src[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '<' && c != '&' && c != ']' || c == '\t' {
+			i++
+			continue
+		}
 		if c == '<' {
 			break
 		}
-		if c == ']' {
-			if d.hasPrefix("]]>") {
+		switch c {
+		case '\n':
+			i++
+			line, col, mark = line+1, 1, i
+			continue
+		case ']':
+			if len(src)-i < 3 && !d.srcDone {
+				d.readMore()
+				src = d.src
+				continue
+			}
+			if len(src)-i >= 3 && src[i+1] == ']' && src[i+2] == '>' {
+				d.off, d.line, d.col = i, line, col+i-mark
 				return d.errf(d.pos(), "']]>' is not permitted in character data")
 			}
-			d.off++
-			d.col++
+			i++
 			continue
-		}
-		if c >= 0x80 {
-			seg := d.nonASCIIRun()
-			if !validXMLRun(seg) {
-				return d.textSlowFrom(t, p, start)
+		case '&':
+			if r, n := predefRef(src[i:]); n > 0 {
+				if !rewrite {
+					d.buf, rewrite = d.buf[:0], true
+				}
+				d.buf = append(append(d.buf, src[flushed:i]...), r)
+				i += n
+				flushed = i
+				continue
 			}
-			d.advancePos(len(seg))
-			continue
+			if len(src)-i < len("&quot;") && !d.srcDone {
+				d.readMore()
+				src = d.src
+				continue
+			}
+		default:
+			if c >= utf8.RuneSelf {
+				r, size := utf8.DecodeRune(src[i:])
+				if size == 1 && !utf8.FullRune(src[i:]) && !d.srcDone {
+					d.readMore()
+					src = d.src
+					continue
+				}
+				if size > 1 && r != 0xFFFE && r != 0xFFFF {
+					col += i - mark + 1
+					i += size
+					mark = i
+					continue
+				}
+			}
 		}
-		// '&', CR or a control byte: rewriting or an exact error
-		// position is needed — switch to the per-rune assembler.
-		return d.textSlowFrom(t, p, start)
+		// Anything else: the per-rune assembler takes over at byte i.
+		d.off, d.line, d.col = i, line, col+i-mark
+		if !rewrite {
+			d.buf = d.buf[:0]
+		}
+		d.buf = append(d.buf, src[flushed:i]...)
+		return d.textSlow(t, p)
 	}
-	d.byteToken(t, KindText, d.src[start:d.off], p)
+	d.off, d.line, d.col = i, line, col+i-mark
+	if rewrite {
+		d.buf = append(d.buf, src[flushed:i]...)
+		d.byteToken(t, KindText, d.buf, p)
+		return nil
+	}
+	d.byteToken(t, KindText, src[start:i], p)
 	return nil
 }
 
-// textSlowFrom re-enters the per-rune text assembler mid-token: every
-// byte between start and the read position has been verified plain, so
-// it seeds the assembly buffer verbatim.
-func (d *Decoder) textSlowFrom(t *Token, p Pos, start int) error {
-	d.buf = append(d.buf[:0], d.src[start:d.off]...)
-	return d.textSlow(t, p)
+// predefRef matches one of the five predefined entity references at the
+// start of b, returning the character it stands for and its length, or a
+// zero length. It is the byte-compare form of predefEntities, which the
+// reference scanner's resolveEntity uses: the two list the same five.
+func predefRef(b []byte) (byte, int) {
+	if len(b) < 4 {
+		return 0, 0
+	}
+	switch b[1] {
+	case 'l':
+		if b[2] == 't' && b[3] == ';' {
+			return '<', 4
+		}
+	case 'g':
+		if b[2] == 't' && b[3] == ';' {
+			return '>', 4
+		}
+	case 'a':
+		if len(b) >= 5 && string(b[2:5]) == "mp;" {
+			return '&', 5
+		}
+		if len(b) >= 6 && string(b[2:6]) == "pos;" {
+			return '\'', 6
+		}
+	case 'q':
+		if len(b) >= 6 && string(b[2:6]) == "uot;" {
+			return '"', 6
+		}
+	}
+	return 0, 0
 }
 
 // textSlow assembles character data rune by rune into d.buf, expanding
@@ -1022,20 +1085,11 @@ func (d *Decoder) textSlowFrom(t *Token, p Pos, start int) error {
 func (d *Decoder) textSlow(t *Token, p Pos) error {
 	for {
 		if !d.noBulk {
-			// Bulk-copy a run of plain ASCII bytes before falling back
-			// to rune-at-a-time scanning for whatever stopped the run.
-			i := d.off
-			for i < len(d.src) {
-				c := d.src[i]
-				if c >= 0x80 || !plainTextByte[c] {
-					break
-				}
-				i++
-			}
-			if i > d.off {
-				d.buf = append(d.buf, d.src[d.off:i]...)
-				d.col += i - d.off
-				d.off = i
+			// Bulk-copy a run of plain bytes before falling back to
+			// rune-at-a-time scanning for whatever stopped the run.
+			if n := scanPlainText(d.src[d.off:]); n > 0 {
+				d.buf = append(d.buf, d.src[d.off:d.off+n]...)
+				d.advancePos(n)
 			}
 		}
 		r := d.peek()
@@ -1131,7 +1185,8 @@ func (d *Decoder) reference(inAttr bool) (string, error) {
 	return d.resolveEntity(p, name, inAttr)
 }
 
-// predefEntities are the five predefined XML entities.
+// predefEntities are the five predefined XML entities. The text loop
+// matches the same five by byte compare (predefRef).
 var predefEntities = map[string]string{
 	"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": `"`,
 }
@@ -1189,6 +1244,11 @@ func (d *Decoder) expandEntityText(p Pos, s string, inAttr bool, via string) (st
 
 // startTag parses <name attr="v" ...> or <name .../> into t.
 func (d *Decoder) startTag(t *Token, p Pos) error {
+	if !d.noBulk {
+		if ok, err := d.startTagWindow(t, p); ok {
+			return err
+		}
+	}
 	d.skip("<")
 	nameCol := d.col
 	e, raw, err := d.qname("element name")
@@ -1230,6 +1290,104 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 		}
 		break
 	}
+	return d.openTag(t, p, e, raw, nameCols, selfClosing)
+}
+
+// startTagWindow reads the start tag at the read position in one pass over
+// the window when the tag has the ordinary shape: ASCII names, attributes
+// written name="value" (or name='value') with values of plain bytes,
+// spaces or tabs between them, no line feed, and its '>' or '/>' already
+// buffered. The tag then holds no multi-byte rune and no line break, so
+// every column is a byte count. For any other tag it reports false with
+// the read position untouched, and startTag reads the tag rune by rune.
+// Only names and values that end inside the window are memoized or
+// interned, so a tag cut by a reader's window edge leaves nothing behind.
+func (d *Decoder) startTagWindow(t *Token, p Pos) (bool, error) {
+	src, off := d.src, d.off
+	i := asciiNameEnd(src, off+1)
+	if i == off+1 || i >= len(src) {
+		return false, nil
+	}
+	name := src[off+1 : i]
+	d.attrs, d.attrNames = d.attrs[:0], d.attrNames[:0]
+	selfClosing := false
+	for {
+		if i >= len(src) {
+			return false, nil
+		}
+		c := src[i]
+		if c == '>' {
+			i++
+			break
+		}
+		if c == '/' {
+			if i+1 < len(src) && src[i+1] == '>' {
+				i += 2
+				selfClosing = true
+				break
+			}
+			return false, nil
+		}
+		if c != ' ' && c != '\t' {
+			return false, nil
+		}
+		for i++; i < len(src) && (src[i] == ' ' || src[i] == '\t'); i++ {
+		}
+		if i >= len(src) || src[i] == '>' || src[i] == '/' {
+			continue
+		}
+		// name="value"
+		ns := i
+		i = asciiNameEnd(src, ns)
+		if i == ns || i+1 >= len(src) || src[i] != '=' {
+			return false, nil
+		}
+		q := src[i+1]
+		if q != '"' && q != '\'' {
+			return false, nil
+		}
+		vs := i + 2
+		i = vs + scanPlainAttr(src[vs:])
+		if i >= len(src) || src[i] != q {
+			return false, nil
+		}
+		ae, raw := d.memoRaw(src[ns : vs-2])
+		d.attrs = append(d.attrs, Attr{})
+		a := &d.attrs[len(d.attrs)-1]
+		a.Name, a.Value = attrName(ae, raw), d.internBytes(src[vs:i])
+		a.Pos = Pos{Line: d.line, Col: d.col + ns - off, Offset: d.base + ns}
+		d.attrNames = append(d.attrNames, ae)
+		i++
+	}
+	e, raw := d.memoRaw(name)
+	d.col += i - off
+	d.off = i
+	return true, d.openTag(t, p, e, raw, len(name), selfClosing)
+}
+
+// asciiNameEnd returns the end of the run of ASCII name bytes at src[i:]
+// that starts with a name-start byte, or i when there is none.
+func asciiNameEnd(src []byte, i int) int {
+	if i >= len(src) || src[i] >= utf8.RuneSelf || !asciiNameStart[src[i]] {
+		return i
+	}
+	return asciiNameRun(src, i+1)
+}
+
+// asciiNameRun returns the end of the run of ASCII name bytes at src[i:].
+func asciiNameRun(src []byte, i int) int {
+	for i < len(src) && src[i] < utf8.RuneSelf && asciiName[src[i]] {
+		i++
+	}
+	return i
+}
+
+// openTag finishes a start tag whose name and attributes (in d.attrs and
+// d.attrNames) are read: it checks the attributes, resolves the names,
+// fills t, and opens the element or, for a self-closing tag, queues its
+// end token. e is the name's memo entry (nil when it has none), and
+// nameCols the columns the name spans.
+func (d *Decoder) openTag(t *Token, p Pos, e *nameEntry, raw string, nameCols int, selfClosing bool) error {
 	var attrs []Attr
 	if len(d.attrs) > 0 {
 		attrs = d.attrs
@@ -1238,7 +1396,11 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 	if j := firstDuplicate(attrs, literalKey); j >= 0 {
 		return d.errf(attrs[j].Pos, "duplicate attribute %q in <%s>", attrs[j].Name.Qualified(), raw)
 	}
-	t.set(KindStartElement, Name{Local: raw}, p)
+	// The name is written in place, here and in closeTop and push: a Name
+	// or openElem built on the stack and copied out is reloaded with wider
+	// loads than the stores that built it, which stalls store forwarding.
+	t.set(KindStartElement, Name{}, p)
+	t.Name.Local = raw
 	nsMark := d.ns.Mark()
 	bumped := false
 	if d.opts.Namespaces {
@@ -1253,26 +1415,27 @@ func (d *Decoder) startTag(t *Token, p Pos) error {
 		d.popScope(nsMark, bumped)
 		d.endPending, d.endName, d.endPos = true, t.Name, p
 	} else {
-		d.push(e, t.Name, raw, nameCols, p, nsMark, bumped)
+		d.push(e, &t.Name, raw, nameCols, p, nsMark, bumped)
 	}
 	return nil
 }
 
 // push opens the element of a start tag named raw, with memo entry e (nil
 // when it has none) and resolved name, at p.
-func (d *Decoder) push(e *nameEntry, name Name, raw string, nameCols int, p Pos, nsMark int, bumped bool) {
-	o := openElem{nameCols: clamp32(nameCols), line: clamp32(p.Line), col: clamp32(p.Col), nsMark: int32(nsMark), bumped: bumped}
-	if e != nil {
-		o.name = e.idx
-	} else {
-		o.name = ^int32(len(d.unmemo))
-		d.unmemo = append(d.unmemo, openName{name: name, raw: raw})
-	}
+func (d *Decoder) push(e *nameEntry, name *Name, raw string, nameCols int, p Pos, nsMark int, bumped bool) {
 	if len(d.stack) == cap(d.stack) {
 		// Double, where append would grow a long stack by a quarter.
 		d.stack = append(make([]openElem, 0, 2*len(d.stack)+8), d.stack...)
 	}
-	d.stack = append(d.stack, o)
+	d.stack = d.stack[:len(d.stack)+1]
+	o := &d.stack[len(d.stack)-1]
+	o.nameCols, o.line, o.col, o.nsMark, o.bumped = clamp32(nameCols), clamp32(p.Line), clamp32(p.Col), int32(nsMark), bumped
+	if e != nil {
+		o.name = e.idx
+	} else {
+		o.name = ^int32(len(d.unmemo))
+		d.unmemo = append(d.unmemo, openName{name: *name, raw: raw})
+	}
 }
 
 // rawName returns the open element's name as its start tag wrote it.
@@ -1408,12 +1571,7 @@ func (d *Decoder) attribute(a *Attr) (*nameEntry, error) {
 			return nil, d.errf(p, "unterminated attribute value for %q", raw)
 		case r == q:
 			d.next()
-			a.Value, a.Pos = d.internBytes(d.buf), p
-			if e != nil {
-				a.Name = Name{Prefix: e.name.Prefix, Local: e.name.Local}
-			} else {
-				a.Name = splitRawName(raw)
-			}
+			a.Name, a.Value, a.Pos = attrName(e, raw), d.internBytes(d.buf), p
 			return e, nil
 		case r == '<':
 			return nil, d.errf(d.pos(), "'<' is not permitted in attribute values")
@@ -1441,6 +1599,15 @@ func (d *Decoder) attribute(a *Attr) (*nameEntry, error) {
 			d.next()
 		}
 	}
+}
+
+// attrName is the unresolved name of an attribute named raw, with memo
+// entry e (nil when it has none).
+func attrName(e *nameEntry, raw string) Name {
+	if e != nil {
+		return Name{Prefix: e.name.Prefix, Local: e.name.Local}
+	}
+	return splitRawName(raw)
 }
 
 // splitRawName splits prefix:local.
@@ -1506,20 +1673,19 @@ func (d *Decoder) endTag(t *Token, p Pos) error {
 // end token carries the same name.
 func (d *Decoder) closeTop(t *Token, p Pos) {
 	top := &d.stack[len(d.stack)-1]
-	var name Name
 	if top.name < 0 {
 		u := &d.unmemo[len(d.unmemo)-1]
-		name = u.name
+		t.set(KindEndElement, u.name, p)
 		*u = openName{}
 		d.unmemo = d.unmemo[:len(d.unmemo)-1]
 	} else if e := d.memo[top.name]; d.opts.Namespaces {
 		d.resolve(e)
-		name = e.name
+		t.set(KindEndElement, e.name, p)
 	} else {
-		name = Name{Local: e.raw}
+		t.set(KindEndElement, Name{}, p)
+		t.Name.Local = e.raw
 	}
 	d.popScope(int(top.nsMark), top.bumped)
-	t.set(KindEndElement, name, p)
 	d.stack = d.stack[:len(d.stack)-1]
 }
 

@@ -41,14 +41,18 @@
 // The inner scan loops advance eight bytes per step using SWAR word
 // tests to find the next delimiter in character data, attribute values
 // and names, with the exact per-byte classification table applied only
-// to flagged words and tails; UTF-8 validation and line/column tracking
-// are amortized over whole runs. Markup is scanned with byte loops: a
-// rune is decoded only at a byte >= 0x80, the byte after '<' picks the
-// construct, and an end tag that closes the open element is matched by
-// comparing its bytes with the start tag's name, whose resolved Name it
-// reuses. These fast paths are pinned to a byte-at-a-time reference
-// scanner (the noBulk mode) by differential tests and FuzzParse,
-// including exact error positions.
+// to flagged words and tails. Character data is read by one loop over
+// the input window that counts lines and columns itself, decodes valid
+// multi-byte runes in place and rewrites the five predefined references
+// by byte compare; anything else hands the rest of the token to a
+// per-rune assembler. An ordinary start tag (ASCII names, plain quoted
+// values, no line break, its '>' buffered) is read in one pass over the
+// window; any other tag is read rune by rune from where it starts. The
+// byte after '<' picks the construct, and an end tag that closes the
+// open element is matched by comparing its bytes with the start tag's
+// name, whose resolved Name it reuses. These fast paths are pinned to a
+// byte-at-a-time reference scanner (the noBulk mode) by differential
+// tests and FuzzParse, including exact error positions.
 //
 // The parser enforces well-formedness as defined by the XML recommendation:
 // matching start/end tags, a single root element, unique attributes,

@@ -25,6 +25,9 @@ func FuzzParse(f *testing.F) {
 		`<a><b></a>`,
 		`<a>&bad;</a>`,
 		``,
+		// A control byte after LF, once hidden from the word sweep by the
+		// LF lane's borrow.
+		"<A>\n\v\v\v\v\v\v0",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

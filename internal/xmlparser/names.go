@@ -81,10 +81,17 @@ func (d *Decoder) qname(what string) (*nameEntry, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	e, raw := d.memoRaw(b)
+	return e, raw, nil
+}
+
+// memoRaw returns the memo entry of the raw element or attribute name b
+// (nil when it has none) and b as a string.
+func (d *Decoder) memoRaw(b []byte) (*nameEntry, string) {
 	if e := d.memoName(b); e != nil {
-		return e, e.raw, nil
+		return e, e.raw
 	}
-	return nil, d.internBytes(b), nil
+	return nil, d.internBytes(b)
 }
 
 // resolve brings e's prefix resolution up to the current scope.

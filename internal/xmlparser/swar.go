@@ -17,9 +17,12 @@ package xmlparser
 //
 // flags the high bit of every lane whose byte is < n (resp. == b). Borrow
 // propagation can flag lanes *after* a genuine hit, never before it, so
-// "mask != 0" always means the word really contains a special byte at or
-// before the first flagged lane — exactly the guarantee the two-phase
-// (word sweep, then byte verify) structure needs.
+// the first flagged lane is always a genuine hit — exactly the guarantee
+// the two-phase (word sweep, then byte verify) structure needs. That
+// guarantee holds for a union of such masks, not for a difference: a
+// mask subtracted with &^ must flag exactly its own lanes (swarEqExact),
+// or the borrow of a hit it removes would clear the genuine hit in the
+// next lane.
 
 import (
 	"bytes"
@@ -30,6 +33,7 @@ import (
 
 const (
 	swarOnes  = 0x0101010101010101
+	swarLows  = 0x7f7f7f7f7f7f7f7f
 	swarHighs = 0x8080808080808080
 )
 
@@ -41,6 +45,14 @@ func swarLess(w uint64, n byte) uint64 {
 // swarEq flags lanes whose byte equals b.
 func swarEq(w uint64, b byte) uint64 {
 	return swarLess(w^(swarOnes*uint64(b)), 1)
+}
+
+// swarEqExact flags exactly the lanes whose byte equals b. No lane's sum
+// carries into the next (7 bits plus 0x7f stay below 0x100), so it never
+// flags a lane after a hit: it is the form to subtract from another mask.
+func swarEqExact(w uint64, b byte) uint64 {
+	x := w ^ (swarOnes * uint64(b))
+	return ^((x&swarLows + swarLows) | x) & swarHighs
 }
 
 // specialText marks bytes that end a bulk character-data run: markup and
@@ -83,8 +95,16 @@ func init() {
 func textMask(w uint64) uint64 {
 	m := w & swarHighs // non-ASCII
 	m |= swarEq(w, '<') | swarEq(w, '&') | swarEq(w, ']') | swarEq(w, '\r')
-	ctl := swarLess(w, 0x20) &^ (swarEq(w, '\t') | swarEq(w, '\n'))
+	ctl := swarLess(w, 0x20) &^ (swarEqExact(w, '\t') | swarEqExact(w, '\n'))
 	return m | ctl
+}
+
+// textStopMask flags the lanes the text loop (Decoder.text) must look at:
+// non-ASCII bytes, every byte below 0x20 (LF, which moves the line, and
+// tab and CR with it), '<', '&' and ']'. It is a union, so its first
+// flagged lane is the word's first such byte.
+func textStopMask(w uint64) uint64 {
+	return w&swarHighs | swarLess(w, 0x20) | swarEq(w, '<') | swarEq(w, '&') | swarEq(w, ']')
 }
 
 // attrMask flags lanes that may hold a special attribute-value byte.
@@ -156,7 +176,7 @@ func checkCharBytes(b []byte) *charError {
 	for i < len(b) {
 		if i+8 <= len(b) {
 			w := binary.LittleEndian.Uint64(b[i:])
-			ctl := swarLess(w, 0x20) &^ (swarEq(w, '\t') | swarEq(w, '\n') | swarEq(w, '\r'))
+			ctl := swarLess(w, 0x20) &^ (swarEqExact(w, '\t') | swarEqExact(w, '\n') | swarEqExact(w, '\r'))
 			if w&swarHighs == 0 && ctl == 0 {
 				i += 8
 				continue

@@ -1,7 +1,9 @@
 package xmlparser
 
 import (
+	"encoding/binary"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -267,4 +269,69 @@ func TestZeroCopyTokenContract(t *testing.T) {
 	if len(b) == 0 || &b[0] != &src[3] {
 		t.Fatal("pure text run is not a zero-copy view of the input")
 	}
+}
+
+// FuzzCharScan pins the word sweeps to per-byte oracles written from the
+// XML productions, on arbitrary bytes at every lane offset: scanPlainText
+// and scanPlainAttr must stop at the first byte their token kind has to
+// look at, checkCharBytes must give checkChars' verdict, textStopMask's
+// first flagged lane must be the word's first byte the text loop looks at
+// (and no lane flagged when there is none), and swarEqExact must flag
+// exactly the lanes holding its byte.
+func FuzzCharScan(f *testing.F) {
+	for _, s := range []string{
+		"plain ascii text, no stops",
+		"\n\vabcdefgh\t\babcdefgh\r\fabcdefgh",
+		"a<b&c]d\re\x00f\x1fg\x7fh\x80i\xffj",
+		"café 世界 \U0001F600 ￾ ￿ \xc3",
+		`value "quoted" 'both' &amp; <lt>`,
+	} {
+		f.Add([]byte(s), byte('\n'))
+	}
+	plainText := func(c byte) bool {
+		return c == '\t' || c == '\n' || c >= 0x20 && c < 0x80 && c != '<' && c != '&' && c != ']'
+	}
+	plainAttr := func(c byte) bool {
+		return c >= 0x20 && c < 0x80 && c != '<' && c != '&' && c != '"' && c != '\''
+	}
+	textStop := func(c byte) bool {
+		return c >= 0x80 || c < 0x20 || c == '<' || c == '&' || c == ']'
+	}
+	first := func(s []byte, stop func(byte) bool) int {
+		for i, c := range s {
+			if stop(c) {
+				return i
+			}
+		}
+		return len(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, b byte) {
+		for off := 0; off < 8 && off <= len(data); off++ {
+			s := data[off:]
+			if got, want := scanPlainText(s), first(s, func(c byte) bool { return !plainText(c) }); got != want {
+				t.Fatalf("scanPlainText(%q) = %d, want %d", s, got, want)
+			}
+			if got, want := scanPlainAttr(s), first(s, func(c byte) bool { return !plainAttr(c) }); got != want {
+				t.Fatalf("scanPlainAttr(%q) = %d, want %d", s, got, want)
+			}
+			got, want := checkCharBytes(s), checkChars(string(s))
+			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+				t.Fatalf("checkCharBytes(%q) = %v, checkChars %v", s, got, want)
+			}
+			for i := 0; i+8 <= len(s); i += 8 {
+				word := s[i : i+8]
+				w := binary.LittleEndian.Uint64(word)
+				m, stop := textStopMask(w), first(word, textStop)
+				if stop == 8 && m != 0 || stop < 8 && (m == 0 || bits.TrailingZeros64(m)>>3 != stop) {
+					t.Fatalf("textStopMask(%q) = %#x, first stop at %d", word, m, stop)
+				}
+				eq := swarEqExact(w, b)
+				for lane, c := range word {
+					if flagged := eq>>(8*lane+7)&1 == 1; flagged != (c == b) {
+						t.Fatalf("swarEqExact(%q, %#x) = %#x at lane %d", word, b, eq, lane)
+					}
+				}
+			}
+		}
+	})
 }
