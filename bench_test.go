@@ -140,8 +140,9 @@ func BenchmarkE2_DOMBuildAndValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkE2_VDOMBuildAndMarshal is V-DOM: typed construction plus
-// materialization; validity needs no separate pass.
+// BenchmarkE2_VDOMBuildAndMarshal is V-DOM ending in a DOM: typed
+// construction, then the written bytes parsed (vdom.Marshal); validity
+// needs no separate pass.
 func BenchmarkE2_VDOMBuildAndMarshal(b *testing.B) {
 	d := pogen.NewDocument()
 	for _, n := range orderSizes {
@@ -162,20 +163,60 @@ func BenchmarkE2_VDOMBuildAndMarshal(b *testing.B) {
 func BenchmarkE2_StringGenReparseValidate(b *testing.B) {
 	schema := poSchema(b)
 	for _, n := range orderSizes {
-		// stringgen only emits one item; build n-item source here.
-		var sb strings.Builder
-		sb.WriteString(`<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>90952</zip></shipTo>`)
-		sb.WriteString(`<billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>90952</zip></billTo><items>`)
-		for i := 0; i < n; i++ {
-			sb.WriteString(`<item partNum="926-AA"><productName>p</productName><quantity>1</quantity><USPrice>1.50</USPrice></item>`)
-		}
-		sb.WriteString(`</items></purchaseOrder>`)
-		src := []byte(sb.String())
+		src := stringOrder(n)
 		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
 				_, res := validator.ValidateBytes(schema, src)
 				if !res.OK() {
+					b.Fatal(res.Err())
+				}
+			}
+		})
+	}
+}
+
+// stringOrder prints the n-item order as a string generator would
+// (stringgen only emits one item).
+func stringOrder(n int) []byte {
+	var sb strings.Builder
+	sb.WriteString(`<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>90952</zip></shipTo>`)
+	sb.WriteString(`<billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>90952</zip></billTo><items>`)
+	for i := 0; i < n; i++ {
+		sb.WriteString(`<item partNum="926-AA"><productName>p</productName><quantity>1</quantity><USPrice>1.50</USPrice></item>`)
+	}
+	sb.WriteString(`</items></purchaseOrder>`)
+	return []byte(sb.String())
+}
+
+// BenchmarkE2_VDOMBuildAndAppend is V-DOM ending in bytes: typed
+// construction, then AppendXML into a reused buffer; the bytes are valid
+// with no pass over them.
+func BenchmarkE2_VDOMBuildAndAppend(b *testing.B) {
+	d := pogen.NewDocument()
+	for _, n := range orderSizes {
+		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = vdom.AppendXML(buf[:0], buildVDOMOrder(d, n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkE2_StringStreamValidate ends in bytes the other way: print a
+// string, then establish its validity with the streaming validator.
+func BenchmarkE2_StringStreamValidate(b *testing.B) {
+	sv := validator.New(poSchema(b), nil).Stream()
+	for _, n := range orderSizes {
+		src := stringOrder(n)
+		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if res := sv.ValidateBytes(src); !res.OK() {
 					b.Fatal(res.Err())
 				}
 			}

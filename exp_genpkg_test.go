@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen/mixgen"
 	"repro/internal/gen/nsgen"
 	"repro/internal/gen/pogen"
+	"repro/internal/gen/unqualgen"
 	"repro/internal/gen/wildgen"
 	"repro/internal/gen/wmlgen"
 	"repro/internal/schemas"
@@ -43,6 +44,7 @@ var genPackages = []genPackage{
 	{"nsgen", schemas.NamespacedOrderXSD, nsgen.RT},
 	{"mixgen", schemas.ComplexGroupsXSD, mixgen.RT},
 	{"wildgen", schemas.WildcardEnvelopeXSD, wildgen.RT},
+	{"unqualgen", schemas.UnqualifiedOrderXSD, unqualgen.RT},
 }
 
 // genCorpus is the curated corpus every package is fuzzed from: all

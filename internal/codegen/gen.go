@@ -104,7 +104,7 @@ func (g *generator) header() {
 	g.p("// type per element declaration, type definition and model group of the")
 	g.p("// schema. Trees built through this API are schema-valid by construction;")
 	g.p("// occurrence counts, required attributes and simple-type facets are")
-	g.p("// checked when the tree is materialized (vdom.Marshal).")
+	g.p("// checked when the tree is written (vdom.AppendXML).")
 	g.p("package %s", g.opts.Package)
 	g.p("")
 	g.p("import (")
@@ -185,9 +185,10 @@ func (g *generator) anyElement() {
 	g.p("// XMLQName implements vdom.NamedElement.")
 	g.p("func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }")
 	g.p("")
-	g.p("// BuildInto implements vdom.ElementNode.")
-	g.p("func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {")
-	g.p("\treturn vdom.BuildAnyInto(a.El, doc, parent)")
+	g.p("// WriteXML implements vdom.ElementNode.")
+	g.p("func (a *AnyElement) WriteXML(w *vdom.Writer) error {")
+	g.p("\tw.Raw(a.El)")
+	g.p("\treturn nil")
 	g.p("}")
 	g.p("")
 	g.p("// DumpInto implements vdom.Dumper.")
@@ -221,44 +222,43 @@ func (g *generator) choiceGroup(gi normalize.GroupInfo, gn GroupNames) {
 	g.p("\t%s()", gn.Marker)
 	g.p("}")
 	g.p("")
-	for _, alt := range g.choiceAlternativeTypes(gi.Group) {
+	for _, alt := range g.elementTypes(gi.Group.Particles, false) {
 		g.p("func (%s) %s() {}", alt, gn.Marker)
 	}
 	g.p("")
 }
 
-// choiceAlternativeTypes collects the concrete Go types that may fill a
-// choice slot (recursing through nested choices and substitution groups).
-func (g *generator) choiceAlternativeTypes(grp *xsd.ModelGroup) []string {
+// elementTypes collects, sorted, the concrete Go types that may stand
+// for the particles: element wrappers with their substitution-group
+// members and AnyElement for wildcards, recursing into nested choices
+// and, when flat, into sequences (otherwise a nested sequence is its
+// promoted group type).
+func (g *generator) elementTypes(particles []*xsd.Particle, flat bool) []string {
 	seen := map[string]bool{}
-	var out []string
-	add := func(t string) {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	var walk func(grp *xsd.ModelGroup)
-	walk = func(grp *xsd.ModelGroup) {
-		for _, p := range grp.Particles {
+	var walk func(ps []*xsd.Particle)
+	walk = func(ps []*xsd.Particle) {
+		for _, p := range ps {
 			switch {
+			case p == nil:
 			case p.Element != nil:
-				add("*" + g.names.Elements[p.Element].GoType)
+				seen["*"+g.names.Elements[p.Element].GoType] = true
 				for _, m := range g.schema.SubstitutionMembers(p.Element.Name) {
-					add("*" + g.names.Elements[m].GoType)
+					seen["*"+g.names.Elements[m].GoType] = true
 				}
 			case p.Wildcard != nil:
-				add("*AnyElement")
+				seen["*AnyElement"] = true
+			case p.Group != nil && (flat || p.Group.Kind == xsd.Choice):
+				walk(p.Group.Particles)
 			case p.Group != nil:
-				if p.Group.Kind == xsd.Choice {
-					walk(p.Group)
-				} else {
-					add("*" + g.names.Groups[p.Group].GoType)
-				}
+				seen["*"+g.names.Groups[p.Group].GoType] = true
 			}
 		}
 	}
-	walk(grp)
+	walk(particles)
+	out := make([]string, 0, len(seen))
+	for t := range seen {
+		out = append(out, t)
+	}
 	sort.Strings(out)
 	return out
 }
@@ -302,23 +302,19 @@ func (g *generator) seqGroup(gi normalize.GroupInfo, gn GroupNames) {
 	g.memberFields(members)
 	g.p("}")
 	g.p("")
-	g.constructor(gn.Create, gn.GoType, members, "", nil)
+	g.constructor(gn.Create, gn.GoType, members)
 	g.memberMethods(gn.GoType, members)
-	g.p("// VDOMName implements vdom.Node.")
-	g.p("func (t *%s) VDOMName() string { return %q }", gn.GoType, lowerFirst(gn.GoType))
-	g.p("")
-	g.p("// BuildInto appends the group's members to parent (a group has no")
-	g.p("// wrapper element of its own).")
-	g.p("func (t *%s) BuildInto(doc *dom.Document, parent dom.Node) error {", gn.GoType)
-	g.p("\tel, ok := parent.(*dom.Element)")
-	g.p("\tif !ok {")
+	g.p("// WriteXML writes the group's members into the open element (a group")
+	g.p("// has no wrapper element of its own).")
+	g.p("func (t *%s) WriteXML(w *vdom.Writer) error {", gn.GoType)
+	g.p("\tif w.Depth() == 0 {")
 	g.p("\t\treturn vdom.Required(%q, \"an element parent\")", gn.GoType)
 	g.p("\t}")
-	g.p("\treturn t.buildMembers(doc, el)")
+	g.writeMembers(gn.GoType, members)
+	g.p("\treturn nil")
 	g.p("}")
 	g.p("")
-	g.buildMembers(gn.GoType, gn.GoType, members, nil, "")
-	g.dumpMethod(gn.GoType, lowerFirst(gn.GoType), members, false)
+	g.nodeMethods("t", gn.GoType, lowerFirst(gn.GoType), func() { g.dumpMembers(members) })
 }
 
 // memberFields emits the struct fields for members.
@@ -348,11 +344,9 @@ func (g *generator) memberGoType(m *Member) string {
 }
 
 // constructor emits the Create method: required single members become
-// parameters; attrs is non-nil for complex types with attributes.
-func (g *generator) constructor(createName, goType string, members []Member, doc string, extraParams []string) {
-	var params []string
-	var assigns []string
-	params = append(params, extraParams...)
+// parameters.
+func (g *generator) constructor(createName, goType string, members []Member) {
+	var params, assigns []string
 	for i := range members {
 		m := &members[i]
 		if !m.Repeated() && !m.Optional() {
@@ -360,11 +354,8 @@ func (g *generator) constructor(createName, goType string, members []Member, doc
 			assigns = append(assigns, fmt.Sprintf("%s: %s", m.Field, m.Field))
 		}
 	}
-	if doc == "" {
-		doc = fmt.Sprintf("// %s constructs a %s with its required members;", createName, goType) +
-			"\n// optional and repeated members are added with the Set/Add methods."
-	}
-	g.p("%s", doc)
+	g.p("// %s constructs a %s with its required members;", createName, goType)
+	g.p("// optional and repeated members are added with the Set/Add methods.")
 	g.p("func (d *Document) %s(%s) *%s {", createName, strings.Join(params, ", "), goType)
 	if len(assigns) == 0 {
 		g.p("\treturn &%s{}", goType)
@@ -416,38 +407,24 @@ func occursLabel(min, max int) string {
 	return fmt.Sprintf("%d..%d", min, max)
 }
 
-// buildMembers emits the buildMembers method appending members in order
-// with occurrence and requiredness checks. attrs/simpleValue handle the
-// complex-type extras; normTypeName is the runtime lookup key ("" for
-// groups).
-func (g *generator) buildMembers(goType, context string, members []Member, attrs []AttrMember, normTypeName string) {
-	g.p("func (t *%s) buildMembers(doc *dom.Document, el *dom.Element) error {", goType)
-	for _, a := range attrs {
-		local := a.Use.Decl.Name.Local
-		g.p("\tif t.%s != nil {", a.Field)
-		g.p("\t\tel.SetAttribute(%q, *t.%s)", local, a.Field)
-		if a.Use.Required {
-			g.p("\t} else {")
-			g.p("\t\treturn vdom.Required(%q, \"attribute %s\")", context, local)
-		}
-		g.p("\t}")
-	}
+// writeMembers emits the statements writing members in order, with
+// occurrence and requiredness checks.
+func (g *generator) writeMembers(context string, members []Member) {
 	for i := range members {
 		m := &members[i]
-		ctx := fmt.Sprintf("%s.%s", context, m.Field)
 		switch {
 		case m.Repeated():
-			g.p("\tif err := vdom.CheckOccurs(%q, len(t.%s), %d, %d); err != nil {", ctx, m.Field, m.Min, m.Max)
+			g.p("\tif err := vdom.CheckOccurs(%q, len(t.%s), %d, %d); err != nil {", context+"."+m.Field, m.Field, m.Min, m.Max)
 			g.p("\t\treturn err")
 			g.p("\t}")
 			g.p("\tfor _, c := range t.%s {", m.Field)
-			g.p("\t\tif err := c.BuildInto(doc, el); err != nil {")
+			g.p("\t\tif err := c.WriteXML(w); err != nil {")
 			g.p("\t\t\treturn err")
 			g.p("\t\t}")
 			g.p("\t}")
 		case m.Optional():
 			g.p("\tif t.%s != nil {", m.Field)
-			g.p("\t\tif err := t.%s.BuildInto(doc, el); err != nil {", m.Field)
+			g.p("\t\tif err := t.%s.WriteXML(w); err != nil {", m.Field)
 			g.p("\t\t\treturn err")
 			g.p("\t\t}")
 			g.p("\t}")
@@ -455,28 +432,37 @@ func (g *generator) buildMembers(goType, context string, members []Member, attrs
 			g.p("\tif t.%s == nil {", m.Field)
 			g.p("\t\treturn vdom.Required(%q, %q)", context, m.Field)
 			g.p("\t}")
-			g.p("\tif err := t.%s.BuildInto(doc, el); err != nil {", m.Field)
+			g.p("\tif err := t.%s.WriteXML(w); err != nil {", m.Field)
 			g.p("\t\treturn err")
 			g.p("\t}")
 		}
 	}
-	g.p("\treturn nil")
-	g.p("}")
-	g.p("")
-	_ = normTypeName
 }
 
-// dumpMethod emits the Fig. 7 style DumpInto.
-func (g *generator) dumpMethod(goType, vdomName string, members []Member, mixed bool) {
+// nodeMethods emits VDOMName and the Fig. 7 style DumpInto, which
+// writes the node's name and then what dump emits.
+func (g *generator) nodeMethods(recv, goType, vdomName string, dump func()) {
+	g.p("// VDOMName implements vdom.Node.")
+	g.p("func (%s *%s) VDOMName() string { return %q }", recv, goType, vdomName)
+	g.p("")
 	g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-	g.p("func (t *%s) DumpInto(sb *strings.Builder, depth int) {", goType)
+	g.p("func (%s *%s) DumpInto(sb *strings.Builder, depth int) {", recv, goType)
 	g.p("\tvdom.Indent(sb, depth)")
 	g.p("\tsb.WriteString(%q + \"\\n\")", vdomName)
-	if mixed {
-		g.p("\tvdom.DumpMixed(&t.MixedContent, sb, depth+1)")
-	}
-	for i := range members {
-		m := &members[i]
+	dump()
+	g.p("}")
+	g.p("")
+}
+
+// dumpText emits the dump of a node's character content.
+func (g *generator) dumpText(recv string) {
+	g.p("\tvdom.Indent(sb, depth+1)")
+	g.p("\tsb.WriteString(\"Text \" + %s.value + \"\\n\")", recv)
+}
+
+// dumpMembers emits the dump of the members that are set.
+func (g *generator) dumpMembers(members []Member) {
+	for _, m := range members {
 		if m.Repeated() {
 			g.p("\tfor _, c := range t.%s {", m.Field)
 			g.p("\t\tdumpChild(sb, depth+1, c)")
@@ -487,8 +473,6 @@ func (g *generator) dumpMethod(goType, vdomName string, members []Member, mixed 
 			g.p("\t}")
 		}
 	}
-	g.p("}")
-	g.p("")
 }
 
 // complexTypes emits the struct (or mixed/simple-content variants) per
@@ -530,12 +514,13 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		g.p("type %s interface {", tn.Iface)
 		g.p("\tvdom.Node")
 		g.p("\tis%s()", tn.GoType)
-		g.p("\tbuildMembers(doc *dom.Document, el *dom.Element) error")
+		g.p("\twriteContent(w *vdom.Writer) error")
 		g.p("\txsiName() string")
 		g.p("}")
 		g.p("")
 	}
 
+	var dump func()
 	switch ct.Kind {
 	case xsd.ContentSimple:
 		g.p("// %s is complex type %q: simple content with attributes.", tn.GoType, normName)
@@ -557,30 +542,12 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		g.p("// Value returns the character content.")
 		g.p("func (t *%s) Value() string { return t.value }", tn.GoType)
 		g.p("")
-		g.attrMethods(tn.GoType, normName, attrs)
-		g.p("func (t *%s) buildMembers(doc *dom.Document, el *dom.Element) error {", tn.GoType)
-		g.emitAttrBuild(tn.GoType, attrs)
-		g.p("\t_, err := el.AppendChild(doc.CreateTextNode(t.value))")
-		g.p("\treturn err")
-		g.p("}")
-		g.p("")
-		g.p("// VDOMName implements vdom.Node.")
-		g.p("func (t *%s) VDOMName() string { return %q }", tn.GoType, tn.VDOM)
-		g.p("")
-		g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-		g.p("func (t *%s) DumpInto(sb *strings.Builder, depth int) {", tn.GoType)
-		g.p("\tvdom.Indent(sb, depth)")
-		g.p("\tsb.WriteString(%q + \"\\n\")", tn.VDOM)
-		g.p("\tvdom.Indent(sb, depth+1)")
-		g.p("\tsb.WriteString(\"Text \" + t.value + \"\\n\")")
-		g.p("}")
-		g.p("")
+		dump = func() { g.dumpText("t") }
 	case xsd.ContentMixed:
-		allowed := g.mixedAllowedTypes(ct)
 		memberIface := tn.GoType + "Member"
 		g.p("// %s is complex type %q (mixed content: character data may", tn.GoType, normName)
 		g.p("// interleave with child elements; order and occurrence are checked")
-		g.p("// against the content model when the tree is materialized).")
+		g.p("// against the content model when the tree is written).")
 		g.p("type %s struct {", tn.GoType)
 		g.p("\tvdom.MixedContent")
 		for _, a := range attrs {
@@ -594,7 +561,7 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		g.p("\tis%s()", memberIface)
 		g.p("}")
 		g.p("")
-		for _, alt := range allowed {
+		for _, alt := range g.elementTypes([]*xsd.Particle{ct.Particle}, true) {
 			g.p("func (%s) is%s() {}", alt, memberIface)
 		}
 		g.p("")
@@ -613,22 +580,7 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		g.p("\treturn t")
 		g.p("}")
 		g.p("")
-		g.attrMethods(tn.GoType, normName, attrs)
-		g.p("func (t *%s) buildMembers(doc *dom.Document, el *dom.Element) error {", tn.GoType)
-		g.emitAttrBuild(tn.GoType, attrs)
-		g.p("\treturn RT.BuildMixed(&t.MixedContent, %q, doc, el)", normName)
-		g.p("}")
-		g.p("")
-		g.p("// VDOMName implements vdom.Node.")
-		g.p("func (t *%s) VDOMName() string { return %q }", tn.GoType, tn.VDOM)
-		g.p("")
-		g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-		g.p("func (t *%s) DumpInto(sb *strings.Builder, depth int) {", tn.GoType)
-		g.p("\tvdom.Indent(sb, depth)")
-		g.p("\tsb.WriteString(%q + \"\\n\")", tn.VDOM)
-		g.p("\tvdom.DumpMixed(&t.MixedContent, sb, depth+1)")
-		g.p("}")
-		g.p("")
+		dump = func() { g.p("\tvdom.DumpMixed(&t.MixedContent, sb, depth+1)") }
 	default: // ContentElementOnly, ContentEmpty
 		g.p("// %s is complex type %q (V-DOM interface %s).", tn.GoType, normName, tn.VDOM)
 		g.p("type %s struct {", tn.GoType)
@@ -639,28 +591,38 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		g.p("}")
 		g.p("")
 		if !ct.Abstract {
-			g.constructor(tn.Create, tn.GoType, members, "", nil)
+			g.constructor(tn.Create, tn.GoType, members)
 		} else {
 			g.p("// %s is abstract: no constructor is generated; use a concrete", tn.GoType)
 			g.p("// derived type (paper §3: abstract types map to abstract interfaces).")
 			g.p("")
 		}
 		g.memberMethods(tn.GoType, members)
-		g.attrMethods(tn.GoType, normName, attrs)
-		g.buildMembers(tn.GoType, tn.GoType, members, attrs, normName)
-		g.p("// VDOMName implements vdom.Node.")
-		g.p("func (t *%s) VDOMName() string { return %q }", tn.GoType, tn.VDOM)
-		g.p("")
-		g.dumpMethod(tn.GoType, tn.VDOM, members, false)
+		dump = func() { g.dumpMembers(members) }
 	}
+	g.attrMethods(tn.GoType, normName, attrs)
+	g.p("func (t *%s) writeContent(w *vdom.Writer) error {", tn.GoType)
+	g.writeAttrs(tn.GoType, attrs)
+	switch ct.Kind {
+	case xsd.ContentSimple:
+		g.p("\tw.Text(t.value)")
+		g.p("\treturn nil")
+	case xsd.ContentMixed:
+		g.p("\treturn RT.WriteMixed(w, &t.MixedContent, %q)", normName)
+	default:
+		g.writeMembers(tn.GoType, members)
+		g.p("\treturn nil")
+	}
+	g.p("}")
+	g.p("")
+	g.nodeMethods("t", tn.GoType, tn.VDOM, dump)
 
 	// Derivation markers: this type implements the iface of every
 	// ancestor (and its own, if it has one).
 	g.p("func (t *%s) xsiName() string { return %q }", tn.GoType, xsiNameOf(ct))
 	g.p("")
 	for anc := xsd.Type(ct); anc != nil; anc = anc.BaseType() {
-		act, ok := anc.(*xsd.ComplexType)
-		if !ok {
+		if _, ok := anc.(*xsd.ComplexType); !ok {
 			break
 		}
 		atn, known := g.names.Types[anc]
@@ -670,7 +632,6 @@ func (g *generator) complexType(ti normalize.TypeInfo, ct *xsd.ComplexType) {
 		if atn.Iface != "" {
 			g.p("func (t *%s) is%s() {}", tn.GoType, atn.GoType)
 		}
-		_ = act
 	}
 	g.p("")
 }
@@ -682,46 +643,6 @@ func xsiNameOf(ct *xsd.ComplexType) string {
 		return ""
 	}
 	return ct.Name.Local
-}
-
-// mixedAllowedTypes collects element wrapper types admitted in a mixed
-// content model.
-func (g *generator) mixedAllowedTypes(ct *xsd.ComplexType) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(p *xsd.Particle)
-	walk = func(p *xsd.Particle) {
-		if p == nil {
-			return
-		}
-		switch {
-		case p.Element != nil:
-			t := "*" + g.names.Elements[p.Element].GoType
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-			for _, m := range g.schema.SubstitutionMembers(p.Element.Name) {
-				mt := "*" + g.names.Elements[m].GoType
-				if !seen[mt] {
-					seen[mt] = true
-					out = append(out, mt)
-				}
-			}
-		case p.Wildcard != nil:
-			if !seen["*AnyElement"] {
-				seen["*AnyElement"] = true
-				out = append(out, "*AnyElement")
-			}
-		case p.Group != nil:
-			for _, c := range p.Group.Particles {
-				walk(c)
-			}
-		}
-	}
-	walk(ct.Particle)
-	sort.Strings(out)
-	return out
 }
 
 // attrMethods emits Set/Get per attribute with runtime validation.
@@ -755,12 +676,13 @@ func attrTypeLabel(use *xsd.AttributeUse) string {
 	return use.Decl.Type.Name.Local
 }
 
-// emitAttrBuild writes attribute emission inside buildMembers.
-func (g *generator) emitAttrBuild(context string, attrs []AttrMember) {
+// writeAttrs emits the statements writing attributes into the open start
+// tag, failing on a missing required one.
+func (g *generator) writeAttrs(context string, attrs []AttrMember) {
 	for _, a := range attrs {
 		local := a.Use.Decl.Name.Local
 		g.p("\tif t.%s != nil {", a.Field)
-		g.p("\t\tel.SetAttribute(%q, *t.%s)", local, a.Field)
+		g.p("\t\tw.Attr(%q, *t.%s)", local, a.Field)
 		if a.Use.Required {
 			g.p("\t} else {")
 			g.p("\t\treturn vdom.Required(%q, \"attribute %s\")", context, local)
@@ -849,25 +771,12 @@ func (g *generator) simpleElement(decl *xsd.ElementDecl, en ElemNames, st *xsd.S
 	g.p("// Value returns the element's character content.")
 	g.p("func (e *%s) Value() string { return e.value }", en.GoType)
 	g.p("")
-	g.elementCommon(decl, en)
-	g.p("// BuildInto implements vdom.ElementNode.")
-	g.p("func (e *%s) BuildInto(doc *dom.Document, parent dom.Node) error {", en.GoType)
-	g.emitCreateElement(decl)
-	g.p("\tif _, err := parent.AppendChild(el); err != nil {")
-	g.p("\t\treturn err")
-	g.p("\t}")
-	g.p("\t_, err := el.AppendChild(doc.CreateTextNode(e.value))")
-	g.p("\treturn err")
-	g.p("}")
-	g.p("")
-	g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-	g.p("func (e *%s) DumpInto(sb *strings.Builder, depth int) {", en.GoType)
-	g.p("\tvdom.Indent(sb, depth)")
-	g.p("\tsb.WriteString(%q + \"\\n\")", en.VDOM)
-	g.p("\tvdom.Indent(sb, depth+1)")
-	g.p("\tsb.WriteString(\"Text \" + e.value + \"\\n\")")
-	g.p("}")
-	g.p("")
+	g.elementMethods(decl, en, func() {
+		g.p("\tw.Start(%q, %q)", decl.Name.Space, decl.Name.Local)
+		g.p("\tw.Text(e.value)")
+		g.p("\tw.End()")
+		g.p("\treturn nil")
+	}, func() { g.dumpText("e") })
 }
 
 // simpleCheckExpr returns the runtime check expression for a simple type
@@ -922,34 +831,24 @@ func (g *generator) complexElement(decl *xsd.ElementDecl, en ElemNames, ct *xsd.
 	g.p("// Content returns the element's typed content.")
 	g.p("func (e *%s) Content() %s { return e.content }", en.GoType, contentType)
 	g.p("")
-	g.elementCommon(decl, en)
-	g.p("// BuildInto implements vdom.ElementNode.")
-	g.p("func (e *%s) BuildInto(doc *dom.Document, parent dom.Node) error {", en.GoType)
-	g.emitCreateElement(decl)
-	g.p("\tif _, err := parent.AppendChild(el); err != nil {")
-	g.p("\t\treturn err")
-	g.p("\t}")
-	g.p("\tif e.content == nil {")
-	g.p("\t\treturn vdom.Required(%q, \"content\")", en.VDOM)
-	g.p("\t}")
-	if usesIface {
-		declared := xsiNameOf(ct)
-		g.p("\tif n := e.content.xsiName(); n != %q && n != \"\" {", declared)
-		g.p("\t\tvdom.XSIType(el, n)")
+	write := func() {
+		g.p("\tif e.content == nil {")
+		g.p("\t\treturn vdom.Required(%q, \"content\")", en.VDOM)
 		g.p("\t}")
+		g.p("\tw.Start(%q, %q)", decl.Name.Space, decl.Name.Local)
+		g.p("\tdefer w.End()")
+		if usesIface {
+			g.p("\tif n := e.content.xsiName(); n != %q && n != \"\" {", xsiNameOf(ct))
+			g.p("\t\tw.XSIType(n)")
+			g.p("\t}")
+		}
+		g.p("\treturn e.content.writeContent(w)")
 	}
-	g.p("\treturn e.content.buildMembers(doc, el)")
-	g.p("}")
-	g.p("")
-	g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-	g.p("func (e *%s) DumpInto(sb *strings.Builder, depth int) {", en.GoType)
-	g.p("\tvdom.Indent(sb, depth)")
-	g.p("\tsb.WriteString(%q + \"\\n\")", en.VDOM)
-	g.p("\tif e.content != nil {")
-	g.p("\t\tdumpChild(sb, depth+1, e.content)")
-	g.p("\t}")
-	g.p("}")
-	g.p("")
+	g.elementMethods(decl, en, write, func() {
+		g.p("\tif e.content != nil {")
+		g.p("\t\tdumpChild(sb, depth+1, e.content)")
+		g.p("\t}")
+	})
 }
 
 // anyTypedElement emits a wrapper for elements typed xs:anyType: content
@@ -977,53 +876,30 @@ func (g *generator) anyTypedElement(decl *xsd.ElementDecl, en ElemNames) {
 	g.p("\treturn e")
 	g.p("}")
 	g.p("")
-	g.elementCommon(decl, en)
-	g.p("// BuildInto implements vdom.ElementNode.")
-	g.p("func (e *%s) BuildInto(doc *dom.Document, parent dom.Node) error {", en.GoType)
-	g.emitCreateElement(decl)
-	g.p("\tif _, err := parent.AppendChild(el); err != nil {")
-	g.p("\t\treturn err")
-	g.p("\t}")
-	g.p("\tfor _, c := range e.children {")
-	g.p("\t\tif err := c.BuildInto(doc, el); err != nil {")
-	g.p("\t\t\treturn err")
-	g.p("\t\t}")
-	g.p("\t}")
-	g.p("\tfor _, s := range e.text {")
-	g.p("\t\tif _, err := el.AppendChild(doc.CreateTextNode(s)); err != nil {")
-	g.p("\t\t\treturn err")
-	g.p("\t\t}")
-	g.p("\t}")
-	g.p("\treturn nil")
-	g.p("}")
-	g.p("")
-	g.p("// DumpInto renders the typed node (paper Fig. 7 view).")
-	g.p("func (e *%s) DumpInto(sb *strings.Builder, depth int) {", en.GoType)
-	g.p("\tvdom.Indent(sb, depth)")
-	g.p("\tsb.WriteString(%q + \"\\n\")", en.VDOM)
-	g.p("}")
-	g.p("")
+	write := func() {
+		g.p("\tw.Start(%q, %q)", decl.Name.Space, decl.Name.Local)
+		g.p("\tfor _, c := range e.children {")
+		g.p("\t\tw.Raw(c.El)")
+		g.p("\t}")
+		g.p("\tfor _, s := range e.text {")
+		g.p("\t\tw.Text(s)")
+		g.p("\t}")
+		g.p("\tw.End()")
+		g.p("\treturn nil")
+	}
+	g.elementMethods(decl, en, write, func() {})
 }
 
-// elementCommon emits VDOMName and XMLQName.
-func (g *generator) elementCommon(decl *xsd.ElementDecl, en ElemNames) {
-	g.p("// VDOMName implements vdom.Node.")
-	g.p("func (e *%s) VDOMName() string { return %q }", en.GoType, en.VDOM)
-	g.p("")
+// elementMethods emits XMLQName, WriteXML with the body write emits,
+// VDOMName and DumpInto.
+func (g *generator) elementMethods(decl *xsd.ElementDecl, en ElemNames, write, dump func()) {
 	g.p("// XMLQName implements vdom.NamedElement.")
 	g.p("func (e *%s) XMLQName() (string, string) { return %q, %q }", en.GoType, decl.Name.Space, decl.Name.Local)
 	g.p("")
-}
-
-// emitCreateElement writes the DOM element creation line, declaring the
-// namespace when the element is qualified.
-func (g *generator) emitCreateElement(decl *xsd.ElementDecl) {
-	if decl.Name.Space == "" {
-		g.p("\tel := doc.CreateElement(%q)", decl.Name.Local)
-		return
-	}
-	g.p("\tel := doc.CreateElementNS(%q, %q)", decl.Name.Space, decl.Name.Local)
-	g.p("\tif p, ok := parent.(*dom.Element); !ok || p.GetAttributeNS(\"http://www.w3.org/2000/xmlns/\", \"xmlns\") != %q {", decl.Name.Space)
-	g.p("\t\tel.SetAttributeNS(\"http://www.w3.org/2000/xmlns/\", \"xmlns\", %q)", decl.Name.Space)
-	g.p("\t}")
+	g.p("// WriteXML implements vdom.ElementNode.")
+	g.p("func (e *%s) WriteXML(w *vdom.Writer) error {", en.GoType)
+	write()
+	g.p("}")
+	g.p("")
+	g.nodeMethods("e", en.GoType, en.VDOM, dump)
 }

@@ -157,7 +157,7 @@ func (n *Names) AttrsOf(ct *xsd.ComplexType, reserved []string) []AttrMember {
 	var out []AttrMember
 	used := map[string]int{
 		"Value": 1, "Content": 1, "Text": 1, "Add": 1,
-		"VDOMName": 1, "BuildInto": 1, "DumpInto": 1, "XMLQName": 1,
+		"VDOMName": 1, "WriteXML": 1, "DumpInto": 1, "XMLQName": 1,
 	}
 	for _, r := range reserved {
 		used[r] = 1

@@ -13,8 +13,8 @@
 // dom sits beside the pipeline proper (xsd parse → normalize →
 // contentmodel → codegen/vdom → validator → pxml) as the document
 // substrate: xmlparser tokens are assembled into dom trees, the runtime
-// validator walks them, and vdom's typed nodes materialize into them for
-// serialization.
+// validator walks them, and vdom's DOM view is parsed from the bytes its
+// typed nodes write.
 //
 // # Allocation
 //

@@ -4,7 +4,7 @@
 // type per element declaration, type definition and model group of the
 // schema. Trees built through this API are schema-valid by construction;
 // occurrence counts, required attributes and simple-type facets are
-// checked when the tree is materialized (vdom.Marshal).
+// checked when the tree is written (vdom.AppendXML).
 package derivgen
 
 import (
@@ -40,9 +40,10 @@ func (a *AnyElement) VDOMName() string { return "anyElement" }
 // XMLQName implements vdom.NamedElement.
 func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }
 
-// BuildInto implements vdom.ElementNode.
-func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	return vdom.BuildAnyInto(a.El, doc, parent)
+// WriteXML implements vdom.ElementNode.
+func (a *AnyElement) WriteXML(w *vdom.Writer) error {
+	w.Raw(a.El)
+	return nil
 }
 
 // DumpInto implements vdom.Dumper.
@@ -66,7 +67,7 @@ func dumpChild(sb *strings.Builder, depth int, n vdom.Node) {
 type AddressTypeIface interface {
 	vdom.Node
 	isAddressType()
-	buildMembers(doc *dom.Document, el *dom.Element) error
+	writeContent(w *vdom.Writer) error
 	xsiName() string
 }
 
@@ -92,23 +93,23 @@ func (t *AddressType) Street() *StreetElement { return t.street }
 // City returns the required city member.
 func (t *AddressType) City() *CityElement { return t.city }
 
-func (t *AddressType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *AddressType) writeContent(w *vdom.Writer) error {
 	if t.name == nil {
 		return vdom.Required("AddressType", "name")
 	}
-	if err := t.name.BuildInto(doc, el); err != nil {
+	if err := t.name.WriteXML(w); err != nil {
 		return err
 	}
 	if t.street == nil {
 		return vdom.Required("AddressType", "street")
 	}
-	if err := t.street.BuildInto(doc, el); err != nil {
+	if err := t.street.WriteXML(w); err != nil {
 		return err
 	}
 	if t.city == nil {
 		return vdom.Required("AddressType", "city")
 	}
-	if err := t.city.BuildInto(doc, el); err != nil {
+	if err := t.city.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -156,12 +157,12 @@ func (t *CommentBlockType) AddComment(v CommentSubst) *CommentBlockType {
 // Comment returns the comment members added so far.
 func (t *CommentBlockType) Comment() []CommentSubst { return t.comment }
 
-func (t *CommentBlockType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *CommentBlockType) writeContent(w *vdom.Writer) error {
 	if err := vdom.CheckOccurs("CommentBlockType.comment", len(t.comment), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.comment {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -202,12 +203,12 @@ func (t *NoteBlockType) AddNote(v NoteSubst) *NoteBlockType {
 // Note returns the note members added so far.
 func (t *NoteBlockType) Note() []NoteSubst { return t.note }
 
-func (t *NoteBlockType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *NoteBlockType) writeContent(w *vdom.Writer) error {
 	if err := vdom.CheckOccurs("NoteBlockType.note", len(t.note), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.note {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -258,35 +259,35 @@ func (t *USAddressType) State() *StateElement { return t.state }
 // Zip returns the required zip member.
 func (t *USAddressType) Zip() *ZipElement { return t.zip }
 
-func (t *USAddressType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *USAddressType) writeContent(w *vdom.Writer) error {
 	if t.name == nil {
 		return vdom.Required("USAddressType", "name")
 	}
-	if err := t.name.BuildInto(doc, el); err != nil {
+	if err := t.name.WriteXML(w); err != nil {
 		return err
 	}
 	if t.street == nil {
 		return vdom.Required("USAddressType", "street")
 	}
-	if err := t.street.BuildInto(doc, el); err != nil {
+	if err := t.street.WriteXML(w); err != nil {
 		return err
 	}
 	if t.city == nil {
 		return vdom.Required("USAddressType", "city")
 	}
-	if err := t.city.BuildInto(doc, el); err != nil {
+	if err := t.city.WriteXML(w); err != nil {
 		return err
 	}
 	if t.state == nil {
 		return vdom.Required("USAddressType", "state")
 	}
-	if err := t.state.BuildInto(doc, el); err != nil {
+	if err := t.state.WriteXML(w); err != nil {
 		return err
 	}
 	if t.zip == nil {
 		return vdom.Required("USAddressType", "zip")
 	}
-	if err := t.zip.BuildInto(doc, el); err != nil {
+	if err := t.zip.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -332,26 +333,24 @@ func (d *Document) CreateAddress(content AddressTypeIface) *AddressElement {
 // Content returns the element's typed content.
 func (e *AddressElement) Content() AddressTypeIface { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *AddressElement) VDOMName() string { return "addressElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *AddressElement) XMLQName() (string, string) { return "", "address" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *AddressElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("address")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *AddressElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("addressElement", "content")
 	}
+	w.Start("", "address")
+	defer w.End()
 	if n := e.content.xsiName(); n != "Address" && n != "" {
-		vdom.XSIType(el, n)
+		w.XSIType(n)
 	}
-	return e.content.buildMembers(doc, el)
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *AddressElement) VDOMName() string { return "addressElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *AddressElement) DumpInto(sb *strings.Builder, depth int) {
@@ -385,21 +384,19 @@ func (d *Document) CreateComment(value string) *CommentElement {
 // Value returns the element's character content.
 func (e *CommentElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *CommentElement) VDOMName() string { return "commentElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CommentElement) XMLQName() (string, string) { return "", "comment" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CommentElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("comment")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *CommentElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "comment")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *CommentElement) VDOMName() string { return "commentElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CommentElement) DumpInto(sb *strings.Builder, depth int) {
@@ -421,23 +418,21 @@ func (d *Document) CreateCommentBlock(content *CommentBlockType) *CommentBlockEl
 // Content returns the element's typed content.
 func (e *CommentBlockElement) Content() *CommentBlockType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *CommentBlockElement) VDOMName() string { return "commentBlockElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CommentBlockElement) XMLQName() (string, string) { return "", "commentBlock" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CommentBlockElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("commentBlock")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *CommentBlockElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("commentBlockElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "commentBlock")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *CommentBlockElement) VDOMName() string { return "commentBlockElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CommentBlockElement) DumpInto(sb *strings.Builder, depth int) {
@@ -460,21 +455,19 @@ func (d *Document) CreateCustomerComment(value string) *CustomerCommentElement {
 // Value returns the element's character content.
 func (e *CustomerCommentElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *CustomerCommentElement) VDOMName() string { return "customerCommentElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CustomerCommentElement) XMLQName() (string, string) { return "", "customerComment" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CustomerCommentElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("customerComment")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *CustomerCommentElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "customerComment")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *CustomerCommentElement) VDOMName() string { return "customerCommentElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CustomerCommentElement) DumpInto(sb *strings.Builder, depth int) {
@@ -504,21 +497,19 @@ type NoteElement struct{ value string }
 // Value returns the element's character content.
 func (e *NoteElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *NoteElement) VDOMName() string { return "noteElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *NoteElement) XMLQName() (string, string) { return "", "note" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *NoteElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("note")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *NoteElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "note")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *NoteElement) VDOMName() string { return "noteElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *NoteElement) DumpInto(sb *strings.Builder, depth int) {
@@ -540,23 +531,21 @@ func (d *Document) CreateNoteBlock(content *NoteBlockType) *NoteBlockElement {
 // Content returns the element's typed content.
 func (e *NoteBlockElement) Content() *NoteBlockType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *NoteBlockElement) VDOMName() string { return "noteBlockElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *NoteBlockElement) XMLQName() (string, string) { return "", "noteBlock" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *NoteBlockElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("noteBlock")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *NoteBlockElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("noteBlockElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "noteBlock")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *NoteBlockElement) VDOMName() string { return "noteBlockElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *NoteBlockElement) DumpInto(sb *strings.Builder, depth int) {
@@ -579,21 +568,19 @@ func (d *Document) CreateShipComment(value string) *ShipCommentElement {
 // Value returns the element's character content.
 func (e *ShipCommentElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ShipCommentElement) VDOMName() string { return "shipCommentElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ShipCommentElement) XMLQName() (string, string) { return "", "shipComment" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ShipCommentElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("shipComment")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ShipCommentElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "shipComment")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ShipCommentElement) VDOMName() string { return "shipCommentElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ShipCommentElement) DumpInto(sb *strings.Builder, depth int) {
@@ -615,21 +602,19 @@ func (d *Document) CreateShipNote(value string) *ShipNoteElement {
 // Value returns the element's character content.
 func (e *ShipNoteElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ShipNoteElement) VDOMName() string { return "shipNoteElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ShipNoteElement) XMLQName() (string, string) { return "", "shipNote" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ShipNoteElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("shipNote")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ShipNoteElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "shipNote")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ShipNoteElement) VDOMName() string { return "shipNoteElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ShipNoteElement) DumpInto(sb *strings.Builder, depth int) {
@@ -651,21 +636,19 @@ func (d *Document) CreateName(value string) *NameElement {
 // Value returns the element's character content.
 func (e *NameElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *NameElement) VDOMName() string { return "nameElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *NameElement) XMLQName() (string, string) { return "", "name" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *NameElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("name")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *NameElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "name")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *NameElement) VDOMName() string { return "nameElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *NameElement) DumpInto(sb *strings.Builder, depth int) {
@@ -687,21 +670,19 @@ func (d *Document) CreateStreet(value string) *StreetElement {
 // Value returns the element's character content.
 func (e *StreetElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *StreetElement) VDOMName() string { return "streetElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *StreetElement) XMLQName() (string, string) { return "", "street" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *StreetElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("street")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *StreetElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "street")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *StreetElement) VDOMName() string { return "streetElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *StreetElement) DumpInto(sb *strings.Builder, depth int) {
@@ -723,21 +704,19 @@ func (d *Document) CreateCity(value string) *CityElement {
 // Value returns the element's character content.
 func (e *CityElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *CityElement) VDOMName() string { return "cityElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CityElement) XMLQName() (string, string) { return "", "city" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CityElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("city")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *CityElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "city")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *CityElement) VDOMName() string { return "cityElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CityElement) DumpInto(sb *strings.Builder, depth int) {
@@ -759,21 +738,19 @@ func (d *Document) CreateState(value string) *StateElement {
 // Value returns the element's character content.
 func (e *StateElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *StateElement) VDOMName() string { return "stateElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *StateElement) XMLQName() (string, string) { return "", "state" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *StateElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("state")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *StateElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "state")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *StateElement) VDOMName() string { return "stateElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *StateElement) DumpInto(sb *strings.Builder, depth int) {
@@ -795,21 +772,19 @@ func (d *Document) CreateZip(value string) *ZipElement {
 // Value returns the element's character content.
 func (e *ZipElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ZipElement) VDOMName() string { return "zipElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ZipElement) XMLQName() (string, string) { return "", "zip" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ZipElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("zip")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ZipElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "zip")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ZipElement) VDOMName() string { return "zipElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ZipElement) DumpInto(sb *strings.Builder, depth int) {

@@ -29,6 +29,7 @@ var Targets = []Target{
 	{Pkg: "nsgen", Source: schemas.NamespacedOrderXSD, Comment: "the namespaced order schema (namespace-handling coverage)"},
 	{Pkg: "mixgen", Source: schemas.ComplexGroupsXSD, Comment: "the nested-groups schema (group-promotion coverage)"},
 	{Pkg: "wildgen", Source: schemas.WildcardEnvelopeXSD, Comment: "the wildcard envelope schema (lax any/anyAttribute coverage)"},
+	{Pkg: "unqualgen", Source: schemas.UnqualifiedOrderXSD, Comment: "the unqualified-locals order schema (default namespace undeclared on local elements)"},
 }
 
 // WSDLTarget describes one generated SOAP stub package: its embedded

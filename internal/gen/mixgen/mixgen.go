@@ -4,7 +4,7 @@
 // type per element declaration, type definition and model group of the
 // schema. Trees built through this API are schema-valid by construction;
 // occurrence counts, required attributes and simple-type facets are
-// checked when the tree is materialized (vdom.Marshal).
+// checked when the tree is written (vdom.AppendXML).
 package mixgen
 
 import (
@@ -40,9 +40,10 @@ func (a *AnyElement) VDOMName() string { return "anyElement" }
 // XMLQName implements vdom.NamedElement.
 func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }
 
-// BuildInto implements vdom.ElementNode.
-func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	return vdom.BuildAnyInto(a.El, doc, parent)
+// WriteXML implements vdom.ElementNode.
+func (a *AnyElement) WriteXML(w *vdom.Writer) error {
+	w.Raw(a.El)
+	return nil
 }
 
 // DumpInto implements vdom.Dumper.
@@ -69,34 +70,29 @@ func (t *FirstANDlastGroup) First() *FirstElement { return t.first }
 // Last returns the required last member.
 func (t *FirstANDlastGroup) Last() *LastElement { return t.last }
 
-// VDOMName implements vdom.Node.
-func (t *FirstANDlastGroup) VDOMName() string { return "firstANDlastGroup" }
-
-// BuildInto appends the group's members to parent (a group has no
-// wrapper element of its own).
-func (t *FirstANDlastGroup) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el, ok := parent.(*dom.Element)
-	if !ok {
+// WriteXML writes the group's members into the open element (a group
+// has no wrapper element of its own).
+func (t *FirstANDlastGroup) WriteXML(w *vdom.Writer) error {
+	if w.Depth() == 0 {
 		return vdom.Required("FirstANDlastGroup", "an element parent")
 	}
-	return t.buildMembers(doc, el)
-}
-
-func (t *FirstANDlastGroup) buildMembers(doc *dom.Document, el *dom.Element) error {
 	if t.first == nil {
 		return vdom.Required("FirstANDlastGroup", "first")
 	}
-	if err := t.first.BuildInto(doc, el); err != nil {
+	if err := t.first.WriteXML(w); err != nil {
 		return err
 	}
 	if t.last == nil {
 		return vdom.Required("FirstANDlastGroup", "last")
 	}
-	if err := t.last.BuildInto(doc, el); err != nil {
+	if err := t.last.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (t *FirstANDlastGroup) VDOMName() string { return "firstANDlastGroup" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (t *FirstANDlastGroup) DumpInto(sb *strings.Builder, depth int) {
@@ -138,34 +134,29 @@ func (t *KeyANDvalueList) Key() *KeyElement { return t.key }
 // Value returns the required value member.
 func (t *KeyANDvalueList) Value() *ValueElement { return t.value }
 
-// VDOMName implements vdom.Node.
-func (t *KeyANDvalueList) VDOMName() string { return "keyANDvalueList" }
-
-// BuildInto appends the group's members to parent (a group has no
-// wrapper element of its own).
-func (t *KeyANDvalueList) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el, ok := parent.(*dom.Element)
-	if !ok {
+// WriteXML writes the group's members into the open element (a group
+// has no wrapper element of its own).
+func (t *KeyANDvalueList) WriteXML(w *vdom.Writer) error {
+	if w.Depth() == 0 {
 		return vdom.Required("KeyANDvalueList", "an element parent")
 	}
-	return t.buildMembers(doc, el)
-}
-
-func (t *KeyANDvalueList) buildMembers(doc *dom.Document, el *dom.Element) error {
 	if t.key == nil {
 		return vdom.Required("KeyANDvalueList", "key")
 	}
-	if err := t.key.BuildInto(doc, el); err != nil {
+	if err := t.key.WriteXML(w); err != nil {
 		return err
 	}
 	if t.value == nil {
 		return vdom.Required("KeyANDvalueList", "value")
 	}
-	if err := t.value.BuildInto(doc, el); err != nil {
+	if err := t.value.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (t *KeyANDvalueList) VDOMName() string { return "keyANDvalueList" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (t *KeyANDvalueList) DumpInto(sb *strings.Builder, depth int) {
@@ -221,14 +212,14 @@ func (t *EntryTypeType) Id() (string, bool) {
 	return *t.attrId, true
 }
 
-func (t *EntryTypeType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *EntryTypeType) writeContent(w *vdom.Writer) error {
 	if t.attrId != nil {
-		el.SetAttribute("id", *t.attrId)
+		w.Attr("id", *t.attrId)
 	}
 	if t.when == nil {
 		return vdom.Required("EntryTypeType", "when")
 	}
-	if err := t.when.BuildInto(doc, el); err != nil {
+	if err := t.when.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -304,27 +295,27 @@ func (t *ReportType) Version() (string, bool) {
 	return *t.attrVersion, true
 }
 
-func (t *ReportType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *ReportType) writeContent(w *vdom.Writer) error {
 	if t.attrVersion != nil {
-		el.SetAttribute("version", *t.attrVersion)
+		w.Attr("version", *t.attrVersion)
 	}
 	if t.title == nil {
 		return vdom.Required("ReportType", "title")
 	}
-	if err := t.title.BuildInto(doc, el); err != nil {
+	if err := t.title.WriteXML(w); err != nil {
 		return err
 	}
 	if t.reportCC2Group == nil {
 		return vdom.Required("ReportType", "reportCC2Group")
 	}
-	if err := t.reportCC2Group.BuildInto(doc, el); err != nil {
+	if err := t.reportCC2Group.WriteXML(w); err != nil {
 		return err
 	}
 	if err := vdom.CheckOccurs("ReportType.keyANDvalueList", len(t.keyANDvalueList), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.keyANDvalueList {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -332,7 +323,7 @@ func (t *ReportType) buildMembers(doc *dom.Document, el *dom.Element) error {
 		return err
 	}
 	for _, c := range t.entry {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -374,23 +365,21 @@ func (d *Document) CreateReport(content *ReportType) *ReportElement {
 // Content returns the element's typed content.
 func (e *ReportElement) Content() *ReportType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *ReportElement) VDOMName() string { return "reportElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ReportElement) XMLQName() (string, string) { return "", "report" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ReportElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("report")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *ReportElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("reportElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "report")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *ReportElement) VDOMName() string { return "reportElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ReportElement) DumpInto(sb *strings.Builder, depth int) {
@@ -413,21 +402,19 @@ func (d *Document) CreateTitle(value string) *TitleElement {
 // Value returns the element's character content.
 func (e *TitleElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *TitleElement) VDOMName() string { return "titleElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *TitleElement) XMLQName() (string, string) { return "", "title" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *TitleElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("title")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *TitleElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "title")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *TitleElement) VDOMName() string { return "titleElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *TitleElement) DumpInto(sb *strings.Builder, depth int) {
@@ -449,21 +436,19 @@ func (d *Document) CreateSummary(value string) *SummaryElement {
 // Value returns the element's character content.
 func (e *SummaryElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *SummaryElement) VDOMName() string { return "summaryElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *SummaryElement) XMLQName() (string, string) { return "", "summary" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *SummaryElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("summary")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *SummaryElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "summary")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *SummaryElement) VDOMName() string { return "summaryElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *SummaryElement) DumpInto(sb *strings.Builder, depth int) {
@@ -485,21 +470,19 @@ func (d *Document) CreateFirst(value string) *FirstElement {
 // Value returns the element's character content.
 func (e *FirstElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *FirstElement) VDOMName() string { return "firstElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *FirstElement) XMLQName() (string, string) { return "", "first" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *FirstElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("first")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *FirstElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "first")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *FirstElement) VDOMName() string { return "firstElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *FirstElement) DumpInto(sb *strings.Builder, depth int) {
@@ -521,21 +504,19 @@ func (d *Document) CreateLast(value string) *LastElement {
 // Value returns the element's character content.
 func (e *LastElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *LastElement) VDOMName() string { return "lastElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *LastElement) XMLQName() (string, string) { return "", "last" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *LastElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("last")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *LastElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "last")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *LastElement) VDOMName() string { return "lastElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *LastElement) DumpInto(sb *strings.Builder, depth int) {
@@ -557,21 +538,19 @@ func (d *Document) CreateKey(value string) *KeyElement {
 // Value returns the element's character content.
 func (e *KeyElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *KeyElement) VDOMName() string { return "keyElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *KeyElement) XMLQName() (string, string) { return "", "key" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *KeyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("key")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *KeyElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "key")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *KeyElement) VDOMName() string { return "keyElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *KeyElement) DumpInto(sb *strings.Builder, depth int) {
@@ -593,21 +572,19 @@ func (d *Document) CreateValue(value string) *ValueElement {
 // Value returns the element's character content.
 func (e *ValueElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ValueElement) VDOMName() string { return "valueElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ValueElement) XMLQName() (string, string) { return "", "value" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ValueElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("value")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ValueElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "value")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ValueElement) VDOMName() string { return "valueElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ValueElement) DumpInto(sb *strings.Builder, depth int) {
@@ -629,23 +606,21 @@ func (d *Document) CreateEntry(content *EntryTypeType) *EntryElement {
 // Content returns the element's typed content.
 func (e *EntryElement) Content() *EntryTypeType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *EntryElement) VDOMName() string { return "entryElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *EntryElement) XMLQName() (string, string) { return "", "entry" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *EntryElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("entry")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *EntryElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("entryElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "entry")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *EntryElement) VDOMName() string { return "entryElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *EntryElement) DumpInto(sb *strings.Builder, depth int) {
@@ -680,21 +655,19 @@ func (d *Document) MustWhen(value string) *WhenElement {
 // Value returns the element's character content.
 func (e *WhenElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *WhenElement) VDOMName() string { return "whenElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *WhenElement) XMLQName() (string, string) { return "", "when" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *WhenElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("when")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *WhenElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "when")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *WhenElement) VDOMName() string { return "whenElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *WhenElement) DumpInto(sb *strings.Builder, depth int) {

@@ -4,7 +4,7 @@
 // type per element declaration, type definition and model group of the
 // schema. Trees built through this API are schema-valid by construction;
 // occurrence counts, required attributes and simple-type facets are
-// checked when the tree is materialized (vdom.Marshal).
+// checked when the tree is written (vdom.AppendXML).
 package pogen
 
 import (
@@ -80,9 +80,10 @@ func (a *AnyElement) VDOMName() string { return "anyElement" }
 // XMLQName implements vdom.NamedElement.
 func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }
 
-// BuildInto implements vdom.ElementNode.
-func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	return vdom.BuildAnyInto(a.El, doc, parent)
+// WriteXML implements vdom.ElementNode.
+func (a *AnyElement) WriteXML(w *vdom.Writer) error {
+	w.Raw(a.El)
+	return nil
 }
 
 // DumpInto implements vdom.Dumper.
@@ -161,37 +162,37 @@ func (t *ItemTypeType) PartNum() (string, bool) {
 	return *t.attrPartNum, true
 }
 
-func (t *ItemTypeType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *ItemTypeType) writeContent(w *vdom.Writer) error {
 	if t.attrPartNum != nil {
-		el.SetAttribute("partNum", *t.attrPartNum)
+		w.Attr("partNum", *t.attrPartNum)
 	} else {
 		return vdom.Required("ItemTypeType", "attribute partNum")
 	}
 	if t.productName == nil {
 		return vdom.Required("ItemTypeType", "productName")
 	}
-	if err := t.productName.BuildInto(doc, el); err != nil {
+	if err := t.productName.WriteXML(w); err != nil {
 		return err
 	}
 	if t.quantity == nil {
 		return vdom.Required("ItemTypeType", "quantity")
 	}
-	if err := t.quantity.BuildInto(doc, el); err != nil {
+	if err := t.quantity.WriteXML(w); err != nil {
 		return err
 	}
 	if t.uSPrice == nil {
 		return vdom.Required("ItemTypeType", "uSPrice")
 	}
-	if err := t.uSPrice.BuildInto(doc, el); err != nil {
+	if err := t.uSPrice.WriteXML(w); err != nil {
 		return err
 	}
 	if t.comment != nil {
-		if err := t.comment.BuildInto(doc, el); err != nil {
+		if err := t.comment.WriteXML(w); err != nil {
 			return err
 		}
 	}
 	if t.shipDate != nil {
-		if err := t.shipDate.BuildInto(doc, el); err != nil {
+		if err := t.shipDate.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -244,12 +245,12 @@ func (t *ItemsType) AddItem(v *ItemElement) *ItemsType {
 // Item returns the item members added so far.
 func (t *ItemsType) Item() []*ItemElement { return t.item }
 
-func (t *ItemsType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *ItemsType) writeContent(w *vdom.Writer) error {
 	if err := vdom.CheckOccurs("ItemsType.item", len(t.item), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.item {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -320,31 +321,31 @@ func (t *PurchaseOrderTypeType) OrderDate() (string, bool) {
 	return *t.attrOrderDate, true
 }
 
-func (t *PurchaseOrderTypeType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *PurchaseOrderTypeType) writeContent(w *vdom.Writer) error {
 	if t.attrOrderDate != nil {
-		el.SetAttribute("orderDate", *t.attrOrderDate)
+		w.Attr("orderDate", *t.attrOrderDate)
 	}
 	if t.shipTo == nil {
 		return vdom.Required("PurchaseOrderTypeType", "shipTo")
 	}
-	if err := t.shipTo.BuildInto(doc, el); err != nil {
+	if err := t.shipTo.WriteXML(w); err != nil {
 		return err
 	}
 	if t.billTo == nil {
 		return vdom.Required("PurchaseOrderTypeType", "billTo")
 	}
-	if err := t.billTo.BuildInto(doc, el); err != nil {
+	if err := t.billTo.WriteXML(w); err != nil {
 		return err
 	}
 	if t.comment != nil {
-		if err := t.comment.BuildInto(doc, el); err != nil {
+		if err := t.comment.WriteXML(w); err != nil {
 			return err
 		}
 	}
 	if t.items == nil {
 		return vdom.Required("PurchaseOrderTypeType", "items")
 	}
-	if err := t.items.BuildInto(doc, el); err != nil {
+	if err := t.items.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -421,38 +422,38 @@ func (t *USAddressType) Country() (string, bool) {
 	return *t.attrCountry, true
 }
 
-func (t *USAddressType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *USAddressType) writeContent(w *vdom.Writer) error {
 	if t.attrCountry != nil {
-		el.SetAttribute("country", *t.attrCountry)
+		w.Attr("country", *t.attrCountry)
 	}
 	if t.name == nil {
 		return vdom.Required("USAddressType", "name")
 	}
-	if err := t.name.BuildInto(doc, el); err != nil {
+	if err := t.name.WriteXML(w); err != nil {
 		return err
 	}
 	if t.street == nil {
 		return vdom.Required("USAddressType", "street")
 	}
-	if err := t.street.BuildInto(doc, el); err != nil {
+	if err := t.street.WriteXML(w); err != nil {
 		return err
 	}
 	if t.city == nil {
 		return vdom.Required("USAddressType", "city")
 	}
-	if err := t.city.BuildInto(doc, el); err != nil {
+	if err := t.city.WriteXML(w); err != nil {
 		return err
 	}
 	if t.state == nil {
 		return vdom.Required("USAddressType", "state")
 	}
-	if err := t.state.BuildInto(doc, el); err != nil {
+	if err := t.state.WriteXML(w); err != nil {
 		return err
 	}
 	if t.zip == nil {
 		return vdom.Required("USAddressType", "zip")
 	}
-	if err := t.zip.BuildInto(doc, el); err != nil {
+	if err := t.zip.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -496,21 +497,19 @@ func (d *Document) CreateComment(value string) *CommentElement {
 // Value returns the element's character content.
 func (e *CommentElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *CommentElement) VDOMName() string { return "commentElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CommentElement) XMLQName() (string, string) { return "", "comment" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CommentElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("comment")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *CommentElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "comment")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *CommentElement) VDOMName() string { return "commentElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CommentElement) DumpInto(sb *strings.Builder, depth int) {
@@ -532,23 +531,21 @@ func (d *Document) CreatePurchaseOrder(content *PurchaseOrderTypeType) *Purchase
 // Content returns the element's typed content.
 func (e *PurchaseOrderElement) Content() *PurchaseOrderTypeType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *PurchaseOrderElement) VDOMName() string { return "purchaseOrderElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *PurchaseOrderElement) XMLQName() (string, string) { return "", "purchaseOrder" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *PurchaseOrderElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("purchaseOrder")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *PurchaseOrderElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("purchaseOrderElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "purchaseOrder")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *PurchaseOrderElement) VDOMName() string { return "purchaseOrderElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *PurchaseOrderElement) DumpInto(sb *strings.Builder, depth int) {
@@ -571,23 +568,21 @@ func (d *Document) CreateItem(content *ItemTypeType) *ItemElement {
 // Content returns the element's typed content.
 func (e *ItemElement) Content() *ItemTypeType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *ItemElement) VDOMName() string { return "itemElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ItemElement) XMLQName() (string, string) { return "", "item" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ItemElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("item")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *ItemElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("itemElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "item")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *ItemElement) VDOMName() string { return "itemElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ItemElement) DumpInto(sb *strings.Builder, depth int) {
@@ -610,23 +605,21 @@ func (d *Document) CreateShipTo(content *USAddressType) *ShipToElement {
 // Content returns the element's typed content.
 func (e *ShipToElement) Content() *USAddressType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *ShipToElement) VDOMName() string { return "shipToElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ShipToElement) XMLQName() (string, string) { return "", "shipTo" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ShipToElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("shipTo")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *ShipToElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("shipToElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "shipTo")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *ShipToElement) VDOMName() string { return "shipToElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ShipToElement) DumpInto(sb *strings.Builder, depth int) {
@@ -649,23 +642,21 @@ func (d *Document) CreateBillTo(content *USAddressType) *BillToElement {
 // Content returns the element's typed content.
 func (e *BillToElement) Content() *USAddressType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *BillToElement) VDOMName() string { return "billToElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *BillToElement) XMLQName() (string, string) { return "", "billTo" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *BillToElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("billTo")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *BillToElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("billToElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "billTo")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *BillToElement) VDOMName() string { return "billToElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *BillToElement) DumpInto(sb *strings.Builder, depth int) {
@@ -688,23 +679,21 @@ func (d *Document) CreateItems(content *ItemsType) *ItemsElement {
 // Content returns the element's typed content.
 func (e *ItemsElement) Content() *ItemsType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *ItemsElement) VDOMName() string { return "itemsElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ItemsElement) XMLQName() (string, string) { return "", "items" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ItemsElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("items")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *ItemsElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("itemsElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "items")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *ItemsElement) VDOMName() string { return "itemsElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ItemsElement) DumpInto(sb *strings.Builder, depth int) {
@@ -727,21 +716,19 @@ func (d *Document) CreateName(value string) *NameElement {
 // Value returns the element's character content.
 func (e *NameElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *NameElement) VDOMName() string { return "nameElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *NameElement) XMLQName() (string, string) { return "", "name" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *NameElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("name")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *NameElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "name")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *NameElement) VDOMName() string { return "nameElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *NameElement) DumpInto(sb *strings.Builder, depth int) {
@@ -763,21 +750,19 @@ func (d *Document) CreateStreet(value string) *StreetElement {
 // Value returns the element's character content.
 func (e *StreetElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *StreetElement) VDOMName() string { return "streetElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *StreetElement) XMLQName() (string, string) { return "", "street" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *StreetElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("street")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *StreetElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "street")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *StreetElement) VDOMName() string { return "streetElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *StreetElement) DumpInto(sb *strings.Builder, depth int) {
@@ -799,21 +784,19 @@ func (d *Document) CreateCity(value string) *CityElement {
 // Value returns the element's character content.
 func (e *CityElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *CityElement) VDOMName() string { return "cityElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CityElement) XMLQName() (string, string) { return "", "city" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CityElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("city")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *CityElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "city")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *CityElement) VDOMName() string { return "cityElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CityElement) DumpInto(sb *strings.Builder, depth int) {
@@ -835,21 +818,19 @@ func (d *Document) CreateState(value string) *StateElement {
 // Value returns the element's character content.
 func (e *StateElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *StateElement) VDOMName() string { return "stateElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *StateElement) XMLQName() (string, string) { return "", "state" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *StateElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("state")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *StateElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "state")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *StateElement) VDOMName() string { return "stateElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *StateElement) DumpInto(sb *strings.Builder, depth int) {
@@ -883,21 +864,19 @@ func (d *Document) MustZip(value string) *ZipElement {
 // Value returns the element's character content.
 func (e *ZipElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ZipElement) VDOMName() string { return "zipElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ZipElement) XMLQName() (string, string) { return "", "zip" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ZipElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("zip")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ZipElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "zip")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ZipElement) VDOMName() string { return "zipElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ZipElement) DumpInto(sb *strings.Builder, depth int) {
@@ -919,21 +898,19 @@ func (d *Document) CreateProductName(value string) *ProductNameElement {
 // Value returns the element's character content.
 func (e *ProductNameElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ProductNameElement) VDOMName() string { return "productNameElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ProductNameElement) XMLQName() (string, string) { return "", "productName" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ProductNameElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("productName")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ProductNameElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "productName")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ProductNameElement) VDOMName() string { return "productNameElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ProductNameElement) DumpInto(sb *strings.Builder, depth int) {
@@ -967,21 +944,19 @@ func (d *Document) MustQuantity(value string) *QuantityElement {
 // Value returns the element's character content.
 func (e *QuantityElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *QuantityElement) VDOMName() string { return "quantityElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *QuantityElement) XMLQName() (string, string) { return "", "quantity" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *QuantityElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("quantity")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *QuantityElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "quantity")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *QuantityElement) VDOMName() string { return "quantityElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *QuantityElement) DumpInto(sb *strings.Builder, depth int) {
@@ -1015,21 +990,19 @@ func (d *Document) MustUSPrice(value string) *USPriceElement {
 // Value returns the element's character content.
 func (e *USPriceElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *USPriceElement) VDOMName() string { return "uSPriceElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *USPriceElement) XMLQName() (string, string) { return "", "USPrice" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *USPriceElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("USPrice")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *USPriceElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "USPrice")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *USPriceElement) VDOMName() string { return "uSPriceElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *USPriceElement) DumpInto(sb *strings.Builder, depth int) {
@@ -1063,21 +1036,19 @@ func (d *Document) MustShipDate(value string) *ShipDateElement {
 // Value returns the element's character content.
 func (e *ShipDateElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ShipDateElement) VDOMName() string { return "shipDateElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ShipDateElement) XMLQName() (string, string) { return "", "shipDate" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ShipDateElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("shipDate")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ShipDateElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "shipDate")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ShipDateElement) VDOMName() string { return "shipDateElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ShipDateElement) DumpInto(sb *strings.Builder, depth int) {

@@ -4,7 +4,7 @@
 // type per element declaration, type definition and model group of the
 // schema. Trees built through this API are schema-valid by construction;
 // occurrence counts, required attributes and simple-type facets are
-// checked when the tree is materialized (vdom.Marshal).
+// checked when the tree is written (vdom.AppendXML).
 package wildgen
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // SchemaSource is the XML Schema these bindings were generated from.
-const SchemaSource = "<?xml version=\"1.0\"?>\n<xsd:schema xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\">\n\n  <xsd:element name=\"envelope\" type=\"Envelope\"/>\n  <xsd:element name=\"extra\" type=\"xsd:string\"/>\n  <xsd:element name=\"record\" type=\"Record\"/>\n\n  <xsd:complexType name=\"Envelope\">\n    <xsd:sequence>\n      <xsd:any minOccurs=\"0\" maxOccurs=\"unbounded\" processContents=\"lax\"/>\n    </xsd:sequence>\n    <xsd:attribute name=\"version\" type=\"xsd:positiveInteger\"/>\n    <xsd:anyAttribute/>\n  </xsd:complexType>\n\n  <xsd:complexType name=\"Record\">\n    <xsd:sequence>\n      <xsd:element name=\"key\" type=\"xsd:string\"/>\n      <xsd:element name=\"value\" type=\"xsd:string\"/>\n    </xsd:sequence>\n  </xsd:complexType>\n\n</xsd:schema>\n"
+const SchemaSource = "<?xml version=\"1.0\"?>\n<xsd:schema xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\">\n\n  <xsd:element name=\"envelope\" type=\"Envelope\"/>\n  <xsd:element name=\"extra\" type=\"xsd:string\"/>\n  <xsd:element name=\"record\" type=\"Record\"/>\n  <xsd:element name=\"payload\" type=\"xsd:anyType\"/>\n\n  <xsd:complexType name=\"Envelope\">\n    <xsd:sequence>\n      <xsd:any minOccurs=\"0\" maxOccurs=\"unbounded\" processContents=\"lax\"/>\n    </xsd:sequence>\n    <xsd:attribute name=\"version\" type=\"xsd:positiveInteger\"/>\n    <xsd:anyAttribute/>\n  </xsd:complexType>\n\n  <xsd:complexType name=\"Record\">\n    <xsd:sequence>\n      <xsd:element name=\"key\" type=\"xsd:string\"/>\n      <xsd:element name=\"value\" type=\"xsd:string\"/>\n    </xsd:sequence>\n  </xsd:complexType>\n\n</xsd:schema>\n"
 
 // RT resolves generated names back to their schema components.
 var RT = vdom.MustRuntime(SchemaSource, normalize.SchemePaper)
@@ -40,9 +40,10 @@ func (a *AnyElement) VDOMName() string { return "anyElement" }
 // XMLQName implements vdom.NamedElement.
 func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }
 
-// BuildInto implements vdom.ElementNode.
-func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	return vdom.BuildAnyInto(a.El, doc, parent)
+// WriteXML implements vdom.ElementNode.
+func (a *AnyElement) WriteXML(w *vdom.Writer) error {
+	w.Raw(a.El)
+	return nil
 }
 
 // DumpInto implements vdom.Dumper.
@@ -99,15 +100,15 @@ func (t *EnvelopeType) Version() (string, bool) {
 	return *t.attrVersion, true
 }
 
-func (t *EnvelopeType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *EnvelopeType) writeContent(w *vdom.Writer) error {
 	if t.attrVersion != nil {
-		el.SetAttribute("version", *t.attrVersion)
+		w.Attr("version", *t.attrVersion)
 	}
 	if err := vdom.CheckOccurs("EnvelopeType.any", len(t.any), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.any {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -146,17 +147,17 @@ func (t *RecordType) Key() *KeyElement { return t.key }
 // Value returns the required value member.
 func (t *RecordType) Value() *ValueElement { return t.value }
 
-func (t *RecordType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *RecordType) writeContent(w *vdom.Writer) error {
 	if t.key == nil {
 		return vdom.Required("RecordType", "key")
 	}
-	if err := t.key.BuildInto(doc, el); err != nil {
+	if err := t.key.WriteXML(w); err != nil {
 		return err
 	}
 	if t.value == nil {
 		return vdom.Required("RecordType", "value")
 	}
-	if err := t.value.BuildInto(doc, el); err != nil {
+	if err := t.value.WriteXML(w); err != nil {
 		return err
 	}
 	return nil
@@ -191,23 +192,21 @@ func (d *Document) CreateEnvelope(content *EnvelopeType) *EnvelopeElement {
 // Content returns the element's typed content.
 func (e *EnvelopeElement) Content() *EnvelopeType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *EnvelopeElement) VDOMName() string { return "envelopeElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *EnvelopeElement) XMLQName() (string, string) { return "", "envelope" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *EnvelopeElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("envelope")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *EnvelopeElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("envelopeElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "envelope")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *EnvelopeElement) VDOMName() string { return "envelopeElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *EnvelopeElement) DumpInto(sb *strings.Builder, depth int) {
@@ -230,21 +229,19 @@ func (d *Document) CreateExtra(value string) *ExtraElement {
 // Value returns the element's character content.
 func (e *ExtraElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ExtraElement) VDOMName() string { return "extraElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ExtraElement) XMLQName() (string, string) { return "", "extra" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ExtraElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("extra")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ExtraElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "extra")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ExtraElement) VDOMName() string { return "extraElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ExtraElement) DumpInto(sb *strings.Builder, depth int) {
@@ -252,6 +249,53 @@ func (e *ExtraElement) DumpInto(sb *strings.Builder, depth int) {
 	sb.WriteString("extraElement" + "\n")
 	vdom.Indent(sb, depth+1)
 	sb.WriteString("Text " + e.value + "\n")
+}
+
+// PayloadElement represents element <payload>, whose type is xs:anyType: its
+// content is unconstrained raw DOM.
+type PayloadElement struct {
+	children []*AnyElement
+	text     []string
+}
+
+// CreatePayload creates an empty element.
+func (d *Document) CreatePayload() *PayloadElement { return &PayloadElement{} }
+
+// AddRaw appends a raw child element.
+func (e *PayloadElement) AddRaw(el *dom.Element) *PayloadElement {
+	e.children = append(e.children, NewAnyElement(el))
+	return e
+}
+
+// AddText appends character data.
+func (e *PayloadElement) AddText(s string) *PayloadElement {
+	e.text = append(e.text, s)
+	return e
+}
+
+// XMLQName implements vdom.NamedElement.
+func (e *PayloadElement) XMLQName() (string, string) { return "", "payload" }
+
+// WriteXML implements vdom.ElementNode.
+func (e *PayloadElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "payload")
+	for _, c := range e.children {
+		w.Raw(c.El)
+	}
+	for _, s := range e.text {
+		w.Text(s)
+	}
+	w.End()
+	return nil
+}
+
+// VDOMName implements vdom.Node.
+func (e *PayloadElement) VDOMName() string { return "payloadElement" }
+
+// DumpInto renders the typed node (paper Fig. 7 view).
+func (e *PayloadElement) DumpInto(sb *strings.Builder, depth int) {
+	vdom.Indent(sb, depth)
+	sb.WriteString("payloadElement" + "\n")
 }
 
 // RecordElement represents element <record> (V-DOM interface recordElement); its content
@@ -266,23 +310,21 @@ func (d *Document) CreateRecord(content *RecordType) *RecordElement {
 // Content returns the element's typed content.
 func (e *RecordElement) Content() *RecordType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *RecordElement) VDOMName() string { return "recordElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *RecordElement) XMLQName() (string, string) { return "", "record" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *RecordElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("record")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *RecordElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("recordElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "record")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *RecordElement) VDOMName() string { return "recordElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *RecordElement) DumpInto(sb *strings.Builder, depth int) {
@@ -305,21 +347,19 @@ func (d *Document) CreateKey(value string) *KeyElement {
 // Value returns the element's character content.
 func (e *KeyElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *KeyElement) VDOMName() string { return "keyElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *KeyElement) XMLQName() (string, string) { return "", "key" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *KeyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("key")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *KeyElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "key")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *KeyElement) VDOMName() string { return "keyElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *KeyElement) DumpInto(sb *strings.Builder, depth int) {
@@ -341,21 +381,19 @@ func (d *Document) CreateValue(value string) *ValueElement {
 // Value returns the element's character content.
 func (e *ValueElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *ValueElement) VDOMName() string { return "valueElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *ValueElement) XMLQName() (string, string) { return "", "value" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *ValueElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("value")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *ValueElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "value")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *ValueElement) VDOMName() string { return "valueElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *ValueElement) DumpInto(sb *strings.Builder, depth int) {

@@ -4,7 +4,7 @@
 // type per element declaration, type definition and model group of the
 // schema. Trees built through this API are schema-valid by construction;
 // occurrence counts, required attributes and simple-type facets are
-// checked when the tree is materialized (vdom.Marshal).
+// checked when the tree is written (vdom.AppendXML).
 package wmlgen
 
 import (
@@ -60,9 +60,10 @@ func (a *AnyElement) VDOMName() string { return "anyElement" }
 // XMLQName implements vdom.NamedElement.
 func (a *AnyElement) XMLQName() (string, string) { return a.El.Name().Space, a.El.LocalName() }
 
-// BuildInto implements vdom.ElementNode.
-func (a *AnyElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	return vdom.BuildAnyInto(a.El, doc, parent)
+// WriteXML implements vdom.ElementNode.
+func (a *AnyElement) WriteXML(w *vdom.Writer) error {
+	w.Raw(a.El)
+	return nil
 }
 
 // DumpInto implements vdom.Dumper.
@@ -145,17 +146,17 @@ func (t *AType) Title() (string, bool) {
 	return *t.attrTitle, true
 }
 
-func (t *AType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *AType) writeContent(w *vdom.Writer) error {
 	if t.attrHref != nil {
-		el.SetAttribute("href", *t.attrHref)
+		w.Attr("href", *t.attrHref)
 	} else {
 		return vdom.Required("AType", "attribute href")
 	}
 	if t.attrTitle != nil {
-		el.SetAttribute("title", *t.attrTitle)
+		w.Attr("title", *t.attrTitle)
 	}
-	_, err := el.AppendChild(doc.CreateTextNode(t.value))
-	return err
+	w.Text(t.value)
+	return nil
 }
 
 // VDOMName implements vdom.Node.
@@ -181,7 +182,7 @@ func (d *Document) CreateBrType() *BrType {
 	return &BrType{}
 }
 
-func (t *BrType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *BrType) writeContent(w *vdom.Writer) error {
 	return nil
 }
 
@@ -252,18 +253,18 @@ func (t *CardType) Title() (string, bool) {
 	return *t.attrTitle, true
 }
 
-func (t *CardType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *CardType) writeContent(w *vdom.Writer) error {
 	if t.attrId != nil {
-		el.SetAttribute("id", *t.attrId)
+		w.Attr("id", *t.attrId)
 	}
 	if t.attrTitle != nil {
-		el.SetAttribute("title", *t.attrTitle)
+		w.Attr("title", *t.attrTitle)
 	}
 	if err := vdom.CheckOccurs("CardType.p", len(t.p), 0, -1); err != nil {
 		return err
 	}
 	for _, c := range t.p {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -354,18 +355,18 @@ func (t *OptionType) Onpick() (string, bool) {
 	return *t.attrOnpick, true
 }
 
-func (t *OptionType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *OptionType) writeContent(w *vdom.Writer) error {
 	if t.attrValue2 != nil {
-		el.SetAttribute("value", *t.attrValue2)
+		w.Attr("value", *t.attrValue2)
 	}
 	if t.attrTitle != nil {
-		el.SetAttribute("title", *t.attrTitle)
+		w.Attr("title", *t.attrTitle)
 	}
 	if t.attrOnpick != nil {
-		el.SetAttribute("onpick", *t.attrOnpick)
+		w.Attr("onpick", *t.attrOnpick)
 	}
-	_, err := el.AppendChild(doc.CreateTextNode(t.value))
-	return err
+	w.Text(t.value)
+	return nil
 }
 
 // VDOMName implements vdom.Node.
@@ -383,7 +384,7 @@ func (t *OptionType) xsiName() string { return "Option" }
 
 // PType is complex type "P" (mixed content: character data may
 // interleave with child elements; order and occurrence are checked
-// against the content model when the tree is materialized).
+// against the content model when the tree is written).
 type PType struct {
 	vdom.MixedContent
 	attrAlign *string
@@ -432,11 +433,11 @@ func (t *PType) Align() (string, bool) {
 	return *t.attrAlign, true
 }
 
-func (t *PType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *PType) writeContent(w *vdom.Writer) error {
 	if t.attrAlign != nil {
-		el.SetAttribute("align", *t.attrAlign)
+		w.Attr("align", *t.attrAlign)
 	}
-	return RT.BuildMixed(&t.MixedContent, "P", doc, el)
+	return RT.WriteMixed(w, &t.MixedContent, "P")
 }
 
 // VDOMName implements vdom.Node.
@@ -525,21 +526,21 @@ func (t *SelectType) Multiple() (string, bool) {
 	return *t.attrMultiple, true
 }
 
-func (t *SelectType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *SelectType) writeContent(w *vdom.Writer) error {
 	if t.attrName != nil {
-		el.SetAttribute("name", *t.attrName)
+		w.Attr("name", *t.attrName)
 	}
 	if t.attrTitle != nil {
-		el.SetAttribute("title", *t.attrTitle)
+		w.Attr("title", *t.attrTitle)
 	}
 	if t.attrMultiple != nil {
-		el.SetAttribute("multiple", *t.attrMultiple)
+		w.Attr("multiple", *t.attrMultiple)
 	}
 	if err := vdom.CheckOccurs("SelectType.option", len(t.option), 1, -1); err != nil {
 		return err
 	}
 	for _, c := range t.option {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -580,12 +581,12 @@ func (t *WmlType) AddCard(v *CardElement) *WmlType {
 // Card returns the card members added so far.
 func (t *WmlType) Card() []*CardElement { return t.card }
 
-func (t *WmlType) buildMembers(doc *dom.Document, el *dom.Element) error {
+func (t *WmlType) writeContent(w *vdom.Writer) error {
 	if err := vdom.CheckOccurs("WmlType.card", len(t.card), 1, -1); err != nil {
 		return err
 	}
 	for _, c := range t.card {
-		if err := c.BuildInto(doc, el); err != nil {
+		if err := c.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -618,23 +619,21 @@ func (d *Document) CreateWml(content *WmlType) *WmlElement {
 // Content returns the element's typed content.
 func (e *WmlElement) Content() *WmlType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *WmlElement) VDOMName() string { return "wmlElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *WmlElement) XMLQName() (string, string) { return "", "wml" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *WmlElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("wml")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *WmlElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("wmlElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "wml")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *WmlElement) VDOMName() string { return "wmlElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *WmlElement) DumpInto(sb *strings.Builder, depth int) {
@@ -657,23 +656,21 @@ func (d *Document) CreateP(content *PType) *PElement {
 // Content returns the element's typed content.
 func (e *PElement) Content() *PType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *PElement) VDOMName() string { return "pElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *PElement) XMLQName() (string, string) { return "", "p" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *PElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("p")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *PElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("pElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "p")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *PElement) VDOMName() string { return "pElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *PElement) DumpInto(sb *strings.Builder, depth int) {
@@ -696,21 +693,19 @@ func (d *Document) CreateB(value string) *BElement {
 // Value returns the element's character content.
 func (e *BElement) Value() string { return e.value }
 
-// VDOMName implements vdom.Node.
-func (e *BElement) VDOMName() string { return "bElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *BElement) XMLQName() (string, string) { return "", "b" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *BElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("b")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	_, err := el.AppendChild(doc.CreateTextNode(e.value))
-	return err
+// WriteXML implements vdom.ElementNode.
+func (e *BElement) WriteXML(w *vdom.Writer) error {
+	w.Start("", "b")
+	w.Text(e.value)
+	w.End()
+	return nil
 }
+
+// VDOMName implements vdom.Node.
+func (e *BElement) VDOMName() string { return "bElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *BElement) DumpInto(sb *strings.Builder, depth int) {
@@ -732,23 +727,21 @@ func (d *Document) CreateBr(content *BrType) *BrElement {
 // Content returns the element's typed content.
 func (e *BrElement) Content() *BrType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *BrElement) VDOMName() string { return "brElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *BrElement) XMLQName() (string, string) { return "", "br" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *BrElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("br")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *BrElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("brElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "br")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *BrElement) VDOMName() string { return "brElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *BrElement) DumpInto(sb *strings.Builder, depth int) {
@@ -771,23 +764,21 @@ func (d *Document) CreateSelect(content *SelectType) *SelectElement {
 // Content returns the element's typed content.
 func (e *SelectElement) Content() *SelectType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *SelectElement) VDOMName() string { return "selectElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *SelectElement) XMLQName() (string, string) { return "", "select" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *SelectElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("select")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *SelectElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("selectElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "select")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *SelectElement) VDOMName() string { return "selectElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *SelectElement) DumpInto(sb *strings.Builder, depth int) {
@@ -810,23 +801,21 @@ func (d *Document) CreateA(content *AType) *AElement {
 // Content returns the element's typed content.
 func (e *AElement) Content() *AType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *AElement) VDOMName() string { return "aElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *AElement) XMLQName() (string, string) { return "", "a" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *AElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("a")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *AElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("aElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "a")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *AElement) VDOMName() string { return "aElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *AElement) DumpInto(sb *strings.Builder, depth int) {
@@ -849,23 +838,21 @@ func (d *Document) CreateOption(content *OptionType) *OptionElement {
 // Content returns the element's typed content.
 func (e *OptionElement) Content() *OptionType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *OptionElement) VDOMName() string { return "optionElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *OptionElement) XMLQName() (string, string) { return "", "option" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *OptionElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("option")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *OptionElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("optionElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "option")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *OptionElement) VDOMName() string { return "optionElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *OptionElement) DumpInto(sb *strings.Builder, depth int) {
@@ -888,23 +875,21 @@ func (d *Document) CreateCard(content *CardType) *CardElement {
 // Content returns the element's typed content.
 func (e *CardElement) Content() *CardType { return e.content }
 
-// VDOMName implements vdom.Node.
-func (e *CardElement) VDOMName() string { return "cardElement" }
-
 // XMLQName implements vdom.NamedElement.
 func (e *CardElement) XMLQName() (string, string) { return "", "card" }
 
-// BuildInto implements vdom.ElementNode.
-func (e *CardElement) BuildInto(doc *dom.Document, parent dom.Node) error {
-	el := doc.CreateElement("card")
-	if _, err := parent.AppendChild(el); err != nil {
-		return err
-	}
+// WriteXML implements vdom.ElementNode.
+func (e *CardElement) WriteXML(w *vdom.Writer) error {
 	if e.content == nil {
 		return vdom.Required("cardElement", "content")
 	}
-	return e.content.buildMembers(doc, el)
+	w.Start("", "card")
+	defer w.End()
+	return e.content.writeContent(w)
 }
+
+// VDOMName implements vdom.Node.
+func (e *CardElement) VDOMName() string { return "cardElement" }
 
 // DumpInto renders the typed node (paper Fig. 7 view).
 func (e *CardElement) DumpInto(sb *strings.Builder, depth int) {

@@ -236,6 +236,34 @@ const NamespacedOrderXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
+// UnqualifiedOrderXSD has a target namespace and leaves its local
+// elements unqualified (the XSD default elementFormDefault): the global
+// order and note are in urn:example:unq, while the local id and line are
+// in no namespace, so a writer must undeclare the default namespace on
+// them and declare it again on a global note referenced inside a line.
+const UnqualifiedOrderXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:u="urn:example:unq" targetNamespace="urn:example:unq">
+
+  <xsd:element name="order" type="u:OrderType"/>
+  <xsd:element name="note" type="xsd:string"/>
+
+  <xsd:complexType name="OrderType">
+    <xsd:sequence>
+      <xsd:element name="id" type="xsd:positiveInteger"/>
+      <xsd:element name="line" minOccurs="0" maxOccurs="unbounded">
+        <xsd:complexType>
+          <xsd:sequence>
+            <xsd:element ref="u:note"/>
+          </xsd:sequence>
+        </xsd:complexType>
+      </xsd:element>
+    </xsd:sequence>
+  </xsd:complexType>
+
+</xsd:schema>
+`
+
 // ComplexGroupsXSD exercises the normal form's group promotion paths in
 // one vocabulary: a choice whose alternative is an unnamed sequence (the
 // paper's nested-group case), a repeated unnamed sequence (a "list
@@ -276,13 +304,15 @@ const ComplexGroupsXSD = `<?xml version="1.0"?>
 
 // WildcardEnvelopeXSD exercises the wildcard surfaces the paper's
 // examples avoid: a lax xsd:any content model (known globals validate,
-// foreign content passes) and an open attribute set via xsd:anyAttribute.
+// foreign content passes), an open attribute set via xsd:anyAttribute,
+// and an element of type xsd:anyType.
 const WildcardEnvelopeXSD = `<?xml version="1.0"?>
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
 
   <xsd:element name="envelope" type="Envelope"/>
   <xsd:element name="extra" type="xsd:string"/>
   <xsd:element name="record" type="Record"/>
+  <xsd:element name="payload" type="xsd:anyType"/>
 
   <xsd:complexType name="Envelope">
     <xsd:sequence>

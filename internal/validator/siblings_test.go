@@ -126,8 +126,9 @@ const ordersSchema = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
 </xsd:schema>`
 
 // TestParallelIdentityConstraints puts constraints on every subtree of a
-// wide level, and one over the whole document: the machine buffers the
-// root, so the inner subtrees take their nodes from that fragment.
+// wide level, and one over the whole document: the machine tracks the
+// outer scope and each inner one on the token stream at once, each
+// judging the nodes its own selector picks, and agrees with the DOM walk.
 func TestParallelIdentityConstraints(t *testing.T) {
 	s, err := xsd.ParseString(ordersSchema, nil)
 	if err != nil {

@@ -10,13 +10,15 @@
 // dynamic — exactly the residue the paper concedes in §3 — is occurrence
 // counting (rule 5), simple-type facet values (type restriction), and
 // required attributes. Those checks live here and run when a typed tree is
-// materialized into a DOM or serialized; they cannot fail for programs
-// that respect the documented constructor contracts.
+// written; they cannot fail for programs that respect the documented
+// constructor contracts.
 //
 // Where the paper's Java/IDL V-DOM makes every generated interface extend
 // DOM's Element, Go has no implementation inheritance; the adaptation is
-// that every generated node converts to a plain *dom.Element via its
-// BuildInto method, and Marshal produces the equivalent document.
+// that every generated node writes itself as XML text through a Writer
+// (its WriteXML method; AppendXML is the entry point), and Marshal parses
+// those bytes into the equivalent DOM document. There is one emission
+// path, so the DOM view is exactly what a reader of the bytes sees.
 //
 // # Role in the pipeline
 //
@@ -25,7 +27,7 @@
 // generated packages under internal/gen call into it, its mixed-content
 // checks reuse package contentmodel's matchers via the once-guarded
 // ComplexType.Matcher, and the validator serves as the independent oracle
-// that its marshalled output is schema-valid.
+// that its written output is schema-valid.
 //
 // # Concurrency
 //

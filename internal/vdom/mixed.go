@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/contentmodel"
-	"repro/internal/dom"
-	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
 
@@ -65,9 +63,9 @@ func (m *MixedContent) AddText(s string) { m.items = append(m.items, mixedItem{t
 // Len returns the number of items (text runs and elements).
 func (m *MixedContent) Len() int { return len(m.items) }
 
-// BuildMixed materializes the mixed children into el, first checking the
-// element sequence against the named type's content model.
-func (rt *Runtime) BuildMixed(m *MixedContent, typeName string, doc *dom.Document, el *dom.Element) error {
+// WriteMixed writes the mixed children, first checking the element
+// sequence against the named type's content model.
+func (rt *Runtime) WriteMixed(w *Writer, m *MixedContent, typeName string) error {
 	ct := rt.ComplexType(typeName)
 	var symbols []contentmodel.Symbol
 	for _, it := range m.items {
@@ -80,13 +78,9 @@ func (rt *Runtime) BuildMixed(m *MixedContent, typeName string, doc *dom.Documen
 		return fmt.Errorf("vdom: %s content: %s", typeName, merr.Error())
 	}
 	for _, it := range m.items {
-		if it.node != nil {
-			if err := it.node.BuildInto(doc, el); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := el.AppendChild(doc.CreateTextNode(it.text)); err != nil {
+		if it.node == nil {
+			w.Text(it.text)
+		} else if err := it.node.WriteXML(w); err != nil {
 			return err
 		}
 	}
@@ -108,19 +102,4 @@ func DumpMixed(m *MixedContent, sb *strings.Builder, depth int) {
 		Indent(sb, depth)
 		fmt.Fprintf(sb, "Text %q\n", it.text)
 	}
-}
-
-// BuildAnyInto appends a raw DOM element (a wildcard member's value),
-// importing it into the target document.
-func BuildAnyInto(raw *dom.Element, doc *dom.Document, parent dom.Node) error {
-	imported := doc.ImportNode(raw, true)
-	_, err := parent.AppendChild(imported)
-	return err
-}
-
-// XSIType decorates el with an xsi:type attribute — emitted when a derived
-// type's value fills a base-typed slot (paper §3, type extension).
-func XSIType(el *dom.Element, typeName string) {
-	el.SetAttributeNS("http://www.w3.org/2000/xmlns/", "xmlns:xsi", xsd.XSINamespace)
-	el.SetAttributeNS(xsd.XSINamespace, "xsi:type", typeName)
 }

@@ -3,6 +3,7 @@ package vdom
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/normalize"
@@ -17,14 +18,13 @@ type Node interface {
 	VDOMName() string
 }
 
-// ElementNode is a generated element wrapper that can materialize itself
-// as a DOM subtree.
+// ElementNode is a generated element wrapper: it writes itself as XML.
 type ElementNode interface {
 	Node
-	// BuildInto appends the element's DOM representation to parent,
-	// performing the deferred dynamic checks (occurrence counts,
-	// required attributes). It reports the first violated constraint.
-	BuildInto(doc *dom.Document, parent dom.Node) error
+	// WriteXML writes the element to w, performing the deferred dynamic
+	// checks (occurrence counts, required members and attributes). It
+	// reports the first violated constraint.
+	WriteXML(w *Writer) error
 }
 
 // Runtime binds generated code to its schema: it resolves the components
@@ -35,6 +35,9 @@ type Runtime struct {
 	Norm   *normalize.Result
 
 	typesByName map[string]xsd.Type
+
+	streamOnce sync.Once
+	stream     *validator.StreamValidator
 }
 
 // NewRuntime parses the schema source and recomputes the (deterministic)
@@ -172,28 +175,25 @@ func Required(context, what string) error {
 	return &RequiredError{Context: context, What: what}
 }
 
-// Marshal materializes a typed tree into a new DOM document and returns
-// it. The returned document is valid against the runtime's schema by
+// Marshal writes a typed tree and parses the bytes into a new DOM
+// document: the DOM view (paper Fig. 4) is exactly what a reader of the
+// bytes sees. The document is valid against the runtime's schema by
 // construction (the E1/E2 tests verify this with the runtime validator).
 func Marshal(root ElementNode) (*dom.Document, error) {
-	doc := dom.NewDocument()
-	if err := root.BuildInto(doc, doc); err != nil {
+	b, err := AppendXML(nil, root)
+	if err != nil {
 		return nil, err
 	}
-	return doc, nil
+	return dom.Parse(b)
 }
 
 // MarshalString serializes a typed tree to XML text.
 func MarshalString(root ElementNode) (string, error) {
-	doc, err := Marshal(root)
+	b, err := AppendXML(nil, root)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	if err := dom.Serialize(&sb, doc, &dom.SerializeOptions{OmitXMLDecl: true}); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
+	return string(b), nil
 }
 
 // MarshalIndent serializes a typed tree pretty-printed.
@@ -209,16 +209,17 @@ func MarshalIndent(root ElementNode) (string, error) {
 	return sb.String(), nil
 }
 
-// Verify marshals the tree and re-validates it with the runtime
+// Verify writes the tree and re-validates the bytes with the streaming
 // validator — used by tests to demonstrate the paper's central claim
 // (every V-DOM tree is schema-valid) and by callers who want belt and
 // braces.
 func (rt *Runtime) Verify(root ElementNode) error {
-	doc, err := Marshal(root)
+	b, err := AppendXML(nil, root)
 	if err != nil {
 		return err
 	}
-	return validator.New(rt.Schema, nil).ValidateDocument(doc).Err()
+	rt.streamOnce.Do(func() { rt.stream = validator.New(rt.Schema, nil).Stream() })
+	return rt.stream.ValidateBytes(b).Err()
 }
 
 // Dumper is implemented by generated nodes to render the paper's Fig. 7

@@ -101,13 +101,13 @@ type fakeNode struct {
 }
 
 func (f *fakeNode) VDOMName() string { return f.name }
-func (f *fakeNode) BuildInto(doc *dom.Document, parent dom.Node) error {
+func (f *fakeNode) WriteXML(w *Writer) error {
 	if f.fail {
 		return Required(f.name, "something")
 	}
-	el := doc.CreateElement(f.name)
-	_, err := parent.AppendChild(el)
-	return err
+	w.Start("", f.name)
+	w.End()
+	return nil
 }
 
 func TestMarshalHelpers(t *testing.T) {
@@ -155,33 +155,86 @@ type fakeNamed struct{ fakeNode }
 
 func (f *fakeNamed) XMLQName() (string, string) { return "", f.name }
 
-func TestXSITypeHelper(t *testing.T) {
-	doc := dom.NewDocument()
-	el := doc.CreateElement("e")
-	XSIType(el, "USAddress")
-	if el.GetAttributeNS("http://www.w3.org/2001/XMLSchema-instance", "type") != "USAddress" {
-		t.Errorf("xsi:type not set: %s", dom.ToString(el))
+// writeFunc is an ElementNode that writes with an arbitrary function.
+type writeFunc func(w *Writer)
+
+func (f writeFunc) VDOMName() string { return "f" }
+func (f writeFunc) WriteXML(w *Writer) error {
+	f(w)
+	return nil
+}
+
+func appendString(t *testing.T, f writeFunc) string {
+	t.Helper()
+	b, err := AppendXML(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestVDOMWriterXSIType(t *testing.T) {
+	got := appendString(t, func(w *Writer) {
+		w.Start("", "e")
+		w.XSIType("USAddress")
+		w.Attr("k", `a"b`)
+		w.End()
+	})
+	want := `<e xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="USAddress" k="a&quot;b"/>`
+	if got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
 }
 
-func TestBuildAnyInto(t *testing.T) {
-	src := dom.NewDocument()
-	raw := src.CreateElement("raw")
-	raw.SetAttribute("k", "v")
-	_, _ = raw.AppendChild(src.CreateTextNode("t"))
+// TestVDOMWriterNamespaceScope: the default namespace is declared where it
+// changes, undeclared (xmlns="") for an element in no namespace under
+// one, and inherited otherwise.
+func TestVDOMWriterNamespaceScope(t *testing.T) {
+	got := appendString(t, func(w *Writer) {
+		w.Start("urn:a", "r")
+		w.Start("urn:a", "q")
+		w.Start("urn:a", "deep")
+		w.End()
+		w.End()
+		w.Start("", "local")
+		w.Start("urn:a", "ref")
+		w.Text("")
+		w.End()
+		w.End()
+		w.End()
+	})
+	want := `<r xmlns="urn:a"><q><deep/></q><local xmlns=""><ref xmlns="urn:a"></ref></local></r>`
+	if got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
+	}
+}
 
-	dst := dom.NewDocument()
-	parent := dst.CreateElement("parent")
-	_, _ = dst.AppendChild(parent)
-	if err := BuildAnyInto(raw, dst, parent); err != nil {
+func TestVDOMWriterRaw(t *testing.T) {
+	src, err := dom.ParseString(`<raw k="v">t<x:in xmlns:x="urn:x"/></raw>`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := dom.ToString(parent)
-	if !strings.Contains(out, `<raw k="v">t</raw>`) {
-		t.Errorf("imported wrong: %s", out)
+	got := appendString(t, func(w *Writer) {
+		w.Start("", "parent")
+		w.Raw(src.DocumentElement())
+		w.Text("<&>")
+		w.End()
+	})
+	want := `<parent><raw k="v">t<x:in xmlns:x="urn:x"/></raw>&lt;&amp;&gt;</parent>`
+	if got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
-	// The original element is untouched (import copies).
-	if raw.OwnerDocument() != src {
-		t.Error("original reparented")
+}
+
+// TestVDOMAppendXMLKeepsDstOnError: a violated constraint leaves dst as it was.
+func TestVDOMAppendXMLKeepsDstOnError(t *testing.T) {
+	dst := []byte("prefix")
+	b, err := AppendXML(dst, &fakeNode{name: "bad", fail: true})
+	if err == nil || string(b) != "prefix" {
+		t.Errorf("got %q, %v", b, err)
+	}
+	b, err = AppendXML(dst, &fakeNode{name: "ok"})
+	if err != nil || string(b) != "prefix<ok/>" {
+		t.Errorf("got %q, %v", b, err)
 	}
 }
